@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test race vet fmt-check errcheck crossval golden golden-degraded golden-scenario golden-contention golden-machine-degraded golden-update spec-validate cachepass race-machine bench bench-step bench-step-smoke bench-smoke ci
+.PHONY: build test race vet fmt-check errcheck crossval golden golden-degraded golden-scenario golden-contention golden-machine-degraded golden-update spec-validate cachepass race-machine bench bench-step bench-step-smoke bench-smoke bench-digest ci
 
 build:
 	$(GO) build ./...
@@ -118,6 +118,13 @@ bench-step-smoke:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./... | $(GO) run ./cmd/benchfmt -out /dev/null >/dev/null
 
+# bench-digest runs every workload of the repository benchmark once at
+# seed 42 and default sizes (about 12 s). bench/run.sh exits non-zero
+# when any output digest differs from bench/reference.json or a call
+# fails, so a change that moves a simulated result fails the gate.
+bench-digest:
+	bash bench/run.sh -seconds 0 -reps 1
+
 # race-machine is a focused race pass over the shared-machine layer:
 # the arbiter, admission plane, and SimulateN's cross-run worker pool
 # (the machine tests include a DeepEqual worker-determinism sweep).
@@ -141,8 +148,9 @@ errcheck:
 # a focused race pass over the shared-machine arbiter/admission layer,
 # the golden-table regression suite plus explicit degraded-platform,
 # scenario, contention, and machine-degraded golden gates, the
-# cold-then-warm cache pass, and one-iteration smoke runs of the full
-# benchmark suite and the step-vs-process headroom pairs.
+# cold-then-warm cache pass, one-iteration smoke runs of the full
+# benchmark suite and the step-vs-process headroom pairs, and the
+# seed-42 output-digest check of the repository benchmark.
 ci:
 	$(MAKE) fmt-check
 	$(GO) vet ./...
@@ -161,3 +169,4 @@ ci:
 	$(MAKE) cachepass
 	$(MAKE) bench-smoke
 	$(MAKE) bench-step-smoke
+	$(MAKE) bench-digest

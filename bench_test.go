@@ -26,6 +26,7 @@ import (
 	"pckpt/internal/platform"
 	"pckpt/internal/rng"
 	"pckpt/internal/sim"
+	"pckpt/internal/stepsim"
 	"pckpt/internal/workload"
 )
 
@@ -106,6 +107,26 @@ func BenchmarkAblationSingleRunPerModel(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				crmodel.Simulate(cfg, uint64(i))
+			}
+		})
+	}
+}
+
+// BenchmarkAblationSingleStepRunPerModel is the step-tier sibling of
+// BenchmarkAblationSingleRunPerModel: the same platform and seeds through
+// stepsim.Simulate, the tier sweeps run on by default, so the two give a
+// like-for-like per-run comparison of the tiers.
+func BenchmarkAblationSingleStepRunPerModel(b *testing.B) {
+	app, err := workload.ByName("CHIMERA")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range crmodel.Models() {
+		b.Run(m.String(), func(b *testing.B) {
+			cfg := stepsim.Config{Model: m, Config: platform.Config{App: app, System: failure.Titan}}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				stepsim.Simulate(cfg, uint64(i))
 			}
 		})
 	}

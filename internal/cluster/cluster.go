@@ -38,7 +38,9 @@ func (s State) String() string {
 	}
 }
 
-// Node is one job node's bookkeeping.
+// Node is one job node's health bookkeeping. Its checkpoint records live
+// in the cluster's ledger; read them with (*Cluster).BBProgress and
+// PFSProgress.
 type Node struct {
 	// ID is the job-local node index.
 	ID int
@@ -47,13 +49,6 @@ type Node struct {
 	// PredictedFailAt is the predicted failure time while Vulnerable or
 	// Migrating; zero otherwise.
 	PredictedFailAt float64
-	// BBProgress is the application progress (simulated seconds of
-	// computation) captured by the newest checkpoint on this node's
-	// burst buffer; negative means none.
-	BBProgress float64
-	// PFSProgress is the progress captured by this node's newest
-	// checkpoint committed to the PFS; negative means none.
-	PFSProgress float64
 	// Replacements counts how many times this logical rank has been
 	// re-hosted on a spare after failures.
 	Replacements int
@@ -65,9 +60,33 @@ type Node struct {
 // names. A nil observer costs one predictable branch per transition.
 type Observer func(id int, from, to State)
 
+// Checkpoint tiers, indexing the ledger's per-tier arrays.
+const (
+	tierBB  = 0 // node-local burst buffer
+	tierPFS = 1 // parallel file system
+)
+
+// divergence is one node's entry in the checkpoint ledger. For each tier
+// t, a node with owns[t] holds its own record val[t]; otherwise it holds
+// the cluster's coordinated record for that tier.
+type divergence struct {
+	id   int
+	owns [2]bool
+	val  [2]float64
+}
+
 // Cluster is the job's node set plus the spare pool.
+//
+// Checkpoint records are kept as a generation ledger: coord holds the
+// progress captured by the newest coordinated BB stage and PFS commit,
+// which every node holds unless it has diverged (failed, been replaced,
+// committed individually, or failed before a coordinated checkpoint
+// skipped it). Only diverged nodes have an entry in diverged, so the
+// coordinated calls cost O(diverged nodes) rather than O(nodes).
 type Cluster struct {
 	nodes    []Node
+	coord    [2]float64
+	diverged []divergence
 	spares   int
 	used     int
 	observer Observer
@@ -93,11 +112,14 @@ func New(n, spares int) *Cluster {
 	if spares < 0 {
 		panic("cluster: negative spare count")
 	}
-	c := &Cluster{nodes: make([]Node, n), spares: spares}
+	c := &Cluster{
+		nodes:    make([]Node, n),
+		coord:    [2]float64{-1, -1},
+		diverged: make([]divergence, 0, 8),
+		spares:   spares,
+	}
 	for i := range c.nodes {
 		c.nodes[i].ID = i
-		c.nodes[i].BBProgress = -1
-		c.nodes[i].PFSProgress = -1
 	}
 	return c
 }
@@ -105,8 +127,12 @@ func New(n, spares int) *Cluster {
 // Len returns the job's node count.
 func (c *Cluster) Len() int { return len(c.nodes) }
 
-// Node returns a pointer to node id for inspection and mutation.
-func (c *Cluster) Node(id int) *Node {
+// Node returns a snapshot of node id. Mutate nodes through the Cluster's
+// methods, which keep the observer and the checkpoint ledger in step.
+func (c *Cluster) Node(id int) Node { return *c.node(id) }
+
+// node returns a pointer to node id, panicking when id is out of range.
+func (c *Cluster) node(id int) *Node {
 	if id < 0 || id >= len(c.nodes) {
 		panic(fmt.Sprintf("cluster: node %d out of range [0, %d)", id, len(c.nodes)))
 	}
@@ -124,7 +150,7 @@ func (c *Cluster) SparesLeft() int { return c.spares - c.used }
 // fires for it. Use AbortMigration to tear the migration down first when
 // the superseding prediction should re-queue the node.
 func (c *Cluster) MarkVulnerable(id int, failAt float64) error {
-	n := c.Node(id)
+	n := c.node(id)
 	if n.State == Failed {
 		return fmt.Errorf("cluster: node %d is failed, cannot mark vulnerable", id)
 	}
@@ -137,7 +163,7 @@ func (c *Cluster) MarkVulnerable(id int, failAt float64) error {
 
 // MarkMigrating transitions a vulnerable node to Migrating.
 func (c *Cluster) MarkMigrating(id int) error {
-	n := c.Node(id)
+	n := c.node(id)
 	if n.State != Vulnerable {
 		return fmt.Errorf("cluster: node %d is %v, cannot start migration", id, n.State)
 	}
@@ -149,7 +175,7 @@ func (c *Cluster) MarkMigrating(id int) error {
 // Vulnerable with the given predicted failure time (the superseding
 // prediction's deadline), ready to be re-queued by the episode drain.
 func (c *Cluster) AbortMigration(id int, failAt float64) error {
-	n := c.Node(id)
+	n := c.node(id)
 	if n.State != Migrating {
 		return fmt.Errorf("cluster: node %d is %v, no migration to abort", id, n.State)
 	}
@@ -161,7 +187,7 @@ func (c *Cluster) AbortMigration(id int, failAt float64) error {
 // MarkHealthy returns a node to Healthy (prediction resolved: the failure
 // was avoided, mitigated, or turned out spurious).
 func (c *Cluster) MarkHealthy(id int) {
-	n := c.Node(id)
+	n := c.node(id)
 	if n.State == Failed {
 		panic(fmt.Sprintf("cluster: node %d is failed; use Replace", id))
 	}
@@ -172,19 +198,19 @@ func (c *Cluster) MarkHealthy(id int) {
 // Fail records a node failure. The node keeps its Failed state until
 // Replace is called.
 func (c *Cluster) Fail(id int) {
-	n := c.Node(id)
+	n := c.node(id)
 	c.setState(n, Failed)
 	n.PredictedFailAt = 0
 	// The node's burst buffer dies with it: its staged checkpoint is
 	// gone. The PFS copy survives.
-	n.BBProgress = -1
+	c.record(id, tierBB, -1)
 }
 
 // Replace swaps a failed node for a spare: the logical rank becomes a
 // fresh healthy node with an empty burst buffer. It reports an error when
 // the spare pool is exhausted.
 func (c *Cluster) Replace(id int) error {
-	n := c.Node(id)
+	n := c.node(id)
 	if n.State != Failed {
 		return fmt.Errorf("cluster: node %d is %v, not failed", id, n.State)
 	}
@@ -194,52 +220,117 @@ func (c *Cluster) Replace(id int) error {
 	c.used++
 	c.setState(n, Healthy)
 	n.Replacements++
-	n.BBProgress = -1
+	c.record(id, tierBB, -1)
 	return nil
 }
+
+// BBProgress returns the application progress (simulated seconds of
+// computation) captured by the newest checkpoint on node id's burst
+// buffer; negative means none.
+func (c *Cluster) BBProgress(id int) float64 { return c.progress(id, tierBB) }
+
+// PFSProgress returns the progress captured by node id's newest
+// checkpoint committed to the PFS; negative means none.
+func (c *Cluster) PFSProgress(id int) float64 { return c.progress(id, tierPFS) }
 
 // RecordBBCheckpoint notes that node id staged a checkpoint capturing the
 // given application progress on its burst buffer.
 func (c *Cluster) RecordBBCheckpoint(id int, progress float64) {
-	c.Node(id).BBProgress = progress
+	c.node(id) // panics on an out-of-range id
+	c.record(id, tierBB, progress)
 }
 
 // RecordPFSCheckpoint notes that node id committed a checkpoint capturing
 // the given progress to the PFS.
 func (c *Cluster) RecordPFSCheckpoint(id int, progress float64) {
-	c.Node(id).PFSProgress = progress
+	c.node(id) // panics on an out-of-range id
+	c.record(id, tierPFS, progress)
 }
 
 // RecordBBCheckpointAll stages a checkpoint on every non-failed node.
-func (c *Cluster) RecordBBCheckpointAll(progress float64) {
-	for i := range c.nodes {
-		if c.nodes[i].State != Failed {
-			c.nodes[i].BBProgress = progress
-		}
-	}
-}
+func (c *Cluster) RecordBBCheckpointAll(progress float64) { c.recordAll(tierBB, progress) }
 
 // RecordPFSCheckpointAll commits a checkpoint for every non-failed node.
-func (c *Cluster) RecordPFSCheckpointAll(progress float64) {
-	for i := range c.nodes {
-		if c.nodes[i].State != Failed {
-			c.nodes[i].PFSProgress = progress
-		}
-	}
-}
+func (c *Cluster) RecordPFSCheckpointAll(progress float64) { c.recordAll(tierPFS, progress) }
 
 // ClampCheckpoints discards every checkpoint record newer than progress,
 // on every node. A degraded-platform restart that found the newer
 // generations corrupt calls this so no later recovery tries them again.
 func (c *Cluster) ClampCheckpoints(progress float64) {
-	for i := range c.nodes {
-		if c.nodes[i].BBProgress > progress {
-			c.nodes[i].BBProgress = progress
-		}
-		if c.nodes[i].PFSProgress > progress {
-			c.nodes[i].PFSProgress = progress
+	for t := range c.coord {
+		if c.coord[t] > progress {
+			c.coord[t] = progress
 		}
 	}
+	for i := range c.diverged {
+		d := &c.diverged[i]
+		for t := range d.val {
+			if d.owns[t] && d.val[t] > progress {
+				d.val[t] = progress
+			}
+		}
+	}
+}
+
+// lookup returns node id's ledger entry, or nil when the node holds the
+// coordinated records on both tiers.
+func (c *Cluster) lookup(id int) *divergence {
+	for i := range c.diverged {
+		if c.diverged[i].id == id {
+			return &c.diverged[i]
+		}
+	}
+	return nil
+}
+
+// progress returns node id's record on tier t.
+func (c *Cluster) progress(id, t int) float64 {
+	c.node(id) // panics on an out-of-range id
+	return c.held(c.lookup(id), t)
+}
+
+// held returns the tier-t record of the node with ledger entry d (nil for
+// a node without one).
+func (c *Cluster) held(d *divergence, t int) float64 {
+	if d != nil && d.owns[t] {
+		return d.val[t]
+	}
+	return c.coord[t]
+}
+
+// record gives node id its own tier-t record, adding a ledger entry when
+// the node has none.
+func (c *Cluster) record(id, t int, progress float64) {
+	d := c.lookup(id)
+	if d == nil {
+		c.diverged = append(c.diverged, divergence{id: id})
+		d = &c.diverged[len(c.diverged)-1]
+	}
+	d.owns[t] = true
+	d.val[t] = progress
+}
+
+// recordAll advances the coordinated tier-t record to progress. Failed
+// nodes are skipped, so each keeps the record it held; every other
+// diverged node rejoins the coordinated record on tier t, and entries
+// left owning neither tier are dropped.
+func (c *Cluster) recordAll(t int, progress float64) {
+	kept := c.diverged[:0]
+	for _, d := range c.diverged {
+		if c.nodes[d.id].State == Failed {
+			if !d.owns[t] {
+				d.owns[t] = true
+				d.val[t] = c.coord[t]
+			}
+		} else {
+			d.owns[t] = false
+		}
+		if d.owns[tierBB] || d.owns[tierPFS] {
+			kept = append(kept, d)
+		}
+	}
+	c.diverged = kept
+	c.coord[t] = progress
 }
 
 // Vulnerable returns the IDs of nodes currently Vulnerable or Migrating,
@@ -283,20 +374,39 @@ func (c *Cluster) CountState(s State) int {
 // The paper's checkpoint model keeps all nodes' checkpoints aligned (all
 // nodes save state together), so in practice the minimum is the last
 // completed coordinated checkpoint that also finished draining for the
-// failed node.
+// failed node. The ledger makes that cheap: the diverged entries are
+// folded one by one, and the coordinated generation once for all the
+// other nodes, so the cost is O(diverged nodes).
 func (c *Cluster) RecoverableProgress(failedID int) float64 {
-	min := c.Node(failedID).PFSProgress
-	for i := range c.nodes {
-		if i == failedID {
+	min := c.PFSProgress(failedID)
+	// Nodes holding the coordinated records on both tiers, failedID
+	// excluded.
+	shared := len(c.nodes) - len(c.diverged)
+	if c.lookup(failedID) == nil {
+		shared--
+	}
+	for i := range c.diverged {
+		d := &c.diverged[i]
+		if d.id == failedID {
 			continue
 		}
-		p := c.nodes[i].BBProgress
-		if c.nodes[i].PFSProgress > p {
-			p = c.nodes[i].PFSProgress
-		}
-		if p < min {
-			min = p
-		}
+		min = lowerRestart(min, c.held(d, tierBB), c.held(d, tierPFS))
+	}
+	if shared > 0 {
+		min = lowerRestart(min, c.coord[tierBB], c.coord[tierPFS])
+	}
+	return min
+}
+
+// lowerRestart folds one surviving node into a recovery minimum: the
+// node restores from the newer of its BB and PFS records.
+func lowerRestart(min, bb, pfs float64) float64 {
+	p := bb
+	if pfs > p {
+		p = pfs
+	}
+	if p < min {
+		return p
 	}
 	return min
 }

@@ -12,8 +12,8 @@ func TestNewInitialState(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		n := c.Node(i)
-		if n.State != Healthy || n.BBProgress >= 0 || n.PFSProgress >= 0 {
-			t.Fatalf("node %d not pristine: %+v", i, n)
+		if n.State != Healthy || c.BBProgress(i) >= 0 || c.PFSProgress(i) >= 0 {
+			t.Fatalf("node %d not pristine: %+v bb=%g pfs=%g", i, n, c.BBProgress(i), c.PFSProgress(i))
 		}
 	}
 }
@@ -32,12 +32,36 @@ func TestNewPanics(t *testing.T) {
 }
 
 func TestNodeOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	New(3, 0).Node(3)
+	c := New(3, 0)
+	for name, fn := range map[string]func(){
+		"Node":                func() { c.Node(3) },
+		"BBProgress":          func() { c.BBProgress(-1) },
+		"PFSProgress":         func() { c.PFSProgress(3) },
+		"RecordBBCheckpoint":  func() { c.RecordBBCheckpoint(3, 1) },
+		"RecordPFSCheckpoint": func() { c.RecordPFSCheckpoint(-1, 1) },
+		"RecoverableProgress": func() { c.RecoverableProgress(3) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// TestNodeIsSnapshot pins that Node hands out a copy: changing it must
+// not reach the cluster, so no transition can bypass the observer.
+func TestNodeIsSnapshot(t *testing.T) {
+	c := New(2, 0)
+	n := c.Node(1)
+	n.State = Failed
+	n.PredictedFailAt = 7
+	if got := c.Node(1); got.State != Healthy || got.PredictedFailAt != 0 {
+		t.Fatalf("snapshot write reached the cluster: %+v", got)
+	}
 }
 
 func TestVulnerableLifecycle(t *testing.T) {
@@ -83,10 +107,10 @@ func TestFailAndReplace(t *testing.T) {
 	if c.Node(1).State != Failed {
 		t.Fatal("node not failed")
 	}
-	if c.Node(1).BBProgress >= 0 {
+	if c.BBProgress(1) >= 0 {
 		t.Fatal("failed node kept its burst buffer")
 	}
-	if c.Node(1).PFSProgress != 40 {
+	if c.PFSProgress(1) != 40 {
 		t.Fatal("PFS copy must survive a node failure")
 	}
 	if err := c.Replace(1); err != nil {
