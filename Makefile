@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test race vet fmt-check errcheck crossval golden golden-degraded golden-scenario golden-contention golden-machine-degraded golden-update spec-validate cachepass race-machine bench bench-step bench-step-smoke bench-smoke bench-digest ci
+.PHONY: build test race allocs vet fmt-check errcheck crossval golden golden-degraded golden-scenario golden-contention golden-machine-degraded golden-update spec-validate cachepass race-machine bench bench-step bench-step-smoke bench-smoke bench-digest ci
 
 build:
 	$(GO) build ./...
@@ -11,6 +11,13 @@ test:
 
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# allocs runs the zero-allocation and allocation-scaling tests (every
+# test whose name contains "Alloc") without the race detector. Under
+# -race sync.Pool drops Puts at random, so the tests that rely on the
+# step engine's pools skip themselves in `make race` and are gated here.
+allocs:
+	$(GO) test -count=1 -run Alloc ./internal/...
 
 vet:
 	$(GO) vet ./...
@@ -142,7 +149,7 @@ errcheck:
 # validation, the FULL race-enabled test suite (no -short: the
 # worker-determinism sweeps and injection bit-identity tests must run
 # raced — they are exactly the tests that catch cross-worker
-# nondeterminism), a dedicated race pass over the tier cross-validation
+# nondeterminism), the un-raced allocation gates, a dedicated race pass over the tier cross-validation
 # (all three tiers), a focused race pass over the step tier's
 # bit-identity matrix — all five models, episode machinery included —
 # a focused race pass over the shared-machine arbiter/admission layer,
@@ -158,6 +165,7 @@ ci:
 	$(GO) build ./...
 	$(MAKE) spec-validate
 	$(MAKE) race
+	$(MAKE) allocs
 	$(GO) test -run TestCrossValidation -race -timeout 30m ./...
 	$(GO) test -run TestCrossValidationStep -race -timeout 30m ./internal/stepsim
 	$(MAKE) race-machine

@@ -106,22 +106,35 @@ func (c *Cluster) setState(n *Node, to State) {
 
 // New builds a cluster of n job nodes backed by spares reserve nodes.
 func New(n, spares int) *Cluster {
+	c := new(Cluster)
+	c.Reset(n, spares)
+	return c
+}
+
+// Reset makes c a fresh cluster of n job nodes backed by spares reserve
+// nodes, indistinguishable from New(n, spares) (the observer is removed
+// too), reusing c's buffers where they are large enough. A sweep that
+// recycles one cluster across runs allocates no node table per run.
+func (c *Cluster) Reset(n, spares int) {
 	if n <= 0 {
 		panic("cluster: non-positive node count")
 	}
 	if spares < 0 {
 		panic("cluster: negative spare count")
 	}
-	c := &Cluster{
-		nodes:    make([]Node, n),
-		coord:    [2]float64{-1, -1},
-		diverged: make([]divergence, 0, 8),
-		spares:   spares,
+	if cap(c.nodes) < n {
+		c.nodes = make([]Node, n)
 	}
+	c.nodes = c.nodes[:n]
 	for i := range c.nodes {
-		c.nodes[i].ID = i
+		c.nodes[i] = Node{ID: i}
 	}
-	return c
+	c.coord = [2]float64{-1, -1}
+	if c.diverged == nil {
+		c.diverged = make([]divergence, 0, 8)
+	}
+	c.diverged = c.diverged[:0]
+	c.spares, c.used, c.observer = spares, 0, nil
 }
 
 // Len returns the job's node count.

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -75,6 +76,80 @@ func (r *refCluster) recoverable(failedID int) float64 {
 	return min
 }
 
+// ledgerOps is the number of operation kinds a ledgerOp decodes to.
+const ledgerOps = 12
+
+// ledgerOp is one step of the random oracle sequence: a state transition
+// or checkpoint record on node id, with progress p.
+type ledgerOp struct {
+	kind, id int
+	p        float64
+}
+
+// decodeOp maps a random word to an operation on an n-node cluster.
+// Progress values -1..14 cover "none", zero and ties.
+func decodeOp(op uint16, n int) ledgerOp {
+	return ledgerOp{
+		kind: int(op) % ledgerOps,
+		id:   int(op) / ledgerOps % n,
+		p:    float64(int(op)/(ledgerOps*n)%16) - 1,
+	}
+}
+
+// apply runs o on c and reports whether a Replace succeeded (false for
+// every other kind).
+func (o ledgerOp) apply(c *Cluster) bool {
+	switch o.kind {
+	case 0:
+		_ = c.MarkVulnerable(o.id, o.p)
+	case 1:
+		_ = c.MarkMigrating(o.id)
+	case 2:
+		if c.Node(o.id).State != Failed {
+			c.MarkHealthy(o.id)
+		}
+	case 3:
+		_ = c.AbortMigration(o.id, o.p)
+	case 4:
+		c.Fail(o.id)
+	case 5:
+		return c.Replace(o.id) == nil
+	case 6:
+		c.RecordBBCheckpoint(o.id, o.p)
+	case 7:
+		c.RecordPFSCheckpoint(o.id, o.p)
+	case 8, 9:
+		c.RecordBBCheckpointAll(o.p)
+	case 10:
+		c.RecordPFSCheckpointAll(o.p)
+	case 11:
+		c.ClampCheckpoints(o.p)
+	}
+	return false
+}
+
+// applyRef runs o on the oracle, reporting a successful Replace like
+// apply; the health-only kinds do not touch checkpoint records.
+func (o ledgerOp) applyRef(r *refCluster) bool {
+	switch o.kind {
+	case 4:
+		r.fail(o.id)
+	case 5:
+		return r.replace(o.id)
+	case 6:
+		r.bb[o.id] = o.p
+	case 7:
+		r.pfs[o.id] = o.p
+	case 8, 9:
+		r.recordAll(r.bb, o.p)
+	case 10:
+		r.recordAll(r.pfs, o.p)
+	case 11:
+		r.clamp(o.p)
+	}
+	return false
+}
+
 // TestLedgerMatchesReference drives random operation sequences through
 // the ledger and the per-node oracle side by side on 1, 2 and 8 nodes,
 // with a two-node spare pool so exhausted replacements leave failed
@@ -82,50 +157,15 @@ func (r *refCluster) recoverable(failedID int) float64 {
 // node's BB and PFS record and RecoverableProgress for every id must be
 // bit-identical.
 func TestLedgerMatchesReference(t *testing.T) {
-	const kinds = 12
 	for _, n := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("nodes=%d", n), func(t *testing.T) {
 			f := func(ops []uint16) bool {
 				c, r := New(n, 2), newRef(n, 2)
-				for step, op := range ops {
-					kind := int(op) % kinds
-					id := int(op) / kinds % n
-					// Progress values -1..14 cover "none", zero and ties.
-					p := float64(int(op)/(kinds*n)%16) - 1
-					switch kind {
-					case 0:
-						_ = c.MarkVulnerable(id, p)
-					case 1:
-						_ = c.MarkMigrating(id)
-					case 2:
-						if c.Node(id).State != Failed {
-							c.MarkHealthy(id)
-						}
-					case 3:
-						_ = c.AbortMigration(id, p)
-					case 4:
-						c.Fail(id)
-						r.fail(id)
-					case 5:
-						if (c.Replace(id) == nil) != r.replace(id) {
-							t.Errorf("step %d: Replace(%d) disagrees with the oracle", step, id)
-							return false
-						}
-					case 6:
-						c.RecordBBCheckpoint(id, p)
-						r.bb[id] = p
-					case 7:
-						c.RecordPFSCheckpoint(id, p)
-						r.pfs[id] = p
-					case 8, 9:
-						c.RecordBBCheckpointAll(p)
-						r.recordAll(r.bb, p)
-					case 10:
-						c.RecordPFSCheckpointAll(p)
-						r.recordAll(r.pfs, p)
-					case 11:
-						c.ClampCheckpoints(p)
-						r.clamp(p)
+				for step, word := range ops {
+					op := decodeOp(word, n)
+					if op.apply(c) != op.applyRef(r) {
+						t.Errorf("step %d: Replace(%d) disagrees with the oracle", step, op.id)
+						return false
 					}
 					if !sameAsRef(t, c, r, step) {
 						return false
@@ -137,6 +177,82 @@ func TestLedgerMatchesReference(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// TestResetMatchesNew dirties a cluster — random operations, then
+// fail/replace past spare exhaustion, an individual commit and an
+// observer — and Resets it to a smaller and to a larger node count.
+// Driven through the oracle sequence side by side with New(n, spares),
+// it must match the fresh cluster's full state bit for bit after every
+// step, and the removed observer must never fire.
+func TestResetMatchesNew(t *testing.T) {
+	for _, sz := range []struct{ from, to int }{{8, 2}, {8, 1}, {2, 8}, {1, 8}} {
+		t.Run(fmt.Sprintf("%d->%d", sz.from, sz.to), func(t *testing.T) {
+			f := func(dirty, ops []uint16) bool {
+				c := New(sz.from, 1)
+				notified := 0
+				c.SetObserver(func(int, State, State) { notified++ })
+				for _, word := range dirty {
+					decodeOp(word, sz.from).apply(c)
+				}
+				c.Fail(0)
+				_ = c.Replace(0)
+				c.Fail(0)
+				if c.Replace(0) == nil {
+					t.Error("replace succeeded past spare exhaustion")
+					return false
+				}
+				c.RecordPFSCheckpoint(sz.from-1, 7)
+				notified = 0
+
+				c.Reset(sz.to, 2)
+				fresh, r := New(sz.to, 2), newRef(sz.to, 2)
+				if !reflect.DeepEqual(c, fresh) {
+					t.Errorf("after Reset: %+v, New: %+v", c, fresh)
+					return false
+				}
+				for step, word := range ops {
+					op := decodeOp(word, sz.to)
+					got, want := op.apply(c), op.apply(fresh)
+					if got != want || op.applyRef(r) != want {
+						t.Errorf("step %d: Replace(%d) disagrees with New or the oracle", step, op.id)
+						return false
+					}
+					if !reflect.DeepEqual(c, fresh) {
+						t.Errorf("step %d (%+v): reset %+v, New %+v", step, op, c, fresh)
+						return false
+					}
+					if !sameAsRef(t, c, r, step) {
+						return false
+					}
+				}
+				if notified != 0 {
+					t.Errorf("the observer removed by Reset fired %d times", notified)
+					return false
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestResetZeroAlloc: resetting to a node count the cluster has held
+// before allocates nothing.
+func TestResetZeroAlloc(t *testing.T) {
+	c := New(64, 0)
+	c.Fail(3)
+	c.RecordPFSCheckpoint(9, 1)
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Reset(48, 2)
+		c.Fail(5)
+		c.RecordBBCheckpoint(7, 2)
+	})
+	if allocs != 0 {
+		t.Fatalf("Reset allocated %.1f times, want 0", allocs)
 	}
 }
 

@@ -11,6 +11,7 @@ package platform
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"pckpt/internal/failure"
 	"pckpt/internal/faultinject"
@@ -73,10 +74,20 @@ type Config struct {
 	Replay *failure.Replay
 }
 
+// The default I/O and lead-time models, built once and shared by every
+// defaulted Config. Both are read-only after construction (their query
+// methods never write, and nothing writes through the slices Matrix and
+// Sequences expose), so sharing them across runs and goroutines is safe
+// and saves rebuilding the Summit matrix on every run of a sweep.
+var (
+	defaultIO    = sync.OnceValue(func() *iomodel.Model { return iomodel.New(iomodel.DefaultSummit()) })
+	defaultLeads = sync.OnceValue(failure.DefaultLeadTimes)
+)
+
 // WithDefaults returns a copy with zero fields defaulted. Idempotent.
 func (c Config) WithDefaults() Config {
 	if c.IO == nil {
-		c.IO = iomodel.New(iomodel.DefaultSummit())
+		c.IO = defaultIO()
 	}
 	if c.LM == (lm.Config{}) {
 		c.LM = lm.Default()
@@ -93,7 +104,7 @@ func (c Config) WithDefaults() Config {
 		}
 	}
 	if c.Leads == nil {
-		c.Leads = failure.DefaultLeadTimes()
+		c.Leads = defaultLeads()
 	}
 	if c.LeadScale == 0 {
 		c.LeadScale = 1

@@ -123,3 +123,51 @@ func TestCommitPFSRetentionCap(t *testing.T) {
 		t.Fatal("older commit advanced the placement")
 	}
 }
+
+// TestCommitPFSWindowOrder pins the retained window past the cap: after
+// many commits it holds the newest superseded generations, ascending —
+// exactly what the append-and-drop-oldest window kept.
+func TestCommitPFSWindowOrder(t *testing.T) {
+	s := NewState()
+	const commits = 2*maxPFSGens + 5
+	for i := 1; i <= commits; i++ {
+		s.CommitPFS(float64(i * 10))
+	}
+	if len(s.pfsGens) != maxPFSGens {
+		t.Fatalf("retained %d generations, want %d", len(s.pfsGens), maxPFSGens)
+	}
+	// The placement is the newest commit; the window holds the maxPFSGens
+	// commits before it.
+	for j, g := range s.pfsGens {
+		if want := float64((commits - maxPFSGens + j) * 10); g != want {
+			t.Fatalf("window %v: slot %d = %g, want %g", s.pfsGens, j, g, want)
+		}
+	}
+	if s.PFSProgress() != commits*10 {
+		t.Fatalf("placement %g, want %d", s.PFSProgress(), commits*10)
+	}
+}
+
+// TestCommitPFSZeroAlloc: once the window is full, advancing commits
+// allocate nothing.
+func TestCommitPFSZeroAlloc(t *testing.T) {
+	s := NewState()
+	q := 0.0
+	for i := 0; i <= maxPFSGens; i++ {
+		q++
+		s.CommitPFS(q)
+	}
+	// AllocsPerRun truncates to whole allocations per run, so each run
+	// commits enough generations to cycle the window several times.
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 8*maxPFSGens; i++ {
+			q++
+			if !s.CommitPFS(q) {
+				t.Fatal("advancing commit did not advance")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("CommitPFS allocated %.1f times per %d commits with a full window, want 0", allocs, 8*maxPFSGens)
+	}
+}

@@ -262,10 +262,16 @@ func (s *State) CommitBB(progress float64) { s.bbProgress = progress }
 func (s *State) CommitPFS(progress float64) bool {
 	if progress > s.pfsProgress {
 		if s.pfsProgress >= 0 {
-			s.pfsGens = append(s.pfsGens, s.pfsProgress)
-			if len(s.pfsGens) > maxPFSGens {
-				s.pfsGens = s.pfsGens[1:]
+			switch {
+			case s.pfsGens == nil:
+				s.pfsGens = make([]float64, 0, maxPFSGens)
+			case len(s.pfsGens) == maxPFSGens:
+				// Shift the full window in place: reslicing off the front
+				// would shed capacity and reallocate on every later commit.
+				copy(s.pfsGens, s.pfsGens[1:])
+				s.pfsGens = s.pfsGens[:maxPFSGens-1]
 			}
+			s.pfsGens = append(s.pfsGens, s.pfsProgress)
 		}
 		s.pfsProgress = progress
 		return true

@@ -3,7 +3,11 @@ package stepsim_test
 import (
 	"testing"
 
+	"pckpt/internal/machine"
+	"pckpt/internal/policy"
+	"pckpt/internal/stats"
 	"pckpt/internal/stepsim"
+	"pckpt/internal/trace"
 )
 
 // Abort kills a running app mid-flight: the partial run carries the
@@ -70,5 +74,62 @@ func TestAppAbortAfterCompletionIsNoop(t *testing.T) {
 		if got.Truncated != solo.Truncated {
 			t.Fatalf("%v: post-completion Abort flipped the truncated marker", id)
 		}
+	}
+}
+
+// TestAppAbortMidRecoveryOnMachine aborts a tenant of a shared machine
+// while it is parked in a post-failure recovery — often nested inside an
+// interrupted BB write, with drains in flight at the arbiter — next to a
+// second tenant. The cut points are read off an unaborted run's
+// timeline. The aborted run must end truncated at the abort instant with
+// its accounting frozen there (no continuation of the dead app runs
+// after Abort), and the other tenant must still complete.
+func TestAppAbortMidRecoveryOnMachine(t *testing.T) {
+	cfg := stepsim.Config{Model: policy.P2, Config: stepsim.NestedPlatform()}
+	run := func(seed uint64, cut float64, tr trace.Recorder) (victim, other *stepsim.AppHandle, aborted stats.RunResult) {
+		eng := stepsim.NewEngine()
+		arb := machine.NewBandwidthArbiter(eng, 2500, 4, 2)
+		traced := cfg
+		traced.Trace = tr
+		victim = stepsim.StartApp(eng, traced, seed, stepsim.AppOptions{Arbiter: arb, AppIndex: 0})
+		other = stepsim.StartApp(eng, cfg, seed+100, stepsim.AppOptions{Arbiter: arb, AppIndex: 1})
+		if cut > 0 {
+			eng.At(cut, func() { aborted = victim.Abort() })
+		}
+		eng.RunAll()
+		eng.Release()
+		return victim, other, aborted
+	}
+	cuts := 0
+	for seed := uint64(1); seed <= 4; seed++ {
+		var tl trace.Buffer
+		run(seed, 0, &tl)
+		failedAt := -1.0
+		for _, ev := range tl.Events() {
+			switch ev.Kind {
+			case trace.Failure:
+				failedAt = ev.T
+			case trace.RecoveryDone:
+				if failedAt < 0 || ev.T <= failedAt {
+					continue
+				}
+				cut := (failedAt + ev.T) / 2
+				failedAt = -1
+				cuts++
+				victim, other, aborted := run(seed, cut, nil)
+				if !aborted.Truncated || aborted.WallSeconds != cut {
+					t.Fatalf("seed %d cut %g: Abort returned trunc=%v wall=%g", seed, cut, aborted.Truncated, aborted.WallSeconds)
+				}
+				if !victim.Done() || victim.Result() != aborted {
+					t.Fatalf("seed %d cut %g: accounting moved after Abort\nabort: %+v\nfinal: %+v", seed, cut, aborted, victim.Result())
+				}
+				if !other.Done() || other.Result().Truncated {
+					t.Fatalf("seed %d cut %g: the other tenant did not complete: %+v", seed, cut, other.Result())
+				}
+			}
+		}
+	}
+	if cuts == 0 {
+		t.Fatal("no recovery on the timeline: the mid-recovery abort path never executed")
 	}
 }

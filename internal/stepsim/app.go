@@ -3,6 +3,7 @@ package stepsim
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"pckpt/internal/cluster"
 	"pckpt/internal/failure"
@@ -135,6 +136,22 @@ type appSim struct {
 	blockedCont      func(interrupted bool)
 	interruptPending bool
 
+	// The periodic cycle's continuations are method values bound once in
+	// StartApp, so scheduling one allocates nothing. Each has at most one
+	// instance in flight, so its state lives in the fields beside it:
+	// chunkTarget/chunkStart for the compute interval, bbBegan for the BB
+	// write, injectEv for the event the parked injector delivers next.
+	wakeFn, interruptFn, injectFn func(local float64)
+	computeWokeFn, bbWrittenFn    func(bool)
+	computeResumeFn               func()
+	chunkTarget, chunkStart       float64
+	bbBegan                       float64
+	injectEv                      failure.Event
+	// waitFree and drainFree are the free lists of blockedWait and drain
+	// frames: those can have several instances in flight.
+	waitFree  []*waitFrame
+	drainFree []*drainFrame
+
 	met runMetrics
 	res stats.RunResult
 }
@@ -156,36 +173,23 @@ func (a *appSim) clockTo(local float64) {
 // completions), which have no locally-computed deadline.
 func (a *appSim) syncClock() { a.clockTo(a.eng.Now() - a.t0) }
 
-// sched runs fn after delay seconds of app-local time. The deadline is
-// computed in local arithmetic — now()+delay, the exact float ops a
-// solo run performs — and the local clock advances to that deadline
-// when the event fires, so local arithmetic never round-trips through
-// the absolute clock (which would lose last-ulp bits and let locally
-// tied deadlines split). The engine-time conversion is one t0 addition.
-func (a *appSim) sched(delay float64, name string, fn func()) {
+// sched runs fn(deadline) after delay seconds of app-local time and
+// returns the cancellable Timer. The deadline is computed in local
+// arithmetic — now()+delay, the exact float ops a solo run performs — and
+// fn starts by advancing the local clock to it with clockTo, so local
+// arithmetic never round-trips through the absolute clock (which would
+// lose last-ulp bits and let locally tied deadlines split). The
+// engine-time conversion is one t0 addition. The deadline travels in the
+// event, so a prebound fn schedules without allocating.
+func (a *appSim) sched(delay float64, name string, fn func(local float64)) Timer {
 	if delay == 0 {
 		// An immediate event joins the current timestamp batch; the t0
-		// round-trip could land an ulp past it.
-		a.eng.AtNamed(0, name, fn)
-		return
+		// round-trip could land an ulp past it. The local clock is already
+		// at the deadline, so fn's clockTo is a no-op.
+		return a.eng.CallAt(a.eng.Now(), name, fn, a.now())
 	}
 	deadline := a.now() + delay
-	a.eng.AtTimeNamed(a.t0+deadline, name, func() {
-		a.clockTo(deadline)
-		fn()
-	})
-}
-
-// schedTimer is sched returning a cancellable Timer.
-func (a *appSim) schedTimer(delay float64, name string, fn func()) Timer {
-	if delay == 0 {
-		return a.eng.AfterCancel(0, name, fn)
-	}
-	deadline := a.now() + delay
-	return a.eng.AfterCancelAt(a.t0+deadline, name, func() {
-		a.clockTo(deadline)
-		fn()
-	})
+	return a.eng.CallAt(a.t0+deadline, name, fn, deadline)
 }
 
 // trace emits a timeline event when tracing is enabled.
@@ -208,11 +212,17 @@ func (a *appSim) trace(kind trace.Kind, node int, detail string) {
 func Simulate(cfg Config, seed uint64) stats.RunResult {
 	eng := NewEngine()
 	eng.SetWatchdog(maxRunEvents, 0)
-	h := StartApp(eng, cfg, seed, AppOptions{})
+	cl := clusterPool.Get().(*cluster.Cluster)
+	a := startApp(eng, cfg, seed, AppOptions{}, cl)
 	eng.RunAll()
 	eng.Release()
-	return h.Result()
+	clusterPool.Put(cl)
+	return a.res
 }
+
+// clusterPool recycles Simulate's node tables across the runs of a sweep;
+// a CHIMERA run's table has 2272 entries.
+var clusterPool = sync.Pool{New: func() any { return new(cluster.Cluster) }}
 
 // AppOptions configures an application started on a shared engine. The
 // zero value reproduces a solo Simulate run exactly.
@@ -278,11 +288,18 @@ func (h *AppHandle) Abort() stats.RunResult {
 // substreams, and accounting — an app admitted at t on a shared engine
 // with no arbiter computes bit-identically to a solo Simulate run.
 func StartApp(eng *Engine, cfg Config, seed uint64, opts AppOptions) *AppHandle {
+	return &AppHandle{a: startApp(eng, cfg, seed, opts, new(cluster.Cluster))}
+}
+
+// startApp is StartApp on a caller-supplied cluster, which it resets to
+// the application's node count.
+func startApp(eng *Engine, cfg Config, seed uint64, opts AppOptions, cl *cluster.Cluster) *appSim {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	src := rng.New(seed)
+	cl.Reset(cfg.App.Nodes, cfg.SpareLimit())
 	a := &appSim{
 		cfg:    cfg,
 		pol:    policy.For(cfg.Model),
@@ -292,11 +309,13 @@ func StartApp(eng *Engine, cfg Config, seed uint64, opts AppOptions) *AppHandle 
 		appIdx: opts.AppIndex,
 		onDone: opts.OnDone,
 		est:    failure.NewRateEstimator(cfg.System.JobFailureRate(cfg.App.Nodes)),
-		cl:     cluster.New(cfg.App.Nodes, cfg.SpareLimit()),
+		cl:     cl,
 		plat:   cfg.Derive(),
 		sigma:  cfg.Sigma(),
 		st:     policy.NewState(),
 	}
+	a.wakeFn, a.interruptFn, a.injectFn = a.wake, a.interrupted, a.injectResume
+	a.computeWokeFn, a.bbWrittenFn, a.computeResumeFn = a.computeWoke, a.bbWritten, a.computeResume
 	a.pricing = pckpt.NewEpisodePricing(cfg.IO, a.plat.PerNodeGB)
 	a.met = newRunMetrics(cfg.Metrics, cfg.Model)
 	if cfg.Metrics != nil {
@@ -310,8 +329,8 @@ func StartApp(eng *Engine, cfg Config, seed uint64, opts AppOptions) *AppHandle 
 	// Start order mirrors crmodel's spawn order: the app's first compute
 	// cycle schedules its wake before the injector draws the stream.
 	a.sched(0, "app", a.start)
-	a.sched(0, "injector", a.injectLoop)
-	return &AppHandle{a: a}
+	a.sched(0, "injector", a.injectStart)
+	return a
 }
 
 // wait parks the application for d seconds of simulated time: cont runs
@@ -323,9 +342,13 @@ func (a *appSim) wait(d float64, cont func(interrupted bool)) {
 		panic(fmt.Sprintf("stepsim: wait with negative duration %g", d))
 	}
 	a.blockedCont = cont
-	a.blocked = a.schedTimer(d, "app", func() {
-		a.resume()(false)
-	})
+	a.blocked = a.sched(d, "app", a.wakeFn)
+}
+
+// wake is the parked application's timer firing: the wait ran out.
+func (a *appSim) wake(local float64) {
+	a.clockTo(local)
+	a.resume()(false)
 }
 
 // resume clears the parked state and returns the pending continuation,
@@ -352,12 +375,16 @@ func (a *appSim) interrupt() {
 	a.interruptPending = true
 	a.eng.Cancel(a.blocked)
 	a.blocked = Timer{}
-	a.sched(0, "app", func() {
-		if a.appDone {
-			return // aborted between delivery and wake-up
-		}
-		a.resume()(true)
-	})
+	a.sched(0, "app", a.interruptFn)
+}
+
+// interrupted is the parked application waking at an interrupt.
+func (a *appSim) interrupted(local float64) {
+	a.clockTo(local)
+	if a.appDone {
+		return // aborted between delivery and wake-up
+	}
+	a.resume()(true)
 }
 
 // refreshOCI re-derives the checkpoint interval from the current failure
@@ -369,7 +396,8 @@ func (a *appSim) refreshOCI() {
 
 // start begins the application: compute OCI seconds, checkpoint to BB,
 // repeat until the required computation completes (crmodel's run loop).
-func (a *appSim) start() {
+func (a *appSim) start(local float64) {
+	a.clockTo(local)
 	if a.appDone {
 		return // aborted before the first compute cycle
 	}
@@ -378,16 +406,20 @@ func (a *appSim) start() {
 
 func (a *appSim) runLoop() {
 	if a.progress < a.plat.ComputeSeconds && !a.res.Truncated {
-		a.computeChunk(func() {
-			if a.progress >= a.plat.ComputeSeconds || a.res.Truncated {
-				a.finish()
-				return
-			}
-			a.bbCheckpoint(a.runLoop)
-		})
+		a.computeChunk()
 		return
 	}
 	a.finish()
+}
+
+// computeDone follows a compute interval: checkpoint, or finish once the
+// work is done (or the run was truncated).
+func (a *appSim) computeDone() {
+	if a.progress >= a.plat.ComputeSeconds || a.res.Truncated {
+		a.finish()
+		return
+	}
+	a.bbCheckpoint()
 }
 
 // finish completes the application process — normally or truncated; the
@@ -413,116 +445,160 @@ func (a *appSim) finish() {
 }
 
 // computeChunk advances the application by one checkpoint interval,
-// absorbing interrupts, then runs k.
-func (a *appSim) computeChunk(k func()) {
+// absorbing interrupts, then runs computeDone.
+func (a *appSim) computeChunk() {
 	a.refreshOCI()
-	target := math.Min(a.progress+a.curOCI, a.plat.ComputeSeconds)
+	a.chunkTarget = math.Min(a.progress+a.curOCI, a.plat.ComputeSeconds)
 	if a.cfg.Trace != nil {
-		a.trace(trace.CycleStart, -1, fmt.Sprintf("interval=%.0fs", target-a.progress))
+		a.trace(trace.CycleStart, -1, fmt.Sprintf("interval=%.0fs", a.chunkTarget-a.progress))
 	}
-	// Mirrors crmodel's residual snap: the float sums can stall a hair
-	// short of the target once simulated time can no longer resolve the
-	// residual; treat anything below a microsecond as done and snap.
-	// Without the snap, a rollback that lands progress just short of
-	// ComputeSeconds livelocks the run: compute 0s, checkpoint, forever.
-	var step func()
-	step = func() {
-		if target-a.progress <= 1e-6 {
-			a.progress = target
-			k()
-			return
-		}
-		start := a.now()
-		a.wait(target-a.progress, func(interrupted bool) {
-			a.progress += a.now() - start
-			if !interrupted {
-				a.progress = target
-				k()
-				return
-			}
-			a.handleEvents(func() {
-				if a.res.Truncated {
-					k()
-					return
-				}
-				if a.st.TakeRescheduled() {
-					// A proactive action committed a full checkpoint;
-					// re-base the periodic schedule on the fresh interval.
-					a.refreshOCI()
-					target = math.Min(a.progress+a.curOCI, a.plat.ComputeSeconds)
-				}
-				step()
-			})
-		})
+	a.computeStep()
+}
+
+// computeStep computes toward chunkTarget. It mirrors crmodel's residual
+// snap: the float sums can stall a hair short of the target once
+// simulated time can no longer resolve the residual; treat anything below
+// a microsecond as done and snap. Without the snap, a rollback that lands
+// progress just short of ComputeSeconds livelocks the run: compute 0s,
+// checkpoint, forever.
+func (a *appSim) computeStep() {
+	if a.chunkTarget-a.progress <= 1e-6 {
+		a.progress = a.chunkTarget
+		a.computeDone()
+		return
 	}
-	step()
+	a.chunkStart = a.now()
+	a.wait(a.chunkTarget-a.progress, a.computeWokeFn)
+}
+
+// computeWoke banks the computation done since computeStep parked.
+func (a *appSim) computeWoke(interrupted bool) {
+	a.progress += a.now() - a.chunkStart
+	if !interrupted {
+		a.progress = a.chunkTarget
+		a.computeDone()
+		return
+	}
+	a.handleEvents(a.computeResumeFn)
+}
+
+// computeResume continues an interrupted compute interval once its events
+// are handled.
+func (a *appSim) computeResume() {
+	if a.res.Truncated {
+		a.computeDone()
+		return
+	}
+	if a.st.TakeRescheduled() {
+		// A proactive action committed a full checkpoint; re-base the
+		// periodic schedule on the fresh interval.
+		a.refreshOCI()
+		a.chunkTarget = math.Min(a.progress+a.curOCI, a.plat.ComputeSeconds)
+	}
+	a.computeStep()
 }
 
 // bbCheckpoint performs the synchronous burst-buffer write of a periodic
-// checkpoint, launches the asynchronous PFS drain, then runs k.
-func (a *appSim) bbCheckpoint(k func()) {
-	began := a.now()
-	a.blockedWait(a.plat.BBWrite, &a.res.Overheads.Checkpoint, func(ok bool) {
-		if !ok {
-			// A failure voided the write and rolled progress back; resume
-			// computing, the next cycle will checkpoint the redone state.
-			a.met.bbAborted.Inc()
-			k()
-			return
-		}
-		a.met.bbWrite.Observe(a.now() - began)
-		if a.inj.BBWriteFails() {
-			a.res.BBWriteFailures++
-			a.trace(trace.BBWrite, -1, "write failed (injected)")
-			k()
-			return
-		}
-		a.res.Checkpoints++
-		a.st.CommitBB(a.progress)
-		if a.inj.CorruptCommit() {
-			a.st.MarkCorrupt(a.progress)
-		}
-		a.trace(trace.BBWrite, -1, "")
-		a.cl.RecordBBCheckpointAll(a.progress)
-		captured := a.progress
-		gen, depth := a.st.BeginDrain()
-		a.met.drainDepth.Set(a.now(), float64(depth))
-		a.startDrain(captured, gen)
-		k()
-	})
+// checkpoint; bbWritten follows it.
+func (a *appSim) bbCheckpoint() {
+	a.bbBegan = a.now()
+	a.blockedWait(a.plat.BBWrite, &a.res.Overheads.Checkpoint, a.bbWrittenFn)
+}
+
+// bbWritten commits a completed BB write, launches the asynchronous PFS
+// drain, then returns to the run loop.
+func (a *appSim) bbWritten(ok bool) {
+	if !ok {
+		// A failure voided the write and rolled progress back; resume
+		// computing, the next cycle will checkpoint the redone state.
+		a.met.bbAborted.Inc()
+		a.runLoop()
+		return
+	}
+	a.met.bbWrite.Observe(a.now() - a.bbBegan)
+	if a.inj.BBWriteFails() {
+		a.res.BBWriteFailures++
+		a.trace(trace.BBWrite, -1, "write failed (injected)")
+		a.runLoop()
+		return
+	}
+	a.res.Checkpoints++
+	a.st.CommitBB(a.progress)
+	if a.inj.CorruptCommit() {
+		a.st.MarkCorrupt(a.progress)
+	}
+	a.trace(trace.BBWrite, -1, "")
+	a.cl.RecordBBCheckpointAll(a.progress)
+	captured := a.progress
+	gen, depth := a.st.BeginDrain()
+	a.met.drainDepth.Set(a.now(), float64(depth))
+	a.startDrain(captured, gen)
+	a.runLoop()
+}
+
+// drainFrame is one BB→PFS drain in flight; several can be. Frames are
+// recycled through the app's free list, their continuations bound once.
+type drainFrame struct {
+	a        *appSim
+	captured float64
+	gen      int
+	fid      FlowID
+	firedFn  func(local float64) // solo: the drain timer
+	flowFn   func()              // shared machine: the arbiter's completion
 }
 
 // startDrain launches the asynchronous BB→PFS drain: a fixed-duration
 // callback solo, an arbitered flow (contending for drain slots and
 // fair-share bandwidth) on a shared machine.
 func (a *appSim) startDrain(captured float64, gen int) {
-	var fid FlowID
-	done := func() {
-		if a.arb != nil {
-			a.dropDrainFlow(fid)
-		}
-		depth, current := a.st.FinishDrain(gen)
-		a.met.drainDepth.Set(a.now(), float64(depth))
-		// The drain completes unless a newer checkpoint superseded it.
-		if current {
-			if a.inj.PFSWriteFails() {
-				a.res.PFSWriteFailures++
-				a.trace(trace.DrainDone, -1, "drain failed (injected)")
-				return
-			}
-			a.commitFullPFS(captured)
-			a.trace(trace.DrainDone, -1, "")
-		}
+	var f *drainFrame
+	if n := len(a.drainFree); n > 0 {
+		f = a.drainFree[n-1]
+		a.drainFree = a.drainFree[:n-1]
+	} else {
+		f = &drainFrame{a: a}
+		f.firedFn, f.flowFn = f.fired, f.flowDone
 	}
+	f.captured, f.gen = captured, gen
 	if a.arb == nil {
-		a.sched(a.plat.Drain, "drain", done)
+		a.sched(a.plat.Drain, "drain", f.firedFn)
 		return
 	}
-	fid = a.arb.StartFlow(a.appIdx, ClassDrain, float64(a.plat.Nodes)*a.plat.PerNodeGB, a.plat.Drain, func() {
-		a.syncClock()
-		done()
-	})
-	a.drainFlows = append(a.drainFlows, fid)
+	f.fid = a.arb.StartFlow(a.appIdx, ClassDrain, float64(a.plat.Nodes)*a.plat.PerNodeGB, a.plat.Drain, f.flowFn)
+	a.drainFlows = append(a.drainFlows, f.fid)
+}
+
+// fired is the solo drain timer running out.
+func (f *drainFrame) fired(local float64) {
+	f.a.clockTo(local)
+	f.done()
+}
+
+// flowDone is the arbiter completing the drain's flow.
+func (f *drainFrame) flowDone() {
+	f.a.syncClock()
+	f.done()
+}
+
+// done completes the drain and recycles the frame.
+func (f *drainFrame) done() {
+	a, captured, gen := f.a, f.captured, f.gen
+	if a.arb != nil {
+		a.dropDrainFlow(f.fid)
+	}
+	a.drainFree = append(a.drainFree, f)
+	depth, current := a.st.FinishDrain(gen)
+	a.met.drainDepth.Set(a.now(), float64(depth))
+	// The drain completes unless a newer checkpoint superseded it.
+	if current {
+		if a.inj.PFSWriteFails() {
+			a.res.PFSWriteFailures++
+			a.trace(trace.DrainDone, -1, "drain failed (injected)")
+			return
+		}
+		a.commitFullPFS(captured)
+		a.trace(trace.DrainDone, -1, "")
+	}
 }
 
 // dropDrainFlow forgets a completed drain's flow handle.
@@ -540,33 +616,72 @@ func (a *appSim) dropDrainFlow(fid FlowID) {
 // k receives false if a failure voided the activity before dur fully
 // elapsed, true on completion.
 func (a *appSim) blockedWait(dur float64, bucket *float64, k func(ok bool)) {
-	epoch := a.st.Epoch()
-	remaining := dur
-	var step func()
-	step = func() {
-		if remaining <= 0 {
-			k(true)
-			return
-		}
-		start := a.now()
-		a.wait(remaining, func(interrupted bool) {
-			elapsed := a.now() - start
-			remaining -= elapsed
-			*bucket += elapsed
-			if !interrupted {
-				k(true)
-				return
-			}
-			a.handleEvents(func() {
-				if a.st.Epoch() != epoch {
-					k(false)
-					return
-				}
-				step()
-			})
-		})
+	var f *waitFrame
+	if n := len(a.waitFree); n > 0 {
+		f = a.waitFree[n-1]
+		a.waitFree = a.waitFree[:n-1]
+	} else {
+		f = &waitFrame{a: a}
+		f.wokeFn, f.resumeFn = f.woke, f.resume
 	}
-	step()
+	f.epoch, f.remaining, f.bucket, f.k = a.st.Epoch(), dur, bucket, k
+	f.step()
+}
+
+// waitFrame is one blockedWait in flight. Waits nest — a safeguard or a
+// recovery handled inside an interrupted BB write blocks again — so each
+// has a frame, recycled through the app's free list with its
+// continuations bound once.
+type waitFrame struct {
+	a         *appSim
+	epoch     int
+	remaining float64
+	start     float64
+	bucket    *float64
+	k         func(ok bool)
+	wokeFn    func(interrupted bool)
+	resumeFn  func()
+}
+
+// step parks for the remaining duration, or completes the wait.
+func (f *waitFrame) step() {
+	if f.remaining <= 0 {
+		f.done(true)
+		return
+	}
+	f.start = f.a.now()
+	f.a.wait(f.remaining, f.wokeFn)
+}
+
+// woke accounts the time parked, then completes the wait or handles the
+// events that interrupted it.
+func (f *waitFrame) woke(interrupted bool) {
+	elapsed := f.a.now() - f.start
+	f.remaining -= elapsed
+	*f.bucket += elapsed
+	if !interrupted {
+		f.done(true)
+		return
+	}
+	f.a.handleEvents(f.resumeFn)
+}
+
+// resume continues the wait once the interrupting events are handled,
+// unless a failure among them voided it.
+func (f *waitFrame) resume() {
+	if f.a.st.Epoch() != f.epoch {
+		f.done(false)
+		return
+	}
+	f.step()
+}
+
+// done recycles the frame, then runs its continuation.
+func (f *waitFrame) done(ok bool) {
+	k := f.k
+	f.bucket, f.k = nil, nil
+	f.a.waitFree = append(f.a.waitFree, f)
+	k(ok)
 }
 
 // flowWait is blockedWait for an arbitered PFS transfer: the app parks
@@ -660,7 +775,8 @@ func (a *appSim) onPrediction(ev failure.Event, k func()) {
 		// passed without a newer prediction superseding it.
 		failAt := ev.FailTime
 		node := ev.Node
-		a.sched(math.Max(failAt-a.now(), 0), "vuln-clear", func() {
+		a.sched(math.Max(failAt-a.now(), 0), "vuln-clear", func(local float64) {
+			a.clockTo(local)
 			n := a.cl.Node(node)
 			if n.State == cluster.Vulnerable && n.PredictedFailAt == failAt {
 				a.cl.MarkHealthy(node)
@@ -816,7 +932,8 @@ func (a *appSim) startMigration(ev failure.Event) {
 		a.trace(trace.MigrationStart, ev.Node, fmt.Sprintf("theta=%.1fs", a.plat.Theta))
 	}
 	a.cl.MarkMigrating(ev.Node)
-	a.sched(a.plat.Theta, "migration", func() {
+	a.sched(a.plat.Theta, "migration", func(local float64) {
+		a.clockTo(local)
 		if !a.st.FinishMigration(m) {
 			return
 		}
@@ -1030,10 +1147,16 @@ func (a *appSim) persistentWait(gb, dur float64, k, trunc func()) {
 	})
 }
 
+// injectStart starts the injector "process".
+func (a *appSim) injectStart(local float64) {
+	a.clockTo(local)
+	a.injectLoop()
+}
+
 // injectLoop is the injector "process": it delivers the event stream to
 // the application, skipping failures avoided by completed migrations.
-// It parks (schedules injectResume) for future events and delivers
-// same-time events inline, exactly like crmodel's injector loop.
+// It parks (schedules injectResume for injectEv) for future events and
+// delivers same-time events inline, exactly like crmodel's injector loop.
 func (a *appSim) injectLoop() {
 	for {
 		ev := a.stream.Next()
@@ -1041,20 +1164,21 @@ func (a *appSim) injectLoop() {
 			return
 		}
 		if dt := ev.Time - a.now(); dt > 0 {
-			ev := ev
-			a.sched(dt, "injector", func() { a.injectResume(ev) })
+			a.injectEv = ev
+			a.sched(dt, "injector", a.injectFn)
 			return
 		}
 		a.deliver(ev)
 	}
 }
 
-// injectResume is the injector waking at a delivery time.
-func (a *appSim) injectResume(ev failure.Event) {
+// injectResume is the injector waking to deliver injectEv.
+func (a *appSim) injectResume(local float64) {
+	a.clockTo(local)
 	if a.appDone {
 		return
 	}
-	a.deliver(ev)
+	a.deliver(a.injectEv)
 	a.injectLoop()
 }
 

@@ -6,7 +6,7 @@
 //
 // — over the same stable (time, seq) heap the process-based engine
 // (internal/sim) uses. There are no goroutines and no channels: an event
-// is a closure, dispatching one is a function call, and blocking code is
+// is a callback, dispatching one is a function call, and blocking code is
 // written in continuation-passing style (see app.go for the C/R port).
 //
 // The engine reproduces internal/sim's scheduling semantics exactly:
@@ -33,12 +33,16 @@ import (
 	"pckpt/internal/queue"
 )
 
-// event is one heap entry: a closure to run at an absolute time.
-// Cancelled entries stay in the heap and are skipped when popped, making
-// timer cancellation O(1).
+// event is one heap entry: a callback to run at an absolute time, either
+// fn() or call(arg). The call form carries its float argument in the
+// entry, so a caller passing a value to a prebound method schedules
+// without allocating a closure. Cancelled entries stay in the heap and
+// are skipped when popped, making timer cancellation O(1).
 type event struct {
 	at        float64 // absolute fire time, mirrored from the heap key
 	fn        func()
+	call      func(float64)
+	arg       float64
 	cancelled bool
 	// name labels the event's owner for watchdog diagnostics.
 	name string
@@ -178,24 +182,19 @@ func (e *Engine) AfterCancel(delay float64, name string, fn func()) Timer {
 	return Timer{ev: ev}
 }
 
-// AtTimeNamed runs fn at absolute engine time at (clamped to now). An
-// offset-started app schedules every deadline this way — one uniform
-// t0+local rounding per event — so deadlines that tie in the app's
-// local clock still tie on the shared clock; re-deriving them from
+// CallAt runs fn(arg) at absolute engine time at (clamped to now) and
+// returns a Timer Cancel can retract. The argument travels in the event,
+// so a prebound method value schedules without allocating: an app passes
+// its locally-computed deadline this way instead of capturing it in a
+// wrapper closure. An offset-started app schedules every deadline here —
+// one uniform t0+local rounding per event — so deadlines that tie in the
+// app's local clock still tie on the shared clock; re-deriving them from
 // eng.Now() at different moments would split such ties by an ulp and
 // reorder the run.
-func (e *Engine) AtTimeNamed(at float64, name string, fn func()) {
+func (e *Engine) CallAt(at float64, name string, fn func(float64), arg float64) Timer {
 	ev := e.newEvent()
-	ev.fn = fn
-	ev.name = name
-	e.schedule(math.Max(at, e.now), ev)
-}
-
-// AfterCancelAt is AfterCancel at an absolute engine time (clamped to
-// now).
-func (e *Engine) AfterCancelAt(at float64, name string, fn func()) Timer {
-	ev := e.newEvent()
-	ev.fn = fn
+	ev.call = fn
+	ev.arg = arg
 	ev.name = name
 	e.schedule(math.Max(at, e.now), ev)
 	return Timer{ev: ev}
@@ -277,10 +276,14 @@ func (e *Engine) ProcessNextEvent() bool {
 	// new events that reuse it, and no reference to a dispatched event
 	// survives (Cancel guards fired timers via the cancelled flag only
 	// until this pop).
-	fn := ev.fn
+	fn, call, arg := ev.fn, ev.call, ev.arg
 	e.freeEvent(ev)
 	e.dispatched++
-	fn()
+	if call != nil {
+		call(arg)
+	} else {
+		fn()
+	}
 	return true
 }
 
