@@ -187,7 +187,7 @@ func main() {
 		// All tiers route through the shared tier runner: identical seed
 		// sequences, so switching -tier changes the engine, not the
 		// experiment (and for -tier step, not even the bits).
-		agg = experiments.SimulateTierN(tier, model, cfg.Config, *runs, *seed, runtime.GOMAXPROCS(0))
+		agg = experiments.SimulateSweepN(tier, model, cfg.Config, *runs, *seed, runtime.GOMAXPROCS(0), 0)
 	}
 	mo := agg.MeanOverheads()
 
@@ -227,14 +227,12 @@ func main() {
 	s := agg.TotalSummary()
 	t.AddRow("total overhead 95% CI", fmt.Sprintf("[%s, %s]", tablefmt.Hours(s.CI95Lo), tablefmt.Hours(s.CI95Hi)))
 	fmt.Println(t.String())
-	for _, f := range agg.Failed() {
-		fmt.Fprintf(os.Stderr, "warning: run with seed %d failed (%s): %s\n", f.Seed, f.Config, f.Err)
-	}
+	warnFailed(agg.Failed())
 
 	if *baseline && model != crmodel.ModelB {
 		// Every tier implements model B, so the reduction is computed
 		// within the selected tier.
-		base := experiments.SimulateTierN(tier, crmodel.ModelB, cfg.Config, *runs, *seed, runtime.GOMAXPROCS(0)).MeanOverheads()
+		base := experiments.SimulateSweepN(tier, crmodel.ModelB, cfg.Config, *runs, *seed, runtime.GOMAXPROCS(0), 0).MeanOverheads()
 		ck, rc, rv, tot := stats.ReductionBreakdown(base, mo)
 		fmt.Printf("vs base model B: checkpoint %s, recomputation %s, recovery %s, TOTAL %s\n",
 			tablefmt.Percent(ck), tablefmt.Percent(rc), tablefmt.Percent(rv), tablefmt.Percent(tot))
@@ -244,6 +242,14 @@ func main() {
 		fmt.Printf("\nsimulation metrics (%d runs merged):\n\n%s", *runs, metrics.Render(snap))
 		exitOn(snap.WriteJSON(*metricsOut))
 		fmt.Printf("metrics snapshot written to %s\n", *metricsOut)
+	}
+}
+
+// warnFailed reports each run of a sweep that panicked instead of
+// completing; the printed means cover only the completed runs.
+func warnFailed(failed []stats.FailedRun) {
+	for _, f := range failed {
+		fmt.Fprintf(os.Stderr, "warning: run with seed %d failed (%s): %s\n", f.Seed, f.Config, f.Err)
 	}
 }
 

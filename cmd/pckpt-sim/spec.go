@@ -181,6 +181,7 @@ func runSpec(path, cacheDir string, tier experiments.Tier, ov specOverrides) err
 			return err
 		}
 		aggs[i] = agg
+		warnFailed(agg.Failed())
 		if rc.Policy == policy.B {
 			baseline[rc.Label] = agg.MeanOverheads()
 		}
@@ -234,59 +235,31 @@ func runMachineSpec(s *scenario.Spec, cacheDir string) error {
 	}
 	fmt.Println()
 
-	results := machine.SimulateN(cfg, s.Runs, s.Seed, runtime.GOMAXPROCS(0))
-	n := float64(len(results))
-	type agg struct {
-		wall, slow, wait, starve float64
-		crashes, trunc           int
-	}
-	per := make([]agg, len(cfg.Jobs))
-	makespan, peak, brownS := 0.0, 0.0, 0.0
-	brown, outages, crashes, requeues, escal := 0, 0, 0, 0, 0
-	for _, res := range results {
-		for i, jr := range res.Jobs {
-			per[i].wall += jr.Run.WallSeconds
-			per[i].slow += jr.SlowdownX
-			per[i].wait += jr.QueueWaitSeconds
-			per[i].starve += jr.StarvationSeconds
-			per[i].crashes += jr.Crashes
-			if jr.Run.Truncated {
-				per[i].trunc++
-			}
-		}
-		makespan += res.MakespanSeconds
-		if res.PeakAllocGBs > peak {
-			peak = res.PeakAllocGBs
-		}
-		brown += res.Brownouts
-		brownS += res.BrownoutSeconds
-		outages += res.DrainOutages
-		crashes += res.TenantCrashes
-		requeues += res.CrashRequeues
-		escal += res.Escalations
-	}
+	sum := machine.Sweep(cfg, s.Runs, s.Seed, runtime.GOMAXPROCS(0))
 
 	// Truncations and per-tenant fault counts are part of the outcome —
 	// a tenant that gave up after its crash-retry budget, or truncated on
 	// spare exhaustion, must not be read as a completed run.
 	t := tablefmt.NewTable("Tenant", "Model", "Arrive(s)", "Wall(h)", "Slowdown(x)", "QueueWait(s)", "Starve(s)", "Crashes", "Trunc(frac)")
-	for i, a := range per {
+	for i, a := range sum.Jobs {
 		t.AddRow(cfgs[i].Label, cfgs[i].Policy.String(),
 			fmt.Sprintf("%.0f", cfg.Jobs[i].ArrivalSeconds),
-			tablefmt.Hours(a.wall/n),
-			fmt.Sprintf("%.3f", a.slow/n),
-			fmt.Sprintf("%.1f", a.wait/n),
-			fmt.Sprintf("%.1f", a.starve/n),
-			fmt.Sprintf("%.2f", float64(a.crashes)/n),
-			fmt.Sprintf("%.2f", float64(a.trunc)/n))
+			tablefmt.Hours(sum.Mean(a.WallSeconds)),
+			fmt.Sprintf("%.3f", sum.Mean(a.SlowdownX)),
+			fmt.Sprintf("%.1f", sum.Mean(a.QueueWaitSeconds)),
+			fmt.Sprintf("%.1f", sum.Mean(a.StarvationSeconds)),
+			fmt.Sprintf("%.2f", sum.Mean(float64(a.Crashes))),
+			fmt.Sprintf("%.2f", sum.Mean(float64(a.Truncated))))
 	}
 	fmt.Println(t.String())
 	fmt.Printf("mean makespan %s, peak aggregate PFS allocation %.2f GB/s\n",
-		tablefmt.Hours(makespan/n), peak)
+		tablefmt.Hours(sum.Mean(sum.MakespanSeconds)), sum.PeakAllocGBs)
 	if cfg.Faults.Enabled() {
 		fmt.Printf("machine faults per run: %.2f brownouts (%.0fs), %.2f drain outages, %.2f tenant crashes, %.2f requeues, %.2f starvation escalations\n",
-			float64(brown)/n, brownS/n, float64(outages)/n, float64(crashes)/n, float64(requeues)/n, float64(escal)/n)
+			sum.Mean(float64(sum.Brownouts)), sum.Mean(sum.BrownoutSeconds), sum.Mean(float64(sum.DrainOutages)),
+			sum.Mean(float64(sum.TenantCrashes)), sum.Mean(float64(sum.CrashRequeues)), sum.Mean(float64(sum.Escalations)))
 	}
+	warnFailed(sum.Failed)
 	return nil
 }
 

@@ -1,5 +1,8 @@
 // Command vet-ignored flags discarded error returns from the simulation
-// engine's interruptible blocking calls. `go vet` does not check unused
+// engine's interruptible blocking calls, and other results whose loss no
+// compiler notices: fault-injector draws, Validate verdicts, step-engine
+// driver signals, episode lifecycle transitions, and the failed-run
+// ledger of sweep.Run. `go vet` does not check unused
 // call results, and a bare statement like
 //
 //	p.Wait(cmd.dur)
@@ -23,6 +26,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -135,6 +139,15 @@ func checkFile(path string) (int, error) {
 	}
 	bad := 0
 	ast.Inspect(file, func(n ast.Node) bool {
+		// out, _ := sweep.Run(...) blank-discards the failed-run ledger: the
+		// sweep then reports means over the completed runs as if every run
+		// had completed.
+		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == 2 && types.ExprString(as.Lhs[1]) == "_" &&
+			strings.HasPrefix(types.ExprString(as.Rhs[0]), "sweep.Run(") {
+			fmt.Printf("%s: failed-run ledger of sweep.Run(...) discarded\n", fset.Position(as.Pos()))
+			bad++
+			return true
+		}
 		stmt, ok := n.(*ast.ExprStmt)
 		if !ok {
 			return true

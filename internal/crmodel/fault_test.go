@@ -7,8 +7,6 @@ import (
 	"pckpt/internal/failure"
 	"pckpt/internal/faultinject"
 	"pckpt/internal/platform"
-	"pckpt/internal/sim"
-	"pckpt/internal/stats"
 )
 
 // TestZeroRateInjectionBitIdentical pins the seed-derivation hygiene
@@ -81,53 +79,14 @@ func TestCorruptionForcesFallback(t *testing.T) {
 	}
 }
 
-// TestPanickingRunBecomesFailedRun plants a crashing run in the middle of
-// a sweep and checks the sweep still completes, with the failure ledgered
-// against the exact seed.
-func TestPanickingRunBecomesFailedRun(t *testing.T) {
+// TestSweepDescNamesConfig pins what a crmodel sweep's failed-run ledger
+// entries name; internal/sweep's table covers the ledger itself.
+func TestSweepDescNamesConfig(t *testing.T) {
 	cfg := Config{Model: ModelB, Config: platform.Config{App: smallApp, System: quietSystem}}
-	badSeed := RunSeed(42, 3)
-	orig := simulateRun
-	simulateRun = func(c Config, seed uint64) stats.RunResult {
-		if seed == badSeed {
-			panic("planted crash")
+	_, desc := sweepConfig(cfg, 1)
+	for _, want := range []string{"model=B", "app=" + smallApp.Name, "system=" + quietSystem.Name} {
+		if !strings.Contains(desc, want) {
+			t.Errorf("sweep desc %q lacks %q", desc, want)
 		}
-		return orig(c, seed)
-	}
-	defer func() { simulateRun = orig }()
-	agg := SimulateNWorkers(cfg, 8, 42, 4)
-	if agg.N() != 7 {
-		t.Fatalf("completed runs = %d, want 7", agg.N())
-	}
-	failed := agg.Failed()
-	if len(failed) != 1 {
-		t.Fatalf("failed ledger has %d entries, want 1", len(failed))
-	}
-	f := failed[0]
-	if f.Seed != badSeed || !strings.Contains(f.Err, "planted crash") || !strings.Contains(f.Config, "model=B") {
-		t.Fatalf("failed run misreported: %+v", f)
-	}
-}
-
-// TestWatchdogedRunBecomesFailedRun wires the two safety rails together:
-// a livelocked simulation trips the sim watchdog, and the per-worker
-// recover converts that panic into a ledger entry — naming the stuck
-// process — instead of hanging or killing the sweep.
-func TestWatchdogedRunBecomesFailedRun(t *testing.T) {
-	cfg := Config{Model: ModelB, Config: platform.Config{App: smallApp, System: quietSystem}}
-	orig := simulateRun
-	simulateRun = func(c Config, seed uint64) stats.RunResult {
-		if seed == RunSeed(7, 0) {
-			panic(&sim.WatchdogError{Reason: "event limit", Events: 101, Proc: `"compute" (proc 1)`})
-		}
-		return orig(c, seed)
-	}
-	defer func() { simulateRun = orig }()
-	agg := SimulateNWorkers(cfg, 2, 7, 1)
-	if agg.N() != 1 || len(agg.Failed()) != 1 {
-		t.Fatalf("runs=%d failed=%d, want 1/1", agg.N(), len(agg.Failed()))
-	}
-	if err := agg.Failed()[0].Err; !strings.Contains(err, "watchdog") || !strings.Contains(err, "compute") {
-		t.Fatalf("watchdog diagnostic lost in the ledger: %q", err)
 	}
 }

@@ -3,27 +3,11 @@ package crmodel
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"pckpt/internal/metrics"
 	"pckpt/internal/stats"
+	"pckpt/internal/sweep"
 )
-
-// simulateRun indirects Simulate so the panic-recovery test can plant a
-// deliberately crashing run without corrupting a real configuration.
-var simulateRun = Simulate
-
-// runSafe executes one run with a recover guard: a panicking run — a bug,
-// or the sim watchdog killing a livelock — is reported as a failure
-// string instead of taking down the whole sweep.
-func runSafe(cfg Config, seed uint64) (r stats.RunResult, failure string) {
-	defer func() {
-		if p := recover(); p != nil {
-			failure = fmt.Sprint(p)
-		}
-	}()
-	return simulateRun(cfg, seed), ""
-}
 
 // SimulateN runs n independent simulations of cfg with seeds derived from
 // baseSeed and aggregates the results. Runs execute in parallel across
@@ -37,8 +21,17 @@ func SimulateN(cfg Config, n int, baseSeed uint64) *stats.Agg {
 // SimulateNWorkers is SimulateN with an explicit worker count (tests use
 // 1 for reproducible profiling, benchmarks sweep it).
 func SimulateNWorkers(cfg Config, n int, baseSeed uint64, workers int) *stats.Agg {
-	agg, _ := simulatePool(cfg, n, baseSeed, workers, false)
-	return agg
+	cfg, desc := sweepConfig(cfg, n)
+	results, failed := sweep.Run(n, baseSeed, workers, desc, func(seed uint64) stats.RunResult {
+		return Simulate(cfg, seed)
+	})
+	return stats.NewAgg(sweep.Completed(results, baseSeed, failed), failed)
+}
+
+// meteredRun is one metered run's result and its private snapshot.
+type meteredRun struct {
+	stats.RunResult
+	snap *metrics.Snapshot
 }
 
 // SimulateNMetered is SimulateNWorkers with the metrics subsystem on:
@@ -48,84 +41,39 @@ func SimulateNWorkers(cfg Config, n int, baseSeed uint64, workers int) *stats.Ag
 // aggregate. Any registry already set on cfg.Metrics is ignored — sharing
 // one registry across concurrent runs would race.
 func SimulateNMetered(cfg Config, n int, baseSeed uint64, workers int) (*stats.Agg, *metrics.Snapshot) {
-	return simulatePool(cfg, n, baseSeed, workers, true)
-}
-
-// simulatePool is the shared worker-pool body. Runs execute concurrently;
-// results and snapshots land in per-run slots, so the only coordination
-// is the work channel and the final WaitGroup.
-func simulatePool(cfg Config, n int, baseSeed uint64, workers int, meter bool) (*stats.Agg, *metrics.Snapshot) {
-	if n <= 0 {
-		return &stats.Agg{}, &metrics.Snapshot{}
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	cfg.Metrics = nil // per-run registries only; a shared one would race
-	results := make([]stats.RunResult, n)
-	fails := make([]string, n)
-	var snaps []*metrics.Snapshot
-	if meter {
-		snaps = make([]*metrics.Snapshot, n)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				runCfg := cfg
-				if meter {
-					runCfg.Metrics = metrics.New()
-				}
-				r, failed := runSafe(runCfg, RunSeed(baseSeed, i))
-				if failed != "" {
-					fails[i] = failed
-					continue
-				}
-				results[i] = r
-				if meter {
-					snaps[i] = runCfg.Metrics.Snapshot(r.WallSeconds)
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	agg := &stats.Agg{}
-	desc := fmt.Sprintf("model=%s app=%s system=%s", cfg.Model, cfg.App.Name, cfg.System.Name)
-	for i, r := range results {
-		if fails[i] != "" {
-			agg.AddFailed(stats.FailedRun{Seed: RunSeed(baseSeed, i), Config: desc, Err: fails[i]})
-			continue
-		}
-		agg.Add(r)
-	}
+	cfg, desc := sweepConfig(cfg, n)
+	results, failed := sweep.Run(n, baseSeed, workers, desc, func(seed uint64) meteredRun {
+		runCfg := cfg
+		runCfg.Metrics = metrics.New()
+		r := Simulate(runCfg, seed)
+		return meteredRun{r, runCfg.Metrics.Snapshot(r.WallSeconds)}
+	})
+	completed := sweep.Completed(results, baseSeed, failed)
+	runs := make([]stats.RunResult, len(completed))
 	merged := &metrics.Snapshot{}
-	for _, s := range snaps {
-		merged.Merge(s)
+	for i, m := range completed {
+		runs[i] = m.RunResult
+		merged.Merge(m.snap)
 	}
-	return agg, merged
+	return stats.NewAgg(runs, failed), merged
 }
 
-// RunSeed derives the seed for run index i from the experiment's base
-// seed with a SplitMix64-style mix, so neighbouring runs are uncorrelated.
-// Exported so the tier-generic runner in internal/experiments draws the
-// exact same seed sequence for either simulation tier.
-func RunSeed(base uint64, i int) uint64 {
-	x := base + 0x9e3779b97f4a7c15*uint64(i+1)
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+// sweepConfig defaults and validates cfg once, on the caller's
+// goroutine, so an invalid configuration panics here instead of turning
+// into n ledger entries (zero runs need no valid configuration). It drops
+// any shared registry, which concurrent runs would race on, and returns
+// the description failed-run ledger entries carry.
+func sweepConfig(cfg Config, n int) (Config, string) {
+	if n > 0 {
+		cfg = cfg.withDefaults()
+		if err := cfg.Validate(); err != nil {
+			panic(err)
+		}
+	}
+	cfg.Metrics = nil
+	return cfg, fmt.Sprintf("model=%s app=%s system=%s", cfg.Model, cfg.App.Name, cfg.System.Name)
 }
+
+// RunSeed is sweep.Seed, kept because the benchmark's replay of the
+// sweep paths (bench/replay.go) calls it; new code uses sweep.Seed.
+func RunSeed(base uint64, i int) uint64 { return sweep.Seed(base, i) }

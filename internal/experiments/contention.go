@@ -51,63 +51,51 @@ func Contention(p Params) Result {
 	// experiment bit-identical to the pre-fault build.
 	cfg.Faults = p.MachineFaults
 	seed := configSeed(p.Seed, "contention")
-	results := machine.SimulateN(cfg, p.Runs, seed, p.Workers)
-
-	n := float64(len(results))
-	type agg struct {
-		slow, wait, starve, wall float64
-		trunc                    int
-	}
-	jobs := make([]agg, len(cfg.Jobs))
-	makespan, peak := 0.0, 0.0
-	for _, res := range results {
-		for i, jr := range res.Jobs {
-			jobs[i].slow += jr.SlowdownX
-			jobs[i].wait += jr.QueueWaitSeconds
-			jobs[i].starve += jr.StarvationSeconds
-			jobs[i].wall += jr.Run.WallSeconds
-			if jr.Run.Truncated {
-				jobs[i].trunc++
-			}
-		}
-		makespan += res.MakespanSeconds
-		if res.PeakAllocGBs > peak {
-			peak = res.PeakAllocGBs
-		}
-	}
+	sum := machine.Sweep(cfg, p.Runs, seed, p.Workers)
 
 	t := tablefmt.NewTable("Job", "Model", "Arrive(s)", "Wall(h)", "Slowdown(x)", "QueueWait(s)", "Starve(s)")
 	values := map[string]float64{}
-	for i, a := range jobs {
+	for i, a := range sum.Jobs {
 		j := cfg.Jobs[i]
 		t.AddRow(
 			fmt.Sprintf("%d", i),
 			j.Model.String(),
 			fmt.Sprintf("%.0f", j.ArrivalSeconds),
-			fmt.Sprintf("%.2f", a.wall/n/3600),
-			fmt.Sprintf("%.3f", a.slow/n),
-			fmt.Sprintf("%.1f", a.wait/n),
-			fmt.Sprintf("%.1f", a.starve/n),
+			fmt.Sprintf("%.2f", sum.Mean(a.WallSeconds)/3600),
+			fmt.Sprintf("%.3f", sum.Mean(a.SlowdownX)),
+			fmt.Sprintf("%.1f", sum.Mean(a.QueueWaitSeconds)),
+			fmt.Sprintf("%.1f", sum.Mean(a.StarvationSeconds)),
 		)
 		key := fmt.Sprintf("job%d/%s", i, j.Model)
-		values[key+"/slowdown-x"] = a.slow / n
-		values[key+"/queue-wait-s"] = a.wait / n
-		values[key+"/starve-s"] = a.starve / n
-		values[key+"/truncated-frac"] = float64(a.trunc) / n
+		values[key+"/slowdown-x"] = sum.Mean(a.SlowdownX)
+		values[key+"/queue-wait-s"] = sum.Mean(a.QueueWaitSeconds)
+		values[key+"/starve-s"] = sum.Mean(a.StarvationSeconds)
+		values[key+"/truncated-frac"] = sum.Mean(float64(a.Truncated))
 	}
-	values["makespan-h"] = makespan / n / 3600
-	values["peak-alloc-gbs"] = peak
+	values["makespan-h"] = sum.Mean(sum.MakespanSeconds) / 3600
+	values["peak-alloc-gbs"] = sum.PeakAllocGBs
 
 	text := t.String() + fmt.Sprintf(
 		"\n(three tenants share one %.0f GB/s PFS ceiling under %s admission;\n"+
 			" slowdown is contended wall over the same job, platform, and seed run solo —\n"+
 			" the arbiter's priority lane keeps p-ckpt phase-1 writes at their solo price;\n"+
 			" mean makespan %.2fh, peak aggregate allocation %.2f GB/s)\n",
-		cfg.PFSCeilingGBs, machine.FIFO{}.Name(), makespan/n/3600, peak)
+		cfg.PFSCeilingGBs, machine.FIFO{}.Name(), sum.Mean(sum.MakespanSeconds)/3600, sum.PeakAllocGBs) +
+		failedRunsLine(sum)
 	return Result{
 		ID:     "contention",
 		Title:  "Extension: multi-tenant contention — shared PFS bandwidth arbitration and admission",
 		Text:   text,
 		Values: values,
 	}
+}
+
+// failedRunsLine is the line a machine experiment appends to its text
+// when runs panicked, naming the first; it is empty when none did.
+func failedRunsLine(sum machine.Summary) string {
+	if len(sum.Failed) == 0 {
+		return ""
+	}
+	return fmt.Sprintf("(%d of %d runs panicked and are excluded from the means; first: %+v)\n",
+		len(sum.Failed), len(sum.Failed)+sum.Runs, sum.Failed[0])
 }

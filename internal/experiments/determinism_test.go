@@ -10,7 +10,7 @@ import (
 // results for the same seed. This test pins that invariant on a
 // representative experiment subset — an app-granularity sweep over
 // every model (fig6a), a lead-scale sweep (fig4), and the dual-tier
-// runner (crossval, which exercises SimulateTierN on both tiers), and
+// runner (crossval, which exercises SimulateSweepN on every tier), and
 // the degraded-platform sweep (fault-plan draws must replay identically
 // regardless of scheduling).
 func TestWorkersDeterminism(t *testing.T) {

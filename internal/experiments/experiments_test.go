@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"pckpt/internal/machine"
+	"pckpt/internal/stats"
 )
 
 // fastParams keeps experiment tests quick; the qualitative claims they
@@ -348,6 +351,21 @@ func TestObservation5And6(t *testing.T) {
 		if r.Values[app+"/P2/reduction-pct"] <= r.Values[app+"/P1/reduction-pct"] {
 			t.Errorf("%s: P2 total reduction %.1f%% not above P1's %.1f%%", app,
 				r.Values[app+"/P2/reduction-pct"], r.Values[app+"/P1/reduction-pct"])
+		}
+	}
+}
+
+// TestFailedRunsLine pins the machine experiments' ledger line: absent
+// when every run completed, so healthy goldens never move, and naming
+// the count and first failure otherwise.
+func TestFailedRunsLine(t *testing.T) {
+	if got := failedRunsLine(machine.Summary{Runs: 4}); got != "" {
+		t.Fatalf("healthy sweep got failure line %q", got)
+	}
+	got := failedRunsLine(machine.Summary{Runs: 3, Failed: []stats.FailedRun{{Seed: 99, Config: "machine jobs=3", Err: "boom"}}})
+	for _, want := range []string{"1 of 4 runs panicked", "99", "boom"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("failure line %q lacks %q", got, want)
 		}
 	}
 }

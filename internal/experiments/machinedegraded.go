@@ -59,82 +59,51 @@ func MachineDegraded(p Params) Result {
 	}
 	cfg := machineDegradedConfig(faults)
 	seed := configSeed(p.Seed, "machine-degraded")
-	results := machine.SimulateN(cfg, p.Runs, seed, p.Workers)
-
-	n := float64(len(results))
-	type agg struct {
-		slow, wait, starve, stretch, wall float64
-		crashes, trunc                    int
-	}
-	jobs := make([]agg, len(cfg.Jobs))
-	makespan, peak, brownS := 0.0, 0.0, 0.0
-	brown, outages, crashes, requeues, escal := 0, 0, 0, 0, 0
-	for _, res := range results {
-		for i, jr := range res.Jobs {
-			jobs[i].slow += jr.SlowdownX
-			jobs[i].wait += jr.QueueWaitSeconds
-			jobs[i].starve += jr.StarvationSeconds
-			jobs[i].stretch += jr.MaxStarvationStretchSeconds
-			jobs[i].wall += jr.Run.WallSeconds
-			jobs[i].crashes += jr.Crashes
-			if jr.Run.Truncated {
-				jobs[i].trunc++
-			}
-		}
-		makespan += res.MakespanSeconds
-		if res.PeakAllocGBs > peak {
-			peak = res.PeakAllocGBs
-		}
-		brown += res.Brownouts
-		brownS += res.BrownoutSeconds
-		outages += res.DrainOutages
-		crashes += res.TenantCrashes
-		requeues += res.CrashRequeues
-		escal += res.Escalations
-	}
+	sum := machine.Sweep(cfg, p.Runs, seed, p.Workers)
 
 	t := tablefmt.NewTable("Job", "Model", "Rack", "Wall(h)", "Slowdown(x)", "QueueWait(s)", "Starve(s)", "MaxStretch(s)", "Crashes", "Trunc(frac)")
 	values := map[string]float64{}
-	for i, a := range jobs {
+	for i, a := range sum.Jobs {
 		j := cfg.Jobs[i]
 		t.AddRow(
 			fmt.Sprintf("%d", i),
 			j.Model.String(),
 			fmt.Sprintf("%d", cfg.Racks[i]),
-			fmt.Sprintf("%.2f", a.wall/n/3600),
-			fmt.Sprintf("%.3f", a.slow/n),
-			fmt.Sprintf("%.1f", a.wait/n),
-			fmt.Sprintf("%.1f", a.starve/n),
-			fmt.Sprintf("%.1f", a.stretch/n),
-			fmt.Sprintf("%.2f", float64(a.crashes)/n),
-			fmt.Sprintf("%.2f", float64(a.trunc)/n),
+			fmt.Sprintf("%.2f", sum.Mean(a.WallSeconds)/3600),
+			fmt.Sprintf("%.3f", sum.Mean(a.SlowdownX)),
+			fmt.Sprintf("%.1f", sum.Mean(a.QueueWaitSeconds)),
+			fmt.Sprintf("%.1f", sum.Mean(a.StarvationSeconds)),
+			fmt.Sprintf("%.1f", sum.Mean(a.MaxStarvationStretchSeconds)),
+			fmt.Sprintf("%.2f", sum.Mean(float64(a.Crashes))),
+			fmt.Sprintf("%.2f", sum.Mean(float64(a.Truncated))),
 		)
 		key := fmt.Sprintf("job%d/%s", i, j.Model)
-		values[key+"/slowdown-x"] = a.slow / n
-		values[key+"/queue-wait-s"] = a.wait / n
-		values[key+"/starve-s"] = a.starve / n
-		values[key+"/max-stretch-s"] = a.stretch / n
-		values[key+"/crashes"] = float64(a.crashes) / n
-		values[key+"/truncated-frac"] = float64(a.trunc) / n
+		values[key+"/slowdown-x"] = sum.Mean(a.SlowdownX)
+		values[key+"/queue-wait-s"] = sum.Mean(a.QueueWaitSeconds)
+		values[key+"/starve-s"] = sum.Mean(a.StarvationSeconds)
+		values[key+"/max-stretch-s"] = sum.Mean(a.MaxStarvationStretchSeconds)
+		values[key+"/crashes"] = sum.Mean(float64(a.Crashes))
+		values[key+"/truncated-frac"] = sum.Mean(float64(a.Truncated))
 	}
-	values["makespan-h"] = makespan / n / 3600
-	values["peak-alloc-gbs"] = peak
-	values["brownouts"] = float64(brown) / n
-	values["brownout-s"] = brownS / n
-	values["drain-outages"] = float64(outages) / n
-	values["tenant-crashes"] = float64(crashes) / n
-	values["crash-requeues"] = float64(requeues) / n
-	values["escalations"] = float64(escal) / n
+	values["makespan-h"] = sum.Mean(sum.MakespanSeconds) / 3600
+	values["peak-alloc-gbs"] = sum.PeakAllocGBs
+	values["brownouts"] = sum.Mean(float64(sum.Brownouts))
+	values["brownout-s"] = sum.Mean(sum.BrownoutSeconds)
+	values["drain-outages"] = sum.Mean(float64(sum.DrainOutages))
+	values["tenant-crashes"] = sum.Mean(float64(sum.TenantCrashes))
+	values["crash-requeues"] = sum.Mean(float64(sum.CrashRequeues))
+	values["escalations"] = sum.Mean(float64(sum.Escalations))
 
 	text := t.String() + fmt.Sprintf(
 		"\n(machine-scope fault domains over the contention cohort: %.2f brownout windows/run\n"+
 			" (%.0fs mean total, blackout prob %.2f), %.2f drain outages/run, %.2f tenant crashes/run\n"+
 			" with %.2f requeues; watchdog bound %.0fs fired %.2f escalations/run;\n"+
 			" mean makespan %.2fh, peak aggregate allocation %.2f GB/s never exceeds the live ceiling)\n",
-		float64(brown)/n, brownS/n, faults.BlackoutProb, float64(outages)/n,
-		float64(crashes)/n, float64(requeues)/n,
-		faults.StarvationEscalationSeconds, float64(escal)/n,
-		makespan/n/3600, peak)
+		values["brownouts"], values["brownout-s"], faults.BlackoutProb, values["drain-outages"],
+		values["tenant-crashes"], values["crash-requeues"],
+		faults.StarvationEscalationSeconds, values["escalations"],
+		values["makespan-h"], sum.PeakAllocGBs) +
+		failedRunsLine(sum)
 	return Result{
 		ID:     "machine-degraded",
 		Title:  "Extension: machine-scope fault domains — PFS brownouts, tenant crashes with requeue, bounded-starvation degradation",

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"pckpt/internal/crmodel"
 	"pckpt/internal/nodesim"
@@ -10,6 +9,7 @@ import (
 	"pckpt/internal/policy"
 	"pckpt/internal/stats"
 	"pckpt/internal/stepsim"
+	"pckpt/internal/sweep"
 )
 
 // Tier is one simulation granularity the experiment runner can drive: the
@@ -107,11 +107,11 @@ func TierNames() []string {
 	return names
 }
 
-// runTier is SimulateTierN behind the result cache: the tier name joins
-// the per-configuration label so the two granularities of one catalogue
-// entry never collide, and a fresh aggregate is flushed back to the
-// cache (tier runs are never metered, so no snapshot is stored or
-// required).
+// runTier is SimulateSweepN without the cross-check, behind the result
+// cache: the tier name joins the per-configuration label so the two
+// granularities of one catalogue entry never collide, and a fresh
+// aggregate is flushed back to the cache (tier runs are never metered,
+// so no snapshot is stored or required).
 func runTier(p Params, t Tier, id policy.ID, plat platform.Config, n int, baseSeed uint64) *stats.Agg {
 	if p.Faults.Enabled() && !plat.Faults.Enabled() {
 		plat.Faults = p.Faults
@@ -122,59 +122,8 @@ func runTier(p Params, t Tier, id policy.ID, plat platform.Config, n int, baseSe
 		return agg
 	}
 	p.checkInterrupt()
-	agg := SimulateTierN(t, id, plat, n, baseSeed, p.Workers)
+	agg := SimulateSweepN(t, id, plat, n, baseSeed, p.Workers, 0)
 	p.cachePut(key, agg, nil)
-	return agg
-}
-
-// SimulateTierN runs n seeds of one catalogue entry on a tier, drawing
-// the identical crmodel.RunSeed sequence either tier's native runner
-// would use, so per-seed results are comparable across tiers. Results
-// aggregate in seed order regardless of worker interleaving. A run that
-// panics — a model bug, or the sim watchdog killing a livelock — lands
-// in the aggregate's failed-run ledger instead of aborting the sweep.
-func SimulateTierN(t Tier, id policy.ID, plat platform.Config, n int, baseSeed uint64, workers int) *stats.Agg {
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	simulateSafe := func(seed uint64) (r stats.RunResult, failure string) {
-		defer func() {
-			if p := recover(); p != nil {
-				failure = fmt.Sprint(p)
-			}
-		}()
-		return t.Simulate(id, plat, seed), ""
-	}
-	results := make([]stats.RunResult, n)
-	fails := make([]string, n)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i], fails[i] = simulateSafe(crmodel.RunSeed(baseSeed, i))
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	agg := &stats.Agg{}
-	desc := fmt.Sprintf("tier=%s model=%s app=%s", t.Name, id, plat.App.Name)
-	for i, r := range results {
-		if fails[i] != "" {
-			agg.AddFailed(stats.FailedRun{Seed: crmodel.RunSeed(baseSeed, i), Config: desc, Err: fails[i]})
-			continue
-		}
-		agg.Add(r)
-	}
 	return agg
 }
 
@@ -183,51 +132,68 @@ func SimulateTierN(t Tier, id policy.ID, plat platform.Config, n int, baseSeed u
 // tier and compared bit for bit.
 const DefaultCrossCheckStride = 16
 
-// SimulateSweepN is SimulateTierN plus a sampled cross-check: every
-// stride-th seed index is re-simulated on the reference (app) tier and
-// the two RunResults compared bit for bit. It is the sweep path's
-// runner — sweeps default to the step tier for speed, and the sampled
-// reference runs keep the bit-identity contract continuously audited
-// instead of trusted. A divergence panics with a full diagnostic: a
-// tier that has drifted invalidates every cached aggregate it produced,
-// so the sweep must not quietly continue. stride <= 0 disables the
-// cross-check, as does running on the reference tier itself.
+// SimulateSweepN runs n seeds of one catalogue entry on a tier, drawing
+// the sweep.Seed sequence every tier uses, so per-seed results are
+// comparable across tiers; they aggregate in seed order for any worker
+// count. A run that panics — a model bug, or the sim watchdog killing a
+// livelock — lands in the aggregate's failed-run ledger.
+//
+// stride > 0 adds a sampled cross-check: every stride-th seed is also
+// simulated on the reference (app) tier and compared bit for bit with the
+// result the sweep aggregated, so the step tier's bit-identity contract
+// is audited instead of trusted. A divergence panics with a full
+// diagnostic: a drifted tier invalidates every cached aggregate it
+// produced. stride <= 0 disables the cross-check, as does running on the
+// reference tier itself.
 func SimulateSweepN(t Tier, id policy.ID, plat platform.Config, n int, baseSeed uint64, workers, stride int) *stats.Agg {
-	agg := SimulateTierN(t, id, plat, n, baseSeed, workers)
+	desc := fmt.Sprintf("tier=%s model=%s app=%s", t.Name, id, plat.App.Name)
+	results, failed := sweep.Run(n, baseSeed, workers, desc, func(seed uint64) stats.RunResult {
+		return t.Simulate(id, plat, seed)
+	})
 	if ref := AppTier(); stride > 0 && t.Name != ref.Name {
-		crossCheckSampled(t, ref, id, plat, n, baseSeed, stride)
+		crossCheckSampled(t, ref, id, plat, baseSeed, workers, stride, results, failed)
 	}
-	return agg
+	return stats.NewAgg(sweep.Completed(results, baseSeed, failed), failed)
 }
 
-// crossCheckSampled compares t against ref on seed indices 0, stride,
-// 2·stride, … and panics on the first bit difference. A run that panics
-// identically on both tiers is tolerated — the sweep aggregate already
-// ledgers it as a failed run — but a panic on only one tier is itself a
-// divergence.
-func crossCheckSampled(t, ref Tier, id policy.ID, plat platform.Config, n int, baseSeed uint64, stride int) {
-	safe := func(tier Tier, seed uint64) (r stats.RunResult, failure string) {
-		defer func() {
-			if p := recover(); p != nil {
-				failure = fmt.Sprint(p)
-			}
-		}()
-		return tier.Simulate(id, plat, seed), ""
+// crossCheckSampled simulates seed indices 0, stride, 2·stride, … on ref
+// and compares each with the sweep's result on t (got, and its ledger
+// gotFailed), panicking on the first bit difference. A run that panicked
+// on both tiers is tolerated — the sweep aggregate already ledgers it as
+// a failed run — but a panic on only one tier is itself a divergence.
+func crossCheckSampled(t, ref Tier, id policy.ID, plat platform.Config, baseSeed uint64, workers, stride int, got []stats.RunResult, gotFailed []stats.FailedRun) {
+	sampled := map[uint64]bool{}
+	for i := 0; i < len(got); i += stride {
+		sampled[sweep.Seed(baseSeed, i)] = true
 	}
-	for i := 0; i < n; i += stride {
-		seed := crmodel.RunSeed(baseSeed, i)
-		got, gotFail := safe(t, seed)
-		want, wantFail := safe(ref, seed)
-		if gotFail != "" || wantFail != "" {
-			if gotFail != "" && wantFail != "" {
-				continue
-			}
+	want, wantFailed := sweep.Run(len(got), baseSeed, workers, "reference", func(seed uint64) stats.RunResult {
+		if !sampled[seed] {
+			return stats.RunResult{}
+		}
+		return ref.Simulate(id, plat, seed)
+	})
+	for i := 0; i < len(got); i += stride {
+		seed := sweep.Seed(baseSeed, i)
+		switch gotFail, wantFail := ledgered(gotFailed, seed), ledgered(wantFailed, seed); {
+		case gotFail != "" && wantFail != "":
+			// Both panicked: the sweep aggregate ledgers the run.
+		case gotFail != "" || wantFail != "":
 			panic(fmt.Sprintf("experiments: tier %q diverged from %q at run %d (seed %#x) model=%s app=%s: %q panic=%q, %q panic=%q",
 				t.Name, ref.Name, i, seed, id, plat.App.Name, t.Name, gotFail, ref.Name, wantFail))
-		}
-		if got != want {
+		case got[i] != want[i]:
 			panic(fmt.Sprintf("experiments: tier %q diverged from %q at run %d (seed %#x) model=%s app=%s\n%s: %+v\n%s: %+v",
-				t.Name, ref.Name, i, seed, id, plat.App.Name, t.Name, got, ref.Name, want))
+				t.Name, ref.Name, i, seed, id, plat.App.Name, t.Name, got[i], ref.Name, want[i]))
 		}
 	}
+}
+
+// ledgered returns the recorded panic of the run seeded seed, or "" when
+// that run completed.
+func ledgered(failed []stats.FailedRun, seed uint64) string {
+	for _, f := range failed {
+		if f.Seed == seed {
+			return f.Err
+		}
+	}
+	return ""
 }

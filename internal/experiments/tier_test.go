@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pckpt/internal/crmodel"
@@ -12,14 +13,16 @@ import (
 	"pckpt/internal/runcache"
 	"pckpt/internal/stats"
 	"pckpt/internal/stepsim"
+	"pckpt/internal/sweep"
 	"pckpt/internal/workload"
 )
 
-// TestSimulateTierNRecoversPanickingRun plants a crashing fake tier in a
-// sweep: the sweep must complete, the surviving seeds must aggregate, and
-// the crash must be ledgered against its exact seed and configuration.
-func TestSimulateTierNRecoversPanickingRun(t *testing.T) {
-	badSeed := crmodel.RunSeed(11, 2)
+// TestSimulateSweepNLedgersPanickingRun plants a crashing fake tier in a
+// sweep: the surviving seeds aggregate, and the ledger entry names the
+// tier, model, and application (internal/sweep's table covers the pool
+// and ledger mechanics).
+func TestSimulateSweepNLedgersPanickingRun(t *testing.T) {
+	badSeed := sweep.Seed(11, 2)
 	fake := Tier{
 		Name:     "fake",
 		Supports: func(policy.ID) bool { return true },
@@ -31,62 +34,18 @@ func TestSimulateTierNRecoversPanickingRun(t *testing.T) {
 		},
 	}
 	plat := platform.Config{App: workload.App{Name: "fakeapp", Nodes: 4, TotalCkptGB: 4, ComputeHours: 1}}
-	agg := SimulateTierN(fake, policy.P2, plat, 6, 11, 3)
-	if agg.N() != 5 {
-		t.Fatalf("completed runs = %d, want 5", agg.N())
+	agg := SimulateSweepN(fake, policy.P2, plat, 6, 11, 3, 0)
+	if agg.N() != 5 || len(agg.Failed()) != 1 {
+		t.Fatalf("%d runs + %d failures, want 5 + 1", agg.N(), len(agg.Failed()))
 	}
-	failed := agg.Failed()
-	if len(failed) != 1 {
-		t.Fatalf("failed ledger has %d entries, want 1", len(failed))
-	}
-	f := failed[0]
-	if f.Seed != badSeed || !strings.Contains(f.Err, "planted tier crash") {
+	f := agg.Failed()[0]
+	if f.Seed != badSeed || f.Err != "planted tier crash" {
 		t.Fatalf("failure misattributed: %+v", f)
 	}
 	for _, want := range []string{"tier=fake", "model=P2", "app=fakeapp"} {
 		if !strings.Contains(f.Config, want) {
 			t.Errorf("ledger config %q missing %q", f.Config, want)
 		}
-	}
-}
-
-// TestSimulateTierNEdgeCases pins the pool plumbing around the sweep:
-// zero runs yield an empty aggregate without deadlock, a worker count
-// above n clamps instead of idling goroutines on a closed channel, and a
-// panic in the LAST seed still lands in the ledger (the final channel
-// send must not race the drain).
-func TestSimulateTierNEdgeCases(t *testing.T) {
-	plat := platform.Config{App: workload.App{Name: "fakeapp", Nodes: 4, TotalCkptGB: 4, ComputeHours: 1}}
-	ok := Tier{
-		Name:     "fake",
-		Supports: func(policy.ID) bool { return true },
-		Simulate: func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
-			return stats.RunResult{WallSeconds: float64(seed % 97)}
-		},
-	}
-
-	if agg := SimulateTierN(ok, policy.B, plat, 0, 7, 4); agg.N() != 0 || len(agg.Failed()) != 0 {
-		t.Fatalf("n=0: got %d runs, %d failures, want an empty aggregate", agg.N(), len(agg.Failed()))
-	}
-
-	if agg := SimulateTierN(ok, policy.B, plat, 2, 7, 16); agg.N() != 2 {
-		t.Fatalf("workers>n: got %d runs, want 2", agg.N())
-	}
-
-	lastSeed := crmodel.RunSeed(7, 5)
-	crashLast := ok
-	crashLast.Simulate = func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
-		if seed == lastSeed {
-			panic("last-seed crash")
-		}
-		return stats.RunResult{}
-	}
-	agg := SimulateTierN(crashLast, policy.B, plat, 6, 7, 2)
-	if agg.N() != 5 || len(agg.Failed()) != 1 {
-		t.Fatalf("last-seed crash: %d runs + %d failures, want 5 + 1", agg.N(), len(agg.Failed()))
-	}
-	if f := agg.Failed()[0]; f.Seed != lastSeed || !strings.Contains(f.Err, "last-seed crash") {
-		t.Fatalf("last-seed crash misattributed: %+v", f)
 	}
 }
 
@@ -261,6 +220,49 @@ func TestSimulateSweepNCrossCheck(t *testing.T) {
 	if agg := SimulateSweepN(drift, policy.P1, plat, 4, 3, 2, 0); agg.N() != 4 {
 		t.Fatalf("stride 0: %d runs, want 4", agg.N())
 	}
+}
+
+// TestSimulateSweepNCrossCheckReusesSweepRuns pins that the cross-check
+// compares the reference against the runs the sweep aggregated: every
+// seed runs once on the sweep tier, a panic on the sweep tier alone at a
+// sampled seed is a divergence, and one at an unsampled seed is only
+// ledgered.
+func TestSimulateSweepNCrossCheckReusesSweepRuns(t *testing.T) {
+	plat := platform.Config{
+		App:    workload.App{Name: "crossval-48", Nodes: 48, TotalCkptGB: 960, ComputeHours: 24},
+		System: failure.System{Name: "busy", Shape: 0.75, ScaleHours: 40, Nodes: 48},
+	}
+	var calls atomic.Int32
+	crashSeed := uint64(0)
+	tier := StepTier()
+	tier.Name = "fake-counted"
+	tier.Simulate = func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
+		calls.Add(1)
+		if seed == crashSeed {
+			panic("planted step crash")
+		}
+		return stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, seed)
+	}
+	if agg := SimulateSweepN(tier, policy.P1, plat, 4, 3, 2, 2); agg.N() != 4 || calls.Load() != 4 {
+		t.Fatalf("%d runs from %d sweep-tier calls, want 4 from 4", agg.N(), calls.Load())
+	}
+
+	crashSeed = sweep.Seed(3, 3) // index 3 is not sampled at stride 2
+	agg := SimulateSweepN(tier, policy.P1, plat, 4, 3, 2, 2)
+	if agg.N() != 3 || len(agg.Failed()) != 1 || agg.Failed()[0].Seed != crashSeed {
+		t.Fatalf("unsampled crash: %d runs, ledger %+v", agg.N(), agg.Failed())
+	}
+
+	crashSeed = sweep.Seed(3, 2) // sampled: the reference tier completes it
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, frag := range []string{"fake-counted", "diverged", "planted step crash"} {
+			if !strings.Contains(msg, frag) {
+				t.Errorf("one-sided panic report %q lacks %q", msg, frag)
+			}
+		}
+	}()
+	SimulateSweepN(tier, policy.P1, plat, 4, 3, 2, 2)
 }
 
 // TestBadAppFilterPanicsWithContext pins the harness-hardening change to

@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 
-	"pckpt/internal/crmodel"
 	"pckpt/internal/faultinject"
 	"pckpt/internal/metrics"
 	"pckpt/internal/platform"
@@ -11,6 +10,7 @@ import (
 	"pckpt/internal/rng"
 	"pckpt/internal/stats"
 	"pckpt/internal/stepsim"
+	"pckpt/internal/sweep"
 )
 
 // JobSpec is one application submitted to the machine: a model from the
@@ -206,7 +206,7 @@ const machineMaxEvents = 100_000_000
 // are admitted by cfg.Admission as nodes free up, all PFS transfers
 // contend at a shared BandwidthArbiter, and each job runs bit-identical
 // to a solo run except where contention stretches its transfers. Job i
-// draws seed crmodel.RunSeed(seed, i), the same derivation the sweep
+// draws seed sweep.Seed(seed, i), the same derivation the sweep
 // runners use.
 func Simulate(cfg Config, seed uint64) Result {
 	cfg = cfg.WithDefaults()
@@ -260,9 +260,9 @@ func Simulate(cfg Config, seed uint64) Result {
 			// A readmitted job replays a fresh seed derived from its crash
 			// count, so retry runs are independent draws but the whole
 			// machine stays deterministic in (cfg, seed).
-			jobSeed := crmodel.RunSeed(seed, p.Job)
+			jobSeed := sweep.Seed(seed, p.Job)
 			if ten.crashes > 0 {
-				jobSeed = crmodel.RunSeed(jobSeed, ten.crashes)
+				jobSeed = sweep.Seed(jobSeed, ten.crashes)
 			}
 			ten.running = true
 			ten.handle = stepsim.StartApp(eng, stepsim.Config{
@@ -317,7 +317,7 @@ func Simulate(cfg Config, seed uint64) Result {
 	for i := range res.Jobs {
 		jr := &res.Jobs[i]
 		job := cfg.Jobs[i]
-		solo := stepsim.Simulate(stepsim.Config{Model: job.Model, Config: job.Platform}, crmodel.RunSeed(seed, i))
+		solo := stepsim.Simulate(stepsim.Config{Model: job.Model, Config: job.Platform}, sweep.Seed(seed, i))
 		jr.SoloWallSeconds = solo.WallSeconds
 		if solo.WallSeconds > 0 {
 			jr.SlowdownX = jr.Run.WallSeconds / solo.WallSeconds
@@ -373,45 +373,89 @@ func observeMachineMetrics(cfg Config, res *Result) {
 }
 
 // SimulateN executes runs independent machine simulations (run r draws
-// seed crmodel.RunSeed(seed, r)) across workers goroutines, returning
-// results indexed by run — identical for any worker count.
+// seed sweep.Seed(seed, r)) across workers goroutines, returning results
+// indexed by run — identical for any worker count. A run that panics
+// does not stop the others: SimulateN finishes every run, then panics on
+// the caller's goroutine naming the failed seeds (Sweep ledgers them).
 func SimulateN(cfg Config, runs int, seed uint64, workers int) []Result {
-	if runs <= 0 {
-		return nil
-	}
-	// Shared observers would race across workers (crmodel's sweeps drop
-	// them for the same reason); per-run introspection uses Simulate.
-	cfg.Metrics = nil
-	cfg.OnAlloc = nil
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > runs {
-		workers = runs
-	}
-	out := make([]Result, runs)
-	if workers == 1 {
-		for r := 0; r < runs; r++ {
-			out[r] = Simulate(cfg, crmodel.RunSeed(seed, r))
-		}
-		return out
-	}
-	work := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for r := range work {
-				out[r] = Simulate(cfg, crmodel.RunSeed(seed, r))
-			}
-		}()
-	}
-	for r := 0; r < runs; r++ {
-		work <- r
-	}
-	close(work)
-	for w := 0; w < workers; w++ {
-		<-done
+	out, failed := sweepRuns(cfg, runs, seed, workers)
+	if len(failed) > 0 {
+		panic(fmt.Sprintf("machine: %d of %d runs panicked: %+v", len(failed), runs, failed))
 	}
 	return out
+}
+
+// JobSummary is one job's sums over a sweep's completed runs.
+type JobSummary struct {
+	WallSeconds, SlowdownX, QueueWaitSeconds, StarvationSeconds, MaxStarvationStretchSeconds float64
+	// Crashes sums the job's crashes; Truncated counts the runs it ended
+	// truncated.
+	Crashes, Truncated int
+}
+
+// Summary is a machine sweep summed over its completed runs, in run order.
+type Summary struct {
+	// Jobs holds per-job sums, indexed like Config.Jobs.
+	Jobs []JobSummary
+	// Machine-wide sums; PeakAllocGBs is the maximum instead.
+	MakespanSeconds, PeakAllocGBs, BrownoutSeconds                     float64
+	Brownouts, DrainOutages, TenantCrashes, CrashRequeues, Escalations int
+	// Runs counts the completed runs; Failed ledgers the ones that panicked.
+	Runs   int
+	Failed []stats.FailedRun
+}
+
+// Mean divides a sum by the completed runs; with none it is 0, not NaN.
+func (s Summary) Mean(sum float64) float64 {
+	if s.Runs == 0 {
+		return 0
+	}
+	return sum / float64(s.Runs)
+}
+
+// Sweep runs what SimulateN runs and sums the completed runs; a run that
+// panics lands in Summary.Failed instead of stopping the sweep.
+func Sweep(cfg Config, runs int, seed uint64, workers int) Summary {
+	results, failed := sweepRuns(cfg, runs, seed, workers)
+	s := Summary{Jobs: make([]JobSummary, len(cfg.Jobs)), Failed: failed}
+	for _, res := range sweep.Completed(results, seed, failed) {
+		s.Runs++
+		for i, jr := range res.Jobs {
+			j := &s.Jobs[i]
+			j.WallSeconds += jr.Run.WallSeconds
+			j.SlowdownX += jr.SlowdownX
+			j.QueueWaitSeconds += jr.QueueWaitSeconds
+			j.StarvationSeconds += jr.StarvationSeconds
+			j.MaxStarvationStretchSeconds += jr.MaxStarvationStretchSeconds
+			j.Crashes += jr.Crashes
+			if jr.Run.Truncated {
+				j.Truncated++
+			}
+		}
+		s.MakespanSeconds += res.MakespanSeconds
+		s.PeakAllocGBs = max(s.PeakAllocGBs, res.PeakAllocGBs)
+		s.BrownoutSeconds += res.BrownoutSeconds
+		s.Brownouts += res.Brownouts
+		s.DrainOutages += res.DrainOutages
+		s.TenantCrashes += res.TenantCrashes
+		s.CrashRequeues += res.CrashRequeues
+		s.Escalations += res.Escalations
+	}
+	return s
+}
+
+// sweepRuns is the sweep behind SimulateN and Sweep. It validates the
+// cohort once, on the caller's goroutine, so an invalid cohort panics
+// here instead of becoming one ledger entry per run, and drops the
+// shared observers, which concurrent runs would race on; per-run
+// introspection uses Simulate.
+func sweepRuns(cfg Config, runs int, seed uint64, workers int) ([]Result, []stats.FailedRun) {
+	d := cfg.WithDefaults()
+	if err := d.Validate(); err != nil {
+		panic(err)
+	}
+	cfg.Metrics = nil
+	cfg.OnAlloc = nil
+	desc := fmt.Sprintf("machine jobs=%d nodes=%d", len(d.Jobs), d.Nodes)
+	return sweep.Run(runs, seed, workers, desc, func(s uint64) Result { return Simulate(cfg, s) })
 }

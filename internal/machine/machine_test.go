@@ -1,7 +1,10 @@
 package machine_test
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pckpt/internal/failure"
@@ -9,6 +12,7 @@ import (
 	"pckpt/internal/metrics"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
+	"pckpt/internal/sweep"
 	"pckpt/internal/workload"
 )
 
@@ -172,13 +176,83 @@ func TestMachineMetricsPublished(t *testing.T) {
 	}
 }
 
-// An invalid cohort (job wider than the machine) is rejected.
+// An invalid cohort (job wider than the machine) is rejected by every
+// entry point with the validation error itself, on the caller's
+// goroutine: the sweeps validate once before any worker starts, so the
+// cohort never becomes one ledger entry per run.
 func TestMachineValidateRejectsOversizedJob(t *testing.T) {
 	cfg := machine.Config{Jobs: []machine.JobSpec{testJob(policy.B, 0)}, Nodes: 4}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Simulate accepted a job wider than the machine")
-		}
+	for _, entry := range []struct {
+		name string
+		run  func()
+	}{
+		{"Simulate", func() { machine.Simulate(cfg, 1) }},
+		{"SimulateN", func() { machine.SimulateN(cfg, 3, 1, 2) }},
+		{"Sweep", func() { machine.Sweep(cfg, 3, 1, 2) }},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("%s accepted a job wider than the machine", entry.name)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, "needs 18 nodes") {
+					t.Fatalf("%s panicked with %q, want the validation error", entry.name, msg)
+				}
+			}()
+			entry.run()
+		}()
+	}
+}
+
+// crashOnce is FIFO admission that panics on its first decision: in a
+// one-worker sweep that is run 0's first admission.
+type crashOnce struct{ fired atomic.Bool }
+
+func (*crashOnce) Name() string { return "crash-once" }
+
+func (c *crashOnce) Admit(queue []machine.PendingJob, freeNodes int) (int, bool) {
+	if !c.fired.Swap(true) {
+		panic("planted admission crash")
+	}
+	return machine.FIFO{}.Admit(queue, freeNodes)
+}
+
+// A panicking machine run is ledgered by Sweep, which sums the other
+// runs, and re-panicked by SimulateN on the caller's goroutine once every
+// other run has finished.
+func TestMachineSweepLedgersPanickingRun(t *testing.T) {
+	cfg := machine.Config{Jobs: []machine.JobSpec{testJob(policy.M1, 0), testJob(policy.P2, 600)}}
+	const runs, seed = 3, 42
+	healthy := machine.SimulateN(cfg, runs, seed, 1)
+
+	cfg.Admission = &crashOnce{}
+	sum := machine.Sweep(cfg, runs, seed, 1)
+	if sum.Runs != runs-1 || len(sum.Failed) != 1 {
+		t.Fatalf("%d completed + %d failed, want %d + 1", sum.Runs, len(sum.Failed), runs-1)
+	}
+	if f := sum.Failed[0]; f.Seed != sweep.Seed(seed, 0) || f.Err != "planted admission crash" || !strings.Contains(f.Config, "machine") {
+		t.Fatalf("failure misattributed: %+v", f)
+	}
+	if want := healthy[1].MakespanSeconds + healthy[2].MakespanSeconds; sum.MakespanSeconds != want {
+		t.Fatalf("makespan sum %g, want %g (runs 1 and 2 only)", sum.MakespanSeconds, want)
+	}
+
+	cfg.Admission = &crashOnce{}
+	func() {
+		defer func() {
+			msg := fmt.Sprint(recover())
+			for _, frag := range []string{"1 of 3 runs panicked", "planted admission crash"} {
+				if !strings.Contains(msg, frag) {
+					t.Fatalf("SimulateN panic %q lacks %q", msg, frag)
+				}
+			}
+		}()
+		machine.SimulateN(cfg, runs, seed, 2)
 	}()
-	machine.Simulate(cfg, 1)
+
+	cfg.Admission = &crashOnce{}
+	if none := machine.Sweep(cfg, 1, seed, 1); none.Runs != 0 || none.Mean(none.MakespanSeconds) != 0 {
+		t.Fatalf("no completed run: %d runs, mean makespan %g, want 0 and 0 (not NaN)", none.Runs, none.Mean(none.MakespanSeconds))
+	}
 }

@@ -145,8 +145,8 @@ func Summarize(xs []float64) Summary {
 }
 
 // FailedRun records a simulation run that panicked instead of
-// completing: the per-worker recover in the run pools converts the panic
-// into this record so one bad run reports its seed and configuration
+// completing: the sweep runner (internal/sweep) converts the panic into
+// this record so one bad run reports its seed and configuration
 // without killing the rest of the sweep.
 type FailedRun struct {
 	// Seed is the derived per-run seed that reproduces the panic.
@@ -163,6 +163,10 @@ type Agg struct {
 	runs   []RunResult
 	failed []FailedRun
 }
+
+// NewAgg returns an aggregate over completed runs and the ledger of
+// failed ones, taking ownership of both slices.
+func NewAgg(runs []RunResult, failed []FailedRun) *Agg { return &Agg{runs: runs, failed: failed} }
 
 // Add records one run.
 func (a *Agg) Add(r RunResult) { a.runs = append(a.runs, r) }
