@@ -16,12 +16,12 @@
 // snapshot. -cpuprofile/-memprofile capture pprof profiles of the whole
 // invocation.
 //
-// Unmetered sweeps run on the step tier — bit-identical to the
-// app-level reference and an order of magnitude faster — with every
-// 16th seed re-run on the app tier as a continuous bit-identity
-// cross-check; -sweep-tier and -crosscheck-every control both (metered
-// sweeps stay on the app tier, whose metric series the snapshots
-// report).
+// Sweeps run on the step tier — bit-identical to the app-level
+// reference and an order of magnitude faster — with every 16th seed
+// re-run on the app tier as a continuous bit-identity cross-check;
+// -sweep-tier and -crosscheck-every control both. Metered sweeps are no
+// exception: both tiers record the same sim.<model>.* series, and the
+// cross-check compares each sampled run's metrics snapshot too.
 //
 // Sweeps are resumable: every completed configuration is flushed to the
 // content-addressed result cache (-cache DIR, on by default) the moment
@@ -58,7 +58,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		apps       = flag.String("apps", "", "comma-separated application filter (default: experiment-specific)")
 		tiers      = flag.String("tiers", "", "comma-separated tier filter for cross-validating experiments: "+strings.Join(experiments.TierNames(), ", ")+" (default: all registered tiers)")
-		sweepTier  = flag.String("sweep-tier", "step", "simulation tier unmetered sweeps run on (must be bit-identical to the app tier)")
+		sweepTier  = flag.String("sweep-tier", "step", "simulation tier sweeps run on, metered or not (must be bit-identical to the app tier)")
 		crossEvery = flag.Int("crosscheck-every", experiments.DefaultCrossCheckStride, "re-run every Nth sweep seed on the app tier as a bit-identity cross-check (0 disables)")
 		values     = flag.Bool("values", false, "also print machine-readable headline values")
 		meter      = flag.Bool("metrics", false, "meter simulation runs and print the merged metrics summary")

@@ -72,29 +72,66 @@ func TestCLIStepTraceEpisodeModel(t *testing.T) {
 	}
 }
 
-// TestCLIMetricsImpliesAppTier: -metrics without an explicit -tier must
-// bend the step-tier default to the app tier (the only metered engine)
-// instead of erroring.
-func TestCLIMetricsImpliesAppTier(t *testing.T) {
+// meteredRun runs the CLI with -metrics on a fixed small configuration
+// plus the extra args and returns its stdout, stderr, exit code and the
+// snapshot file it wrote (nil if none).
+func meteredRun(t *testing.T, args ...string) (stdout, stderr string, code int, snap []byte) {
+	t.Helper()
 	out := filepath.Join(t.TempDir(), "m.json")
-	stdout, stderr, code := runCLI(t, "-model", "P1", "-runs", "2", "-baseline=false", "-metrics", "-metrics-out", out)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr)
+	args = append([]string{"-app", "GYRO", "-model", "P1", "-runs", "3", "-seed", "5", "-baseline=false", "-metrics", "-metrics-out", out}, args...)
+	stdout, stderr, code = runCLI(t, args...)
+	snap, _ = os.ReadFile(out)
+	return stdout, stderr, code, snap
+}
+
+// TestCLIMetricsImpliesAppTier: -metrics without an explicit -tier runs
+// on the default step tier, and the snapshot it writes is byte-identical
+// to the app tier's for the same seed and runs — metering on the default
+// tier yields the app tier's sim.<model>.* numbers.
+func TestCLIMetricsImpliesAppTier(t *testing.T) {
+	stdout, stderr, code, step := meteredRun(t)
+	if code != 0 || step == nil {
+		t.Fatalf("exit %d, snapshot written %v, stderr: %s", code, step != nil, stderr)
 	}
-	if !strings.Contains(stdout, "(app tier") {
-		t.Errorf("-metrics did not imply the app tier:\n%s", stdout)
+	if !strings.Contains(stdout, "(step tier") {
+		t.Errorf("-metrics did not run on the default step tier:\n%s", stdout)
 	}
-	if _, err := os.Stat(out); err != nil {
-		t.Errorf("metrics snapshot not written: %v", err)
+	if !bytes.Contains(step, []byte(`"sim.P1.bb_write_seconds"`)) {
+		t.Errorf("step tier snapshot lacks the sim.P1.* series:\n%s", step)
+	}
+	_, stderr, code, app := meteredRun(t, "-tier", "app")
+	if code != 0 || app == nil {
+		t.Fatalf("-tier app: exit %d, snapshot written %v, stderr: %s", code, app != nil, stderr)
+	}
+	if !bytes.Equal(step, app) {
+		t.Errorf("step and app tier snapshots differ:\nstep: %s\napp:  %s", step, app)
 	}
 }
 
-// TestCLIMetricsExplicitStepTierErrors: an explicit non-app tier with
-// -metrics is a contradiction the CLI must refuse, not silently bend.
+// TestCLIMetricsExplicitStepTierErrors: an explicit tier with -metrics
+// errors only when that tier lacks the model; otherwise it meters on
+// that tier — -tier step under sim.<model>.*, -tier node under its own
+// nodesim.* series.
 func TestCLIMetricsExplicitStepTierErrors(t *testing.T) {
-	_, stderr, code := runCLI(t, "-tier", "step", "-model", "P1", "-runs", "2", "-metrics")
-	if code != 2 || !strings.Contains(stderr, "app-tier only") {
-		t.Errorf("exit %d, stderr %q; want exit 2 with app-tier-only error", code, stderr)
+	for _, tc := range []struct{ tier, series string }{
+		{"step", `"sim.P1.`},
+		{"node", `"nodesim.`},
+	} {
+		stdout, stderr, code, snap := meteredRun(t, "-tier", tc.tier)
+		if code != 0 {
+			t.Errorf("-tier %s -metrics: exit %d, stderr: %s", tc.tier, code, stderr)
+			continue
+		}
+		if !strings.Contains(stdout, "("+tc.tier+" tier") {
+			t.Errorf("-tier %s -metrics ran on another tier:\n%s", tc.tier, stdout)
+		}
+		if !bytes.Contains(snap, []byte(tc.series)) {
+			t.Errorf("-tier %s snapshot lacks %s* series:\n%s", tc.tier, tc.series, snap)
+		}
+	}
+	_, stderr, code, _ := meteredRun(t, "-tier", "node", "-model", "M1")
+	if code != 2 || !strings.Contains(stderr, "does not implement") {
+		t.Errorf("-tier node -model M1 -metrics: exit %d, stderr %q; want unsupported-model error", code, stderr)
 	}
 }
 

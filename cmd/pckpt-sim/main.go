@@ -10,8 +10,9 @@
 //
 // Runs default to the step tier — bit-identical to the app tier on
 // every model, an order of magnitude faster. -tier selects another
-// registered tier; -metrics implies the app tier (the only metered
-// engine) unless -tier was set explicitly.
+// registered tier; -metrics meters whichever tier runs (the app and step
+// tiers record the same sim.<model>.* series, the node tier its
+// nodesim.<policy>.* equivalents).
 package main
 
 import (
@@ -42,7 +43,7 @@ func main() {
 		cacheDir  = flag.String("cache", "", "runcache directory for -spec mode: cells resolve from the cache when present and are flushed to it when simulated")
 		appName   = flag.String("app", "CHIMERA", "application from the Table I catalogue")
 		modelName = flag.String("model", "P2", "C/R model: B, M1, M2, P1, P2")
-		tierName  = flag.String("tier", "step", "simulation tier: "+strings.Join(experiments.TierNames(), ", ")+" (see DESIGN.md; -metrics implies app unless -tier is explicit)")
+		tierName  = flag.String("tier", "step", "simulation tier: "+strings.Join(experiments.TierNames(), ", ")+" (see DESIGN.md; -metrics meters whichever tier runs)")
 		sysName   = flag.String("system", "OLCF Titan", "failure distribution from the Table III catalogue")
 		runs      = flag.Int("runs", 200, "simulation runs to average")
 		seed      = flag.Uint64("seed", 42, "base RNG seed")
@@ -142,16 +143,8 @@ func main() {
 	exitOn(err)
 	sys, err := failure.SystemByName(*sysName)
 	exitOn(err)
-	if *meter && !set["tier"] {
-		// -metrics is app-tier only; an implicit tier choice bends to it
-		// rather than erroring under the step-tier default.
-		tier, _ = experiments.TierByName("app")
-	}
 	if !tier.Supports(model) {
 		exitOn(fmt.Errorf("pckpt-sim: the %s tier does not implement model %s", tier.Name, model))
-	}
-	if *meter && tier.Name != "app" {
-		exitOn(fmt.Errorf("pckpt-sim: -metrics is app-tier only (the tier runner is unmetered); use -tier app or drop -tier"))
 	}
 
 	cfg := crmodel.Config{
@@ -179,16 +172,11 @@ func main() {
 	fmt.Printf("%s on %s under %s (%s tier, %d runs, seed %d)\n", model, app, sys.Name, tier.Name, *runs, *seed)
 	fmt.Printf("θ = %.2f s, σ = %.3f, per-node checkpoint = %.2f GB\n\n", cfg.Theta(), cfg.Sigma(), app.PerNodeGB())
 
-	var snap *metrics.Snapshot
-	var agg *stats.Agg
-	if *meter {
-		agg, snap = crmodel.SimulateNMetered(cfg, *runs, *seed, runtime.GOMAXPROCS(0))
-	} else {
-		// All tiers route through the shared tier runner: identical seed
-		// sequences, so switching -tier changes the engine, not the
-		// experiment (and for -tier step, not even the bits).
-		agg = experiments.SimulateSweepN(tier, model, cfg.Config, *runs, *seed, runtime.GOMAXPROCS(0), 0)
-	}
+	// All tiers route through the shared tier runner: identical seed
+	// sequences, so switching -tier changes the engine, not the
+	// experiment (and for -tier step, not even the bits — metrics
+	// included).
+	agg, snap := experiments.SimulateSweepN(tier, model, cfg.Config, *runs, *seed, runtime.GOMAXPROCS(0), 0, *meter)
 	mo := agg.MeanOverheads()
 
 	if *showTrace {
@@ -232,7 +220,8 @@ func main() {
 	if *baseline && model != crmodel.ModelB {
 		// Every tier implements model B, so the reduction is computed
 		// within the selected tier.
-		base := experiments.SimulateSweepN(tier, crmodel.ModelB, cfg.Config, *runs, *seed, runtime.GOMAXPROCS(0), 0).MeanOverheads()
+		baseAgg, _ := experiments.SimulateSweepN(tier, crmodel.ModelB, cfg.Config, *runs, *seed, runtime.GOMAXPROCS(0), 0, false)
+		base := baseAgg.MeanOverheads()
 		ck, rc, rv, tot := stats.ReductionBreakdown(base, mo)
 		fmt.Printf("vs base model B: checkpoint %s, recomputation %s, recovery %s, TOTAL %s\n",
 			tablefmt.Percent(ck), tablefmt.Percent(rc), tablefmt.Percent(rv), tablefmt.Percent(tot))

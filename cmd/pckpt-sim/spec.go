@@ -284,8 +284,8 @@ func runSpecCell(s *scenario.Spec, rc scenario.RunConfig, tier experiments.Tier,
 			return agg, nil
 		}
 	}
-	agg := experiments.SimulateSweepN(tier, rc.Policy, rc.Platform, s.Runs, s.Seed,
-		runtime.GOMAXPROCS(0), experiments.DefaultCrossCheckStride)
+	agg, _ := experiments.SimulateSweepN(tier, rc.Policy, rc.Platform, s.Runs, s.Seed,
+		runtime.GOMAXPROCS(0), experiments.DefaultCrossCheckStride, false)
 	if store != nil {
 		if err := store.Put(key, agg, nil); err != nil {
 			return nil, err

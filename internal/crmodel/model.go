@@ -75,8 +75,8 @@ type Config struct {
 	// drain queue depth, effective PFS bandwidth, lead-time consumption.
 	// Like Trace, nil costs nothing on the hot path. A Registry is
 	// single-run state — never share one across concurrent Simulate
-	// calls; SimulateNMetered gives every run its own and merges the
-	// snapshots.
+	// calls; experiments.SimulateSweepN gives every run its own and
+	// merges the snapshots.
 	Metrics *metrics.Registry
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"pckpt/internal/metrics"
 	"pckpt/internal/stats"
 	"pckpt/internal/sweep"
 )
@@ -26,36 +25,6 @@ func SimulateNWorkers(cfg Config, n int, baseSeed uint64, workers int) *stats.Ag
 		return Simulate(cfg, seed)
 	})
 	return stats.NewAgg(sweep.Completed(results, baseSeed, failed), failed)
-}
-
-// meteredRun is one metered run's result and its private snapshot.
-type meteredRun struct {
-	stats.RunResult
-	snap *metrics.Snapshot
-}
-
-// SimulateNMetered is SimulateNWorkers with the metrics subsystem on:
-// every run records into its own private registry (no locks touch the
-// simulation hot path), the per-run snapshots are merged in seed order,
-// and the deterministic merged snapshot is returned alongside the
-// aggregate. Any registry already set on cfg.Metrics is ignored — sharing
-// one registry across concurrent runs would race.
-func SimulateNMetered(cfg Config, n int, baseSeed uint64, workers int) (*stats.Agg, *metrics.Snapshot) {
-	cfg, desc := sweepConfig(cfg, n)
-	results, failed := sweep.Run(n, baseSeed, workers, desc, func(seed uint64) meteredRun {
-		runCfg := cfg
-		runCfg.Metrics = metrics.New()
-		r := Simulate(runCfg, seed)
-		return meteredRun{r, runCfg.Metrics.Snapshot(r.WallSeconds)}
-	})
-	completed := sweep.Completed(results, baseSeed, failed)
-	runs := make([]stats.RunResult, len(completed))
-	merged := &metrics.Snapshot{}
-	for i, m := range completed {
-		runs[i] = m.RunResult
-		merged.Merge(m.snap)
-	}
-	return stats.NewAgg(runs, failed), merged
 }
 
 // sweepConfig defaults and validates cfg once, on the caller's

@@ -31,8 +31,8 @@ func TestCrossValidation(t *testing.T) {
 				if !tier.Supports(id) {
 					continue
 				}
-				aAgg := SimulateSweepN(ref, id, plat, runs, 42, 2, 0)
-				oAgg := SimulateSweepN(tier, id, plat, runs, 42, 2, 0)
+				aAgg, _ := SimulateSweepN(ref, id, plat, runs, 42, 2, 0, false)
+				oAgg, _ := SimulateSweepN(tier, id, plat, runs, 42, 2, 0, false)
 				if aAgg.N() != runs || oAgg.N() != runs {
 					t.Fatalf("%v: run counts %d/%d, want %d", id, aAgg.N(), oAgg.N(), runs)
 				}

@@ -227,10 +227,8 @@ func configSeed(base uint64, label string) uint64 {
 // runConfig resolves one (model, app, …) configuration: from the cache
 // when possible, by simulation otherwise (metering into p.Metrics when
 // collection is on, and flushing the fresh aggregate back to the cache).
-// Unmetered sweeps run on p's sweep tier — the step tier by default —
-// with the app tier sampled as a bit-identity cross-check; metered
-// sweeps stay on the app tier, whose metric series the collectors and
-// snapshot goldens expect.
+// Every sweep, metered or not, runs on p's sweep tier — the step tier by
+// default — with the app tier sampled as a bit-identity cross-check.
 func runConfig(p Params, cfg crmodel.Config, label string) *stats.Agg {
 	if p.Faults.Enabled() && !cfg.Faults.Enabled() {
 		cfg.Faults = p.Faults
@@ -240,13 +238,8 @@ func runConfig(p Params, cfg crmodel.Config, label string) *stats.Agg {
 		return agg
 	}
 	p.checkInterrupt()
-	seed := configSeed(p.Seed, label)
-	if p.Metrics == nil {
-		agg := SimulateSweepN(p.sweepTier(), cfg.Model, cfg.Config, p.Runs, seed, p.Workers, p.crossCheckStride())
-		p.cachePut(key, agg, nil)
-		return agg
-	}
-	agg, snap := crmodel.SimulateNMetered(cfg, p.Runs, seed, p.Workers)
+	agg, snap := SimulateSweepN(p.sweepTier(), cfg.Model, cfg.Config, p.Runs, configSeed(p.Seed, label),
+		p.Workers, p.crossCheckStride(), p.Metrics != nil)
 	p.Metrics.Add(snap)
 	p.cachePut(key, agg, snap)
 	return agg

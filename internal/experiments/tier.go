@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pckpt/internal/crmodel"
+	"pckpt/internal/metrics"
 	"pckpt/internal/nodesim"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
@@ -27,8 +28,11 @@ type Tier struct {
 	// (the node tier implements the subset with a NodeLabel; the app and
 	// step tiers implement the full catalogue).
 	Supports func(id policy.ID) bool
-	// Simulate runs one seed of the model on the shared platform config.
-	Simulate func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult
+	// Run runs one seed of the model on the shared platform config,
+	// recording the run's simulation-time metrics into reg; a nil reg
+	// runs unmetered. A registry is single-run state (see
+	// internal/metrics), so concurrent runs need one each.
+	Run func(id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry) stats.RunResult
 	// BitIdentical marks tiers whose RunResults equal the reference
 	// tier's bit for bit on shared seeds. Only such tiers may serve as
 	// the sweep tier: experiment cache keys are tier-agnostic, so a
@@ -38,14 +42,19 @@ type Tier struct {
 	BitIdentical bool
 }
 
+// Simulate runs one unmetered seed: Run with a nil registry.
+func (t Tier) Simulate(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
+	return t.Run(id, plat, seed, nil)
+}
+
 // AppTier is the application-granularity tier; it implements the full
 // catalogue.
 func AppTier() Tier {
 	return Tier{
 		Name:     "app",
 		Supports: func(policy.ID) bool { return true },
-		Simulate: func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
-			return crmodel.Simulate(crmodel.Config{Model: id, Config: plat}, seed)
+		Run: func(id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry) stats.RunResult {
+			return crmodel.Simulate(crmodel.Config{Model: id, Config: plat, Metrics: reg}, seed)
 		},
 		BitIdentical: true,
 	}
@@ -57,8 +66,8 @@ func NodeTier() Tier {
 	return Tier{
 		Name:     "node",
 		Supports: func(id policy.ID) bool { return id.NodeLabel() != "" },
-		Simulate: func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
-			return nodesim.Simulate(nodesim.Config{Policy: id, Config: plat}, seed)
+		Run: func(id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry) stats.RunResult {
+			return nodesim.Simulate(nodesim.Config{Policy: id, Config: plat, Metrics: reg}, seed)
 		},
 	}
 }
@@ -73,8 +82,8 @@ func StepTier() Tier {
 	return Tier{
 		Name:     "step",
 		Supports: stepsim.Supports,
-		Simulate: func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
-			return stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, seed)
+		Run: func(id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry) stats.RunResult {
+			return stepsim.Simulate(stepsim.Config{Model: id, Config: plat, Metrics: reg}, seed)
 		},
 		BitIdentical: true,
 	}
@@ -122,7 +131,7 @@ func runTier(p Params, t Tier, id policy.ID, plat platform.Config, n int, baseSe
 		return agg
 	}
 	p.checkInterrupt()
-	agg := SimulateSweepN(t, id, plat, n, baseSeed, p.Workers, 0)
+	agg, _ := SimulateSweepN(t, id, plat, n, baseSeed, p.Workers, 0, false)
 	p.cachePut(key, agg, nil)
 	return agg
 }
@@ -138,51 +147,118 @@ const DefaultCrossCheckStride = 16
 // count. A run that panics — a model bug, or the sim watchdog killing a
 // livelock — lands in the aggregate's failed-run ledger.
 //
+// meter records every run into its own registry and returns the
+// snapshots of the completed runs merged in seed order, so the merged
+// snapshot is as deterministic as the aggregate. Unmetered sweeps
+// allocate no registry and return a nil snapshot.
+//
 // stride > 0 adds a sampled cross-check: every stride-th seed is also
 // simulated on the reference (app) tier and compared bit for bit with the
-// result the sweep aggregated, so the step tier's bit-identity contract
-// is audited instead of trusted. A divergence panics with a full
-// diagnostic: a drifted tier invalidates every cached aggregate it
-// produced. stride <= 0 disables the cross-check, as does running on the
-// reference tier itself.
-func SimulateSweepN(t Tier, id policy.ID, plat platform.Config, n int, baseSeed uint64, workers, stride int) *stats.Agg {
+// result the sweep aggregated — and, when metering, with the run's
+// snapshot — so the step tier's bit-identity contract is audited instead
+// of trusted. A divergence panics with a full diagnostic: a drifted tier
+// invalidates every cached aggregate it produced. stride <= 0 disables
+// the cross-check, as does running on the reference tier itself.
+func SimulateSweepN(t Tier, id policy.ID, plat platform.Config, n int, baseSeed uint64, workers, stride int, meter bool) (*stats.Agg, *metrics.Snapshot) {
 	desc := fmt.Sprintf("tier=%s model=%s app=%s", t.Name, id, plat.App.Name)
+	var snaps *runSnapshots
+	if meter {
+		snaps = newRunSnapshots(n, baseSeed, 1, true)
+	}
 	results, failed := sweep.Run(n, baseSeed, workers, desc, func(seed uint64) stats.RunResult {
-		return t.Simulate(id, plat, seed)
+		if snaps == nil {
+			return t.Run(id, plat, seed, nil)
+		}
+		return snaps.run(t, id, plat, seed)
 	})
 	if ref := AppTier(); stride > 0 && t.Name != ref.Name {
-		crossCheckSampled(t, ref, id, plat, baseSeed, workers, stride, results, failed)
+		crossCheckSampled(t, ref, id, plat, baseSeed, workers, stride, results, failed, snaps)
 	}
-	return stats.NewAgg(sweep.Completed(results, baseSeed, failed), failed)
+	return stats.NewAgg(sweep.Completed(results, baseSeed, failed), failed), snaps.merged()
+}
+
+// runSnapshots selects every stride-th run of a sweep by seed and, when
+// metered, keeps each selected run's snapshot by run index.
+type runSnapshots struct {
+	// index maps a selected run's seed to its run index. It is read-only
+	// once the pool starts, so workers share it without locks.
+	index map[uint64]int
+	// snaps holds run i's snapshot at i; nil for an unmetered pass.
+	snaps []*metrics.Snapshot
+}
+
+// newRunSnapshots selects runs 0, stride, 2·stride, … of n.
+func newRunSnapshots(n int, baseSeed uint64, stride int, meter bool) *runSnapshots {
+	s := &runSnapshots{index: map[uint64]int{}}
+	for i := 0; i < n; i += stride {
+		s.index[sweep.Seed(baseSeed, i)] = i
+	}
+	if meter {
+		s.snaps = make([]*metrics.Snapshot, n)
+	}
+	return s
+}
+
+// run simulates seed on t if s selects it, and returns a zero result
+// otherwise. A metered run records into a private registry and freezes
+// it into the run's slot, which no other worker touches.
+func (s *runSnapshots) run(t Tier, id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
+	i, ok := s.index[seed]
+	switch {
+	case !ok:
+		return stats.RunResult{}
+	case s.snaps == nil:
+		return t.Run(id, plat, seed, nil)
+	}
+	reg := metrics.New()
+	r := t.Run(id, plat, seed, reg)
+	s.snaps[i] = reg.Snapshot(r.WallSeconds)
+	return r
+}
+
+// merged folds the snapshots in run-index order — a run that panicked
+// left none — or returns nil when s is nil.
+func (s *runSnapshots) merged() *metrics.Snapshot {
+	if s == nil {
+		return nil
+	}
+	out := &metrics.Snapshot{}
+	for _, snap := range s.snaps {
+		out.Merge(snap)
+	}
+	return out
 }
 
 // crossCheckSampled simulates seed indices 0, stride, 2·stride, … on ref
 // and compares each with the sweep's result on t (got, and its ledger
-// gotFailed), panicking on the first bit difference. A run that panicked
-// on both tiers is tolerated — the sweep aggregate already ledgers it as
-// a failed run — but a panic on only one tier is itself a divergence.
-func crossCheckSampled(t, ref Tier, id policy.ID, plat platform.Config, baseSeed uint64, workers, stride int, got []stats.RunResult, gotFailed []stats.FailedRun) {
-	sampled := map[uint64]bool{}
-	for i := 0; i < len(got); i += stride {
-		sampled[sweep.Seed(baseSeed, i)] = true
-	}
+// gotFailed), panicking on the first bit difference. When the sweep was
+// metered (gotSnaps non-nil) the reference runs are metered too, and
+// each run's snapshot must match as well. A run that panicked on both
+// tiers is tolerated — the sweep aggregate already ledgers it as a
+// failed run — but a panic on only one tier is itself a divergence.
+func crossCheckSampled(t, ref Tier, id policy.ID, plat platform.Config, baseSeed uint64, workers, stride int, got []stats.RunResult, gotFailed []stats.FailedRun, gotSnaps *runSnapshots) {
+	wantSnaps := newRunSnapshots(len(got), baseSeed, stride, gotSnaps != nil)
 	want, wantFailed := sweep.Run(len(got), baseSeed, workers, "reference", func(seed uint64) stats.RunResult {
-		if !sampled[seed] {
-			return stats.RunResult{}
-		}
-		return ref.Simulate(id, plat, seed)
+		return wantSnaps.run(ref, id, plat, seed)
 	})
 	for i := 0; i < len(got); i += stride {
 		seed := sweep.Seed(baseSeed, i)
+		var diff string
 		switch gotFail, wantFail := ledgered(gotFailed, seed), ledgered(wantFailed, seed); {
 		case gotFail != "" && wantFail != "":
 			// Both panicked: the sweep aggregate ledgers the run.
 		case gotFail != "" || wantFail != "":
-			panic(fmt.Sprintf("experiments: tier %q diverged from %q at run %d (seed %#x) model=%s app=%s: %q panic=%q, %q panic=%q",
-				t.Name, ref.Name, i, seed, id, plat.App.Name, t.Name, gotFail, ref.Name, wantFail))
+			diff = fmt.Sprintf(": %q panic=%q, %q panic=%q", t.Name, gotFail, ref.Name, wantFail)
 		case got[i] != want[i]:
-			panic(fmt.Sprintf("experiments: tier %q diverged from %q at run %d (seed %#x) model=%s app=%s\n%s: %+v\n%s: %+v",
-				t.Name, ref.Name, i, seed, id, plat.App.Name, t.Name, got[i], ref.Name, want[i]))
+			diff = fmt.Sprintf("\n%s: %+v\n%s: %+v", t.Name, got[i], ref.Name, want[i])
+		case gotSnaps != nil:
+			if d := gotSnaps.snaps[i].Diff(wantSnaps.snaps[i]); d != "" {
+				diff = fmt.Sprintf("\n%s vs %s metrics: %s", t.Name, ref.Name, d)
+			}
+		}
+		if diff != "" {
+			panic(fmt.Sprintf("experiments: tier %q diverged from %q at run %d (seed %#x) model=%s app=%s%s",
+				t.Name, ref.Name, i, seed, id, plat.App.Name, diff))
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"pckpt/internal/crmodel"
 	"pckpt/internal/failure"
+	"pckpt/internal/metrics"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
 	"pckpt/internal/runcache"
@@ -26,7 +27,7 @@ func TestSimulateSweepNLedgersPanickingRun(t *testing.T) {
 	fake := Tier{
 		Name:     "fake",
 		Supports: func(policy.ID) bool { return true },
-		Simulate: func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
+		Run: func(id policy.ID, plat platform.Config, seed uint64, _ *metrics.Registry) stats.RunResult {
 			if seed == badSeed {
 				panic("planted tier crash")
 			}
@@ -34,7 +35,7 @@ func TestSimulateSweepNLedgersPanickingRun(t *testing.T) {
 		},
 	}
 	plat := platform.Config{App: workload.App{Name: "fakeapp", Nodes: 4, TotalCkptGB: 4, ComputeHours: 1}}
-	agg := SimulateSweepN(fake, policy.P2, plat, 6, 11, 3, 0)
+	agg, _ := SimulateSweepN(fake, policy.P2, plat, 6, 11, 3, 0, false)
 	if agg.N() != 5 || len(agg.Failed()) != 1 {
 		t.Fatalf("%d runs + %d failures, want 5 + 1", agg.N(), len(agg.Failed()))
 	}
@@ -66,7 +67,7 @@ func TestRunTierCacheKeysDistinct(t *testing.T) {
 		return Tier{
 			Name:     name,
 			Supports: func(policy.ID) bool { return true },
-			Simulate: func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
+			Run: func(id policy.ID, plat platform.Config, seed uint64, _ *metrics.Registry) stats.RunResult {
 				calls[name]++
 				return stats.RunResult{WallSeconds: wall}
 			},
@@ -182,14 +183,14 @@ func TestSimulateSweepNCrossCheck(t *testing.T) {
 	}
 	honest := StepTier()
 	honest.Name = "fake-honest"
-	if agg := SimulateSweepN(honest, policy.P1, plat, 4, 3, 2, 2); agg.N() != 4 {
+	if agg, _ := SimulateSweepN(honest, policy.P1, plat, 4, 3, 2, 2, false); agg.N() != 4 {
 		t.Fatalf("honest tier: %d runs, want 4", agg.N())
 	}
 
 	driftSeed := crmodel.RunSeed(3, 2)
 	drift := StepTier()
 	drift.Name = "fake-drift"
-	drift.Simulate = func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
+	drift.Run = func(id policy.ID, plat platform.Config, seed uint64, _ *metrics.Registry) stats.RunResult {
 		r := stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, seed)
 		if seed == driftSeed {
 			r.WallSeconds++
@@ -209,15 +210,15 @@ func TestSimulateSweepNCrossCheck(t *testing.T) {
 				}
 			}
 		}()
-		SimulateSweepN(drift, policy.P1, plat, 4, 3, 2, 2)
+		SimulateSweepN(drift, policy.P1, plat, 4, 3, 2, 2, false)
 	}()
 
 	// stride 3 samples indices 0 and 3 only — the drift at index 2 is
 	// never compared, so the sweep completes; stride 0 skips outright.
-	if agg := SimulateSweepN(drift, policy.P1, plat, 4, 3, 2, 3); agg.N() != 4 {
+	if agg, _ := SimulateSweepN(drift, policy.P1, plat, 4, 3, 2, 3, false); agg.N() != 4 {
 		t.Fatalf("unsampled drift: %d runs, want 4", agg.N())
 	}
-	if agg := SimulateSweepN(drift, policy.P1, plat, 4, 3, 2, 0); agg.N() != 4 {
+	if agg, _ := SimulateSweepN(drift, policy.P1, plat, 4, 3, 2, 0, false); agg.N() != 4 {
 		t.Fatalf("stride 0: %d runs, want 4", agg.N())
 	}
 }
@@ -236,19 +237,19 @@ func TestSimulateSweepNCrossCheckReusesSweepRuns(t *testing.T) {
 	crashSeed := uint64(0)
 	tier := StepTier()
 	tier.Name = "fake-counted"
-	tier.Simulate = func(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
+	tier.Run = func(id policy.ID, plat platform.Config, seed uint64, _ *metrics.Registry) stats.RunResult {
 		calls.Add(1)
 		if seed == crashSeed {
 			panic("planted step crash")
 		}
 		return stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, seed)
 	}
-	if agg := SimulateSweepN(tier, policy.P1, plat, 4, 3, 2, 2); agg.N() != 4 || calls.Load() != 4 {
+	if agg, _ := SimulateSweepN(tier, policy.P1, plat, 4, 3, 2, 2, false); agg.N() != 4 || calls.Load() != 4 {
 		t.Fatalf("%d runs from %d sweep-tier calls, want 4 from 4", agg.N(), calls.Load())
 	}
 
 	crashSeed = sweep.Seed(3, 3) // index 3 is not sampled at stride 2
-	agg := SimulateSweepN(tier, policy.P1, plat, 4, 3, 2, 2)
+	agg, _ := SimulateSweepN(tier, policy.P1, plat, 4, 3, 2, 2, false)
 	if agg.N() != 3 || len(agg.Failed()) != 1 || agg.Failed()[0].Seed != crashSeed {
 		t.Fatalf("unsampled crash: %d runs, ledger %+v", agg.N(), agg.Failed())
 	}
@@ -262,7 +263,7 @@ func TestSimulateSweepNCrossCheckReusesSweepRuns(t *testing.T) {
 			}
 		}
 	}()
-	SimulateSweepN(tier, policy.P1, plat, 4, 3, 2, 2)
+	SimulateSweepN(tier, policy.P1, plat, 4, 3, 2, 2, false)
 }
 
 // TestBadAppFilterPanicsWithContext pins the harness-hardening change to

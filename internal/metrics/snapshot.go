@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"sort"
@@ -102,7 +103,10 @@ func (h *HistStat) refreshQuantiles() {
 	h.P99 = h.Quantile(0.99)
 }
 
-// merge folds o into h bucket-for-bucket.
+// merge folds o into h bucket-for-bucket. Both bucket lists are sparse
+// and ascending, so one two-pointer pass merges them into a new slice:
+// h never shares a backing array with o, nor with any snapshot that
+// shared h's old list.
 func (h *HistStat) merge(o HistStat) {
 	if o.Count == 0 {
 		return
@@ -115,18 +119,20 @@ func (h *HistStat) merge(o HistStat) {
 	}
 	h.Count += o.Count
 	h.Sum += o.Sum
-	merged := make(map[int]uint64, len(h.Buckets)+len(o.Buckets))
-	for _, b := range h.Buckets {
-		merged[b.Index] += b.Count
+	a, b := h.Buckets, o.Buckets
+	merged := make([]Bucket, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].Index < b[0].Index:
+			merged, a = append(merged, a[0]), a[1:]
+		case a[0].Index > b[0].Index:
+			merged, b = append(merged, b[0]), b[1:]
+		default:
+			merged = append(merged, Bucket{Index: a[0].Index, Count: a[0].Count + b[0].Count})
+			a, b = a[1:], b[1:]
+		}
 	}
-	for _, b := range o.Buckets {
-		merged[b.Index] += b.Count
-	}
-	h.Buckets = h.Buckets[:0]
-	for i, n := range merged {
-		h.Buckets = append(h.Buckets, Bucket{Index: i, Count: n})
-	}
-	sort.Slice(h.Buckets, func(i, j int) bool { return h.Buckets[i].Index < h.Buckets[j].Index })
+	h.Buckets = append(append(merged, a...), b...)
 	h.refreshQuantiles()
 }
 
@@ -221,6 +227,121 @@ func (s *Snapshot) Merge(o *Snapshot) {
 		h.merge(oh)
 		s.Histograms[name] = h
 	}
+}
+
+// Diff compares s with o bit for bit — floats by math.Float64bits — and
+// describes the first differing series in sorted name order, a series
+// only one side holds included; it returns "" when the two match. A nil
+// snapshot equals an empty one. Each description reads
+// `<kind> "<name>"[ <field>]: <s's value> vs <o's value>`.
+func (s *Snapshot) Diff(o *Snapshot) string {
+	if s == nil {
+		s = &Snapshot{}
+	}
+	if o == nil {
+		o = &Snapshot{}
+	}
+	for _, name := range seriesNames(s, o) {
+		if d := diffSeries("counter", name, s.Counters, o.Counters, diffCounter); d != "" {
+			return d
+		}
+		if d := diffSeries("gauge", name, s.Gauges, o.Gauges, diffGauge); d != "" {
+			return d
+		}
+		if d := diffSeries("histogram", name, s.Histograms, o.Histograms, diffHist); d != "" {
+			return d
+		}
+	}
+	return ""
+}
+
+// seriesNames lists every series name either snapshot holds, sorted.
+func seriesNames(s, o *Snapshot) []string {
+	seen := map[string]bool{}
+	for _, snap := range []*Snapshot{s, o} {
+		for name := range snap.Counters {
+			seen[name] = true
+		}
+		for name := range snap.Gauges {
+			seen[name] = true
+		}
+		for name := range snap.Histograms {
+			seen[name] = true
+		}
+	}
+	names := make([]string, 0, len(seen))
+	for name := range seen {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// diffSeries compares one named series of one kind across two snapshots'
+// maps, reporting a side that lacks it as "missing".
+func diffSeries[V any](kind, name string, a, b map[string]V, diff func(a, b V) string) string {
+	va, inA := a[name]
+	vb, inB := b[name]
+	switch {
+	case !inA && !inB:
+		return ""
+	case !inB:
+		return fmt.Sprintf("%s %q: present vs missing", kind, name)
+	case !inA:
+		return fmt.Sprintf("%s %q: missing vs present", kind, name)
+	}
+	if d := diff(va, vb); d != "" {
+		return fmt.Sprintf("%s %q%s", kind, name, d)
+	}
+	return ""
+}
+
+// diffFloats names the first field whose bits differ, or returns "".
+func diffFloats(fields []string, a, b []float64) string {
+	for i, f := range fields {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return fmt.Sprintf(" %s: %v vs %v", f, a[i], b[i])
+		}
+	}
+	return ""
+}
+
+func diffCounter(a, b float64) string {
+	if math.Float64bits(a) != math.Float64bits(b) {
+		return fmt.Sprintf(": %v vs %v", a, b)
+	}
+	return ""
+}
+
+func diffGauge(a, b GaugeStat) string {
+	return diffFloats([]string{"integral", "seconds", "min", "max", "last"},
+		[]float64{a.Integral, a.Seconds, a.Min, a.Max, a.Last},
+		[]float64{b.Integral, b.Seconds, b.Min, b.Max, b.Last})
+}
+
+func diffHist(a, b HistStat) string {
+	if a.Count != b.Count {
+		return fmt.Sprintf(" count: %d vs %d", a.Count, b.Count)
+	}
+	if d := diffFloats([]string{"sum", "min", "max", "p50", "p95", "p99"},
+		[]float64{a.Sum, a.Min, a.Max, a.P50, a.P95, a.P99},
+		[]float64{b.Sum, b.Min, b.Max, b.P50, b.P95, b.P99}); d != "" {
+		return d
+	}
+	for i := 0; i < max(len(a.Buckets), len(b.Buckets)); i++ {
+		if i >= len(a.Buckets) || i >= len(b.Buckets) || a.Buckets[i] != b.Buckets[i] {
+			return fmt.Sprintf(" buckets[%d]: %s vs %s", i, bucketAt(a.Buckets, i), bucketAt(b.Buckets, i))
+		}
+	}
+	return ""
+}
+
+// bucketAt renders buckets[i], or "none" past the end.
+func bucketAt(buckets []Bucket, i int) string {
+	if i >= len(buckets) {
+		return "none"
+	}
+	return fmt.Sprintf("{i=%d n=%d}", buckets[i].Index, buckets[i].Count)
 }
 
 // Empty reports whether the snapshot holds no metrics at all.

@@ -2,7 +2,6 @@ package stepsim_test
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"pckpt/internal/crmodel"
@@ -261,30 +260,34 @@ func TestTraceTimelineParity(t *testing.T) {
 	}
 }
 
-// TestMeteredRunIdentical: attaching a metrics registry must not change
-// the result (the same contract the app tier keeps), and the step tier's
-// series must land under its own prefix.
-func TestMeteredRunIdentical(t *testing.T) {
-	plat := testPlatforms()["clean"]
-	for _, id := range stepModels {
-		plain := stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, 3)
-		reg := metrics.New()
-		metered := stepsim.Simulate(stepsim.Config{Model: id, Config: plat, Metrics: reg}, 3)
-		if plain != metered {
-			t.Errorf("%v: metering changed the result\nplain:   %+v\nmetered: %+v", id, plain, metered)
-		}
-		snap := reg.Snapshot(metered.WallSeconds)
-		prefix := "stepsim." + id.String() + "."
-		found := false
-		for name := range snap.Histograms {
-			if strings.HasPrefix(name, prefix) {
-				found = true
-				break
+// TestCrossValidationStepMeteredParity: metering changes no result on
+// either tier, and both tiers record the same sim.<model>.* snapshot bit
+// for bit, over the whole bit-identity matrix — so a metered sweep may
+// run on the step tier.
+func TestCrossValidationStepMeteredParity(t *testing.T) {
+	for name, plat := range testPlatforms() {
+		plat := plat
+		t.Run(name, func(t *testing.T) {
+			for _, id := range stepModels {
+				for seed := uint64(1); seed <= 8; seed++ {
+					plain := stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, seed)
+					stepReg, appReg := metrics.New(), metrics.New()
+					step := stepsim.Simulate(stepsim.Config{Model: id, Config: plat, Metrics: stepReg}, seed)
+					app := crmodel.Simulate(crmodel.Config{Model: id, Config: plat, Metrics: appReg}, seed)
+					if step != plain || app != plain {
+						t.Fatalf("%v seed %d: metering changed the result\nplain: %+v\nstep:  %+v\napp:   %+v",
+							id, seed, plain, step, app)
+					}
+					stepSnap, appSnap := stepReg.Snapshot(step.WallSeconds), appReg.Snapshot(app.WallSeconds)
+					if stepSnap.Empty() {
+						t.Fatalf("%v seed %d: empty step snapshot", id, seed)
+					}
+					if d := stepSnap.Diff(appSnap); d != "" {
+						t.Fatalf("%v seed %d: step vs app metrics: %s", id, seed, d)
+					}
+				}
 			}
-		}
-		if !found {
-			t.Errorf("%v: no %q series in the metered snapshot", id, prefix)
-		}
+		})
 	}
 }
 
