@@ -33,7 +33,11 @@ fmt-check:
 # (app-level reference, node-granular, step-based tier-0) on matched
 # platform configs and seeds, under the race detector. The pattern also
 # picks up TestCrossValidationStepBitIdentity in internal/stepsim — the
-# full B/M1/M2 × platform × seed bit-identity matrix against crmodel.
+# full five-model × platform × seed bit-identity matrix against crmodel —
+# and TestCrossValidationSweepCells in internal/experiments, which runs
+# every seed of every sweeping experiment's cells (and two seeds of each
+# example spec cell) on both the step tier and the app reference and
+# fails on any result or metrics difference.
 crossval:
 	$(GO) test -run TestCrossValidation -race ./...
 
@@ -150,7 +154,7 @@ errcheck:
 # worker-determinism sweeps and injection bit-identity tests must run
 # raced — they are exactly the tests that catch cross-worker
 # nondeterminism), the un-raced allocation gates, a dedicated race pass over the tier cross-validation
-# (all three tiers), a focused race pass over the step tier's
+# (all three tiers, plus the step-vs-app audit of every sweep cell), a focused race pass over the step tier's
 # bit-identity matrix — all five models, episode machinery included —
 # a focused race pass over the shared-machine arbiter/admission layer,
 # the golden-table regression suite plus explicit degraded-platform,

@@ -16,12 +16,11 @@
 // snapshot. -cpuprofile/-memprofile capture pprof profiles of the whole
 // invocation.
 //
-// Sweeps run on the step tier — bit-identical to the app-level
-// reference and an order of magnitude faster — with every 16th seed
-// re-run on the app tier as a continuous bit-identity cross-check;
-// -sweep-tier and -crosscheck-every control both. Metered sweeps are no
-// exception: both tiers record the same sim.<model>.* series, and the
-// cross-check compares each sampled run's metrics snapshot too.
+// Sweeps, metered or not, run on the step tier: bit-identical to the
+// app-level reference, results and sim.<model>.* metrics alike, and an
+// order of magnitude faster. The reference runs only in crossval, whose
+// -tiers filter picks the tiers compared against it, and in the test
+// suite, which audits every seed of every sweeping experiment.
 //
 // Sweeps are resumable: every completed configuration is flushed to the
 // content-addressed result cache (-cache DIR, on by default) the moment
@@ -50,6 +49,7 @@ import (
 )
 
 func main() {
+	ref := experiments.Tiers()[0].Name
 	var (
 		run        = flag.String("run", "all", "experiment ID to run, or 'all'")
 		list       = flag.Bool("list", false, "list available experiments and exit")
@@ -57,9 +57,7 @@ func main() {
 		seed       = flag.Uint64("seed", 42, "base RNG seed")
 		workers    = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		apps       = flag.String("apps", "", "comma-separated application filter (default: experiment-specific)")
-		tiers      = flag.String("tiers", "", "comma-separated tier filter for cross-validating experiments: "+strings.Join(experiments.TierNames(), ", ")+" (default: all registered tiers)")
-		sweepTier  = flag.String("sweep-tier", "step", "simulation tier sweeps run on, metered or not (must be bit-identical to the app tier)")
-		crossEvery = flag.Int("crosscheck-every", experiments.DefaultCrossCheckStride, "re-run every Nth sweep seed on the app tier as a bit-identity cross-check (0 disables)")
+		tiers      = flag.String("tiers", "", "comma-separated filter of the tiers crossval compares against the "+ref+" reference: "+strings.Join(experiments.TierNames()[1:], ", ")+" (default: all of them)")
 		values     = flag.Bool("values", false, "also print machine-readable headline values")
 		meter      = flag.Bool("metrics", false, "meter simulation runs and print the merged metrics summary")
 		metricsOut = flag.String("metrics-out", "pckpt-metrics.json", "metrics snapshot JSON path (with -metrics)")
@@ -108,19 +106,6 @@ func main() {
 	defer writeMemProfile(*memProfile)
 
 	p := experiments.Params{Runs: *runs, Seed: *seed, SeedSet: true, Workers: *workers}
-	if t, ok := experiments.TierByName(*sweepTier); !ok {
-		exitOn(fmt.Errorf("experiments: unknown sweep tier %q (have %s)", *sweepTier, strings.Join(experiments.TierNames(), ", ")))
-	} else if !t.BitIdentical {
-		exitOn(fmt.Errorf("experiments: tier %q is not bit-identical to the reference and cannot run sweeps", *sweepTier))
-	}
-	p.SweepTier = *sweepTier
-	// Flag semantics: 0 disables the cross-check; Params uses negative
-	// for "disabled" and 0 for "default".
-	if *crossEvery <= 0 {
-		p.CrossCheckStride = -1
-	} else {
-		p.CrossCheckStride = *crossEvery
-	}
 	p.Faults = faultinject.Config{
 		BBWriteFailProb:       *injBB,
 		PFSWriteFailProb:      *injPFS,
@@ -151,6 +136,10 @@ func main() {
 			name = strings.TrimSpace(name)
 			if _, ok := experiments.TierByName(name); !ok {
 				exitOn(fmt.Errorf("experiments: unknown tier %q (have %s)", name, strings.Join(experiments.TierNames(), ", ")))
+			}
+			if name == ref {
+				exitOn(fmt.Errorf("experiments: -tiers %s: the %s tier is the reference, which always runs; name the tiers to compare against it (%s)",
+					name, ref, strings.Join(experiments.TierNames()[1:], ", ")))
 			}
 			p.Tiers = append(p.Tiers, name)
 		}

@@ -148,9 +148,10 @@ func TestCLITierGuards(t *testing.T) {
 	}
 }
 
-// TestCLISpecRunsOnStepTier: spec mode under the step-tier default runs
-// the full grid; the node tier is refused (spec cache entries are
-// tier-agnostic, so only bit-identical tiers may fill them).
+// TestCLISpecRunsOnStepTier: spec mode runs the full grid on the step
+// tier, and an explicit -tier — node, or even the app reference, on a
+// solo or a machine spec — conflicts with -spec instead of being refused
+// late or silently ignored.
 func TestCLISpecRunsOnStepTier(t *testing.T) {
 	stdout, stderr, code := runCLI(t, "-spec", specPath, "-runs", "2")
 	if code != 0 {
@@ -159,9 +160,25 @@ func TestCLISpecRunsOnStepTier(t *testing.T) {
 	if !strings.Contains(stdout, "2 configurations (2 runs each") {
 		t.Errorf("spec grid header missing:\n%s", stdout)
 	}
-	_, stderr, code = runCLI(t, "-spec", specPath, "-tier", "node", "-runs", "2")
-	if code != 2 || !strings.Contains(stderr, "bit-identical") {
-		t.Errorf("node-tier spec: exit %d, stderr %q; want bit-identity refusal", code, stderr)
+	for _, args := range [][]string{
+		{"-spec", specPath, "-tier", "node"},
+		{"-spec", specPath, "-tier", "app"},
+		{"-spec", "../../examples/scenarios/machine-contended.json", "-tier", "app"},
+	} {
+		stdout, stderr, code := runCLI(t, append(args, "-runs", "2")...)
+		if code != 2 || !strings.Contains(stderr, "conflicts with -spec") || stdout != "" {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want a conflict error before any output", args, code, stdout, stderr)
+		}
+	}
+}
+
+// TestCLITraceTierRejectedBeforeSimulating: -trace on a tier that cannot
+// trace exits 2 before the sweep starts, so even a huge run count
+// prints nothing.
+func TestCLITraceTierRejectedBeforeSimulating(t *testing.T) {
+	stdout, stderr, code := runCLI(t, "-tier", "node", "-model", "B", "-runs", "100000", "-trace")
+	if code != 2 || !strings.Contains(stderr, "-trace") || stdout != "" {
+		t.Errorf("-tier node -trace: exit %d, stdout %q, stderr %q; want exit 2 naming -trace and no output", code, stdout, stderr)
 	}
 }
 

@@ -12,7 +12,8 @@
 // every model, an order of magnitude faster. -tier selects another
 // registered tier; -metrics meters whichever tier runs (the app and step
 // tiers record the same sim.<model>.* series, the node tier its
-// nodesim.<policy>.* equivalents).
+// nodesim.<policy>.* equivalents). -spec cells always run on the step
+// tier, so -spec rejects -tier.
 package main
 
 import (
@@ -99,7 +100,7 @@ func main() {
 	if *specPath != "" {
 		// Spec mode: the spec declares everything; explicitly set flags
 		// override its numeric plan, conflicting selectors error out.
-		exitOn(runSpec(*specPath, *cacheDir, tier, specOverrides{
+		exitOn(runSpec(*specPath, *cacheDir, specOverrides{
 			set:        set,
 			model:      *modelName,
 			runs:       *runs,
@@ -146,6 +147,9 @@ func main() {
 	if !tier.Supports(model) {
 		exitOn(fmt.Errorf("pckpt-sim: the %s tier does not implement model %s", tier.Name, model))
 	}
+	if *showTrace && tier.Name != "app" && tier.Name != "step" {
+		exitOn(fmt.Errorf("pckpt-sim: -trace supports the app and step tiers, not %s", tier.Name))
+	}
 
 	cfg := crmodel.Config{
 		Model: model,
@@ -176,7 +180,7 @@ func main() {
 	// sequences, so switching -tier changes the engine, not the
 	// experiment (and for -tier step, not even the bits — metrics
 	// included).
-	agg, snap := experiments.SimulateSweepN(tier, model, cfg.Config, *runs, *seed, runtime.GOMAXPROCS(0), 0, *meter)
+	agg, snap := experiments.SimulateSweepN(tier, model, cfg.Config, *runs, *seed, runtime.GOMAXPROCS(0), *meter)
 	mo := agg.MeanOverheads()
 
 	if *showTrace {
@@ -188,8 +192,6 @@ func main() {
 			crmodel.Simulate(tcfg, *seed)
 		case "step":
 			stepsim.Simulate(stepsim.Config{Model: model, Config: cfg.Config, Trace: &buf}, *seed)
-		default:
-			exitOn(fmt.Errorf("pckpt-sim: -trace supports the app and step tiers, not %s", tier.Name))
 		}
 		fmt.Println("single-run timeline (seed", *seed, "):")
 		fmt.Println(buf.Gantt(100))
@@ -220,7 +222,7 @@ func main() {
 	if *baseline && model != crmodel.ModelB {
 		// Every tier implements model B, so the reduction is computed
 		// within the selected tier.
-		baseAgg, _ := experiments.SimulateSweepN(tier, crmodel.ModelB, cfg.Config, *runs, *seed, runtime.GOMAXPROCS(0), 0, false)
+		baseAgg, _ := experiments.SimulateSweepN(tier, crmodel.ModelB, cfg.Config, *runs, *seed, runtime.GOMAXPROCS(0), false)
 		base := baseAgg.MeanOverheads()
 		ck, rc, rv, tot := stats.ReductionBreakdown(base, mo)
 		fmt.Printf("vs base model B: checkpoint %s, recomputation %s, recovery %s, TOTAL %s\n",

@@ -56,8 +56,8 @@ func TestChimeraTitanSpecMatchesFlagRun(t *testing.T) {
 		if got, want := cfgs[i].Platform.CanonicalString(), flagCfg.CanonicalString(); got != want {
 			t.Fatalf("spec platform renders differently from the flag twin:\n%s\nvs\n%s", got, want)
 		}
-		specAgg := crmodel.SimulateN(crmodel.Config{Model: cfgs[i].Policy, Config: cfgs[i].Platform}, n.Runs, n.Seed)
-		flagAgg := crmodel.SimulateN(crmodel.Config{Model: model, Config: flagCfg}, 3, 42)
+		specAgg, _ := experiments.SimulateSweepN(experiments.StepTier(), cfgs[i].Policy, cfgs[i].Platform, n.Runs, n.Seed, 2, false)
+		flagAgg, _ := experiments.SimulateSweepN(experiments.StepTier(), model, flagCfg, 3, 42, 2, false)
 		if !reflect.DeepEqual(specAgg.Runs(), flagAgg.Runs()) {
 			t.Fatalf("%s: spec runs diverge from flag runs", model)
 		}
@@ -111,17 +111,10 @@ func TestSpecOverridesAndConflicts(t *testing.T) {
 	}
 
 	for _, name := range specConflicts {
-		err := runSpec("../../examples/scenarios/chimera-titan.json", "", experiments.StepTier(), specOverrides{set: map[string]bool{name: true}})
+		err := runSpec("../../examples/scenarios/chimera-titan.json", "", specOverrides{set: map[string]bool{name: true}})
 		if err == nil || !strings.Contains(err.Error(), "conflicts with -spec") {
 			t.Errorf("-%s with -spec: got %v, want conflict error", name, err)
 		}
-	}
-
-	// The node tier only agrees statistically with the reference, so spec
-	// cells — whose cache entries are tier-agnostic — must refuse it.
-	err = runSpec("../../examples/scenarios/chimera-titan.json", "", experiments.NodeTier(), specOverrides{set: map[string]bool{}})
-	if err == nil || !strings.Contains(err.Error(), "bit-identical") {
-		t.Errorf("node-tier spec run: got %v, want bit-identity refusal", err)
 	}
 }
 

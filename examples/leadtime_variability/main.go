@@ -12,8 +12,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"runtime"
 
 	"pckpt/internal/crmodel"
+	"pckpt/internal/experiments"
 	"pckpt/internal/failure"
 	"pckpt/internal/platform"
 	"pckpt/internal/stats"
@@ -32,7 +34,11 @@ func main() {
 	}
 
 	const seed = 7
-	base := crmodel.SimulateN(crmodel.Config{Model: crmodel.ModelB, Config: platform.Config{App: app, System: failure.Titan}}, *runs, seed)
+	sweep := func(m crmodel.Model, plat platform.Config) *stats.Agg {
+		agg, _ := experiments.SimulateSweepN(experiments.StepTier(), m, plat, *runs, seed, runtime.GOMAXPROCS(0), false)
+		return agg
+	}
+	base := sweep(crmodel.ModelB, platform.Config{App: app, System: failure.Titan})
 	baseTotal := base.MeanOverheads().Total()
 	fmt.Printf("%s under Titan failures: base model total overhead %s\n\n", app.Name, tablefmt.Hours(baseTotal))
 
@@ -42,8 +48,7 @@ func main() {
 		row := []string{fmt.Sprintf("%+.0f%%", (scale-1)*100)}
 		best, bestRed := "", -1e18
 		for _, m := range models {
-			cfg := crmodel.Config{Model: m, Config: platform.Config{App: app, System: failure.Titan, LeadScale: scale}}
-			agg := crmodel.SimulateN(cfg, *runs, seed)
+			agg := sweep(m, platform.Config{App: app, System: failure.Titan, LeadScale: scale})
 			red := stats.PercentReduction(baseTotal, agg.MeanOverheads().Total())
 			row = append(row, tablefmt.Percent(red))
 			if red > bestRed {

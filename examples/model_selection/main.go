@@ -12,9 +12,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"runtime"
 
 	"pckpt/internal/analytic"
 	"pckpt/internal/crmodel"
+	"pckpt/internal/experiments"
 	"pckpt/internal/failure"
 	"pckpt/internal/lm"
 	"pckpt/internal/platform"
@@ -42,14 +44,19 @@ func main() {
 	flag.Parse()
 
 	sys := failure.Titan
+	sweep := func(m crmodel.Model, app workload.App) *stats.Agg {
+		plat := platform.Config{App: app, System: sys}
+		agg, _ := experiments.SimulateSweepN(experiments.StepTier(), m, plat, *runs, 3, runtime.GOMAXPROCS(0), false)
+		return agg
+	}
 	t := tablefmt.NewTable("App", "recommended", "P1 red.", "P2 red.", "simulated best", "Eq.(8) verdict (α=3)")
 	for _, app := range workload.Summit() {
 		rec := recommend(app, sys)
-		base := crmodel.SimulateN(crmodel.Config{Model: crmodel.ModelB, Config: platform.Config{App: app, System: sys}}, *runs, 3)
+		base := sweep(crmodel.ModelB, app)
 		baseTotal := base.MeanOverheads().Total()
 		reds := map[crmodel.Model]float64{}
 		for _, m := range []crmodel.Model{crmodel.ModelP1, crmodel.ModelP2} {
-			agg := crmodel.SimulateN(crmodel.Config{Model: m, Config: platform.Config{App: app, System: sys}}, *runs, 3)
+			agg := sweep(m, app)
 			reds[m] = stats.PercentReduction(baseTotal, agg.MeanOverheads().Total())
 		}
 		best := crmodel.ModelP1

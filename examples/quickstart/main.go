@@ -8,8 +8,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"runtime"
 
 	"pckpt/internal/crmodel"
+	"pckpt/internal/experiments"
 	"pckpt/internal/failure"
 	"pckpt/internal/platform"
 	"pckpt/internal/stats"
@@ -35,15 +37,13 @@ func main() {
 	fmt.Printf("application: %v\n", app)
 	fmt.Printf("LM threshold θ = %.1f s, Eq.(2) σ = %.2f\n\n", cfg.Theta(), cfg.Sigma())
 
-	// Average 200 independent runs (deterministic in the seed), then do
-	// the same for the base model to compute the paper's headline
-	// "reduction vs B".
+	// Average 200 independent runs (deterministic in the seed) on the
+	// step tier, then do the same for the base model to compute the
+	// paper's headline "reduction vs B".
 	const runs, seed = 200, 1
-	hybrid := crmodel.SimulateN(cfg, runs, seed)
-
-	base := cfg
-	base.Model = crmodel.ModelB
-	baseline := crmodel.SimulateN(base, runs, seed)
+	step, workers := experiments.StepTier(), runtime.GOMAXPROCS(0)
+	hybrid, _ := experiments.SimulateSweepN(step, cfg.Model, cfg.Config, runs, seed, workers, false)
+	baseline, _ := experiments.SimulateSweepN(step, crmodel.ModelB, cfg.Config, runs, seed, workers, false)
 
 	bo, ho := baseline.MeanOverheads(), hybrid.MeanOverheads()
 	fmt.Printf("base model B:   %v\n", bo)

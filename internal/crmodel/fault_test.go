@@ -1,7 +1,6 @@
 package crmodel
 
 import (
-	"strings"
 	"testing"
 
 	"pckpt/internal/failure"
@@ -76,17 +75,5 @@ func TestCorruptionForcesFallback(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no restart ever discovered a corrupt generation at CorruptProb=0.5")
-	}
-}
-
-// TestSweepDescNamesConfig pins what a crmodel sweep's failed-run ledger
-// entries name; internal/sweep's table covers the ledger itself.
-func TestSweepDescNamesConfig(t *testing.T) {
-	cfg := Config{Model: ModelB, Config: platform.Config{App: smallApp, System: quietSystem}}
-	_, desc := sweepConfig(cfg, 1)
-	for _, want := range []string{"model=B", "app=" + smallApp.Name, "system=" + quietSystem.Name} {
-		if !strings.Contains(desc, want) {
-			t.Errorf("sweep desc %q lacks %q", desc, want)
-		}
 	}
 }

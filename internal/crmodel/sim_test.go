@@ -2,11 +2,14 @@ package crmodel
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"pckpt/internal/failure"
 	"pckpt/internal/iomodel"
 	"pckpt/internal/platform"
+	"pckpt/internal/stats"
+	"pckpt/internal/sweep"
 	"pckpt/internal/workload"
 )
 
@@ -179,6 +182,19 @@ func TestM1NeverMigratesAndP2Aborts(t *testing.T) {
 	}
 }
 
+// simulateN aggregates n seeds of cfg on this package's engine, the
+// reference the paper-claim tests below hold to the paper's numbers.
+func simulateN(t *testing.T, cfg Config, n int, baseSeed uint64) *stats.Agg {
+	t.Helper()
+	results, failed := sweep.Run(n, baseSeed, runtime.GOMAXPROCS(0), cfg.Model.String(), func(seed uint64) stats.RunResult {
+		return Simulate(cfg, seed)
+	})
+	if len(failed) > 0 {
+		t.Fatalf("%d of %d runs panicked, first: %+v", len(failed), n, failed[0])
+	}
+	return stats.NewAgg(results, nil)
+}
+
 func TestOverheadReductionOrderingCHIMERA(t *testing.T) {
 	// The paper's headline ordering on the largest application:
 	// P2 best, P1 better than M2, M1 indistinguishable from B.
@@ -186,7 +202,7 @@ func TestOverheadReductionOrderingCHIMERA(t *testing.T) {
 	const runs = 300
 	totals := map[Model]float64{}
 	for _, m := range Models() {
-		agg := SimulateN(Config{Model: m, Config: platform.Config{App: app, System: failure.Titan}}, runs, 99)
+		agg := simulateN(t, Config{Model: m, Config: platform.Config{App: app, System: failure.Titan}}, runs, 99)
 		totals[m] = agg.MeanOverheads().Total()
 	}
 	if !(totals[ModelP2] < totals[ModelP1] && totals[ModelP1] < totals[ModelM2] && totals[ModelM2] < totals[ModelM1]) {
@@ -199,26 +215,6 @@ func TestOverheadReductionOrderingCHIMERA(t *testing.T) {
 	// P2's total reduction must land in the paper's neighbourhood.
 	if red := 100 * (totals[ModelB] - totals[ModelP2]) / totals[ModelB]; red < 35 || red > 70 {
 		t.Fatalf("P2 reduction %.1f%% outside the plausible band [35, 70]", red)
-	}
-}
-
-func TestSimulateNMatchesSequential(t *testing.T) {
-	cfg := Config{Model: ModelP2, Config: platform.Config{App: smallApp, System: failure.Titan}}
-	par := SimulateNWorkers(cfg, 16, 9, 8)
-	seq := SimulateNWorkers(cfg, 16, 9, 1)
-	if par.N() != 16 || seq.N() != 16 {
-		t.Fatalf("run counts wrong: %d / %d", par.N(), seq.N())
-	}
-	for i := range par.Runs() {
-		if par.Runs()[i] != seq.Runs()[i] {
-			t.Fatalf("run %d differs between parallel and sequential execution", i)
-		}
-	}
-}
-
-func TestSimulateNZeroRuns(t *testing.T) {
-	if agg := SimulateN(Config{}, 0, 1); agg.N() != 0 {
-		t.Fatal("zero runs must return an empty aggregate")
 	}
 }
 
@@ -242,7 +238,7 @@ func TestFTRatiosMatchPaperTable(t *testing.T) {
 	}
 	for _, c := range checks {
 		app := testApp(t, c.app)
-		agg := SimulateN(Config{Model: c.model, Config: platform.Config{App: app, System: failure.Titan}}, 150, 4242)
+		agg := simulateN(t, Config{Model: c.model, Config: platform.Config{App: app, System: failure.Titan}}, 150, 4242)
 		if ft := agg.MeanFTRatio(); ft < c.lo || ft > c.hi {
 			t.Errorf("%s %s FT = %.3f, want in [%.2f, %.2f]", c.app, c.model, ft, c.lo, c.hi)
 		}

@@ -71,18 +71,6 @@ type Params struct {
 	// -machine-* flags). Only contention and machine-degraded honour it;
 	// neither is cached, so the plan needs no cache-key plumbing.
 	MachineFaults faultinject.MachineConfig
-	// SweepTier names the registry tier experiment sweeps simulate on;
-	// empty selects the step tier. The tier must be bit-identical to the
-	// reference (cache keys are tier-agnostic, so a cached aggregate must
-	// not depend on which tier produced it) — the node tier is therefore
-	// not a valid sweep tier. Distinct from Tiers, which filters the
-	// tiers the crossval experiment compares.
-	SweepTier string
-	// CrossCheckStride re-runs every Nth seed of a sweep configuration on
-	// the reference tier and compares bit for bit (see SimulateSweepN).
-	// Zero selects DefaultCrossCheckStride; negative disables the
-	// cross-check.
-	CrossCheckStride int
 	// Interrupt, when non-nil, aborts the sweep at the next
 	// configuration boundary once closed: already-cached configurations
 	// still resolve, the first un-cached one panics with ErrInterrupted
@@ -184,35 +172,6 @@ func (p Params) apps(defaults ...string) []workload.App {
 	return out
 }
 
-// sweepTier resolves the Params sweep tier: the step tier by default,
-// and never a tier that is not bit-identical to the reference.
-func (p Params) sweepTier() Tier {
-	name := p.SweepTier
-	if name == "" {
-		name = StepTier().Name
-	}
-	t, ok := TierByName(name)
-	if !ok {
-		panic(fmt.Errorf("experiments: unknown sweep tier %q (have %s)", name, strings.Join(TierNames(), ", ")))
-	}
-	if !t.BitIdentical {
-		panic(fmt.Errorf("experiments: tier %q is not bit-identical to the reference and cannot run sweeps (cache keys are tier-agnostic)", name))
-	}
-	return t
-}
-
-// crossCheckStride resolves the Params cross-check density: the default
-// stride when unset, disabled when negative.
-func (p Params) crossCheckStride() int {
-	switch {
-	case p.CrossCheckStride == 0:
-		return DefaultCrossCheckStride
-	case p.CrossCheckStride < 0:
-		return 0
-	}
-	return p.CrossCheckStride
-}
-
 // configSeed derives a deterministic per-configuration seed from the base
 // seed and a label, so adding configurations never perturbs others.
 func configSeed(base uint64, label string) uint64 {
@@ -224,11 +183,17 @@ func configSeed(base uint64, label string) uint64 {
 	return h
 }
 
+// sweepTier is the tier runConfig simulates on. Only tests reassign it,
+// to substitute a fake or auditing tier.
+var sweepTier = StepTier()
+
 // runConfig resolves one (model, app, …) configuration: from the cache
 // when possible, by simulation otherwise (metering into p.Metrics when
 // collection is on, and flushing the fresh aggregate back to the cache).
-// Every sweep, metered or not, runs on p's sweep tier — the step tier by
-// default — with the app tier sampled as a bit-identity cross-check.
+// Every sweep, metered or not, runs on the step tier; cache keys are
+// tier-agnostic because the step tier is bit-identical to the app-tier
+// reference, which TestCrossValidationSweepCells audits on every seed of
+// every sweeping experiment.
 func runConfig(p Params, cfg crmodel.Config, label string) *stats.Agg {
 	if p.Faults.Enabled() && !cfg.Faults.Enabled() {
 		cfg.Faults = p.Faults
@@ -238,8 +203,8 @@ func runConfig(p Params, cfg crmodel.Config, label string) *stats.Agg {
 		return agg
 	}
 	p.checkInterrupt()
-	agg, snap := SimulateSweepN(p.sweepTier(), cfg.Model, cfg.Config, p.Runs, configSeed(p.Seed, label),
-		p.Workers, p.crossCheckStride(), p.Metrics != nil)
+	agg, snap := SimulateSweepN(sweepTier, cfg.Model, cfg.Config, p.Runs, configSeed(p.Seed, label),
+		p.Workers, p.Metrics != nil)
 	p.Metrics.Add(snap)
 	p.cachePut(key, agg, snap)
 	return agg

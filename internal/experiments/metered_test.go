@@ -1,17 +1,13 @@
 package experiments
 
 import (
-	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"pckpt/internal/failure"
 	"pckpt/internal/metrics"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
-	"pckpt/internal/stats"
-	"pckpt/internal/stepsim"
 	"pckpt/internal/workload"
 )
 
@@ -27,8 +23,8 @@ func TestSimulateSweepNMeteredMatchesUnmetered(t *testing.T) {
 	plat := platform.Config{App: app, System: failure.Titan}
 	snaps := map[string]*metrics.Snapshot{}
 	for _, tier := range meteredTiers {
-		plain, none := SimulateSweepN(tier, policy.P2, plat, 8, 17, 4, 0, false)
-		metered, snap := SimulateSweepN(tier, policy.P2, plat, 8, 17, 4, 0, true)
+		plain, none := SimulateSweepN(tier, policy.P2, plat, 8, 17, 4, false)
+		metered, snap := SimulateSweepN(tier, policy.P2, plat, 8, 17, 4, true)
 		if none != nil {
 			t.Fatalf("%s: unmetered sweep returned a snapshot", tier.Name)
 		}
@@ -39,7 +35,7 @@ func TestSimulateSweepNMeteredMatchesUnmetered(t *testing.T) {
 			t.Fatalf("%s: metered sweep returned an empty snapshot", tier.Name)
 		}
 		// Merging is in seed order, so the worker count cannot show.
-		if _, snap2 := SimulateSweepN(tier, policy.P2, plat, 8, 17, 2, 0, true); snap.Diff(snap2) != "" {
+		if _, snap2 := SimulateSweepN(tier, policy.P2, plat, 8, 17, 2, true); snap.Diff(snap2) != "" {
 			t.Fatalf("%s: snapshot depends on the worker count: %s", tier.Name, snap.Diff(snap2))
 		}
 		// Every handled failure observes exactly one recovery span.
@@ -67,7 +63,7 @@ func TestSimulateSweepNMeteredMatchesUnmetered(t *testing.T) {
 // no valid configuration and returns an empty, non-nil snapshot.
 func TestSimulateSweepNMeteredZeroRuns(t *testing.T) {
 	for _, tier := range meteredTiers {
-		agg, snap := SimulateSweepN(tier, policy.B, platform.Config{}, 0, 1, 1, DefaultCrossCheckStride, true)
+		agg, snap := SimulateSweepN(tier, policy.B, platform.Config{}, 0, 1, 1, true)
 		if agg.N() != 0 || snap == nil || !snap.Empty() {
 			t.Fatalf("%s: zero runs: n=%d snapshot=%+v", tier.Name, agg.N(), snap)
 		}
@@ -75,15 +71,16 @@ func TestSimulateSweepNMeteredZeroRuns(t *testing.T) {
 }
 
 // TestFig7MeteredSweepTierParity: a metered figure renders the same
-// result and collects the same snapshot whichever bit-identical tier the
-// sweep runs on.
+// result and collects the same snapshot on the step tier, which sweeps
+// run on, as on the app-tier reference.
 func TestFig7MeteredSweepTierParity(t *testing.T) {
-	run := func(tier string) (Result, *metrics.Snapshot) {
-		p := Params{Runs: 8, Seed: 42, SeedSet: true, Workers: 2, SweepTier: tier, Metrics: metrics.NewCollector()}
+	run := func(tier Tier) (Result, *metrics.Snapshot) {
+		runSweepsOn(t, tier)
+		p := Params{Runs: 8, Seed: 42, SeedSet: true, Workers: 2, Metrics: metrics.NewCollector()}
 		return Fig7(p), p.Metrics.Snapshot()
 	}
-	stepRes, stepSnap := run("step")
-	appRes, appSnap := run("app")
+	stepRes, stepSnap := run(StepTier())
+	appRes, appSnap := run(AppTier())
 	if !reflect.DeepEqual(stepRes, appRes) {
 		t.Fatalf("fig7 result depends on the sweep tier\nstep:\n%s\napp:\n%s", stepRes.Text, appRes.Text)
 	}
@@ -93,37 +90,4 @@ func TestFig7MeteredSweepTierParity(t *testing.T) {
 	if d := stepSnap.Diff(appSnap); d != "" {
 		t.Fatalf("fig7 snapshot depends on the sweep tier: %s", d)
 	}
-}
-
-// TestSimulateSweepNMeteredCrossCheck plants a tier whose results are
-// bit-identical but whose metered runs record one extra observation: the
-// RunResult comparison cannot see it, so only the snapshot audit can. A
-// metered sweep at stride 1 must panic naming the shifted series; an
-// unmetered one has nothing to audit and completes.
-func TestSimulateSweepNMeteredCrossCheck(t *testing.T) {
-	plat := platform.Config{
-		App:    workload.App{Name: "crossval-48", Nodes: 48, TotalCkptGB: 960, ComputeHours: 24},
-		System: failure.System{Name: "busy", Shape: 0.75, ScaleHours: 40, Nodes: 48},
-	}
-	const series = "sim.P1.bb_write_seconds"
-	planted := StepTier()
-	planted.Name = "planted"
-	planted.Run = func(id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry) stats.RunResult {
-		r := stepsim.Simulate(stepsim.Config{Model: id, Config: plat, Metrics: reg}, seed)
-		reg.Histogram(series).Observe(1)
-		return r
-	}
-	if agg, _ := SimulateSweepN(planted, policy.P1, plat, 3, 5, 2, 1, false); agg.N() != 3 {
-		t.Fatalf("unmetered planted sweep: %d runs, want 3", agg.N())
-	}
-	defer func() {
-		msg := fmt.Sprint(recover())
-		for _, frag := range []string{"planted", "diverged", "metrics", series} {
-			if !strings.Contains(msg, frag) {
-				t.Errorf("metrics divergence panic %q lacks %q", msg, frag)
-			}
-		}
-	}()
-	SimulateSweepN(planted, policy.P1, plat, 3, 5, 2, 1, true)
-	t.Fatal("a shifted histogram passed the metered cross-check")
 }

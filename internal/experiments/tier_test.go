@@ -3,17 +3,13 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
-	"pckpt/internal/crmodel"
-	"pckpt/internal/failure"
 	"pckpt/internal/metrics"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
 	"pckpt/internal/runcache"
 	"pckpt/internal/stats"
-	"pckpt/internal/stepsim"
 	"pckpt/internal/sweep"
 	"pckpt/internal/workload"
 )
@@ -35,7 +31,7 @@ func TestSimulateSweepNLedgersPanickingRun(t *testing.T) {
 		},
 	}
 	plat := platform.Config{App: workload.App{Name: "fakeapp", Nodes: 4, TotalCkptGB: 4, ComputeHours: 1}}
-	agg, _ := SimulateSweepN(fake, policy.P2, plat, 6, 11, 3, 0, false)
+	agg, _ := SimulateSweepN(fake, policy.P2, plat, 6, 11, 3, false)
 	if agg.N() != 5 || len(agg.Failed()) != 1 {
 		t.Fatalf("%d runs + %d failures, want 5 + 1", agg.N(), len(agg.Failed()))
 	}
@@ -125,145 +121,6 @@ func TestTierRegistry(t *testing.T) {
 			}
 		}
 	}
-	bitID := map[string]bool{"app": true, "node": false, "step": true}
-	for _, tr := range ts {
-		if tr.BitIdentical != bitID[tr.Name] {
-			t.Errorf("%s.BitIdentical = %t, want %t", tr.Name, tr.BitIdentical, bitID[tr.Name])
-		}
-	}
-}
-
-// TestSweepTierDefaults pins the sweep-path routing: sweeps default to
-// the step tier, an explicit tier resolves by registry name, unknown
-// names and non-bit-identical tiers refuse with context.
-func TestSweepTierDefaults(t *testing.T) {
-	if got := (Params{}).sweepTier(); got.Name != "step" {
-		t.Errorf("default sweep tier = %q, want step", got.Name)
-	}
-	if got := (Params{SweepTier: "app"}).sweepTier(); got.Name != "app" {
-		t.Errorf("explicit sweep tier = %q, want app", got.Name)
-	}
-	mustPanic := func(p Params, frag string) {
-		t.Helper()
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Errorf("SweepTier=%q did not panic", p.SweepTier)
-				return
-			}
-			if !strings.Contains(fmt.Sprint(r), frag) {
-				t.Errorf("SweepTier=%q panic %v lacks %q", p.SweepTier, r, frag)
-			}
-		}()
-		p.sweepTier()
-	}
-	mustPanic(Params{SweepTier: "bogus"}, "unknown sweep tier")
-	mustPanic(Params{SweepTier: "node"}, "not bit-identical")
-
-	if got := (Params{}).crossCheckStride(); got != DefaultCrossCheckStride {
-		t.Errorf("default cross-check stride = %d, want %d", got, DefaultCrossCheckStride)
-	}
-	if got := (Params{CrossCheckStride: 5}).crossCheckStride(); got != 5 {
-		t.Errorf("explicit cross-check stride = %d, want 5", got)
-	}
-	if got := (Params{CrossCheckStride: -1}).crossCheckStride(); got != 0 {
-		t.Errorf("negative cross-check stride = %d, want 0 (disabled)", got)
-	}
-}
-
-// TestSimulateSweepNCrossCheck plants a fake tier that silently drifts
-// from the reference on one sampled seed: the sweep must panic with a
-// diagnostic naming both tiers, not return the drifted aggregate. A
-// matching result on every sampled seed must pass, and stride <= 0 must
-// skip the cross-check entirely.
-func TestSimulateSweepNCrossCheck(t *testing.T) {
-	plat := platform.Config{
-		App:    workload.App{Name: "crossval-48", Nodes: 48, TotalCkptGB: 960, ComputeHours: 24},
-		System: failure.System{Name: "busy", Shape: 0.75, ScaleHours: 40, Nodes: 48},
-	}
-	honest := StepTier()
-	honest.Name = "fake-honest"
-	if agg, _ := SimulateSweepN(honest, policy.P1, plat, 4, 3, 2, 2, false); agg.N() != 4 {
-		t.Fatalf("honest tier: %d runs, want 4", agg.N())
-	}
-
-	driftSeed := crmodel.RunSeed(3, 2)
-	drift := StepTier()
-	drift.Name = "fake-drift"
-	drift.Run = func(id policy.ID, plat platform.Config, seed uint64, _ *metrics.Registry) stats.RunResult {
-		r := stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, seed)
-		if seed == driftSeed {
-			r.WallSeconds++
-		}
-		return r
-	}
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("drifted tier passed the cross-check")
-			}
-			msg := fmt.Sprint(r)
-			for _, frag := range []string{"fake-drift", "diverged", "app"} {
-				if !strings.Contains(msg, frag) {
-					t.Errorf("divergence panic %q lacks %q", msg, frag)
-				}
-			}
-		}()
-		SimulateSweepN(drift, policy.P1, plat, 4, 3, 2, 2, false)
-	}()
-
-	// stride 3 samples indices 0 and 3 only — the drift at index 2 is
-	// never compared, so the sweep completes; stride 0 skips outright.
-	if agg, _ := SimulateSweepN(drift, policy.P1, plat, 4, 3, 2, 3, false); agg.N() != 4 {
-		t.Fatalf("unsampled drift: %d runs, want 4", agg.N())
-	}
-	if agg, _ := SimulateSweepN(drift, policy.P1, plat, 4, 3, 2, 0, false); agg.N() != 4 {
-		t.Fatalf("stride 0: %d runs, want 4", agg.N())
-	}
-}
-
-// TestSimulateSweepNCrossCheckReusesSweepRuns pins that the cross-check
-// compares the reference against the runs the sweep aggregated: every
-// seed runs once on the sweep tier, a panic on the sweep tier alone at a
-// sampled seed is a divergence, and one at an unsampled seed is only
-// ledgered.
-func TestSimulateSweepNCrossCheckReusesSweepRuns(t *testing.T) {
-	plat := platform.Config{
-		App:    workload.App{Name: "crossval-48", Nodes: 48, TotalCkptGB: 960, ComputeHours: 24},
-		System: failure.System{Name: "busy", Shape: 0.75, ScaleHours: 40, Nodes: 48},
-	}
-	var calls atomic.Int32
-	crashSeed := uint64(0)
-	tier := StepTier()
-	tier.Name = "fake-counted"
-	tier.Run = func(id policy.ID, plat platform.Config, seed uint64, _ *metrics.Registry) stats.RunResult {
-		calls.Add(1)
-		if seed == crashSeed {
-			panic("planted step crash")
-		}
-		return stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, seed)
-	}
-	if agg, _ := SimulateSweepN(tier, policy.P1, plat, 4, 3, 2, 2, false); agg.N() != 4 || calls.Load() != 4 {
-		t.Fatalf("%d runs from %d sweep-tier calls, want 4 from 4", agg.N(), calls.Load())
-	}
-
-	crashSeed = sweep.Seed(3, 3) // index 3 is not sampled at stride 2
-	agg, _ := SimulateSweepN(tier, policy.P1, plat, 4, 3, 2, 2, false)
-	if agg.N() != 3 || len(agg.Failed()) != 1 || agg.Failed()[0].Seed != crashSeed {
-		t.Fatalf("unsampled crash: %d runs, ledger %+v", agg.N(), agg.Failed())
-	}
-
-	crashSeed = sweep.Seed(3, 2) // sampled: the reference tier completes it
-	defer func() {
-		msg := fmt.Sprint(recover())
-		for _, frag := range []string{"fake-counted", "diverged", "planted step crash"} {
-			if !strings.Contains(msg, frag) {
-				t.Errorf("one-sided panic report %q lacks %q", msg, frag)
-			}
-		}
-	}()
-	SimulateSweepN(tier, policy.P1, plat, 4, 3, 2, 2, false)
 }
 
 // TestBadAppFilterPanicsWithContext pins the harness-hardening change to
