@@ -13,9 +13,11 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # allocs runs the zero-allocation and allocation-scaling tests (every
-# test whose name contains "Alloc") without the race detector. Under
-# -race sync.Pool drops Puts at random, so the tests that rely on the
-# step engine's pools skip themselves in `make race` and are gated here.
+# test whose name contains "Alloc") without the race detector: the step
+# tier's periodic cycle, and the machine's arbiter churn and whole
+# fault-armed runs. Under -race sync.Pool drops Puts at random, so the
+# tests that rely on the engine and node-table pools skip themselves in
+# `make race` and `make race-machine` and are gated here.
 allocs:
 	$(GO) test -count=1 -run Alloc ./internal/...
 
@@ -137,8 +139,12 @@ bench-digest:
 	bash bench/run.sh -seconds 0 -reps 1
 
 # race-machine is a focused race pass over the shared-machine layer:
-# the arbiter, admission plane, and SimulateN's cross-run worker pool
-# (the machine tests include a DeepEqual worker-determinism sweep).
+# the arbiter, admission plane, fault driver, and SimulateN's cross-run
+# worker pool. The machine tests include a DeepEqual worker-determinism
+# sweep over a healthy and a fault-armed cohort: each worker reuses
+# pooled tenant node tables in its own order, so stale pooled state
+# shows up as a difference. The allocation tests skip here (make allocs
+# runs them).
 race-machine:
 	$(GO) test -race -timeout 30m -count=1 ./internal/machine
 

@@ -182,6 +182,22 @@ func TestCLITraceTierRejectedBeforeSimulating(t *testing.T) {
 	}
 }
 
+// TestCLIRejectsNonPositiveRuns: a run count below 1 exits 2 naming
+// -runs before anything simulates, in flag mode and in spec mode, where
+// the override applies after the spec is normalized (a spec's own
+// "runs": 0 means the default, an explicit -runs 0 must not).
+func TestCLIRejectsNonPositiveRuns(t *testing.T) {
+	for _, args := range [][]string{
+		{"-app", "CHIMERA", "-model", "B", "-runs", "-5"},
+		{"-spec", "../../examples/scenarios/machine-degraded.json", "-runs", "0"},
+	} {
+		stdout, stderr, code := runCLI(t, args...)
+		if code != 2 || !strings.Contains(stderr, "-runs") || stdout != "" {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 naming -runs and no output", args, code, stdout, stderr)
+		}
+	}
+}
+
 // TestCLISpecFlagPrecedence pins the PR 6 precedence contract at the
 // CLI level: a conflicting selector errors, while an explicitly set
 // numeric flag narrows the spec's plan.

@@ -80,6 +80,11 @@ func main() {
 	)
 	flag.Parse()
 	set := explicitFlags()
+	// Checked before either mode: in spec mode -runs overrides the
+	// normalized spec, so 0 would not fall back to the spec's default.
+	if *runs < 1 {
+		exitOn(fmt.Errorf("pckpt-sim: -runs must be at least 1, got %d", *runs))
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

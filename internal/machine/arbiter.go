@@ -41,6 +41,10 @@ type flow struct {
 	starvedAt float64
 	escalated bool
 	escTimer  stepsim.Timer
+	// completeFn and escalateFn are the arbiter's complete and escalate
+	// bound to this record once, when it is first allocated; they
+	// survive recycling, so rescheduling a timer allocates nothing.
+	completeFn, escalateFn func()
 }
 
 // BandwidthArbiter is the machine's PFS bandwidth control plane. It
@@ -87,10 +91,12 @@ type BandwidthArbiter struct {
 	// mid-brownout).
 	onAlloc func(t, totalGBs, ceilingGBs float64)
 
-	// scratch is the water-filling worklist, reused across repricings;
-	// escScratch is the escalated lane's.
+	// scratch is the water-filling worklist, reused across repricings,
+	// and SetMaxDrains' eviction list; escScratch is the escalated lane's.
 	scratch    []*flow
 	escScratch []*flow
+	// free holds retired flow records for reuse (see newFlow).
+	free []*flow
 }
 
 // NewBandwidthArbiter creates the arbiter for a machine whose PFS
@@ -149,7 +155,7 @@ func (b *BandwidthArbiter) SetMaxDrains(n int) {
 	t := b.eng.Now()
 	b.advance(t)
 	b.maxDrain = n
-	var evicted []*flow // descending id (most recent first)
+	evicted := b.scratch[:0] // descending id (most recent first)
 	for b.inDrain > n {
 		var victim *flow
 		vi := -1
@@ -168,13 +174,16 @@ func (b *BandwidthArbiter) SetMaxDrains(n int) {
 		victim.queued = true
 		evicted = append(evicted, victim)
 	}
-	if len(evicted) > 0 {
-		// Prepend in ascending-id (start) order ahead of never-started drains.
-		requeued := make([]*flow, 0, len(evicted)+len(b.drainQ))
-		for i := len(evicted) - 1; i >= 0; i-- {
-			requeued = append(requeued, evicted[i])
+	b.scratch = evicted
+	if k := len(evicted); k > 0 {
+		// Prepend in ascending-id (start) order ahead of never-started
+		// drains, shifting the queue in place.
+		q := len(b.drainQ)
+		b.drainQ = append(b.drainQ, evicted...)
+		copy(b.drainQ[k:], b.drainQ[:q])
+		for i, f := range evicted {
+			b.drainQ[k-1-i] = f
 		}
-		b.drainQ = append(requeued, b.drainQ...)
 	}
 	for b.inDrain < n && len(b.drainQ) > 0 {
 		next := b.drainQ[0]
@@ -245,14 +254,13 @@ func (b *BandwidthArbiter) StartFlow(app int, class stepsim.WriteClass, volumeGB
 		panic(fmt.Sprintf("machine: flow with non-positive volume %g GB / solo %g s", volumeGB, soloSeconds))
 	}
 	b.nextID++
-	f := &flow{
-		id:       b.nextID,
-		app:      app,
-		class:    class,
-		remainGB: volumeGB,
-		soloRate: volumeGB / soloSeconds,
-		done:     done,
-	}
+	f := b.newFlow()
+	f.id = b.nextID
+	f.app = app
+	f.class = class
+	f.remainGB = volumeGB
+	f.soloRate = volumeGB / soloSeconds
+	f.done = done
 	b.byID[f.id] = f
 	b.grow(app)
 	if class == stepsim.ClassDrain && b.inDrain >= b.maxDrain {
@@ -307,25 +315,55 @@ func (b *BandwidthArbiter) CancelFlow(id stepsim.FlowID) {
 		return
 	}
 	delete(b.byID, id)
-	if f.suspended {
-		return // held no slot, no bandwidth, no timer
-	}
-	if f.queued {
+	switch {
+	case f.suspended:
+		// Held no slot, no bandwidth, no timer.
+	case f.queued:
 		b.unqueue(f)
-		return
+	default:
+		b.deactivate(f)
+		b.reprice()
 	}
-	b.deactivate(f)
-	b.reprice()
+	b.freeFlow(f)
 }
 
 // complete fires when a flow's completion timer expires: the flow's
-// remaining volume has fully transferred at its allocated rate.
+// remaining volume has fully transferred at its allocated rate. done
+// runs last, after the record is recycled: it may start a flow that
+// reuses the record.
 func (b *BandwidthArbiter) complete(f *flow) {
 	f.timer = stepsim.Timer{}
 	delete(b.byID, f.id)
 	b.deactivate(f)
 	b.reprice()
-	f.done()
+	done := f.done
+	b.freeFlow(f)
+	done()
+}
+
+// newFlow takes a record off the free list, or allocates one and binds
+// its callbacks.
+func (b *BandwidthArbiter) newFlow() *flow {
+	if n := len(b.free); n > 0 {
+		f := b.free[n-1]
+		b.free[n-1] = nil
+		b.free = b.free[:n-1]
+		return f
+	}
+	f := &flow{}
+	f.completeFn = func() { b.complete(f) }
+	f.escalateFn = func() { b.escalate(f) }
+	return f
+}
+
+// freeFlow zeroes a retired record, keeping its bound callbacks, and
+// returns it to the free list. The caller guarantees the record has left
+// byID, the active set and the drain queue, and that both its timers are
+// cancelled (or fired): no engine event or lookup can reach it again.
+// Flow IDs are never reused, so a stale ID still finds nothing in byID.
+func (b *BandwidthArbiter) freeFlow(f *flow) {
+	*f = flow{completeFn: f.completeFn, escalateFn: f.escalateFn}
+	b.free = append(b.free, f)
 }
 
 // activate admits f to the allocated set (taking a drain slot if it is a
@@ -535,8 +573,7 @@ func (b *BandwidthArbiter) reprice() {
 				f.starved = true
 				f.starvedAt = t
 				if b.escBound > 0 && !f.escalated {
-					f := f
-					f.escTimer = b.eng.AfterCancel(b.escBound, "starve-escalate", func() { b.escalate(f) })
+					f.escTimer = b.eng.AfterCancel(b.escBound, "starve-escalate", f.escalateFn)
 				}
 			}
 		} else if f.starved {
@@ -550,8 +587,7 @@ func (b *BandwidthArbiter) reprice() {
 		b.eng.Cancel(f.timer)
 		f.timer = stepsim.Timer{}
 		if f.rate > 0 {
-			f := f
-			f.timer = b.eng.AfterCancel(f.remainGB/f.rate, "arbiter", func() { b.complete(f) })
+			f.timer = b.eng.AfterCancel(f.remainGB/f.rate, "arbiter", f.completeFn)
 		}
 	}
 }

@@ -20,9 +20,11 @@ func BenchmarkArbiterReprice(b *testing.B) {
 		arb.StartFlow(i%8, stepsim.ClassCollective, 1e12, 1e10, func() {})
 	}
 	flows := 0
+	done := func() { flows++ }
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arb.StartFlow(i%8, stepsim.ClassVulnerable, 1, 1, func() { flows++ })
+		arb.StartFlow(i%8, stepsim.ClassVulnerable, 1, 1, done)
 		for eng.HasPendingEvents() {
 			if t, ok := eng.PeekNextEventTime(); !ok || t > eng.Now()+2 {
 				break
@@ -42,6 +44,7 @@ func BenchmarkMachineSimulate(b *testing.B) {
 		jobs[i].Platform.SpareNodes = 0
 	}
 	cfg := machine.Config{Jobs: jobs, PFSCeilingGBs: 3}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		machine.Simulate(cfg, uint64(i+1))

@@ -34,6 +34,10 @@ type faultDriver struct {
 
 	baseCeiling float64
 	baseDrains  int
+
+	// The five event handlers, bound once in start: scheduling a window
+	// edge or a strike then allocates nothing.
+	brownoutOpenFn, brownoutCloseFn, drainOutageOpenFn, drainOutageCloseFn, crashStrikeFn func()
 }
 
 // start wires the rack map and schedules the first gap of every enabled
@@ -53,15 +57,18 @@ func (d *faultDriver) start() {
 	}
 	d.baseCeiling = d.arb.Ceiling()
 	d.baseDrains = d.arb.MaxDrains()
+	d.brownoutOpenFn, d.brownoutCloseFn = d.brownoutOpen, d.brownoutClose
+	d.drainOutageOpenFn, d.drainOutageCloseFn = d.drainOutageOpen, d.drainOutageClose
+	d.crashStrikeFn = d.crashStrike
 	mc := d.fi.MachineConfig()
 	if mc.BrownoutRatePerHour > 0 {
-		d.eng.AtNamed(d.fi.NextBrownoutGap(), "machine-brownout", d.brownoutOpen)
+		d.eng.AtNamed(d.fi.NextBrownoutGap(), "machine-brownout", d.brownoutOpenFn)
 	}
 	if mc.DrainOutageRatePerHour > 0 {
-		d.eng.AtNamed(d.fi.NextDrainOutageGap(), "machine-drain-outage", d.drainOutageOpen)
+		d.eng.AtNamed(d.fi.NextDrainOutageGap(), "machine-drain-outage", d.drainOutageOpenFn)
 	}
 	if mc.CrashRatePerHour > 0 {
-		d.eng.AtNamed(d.fi.NextCrashGap(), "machine-crash", d.crashStrike)
+		d.eng.AtNamed(d.fi.NextCrashGap(), "machine-crash", d.crashStrikeFn)
 	}
 }
 
@@ -88,13 +95,17 @@ func (d *faultDriver) brownoutOpen() {
 	d.res.Brownouts++
 	d.res.BrownoutSeconds += dur
 	d.arb.SetCeiling(d.baseCeiling * factor)
-	d.eng.AtNamed(dur, "machine-brownout", func() {
-		d.arb.SetCeiling(d.baseCeiling)
-		if d.allDone() {
-			return
-		}
-		d.eng.AtNamed(d.fi.NextBrownoutGap(), "machine-brownout", d.brownoutOpen)
-	})
+	d.eng.AtNamed(dur, "machine-brownout", d.brownoutCloseFn)
+}
+
+// brownoutClose ends the open brownout window: the ceiling returns to
+// base and, unless every tenant has finished, the next gap is drawn.
+func (d *faultDriver) brownoutClose() {
+	d.arb.SetCeiling(d.baseCeiling)
+	if d.allDone() {
+		return
+	}
+	d.eng.AtNamed(d.fi.NextBrownoutGap(), "machine-brownout", d.brownoutOpenFn)
 }
 
 // drainOutageOpen starts one drain-slot outage: the machine-wide drain
@@ -107,13 +118,17 @@ func (d *faultDriver) drainOutageOpen() {
 	dur, slots := d.fi.DrainOutageWindow()
 	d.res.DrainOutages++
 	d.arb.SetMaxDrains(max(d.baseDrains-slots, 0))
-	d.eng.AtNamed(dur, "machine-drain-outage", func() {
-		d.arb.SetMaxDrains(d.baseDrains)
-		if d.allDone() {
-			return
-		}
-		d.eng.AtNamed(d.fi.NextDrainOutageGap(), "machine-drain-outage", d.drainOutageOpen)
-	})
+	d.eng.AtNamed(dur, "machine-drain-outage", d.drainOutageCloseFn)
+}
+
+// drainOutageClose ends the open outage: the drain budget returns to
+// base and, unless every tenant has finished, the next gap is drawn.
+func (d *faultDriver) drainOutageClose() {
+	d.arb.SetMaxDrains(d.baseDrains)
+	if d.allDone() {
+		return
+	}
+	d.eng.AtNamed(d.fi.NextDrainOutageGap(), "machine-drain-outage", d.drainOutageOpenFn)
 }
 
 // crashStrike fires one planned rack crash. The rack is drawn
@@ -137,7 +152,7 @@ func (d *faultDriver) crashStrike() {
 	if struck {
 		d.tryAdmit()
 	}
-	d.eng.AtNamed(d.fi.NextCrashGap(), "machine-crash", d.crashStrike)
+	d.eng.AtNamed(d.fi.NextCrashGap(), "machine-crash", d.crashStrikeFn)
 }
 
 // crashTenant aborts one running job and routes it through the crash

@@ -233,6 +233,9 @@ func Simulate(cfg Config, seed uint64) Result {
 	})
 
 	tenants := make([]tenantState, len(cfg.Jobs))
+	// started holds every app handle, crashed tenants' included, so their
+	// node tables return to the pool once the engine drains.
+	started := make([]*stepsim.AppHandle, 0, len(cfg.Jobs))
 	var m struct {
 		queue     []PendingJob
 		freeNodes int
@@ -281,6 +284,7 @@ func Simulate(cfg Config, seed uint64) Result {
 					tryAdmit()
 				},
 			})
+			started = append(started, ten.handle)
 		}
 	}
 	for i, j := range cfg.Jobs {
@@ -306,6 +310,11 @@ func Simulate(cfg Config, seed uint64) Result {
 	}
 	eng.RunAll()
 	eng.Release()
+	// Not at abort: a crashed tenant's pending callbacks touch its table
+	// until the engine drains. The solo baselines below reuse the tables.
+	for _, h := range started {
+		h.Release()
+	}
 	// Makespan is the last departure, not the engine clock: the failure
 	// streams park wake-events past each app's completion.
 	for i := range res.Jobs {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pckpt/internal/failure"
+	"pckpt/internal/faultinject"
 	"pckpt/internal/machine"
 	"pckpt/internal/metrics"
 	"pckpt/internal/platform"
@@ -140,9 +141,12 @@ func TestMachineSmallestFitLeapfrogs(t *testing.T) {
 }
 
 // The machine simulation is deterministic in (cfg, seed) and across
-// worker counts.
+// worker counts, on a healthy cohort and on one with every machine fault
+// armed. Each worker recycles arbiter flow records and tenant node
+// tables in its own order, so state a recycled record or table kept
+// from an earlier run shows up as a DeepEqual failure.
 func TestMachineDeterministicAcrossWorkers(t *testing.T) {
-	cfg := machine.Config{
+	healthy := machine.Config{
 		Jobs: []machine.JobSpec{
 			testJob(policy.M1, 0),
 			testJob(policy.P2, 600),
@@ -151,12 +155,48 @@ func TestMachineDeterministicAcrossWorkers(t *testing.T) {
 		PFSCeilingGBs: 8,
 		Nodes:         40, // two tenants fit; the third queues
 	}
-	serial := machine.SimulateN(cfg, 6, 42, 1)
-	for _, workers := range []int{2, 5} {
-		got := machine.SimulateN(cfg, 6, 42, workers)
-		if !reflect.DeepEqual(serial, got) {
-			t.Fatalf("results differ between 1 and %d workers", workers)
-		}
+	faulty := healthy
+	faulty.Racks = []int{0, 0, 1}
+	faulty.Faults = faultinject.MachineConfig{
+		BrownoutRatePerHour:         2,
+		BrownoutMeanSeconds:         600,
+		BlackoutProb:                0.5,
+		DrainOutageRatePerHour:      2,
+		DrainOutageMeanSeconds:      300,
+		DrainOutageSlots:            2,
+		CrashRatePerHour:            1,
+		CrashMaxRetries:             1,
+		CrashBackoffSeconds:         300,
+		StarvationEscalationSeconds: 120,
+	}
+	for name, tc := range map[string]struct {
+		cfg  machine.Config
+		runs int
+	}{
+		"healthy": {healthy, 6},
+		"faulty":  {faulty, 12},
+	} {
+		t.Run(name, func(t *testing.T) {
+			serial := machine.SimulateN(tc.cfg, tc.runs, 42, 1)
+			if name == "faulty" {
+				var crashes, requeues, escalations int
+				for _, r := range serial {
+					crashes += r.TenantCrashes
+					requeues += r.CrashRequeues
+					escalations += r.Escalations
+				}
+				// Crashes beyond the requeues are give-ups.
+				if requeues == 0 || crashes <= requeues || escalations == 0 {
+					t.Fatalf("%d crashes, %d requeues, %d escalations: the fault plan went inert", crashes, requeues, escalations)
+				}
+			}
+			for _, workers := range []int{2, 5} {
+				got := machine.SimulateN(tc.cfg, tc.runs, 42, workers)
+				if !reflect.DeepEqual(serial, got) {
+					t.Fatalf("results differ between 1 and %d workers", workers)
+				}
+			}
+		})
 	}
 }
 

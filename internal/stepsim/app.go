@@ -213,20 +213,28 @@ func (a *appSim) trace(kind trace.Kind, node int, detail string) {
 func Simulate(cfg Config, seed uint64) stats.RunResult {
 	eng := NewEngine()
 	eng.SetWatchdog(maxRunEvents, 0)
-	cl := clusterPool.Get().(*cluster.Cluster)
-	a := startApp(eng, cfg, seed, AppOptions{}, cl)
+	a := startApp(eng, cfg, seed, AppOptions{})
 	eng.RunAll()
 	eng.Release()
-	// Drop a metered run's observer: it holds the run's metric handles,
-	// which the pooled cluster must not keep alive.
-	cl.SetObserver(nil)
-	clusterPool.Put(cl)
+	a.releaseCluster()
 	return a.res
 }
 
-// clusterPool recycles Simulate's node tables across the runs of a sweep;
-// a CHIMERA run's table has 2272 entries.
+// clusterPool recycles node tables across the runs of a sweep and the
+// tenants of a machine; a CHIMERA run's table has 2272 entries.
 var clusterPool = sync.Pool{New: func() any { return new(cluster.Cluster) }}
+
+// releaseCluster returns the app's node table to clusterPool. It first
+// drops a metered run's observer: that holds the run's metric handles,
+// which the pooled table must not keep alive. A second call is a no-op.
+func (a *appSim) releaseCluster() {
+	if a.cl == nil {
+		return
+	}
+	a.cl.SetObserver(nil)
+	clusterPool.Put(a.cl)
+	a.cl = nil
+}
 
 // AppOptions configures an application started on a shared engine. The
 // zero value reproduces a solo Simulate run exactly.
@@ -285,24 +293,32 @@ func (h *AppHandle) Abort() stats.RunResult {
 	return a.res
 }
 
+// Release returns the application's node table to the pool Simulate
+// draws from. Call it only once the engine has drained: an aborted app's
+// pending callbacks still touch the table until then. Result stays
+// valid; Release again is a no-op.
+func (h *AppHandle) Release() { h.a.releaseCluster() }
+
 // StartApp schedules one application run on eng, starting at the
 // engine's current time. The caller drives the engine; several apps on
 // one engine share its clock (the multi-tenant machine of
 // internal/machine) while each keeps its own local time base, failure
 // substreams, and accounting — an app admitted at t on a shared engine
-// with no arbiter computes bit-identically to a solo Simulate run.
+// with no arbiter computes bit-identically to a solo Simulate run. The
+// app's node table comes from a pool; Release returns it.
 func StartApp(eng *Engine, cfg Config, seed uint64, opts AppOptions) *AppHandle {
-	return &AppHandle{a: startApp(eng, cfg, seed, opts, new(cluster.Cluster))}
+	return &AppHandle{a: startApp(eng, cfg, seed, opts)}
 }
 
-// startApp is StartApp on a caller-supplied cluster, which it resets to
-// the application's node count.
-func startApp(eng *Engine, cfg Config, seed uint64, opts AppOptions, cl *cluster.Cluster) *appSim {
+// startApp is StartApp without the handle, on a pooled node table reset
+// to the application's node count.
+func startApp(eng *Engine, cfg Config, seed uint64, opts AppOptions) *appSim {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	src := rng.New(seed)
+	cl := clusterPool.Get().(*cluster.Cluster)
 	cl.Reset(cfg.App.Nodes, cfg.SpareLimit())
 	a := &appSim{
 		cfg:    cfg,

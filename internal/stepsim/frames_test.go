@@ -3,7 +3,6 @@ package stepsim
 import (
 	"testing"
 
-	"pckpt/internal/cluster"
 	"pckpt/internal/crmodel"
 	"pckpt/internal/failure"
 	"pckpt/internal/faultinject"
@@ -43,9 +42,10 @@ func TestNestedWaitFramesBitIdentity(t *testing.T) {
 			cfg := Config{Model: id, Config: NestedPlatform()}
 			want := crmodel.Simulate(crmodel.Config{Model: id, Config: cfg.Config}, seed)
 			eng := NewEngine()
-			a := startApp(eng, cfg, seed, AppOptions{}, new(cluster.Cluster))
+			a := startApp(eng, cfg, seed, AppOptions{})
 			eng.RunAll()
 			eng.Release()
+			a.releaseCluster()
 			if a.res != want {
 				t.Errorf("%v seed %d: step tier diverged\napp:  %+v\nstep: %+v", id, seed, want, a.res)
 			}
