@@ -40,7 +40,6 @@ var interruptible = map[string]bool{
 	"WaitEvent": true, // Proc.WaitEvent
 	"Join":      true, // Proc.Join
 	"Acquire":   true, // Resource.Acquire
-	"Await":     true, // Barrier.Await
 }
 
 // injectorHooks is the faultinject draw surface. Unlike the interruptible
@@ -76,12 +75,12 @@ var validators = map[string]bool{
 	"Validate": true,
 }
 
-// stepDrivers are the step engine's zero-argument driver primitives whose
+// stepDrivers are the engine's zero-argument step primitives whose
 // boolean result reports whether an event was actually processed. A bare
 // `e.ProcessNextEvent()` in a driver loop discards the "engine drained"
 // signal — the loop spins forever on an empty heap.
 var stepDrivers = map[string]bool{
-	"ProcessNextEvent": true, // stepsim.Engine.ProcessNextEvent
+	"ProcessNextEvent": true, // sim.Engine.ProcessNextEvent
 }
 
 // lifecycleHooks is the policy.State episode surface whose results carry

@@ -15,7 +15,7 @@ import (
 
 // Tier is one simulation granularity the experiment runner can drive: the
 // application-level model (internal/crmodel), the node-granular
-// simulator (internal/nodesim), or the step-based tier-0 engine
+// simulator (internal/nodesim), or the step tier's callback port
 // (internal/stepsim). All consume the shared platform configuration and
 // the policy catalogue, so a sweep is written once and runs at any
 // granularity. Adding a tier is one registry entry in Tiers(); the
@@ -66,7 +66,7 @@ func NodeTier() Tier {
 	}
 }
 
-// StepTier is the tier-0 step-based engine; it implements the full
+// StepTier is the tier-0 callback port on sim.Engine; it implements the full
 // five-model catalogue — p-ckpt episodes included — and is bit-identical
 // to the app tier on shared failure streams — same RunResult, not just
 // agreeing statistics. It is the only tier experiment and spec sweeps

@@ -8,6 +8,7 @@ import (
 	"pckpt/internal/machine"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
+	"pckpt/internal/sim"
 	"pckpt/internal/stepsim"
 	"pckpt/internal/workload"
 )
@@ -24,7 +25,7 @@ func TestArbiterChurnAllocsZero(t *testing.T) {
 		t.Skip("allocation counts need the engine pool, which -race defeats")
 	}
 	const escBound = 5.0
-	eng := stepsim.NewEngine()
+	eng := sim.NewEngine()
 	arb := machine.NewBandwidthArbiter(eng, 100, 2, 4)
 	arb.SetStarvationEscalation(escBound)
 	completed := 0
@@ -45,7 +46,7 @@ func TestArbiterChurnAllocsZero(t *testing.T) {
 		arb.CancelFlow(x)
 		arb.SetCeiling(0)
 		arb.SetMaxDrains(0) // evicts both in-flight drains to the queue front
-		eng.At(2*escBound, heal)
+		eng.After(2*escBound, "", heal)
 		eng.RunAll()
 	}
 	const warm, rounds = 4, 50

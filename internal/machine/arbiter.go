@@ -5,13 +5,14 @@
 // planes the solo tiers lack — a bandwidth arbiter (this file) pricing
 // concurrent PFS transfers against each other, and an admission plane
 // (admission.go) deciding when queued jobs start — and a driver
-// (machine.go) running the whole cohort on one step engine.
+// (machine.go) running the whole cohort on one sim.Engine.
 package machine
 
 import (
 	"fmt"
 	"math"
 
+	"pckpt/internal/sim"
 	"pckpt/internal/stepsim"
 )
 
@@ -28,7 +29,7 @@ type flow struct {
 	// rate is the current allocation, repriced on every writer-set change.
 	rate  float64
 	done  func()
-	timer stepsim.Timer
+	timer sim.Timer
 	// queued marks a drain parked for a free drain slot; suspended marks
 	// a flow frozen by its app's interrupt handling. Neither holds
 	// bandwidth.
@@ -40,7 +41,7 @@ type flow struct {
 	starved   bool
 	starvedAt float64
 	escalated bool
-	escTimer  stepsim.Timer
+	escTimer  sim.Timer
 	// completeFn and escalateFn are the arbiter's complete and escalate
 	// bound to this record once, when it is first allocated; they
 	// survive recycling, so rescheduling a timer allocates nothing.
@@ -64,7 +65,7 @@ type flow struct {
 // Completion times are engine timers rescheduled on each repricing, so
 // the whole machine stays a deterministic single-goroutine simulation.
 type BandwidthArbiter struct {
-	eng      *stepsim.Engine
+	eng      *sim.Engine
 	ceiling  float64
 	maxDrain int
 
@@ -102,7 +103,7 @@ type BandwidthArbiter struct {
 // NewBandwidthArbiter creates the arbiter for a machine whose PFS
 // sustains ceilingGBs aggregate bandwidth and maxDrains concurrent
 // drains, shared by numApps applications on eng.
-func NewBandwidthArbiter(eng *stepsim.Engine, ceilingGBs float64, maxDrains, numApps int) *BandwidthArbiter {
+func NewBandwidthArbiter(eng *sim.Engine, ceilingGBs float64, maxDrains, numApps int) *BandwidthArbiter {
 	if ceilingGBs <= 0 {
 		panic(fmt.Sprintf("machine: non-positive bandwidth ceiling %g", ceilingGBs))
 	}
@@ -332,7 +333,7 @@ func (b *BandwidthArbiter) CancelFlow(id stepsim.FlowID) {
 // runs last, after the record is recycled: it may start a flow that
 // reuses the record.
 func (b *BandwidthArbiter) complete(f *flow) {
-	f.timer = stepsim.Timer{}
+	f.timer = sim.Timer{}
 	delete(b.byID, f.id)
 	b.deactivate(f)
 	b.reprice()
@@ -388,13 +389,13 @@ func (b *BandwidthArbiter) activate(f *flow) {
 // active-set membership.
 func (b *BandwidthArbiter) park(f *flow, t float64) {
 	b.eng.Cancel(f.timer)
-	f.timer = stepsim.Timer{}
+	f.timer = sim.Timer{}
 	f.rate = 0
 	if f.starved {
 		b.noteStretch(f, t)
 	}
 	b.eng.Cancel(f.escTimer)
-	f.escTimer = stepsim.Timer{}
+	f.escTimer = sim.Timer{}
 	if f.escalated {
 		f.escalated = false
 		b.numEscalated--
@@ -414,7 +415,7 @@ func (b *BandwidthArbiter) noteStretch(f *flow, t float64) {
 // still active and still priced at zero, it joins the priority lane
 // until it next holds bandwidth (deactivation clears it).
 func (b *BandwidthArbiter) escalate(f *flow) {
-	f.escTimer = stepsim.Timer{}
+	f.escTimer = sim.Timer{}
 	if b.byID[f.id] != f || f.suspended || f.queued || f.escalated || f.rate > 0 {
 		return
 	}
@@ -573,21 +574,21 @@ func (b *BandwidthArbiter) reprice() {
 				f.starved = true
 				f.starvedAt = t
 				if b.escBound > 0 && !f.escalated {
-					f.escTimer = b.eng.AfterCancel(b.escBound, "starve-escalate", f.escalateFn)
+					f.escTimer = b.eng.After(b.escBound, "starve-escalate", f.escalateFn)
 				}
 			}
 		} else if f.starved {
 			b.noteStretch(f, t)
 			b.eng.Cancel(f.escTimer)
-			f.escTimer = stepsim.Timer{}
+			f.escTimer = sim.Timer{}
 		}
 	}
 
 	for _, f := range b.active {
 		b.eng.Cancel(f.timer)
-		f.timer = stepsim.Timer{}
+		f.timer = sim.Timer{}
 		if f.rate > 0 {
-			f.timer = b.eng.AfterCancel(f.remainGB/f.rate, "arbiter", f.completeFn)
+			f.timer = b.eng.After(f.remainGB/f.rate, "arbiter", f.completeFn)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pckpt/internal/machine"
+	"pckpt/internal/sim"
 	"pckpt/internal/stepsim"
 )
 
@@ -18,7 +19,7 @@ func near(a, b float64) bool {
 // An uncontended flow completes at its solo duration: the arbiter never
 // speeds a transfer past its solo price.
 func TestArbiterSoloFlowCompletesAtSoloDuration(t *testing.T) {
-	eng := stepsim.NewEngine()
+	eng := sim.NewEngine()
 	arb := machine.NewBandwidthArbiter(eng, 1000, 4, 1)
 	doneAt := -1.0
 	arb.StartFlow(0, stepsim.ClassCollective, 100, 10, func() { doneAt = eng.Now() })
@@ -31,7 +32,7 @@ func TestArbiterSoloFlowCompletesAtSoloDuration(t *testing.T) {
 // Two flows whose solo rates each saturate the ceiling fair-share it:
 // each runs at half rate and takes twice its solo time.
 func TestArbiterFairShareStretchesEqualFlows(t *testing.T) {
-	eng := stepsim.NewEngine()
+	eng := sim.NewEngine()
 	arb := machine.NewBandwidthArbiter(eng, 100, 4, 2)
 	var at [2]float64
 	for i := 0; i < 2; i++ {
@@ -49,7 +50,7 @@ func TestArbiterFairShareStretchesEqualFlows(t *testing.T) {
 // The vulnerable lane is served first at its full solo rate; fair-share
 // traffic gets the remainder.
 func TestArbiterVulnerableLanePriority(t *testing.T) {
-	eng := stepsim.NewEngine()
+	eng := sim.NewEngine()
 	arb := machine.NewBandwidthArbiter(eng, 100, 4, 2)
 	var vulnAt, collAt float64
 	// Collective wants the whole ceiling (1000GB at solo rate 100);
@@ -70,7 +71,7 @@ func TestArbiterVulnerableLanePriority(t *testing.T) {
 // Drains contend for the shared slot budget: with one slot, a second
 // drain queues (holding no bandwidth) until the first departs.
 func TestArbiterDrainSlotsQueueFIFO(t *testing.T) {
-	eng := stepsim.NewEngine()
+	eng := sim.NewEngine()
 	arb := machine.NewBandwidthArbiter(eng, 1000, 1, 2)
 	var at [2]float64
 	for i := 0; i < 2; i++ {
@@ -89,12 +90,12 @@ func TestArbiterDrainSlotsQueueFIFO(t *testing.T) {
 // Suspend freezes a flow's remaining volume and releases its bandwidth;
 // resume continues from where it stopped.
 func TestArbiterSuspendResume(t *testing.T) {
-	eng := stepsim.NewEngine()
+	eng := sim.NewEngine()
 	arb := machine.NewBandwidthArbiter(eng, 1000, 4, 1)
 	doneAt := -1.0
 	id := arb.StartFlow(0, stepsim.ClassCollective, 100, 10, func() { doneAt = eng.Now() })
-	eng.At(4, func() { arb.SuspendFlow(id) })
-	eng.At(7, func() { arb.ResumeFlow(id) })
+	eng.After(4, "", func() { arb.SuspendFlow(id) })
+	eng.After(7, "", func() { arb.ResumeFlow(id) })
 	eng.RunAll()
 	// 4s of transfer, 3s frozen, 6s remaining: done at 13.
 	if !near(doneAt, 13) {
@@ -105,12 +106,12 @@ func TestArbiterSuspendResume(t *testing.T) {
 // A cancelled flow never completes, and its bandwidth returns to the
 // survivors immediately.
 func TestArbiterCancelReleasesBandwidth(t *testing.T) {
-	eng := stepsim.NewEngine()
+	eng := sim.NewEngine()
 	arb := machine.NewBandwidthArbiter(eng, 100, 4, 2)
 	cancelled, survivorAt := false, -1.0
 	id := arb.StartFlow(0, stepsim.ClassCollective, 1000, 10, func() { cancelled = true })
 	arb.StartFlow(1, stepsim.ClassCollective, 1000, 10, func() { survivorAt = eng.Now() })
-	eng.At(10, func() { arb.CancelFlow(id) })
+	eng.After(10, "", func() { arb.CancelFlow(id) })
 	eng.RunAll()
 	if cancelled {
 		t.Fatal("cancelled flow's done fired")
@@ -125,7 +126,7 @@ func TestArbiterCancelReleasesBandwidth(t *testing.T) {
 // The conservation property: at every repricing, the summed allocation
 // never exceeds the ceiling, and starved time is accounted.
 func TestArbiterConservationAndStarvation(t *testing.T) {
-	eng := stepsim.NewEngine()
+	eng := sim.NewEngine()
 	const ceiling = 100.0
 	arb := machine.NewBandwidthArbiter(eng, ceiling, 4, 3)
 	arb.SetAllocObserver(func(at, total, ceil float64) {

@@ -5,6 +5,7 @@ import (
 
 	"pckpt/internal/machine"
 	"pckpt/internal/policy"
+	"pckpt/internal/sim"
 	"pckpt/internal/stepsim"
 )
 
@@ -13,7 +14,7 @@ import (
 // each mutation triggering a full repricing (advance + water-fill +
 // timer reschedule).
 func BenchmarkArbiterReprice(b *testing.B) {
-	eng := stepsim.NewEngine()
+	eng := sim.NewEngine()
 	arb := machine.NewBandwidthArbiter(eng, 100, 1<<20, 8)
 	// A standing population the churn flows contend against.
 	for i := 0; i < 32; i++ {

@@ -2,7 +2,7 @@ package machine
 
 import (
 	"pckpt/internal/faultinject"
-	"pckpt/internal/stepsim"
+	"pckpt/internal/sim"
 )
 
 // faultDriver runs the machine-scope fault plan against a live
@@ -13,7 +13,7 @@ import (
 // single-goroutine simulation. Every process stops rescheduling once
 // all tenants have finished, so the engine drains.
 type faultDriver struct {
-	eng *stepsim.Engine
+	eng *sim.Engine
 	arb *BandwidthArbiter
 	fi  *faultinject.MachineInjector
 	cfg *Config
@@ -62,13 +62,13 @@ func (d *faultDriver) start() {
 	d.crashStrikeFn = d.crashStrike
 	mc := d.fi.MachineConfig()
 	if mc.BrownoutRatePerHour > 0 {
-		d.eng.AtNamed(d.fi.NextBrownoutGap(), "machine-brownout", d.brownoutOpenFn)
+		d.eng.After(d.fi.NextBrownoutGap(), "machine-brownout", d.brownoutOpenFn)
 	}
 	if mc.DrainOutageRatePerHour > 0 {
-		d.eng.AtNamed(d.fi.NextDrainOutageGap(), "machine-drain-outage", d.drainOutageOpenFn)
+		d.eng.After(d.fi.NextDrainOutageGap(), "machine-drain-outage", d.drainOutageOpenFn)
 	}
 	if mc.CrashRatePerHour > 0 {
-		d.eng.AtNamed(d.fi.NextCrashGap(), "machine-crash", d.crashStrikeFn)
+		d.eng.After(d.fi.NextCrashGap(), "machine-crash", d.crashStrikeFn)
 	}
 }
 
@@ -95,7 +95,7 @@ func (d *faultDriver) brownoutOpen() {
 	d.res.Brownouts++
 	d.res.BrownoutSeconds += dur
 	d.arb.SetCeiling(d.baseCeiling * factor)
-	d.eng.AtNamed(dur, "machine-brownout", d.brownoutCloseFn)
+	d.eng.After(dur, "machine-brownout", d.brownoutCloseFn)
 }
 
 // brownoutClose ends the open brownout window: the ceiling returns to
@@ -105,7 +105,7 @@ func (d *faultDriver) brownoutClose() {
 	if d.allDone() {
 		return
 	}
-	d.eng.AtNamed(d.fi.NextBrownoutGap(), "machine-brownout", d.brownoutOpenFn)
+	d.eng.After(d.fi.NextBrownoutGap(), "machine-brownout", d.brownoutOpenFn)
 }
 
 // drainOutageOpen starts one drain-slot outage: the machine-wide drain
@@ -118,7 +118,7 @@ func (d *faultDriver) drainOutageOpen() {
 	dur, slots := d.fi.DrainOutageWindow()
 	d.res.DrainOutages++
 	d.arb.SetMaxDrains(max(d.baseDrains-slots, 0))
-	d.eng.AtNamed(dur, "machine-drain-outage", d.drainOutageCloseFn)
+	d.eng.After(dur, "machine-drain-outage", d.drainOutageCloseFn)
 }
 
 // drainOutageClose ends the open outage: the drain budget returns to
@@ -128,7 +128,7 @@ func (d *faultDriver) drainOutageClose() {
 	if d.allDone() {
 		return
 	}
-	d.eng.AtNamed(d.fi.NextDrainOutageGap(), "machine-drain-outage", d.drainOutageOpenFn)
+	d.eng.After(d.fi.NextDrainOutageGap(), "machine-drain-outage", d.drainOutageOpenFn)
 }
 
 // crashStrike fires one planned rack crash. The rack is drawn
@@ -152,7 +152,7 @@ func (d *faultDriver) crashStrike() {
 	if struck {
 		d.tryAdmit()
 	}
-	d.eng.AtNamed(d.fi.NextCrashGap(), "machine-crash", d.crashStrikeFn)
+	d.eng.After(d.fi.NextCrashGap(), "machine-crash", d.crashStrikeFn)
 }
 
 // crashTenant aborts one running job and routes it through the crash
@@ -183,7 +183,7 @@ func (d *faultDriver) crashTenant(j int) {
 	}
 	d.res.CrashRequeues++
 	backoff := d.fi.CrashBackoffSeconds(ten.crashes)
-	d.eng.AtNamed(backoff, "machine-requeue", func() {
+	d.eng.After(backoff, "machine-requeue", func() {
 		t := d.eng.Now()
 		d.res.Decisions = append(d.res.Decisions, RoutingDecision{Kind: DecisionRequeue, Job: j, AtSeconds: t, Nodes: nodes})
 		d.requeue(j, PendingJob{Job: j, Nodes: nodes, ArrivalSeconds: t})

@@ -9,6 +9,7 @@ import (
 	"pckpt/internal/machine"
 	"pckpt/internal/policy"
 	"pckpt/internal/rng"
+	"pckpt/internal/sim"
 	"pckpt/internal/stepsim"
 )
 
@@ -32,13 +33,13 @@ func conserving(t *testing.T, arb *machine.BandwidthArbiter) {
 // accounting — no division by a zero share, no negative rate — and the
 // flow resumes from precisely where it stopped when the ceiling lifts.
 func TestArbiterBlackoutFreezesProgress(t *testing.T) {
-	eng := stepsim.NewEngine()
+	eng := sim.NewEngine()
 	arb := machine.NewBandwidthArbiter(eng, 1000, 4, 1)
 	conserving(t, arb)
 	doneAt := -1.0
 	arb.StartFlow(0, stepsim.ClassCollective, 100, 10, func() { doneAt = eng.Now() })
-	eng.At(4, func() { arb.SetCeiling(0) })
-	eng.At(7, func() { arb.SetCeiling(1000) })
+	eng.After(4, "", func() { arb.SetCeiling(0) })
+	eng.After(7, "", func() { arb.SetCeiling(1000) })
 	eng.RunAll()
 	// 4s of transfer, 3s blacked out, 6s remaining: done at 13.
 	if !near(doneAt, 13) {
@@ -55,7 +56,7 @@ func TestArbiterBlackoutFreezesProgress(t *testing.T) {
 // A shrinking (but non-zero) ceiling reprices every in-flight flow to
 // its new share mid-stream, preserving integrated volume.
 func TestArbiterShrinkingCeilingReprices(t *testing.T) {
-	eng := stepsim.NewEngine()
+	eng := sim.NewEngine()
 	arb := machine.NewBandwidthArbiter(eng, 100, 4, 2)
 	conserving(t, arb)
 	var at [2]float64
@@ -63,7 +64,7 @@ func TestArbiterShrinkingCeilingReprices(t *testing.T) {
 		i := i
 		arb.StartFlow(i, stepsim.ClassCollective, 1000, 10, func() { at[i] = eng.Now() })
 	}
-	eng.At(10, func() { arb.SetCeiling(50) })
+	eng.After(10, "", func() { arb.SetCeiling(50) })
 	eng.RunAll()
 	// Fair share 50 each for 10s (500GB moved), then 25 each for the
 	// remaining 500GB: done at 30.
@@ -81,7 +82,7 @@ func TestArbiterShrinkingCeilingReprices(t *testing.T) {
 func TestArbiterSetCeilingRejectsInvalid(t *testing.T) {
 	for name, bad := range map[string]float64{"negative": -1, "nan": math.NaN()} {
 		t.Run(name, func(t *testing.T) {
-			eng := stepsim.NewEngine()
+			eng := sim.NewEngine()
 			arb := machine.NewBandwidthArbiter(eng, 100, 4, 1)
 			defer func() {
 				if recover() == nil {
@@ -97,7 +98,7 @@ func TestArbiterSetCeilingRejectsInvalid(t *testing.T) {
 // FRONT of the slot queue in start order: when slots return, the
 // interrupted drains resume FIFO ahead of drains that never started.
 func TestArbiterDrainOutageRequeuesFIFO(t *testing.T) {
-	eng := stepsim.NewEngine()
+	eng := sim.NewEngine()
 	arb := machine.NewBandwidthArbiter(eng, 1000, 2, 3)
 	conserving(t, arb)
 	var at [3]float64
@@ -108,13 +109,13 @@ func TestArbiterDrainOutageRequeuesFIFO(t *testing.T) {
 	if got := arb.QueuedDrains(); got != 1 {
 		t.Fatalf("QueuedDrains = %d, want 1 before the outage", got)
 	}
-	eng.At(5, func() {
+	eng.After(5, "", func() {
 		arb.SetMaxDrains(0)
 		if got := arb.QueuedDrains(); got != 3 {
 			t.Fatalf("QueuedDrains = %d mid-outage, want 3 (both in-flight drains evicted)", got)
 		}
 	})
-	eng.At(8, func() { arb.SetMaxDrains(1) })
+	eng.After(8, "", func() { arb.SetMaxDrains(1) })
 	eng.RunAll()
 	// Drains 0 and 1 each moved 50GB before the outage. With one slot
 	// back at t=8, drain 0 resumes first (50GB: done 13), then drain 1
@@ -135,7 +136,7 @@ func TestArbiterDrainOutageRequeuesFIFO(t *testing.T) {
 // lane is water-filled first, so the flow holds a positive rate from
 // the moment the watchdog fires while any ceiling remains).
 func TestArbiterStarvationWatchdogEscalates(t *testing.T) {
-	eng := stepsim.NewEngine()
+	eng := sim.NewEngine()
 	arb := machine.NewBandwidthArbiter(eng, 100, 4, 2)
 	conserving(t, arb)
 	arb.SetStarvationEscalation(20)
@@ -174,7 +175,7 @@ func TestArbiterFaultInterleavingConservation(t *testing.T) {
 	src := rng.New(0xfa417)
 	const trials = 25
 	for trial := 0; trial < trials; trial++ {
-		eng := stepsim.NewEngine()
+		eng := sim.NewEngine()
 		const ceiling = 50.0
 		arb := machine.NewBandwidthArbiter(eng, ceiling, 2, 4)
 		conserving(t, arb)
@@ -202,17 +203,17 @@ func TestArbiterFaultInterleavingConservation(t *testing.T) {
 				if src.Bool(0.3) {
 					f = 0
 				}
-				eng.At(at, func() { arb.SetCeiling(ceiling * f) })
+				eng.After(at, "", func() { arb.SetCeiling(ceiling * f) })
 			case 1: // drain-slot outage / restore
 				slots := src.Intn(3)
-				eng.At(at, func() { arb.SetMaxDrains(slots) })
+				eng.After(at, "", func() { arb.SetMaxDrains(slots) })
 			case 2: // suspend, with a guaranteed later resume
 				i := src.Intn(n)
-				eng.At(at, func() { arb.SuspendFlow(ids[i]) })
-				eng.At(at+src.Uniform(1, 200), func() { arb.ResumeFlow(ids[i]) })
+				eng.After(at, "", func() { arb.SuspendFlow(ids[i]) })
+				eng.After(at+src.Uniform(1, 200), "", func() { arb.ResumeFlow(ids[i]) })
 			case 3: // tenant-crash style cancellation
 				i := src.Intn(n)
-				eng.At(at, func() {
+				eng.After(at, "", func() {
 					if !completed[i] {
 						cancelled[i] = true
 						arb.CancelFlow(ids[i])
@@ -220,10 +221,10 @@ func TestArbiterFaultInterleavingConservation(t *testing.T) {
 				})
 			case 4: // spurious resume of a never-suspended flow (no-op)
 				i := src.Intn(n)
-				eng.At(at, func() { arb.ResumeFlow(ids[i]) })
+				eng.After(at, "", func() { arb.ResumeFlow(ids[i]) })
 			}
 		}
-		eng.At(1000, func() {
+		eng.After(1000, "", func() {
 			arb.SetCeiling(ceiling)
 			arb.SetMaxDrains(2)
 		})

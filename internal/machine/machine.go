@@ -8,6 +8,7 @@ import (
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
 	"pckpt/internal/rng"
+	"pckpt/internal/sim"
 	"pckpt/internal/stats"
 	"pckpt/internal/stepsim"
 	"pckpt/internal/sweep"
@@ -201,7 +202,7 @@ type Result struct {
 // machineMaxEvents scales the solo per-run watchdog by cohort size.
 const machineMaxEvents = 100_000_000
 
-// Simulate runs the whole cohort on one shared step engine and returns
+// Simulate runs the whole cohort on one shared engine and returns
 // per-job and machine-wide outcomes. Deterministic in (cfg, seed): jobs
 // are admitted by cfg.Admission as nodes free up, all PFS transfers
 // contend at a shared BandwidthArbiter, and each job runs bit-identical
@@ -213,7 +214,7 @@ func Simulate(cfg Config, seed uint64) Result {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	eng := stepsim.NewEngine()
+	eng := sim.NewEngine()
 	eng.SetWatchdog(uint64(len(cfg.Jobs))*machineMaxEvents, 0)
 	arb := NewBandwidthArbiter(eng, cfg.PFSCeilingGBs, cfg.MaxConcurrentDrains, len(cfg.Jobs))
 
@@ -290,7 +291,7 @@ func Simulate(cfg Config, seed uint64) Result {
 	for i, j := range cfg.Jobs {
 		res.Jobs[i] = JobResult{Job: i, Model: j.Model, ArrivalSeconds: j.ArrivalSeconds}
 		i, j := i, j
-		eng.AtNamed(j.ArrivalSeconds, "job-arrival", func() {
+		eng.After(j.ArrivalSeconds, "job-arrival", func() {
 			m.queue = append(m.queue, PendingJob{Job: i, Nodes: j.need(), ArrivalSeconds: j.ArrivalSeconds})
 			tryAdmit()
 		})

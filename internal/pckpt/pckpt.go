@@ -329,7 +329,11 @@ func (e *episode) onPrediction(proc *sim.Proc, p Prediction) {
 }
 
 // startPckpt broadcasts the p-ckpt request (idempotent) and aborts every
-// in-flight migration, per the Fig. 5 state diagram.
+// in-flight migration, per the Fig. 5 state diagram. Aborts go out in
+// ascending node order — not map order — because each aborted node
+// re-enters the lead-time queue in the order its interrupt is delivered,
+// and that queue breaks deadline ties by push order (the step port's
+// policy.State.AbortMigrations visits in the same order).
 func (e *episode) startPckpt() {
 	if e.pckptActive {
 		return
@@ -337,9 +341,14 @@ func (e *episode) startPckpt() {
 	e.pckptActive = true
 	e.result.PckptTriggered = true
 	e.tracef("p-ckpt request broadcast: healthy nodes enter waiting state")
-	for node, proc := range e.migrations {
+	nodes := make([]int, 0, len(e.migrations))
+	for node := range e.migrations {
+		nodes = append(nodes, node)
+	}
+	sort.Ints(nodes)
+	for _, node := range nodes {
 		e.tracef("aborting in-flight migration of node %d", node)
-		proc.Interrupt("p-ckpt supersedes migration")
+		e.migrations[node].Interrupt("p-ckpt supersedes migration")
 	}
 }
 

@@ -2,6 +2,7 @@ package pckpt
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -167,36 +168,82 @@ func TestHybridShortLeadUsesPckpt(t *testing.T) {
 	}
 }
 
+// TestLMAbortedByPckpt: a short-lead prediction forces the p-ckpt path
+// and aborts every in-flight migration; the aborted nodes commit through
+// the queue by deadline, after the node that triggered p-ckpt. Aborts
+// are delivered in ascending node order, so aborted nodes whose
+// deadlines tie are granted in node order, and repeated runs are
+// identical down to the trace.
 func TestLMAbortedByPckpt(t *testing.T) {
 	cfg := testConfig(16, 10, true)
 	theta := cfg.LM.Theta(10)
-	// Node 0 starts migrating; node 1's short-lead prediction arrives
-	// mid-migration and forces the p-ckpt path, aborting node 0's LM.
-	r := Run(cfg, []Prediction{
-		{Node: 0, At: 0, Lead: theta * 3},
-		{Node: 1, At: theta / 2, Lead: theta * 0.5},
-	})
-	if !r.PckptTriggered {
-		t.Fatal("p-ckpt not triggered")
-	}
-	byNode := map[int]Outcome{}
-	for _, o := range r.Outcomes {
-		byNode[o.Node] = o
-	}
-	if byNode[0].Action != ActionLMAborted {
-		t.Fatalf("node 0 action %v, want lm-aborted", byNode[0].Action)
-	}
-	if byNode[1].Action != ActionPckpt {
-		t.Fatalf("node 1 action %v, want p-ckpt", byNode[1].Action)
-	}
-	// Node 1 has the earlier deadline, so it writes first.
-	if len(r.CommitOrder) != 2 || r.CommitOrder[0] != 1 || r.CommitOrder[1] != 0 {
-		t.Fatalf("commit order %v, want [1 0]", r.CommitOrder)
-	}
-	// The trace records the abort.
-	joined := strings.Join(r.Trace, "\n")
-	if !strings.Contains(joined, "ABORTED") {
-		t.Fatalf("trace missing abort:\n%s", joined)
+	for _, tc := range []struct {
+		name    string
+		preds   []Prediction
+		aborted []int
+		commits []int
+	}{
+		{
+			// Node 0 starts migrating; node 1's short-lead prediction
+			// arrives mid-migration and aborts node 0's LM. Node 1 has
+			// the earlier deadline, so it writes first.
+			name: "one-migration",
+			preds: []Prediction{
+				{Node: 0, At: 0, Lead: theta * 3},
+				{Node: 1, At: theta / 2, Lead: theta * 0.5},
+			},
+			aborted: []int{0},
+			commits: []int{1, 0},
+		},
+		{
+			// Three migrations with equal deadlines are in flight when
+			// node 1's short-lead prediction lands: the tie goes to
+			// ascending node order, not prediction or map order.
+			name: "tied-migrations",
+			preds: []Prediction{
+				{Node: 9, At: 0, Lead: theta * 3},
+				{Node: 2, At: 0, Lead: theta * 3},
+				{Node: 5, At: 0, Lead: theta * 3},
+				{Node: 1, At: theta / 2, Lead: theta * 0.5},
+			},
+			aborted: []int{2, 5, 9},
+			commits: []int{1, 2, 5, 9},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := Run(cfg, tc.preds)
+			if !r.PckptTriggered {
+				t.Fatal("p-ckpt not triggered")
+			}
+			byNode := map[int]Outcome{}
+			for _, o := range r.Outcomes {
+				byNode[o.Node] = o
+			}
+			for _, n := range tc.aborted {
+				if byNode[n].Action != ActionLMAborted {
+					t.Fatalf("node %d action %v, want lm-aborted", n, byNode[n].Action)
+				}
+			}
+			if byNode[1].Action != ActionPckpt {
+				t.Fatalf("node 1 action %v, want p-ckpt", byNode[1].Action)
+			}
+			if !reflect.DeepEqual(r.CommitOrder, tc.commits) {
+				t.Fatalf("commit order %v, want %v", r.CommitOrder, tc.commits)
+			}
+			// The trace records the abort.
+			joined := strings.Join(r.Trace, "\n")
+			if !strings.Contains(joined, "ABORTED") {
+				t.Fatalf("trace missing abort:\n%s", joined)
+			}
+			for i := 0; i < 50; i++ {
+				again := Run(cfg, tc.preds)
+				if !reflect.DeepEqual(again.Trace, r.Trace) ||
+					!reflect.DeepEqual(again.CommitOrder, r.CommitOrder) ||
+					!reflect.DeepEqual(again.Outcomes, r.Outcomes) {
+					t.Fatalf("run %d diverged:\n%s\nvs\n%s", i, strings.Join(again.Trace, "\n"), joined)
+				}
+			}
+		})
 	}
 }
 

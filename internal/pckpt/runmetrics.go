@@ -8,7 +8,7 @@ import (
 
 // RunMetrics is one application run's instrument handles, resolved once
 // at run start. Both application-granularity tiers record through it —
-// the process-engine model (internal/crmodel) and the step engine
+// the process model (internal/crmodel) and the callback port
 // (internal/stepsim) — so the two share one vocabulary and, being
 // bit-identical, give the same snapshot for the same seed. With metering
 // off every handle is nil and every call is a no-op that allocates

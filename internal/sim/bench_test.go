@@ -6,7 +6,7 @@ import (
 )
 
 // BenchmarkWaitHotPath is the engine's single most important number: one
-// process waiting in a tight ladder, i.e. one heap item + two channel
+// process waiting in a tight ladder, i.e. one engine event + two channel
 // handoffs per simulated event. events/sec here bounds every tier's
 // throughput.
 func BenchmarkWaitHotPath(b *testing.B) {

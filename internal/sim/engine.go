@@ -1,29 +1,25 @@
-// Package stepsim is the tier-0 discrete-event engine: a single-goroutine,
-// callback/step-based core decomposed into the three primitives a
-// shared-clock multi-instance loop needs —
+package sim
+
+// The engine core: a single-goroutine, callback/step-based event loop
+// decomposed into the three primitives a shared-clock multi-instance
+// loop needs —
 //
 //	HasPendingEvents / PeekNextEventTime / ProcessNextEvent
 //
-// — over the same stable (time, seq) heap the process-based engine
-// (internal/sim) uses. There are no goroutines and no channels: an event
-// is a callback, dispatching one is a function call, and blocking code is
-// written in continuation-passing style (see app.go for the C/R port).
-//
-// The engine reproduces internal/sim's scheduling semantics exactly:
-// simultaneous events fire in schedule order (heap seq tie-break),
-// cancellation is lazy with threshold compaction, scheduling into the
-// past panics, Run(until) advances the clock to the horizon, and an
-// armed watchdog kills livelocked runs with a diagnostic panic. A
-// consumer that schedules the same closures at the same logical points
-// as a process-based run therefore observes the identical event order —
-// which is what lets the step tier cross-validate bit-identically
-// against internal/crmodel (see stepsim_test.go).
+// — over a stable (time, seq) heap. An event is a callback, dispatching
+// one is a function call, and every simulation in the repo runs on it:
+// the step tier's continuation-passing apps and the machine layer
+// schedule callbacks directly, and the process layer (Env, Proc) turns
+// every process start, wake and interrupt delivery into one engine
+// event. Both programming models therefore share one tie-break
+// (simultaneous events fire in schedule order), one lazy cancellation
+// with threshold compaction, one Run(until) horizon rule, one watchdog
+// and one pool.
 //
 // The decomposition is deliberately the shape inference-sim's
 // ClusterSimulator uses: an external driver can interleave several
 // engines on one shared clock by repeatedly asking each for its next
 // event time and stepping the earliest.
-package stepsim
 
 import (
 	"fmt"
@@ -48,13 +44,13 @@ type event struct {
 	name string
 }
 
-// Timer is a cancellable scheduled event handle (the step-engine
-// equivalent of a parked process's pending wake).
+// Timer is a cancellable scheduled event handle. A parked process's
+// pending wake is one.
 type Timer struct{ ev *event }
 
-// Engine is the step-based simulation core: a virtual clock plus the
-// pending-event heap. Create one with NewEngine, schedule closures, then
-// drive it with ProcessNextEvent (or Run/RunAll).
+// Engine is the simulation core: a virtual clock plus the pending-event
+// heap. Create one with NewEngine, schedule closures, then drive it with
+// ProcessNextEvent (or Run/RunAll).
 type Engine struct {
 	now    float64
 	events queue.PQ[*event]
@@ -62,8 +58,9 @@ type Engine struct {
 	// recycled, so a steady-state run reuses a small working set.
 	free []*event
 	// ncancelled counts cancelled entries still in the heap; when they
-	// dominate, one compaction pass removes them (same thresholds as
-	// internal/sim, and compaction preserves (key, seq) pop order).
+	// dominate, one compaction pass removes them (compaction preserves
+	// (key, seq) pop order), so storms of retracted timeouts cannot grow
+	// the heap without bound.
 	ncancelled int
 	// Watchdog limits (see SetWatchdog); zero disables each check.
 	wdMaxEvents uint64
@@ -74,7 +71,14 @@ type Engine struct {
 }
 
 // WatchdogError is the panic value ProcessNextEvent raises when an armed
-// watchdog limit trips, mirroring sim.WatchdogError.
+// watchdog limit trips: a livelocked run (two processes handing an event
+// back and forth at the same timestamp, a Wait(0) loop, a zero-delay
+// self-rescheduling callback) would otherwise spin the dispatch loop
+// forever with the simulated clock frozen. The error names the event
+// that tripped the limit — in a livelock that is the stuck process or
+// callback — which is the first thing needed to debug it. The panic
+// propagates out of Run like a process panic, so a harness with a
+// per-worker recover reports the stuck run and moves on.
 type WatchdogError struct {
 	// Reason says which limit tripped ("event limit" or "sim-time limit").
 	Reason string
@@ -82,12 +86,13 @@ type WatchdogError struct {
 	Events uint64
 	// Now is the simulated time at the trip.
 	Now float64
-	// Name labels the event that tripped the limit.
+	// Name labels the event that tripped the limit: a process's events
+	// carry its spawn name, an unnamed callback reports "(callback)".
 	Name string
 }
 
 func (w *WatchdogError) Error() string {
-	return fmt.Sprintf("stepsim: watchdog %s exceeded after %d events at t=%gs (next event: %s)",
+	return fmt.Sprintf("sim: watchdog %s exceeded after %d events at t=%gs (next event: %s)",
 		w.Reason, w.Events, w.Now, w.Name)
 }
 
@@ -147,34 +152,20 @@ func (e *Engine) Dispatched() uint64 { return e.dispatched }
 // schedule pushes an event at an absolute time.
 func (e *Engine) schedule(at float64, ev *event) {
 	if at < e.now {
-		panic(fmt.Sprintf("stepsim: scheduling into the past (at=%g, now=%g)", at, e.now))
+		panic(fmt.Sprintf("sim: scheduling into the past (at=%g, now=%g)", at, e.now))
 	}
 	ev.at = at
 	e.events.Push(at, ev)
 }
 
-// At runs fn at the given delay from now. fn executes on the driving
-// goroutine and may schedule further events, but must not block.
-func (e *Engine) At(delay float64, fn func()) {
-	ev := e.newEvent()
-	ev.fn = fn
-	e.schedule(e.now+delay, ev)
-}
-
-// AtNamed is At with a diagnostic name attached to the event, reported
-// by watchdog trips.
-func (e *Engine) AtNamed(delay float64, name string, fn func()) {
-	ev := e.newEvent()
-	ev.fn = fn
-	ev.name = name
-	e.schedule(e.now+delay, ev)
-}
-
-// AfterCancel schedules fn like AtNamed and returns a Timer that Cancel
-// can retract — the engine's interruptible wait: a consumer parks by
-// scheduling its continuation on a timer, and an interrupt cancels the
-// timer and schedules the interrupt path at the current time instead.
-func (e *Engine) AfterCancel(delay float64, name string, fn func()) Timer {
+// After runs fn at the given delay from now and returns a Timer that
+// Cancel can retract; callers that never cancel ignore it. name labels
+// the event for watchdog trips. fn executes on the driving goroutine and
+// may schedule further events, but must not block. The returned Timer is
+// also the engine's interruptible wait: a consumer parks by scheduling
+// its continuation on a timer, and an interrupt cancels the timer and
+// schedules the interrupt path at the current time instead.
+func (e *Engine) After(delay float64, name string, fn func()) Timer {
 	ev := e.newEvent()
 	ev.fn = fn
 	ev.name = name
@@ -289,8 +280,10 @@ func (e *Engine) ProcessNextEvent() bool {
 
 // Run processes events until none remain or the clock would pass until.
 // When events remain beyond the horizon, the clock still advances to
-// until — mirroring sim.Env.Run and SimPy's run(until=...) — so Now()
-// afterwards is the horizon. It returns the final simulation time.
+// until — mirroring SimPy's run(until=...), whose horizon is itself an
+// event — so Now() afterwards is the horizon, and work scheduled
+// relative to it is anchored there. It returns the final simulation
+// time.
 func (e *Engine) Run(until float64) float64 {
 	for {
 		at, ok := e.PeekNextEventTime()

@@ -9,7 +9,7 @@ import (
 // TestInterruptBeatsSimultaneousTrigger pins the tie-breaking rule the
 // C/R models depend on: when an event trigger and an interrupt land on
 // the same blocked process at the same timestamp, the interrupt wins —
-// in either arrival order. Trigger hands each waiter its wake item
+// in either arrival order. Trigger hands each waiter its wake timer
 // precisely so a same-instant Interrupt can cancel it; and an interrupt
 // that arrives first removes the process from the waiter list so the
 // trigger never wakes it. Either way the process must resume exactly
@@ -147,7 +147,7 @@ func TestEnvRelease(t *testing.T) {
 	env := NewEnv()
 	env.At(10, func() {})
 	env.Release()
-	if env.events.Len() != 1 {
+	if env.eng.events.Len() != 1 {
 		t.Fatal("Release with pending events must be a no-op")
 	}
 	env.RunAll()

@@ -26,13 +26,9 @@ func (e *Event) Waiters() int { return len(e.waiters) }
 // empties the waiter list, keeping its capacity for the next round.
 func (e *Event) wakeAll() {
 	for i, p := range e.waiters {
-		wake := e.env.newItem()
-		wake.kind = itemWake
-		wake.proc = p
-		e.env.schedule(e.env.now, wake)
 		// Hand the wake over to the process so a racing Interrupt at the
 		// same timestamp can cancel it and take precedence.
-		p.pendingWake = wake
+		p.pendingWake = e.env.eng.After(0, p.name, p.wakeFn)
 		p.waitingOn = nil
 		e.waiters[i] = nil
 	}

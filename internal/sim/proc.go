@@ -30,15 +30,22 @@ const (
 type Proc struct {
 	env  *Env
 	name string
-	id   uint64
 	fn   func(p *Proc)
+	// wakeFn is the bound wake method, made once at spawn: the engine
+	// callback for the process's start, every wake and every interrupt
+	// delivery.
+	wakeFn func()
 	// resume is borrowed from the carrier slot for the duration of the
 	// run; it is assigned when the process starts.
 	resume chan *Interrupt
 	state  procState
-	// pendingWake is the heap item that will resume this process, when it
-	// is blocked in Wait. Interrupt cancels it.
-	pendingWake *item
+	// pendingWake is the engine timer that will resume this process, when
+	// it is blocked in Wait (or woken by a trigger and not yet resumed).
+	// Interrupt cancels it.
+	pendingWake Timer
+	// interrupt is the delivery the next wake hands the process; nil for
+	// a normal wake.
+	interrupt *Interrupt
 	// waitingOn is the event this process is queued on, when blocked in
 	// WaitEvent. Interrupt removes the process from its waiter list.
 	waitingOn *Event
@@ -53,9 +60,6 @@ type Proc struct {
 
 // Name returns the diagnostic name given at spawn time.
 func (p *Proc) Name() string { return p.name }
-
-// Env returns the environment this process runs in.
-func (p *Proc) Env() *Env { return p.env }
 
 // Alive reports whether the process has not yet finished.
 func (p *Proc) Alive() bool { return p.state != stateDone }
@@ -74,11 +78,28 @@ func (p *Proc) Done() *Event {
 	return p.done
 }
 
-// start hands the process to a carrier slot (dispatch of its itemStart).
-func (p *Proc) start() {
-	s := getSlot()
-	p.resume = s.resume
-	s.start <- p
+// wake is the engine callback behind every process event. It hands the
+// token to the process — starting it on a carrier slot the first time,
+// resuming it with the pending interrupt (if any) afterwards — waits for
+// the token back, and re-raises a process panic on the driver's stack,
+// so it propagates out of Run like a callback's own panic.
+func (p *Proc) wake() {
+	e := p.env
+	e.current = p
+	if p.state == stateCreated {
+		s := getSlot()
+		p.resume = s.resume
+		s.start <- p
+	} else {
+		iv := p.interrupt
+		p.interrupt = nil
+		p.resume <- iv
+	}
+	<-e.sched
+	e.current = nil
+	if e.failed {
+		panic(e.failure)
+	}
 }
 
 // run is the carrier-goroutine body: execute fn, then hand the token back.
@@ -99,15 +120,18 @@ func (p *Proc) run() {
 	p.fn(p)
 }
 
-// park hands the token to the scheduler and blocks until resumed. It
-// returns the interrupt that caused the resume, or nil for a normal wake.
+// park hands the token to the engine's driver and blocks until resumed.
+// It returns the interrupt that caused the resume, or nil for a normal
+// wake. Clearing pendingWake before the process runs any further code is
+// what makes the engine's event recycling safe: the timer's entry has
+// just been dispatched, and no stale handle to it survives.
 func (p *Proc) park() *Interrupt {
 	p.state = stateBlocked
 	p.env.sched <- struct{}{}
 	iv := <-p.resume
 	p.state = stateRunning
 	p.interruptPending = false
-	p.pendingWake = nil
+	p.pendingWake = Timer{}
 	p.waitingOn = nil
 	return iv
 }
@@ -122,11 +146,7 @@ func (p *Proc) Wait(d float64) error {
 	if p.env.current != p {
 		panic("sim: Wait called from outside the process goroutine")
 	}
-	wake := p.env.newItem()
-	wake.kind = itemWake
-	wake.proc = p
-	p.env.schedule(p.env.now+d, wake)
-	p.pendingWake = wake
+	p.pendingWake = p.env.eng.After(d, p.name, p.wakeFn)
 	if iv := p.park(); iv != nil {
 		return iv
 	}
@@ -173,20 +193,14 @@ func (p *Proc) Interrupt(reason any) bool {
 			return true
 		}
 		p.interruptPending = true
-		iv := &Interrupt{Reason: reason}
-		if p.pendingWake != nil {
-			p.env.cancel(p.pendingWake)
-			p.pendingWake = nil
-		}
+		p.interrupt = &Interrupt{Reason: reason}
+		p.env.eng.Cancel(p.pendingWake)
+		p.pendingWake = Timer{}
 		if p.waitingOn != nil {
 			p.waitingOn.removeWaiter(p)
 			p.waitingOn = nil
 		}
-		wake := p.env.newItem()
-		wake.kind = itemWake
-		wake.proc = p
-		wake.interrupt = iv
-		p.env.schedule(p.env.now, wake)
+		p.env.eng.After(0, p.name, p.wakeFn)
 		return true
 	default:
 		panic(fmt.Sprintf("sim: Interrupt on process %q in state %d", p.name, p.state))

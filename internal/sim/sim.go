@@ -1,186 +1,80 @@
-// Package sim is a process-based discrete-event simulation engine with the
-// semantics the paper's SimPy framework relies on: processes that wait for
-// simulated time to pass, broadcast condition events, and asynchronous
-// interruption of a blocked process (used to inject failures into a
-// computing application and to abort an in-flight live migration when a
-// shorter-lead prediction arrives).
+// Package sim is the repository's discrete-event simulation engine: one
+// event core (Engine, engine.go) with two programming models on top.
+// Callbacks schedule directly on the engine — the step tier's
+// continuation-passing apps and the machine layer drive it this way —
+// and the process layer (Env, Proc) provides the semantics the paper's
+// SimPy framework relies on: processes that wait for simulated time to
+// pass, broadcast condition events, and asynchronous interruption of a
+// blocked process (used to inject failures into a computing application
+// and to abort an in-flight live migration when a shorter-lead
+// prediction arrives).
 //
 // Each process runs on its own goroutine, but execution is strictly
-// lock-step: exactly one goroutine — either the scheduler or the single
-// currently-running process — is active at any instant, handing control
-// back and forth over unbuffered channels. Simulation state therefore
-// needs no locking, and runs are deterministic: simultaneous events fire
-// in schedule order (the event heap breaks time ties by sequence number).
+// lock-step: exactly one goroutine — either the engine's driver or the
+// single currently-running process — is active at any instant, handing
+// control back and forth over unbuffered channels. Every process start,
+// wake and interrupt delivery is one engine event whose callback hands
+// the token to the process and waits for it back, so processes and
+// callbacks share one heap and one tie-break: simultaneous events fire
+// in schedule order. Simulation state therefore needs no locking, and
+// runs are deterministic.
 //
 // Time is a float64 in seconds. There is no wall-clock component anywhere;
 // a run is a pure function of its inputs.
 //
-// The engine recycles its hot-path allocations: heap entries come from a
-// per-environment free list, process goroutines and their channels come
-// from a process-global slot pool (see slot.go), and whole environments
-// can be handed back with Release for the next NewEnv to reuse. See
-// DESIGN.md ("Engine performance") for the safety arguments.
+// The engine recycles its hot-path allocations: heap entries come from
+// the engine's free list, engines are pooled across runs, and process
+// goroutines and their channels come from a process-global slot pool
+// (see slot.go). See DESIGN.md ("Engine performance") for the safety
+// arguments.
 package sim
 
-import (
-	"fmt"
-	"sync"
-
-	"pckpt/internal/queue"
-)
-
-// Env is a simulation environment: a virtual clock plus the pending-event
-// heap. Create one with NewEnv, spawn processes, then call Run.
+// Env is a process environment: the process layer over one Engine.
+// Create one with NewEnv, spawn processes, then call Run.
 type Env struct {
-	now     float64
-	events  queue.PQ[*item]
+	eng     *Engine
 	current *Proc
 	// sched is the handshake channel processes use to hand control back
-	// to the scheduler after parking or terminating.
+	// to the engine's driver after parking or terminating.
 	sched chan struct{}
 	// failure carries a panic value out of a process goroutine so the
-	// scheduler can re-panic with it on the caller's stack.
-	failure  any
-	failed   bool
-	nprocs   int
-	nstarted uint64
-	// free is the item free list: every entry popped from the heap is
-	// recycled here instead of left to the GC, so a steady-state run
-	// reuses a small working set of items no matter how many events fire.
-	free []*item
-	// ncancelled counts cancelled entries still sitting in the heap.
-	// Cancellation is lazy (O(1)); when dead entries dominate, the heap is
-	// compacted in one pass so storms of retracted timeouts cannot grow
-	// the heap without bound.
-	ncancelled int
-	// Watchdog limits (see SetWatchdog): wdMaxEvents / wdMaxSim of zero
-	// disable the respective check; wdEvents counts dispatched events
-	// since the watchdog was armed.
-	wdMaxEvents uint64
-	wdMaxSim    float64
-	wdEvents    uint64
+	// wake callback can re-panic with it on the caller's stack.
+	failure any
+	failed  bool
+	nprocs  int
 }
 
-type itemKind uint8
-
-const (
-	itemStart itemKind = iota // start a freshly spawned process
-	itemWake                  // resume a parked process
-	itemCall                  // run a callback while holding the token
-)
-
-// item is one heap entry. Cancelled items stay in the heap and are skipped
-// when popped; this makes timeout cancellation O(1).
-type item struct {
-	kind      itemKind
-	at        float64 // absolute fire time, mirrored from the heap key
-	proc      *Proc
-	fn        func()
-	cancelled bool
-	interrupt *Interrupt // non-nil when the wake is an interrupt delivery
-}
-
-// envPool recycles released environments — principally their event-heap
-// backing array and item free list — across runs of a sweep.
-var envPool = sync.Pool{New: func() any { return new(Env) }}
-
-// NewEnv returns an empty environment with the clock at zero. It may reuse
-// the buffers of a previously Released environment.
+// NewEnv returns an empty environment with the clock at zero. Its engine
+// may reuse the buffers of a previously released one.
 func NewEnv() *Env {
-	e := envPool.Get().(*Env)
-	if e.sched == nil {
-		e.sched = make(chan struct{})
-	}
-	return e
+	return &Env{eng: NewEngine(), sched: make(chan struct{})}
 }
 
-// Release hands the environment back for reuse by a later NewEnv. Call it
-// only when the run is over: if processes are still live, events are still
-// pending, or a process panicked, Release is a no-op and the environment
-// is simply dropped — a poisoned or half-run environment never re-enters
-// circulation. Using an environment after releasing it is a bug.
+// Release hands the environment's engine back for reuse. Call it only
+// when the run is over: if processes are still live or a process
+// panicked, Release is a no-op and the engine is simply dropped — a
+// poisoned or half-run engine never re-enters circulation (and
+// Engine.Release itself refuses while events are pending). Using an
+// environment after releasing it is a bug.
 func (e *Env) Release() {
-	if e.nprocs != 0 || e.events.Len() != 0 || e.failed || e.current != nil {
+	if e.nprocs != 0 || e.failed || e.current != nil {
 		return
 	}
-	e.now = 0
-	e.nstarted = 0
-	e.ncancelled = 0
-	e.failure = nil
-	e.wdMaxEvents = 0
-	e.wdMaxSim = 0
-	e.wdEvents = 0
-	envPool.Put(e)
-}
-
-// newItem takes an entry off the free list, or allocates one.
-func (e *Env) newItem() *item {
-	if n := len(e.free); n > 0 {
-		it := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return it
-	}
-	return &item{}
-}
-
-// freeItem zeroes an entry and returns it to the free list. The caller
-// must guarantee no reference to it survives (see DESIGN.md for why the
-// engine's reference discipline makes every call site safe).
-func (e *Env) freeItem(it *item) {
-	*it = item{}
-	e.free = append(e.free, it)
+	e.eng.Release()
 }
 
 // Now returns the current simulation time in seconds.
-func (e *Env) Now() float64 { return e.now }
+func (e *Env) Now() float64 { return e.eng.Now() }
 
 // ProcCount returns the number of live (spawned, not yet finished)
 // processes. Useful for leak assertions in tests.
 func (e *Env) ProcCount() int { return e.nprocs }
 
-// schedule pushes an item at the given absolute time.
-func (e *Env) schedule(at float64, it *item) *item {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling into the past (at=%g, now=%g)", at, e.now))
-	}
-	it.at = at
-	e.events.Push(at, it)
-	return it
-}
-
-// cancel lazily invalidates a scheduled entry, compacting the heap when
-// dead entries reach both an absolute floor and half the heap.
-func (e *Env) cancel(it *item) {
-	it.cancelled = true
-	e.ncancelled++
-	if e.ncancelled >= 64 && e.ncancelled*2 >= e.events.Len() {
-		e.compact()
-	}
-}
-
-// compact removes every cancelled entry in one pass. Pop order is a pure
-// function of each entry's (key, seq) pair, which compaction preserves, so
-// the schedule the survivors fire in is unchanged.
-func (e *Env) compact() {
-	e.events.RemoveFunc(func(it *item) bool {
-		if it.cancelled {
-			e.freeItem(it)
-			return true
-		}
-		return false
-	})
-	e.ncancelled = 0
-}
-
 // At runs fn at the given delay from now. fn executes while holding the
 // scheduler token, so it may inspect and mutate simulation state and may
 // spawn processes or trigger events, but must not block.
 func (e *Env) At(delay float64, fn func()) {
-	it := e.newItem()
-	it.kind = itemCall
-	it.fn = fn
-	e.schedule(e.now+delay, it)
+	e.eng.After(delay, "", fn)
 }
 
 // Spawn creates a process executing fn and schedules it to start at the
@@ -191,93 +85,27 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnAt creates a process that starts after the given delay.
 func (e *Env) SpawnAt(delay float64, name string, fn func(p *Proc)) *Proc {
-	e.nstarted++
-	p := &Proc{
-		env:  e,
-		name: name,
-		id:   e.nstarted,
-		fn:   fn,
-	}
+	p := &Proc{env: e, name: name, fn: fn}
+	p.wakeFn = p.wake
 	e.nprocs++
-	it := e.newItem()
-	it.kind = itemStart
-	it.proc = p
-	e.schedule(e.now+delay, it)
+	e.eng.After(delay, name, p.wakeFn)
 	return p
 }
 
-// Run processes events until the heap is empty or the clock would pass
-// until (use RunAll for no horizon). When events remain beyond the
-// horizon, the clock still advances to until — mirroring SimPy's
-// run(until=...), whose horizon is itself an event — so Now() afterwards
-// is the horizon, not the last event processed before it. It returns the
-// final simulation time. A panic inside any process is re-raised here.
-func (e *Env) Run(until float64) float64 {
-	for e.events.Len() > 0 {
-		at, it, _ := e.events.Peek()
-		if at > until {
-			e.now = until
-			return e.now
-		}
-		e.events.Pop()
-		if it.cancelled {
-			e.ncancelled--
-			e.freeItem(it)
-			continue
-		}
-		e.now = at
-		e.watch(it)
-		e.dispatch(it)
-		if e.failed {
-			panic(e.failure)
-		}
-	}
-	return e.now
-}
+// Run processes events until none remain or the clock would pass until
+// (use RunAll for no horizon); the engine's horizon rule applies, so
+// Now() afterwards is the horizon when events remain beyond it. It
+// returns the final simulation time. A panic inside any process is
+// re-raised here.
+func (e *Env) Run(until float64) float64 { return e.eng.Run(until) }
 
 // RunAll processes events until none remain.
-func (e *Env) RunAll() float64 {
-	for e.events.Len() > 0 {
-		_, it := e.events.Pop()
-		if it.cancelled {
-			e.ncancelled--
-			e.freeItem(it)
-			continue
-		}
-		e.now = it.at
-		e.watch(it)
-		e.dispatch(it)
-		if e.failed {
-			panic(e.failure)
-		}
-	}
-	return e.now
-}
+func (e *Env) RunAll() float64 { return e.eng.RunAll() }
 
-// dispatch fires one live entry. The entry is recycled up front — after
-// copying its payload — which is safe because no reference to a dispatched
-// item survives: a wake being delivered is the only item a process can
-// still point to (pendingWake), and park clears that pointer before the
-// process runs any further code.
-func (e *Env) dispatch(it *item) {
-	kind, proc, fn, iv := it.kind, it.proc, it.fn, it.interrupt
-	e.freeItem(it)
-	switch kind {
-	case itemCall:
-		fn()
-	case itemStart:
-		e.current = proc
-		proc.start()
-		<-e.sched
-		e.current = nil
-	case itemWake:
-		e.current = proc
-		proc.resume <- iv
-		<-e.sched
-		e.current = nil
-	}
+// SetWatchdog arms (or, with two zeros, disarms) the engine's watchdog
+// (see Engine.SetWatchdog): Run/RunAll panic with a *WatchdogError
+// naming the stuck process. Release resets both limits, so a pooled
+// engine never inherits a previous run's watchdog.
+func (e *Env) SetWatchdog(maxEvents uint64, maxSimSeconds float64) {
+	e.eng.SetWatchdog(maxEvents, maxSimSeconds)
 }
-
-// Current returns the process currently holding the execution token, or
-// nil when the scheduler itself (an At callback) is running.
-func (e *Env) Current() *Proc { return e.current }

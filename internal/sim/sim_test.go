@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -486,17 +485,48 @@ func TestManyProcessesQuick(t *testing.T) {
 }
 
 // TestWakeOrderMatchesScheduleOrder verifies the documented tie-breaking:
-// events at identical times fire in the order they were scheduled.
+// events at identical times fire in the order they were scheduled, across
+// both programming models. Process wakes, Env.At callbacks and callbacks
+// scheduled directly on the env's engine all land at t=5, scheduled from
+// t=0, 1 and 2 in a mixed order; they share one heap and one sequence
+// counter, so they fire exactly in schedule order.
 func TestWakeOrderMatchesScheduleOrder(t *testing.T) {
 	env := NewEnv()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		env.At(5, func() { order = append(order, i) })
+	var scheduled, fired []string
+	at := func(label string) {
+		scheduled = append(scheduled, label)
+		env.At(5-env.Now(), func() { fired = append(fired, label) })
 	}
-	env.RunAll()
-	if !sort.IntsAreSorted(order) {
-		t.Fatalf("tie-broken order %v is not schedule order", order)
+	direct := func(label string) {
+		scheduled = append(scheduled, label)
+		env.eng.After(5-env.Now(), "", func() { fired = append(fired, label) })
+	}
+	for i := 0; i < 4; i++ {
+		at(fmt.Sprintf("at%d", i))
+		direct(fmt.Sprintf("eng%d", i))
+	}
+	for i := 0; i < 9; i++ {
+		i := i
+		env.SpawnAt(float64(i%3), fmt.Sprintf("p%d", i), func(p *Proc) {
+			if i%2 == 0 {
+				at(fmt.Sprintf("p%d-at", i))
+				direct(fmt.Sprintf("p%d-eng", i))
+			} else {
+				direct(fmt.Sprintf("p%d-eng", i))
+				at(fmt.Sprintf("p%d-at", i))
+			}
+			scheduled = append(scheduled, p.Name())
+			if err := p.Wait(5 - env.Now()); err != nil {
+				t.Errorf("%s interrupted: %v", p.Name(), err)
+			}
+			fired = append(fired, p.Name())
+		})
+	}
+	if end := env.RunAll(); end != 5 {
+		t.Fatalf("RunAll ended at %g, want 5", end)
+	}
+	if got, want := strings.Join(fired, " "), strings.Join(scheduled, " "); got != want {
+		t.Fatalf("tie-broken order\n%s\nis not schedule order\n%s", got, want)
 	}
 }
 

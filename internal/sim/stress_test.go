@@ -62,48 +62,6 @@ func TestInterruptStormQuick(t *testing.T) {
 	}
 }
 
-// TestBarrierUnderInterrupts runs BSP rounds while an injector randomly
-// interrupts parties; interrupted parties retry the barrier, and every
-// round must still complete with all parties.
-func TestBarrierUnderInterrupts(t *testing.T) {
-	env := NewEnv()
-	const parties, rounds = 4, 25
-	b := NewBarrier(env, parties)
-	completions := make([]int, parties)
-	var procs []*Proc
-	for i := 0; i < parties; i++ {
-		i := i
-		procs = append(procs, env.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			for r := 0; r < rounds; r++ {
-				p.Wait(float64(i) + 1)
-				for b.Await(p) != nil {
-					// Interrupted while waiting: retry (we still owe the
-					// round).
-				}
-				completions[i]++
-			}
-		}))
-	}
-	env.Spawn("injector", func(p *Proc) {
-		for k := 0; k < 60; k++ {
-			p.Wait(1.7)
-			target := procs[k%parties]
-			if target.Alive() {
-				target.Interrupt("poke")
-			}
-		}
-	})
-	env.RunAll()
-	for i, c := range completions {
-		if c != rounds {
-			t.Fatalf("party %d completed %d rounds, want %d", i, c, rounds)
-		}
-	}
-	if b.Generation() != rounds {
-		t.Fatalf("barrier generation %d, want %d", b.Generation(), rounds)
-	}
-}
-
 // TestResourceUnderChurnConservesUnits randomly acquires/releases with
 // interrupts and verifies unit conservation at every step.
 func TestResourceUnderChurnConservesUnits(t *testing.T) {

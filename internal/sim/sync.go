@@ -2,75 +2,6 @@ package sim
 
 import "fmt"
 
-// Barrier is a reusable n-party synchronization barrier: the bulk-
-// synchronous coordination point of a node-granular application
-// simulation (all ranks meet between compute and checkpoint phases).
-// The last arriving process releases the others; the barrier then resets
-// for the next round automatically.
-type Barrier struct {
-	env     *Env
-	parties int
-	waiting int
-	round   *Event
-	// generation counts completed rounds, for diagnostics and tests.
-	generation int
-}
-
-// NewBarrier creates a barrier for the given number of parties.
-func NewBarrier(env *Env, parties int) *Barrier {
-	if parties <= 0 {
-		panic("sim: barrier with non-positive party count")
-	}
-	return &Barrier{env: env, parties: parties, round: NewEvent(env)}
-}
-
-// Parties returns the configured party count.
-func (b *Barrier) Parties() int { return b.parties }
-
-// Generation returns the number of completed rounds.
-func (b *Barrier) Generation() int { return b.generation }
-
-// Waiting returns how many parties are currently blocked at the barrier.
-func (b *Barrier) Waiting() int { return b.waiting }
-
-// Await blocks until all parties have arrived. It returns nil when the
-// barrier trips, or the *Interrupt if the caller was interrupted while
-// waiting (the caller is then no longer counted as arrived).
-func (b *Barrier) Await(p *Proc) error {
-	b.waiting++
-	if b.waiting == b.parties {
-		b.waiting = 0
-		b.generation++
-		ev := b.round
-		b.round = NewEvent(b.env)
-		ev.Trigger()
-		return nil
-	}
-	ev := b.round
-	if err := p.WaitEvent(ev); err != nil {
-		b.waiting--
-		return err
-	}
-	return nil
-}
-
-// Resize changes the party count (a node died and was dropped from the
-// job, or a replacement joined). If the new count is already satisfied by
-// the currently waiting parties, the barrier trips immediately.
-func (b *Barrier) Resize(parties int) {
-	if parties <= 0 {
-		panic("sim: barrier resize to non-positive party count")
-	}
-	b.parties = parties
-	if b.waiting >= b.parties {
-		b.waiting = 0
-		b.generation++
-		ev := b.round
-		b.round = NewEvent(b.env)
-		ev.Trigger()
-	}
-}
-
 // Resource is a counting semaphore with FIFO (or priority) granting — the
 // PFS-lane token of the node-level p-ckpt protocol. Acquire with a
 // priority key; lower keys are served first, ties in request order.

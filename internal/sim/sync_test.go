@@ -5,120 +5,6 @@ import (
 	"testing"
 )
 
-func TestBarrierTripsTogether(t *testing.T) {
-	env := NewEnv()
-	b := NewBarrier(env, 3)
-	var released []float64
-	for i := 0; i < 3; i++ {
-		delay := float64(i + 1)
-		env.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			p.Wait(delay)
-			if err := b.Await(p); err != nil {
-				t.Errorf("Await: %v", err)
-			}
-			released = append(released, env.Now())
-		})
-	}
-	env.RunAll()
-	if len(released) != 3 {
-		t.Fatalf("%d parties released", len(released))
-	}
-	for _, at := range released {
-		if at != 3 {
-			t.Fatalf("release at %g, want 3 (last arrival)", at)
-		}
-	}
-	if b.Generation() != 1 || b.Waiting() != 0 {
-		t.Fatalf("barrier state gen=%d waiting=%d", b.Generation(), b.Waiting())
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	env := NewEnv()
-	b := NewBarrier(env, 2)
-	rounds := 0
-	for i := 0; i < 2; i++ {
-		env.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			for r := 0; r < 5; r++ {
-				p.Wait(1)
-				if err := b.Await(p); err != nil {
-					t.Errorf("round %d: %v", r, err)
-				}
-			}
-			rounds++
-		})
-	}
-	env.RunAll()
-	if rounds != 2 || b.Generation() != 5 {
-		t.Fatalf("rounds=%d generation=%d", rounds, b.Generation())
-	}
-}
-
-func TestBarrierInterruptWithdraws(t *testing.T) {
-	env := NewEnv()
-	b := NewBarrier(env, 2)
-	var interrupted bool
-	victim := env.Spawn("victim", func(p *Proc) {
-		if err := b.Await(p); err != nil {
-			interrupted = true
-		}
-	})
-	env.Spawn("injector", func(p *Proc) {
-		p.Wait(1)
-		victim.Interrupt("die")
-		p.Wait(0) // let the interrupt deliver and the victim withdraw
-		if b.Waiting() != 0 {
-			t.Errorf("barrier still counts the interrupted party: %d", b.Waiting())
-		}
-		// A fresh pair must still trip the barrier.
-		env.Spawn("a", func(a *Proc) { b.Await(a) })
-		env.Spawn("c", func(c *Proc) { c.Wait(1); b.Await(c) })
-	})
-	env.RunAll()
-	if !interrupted {
-		t.Fatal("victim not interrupted")
-	}
-	if b.Generation() != 1 {
-		t.Fatalf("barrier generation %d, want 1", b.Generation())
-	}
-}
-
-func TestBarrierResizeTripsWaiters(t *testing.T) {
-	env := NewEnv()
-	b := NewBarrier(env, 3)
-	done := 0
-	for i := 0; i < 2; i++ {
-		env.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			if err := b.Await(p); err != nil {
-				t.Errorf("Await: %v", err)
-			}
-			done++
-		})
-	}
-	env.At(5, func() { b.Resize(2) }) // a node died: only 2 parties remain
-	env.RunAll()
-	if done != 2 {
-		t.Fatalf("%d parties released after resize, want 2", done)
-	}
-}
-
-func TestBarrierPanics(t *testing.T) {
-	env := NewEnv()
-	for i, fn := range []func(){
-		func() { NewBarrier(env, 0) },
-		func() { NewBarrier(env, 2).Resize(0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: no panic", i)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestResourceCapacity(t *testing.T) {
 	env := NewEnv()
 	r := NewResource(env, 2)

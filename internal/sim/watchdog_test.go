@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -45,8 +44,10 @@ func TestWatchdogEventLimitCatchesLivelock(t *testing.T) {
 	if wd.Events <= 10000 {
 		t.Errorf("Events = %d, want > 10000", wd.Events)
 	}
-	if !strings.Contains(wd.Proc, "livelocked") {
-		t.Errorf("diagnostic %q does not name the stuck process", wd.Error())
+	// The diagnostic contract: the trip names the stuck process by its
+	// spawn name, exactly.
+	if wd.Name != "livelocked" {
+		t.Errorf("Name = %q (%s), want the stuck process %q", wd.Name, wd.Error(), "livelocked")
 	}
 }
 

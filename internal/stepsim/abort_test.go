@@ -5,6 +5,7 @@ import (
 
 	"pckpt/internal/machine"
 	"pckpt/internal/policy"
+	"pckpt/internal/sim"
 	"pckpt/internal/stats"
 	"pckpt/internal/stepsim"
 	"pckpt/internal/trace"
@@ -22,13 +23,13 @@ func TestAppAbortTruncatesMidFlight(t *testing.T) {
 				for seed := uint64(1); seed <= 3; seed++ {
 					solo := stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, seed)
 					cut := solo.WallSeconds / 2
-					eng := stepsim.NewEngine()
+					eng := sim.NewEngine()
 					h := stepsim.StartApp(eng, stepsim.Config{Model: id, Config: plat}, seed, stepsim.AppOptions{})
 					var partial = struct {
 						res  bool
 						wall float64
 					}{}
-					eng.At(cut, func() {
+					eng.After(cut, "", func() {
 						r := h.Abort()
 						partial.res = r.Truncated
 						partial.wall = r.WallSeconds
@@ -63,7 +64,7 @@ func TestAppAbortAfterCompletionIsNoop(t *testing.T) {
 	plat := testPlatforms()["clean"]
 	for _, id := range stepModels {
 		solo := stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, 2)
-		eng := stepsim.NewEngine()
+		eng := sim.NewEngine()
 		h := stepsim.StartApp(eng, stepsim.Config{Model: id, Config: plat}, 2, stepsim.AppOptions{})
 		eng.RunAll()
 		got := h.Abort()
@@ -87,14 +88,14 @@ func TestAppAbortAfterCompletionIsNoop(t *testing.T) {
 func TestAppAbortMidRecoveryOnMachine(t *testing.T) {
 	cfg := stepsim.Config{Model: policy.P2, Config: stepsim.NestedPlatform()}
 	run := func(seed uint64, cut float64, tr trace.Recorder) (victim, other *stepsim.AppHandle, aborted stats.RunResult) {
-		eng := stepsim.NewEngine()
+		eng := sim.NewEngine()
 		arb := machine.NewBandwidthArbiter(eng, 2500, 4, 2)
 		traced := cfg
 		traced.Trace = tr
 		victim = stepsim.StartApp(eng, traced, seed, stepsim.AppOptions{Arbiter: arb, AppIndex: 0})
 		other = stepsim.StartApp(eng, cfg, seed+100, stepsim.AppOptions{Arbiter: arb, AppIndex: 1})
 		if cut > 0 {
-			eng.At(cut, func() { aborted = victim.Abort() })
+			eng.After(cut, "", func() { aborted = victim.Abort() })
 		}
 		eng.RunAll()
 		eng.Release()

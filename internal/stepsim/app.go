@@ -1,3 +1,18 @@
+// Package stepsim is the step tier: the five C/R models (B, M1, M2, P1,
+// P2) written in continuation-passing style as callbacks on sim.Engine,
+// plus the Arbiter contract a multi-tenant machine implements to share
+// the PFS between apps. There are no goroutines and no channels: every
+// blocking call site of the process-based reference (internal/crmodel)
+// appears here as a wait with an explicit continuation, scheduled at the
+// same logical point in the same statement order. Because both run on
+// the same engine core — one heap, one (time, seq) tie-break — a step
+// run observes the identical event order, which is what lets the step
+// tier cross-validate bit-identically against crmodel (see
+// stepsim_test.go).
+//
+// Simulate runs one app on a dedicated engine; StartApp starts one on a
+// caller-driven, possibly shared engine (internal/machine interleaves
+// several apps on one clock this way).
 package stepsim
 
 import (
@@ -14,6 +29,7 @@ import (
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
 	"pckpt/internal/rng"
+	"pckpt/internal/sim"
 	"pckpt/internal/stats"
 	"pckpt/internal/trace"
 )
@@ -68,7 +84,7 @@ const maxRunEvents = 100_000_000
 
 // appSim is the state of one step-tier run. It mirrors crmodel.appSim
 // field for field, but the application "process" is a continuation chain
-// on the step engine instead of a goroutine: every blocking call site of
+// of engine callbacks instead of a goroutine: every blocking call site of
 // the process-based tier appears here as a wait with an explicit
 // continuation, scheduled at the same logical point in the same
 // statement order — which is what makes a run bit-identical to the app
@@ -76,7 +92,7 @@ const maxRunEvents = 100_000_000
 type appSim struct {
 	cfg    Config
 	pol    policy.Policy
-	eng    *Engine
+	eng    *sim.Engine
 	stream failure.EventSource
 	est    *failure.RateEstimator
 	cl     *cluster.Cluster
@@ -133,7 +149,7 @@ type appSim struct {
 	// interruptPending drops double interrupt deliveries exactly like
 	// sim.Proc (the first reason wins).
 	appDone          bool
-	blocked          Timer
+	blocked          sim.Timer
 	blockedCont      func(interrupted bool)
 	interruptPending bool
 
@@ -182,7 +198,7 @@ func (a *appSim) syncClock() { a.clockTo(a.eng.Now() - a.t0) }
 // lose last-ulp bits and let locally tied deadlines split). The
 // engine-time conversion is one t0 addition. The deadline travels in the
 // event, so a prebound fn schedules without allocating.
-func (a *appSim) sched(delay float64, name string, fn func(local float64)) Timer {
+func (a *appSim) sched(delay float64, name string, fn func(local float64)) sim.Timer {
 	if delay == 0 {
 		// An immediate event joins the current timestamp batch; the t0
 		// round-trip could land an ulp past it. The local clock is already
@@ -211,7 +227,7 @@ func (a *appSim) trace(kind trace.Kind, node int, detail string) {
 // (cfg, seed), and bit-identical to crmodel.Simulate for the supported
 // models on the same configuration and seed.
 func Simulate(cfg Config, seed uint64) stats.RunResult {
-	eng := NewEngine()
+	eng := sim.NewEngine()
 	eng.SetWatchdog(maxRunEvents, 0)
 	a := startApp(eng, cfg, seed, AppOptions{})
 	eng.RunAll()
@@ -275,7 +291,7 @@ func (h *AppHandle) Abort() stats.RunResult {
 	}
 	a.syncClock()
 	a.eng.Cancel(a.blocked)
-	a.blocked = Timer{}
+	a.blocked = sim.Timer{}
 	a.blockedCont = nil
 	a.interruptPending = false
 	for _, id := range a.blockFlows {
@@ -306,13 +322,13 @@ func (h *AppHandle) Release() { h.a.releaseCluster() }
 // substreams, and accounting — an app admitted at t on a shared engine
 // with no arbiter computes bit-identically to a solo Simulate run. The
 // app's node table comes from a pool; Release returns it.
-func StartApp(eng *Engine, cfg Config, seed uint64, opts AppOptions) *AppHandle {
+func StartApp(eng *sim.Engine, cfg Config, seed uint64, opts AppOptions) *AppHandle {
 	return &AppHandle{a: startApp(eng, cfg, seed, opts)}
 }
 
 // startApp is StartApp without the handle, on a pooled node table reset
 // to the application's node count.
-func startApp(eng *Engine, cfg Config, seed uint64, opts AppOptions) *appSim {
+func startApp(eng *sim.Engine, cfg Config, seed uint64, opts AppOptions) *appSim {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -376,7 +392,7 @@ func (a *appSim) wake(local float64) {
 func (a *appSim) resume() func(bool) {
 	cont := a.blockedCont
 	a.blockedCont = nil
-	a.blocked = Timer{}
+	a.blocked = sim.Timer{}
 	a.interruptPending = false
 	return cont
 }
@@ -394,7 +410,7 @@ func (a *appSim) interrupt() {
 	}
 	a.interruptPending = true
 	a.eng.Cancel(a.blocked)
-	a.blocked = Timer{}
+	a.blocked = sim.Timer{}
 	a.sched(0, "app", a.interruptFn)
 }
 

@@ -7,27 +7,28 @@ import (
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
 	"pckpt/internal/queue"
+	"pckpt/internal/sim"
 	"pckpt/internal/stepsim"
 	"pckpt/internal/workload"
 )
 
 // BenchmarkStepHotPath is the step-tier counterpart of
 // sim.BenchmarkWaitHotPath: one consumer repeatedly sleeping on the
-// clock. In the process engine each wait is a park/unpark pair across a
+// clock. In the process layer each wait is a park/unpark pair across a
 // goroutine boundary; here it is a heap push and a function call. The
 // events/sec ratio between the two benches is the tier-0 headroom claim
 // benchfmt tracks.
 func BenchmarkStepHotPath(b *testing.B) {
-	e := stepsim.NewEngine()
+	e := sim.NewEngine()
 	n := 0
 	var tick func()
 	tick = func() {
 		n++
 		if n < b.N {
-			e.At(1, tick)
+			e.After(1, "", tick)
 		}
 	}
-	e.At(1, tick)
+	e.After(1, "", tick)
 	b.ResetTimer()
 	e.RunAll()
 	b.StopTimer()
@@ -43,20 +44,20 @@ func BenchmarkStepHotPath(b *testing.B) {
 // cancel it, run the interrupt path at the current time. The process
 // engine's equivalent is BenchmarkInterruptHeavy.
 func BenchmarkStepInterrupt(b *testing.B) {
-	e := stepsim.NewEngine()
+	e := sim.NewEngine()
 	n := 0
 	var park func()
 	park = func() {
-		wake := e.AfterCancel(1e9, "sleeper", func() { b.Fatal("long wake fired") })
-		e.AtNamed(1, "interrupter", func() {
+		wake := e.After(1e9, "sleeper", func() { b.Fatal("long wake fired") })
+		e.After(1, "interrupter", func() {
 			e.Cancel(wake)
 			n++
 			if n < b.N {
-				e.AtNamed(0, "sleeper", park)
+				e.After(0, "sleeper", park)
 			}
 		})
 	}
-	e.AtNamed(0, "sleeper", park)
+	e.After(0, "sleeper", park)
 	b.ResetTimer()
 	e.RunAll()
 	b.StopTimer()
@@ -71,9 +72,9 @@ func BenchmarkStepInterrupt(b *testing.B) {
 // the per-run overhead a sweep pays on top of the event loop.
 func BenchmarkStepEngineLifecycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := stepsim.NewEngine()
+		e := sim.NewEngine()
 		for j := 0; j < 16; j++ {
-			e.At(float64(j), func() {})
+			e.After(float64(j), "", func() {})
 		}
 		e.RunAll()
 		e.Release()
@@ -95,7 +96,7 @@ func BenchmarkStepEpisodeDrain(b *testing.B) {
 	commits := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := stepsim.NewEngine()
+		e := sim.NewEngine()
 		var q queue.PQ[int]
 		busy := false
 		var grant func()
@@ -107,12 +108,12 @@ func BenchmarkStepEpisodeDrain(b *testing.B) {
 			busy = true
 			q.Pop()
 			commits++
-			e.At(w, grant)
+			e.After(w, "", grant)
 		}
 		for j := 0; j < k; j++ {
 			node := 1 + j*3
 			deadline := float64((j*7)%k + 2)
-			e.At(0.5*w*float64(j), func() {
+			e.After(0.5*w*float64(j), "", func() {
 				q.Push(deadline, node)
 				if !busy {
 					grant()

@@ -1,20 +1,27 @@
 package stepsim
 
+// The callback contract of sim.Engine that the continuation-passing port
+// (app.go) and the machine layer's shared-clock driver are written
+// against: tie-break order, the step primitives, cancellation and
+// compaction, the horizon rule, the watchdog and the engine pool.
+
 import (
 	"math"
 	"testing"
+
+	"pckpt/internal/sim"
 )
 
 // TestTieBreakFIFO pins the determinism contract: simultaneous events
-// fire in schedule order, exactly like the process-based engine's heap.
+// fire in schedule order — the tie-break processes share too.
 func TestTieBreakFIFO(t *testing.T) {
-	e := NewEngine()
+	e := sim.NewEngine()
 	var got []int
 	for i := 0; i < 8; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		e.After(5, "", func() { got = append(got, i) })
 	}
-	e.At(1, func() { got = append(got, -1) })
+	e.After(1, "", func() { got = append(got, -1) })
 	e.RunAll()
 	want := []int{-1, 0, 1, 2, 3, 4, 5, 6, 7}
 	if len(got) != len(want) {
@@ -33,7 +40,7 @@ func TestTieBreakFIFO(t *testing.T) {
 // TestPrimitives exercises the HasPendingEvents / PeekNextEventTime /
 // ProcessNextEvent decomposition an external shared-clock driver uses.
 func TestPrimitives(t *testing.T) {
-	e := NewEngine()
+	e := sim.NewEngine()
 	if e.HasPendingEvents() {
 		t.Fatal("fresh engine reports pending events")
 	}
@@ -45,8 +52,8 @@ func TestPrimitives(t *testing.T) {
 	}
 
 	fired := 0
-	e.At(2, func() { fired++ })
-	e.At(7, func() { fired++ })
+	e.After(2, "", func() { fired++ })
+	e.After(7, "", func() { fired++ })
 	if !e.HasPendingEvents() {
 		t.Fatal("no pending events after scheduling")
 	}
@@ -76,10 +83,10 @@ func TestPrimitives(t *testing.T) {
 // TestCancelledHeadSkipped: the primitives must report the next LIVE
 // event — a cancelled timer at the heap head is invisible to Peek.
 func TestCancelledHeadSkipped(t *testing.T) {
-	e := NewEngine()
+	e := sim.NewEngine()
 	fired := ""
-	tm := e.AfterCancel(1, "victim", func() { fired += "victim" })
-	e.At(3, func() { fired += "live" })
+	tm := e.After(1, "victim", func() { fired += "victim" })
+	e.After(3, "", func() { fired += "live" })
 	e.Cancel(tm)
 	if at, ok := e.PeekNextEventTime(); !ok || at != 3 {
 		t.Fatalf("PeekNextEventTime = (%g, %t), want (3, true) past cancelled head", at, ok)
@@ -89,7 +96,7 @@ func TestCancelledHeadSkipped(t *testing.T) {
 		t.Fatalf("fired = %q, want only the live event", fired)
 	}
 	// Cancel of the zero Timer and double cancel are no-ops.
-	e.Cancel(Timer{})
+	e.Cancel(sim.Timer{})
 	e.Cancel(tm)
 }
 
@@ -98,15 +105,15 @@ func TestCancelledHeadSkipped(t *testing.T) {
 // current time, and the interrupt fires before later same-time events
 // scheduled after it but after earlier ones — pure (time, seq) order.
 func TestInterruptReschedulePattern(t *testing.T) {
-	e := NewEngine()
+	e := sim.NewEngine()
 	var order []string
-	wake := e.AfterCancel(100, "app", func() { order = append(order, "wake") })
-	e.At(5, func() {
+	wake := e.After(100, "app", func() { order = append(order, "wake") })
+	e.After(5, "", func() {
 		order = append(order, "injector")
 		e.Cancel(wake)
-		e.AtNamed(0, "app", func() { order = append(order, "interrupt") })
+		e.After(0, "app", func() { order = append(order, "interrupt") })
 	})
-	e.At(5, func() { order = append(order, "later") })
+	e.After(5, "", func() { order = append(order, "later") })
 	e.RunAll()
 	want := []string{"injector", "later", "interrupt"}
 	if len(order) != len(want) {
@@ -120,12 +127,12 @@ func TestInterruptReschedulePattern(t *testing.T) {
 }
 
 // TestRunHorizon: Run(until) advances the clock to the horizon when
-// events remain beyond it, mirroring sim.Env.Run.
+// events remain beyond it, mirroring SimPy's run(until=...).
 func TestRunHorizon(t *testing.T) {
-	e := NewEngine()
+	e := sim.NewEngine()
 	fired := 0
-	e.At(10, func() { fired++ })
-	e.At(30, func() { fired++ })
+	e.After(10, "", func() { fired++ })
+	e.After(30, "", func() { fired++ })
 	if now := e.Run(20); now != 20 {
 		t.Fatalf("Run(20) = %g, want 20", now)
 	}
@@ -136,40 +143,41 @@ func TestRunHorizon(t *testing.T) {
 		t.Fatalf("RunAll = %g fired=%d, want 30/2", now, fired)
 	}
 	// Run past the last event returns the last event time, not the horizon.
-	e2 := NewEngine()
-	e2.At(4, func() {})
+	e2 := sim.NewEngine()
+	e2.After(4, "", func() {})
 	if now := e2.Run(50); now != 4 {
 		t.Fatalf("Run(50) = %g, want 4 (heap drained first)", now)
 	}
 }
 
-// TestSchedulePastPanics mirrors the process engine's guard.
+// TestSchedulePastPanics: a negative delay lands before the clock, and
+// the engine refuses to schedule into the past.
 func TestSchedulePastPanics(t *testing.T) {
-	e := NewEngine()
-	e.At(10, func() {
+	e := sim.NewEngine()
+	e.After(10, "", func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling into the past did not panic")
 			}
 		}()
-		e.schedule(5, e.newEvent())
+		e.After(-5, "", func() {})
 	})
 	e.RunAll()
 }
 
-// TestWatchdogEventLimit: a self-rescheduling zero-delay event (the step
-// engine's livelock shape) trips the armed event limit with a
-// *WatchdogError naming the event.
+// TestWatchdogEventLimit: a self-rescheduling zero-delay event (the
+// callback livelock shape) trips the armed event limit with a
+// *sim.WatchdogError naming the event.
 func TestWatchdogEventLimit(t *testing.T) {
-	e := NewEngine()
+	e := sim.NewEngine()
 	e.SetWatchdog(100, 0)
 	var spin func()
-	spin = func() { e.AtNamed(0, "spinner", spin) }
-	e.AtNamed(0, "spinner", spin)
+	spin = func() { e.After(0, "spinner", spin) }
+	e.After(0, "spinner", spin)
 	defer func() {
-		w, ok := recover().(*WatchdogError)
+		w, ok := recover().(*sim.WatchdogError)
 		if !ok {
-			t.Fatalf("expected *WatchdogError, got %v", w)
+			t.Fatalf("expected *sim.WatchdogError, got %v", w)
 		}
 		if w.Reason != "event limit" || w.Name != "spinner" {
 			t.Fatalf("WatchdogError = %+v, want event limit on spinner", w)
@@ -180,13 +188,13 @@ func TestWatchdogEventLimit(t *testing.T) {
 
 // TestWatchdogSimTimeLimit trips the clock ceiling.
 func TestWatchdogSimTimeLimit(t *testing.T) {
-	e := NewEngine()
+	e := sim.NewEngine()
 	e.SetWatchdog(0, 50)
 	var tick func()
-	tick = func() { e.At(10, tick) }
-	e.At(10, tick)
+	tick = func() { e.After(10, "", tick) }
+	e.After(10, "", tick)
 	defer func() {
-		w, ok := recover().(*WatchdogError)
+		w, ok := recover().(*sim.WatchdogError)
 		if !ok || w.Reason != "sim-time limit" {
 			t.Fatalf("expected sim-time WatchdogError, got %v", w)
 		}
@@ -198,16 +206,16 @@ func TestWatchdogSimTimeLimit(t *testing.T) {
 // lazy-cancel compaction pass, which must not reorder surviving
 // same-timestamp events.
 func TestCompactionPreservesOrder(t *testing.T) {
-	e := NewEngine()
+	e := sim.NewEngine()
 	var got []int
-	timers := make([]Timer, 0, 200)
+	timers := make([]sim.Timer, 0, 200)
 	for i := 0; i < 200; i++ {
 		i := i
 		if i%4 == 0 {
-			e.At(100, func() { got = append(got, i) })
+			e.After(100, "", func() { got = append(got, i) })
 			continue
 		}
-		timers = append(timers, e.AfterCancel(100, "victim", func() { got = append(got, -i) }))
+		timers = append(timers, e.After(100, "victim", func() { got = append(got, -i) }))
 	}
 	for _, tm := range timers {
 		e.Cancel(tm) // crosses the ≥64 && ≥half threshold → compaction
@@ -226,16 +234,16 @@ func TestCompactionPreservesOrder(t *testing.T) {
 // TestReleaseReuse: a released engine comes back with a zero clock and
 // no leftover watchdog, and a non-empty engine refuses to be pooled.
 func TestReleaseReuse(t *testing.T) {
-	e := NewEngine()
+	e := sim.NewEngine()
 	e.SetWatchdog(10, 10)
-	e.At(5, func() {})
+	e.After(5, "", func() {})
 	e.RunAll()
 	e.Release()
-	e2 := NewEngine()
+	e2 := sim.NewEngine()
 	if e2.Now() != 0 || e2.HasPendingEvents() {
 		t.Fatalf("reused engine not reset: now=%g pending=%t", e2.Now(), e2.HasPendingEvents())
 	}
-	e2.At(1, func() {})
+	e2.After(1, "", func() {})
 	e2.Release() // pending events: must be a no-op
 	if !e2.HasPendingEvents() {
 		t.Fatal("Release with pending events dropped them")
@@ -247,11 +255,11 @@ func TestReleaseReuse(t *testing.T) {
 // TestDispatchedCounts: the step-rate numerator counts live dispatches
 // only, not cancelled entries.
 func TestDispatchedCounts(t *testing.T) {
-	e := NewEngine()
-	tm := e.AfterCancel(1, "x", func() {})
+	e := sim.NewEngine()
+	tm := e.After(1, "x", func() {})
 	e.Cancel(tm)
 	for i := 0; i < 5; i++ {
-		e.At(float64(i), func() {})
+		e.After(float64(i), "", func() {})
 	}
 	e.RunAll()
 	if e.Dispatched() != 5 {
@@ -263,19 +271,19 @@ func TestDispatchedCounts(t *testing.T) {
 // driver would — always stepping the one with the earlier next event —
 // and checks the merged order is globally time-sorted.
 func TestSharedClockInterleave(t *testing.T) {
-	a, b := NewEngine(), NewEngine()
+	a, b := sim.NewEngine(), sim.NewEngine()
 	var merged []float64
-	tick := func(e *Engine, period float64, n int) {
+	tick := func(e *sim.Engine, period float64, n int) {
 		var fn func()
 		i := 0
 		fn = func() {
 			merged = append(merged, e.Now())
 			i++
 			if i < n {
-				e.At(period, fn)
+				e.After(period, "", fn)
 			}
 		}
-		e.At(period, fn)
+		e.After(period, "", fn)
 	}
 	tick(a, 3, 10)
 	tick(b, 5, 6)

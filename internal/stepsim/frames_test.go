@@ -8,6 +8,7 @@ import (
 	"pckpt/internal/faultinject"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
+	"pckpt/internal/sim"
 	"pckpt/internal/workload"
 )
 
@@ -41,7 +42,7 @@ func TestNestedWaitFramesBitIdentity(t *testing.T) {
 		for seed := uint64(1); seed <= 6; seed++ {
 			cfg := Config{Model: id, Config: NestedPlatform()}
 			want := crmodel.Simulate(crmodel.Config{Model: id, Config: cfg.Config}, seed)
-			eng := NewEngine()
+			eng := sim.NewEngine()
 			a := startApp(eng, cfg, seed, AppOptions{})
 			eng.RunAll()
 			eng.Release()

@@ -10,6 +10,7 @@ import (
 	"pckpt/internal/metrics"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
+	"pckpt/internal/sim"
 	"pckpt/internal/stepsim"
 	"pckpt/internal/trace"
 	"pckpt/internal/workload"
@@ -336,10 +337,10 @@ func TestStartAppOffsetIdentity(t *testing.T) {
 			for _, id := range stepModels {
 				for seed := uint64(1); seed <= 4; seed++ {
 					solo := stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, seed)
-					eng := stepsim.NewEngine()
+					eng := sim.NewEngine()
 					var h *stepsim.AppHandle
 					// Admit the app at t=98765.4321s of machine time.
-					eng.At(98765.4321, func() {
+					eng.After(98765.4321, "", func() {
 						h = stepsim.StartApp(eng, stepsim.Config{Model: id, Config: plat}, seed, stepsim.AppOptions{AppIndex: 3})
 					})
 					eng.RunAll()

@@ -19,7 +19,7 @@ import (
 // *sim.WatchdogError's diagnostic.
 func TestRun(t *testing.T) {
 	const base, desc = 7, "cfg=test"
-	watchdog := &sim.WatchdogError{Reason: "event limit", Events: 101, Proc: `"compute" (proc 1)`}
+	watchdog := &sim.WatchdogError{Reason: "event limit", Events: 101, Name: "compute"}
 	for _, n := range []int{0, 1, 6} {
 		for _, at := range []struct {
 			name string
