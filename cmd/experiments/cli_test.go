@@ -77,3 +77,25 @@ func TestCLIRunsFigure(t *testing.T) {
 		t.Errorf("fig4 output missing its header:\n%s", stdout)
 	}
 }
+
+// TestCLIRejectsUnknownApp: an -apps name outside the Table I catalogue
+// exits 2 with one stderr line before any experiment prints, instead of
+// panicking in the first experiment that resolves the filter.
+func TestCLIRejectsUnknownApp(t *testing.T) {
+	stdout, stderr, code := runCLI(t, "-run", "all", "-apps", "CHIMERA, FOO", "-runs", "2", "-no-cache")
+	if code != 2 || !strings.Contains(stderr, `"FOO"`) || strings.Count(stderr, "\n") != 1 || stdout != "" {
+		t.Errorf("-apps FOO: exit %d, stdout %q, stderr %q; want exit 2 naming FOO on one line and no output", code, stdout, stderr)
+	}
+}
+
+// TestCLIRejectsNonPositiveRuns: a run count below 1 exits 2 naming
+// -runs before anything runs, instead of silently running the 200-run
+// default.
+func TestCLIRejectsNonPositiveRuns(t *testing.T) {
+	for _, runs := range []string{"0", "-7"} {
+		stdout, stderr, code := runCLI(t, "-run", "crossval", "-runs", runs, "-no-cache")
+		if code != 2 || !strings.Contains(stderr, "-runs") || strings.Count(stderr, "\n") != 1 || stdout != "" {
+			t.Errorf("-runs %s: exit %d, stdout %q, stderr %q; want exit 2 naming -runs on one line and no output", runs, code, stdout, stderr)
+		}
+	}
+}

@@ -43,9 +43,9 @@ import (
 	"syscall"
 
 	"pckpt/internal/experiments"
-	"pckpt/internal/faultinject"
 	"pckpt/internal/metrics"
 	"pckpt/internal/runcache"
+	"pckpt/internal/workload"
 )
 
 func main() {
@@ -66,26 +66,27 @@ func main() {
 		cacheStats = flag.Bool("cache-stats", false, "print per-experiment cache hit/miss accounting on exit")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-
-		injBB      = flag.Float64("inject-bb", 0, "degraded platform: BB checkpoint-write failure probability")
-		injPFS     = flag.Float64("inject-pfs", 0, "degraded platform: PFS write failure probability")
-		injCorrupt = flag.Float64("inject-corrupt", 0, "degraded platform: silent checkpoint-corruption probability per commit")
-		injRestart = flag.Float64("inject-restart", 0, "degraded platform: restart-attempt failure probability")
-		injCascade = flag.Float64("inject-cascade", 0, "degraded platform: secondary-failure probability per recovery window")
-		injRetries = flag.Int("inject-retries", 0, "degraded platform: restart retry bound (0 = default)")
-		injBackoff = flag.Float64("inject-backoff", 0, "degraded platform: base restart backoff seconds, doubling per attempt (0 = default)")
-
-		mBrownRate  = flag.Float64("machine-brownout-rate", 0, "machine faults: PFS brownout windows per hour (shared-machine experiments)")
-		mBrownMean  = flag.Float64("machine-brownout-mean", 0, "machine faults: mean brownout window seconds (0 = default)")
-		mBlackout   = flag.Float64("machine-blackout-prob", 0, "machine faults: probability a brownout is a full blackout (ceiling zero)")
-		mDrainRate  = flag.Float64("machine-drain-outage-rate", 0, "machine faults: drain-slot outages per hour")
-		mDrainSlots = flag.Int("machine-drain-outage-slots", 0, "machine faults: drain slots removed per outage (0 = default)")
-		mCrashRate  = flag.Float64("machine-crash-rate", 0, "machine faults: rack crashes per hour (tenants crash and requeue)")
-		mCrashRetry = flag.Int("machine-crash-retries", 0, "machine faults: crash readmissions per job before the run truncates (0 = default)")
-		mCrashBack  = flag.Float64("machine-crash-backoff", 0, "machine faults: base requeue backoff seconds, doubling per crash (0 = default)")
-		mEscalate   = flag.Float64("machine-starve-escalation", 0, "machine faults: starvation-watchdog bound seconds (0 = watchdog off)")
 	)
+	p := experiments.Params{SeedSet: true}
+	p.Faults.BindFlags(flag.CommandLine)
+	p.MachineFaults.BindFlags(flag.CommandLine)
 	flag.Parse()
+
+	// Checked before anything runs: withDefaults would turn a run count
+	// below 1 into the 200-run default, and an unknown application
+	// would panic mid-sweep, after earlier experiments printed.
+	if *runs < 1 {
+		exitOn(fmt.Errorf("experiments: -runs must be at least 1, got %d", *runs))
+	}
+	if *apps != "" {
+		for _, name := range strings.Split(*apps, ",") {
+			name = strings.TrimSpace(name)
+			if _, err := workload.ByName(name); err != nil {
+				exitOn(fmt.Errorf("experiments: -apps: %w", err))
+			}
+			p.Apps = append(p.Apps, name)
+		}
+	}
 
 	if *list {
 		for _, d := range experiments.All() {
@@ -105,32 +106,9 @@ func main() {
 	}
 	defer writeMemProfile(*memProfile)
 
-	p := experiments.Params{Runs: *runs, Seed: *seed, SeedSet: true, Workers: *workers}
-	p.Faults = faultinject.Config{
-		BBWriteFailProb:       *injBB,
-		PFSWriteFailProb:      *injPFS,
-		CorruptProb:           *injCorrupt,
-		RestartFailProb:       *injRestart,
-		CascadeProb:           *injCascade,
-		RestartRetries:        *injRetries,
-		RestartBackoffSeconds: *injBackoff,
-	}
+	p.Runs, p.Seed, p.Workers = *runs, *seed, *workers
 	exitOn(p.Faults.Validate())
-	p.MachineFaults = faultinject.MachineConfig{
-		BrownoutRatePerHour:         *mBrownRate,
-		BrownoutMeanSeconds:         *mBrownMean,
-		BlackoutProb:                *mBlackout,
-		DrainOutageRatePerHour:      *mDrainRate,
-		DrainOutageSlots:            *mDrainSlots,
-		CrashRatePerHour:            *mCrashRate,
-		CrashMaxRetries:             *mCrashRetry,
-		CrashBackoffSeconds:         *mCrashBack,
-		StarvationEscalationSeconds: *mEscalate,
-	}
 	exitOn(p.MachineFaults.Validate())
-	if *apps != "" {
-		p.Apps = strings.Split(*apps, ",")
-	}
 	if *tiers != "" {
 		for _, name := range strings.Split(*tiers, ",") {
 			name = strings.TrimSpace(name)

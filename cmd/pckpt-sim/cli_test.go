@@ -214,3 +214,17 @@ func TestCLISpecFlagPrecedence(t *testing.T) {
 		t.Errorf("-model override did not narrow the grid:\n%s", stdout)
 	}
 }
+
+// TestCLIRejectsNonFiniteBackoff: a NaN or infinite restart backoff
+// exits 2 naming the field before anything simulates. Unchecked, Inf
+// stalls the first failed restart forever and NaN silently drops the
+// backoff.
+func TestCLIRejectsNonFiniteBackoff(t *testing.T) {
+	for _, backoff := range []string{"Inf", "NaN"} {
+		stdout, stderr, code := runCLI(t, "-app", "XGC", "-model", "B", "-runs", "1", "-baseline=false",
+			"-inject-restart", "0.5", "-inject-backoff", backoff)
+		if code != 2 || !strings.Contains(stderr, "RestartBackoffSeconds") || stdout != "" {
+			t.Errorf("-inject-backoff %s: exit %d, stdout %q, stderr %q; want exit 2 naming RestartBackoffSeconds and no output", backoff, code, stdout, stderr)
+		}
+	}
+}

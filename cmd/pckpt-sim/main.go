@@ -38,56 +38,87 @@ import (
 	"pckpt/internal/workload"
 )
 
+// options is the command line: every flag of both modes, and flag
+// mode's fault plan bound to the -inject-* flags.
+type options struct {
+	spec, cache, app, model, tier, system string
+	runs                                  int
+	seed                                  uint64
+	leadScale, fn, fp, alpha              float64
+	baseline, trace, metrics              bool
+	metricsOut, cpuProfile, memProfile    string
+	faults                                faultinject.Config
+}
+
+// bindOptions binds every flag on fs. The -machine-* flags write a plan
+// nothing reads: flag mode rejects them, and spec mode re-applies them
+// by name onto the spec's machine plan (see applyOverrides).
+func bindOptions(fs *flag.FlagSet) *options {
+	o := new(options)
+	fs.StringVar(&o.spec, "spec", "", "scenario spec JSON (see internal/scenario); runs its cohort × policy grid instead of the single flag-built configuration")
+	fs.StringVar(&o.cache, "cache", "", "runcache directory for -spec mode: cells resolve from the cache when present and are flushed to it when simulated")
+	fs.StringVar(&o.app, "app", "CHIMERA", "application from the Table I catalogue")
+	fs.StringVar(&o.model, "model", "P2", "C/R model: B, M1, M2, P1, P2")
+	fs.StringVar(&o.tier, "tier", "step", "simulation tier: "+strings.Join(experiments.TierNames(), ", ")+" (see DESIGN.md; -metrics meters whichever tier runs)")
+	fs.StringVar(&o.system, "system", "OLCF Titan", "failure distribution from the Table III catalogue")
+	fs.IntVar(&o.runs, "runs", 200, "simulation runs to average")
+	fs.Uint64Var(&o.seed, "seed", 42, "base RNG seed")
+	fs.Float64Var(&o.leadScale, "lead-scale", 1.0, "lead-time scale factor (1.1 = +10%)")
+	fs.Float64Var(&o.fn, "fn", failure.DefaultFNRate, "predictor false-negative rate")
+	fs.Float64Var(&o.fp, "fp", failure.DefaultFPRate, "predictor false-positive share")
+	fs.Float64Var(&o.alpha, "alpha", lm.DefaultAlpha, "LM transfer to checkpoint size ratio")
+	fs.BoolVar(&o.baseline, "baseline", true, "also run model B and print reductions")
+	fs.BoolVar(&o.trace, "trace", false, "trace one run (the base seed) and print its timeline summary")
+	o.faults.BindFlags(fs)
+	new(faultinject.MachineConfig).BindFlags(fs)
+	fs.BoolVar(&o.metrics, "metrics", false, "meter the runs and print the merged metrics summary")
+	fs.StringVar(&o.metricsOut, "metrics-out", "pckpt-metrics.json", "metrics snapshot JSON path (with -metrics)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
+	return o
+}
+
+// config builds flag mode's configuration: the Table I application under
+// the Table III failure distribution, with the predictor, lead-time, LM
+// and fault-plan flags as given. It is not yet validated.
+func (o *options) config() (crmodel.Config, error) {
+	app, err := workload.ByName(o.app)
+	if err != nil {
+		return crmodel.Config{}, err
+	}
+	model, err := crmodel.ModelByName(o.model)
+	if err != nil {
+		return crmodel.Config{}, err
+	}
+	sys, err := failure.SystemByName(o.system)
+	if err != nil {
+		return crmodel.Config{}, err
+	}
+	return crmodel.Config{
+		Model: model,
+		Config: platform.Config{
+			App:       app,
+			System:    sys,
+			LM:        lm.Default().WithAlpha(o.alpha),
+			LeadScale: o.leadScale,
+			FNRate:    o.fn,
+			FPRate:    o.fp,
+			Faults:    o.faults,
+		},
+	}, nil
+}
+
 func main() {
-	var (
-		specPath  = flag.String("spec", "", "scenario spec JSON (see internal/scenario); runs its cohort × policy grid instead of the single flag-built configuration")
-		cacheDir  = flag.String("cache", "", "runcache directory for -spec mode: cells resolve from the cache when present and are flushed to it when simulated")
-		appName   = flag.String("app", "CHIMERA", "application from the Table I catalogue")
-		modelName = flag.String("model", "P2", "C/R model: B, M1, M2, P1, P2")
-		tierName  = flag.String("tier", "step", "simulation tier: "+strings.Join(experiments.TierNames(), ", ")+" (see DESIGN.md; -metrics meters whichever tier runs)")
-		sysName   = flag.String("system", "OLCF Titan", "failure distribution from the Table III catalogue")
-		runs      = flag.Int("runs", 200, "simulation runs to average")
-		seed      = flag.Uint64("seed", 42, "base RNG seed")
-		leadScale = flag.Float64("lead-scale", 1.0, "lead-time scale factor (1.1 = +10%)")
-		fnRate    = flag.Float64("fn", failure.DefaultFNRate, "predictor false-negative rate")
-		fpRate    = flag.Float64("fp", failure.DefaultFPRate, "predictor false-positive share")
-		alpha     = flag.Float64("alpha", lm.DefaultAlpha, "LM transfer to checkpoint size ratio")
-		baseline  = flag.Bool("baseline", true, "also run model B and print reductions")
-		showTrace = flag.Bool("trace", false, "trace one run (the base seed) and print its timeline summary")
-
-		injBB      = flag.Float64("inject-bb", 0, "degraded platform: BB checkpoint-write failure probability")
-		injPFS     = flag.Float64("inject-pfs", 0, "degraded platform: PFS write failure probability")
-		injCorrupt = flag.Float64("inject-corrupt", 0, "degraded platform: silent checkpoint-corruption probability per commit")
-		injRestart = flag.Float64("inject-restart", 0, "degraded platform: restart-attempt failure probability")
-		injCascade = flag.Float64("inject-cascade", 0, "degraded platform: secondary-failure probability per recovery window")
-		injRetries = flag.Int("inject-retries", 0, "degraded platform: restart retry bound (0 = default)")
-		injBackoff = flag.Float64("inject-backoff", 0, "degraded platform: base restart backoff seconds, doubling per attempt (0 = default)")
-
-		mBrownRate  = flag.Float64("machine-brownout-rate", 0, "machine faults (-spec with machine block): PFS brownout windows per hour")
-		mBrownMean  = flag.Float64("machine-brownout-mean", 0, "machine faults: mean brownout window seconds (0 = default)")
-		mBlackout   = flag.Float64("machine-blackout-prob", 0, "machine faults: probability a brownout is a full blackout (ceiling zero)")
-		mDrainRate  = flag.Float64("machine-drain-outage-rate", 0, "machine faults: drain-slot outages per hour")
-		mDrainSlots = flag.Int("machine-drain-outage-slots", 0, "machine faults: drain slots removed per outage (0 = default)")
-		mCrashRate  = flag.Float64("machine-crash-rate", 0, "machine faults: rack crashes per hour (tenants crash and requeue)")
-		mCrashRetry = flag.Int("machine-crash-retries", 0, "machine faults: crash readmissions per job before the run truncates (0 = default)")
-		mCrashBack  = flag.Float64("machine-crash-backoff", 0, "machine faults: base requeue backoff seconds, doubling per crash (0 = default)")
-		mEscalate   = flag.Float64("machine-starve-escalation", 0, "machine faults: starvation-watchdog bound seconds (0 = watchdog off)")
-
-		meter      = flag.Bool("metrics", false, "meter the runs and print the merged metrics summary")
-		metricsOut = flag.String("metrics-out", "pckpt-metrics.json", "metrics snapshot JSON path (with -metrics)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
+	o := bindOptions(flag.CommandLine)
 	flag.Parse()
-	set := explicitFlags()
 	// Checked before either mode: in spec mode -runs overrides the
 	// normalized spec, so 0 would not fall back to the spec's default.
-	if *runs < 1 {
-		exitOn(fmt.Errorf("pckpt-sim: -runs must be at least 1, got %d", *runs))
+	if o.runs < 1 {
+		exitOn(fmt.Errorf("pckpt-sim: -runs must be at least 1, got %d", o.runs))
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if o.cpuProfile != "" {
+		f, err := os.Create(o.cpuProfile)
 		exitOn(err)
 		exitOn(pprof.StartCPUProfile(f))
 		defer func() {
@@ -95,110 +126,58 @@ func main() {
 			f.Close()
 		}()
 	}
-	defer writeMemProfile(*memProfile)
+	defer writeMemProfile(o.memProfile)
 
-	tier, ok := experiments.TierByName(*tierName)
+	tier, ok := experiments.TierByName(o.tier)
 	if !ok {
-		exitOn(fmt.Errorf("pckpt-sim: unknown tier %q (have %s)", *tierName, strings.Join(experiments.TierNames(), ", ")))
+		exitOn(fmt.Errorf("pckpt-sim: unknown tier %q (have %s)", o.tier, strings.Join(experiments.TierNames(), ", ")))
 	}
 
-	if *specPath != "" {
+	if o.spec != "" {
 		// Spec mode: the spec declares everything; explicitly set flags
 		// override its numeric plan, conflicting selectors error out.
-		exitOn(runSpec(*specPath, *cacheDir, specOverrides{
-			set:        set,
-			model:      *modelName,
-			runs:       *runs,
-			seed:       *seed,
-			leadScale:  *leadScale,
-			fn:         *fnRate,
-			fp:         *fpRate,
-			alpha:      *alpha,
-			injBB:      *injBB,
-			injPFS:     *injPFS,
-			injCorrupt: *injCorrupt,
-			injRestart: *injRestart,
-			injCascade: *injCascade,
-			injBackoff: *injBackoff,
-			injRetries: *injRetries,
-
-			mBrownRate:    *mBrownRate,
-			mBrownMean:    *mBrownMean,
-			mBlackout:     *mBlackout,
-			mDrainRate:    *mDrainRate,
-			mDrainSlots:   *mDrainSlots,
-			mCrashRate:    *mCrashRate,
-			mCrashRetries: *mCrashRetry,
-			mCrashBack:    *mCrashBack,
-			mEscalate:     *mEscalate,
-		}))
+		exitOn(runSpec(o.spec, o.cache, flag.CommandLine))
 		return
 	}
-	if *cacheDir != "" {
+	if o.cache != "" {
 		exitOn(fmt.Errorf("pckpt-sim: -cache requires -spec (flag mode always simulates)"))
 	}
-	for _, name := range machineFlags {
-		if set[name] {
-			exitOn(fmt.Errorf("pckpt-sim: -%s requires -spec with a machine block (machine faults degrade a shared machine, not a solo run)", name))
-		}
+	if name := machineFlag(flag.CommandLine); name != "" {
+		exitOn(fmt.Errorf("pckpt-sim: -%s requires -spec with a machine block (machine faults degrade a shared machine, not a solo run)", name))
 	}
 
-	app, err := workload.ByName(*appName)
+	cfg, err := o.config()
 	exitOn(err)
-	model, err := crmodel.ModelByName(*modelName)
-	exitOn(err)
-	sys, err := failure.SystemByName(*sysName)
-	exitOn(err)
+	model := cfg.Model
 	if !tier.Supports(model) {
 		exitOn(fmt.Errorf("pckpt-sim: the %s tier does not implement model %s", tier.Name, model))
 	}
-	if *showTrace && tier.Name != "app" && tier.Name != "step" {
+	if o.trace && tier.Name != "app" && tier.Name != "step" {
 		exitOn(fmt.Errorf("pckpt-sim: -trace supports the app and step tiers, not %s", tier.Name))
-	}
-
-	cfg := crmodel.Config{
-		Model: model,
-		Config: platform.Config{
-			App:       app,
-			System:    sys,
-			LM:        lm.Default().WithAlpha(*alpha),
-			LeadScale: *leadScale,
-			FNRate:    *fnRate,
-			FPRate:    *fpRate,
-			Faults: faultinject.Config{
-				BBWriteFailProb:       *injBB,
-				PFSWriteFailProb:      *injPFS,
-				CorruptProb:           *injCorrupt,
-				RestartFailProb:       *injRestart,
-				CascadeProb:           *injCascade,
-				RestartRetries:        *injRetries,
-				RestartBackoffSeconds: *injBackoff,
-			},
-		},
 	}
 	exitOn(cfg.Validate())
 
-	fmt.Printf("%s on %s under %s (%s tier, %d runs, seed %d)\n", model, app, sys.Name, tier.Name, *runs, *seed)
-	fmt.Printf("θ = %.2f s, σ = %.3f, per-node checkpoint = %.2f GB\n\n", cfg.Theta(), cfg.Sigma(), app.PerNodeGB())
+	fmt.Printf("%s on %s under %s (%s tier, %d runs, seed %d)\n", model, cfg.App, cfg.System.Name, tier.Name, o.runs, o.seed)
+	fmt.Printf("θ = %.2f s, σ = %.3f, per-node checkpoint = %.2f GB\n\n", cfg.Theta(), cfg.Sigma(), cfg.App.PerNodeGB())
 
 	// All tiers route through the shared tier runner: identical seed
 	// sequences, so switching -tier changes the engine, not the
 	// experiment (and for -tier step, not even the bits — metrics
 	// included).
-	agg, snap := experiments.SimulateSweepN(tier, model, cfg.Config, *runs, *seed, runtime.GOMAXPROCS(0), *meter)
+	agg, snap := experiments.SimulateSweepN(tier, model, cfg.Config, o.runs, o.seed, runtime.GOMAXPROCS(0), o.metrics)
 	mo := agg.MeanOverheads()
 
-	if *showTrace {
+	if o.trace {
 		var buf trace.Buffer
 		switch tier.Name {
 		case "app":
 			tcfg := cfg
 			tcfg.Trace = &buf
-			crmodel.Simulate(tcfg, *seed)
+			crmodel.Simulate(tcfg, o.seed)
 		case "step":
-			stepsim.Simulate(stepsim.Config{Model: model, Config: cfg.Config, Trace: &buf}, *seed)
+			stepsim.Simulate(stepsim.Config{Model: model, Config: cfg.Config, Trace: &buf}, o.seed)
 		}
-		fmt.Println("single-run timeline (seed", *seed, "):")
+		fmt.Println("single-run timeline (seed", o.seed, "):")
 		fmt.Println(buf.Gantt(100))
 		fmt.Println()
 		fmt.Print(buf.Summary())
@@ -224,10 +203,10 @@ func main() {
 	fmt.Println(t.String())
 	warnFailed(agg.Failed())
 
-	if *baseline && model != crmodel.ModelB {
+	if o.baseline && model != crmodel.ModelB {
 		// Every tier implements model B, so the reduction is computed
 		// within the selected tier.
-		baseAgg, _ := experiments.SimulateSweepN(tier, crmodel.ModelB, cfg.Config, *runs, *seed, runtime.GOMAXPROCS(0), false)
+		baseAgg, _ := experiments.SimulateSweepN(tier, crmodel.ModelB, cfg.Config, o.runs, o.seed, runtime.GOMAXPROCS(0), false)
 		base := baseAgg.MeanOverheads()
 		ck, rc, rv, tot := stats.ReductionBreakdown(base, mo)
 		fmt.Printf("vs base model B: checkpoint %s, recomputation %s, recovery %s, TOTAL %s\n",
@@ -235,9 +214,9 @@ func main() {
 	}
 
 	if snap != nil {
-		fmt.Printf("\nsimulation metrics (%d runs merged):\n\n%s", *runs, metrics.Render(snap))
-		exitOn(snap.WriteJSON(*metricsOut))
-		fmt.Printf("metrics snapshot written to %s\n", *metricsOut)
+		fmt.Printf("\nsimulation metrics (%d runs merged):\n\n%s", o.runs, metrics.Render(snap))
+		exitOn(snap.WriteJSON(o.metricsOut))
+		fmt.Printf("metrics snapshot written to %s\n", o.metricsOut)
 	}
 }
 

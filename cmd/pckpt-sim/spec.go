@@ -6,6 +6,7 @@ import (
 	"runtime"
 
 	"pckpt/internal/experiments"
+	"pckpt/internal/faultinject"
 	"pckpt/internal/machine"
 	"pckpt/internal/policy"
 	"pckpt/internal/runcache"
@@ -21,107 +22,90 @@ import (
 // silent precedence pick.
 var specConflicts = []string{"app", "system", "tier", "baseline", "trace", "metrics", "metrics-out"}
 
-// specOverridable documents the precedence rule for everything else: the
-// spec wins over flag *defaults*, but an explicitly set flag overrides
-// the spec's field (detected via flag.Visit, so `-runs 200` overrides
-// even when 200 is also the flag default).
-type specOverrides struct {
-	set map[string]bool
-
-	model     string
-	runs      int
-	seed      uint64
-	leadScale float64
-	fn, fp    float64
-	alpha     float64
-
-	injBB, injPFS, injCorrupt, injRestart, injCascade, injBackoff float64
-	injRetries                                                    int
-
-	mBrownRate, mBrownMean, mBlackout, mDrainRate, mCrashRate, mCrashBack, mEscalate float64
-	mDrainSlots, mCrashRetries                                                       int
-}
-
-// explicitFlags records which flags the command line actually set.
-func explicitFlags() map[string]bool {
+// explicitFlags records which flags of fs the command line actually set.
+func explicitFlags(fs *flag.FlagSet) map[string]bool {
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	return set
 }
 
-// applyOverrides folds explicitly set flags into the loaded spec. The
+// applyOverrides folds the flags the command line set explicitly on fs
+// into the loaded spec: the spec wins over flag *defaults*, but an
+// explicitly set flag overrides the spec's field (detected via Visit, so
+// `-runs 200` overrides even when 200 is also the flag default). The
 // spec from Load is already normalized, so every block pointer is
-// non-nil except Faults — and the result is deliberately NOT
+// non-nil except the fault plans — and the result is deliberately NOT
 // re-normalized: an explicit zero (`-seed 0`) must stay zero, exactly
 // as it would in flag mode, not snap back to the spec default.
-func applyOverrides(s *scenario.Spec, ov specOverrides) *scenario.Spec {
-	if ov.set["model"] {
-		s.Policies = []string{ov.model}
-	}
-	if ov.set["runs"] {
-		s.Runs = ov.runs
-	}
-	if ov.set["seed"] {
-		s.Seed = ov.seed
-	}
-	if ov.set["lead-scale"] {
-		s.Platform.LeadScale = ov.leadScale
-	}
-	if ov.set["fn"] {
-		s.Platform.FNRate = ov.fn
-	}
-	if ov.set["fp"] {
-		s.Platform.FPRate = ov.fp
-	}
-	if ov.set["alpha"] {
-		s.Platform.LMAlpha = ov.alpha
-	}
-	inject := func(name string, apply func(*scenario.FaultSpec)) {
-		if !ov.set[name] {
-			return
+func applyOverrides(s *scenario.Spec, fs *flag.FlagSet) (*scenario.Spec, error) {
+	fs.Visit(func(f *flag.Flag) {
+		v := f.Value.(flag.Getter).Get()
+		switch f.Name {
+		case "model":
+			s.Policies = []string{v.(string)}
+		case "runs":
+			s.Runs = v.(int)
+		case "seed":
+			s.Seed = v.(uint64)
+		case "lead-scale":
+			s.Platform.LeadScale = v.(float64)
+		case "fn":
+			s.Platform.FNRate = v.(float64)
+		case "fp":
+			s.Platform.FPRate = v.(float64)
+		case "alpha":
+			s.Platform.LMAlpha = v.(float64)
 		}
-		if s.Platform.Faults == nil {
-			s.Platform.Faults = &scenario.FaultSpec{}
-		}
-		apply(s.Platform.Faults)
+	})
+	var faults faultinject.Config
+	if s.Platform.Faults != nil {
+		faults = *s.Platform.Faults
 	}
-	inject("inject-bb", func(f *scenario.FaultSpec) { f.BBWriteFailProb = ov.injBB })
-	inject("inject-pfs", func(f *scenario.FaultSpec) { f.PFSWriteFailProb = ov.injPFS })
-	inject("inject-corrupt", func(f *scenario.FaultSpec) { f.CorruptProb = ov.injCorrupt })
-	inject("inject-restart", func(f *scenario.FaultSpec) { f.RestartFailProb = ov.injRestart })
-	inject("inject-cascade", func(f *scenario.FaultSpec) { f.CascadeProb = ov.injCascade })
-	inject("inject-retries", func(f *scenario.FaultSpec) { f.RestartRetries = ov.injRetries })
-	inject("inject-backoff", func(f *scenario.FaultSpec) { f.RestartBackoffSeconds = ov.injBackoff })
+	if set, err := reapply(fs, faults.BindFlags); err != nil {
+		return nil, err
+	} else if set {
+		s.Platform.Faults = &faults
+	}
 	if s.Machine != nil {
-		minject := func(name string, apply func(*scenario.MachineFaultSpec)) {
-			if !ov.set[name] {
-				return
-			}
-			if s.Machine.Faults == nil {
-				s.Machine.Faults = &scenario.MachineFaultSpec{}
-			}
-			apply(s.Machine.Faults)
+		var mfaults faultinject.MachineConfig
+		if s.Machine.Faults != nil {
+			mfaults = *s.Machine.Faults
 		}
-		minject("machine-brownout-rate", func(f *scenario.MachineFaultSpec) { f.BrownoutRatePerHour = ov.mBrownRate })
-		minject("machine-brownout-mean", func(f *scenario.MachineFaultSpec) { f.BrownoutMeanSeconds = ov.mBrownMean })
-		minject("machine-blackout-prob", func(f *scenario.MachineFaultSpec) { f.BlackoutProb = ov.mBlackout })
-		minject("machine-drain-outage-rate", func(f *scenario.MachineFaultSpec) { f.DrainOutageRatePerHour = ov.mDrainRate })
-		minject("machine-drain-outage-slots", func(f *scenario.MachineFaultSpec) { f.DrainOutageSlots = ov.mDrainSlots })
-		minject("machine-crash-rate", func(f *scenario.MachineFaultSpec) { f.CrashRatePerHour = ov.mCrashRate })
-		minject("machine-crash-retries", func(f *scenario.MachineFaultSpec) { f.CrashMaxRetries = ov.mCrashRetries })
-		minject("machine-crash-backoff", func(f *scenario.MachineFaultSpec) { f.CrashBackoffSeconds = ov.mCrashBack })
-		minject("machine-starve-escalation", func(f *scenario.MachineFaultSpec) { f.StarvationEscalationSeconds = ov.mEscalate })
+		if set, err := reapply(fs, mfaults.BindFlags); err != nil {
+			return nil, err
+		} else if set {
+			s.Machine.Faults = &mfaults
+		}
 	}
-	return s
+	return s, nil
 }
 
-// machineFlags are the -machine-* overrides; they only mean something
-// for a spec with a machine block.
-var machineFlags = []string{
-	"machine-brownout-rate", "machine-brownout-mean", "machine-blackout-prob",
-	"machine-drain-outage-rate", "machine-drain-outage-slots",
-	"machine-crash-rate", "machine-crash-retries", "machine-crash-backoff",
-	"machine-starve-escalation",
+// reapply binds a fault plan's flags on a throwaway FlagSet and sets on
+// it, by name, each one the command line set on fs: the plan takes
+// exactly the given values and keeps every other field. It reports
+// whether any was set.
+func reapply(fs *flag.FlagSet, bind func(*flag.FlagSet)) (set bool, err error) {
+	plan := flag.NewFlagSet("plan", flag.ContinueOnError)
+	bind(plan)
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && plan.Lookup(f.Name) != nil {
+			set, err = true, plan.Set(f.Name, f.Value.String())
+		}
+	})
+	return set, err
+}
+
+// machineFlag names the first -machine-* flag set on fs, or "" if none
+// is: those flags only mean something for a spec with a machine block.
+func machineFlag(fs *flag.FlagSet) (name string) {
+	plan := flag.NewFlagSet("machine", flag.ContinueOnError)
+	new(faultinject.MachineConfig).BindFlags(plan)
+	fs.Visit(func(f *flag.Flag) {
+		if name == "" && plan.Lookup(f.Name) != nil {
+			name = f.Name
+		}
+	})
+	return name
 }
 
 // runSpec executes one scenario spec: every cohort × policy cell
@@ -129,9 +113,10 @@ var machineFlags = []string{
 // usage exactly, so a spec mirroring a flag invocation is bit-identical
 // to it), optionally resolving cells from a runcache directory first.
 // Cells run on the step tier, so their tier-agnostic cache keys hold.
-func runSpec(path, cacheDir string, ov specOverrides) error {
+func runSpec(path, cacheDir string, fs *flag.FlagSet) error {
+	set := explicitFlags(fs)
 	for _, name := range specConflicts {
-		if ov.set[name] {
+		if set[name] {
 			return fmt.Errorf("pckpt-sim: -%s conflicts with -spec: the spec declares the cohort, failure source, and output plan, and its cells run on the step tier; override its numbers with -runs/-seed/-model/-lead-scale/-fn/-fp/-alpha/-inject-*", name)
 		}
 	}
@@ -139,14 +124,12 @@ func runSpec(path, cacheDir string, ov specOverrides) error {
 	if err != nil {
 		return err
 	}
-	if s.Machine == nil {
-		for _, name := range machineFlags {
-			if ov.set[name] {
-				return fmt.Errorf("pckpt-sim: -%s needs a spec with a machine block (the machine-fault plan degrades a shared machine, not a solo run)", name)
-			}
-		}
+	if name := machineFlag(fs); name != "" && s.Machine == nil {
+		return fmt.Errorf("pckpt-sim: -%s needs a spec with a machine block (the machine-fault plan degrades a shared machine, not a solo run)", name)
 	}
-	s = applyOverrides(s, ov)
+	if s, err = applyOverrides(s, fs); err != nil {
+		return err
+	}
 	if s.Machine != nil {
 		return runMachineSpec(s, cacheDir)
 	}

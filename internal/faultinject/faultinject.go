@@ -17,7 +17,9 @@
 package faultinject
 
 import (
+	"flag"
 	"fmt"
+	"math"
 
 	"pckpt/internal/metrics"
 	"pckpt/internal/rng"
@@ -44,38 +46,54 @@ const (
 // Config is the declarative fault plan. The zero value is a perfect
 // platform. All probabilities are per-event (per checkpoint write, per
 // restart attempt, per recovery window) and must lie in [0, 1).
+//
+// Config is also the scenario spec's platform "faults" block: each
+// field's JSON tag is its spec key, and the fields are ordered as the
+// spec renders them. BindFlags binds the matching -inject-* flags.
 type Config struct {
 	// BBWriteFailProb is the probability that a coordinated burst-buffer
 	// checkpoint write fails after occupying the BBs for its full duration
 	// (nothing commits; the tier retries at the next periodic slot).
-	BBWriteFailProb float64
+	BBWriteFailProb float64 `json:"bb_write_fail_prob,omitempty"`
 	// PFSWriteFailProb is the probability that a PFS write — a drain, a
 	// safeguard, a prioritized vulnerable-node write, or an episode's
 	// phase-2 collective — fails after its full transfer time.
-	PFSWriteFailProb float64
+	PFSWriteFailProb float64 `json:"pfs_write_fail_prob,omitempty"`
 	// CorruptProb is the probability that a committed checkpoint
 	// generation is silently torn: the commit looks fine, and the damage
 	// is discovered only when a restart tries to restore from it, forcing
 	// policy.ResolveRestart to fall back to an older generation.
-	CorruptProb float64
+	CorruptProb float64 `json:"corrupt_prob,omitempty"`
 	// RestartFailProb is the probability that a restart attempt fails
 	// after its recovery read, costing a deterministic backoff before the
 	// next attempt. After RestartRetries failed attempts the platform is
 	// assumed recovered and the final attempt succeeds.
-	RestartFailProb float64
-	// RestartRetries bounds the failed restart attempts per failure
-	// (default DefaultRestartRetries when RestartFailProb > 0).
-	RestartRetries int
-	// RestartBackoffSeconds is the base backoff charged as downtime after
-	// a failed restart attempt; it doubles per attempt (default
-	// DefaultRestartBackoffSeconds when RestartFailProb > 0).
-	RestartBackoffSeconds float64
+	RestartFailProb float64 `json:"restart_fail_prob,omitempty"`
 	// CascadeProb is the probability that a secondary failure lands
 	// inside a recovery window, voiding the partial restore: the elapsed
 	// fraction of the window is wasted and the restore begins again.
 	// Successive cascades on one window are drawn independently, bounded
 	// by MaxCascadeDepth.
-	CascadeProb float64
+	CascadeProb float64 `json:"cascade_prob,omitempty"`
+	// RestartRetries bounds the failed restart attempts per failure
+	// (default DefaultRestartRetries when RestartFailProb > 0).
+	RestartRetries int `json:"restart_retries,omitempty"`
+	// RestartBackoffSeconds is the base backoff charged as downtime after
+	// a failed restart attempt; it doubles per attempt (default
+	// DefaultRestartBackoffSeconds when RestartFailProb > 0).
+	RestartBackoffSeconds float64 `json:"restart_backoff_seconds,omitempty"`
+}
+
+// BindFlags binds the plan's -inject-* command-line flags on fs, each
+// writing its field and defaulting to the field's current value.
+func (c *Config) BindFlags(fs *flag.FlagSet) {
+	fs.Float64Var(&c.BBWriteFailProb, "inject-bb", c.BBWriteFailProb, "degraded platform: BB checkpoint-write failure probability")
+	fs.Float64Var(&c.PFSWriteFailProb, "inject-pfs", c.PFSWriteFailProb, "degraded platform: PFS write failure probability")
+	fs.Float64Var(&c.CorruptProb, "inject-corrupt", c.CorruptProb, "degraded platform: silent checkpoint-corruption probability per commit")
+	fs.Float64Var(&c.RestartFailProb, "inject-restart", c.RestartFailProb, "degraded platform: restart-attempt failure probability")
+	fs.Float64Var(&c.CascadeProb, "inject-cascade", c.CascadeProb, "degraded platform: secondary-failure probability per recovery window")
+	fs.IntVar(&c.RestartRetries, "inject-retries", c.RestartRetries, "degraded platform: restart retry bound (0 = default)")
+	fs.Float64Var(&c.RestartBackoffSeconds, "inject-backoff", c.RestartBackoffSeconds, "degraded platform: base restart backoff seconds, doubling per attempt (0 = default)")
 }
 
 // WithDefaults fills the retry/backoff fields when restart failures are
@@ -98,8 +116,8 @@ func (c Config) Enabled() bool {
 		c.RestartFailProb > 0 || c.CascadeProb > 0
 }
 
-// Validate rejects probabilities outside [0, 1) and negative retry or
-// backoff settings. Probability 1 is rejected deliberately: a platform
+// Validate rejects probabilities outside [0, 1), a negative retry
+// bound, and a negative or non-finite backoff. Probability 1 is rejected deliberately: a platform
 // where every write fails or every restart attempt fails can never make
 // progress, and the simulation would not terminate.
 func (c Config) Validate() error {
@@ -120,8 +138,8 @@ func (c Config) Validate() error {
 	if c.RestartRetries < 0 {
 		return fmt.Errorf("faultinject: RestartRetries = %d negative", c.RestartRetries)
 	}
-	if c.RestartBackoffSeconds < 0 {
-		return fmt.Errorf("faultinject: RestartBackoffSeconds = %v negative", c.RestartBackoffSeconds)
+	if b := c.RestartBackoffSeconds; b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
+		return fmt.Errorf("faultinject: RestartBackoffSeconds = %v invalid", b)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"flag"
 	"math"
 	"testing"
 
@@ -20,6 +21,8 @@ func TestValidate(t *testing.T) {
 		{CascadeProb: math.Inf(1)},
 		{RestartRetries: -1},
 		{RestartBackoffSeconds: -5},
+		{RestartBackoffSeconds: math.NaN()},  // backoff > 0 is false: silently no backoff
+		{RestartBackoffSeconds: math.Inf(1)}, // one failed restart never ends
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -140,5 +143,27 @@ func TestEnabled(t *testing.T) {
 	}
 	if !(Config{CascadeProb: 0.01}).Enabled() {
 		t.Fatal("nonzero rate not enabled")
+	}
+}
+
+// BindFlags binds one flag per field: a parsed flag writes its field,
+// an unset flag keeps the field's value, and an explicit zero survives.
+func TestBindFlags(t *testing.T) {
+	c := Config{CorruptProb: 0.3, RestartRetries: 7}
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	c.BindFlags(fs)
+	if err := fs.Parse([]string{"-inject-bb", "0.1", "-inject-pfs", "0.2", "-inject-restart", "0.4",
+		"-inject-cascade", "0.5", "-inject-backoff", "6", "-inject-retries", "0"}); err != nil {
+		t.Fatal(err)
+	}
+	want := Config{BBWriteFailProb: 0.1, PFSWriteFailProb: 0.2, CorruptProb: 0.3, RestartFailProb: 0.4,
+		CascadeProb: 0.5, RestartBackoffSeconds: 6}
+	if c != want {
+		t.Fatalf("bound plan %+v, want %+v", c, want)
+	}
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 7 {
+		t.Fatalf("BindFlags bound %d flags, want one per field (7)", n)
 	}
 }

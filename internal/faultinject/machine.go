@@ -16,6 +16,7 @@
 package faultinject
 
 import (
+	"flag"
 	"fmt"
 	"math"
 
@@ -44,54 +45,73 @@ const (
 // value is a perfectly healthy machine. Rates are Poisson arrival rates
 // per hour of machine time; window durations are exponential around
 // their mean.
+//
+// MachineConfig is also the scenario spec's machine "faults" block: each
+// field's JSON tag is its spec key. BindFlags binds the matching
+// -machine-* flags.
 type MachineConfig struct {
 	// BrownoutRatePerHour is the arrival rate of PFS brownout windows.
 	// During a window the arbiter's aggregate ceiling is scaled by a
 	// factor drawn uniformly from [BrownoutMinFactor, BrownoutMaxFactor)
 	// — or to zero (a blackout) with probability BlackoutProb. Windows
 	// are sequential: the next gap is drawn when the current window ends.
-	BrownoutRatePerHour float64
+	BrownoutRatePerHour float64 `json:"brownout_rate_per_hour,omitempty"`
 	// BrownoutMeanSeconds is the mean brownout window duration
 	// (default DefaultBrownoutMeanSeconds when the rate is set).
-	BrownoutMeanSeconds float64
+	BrownoutMeanSeconds float64 `json:"brownout_mean_seconds,omitempty"`
 	// BrownoutMinFactor and BrownoutMaxFactor bound the ceiling scale
 	// factor (defaults DefaultBrownoutMinFactor/MaxFactor when the rate
 	// is set and both are zero).
-	BrownoutMinFactor float64
-	BrownoutMaxFactor float64
+	BrownoutMinFactor float64 `json:"brownout_min_factor,omitempty"`
+	BrownoutMaxFactor float64 `json:"brownout_max_factor,omitempty"`
 	// BlackoutProb is the probability a brownout window is a full
 	// blackout: ceiling zero, every flow priced to zero until it lifts.
-	BlackoutProb float64
+	BlackoutProb float64 `json:"blackout_prob,omitempty"`
 
 	// DrainOutageRatePerHour is the arrival rate of drain-slot outages.
 	// During an outage the machine-wide drain budget shrinks by
 	// DrainOutageSlots (floored at zero) and the most recently admitted
 	// in-flight drains requeue FIFO.
-	DrainOutageRatePerHour float64
+	DrainOutageRatePerHour float64 `json:"drain_outage_rate_per_hour,omitempty"`
 	// DrainOutageMeanSeconds is the mean outage duration (default
 	// DefaultDrainOutageMeanSeconds when the rate is set).
-	DrainOutageMeanSeconds float64
+	DrainOutageMeanSeconds float64 `json:"drain_outage_mean_seconds,omitempty"`
 	// DrainOutageSlots is how many slots an outage removes (default
 	// DefaultDrainOutageSlots when the rate is set).
-	DrainOutageSlots int
+	DrainOutageSlots int `json:"drain_outage_slots,omitempty"`
 
 	// CrashRatePerHour is the arrival rate of whole-rack crashes: every
 	// running tenant in the struck fault-domain group loses its flows
 	// and re-enters the admission queue after an exponential backoff.
-	CrashRatePerHour float64
+	CrashRatePerHour float64 `json:"crash_rate_per_hour,omitempty"`
 	// CrashMaxRetries bounds readmissions per job (default
 	// DefaultCrashMaxRetries when the rate is set); a job crashing
 	// beyond the bound ends as a truncated run instead of requeueing.
-	CrashMaxRetries int
+	CrashMaxRetries int `json:"crash_max_retries,omitempty"`
 	// CrashBackoffSeconds is the base requeue delay after a crash,
 	// doubling per prior crash of the same job (default
 	// DefaultCrashBackoffSeconds when the rate is set).
-	CrashBackoffSeconds float64
+	CrashBackoffSeconds float64 `json:"crash_backoff_seconds,omitempty"`
 
 	// StarvationEscalationSeconds arms the arbiter's starvation
 	// watchdog: a flow starved longer than this escalates into the
 	// priority lane. Zero leaves the watchdog off.
-	StarvationEscalationSeconds float64
+	StarvationEscalationSeconds float64 `json:"starvation_escalation_seconds,omitempty"`
+}
+
+// BindFlags binds the plan's -machine-* command-line flags on fs, each
+// writing its field and defaulting to the field's current value. The
+// brownout factor bounds and the drain-outage mean are spec-only.
+func (c *MachineConfig) BindFlags(fs *flag.FlagSet) {
+	fs.Float64Var(&c.BrownoutRatePerHour, "machine-brownout-rate", c.BrownoutRatePerHour, "machine faults (shared-machine runs only): PFS brownout windows per hour")
+	fs.Float64Var(&c.BrownoutMeanSeconds, "machine-brownout-mean", c.BrownoutMeanSeconds, "machine faults: mean brownout window seconds (0 = default)")
+	fs.Float64Var(&c.BlackoutProb, "machine-blackout-prob", c.BlackoutProb, "machine faults: probability a brownout is a full blackout (ceiling zero)")
+	fs.Float64Var(&c.DrainOutageRatePerHour, "machine-drain-outage-rate", c.DrainOutageRatePerHour, "machine faults: drain-slot outages per hour")
+	fs.IntVar(&c.DrainOutageSlots, "machine-drain-outage-slots", c.DrainOutageSlots, "machine faults: drain slots removed per outage (0 = default)")
+	fs.Float64Var(&c.CrashRatePerHour, "machine-crash-rate", c.CrashRatePerHour, "machine faults: rack crashes per hour (tenants crash and requeue)")
+	fs.IntVar(&c.CrashMaxRetries, "machine-crash-retries", c.CrashMaxRetries, "machine faults: crash readmissions per job before the run truncates (0 = default)")
+	fs.Float64Var(&c.CrashBackoffSeconds, "machine-crash-backoff", c.CrashBackoffSeconds, "machine faults: base requeue backoff seconds, doubling per crash (0 = default)")
+	fs.Float64Var(&c.StarvationEscalationSeconds, "machine-starve-escalation", c.StarvationEscalationSeconds, "machine faults: starvation-watchdog bound seconds (0 = watchdog off)")
 }
 
 // WithDefaults fills the per-process defaults for every enabled fault

@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"flag"
 	"math"
 	"testing"
 
@@ -213,5 +214,31 @@ func TestMachineInjectorCrashBackoffDoubles(t *testing.T) {
 	}
 	if got := in.CrashBackoffSeconds(0); got != 0 {
 		t.Errorf("CrashBackoffSeconds(0) = %g, want 0", got)
+	}
+}
+
+// BindFlags binds the nine -machine-* flags; the brownout factor bounds
+// and the drain-outage mean stay spec-only and keep their values.
+func TestMachineConfigBindFlags(t *testing.T) {
+	c := MachineConfig{BrownoutMinFactor: 0.2, BrownoutMaxFactor: 0.6, DrainOutageMeanSeconds: 300, CrashMaxRetries: 4}
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	c.BindFlags(fs)
+	if err := fs.Parse([]string{"-machine-brownout-rate", "0.5", "-machine-brownout-mean", "60",
+		"-machine-blackout-prob", "0.25", "-machine-drain-outage-rate", "0.4", "-machine-drain-outage-slots", "2",
+		"-machine-crash-rate", "0.1", "-machine-crash-backoff", "30", "-machine-starve-escalation", "900"}); err != nil {
+		t.Fatal(err)
+	}
+	want := MachineConfig{
+		BrownoutRatePerHour: 0.5, BrownoutMeanSeconds: 60, BrownoutMinFactor: 0.2, BrownoutMaxFactor: 0.6,
+		BlackoutProb: 0.25, DrainOutageRatePerHour: 0.4, DrainOutageMeanSeconds: 300, DrainOutageSlots: 2,
+		CrashRatePerHour: 0.1, CrashMaxRetries: 4, CrashBackoffSeconds: 30, StarvationEscalationSeconds: 900,
+	}
+	if c != want {
+		t.Fatalf("bound plan %+v, want %+v", c, want)
+	}
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 9 {
+		t.Fatalf("BindFlags bound %d flags, want 9", n)
 	}
 }

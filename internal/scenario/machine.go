@@ -34,73 +34,13 @@ type MachineSpec struct {
 	// means each tenant is its own rack (uncorrelated crashes).
 	Racks []int `json:"racks,omitempty"`
 	// Faults is the machine-scope fault plan (PFS brownouts, drain-slot
-	// outages, tenant crashes, starvation watchdog). Absent means a
-	// healthy machine — and, like the block itself, contributes nothing
-	// to the canonical rendering, so pre-fault specs keep their cache
-	// identity.
-	Faults *MachineFaultSpec `json:"faults,omitempty"`
-}
-
-// MachineFaultSpec is the JSON shape of faultinject.MachineConfig —
-// the declarative machine-scope fault plan. Zero fields take the
-// faultinject defaults for whichever processes are enabled.
-type MachineFaultSpec struct {
-	BrownoutRatePerHour         float64 `json:"brownout_rate_per_hour,omitempty"`
-	BrownoutMeanSeconds         float64 `json:"brownout_mean_seconds,omitempty"`
-	BrownoutMinFactor           float64 `json:"brownout_min_factor,omitempty"`
-	BrownoutMaxFactor           float64 `json:"brownout_max_factor,omitempty"`
-	BlackoutProb                float64 `json:"blackout_prob,omitempty"`
-	DrainOutageRatePerHour      float64 `json:"drain_outage_rate_per_hour,omitempty"`
-	DrainOutageMeanSeconds      float64 `json:"drain_outage_mean_seconds,omitempty"`
-	DrainOutageSlots            int     `json:"drain_outage_slots,omitempty"`
-	CrashRatePerHour            float64 `json:"crash_rate_per_hour,omitempty"`
-	CrashMaxRetries             int     `json:"crash_max_retries,omitempty"`
-	CrashBackoffSeconds         float64 `json:"crash_backoff_seconds,omitempty"`
-	StarvationEscalationSeconds float64 `json:"starvation_escalation_seconds,omitempty"`
-}
-
-// config lowers the spec block to the faultinject plan; nil is the
-// healthy machine.
-func (f *MachineFaultSpec) config() faultinject.MachineConfig {
-	if f == nil {
-		return faultinject.MachineConfig{}
-	}
-	return faultinject.MachineConfig{
-		BrownoutRatePerHour:         f.BrownoutRatePerHour,
-		BrownoutMeanSeconds:         f.BrownoutMeanSeconds,
-		BrownoutMinFactor:           f.BrownoutMinFactor,
-		BrownoutMaxFactor:           f.BrownoutMaxFactor,
-		BlackoutProb:                f.BlackoutProb,
-		DrainOutageRatePerHour:      f.DrainOutageRatePerHour,
-		DrainOutageMeanSeconds:      f.DrainOutageMeanSeconds,
-		DrainOutageSlots:            f.DrainOutageSlots,
-		CrashRatePerHour:            f.CrashRatePerHour,
-		CrashMaxRetries:             f.CrashMaxRetries,
-		CrashBackoffSeconds:         f.CrashBackoffSeconds,
-		StarvationEscalationSeconds: f.StarvationEscalationSeconds,
-	}
-}
-
-// fromMachineConfig lifts a faultinject plan back to the spec block
-// (nil when the plan is zero) — the flag-override path's constructor.
-func fromMachineConfig(c faultinject.MachineConfig) *MachineFaultSpec {
-	if c == (faultinject.MachineConfig{}) {
-		return nil
-	}
-	return &MachineFaultSpec{
-		BrownoutRatePerHour:         c.BrownoutRatePerHour,
-		BrownoutMeanSeconds:         c.BrownoutMeanSeconds,
-		BrownoutMinFactor:           c.BrownoutMinFactor,
-		BrownoutMaxFactor:           c.BrownoutMaxFactor,
-		BlackoutProb:                c.BlackoutProb,
-		DrainOutageRatePerHour:      c.DrainOutageRatePerHour,
-		DrainOutageMeanSeconds:      c.DrainOutageMeanSeconds,
-		DrainOutageSlots:            c.DrainOutageSlots,
-		CrashRatePerHour:            c.CrashRatePerHour,
-		CrashMaxRetries:             c.CrashMaxRetries,
-		CrashBackoffSeconds:         c.CrashBackoffSeconds,
-		StarvationEscalationSeconds: c.StarvationEscalationSeconds,
-	}
+	// outages, tenant crashes, starvation watchdog); its keys are
+	// faultinject.MachineConfig's JSON tags, and zero fields take the
+	// faultinject defaults for whichever processes are enabled. Absent
+	// means a healthy machine — and, like the block itself, contributes
+	// nothing to the canonical rendering, so pre-fault specs keep their
+	// cache identity.
+	Faults *faultinject.MachineConfig `json:"faults,omitempty"`
 }
 
 // MachineConfig compiles the spec's machine block plus cohort into one
@@ -138,6 +78,10 @@ func (s *Spec) MachineConfig() (machine.Config, error) {
 		}
 		jobs[i] = machine.JobSpec{Model: rc.Policy, Platform: rc.Platform, ArrivalSeconds: at}
 	}
+	var faults faultinject.MachineConfig
+	if m.Faults != nil {
+		faults = *m.Faults
+	}
 	cfg := machine.Config{
 		Jobs:                jobs,
 		Nodes:               m.Nodes,
@@ -145,7 +89,7 @@ func (s *Spec) MachineConfig() (machine.Config, error) {
 		MaxConcurrentDrains: m.MaxConcurrentDrains,
 		Admission:           adm,
 		Racks:               append([]int(nil), m.Racks...),
-		Faults:              m.Faults.config(),
+		Faults:              faults,
 	}
 	if err := cfg.WithDefaults().Validate(); err != nil {
 		return machine.Config{}, fmt.Errorf("scenario: %w", err)
@@ -180,10 +124,8 @@ func normalizeMachine(m *MachineSpec) *MachineSpec {
 		// Defaults made explicit, exactly as the simulator will apply
 		// them, so equal effective plans render equal canonical forms.
 		// WithDefaults is idempotent, keeping Normalize idempotent.
-		n.Faults = fromMachineConfig(m.Faults.config().WithDefaults())
-		if n.Faults == nil {
-			n.Faults = &MachineFaultSpec{}
-		}
+		f := m.Faults.WithDefaults()
+		n.Faults = &f
 	}
 	return &n
 }
@@ -215,8 +157,10 @@ func checkMachine(m *MachineSpec) error {
 			return fmt.Errorf("scenario: machine: racks[%d] is negative (%d)", i, r)
 		}
 	}
-	if err := m.Faults.config().Validate(); err != nil {
-		return fmt.Errorf("scenario: machine: %w", err)
+	if m.Faults != nil {
+		if err := m.Faults.Validate(); err != nil {
+			return fmt.Errorf("scenario: machine: %w", err)
+		}
 	}
 	return nil
 }

@@ -247,3 +247,53 @@ func TestMachineFaultSpecCanonical(t *testing.T) {
 		t.Errorf("faulted machine rendering is not a fixed point:\n%s\nvs\n%s", r1, r2)
 	}
 }
+
+// Both fault blocks are the faultinject plans themselves, so their field
+// order is the rendering's key order: a spec setting every key, written
+// in reverse, renders each block in the documented order, and the
+// rendering is a fixed point.
+func TestFaultBlocksRenderInSchemaOrder(t *testing.T) {
+	s := mustParse(t, `{
+	  "version": 1,
+	  "name": "every-fault-key",
+	  "apps": [{"name": "VULCAN"}],
+	  "platform": {"faults": {
+	    "restart_backoff_seconds": 7, "restart_retries": 3, "cascade_prob": 0.1, "restart_fail_prob": 0.2,
+	    "corrupt_prob": 0.01, "pfs_write_fail_prob": 0.02, "bb_write_fail_prob": 0.03}},
+	  "policies": ["B"],
+	  "machine": {"faults": {
+	    "starvation_escalation_seconds": 9, "crash_backoff_seconds": 8, "crash_max_retries": 7,
+	    "crash_rate_per_hour": 0.6, "drain_outage_slots": 5, "drain_outage_mean_seconds": 4,
+	    "drain_outage_rate_per_hour": 0.3, "blackout_prob": 0.2, "brownout_max_factor": 0.9,
+	    "brownout_min_factor": 0.1, "brownout_mean_seconds": 2, "brownout_rate_per_hour": 0.1}}
+	}`)
+	r, err := s.Render()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := -1
+	for _, key := range []string{
+		"bb_write_fail_prob", "pfs_write_fail_prob", "corrupt_prob", "restart_fail_prob",
+		"cascade_prob", "restart_retries", "restart_backoff_seconds",
+		"brownout_rate_per_hour", "brownout_mean_seconds", "brownout_min_factor", "brownout_max_factor",
+		"blackout_prob", "drain_outage_rate_per_hour", "drain_outage_mean_seconds", "drain_outage_slots",
+		"crash_rate_per_hour", "crash_max_retries", "crash_backoff_seconds", "starvation_escalation_seconds",
+	} {
+		i := bytes.Index(r, []byte(`"`+key+`":`))
+		if i <= last {
+			t.Fatalf("key %q missing or out of order in the rendering:\n%s", key, r)
+		}
+		last = i
+	}
+	s2, err := Parse(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := s2.Render()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(r, r2) {
+		t.Errorf("rendering is not a fixed point:\n%s\nvs\n%s", r, r2)
+	}
+}

@@ -96,34 +96,6 @@ func (a AppSpec) Resolve() (workload.App, error) {
 	return app, nil
 }
 
-// FaultSpec is the degraded-platform fault plan, mirroring
-// faultinject.Config field-for-field (zero = perfect platform).
-type FaultSpec struct {
-	BBWriteFailProb       float64 `json:"bb_write_fail_prob,omitempty"`
-	PFSWriteFailProb      float64 `json:"pfs_write_fail_prob,omitempty"`
-	CorruptProb           float64 `json:"corrupt_prob,omitempty"`
-	RestartFailProb       float64 `json:"restart_fail_prob,omitempty"`
-	CascadeProb           float64 `json:"cascade_prob,omitempty"`
-	RestartRetries        int     `json:"restart_retries,omitempty"`
-	RestartBackoffSeconds float64 `json:"restart_backoff_seconds,omitempty"`
-}
-
-// config converts to the runtime fault plan.
-func (f *FaultSpec) config() faultinject.Config {
-	if f == nil {
-		return faultinject.Config{}
-	}
-	return faultinject.Config{
-		BBWriteFailProb:       f.BBWriteFailProb,
-		PFSWriteFailProb:      f.PFSWriteFailProb,
-		CorruptProb:           f.CorruptProb,
-		RestartFailProb:       f.RestartFailProb,
-		CascadeProb:           f.CascadeProb,
-		RestartRetries:        f.RestartRetries,
-		RestartBackoffSeconds: f.RestartBackoffSeconds,
-	}
-}
-
 // PlatformSpec is the platform block: predictor, lead-time scaling,
 // migration model, and fault plan. Zero fields select the same defaults
 // the flag-driven tools use.
@@ -142,8 +114,9 @@ type PlatformSpec struct {
 	AccuracyAwareSigma bool `json:"accuracy_aware_sigma,omitempty"`
 	// LMAlpha is the live-migration transfer/checkpoint ratio (0 = 3.0).
 	LMAlpha float64 `json:"lm_alpha,omitempty"`
-	// Faults is the degraded-platform fault plan.
-	Faults *FaultSpec `json:"faults,omitempty"`
+	// Faults is the degraded-platform fault plan; its keys are
+	// faultinject.Config's JSON tags.
+	Faults *faultinject.Config `json:"faults,omitempty"`
 }
 
 // FailureSpec selects the failure source: a Table III catalogue entry
@@ -356,6 +329,10 @@ func (s *Spec) Configs() ([]RunConfig, error) {
 		}
 	}
 
+	var faults faultinject.Config
+	if n.Platform.Faults != nil {
+		faults = *n.Platform.Faults
+	}
 	labels := map[string]int{}
 	var out []RunConfig
 	for _, as := range n.Apps {
@@ -378,7 +355,7 @@ func (s *Spec) Configs() ([]RunConfig, error) {
 			PerfectPredictor:   n.Platform.PerfectPredictor,
 			OCIRefreshSeconds:  n.Platform.OCIRefreshSeconds,
 			AccuracyAwareSigma: n.Platform.AccuracyAwareSigma,
-			Faults:             n.Platform.Faults.config(),
+			Faults:             faults,
 			Replay:             replay,
 		}
 		if err := pc.Validate(); err != nil {
@@ -441,19 +418,6 @@ func (s *Spec) check() error {
 		}
 		if err := finite(fields); err != nil {
 			return fmt.Errorf("scenario: %w", err)
-		}
-		if f := p.Faults; f != nil {
-			fields = map[string]float64{
-				"bb_write_fail_prob":      f.BBWriteFailProb,
-				"pfs_write_fail_prob":     f.PFSWriteFailProb,
-				"corrupt_prob":            f.CorruptProb,
-				"restart_fail_prob":       f.RestartFailProb,
-				"cascade_prob":            f.CascadeProb,
-				"restart_backoff_seconds": f.RestartBackoffSeconds,
-			}
-			if err := finite(fields); err != nil {
-				return fmt.Errorf("scenario: faults: %w", err)
-			}
 		}
 	}
 	return nil

@@ -97,10 +97,16 @@ func TestValidateRejects(t *testing.T) {
 		"inf-alpha":      func(s *Spec) { s.Platform = &PlatformSpec{LMAlpha: math.Inf(1)} },
 		"bad-fn":         func(s *Spec) { s.Platform = &PlatformSpec{FNRate: 1.5} },
 		"nan-fault": func(s *Spec) {
-			s.Platform = &PlatformSpec{Faults: &FaultSpec{CorruptProb: math.NaN()}}
+			s.Platform = &PlatformSpec{Faults: &faultinject.Config{CorruptProb: math.NaN()}}
 		},
 		"bad-fault": func(s *Spec) {
-			s.Platform = &PlatformSpec{Faults: &FaultSpec{CorruptProb: 1.5}}
+			s.Platform = &PlatformSpec{Faults: &faultinject.Config{CorruptProb: 1.5}}
+		},
+		"nan-backoff": func(s *Spec) {
+			s.Platform = &PlatformSpec{Faults: &faultinject.Config{RestartFailProb: 0.5, RestartBackoffSeconds: math.NaN()}}
+		},
+		"inf-backoff": func(s *Spec) {
+			s.Platform = &PlatformSpec{Faults: &faultinject.Config{RestartFailProb: 0.5, RestartBackoffSeconds: math.Inf(1)}}
 		},
 	}
 	for name, mutate := range cases {
