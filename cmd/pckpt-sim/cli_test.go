@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestMain doubles the test binary as the pckpt-sim CLI: when re-exec'd
@@ -16,6 +20,7 @@ import (
 // without a separate build step.
 func TestMain(m *testing.M) {
 	if os.Getenv("PCKPT_SIM_RUN_MAIN") == "1" {
+		go exitOnRunawayHeap()
 		os.Args = append([]string{"pckpt-sim"}, strings.Split(os.Getenv("PCKPT_SIM_ARGS"), "\x1f")...)
 		main()
 		os.Exit(0)
@@ -23,21 +28,45 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// exitOnRunawayHeap stops a re-exec'd CLI whose heap passes 1 GiB. No
+// CLI test needs a tenth of that; a run that gets there is a runaway
+// (an unvalidated NaN lead scale queues NaN-timed failures at about
+// 1 GB/s), and it must fail its test without starving the host.
+func exitOnRunawayHeap() {
+	var m runtime.MemStats
+	for range time.Tick(50 * time.Millisecond) {
+		if runtime.ReadMemStats(&m); m.HeapAlloc > 1<<30 {
+			fmt.Fprintln(os.Stderr, "pckpt-sim test: heap passed 1 GiB, stopping")
+			os.Exit(3)
+		}
+	}
+}
+
 // runCLI re-execs the test binary as the CLI and captures its output
 // and exit code.
 func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	return runCLIContext(context.Background(), t, args...)
+}
+
+// runCLIContext is runCLI under ctx: a CLI still running when ctx ends
+// is killed, and the test fails instead of hanging.
+func runCLIContext(ctx context.Context, t *testing.T, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(exe)
+	cmd := exec.CommandContext(ctx, exe)
 	cmd.Env = append(os.Environ(),
 		"PCKPT_SIM_RUN_MAIN=1",
 		"PCKPT_SIM_ARGS="+strings.Join(args, "\x1f"))
 	var out, errBuf bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errBuf
 	err = cmd.Run()
+	if ctx.Err() != nil {
+		t.Errorf("pckpt-sim %s: killed, still running (%v)", strings.Join(args, " "), ctx.Err())
+	}
 	if ee, ok := err.(*exec.ExitError); ok {
 		code = ee.ExitCode()
 	} else if err != nil {
@@ -212,6 +241,29 @@ func TestCLISpecFlagPrecedence(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "1 configurations (2 runs each") || !strings.Contains(stdout, "M2") {
 		t.Errorf("-model override did not narrow the grid:\n%s", stdout)
+	}
+}
+
+// TestCLIRejectsNonFinitePlatform: a non-finite predictor, lead-time or
+// LM flag exits 2 with one stderr line naming the field and the value,
+// before anything prints. Unchecked, -lead-scale NaN never finished (its
+// failure stream queued NaN-timed events inside one engine event, out of
+// the watchdog's sight), -alpha NaN reported a wall time shorter than
+// the job's compute, and -fn/-fp NaN skewed every overhead.
+func TestCLIRejectsNonFinitePlatform(t *testing.T) {
+	for _, c := range []struct{ flag, value, want string }{
+		{"-alpha", "NaN", "alpha NaN"},
+		{"-lead-scale", "NaN", "lead scale NaN"},
+		{"-fn", "NaN", "FN rate NaN"},
+		{"-fp", "Inf", "FP rate +Inf"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		stdout, stderr, code := runCLIContext(ctx, t, "-app", "XGC", "-model", "M2", "-runs", "2", "-baseline=false", c.flag, c.value)
+		cancel()
+		if code != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, c.want) {
+			t.Errorf("%s %s: exit %d, stdout %q, stderr %q; want exit 2, no output and one line naming %q",
+				c.flag, c.value, code, stdout, stderr, c.want)
+		}
 	}
 }
 

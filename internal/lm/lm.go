@@ -11,7 +11,10 @@
 // for a migration to finish before the failure.
 package lm
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // DefaultAlpha is the paper's LM-transfer to checkpoint-size ratio.
 const DefaultAlpha = 3.0
@@ -49,14 +52,16 @@ func (c Config) WithAlpha(alpha float64) Config {
 
 // Validate reports a configuration error, or nil.
 func (c Config) Validate() error {
+	// Each test is written to fail for NaN, which compares false with
+	// everything and would pass a plain range check.
 	switch {
-	case c.Alpha <= 0:
-		return fmt.Errorf("lm: non-positive alpha %g", c.Alpha)
-	case c.RAMCapGB <= 0:
-		return fmt.Errorf("lm: non-positive RAM cap")
-	case c.NetworkGBs <= 0:
-		return fmt.Errorf("lm: non-positive network bandwidth")
-	case c.Dilation < 0 || c.Dilation >= 1:
+	case !(c.Alpha > 0) || math.IsInf(c.Alpha, 1):
+		return fmt.Errorf("lm: non-positive or non-finite alpha %g", c.Alpha)
+	case !(c.RAMCapGB > 0) || math.IsInf(c.RAMCapGB, 1):
+		return fmt.Errorf("lm: non-positive or non-finite RAM cap %g", c.RAMCapGB)
+	case !(c.NetworkGBs > 0) || math.IsInf(c.NetworkGBs, 1):
+		return fmt.Errorf("lm: non-positive or non-finite network bandwidth %g", c.NetworkGBs)
+	case !(c.Dilation >= 0 && c.Dilation < 1):
 		return fmt.Errorf("lm: dilation %g outside [0, 1)", c.Dilation)
 	}
 	return nil

@@ -19,6 +19,15 @@ func TestValidateRejects(t *testing.T) {
 		func(c *Config) { c.NetworkGBs = -1 },
 		func(c *Config) { c.Dilation = 1 },
 		func(c *Config) { c.Dilation = -0.1 },
+		// Non-finite values pass a plain range check; each must fail.
+		func(c *Config) { c.Alpha = math.NaN() },
+		func(c *Config) { c.Alpha = math.Inf(1) },
+		func(c *Config) { c.RAMCapGB = math.NaN() },
+		func(c *Config) { c.RAMCapGB = math.Inf(1) },
+		func(c *Config) { c.NetworkGBs = math.NaN() },
+		func(c *Config) { c.NetworkGBs = math.Inf(1) },
+		func(c *Config) { c.Dilation = math.NaN() },
+		func(c *Config) { c.Dilation = math.Inf(1) },
 	}
 	for i, mutate := range cases {
 		c := Default()

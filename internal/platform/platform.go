@@ -139,15 +139,17 @@ func (c Config) Validate() error {
 	if err := c.LM.Validate(); err != nil {
 		return err
 	}
+	// Each test is written to fail for NaN, which compares false with
+	// everything and would pass a plain range check.
 	switch {
-	case c.LeadScale <= 0:
-		return fmt.Errorf("platform: non-positive lead scale")
-	case c.FNRate < 0 || c.FNRate > 1:
-		return fmt.Errorf("platform: FN rate outside [0, 1]")
-	case c.FPRate < 0 || c.FPRate >= 1:
-		return fmt.Errorf("platform: FP rate outside [0, 1)")
-	case c.OCIRefreshSeconds < 0:
-		return fmt.Errorf("platform: negative OCI refresh period")
+	case !(c.LeadScale > 0) || math.IsInf(c.LeadScale, 1):
+		return fmt.Errorf("platform: non-positive or non-finite lead scale %v", c.LeadScale)
+	case !(c.FNRate >= 0 && c.FNRate <= 1):
+		return fmt.Errorf("platform: FN rate %v outside [0, 1]", c.FNRate)
+	case !(c.FPRate >= 0 && c.FPRate < 1):
+		return fmt.Errorf("platform: FP rate %v outside [0, 1)", c.FPRate)
+	case !(c.OCIRefreshSeconds >= 0) || math.IsInf(c.OCIRefreshSeconds, 1):
+		return fmt.Errorf("platform: negative or non-finite OCI refresh period %v", c.OCIRefreshSeconds)
 	case c.SpareNodes < 0:
 		return fmt.Errorf("platform: negative spare-node count")
 	}

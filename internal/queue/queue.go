@@ -28,8 +28,22 @@ func (q *PQ[T]) Len() int { return len(q.items) }
 
 // Push inserts val with the given key.
 func (q *PQ[T]) Push(key float64, val T) {
+	q.PushSeq(key, q.Reserve(), val)
+}
+
+// Reserve hands out the sequence number the next Push would use, without
+// queueing anything: an item held outside the queue keeps its place in
+// the (key, seq) order, and PushSeq can queue it there later.
+func (q *PQ[T]) Reserve() uint64 {
 	q.seq++
-	q.items = append(q.items, pqItem[T]{key: key, seq: q.seq, val: val})
+	return q.seq
+}
+
+// PushSeq inserts val with the given key under a sequence number from
+// Reserve. Queueing one number twice breaks the insertion-order
+// tie-break.
+func (q *PQ[T]) PushSeq(key float64, seq uint64, val T) {
+	q.items = append(q.items, pqItem[T]{key: key, seq: seq, val: val})
 	q.up(len(q.items) - 1)
 }
 
@@ -61,6 +75,16 @@ func (q *PQ[T]) Peek() (key float64, val T, ok bool) {
 		return 0, zero, false
 	}
 	return q.items[0].key, q.items[0].val, true
+}
+
+// Head returns the smallest item's key and sequence number: an item
+// held under (k, s) pops before it exactly when k < key, or k == key and
+// s < seq. The boolean is false when the queue is empty.
+func (q *PQ[T]) Head() (key float64, seq uint64, ok bool) {
+	if len(q.items) == 0 {
+		return 0, 0, false
+	}
+	return q.items[0].key, q.items[0].seq, true
 }
 
 // Clear removes all items but keeps the backing storage for reuse. The

@@ -405,22 +405,9 @@ func (s *Spec) check() error {
 	if s.Runs < 0 {
 		return fmt.Errorf("scenario: negative run count")
 	}
-	if err := checkMachine(s.Machine); err != nil {
-		return err
-	}
-	if p := s.Platform; p != nil {
-		fields := map[string]float64{
-			"lead_scale":          p.LeadScale,
-			"fn_rate":             p.FNRate,
-			"fp_rate":             p.FPRate,
-			"oci_refresh_seconds": p.OCIRefreshSeconds,
-			"lm_alpha":            p.LMAlpha,
-		}
-		if err := finite(fields); err != nil {
-			return fmt.Errorf("scenario: %w", err)
-		}
-	}
-	return nil
+	// The platform block needs no check here: Configs validates every
+	// compiled platform.Config, which rejects non-finite values.
+	return checkMachine(s.Machine)
 }
 
 // finite rejects NaN and ±Inf field values: JSON cannot encode them, but

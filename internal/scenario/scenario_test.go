@@ -120,6 +120,15 @@ func TestValidateRejects(t *testing.T) {
 	if err := nilSpec.Validate(); err == nil {
 		t.Error("nil spec accepted")
 	}
+	// A non-finite platform value reaches platform.Config.Validate, whose
+	// error names the field and the value.
+	for name, want := range map[string]string{"nan-lead-scale": "lead scale NaN", "inf-alpha": "alpha +Inf"} {
+		s := mustParse(t, minimalSpec)
+		cases[name](s)
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Validate = %v, want an error naming %q", name, err, want)
+		}
+	}
 }
 
 // A spec compiled with all defaults must be bit-identical to the config

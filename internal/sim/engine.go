@@ -20,6 +20,16 @@ package sim
 // ClusterSimulator uses: an external driver can interleave several
 // engines on one shared clock by repeatedly asking each for its next
 // event time and stepping the earliest.
+//
+// A callback may also dispatch events it holds itself, off the heap, in
+// line (Reserve / Precedes / Advance / CallAtSeq): a held event keeps
+// the sequence number CallAt would have given it, runs only while it
+// precedes every live heap event, and counts for Dispatched and the
+// watchdog like a popped one. That run-ahead is bounded only by this
+// engine's own heap and the Run(until) horizon, so it cannot see a
+// sibling engine's events: a driver interleaving several engines on one
+// clock must step each with Run(until), never a bare ProcessNextEvent,
+// or one engine's callbacks can run past the other engines' next events.
 
 import (
 	"fmt"
@@ -68,6 +78,9 @@ type Engine struct {
 	wdEvents    uint64
 	// dispatched counts live events processed since construction.
 	dispatched uint64
+	// horizon is Run's until while Run drives the engine, +Inf otherwise:
+	// in-line dispatch (Precedes) must not pass it.
+	horizon float64
 }
 
 // WatchdogError is the panic value ProcessNextEvent raises when an armed
@@ -98,7 +111,7 @@ func (w *WatchdogError) Error() string {
 
 // enginePool recycles released engines — principally the event-heap
 // backing array and the free list — across runs of a sweep.
-var enginePool = sync.Pool{New: func() any { return new(Engine) }}
+var enginePool = sync.Pool{New: func() any { return &Engine{horizon: math.Inf(1)} }}
 
 // NewEngine returns an empty engine with the clock at zero. It may reuse
 // the buffers of a previously Released engine.
@@ -120,6 +133,7 @@ func (e *Engine) Release() {
 	e.wdMaxSim = 0
 	e.wdEvents = 0
 	e.dispatched = 0
+	e.horizon = math.Inf(1)
 	enginePool.Put(e)
 }
 
@@ -151,11 +165,18 @@ func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
 // schedule pushes an event at an absolute time.
 func (e *Engine) schedule(at float64, ev *event) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling into the past (at=%g, now=%g)", at, e.now))
-	}
+	e.checkTime(at)
 	ev.at = at
 	e.events.Push(at, ev)
+}
+
+// checkTime refuses an event time before the clock. The test is written
+// so that NaN fails it too: a NaN key compares false against every other
+// key and would silently break the heap's (time, seq) order.
+func (e *Engine) checkTime(at float64) {
+	if !(at >= e.now) {
+		panic(fmt.Sprintf("sim: scheduling into the past (at=%g, now=%g)", at, e.now))
+	}
 }
 
 // After runs fn at the given delay from now and returns a Timer that
@@ -183,11 +204,52 @@ func (e *Engine) After(delay float64, name string, fn func()) Timer {
 // eng.Now() at different moments would split such ties by an ulp and
 // reorder the run.
 func (e *Engine) CallAt(at float64, name string, fn func(float64), arg float64) Timer {
+	return e.CallAtSeq(max(at, e.now), e.Reserve(), name, fn, arg)
+}
+
+// Reserve hands out the sequence number CallAt would give an event
+// scheduled now, without queueing anything. The caller holds the event
+// itself: it either dispatches it in line (Precedes, then Advance) or
+// queues it later with CallAtSeq, and either way it fires exactly where
+// CallAt would have put it in the (time, seq) order.
+func (e *Engine) Reserve() uint64 { return e.events.Reserve() }
+
+// Precedes reports whether an event held at (at, seq) comes before every
+// live queued event — it is the one ProcessNextEvent would dispatch next
+// — and, while Run(until) drives the engine, lies within the horizon
+// (at <= until). A NaN time precedes nothing.
+func (e *Engine) Precedes(at float64, seq uint64) bool {
+	if !(at <= e.horizon) {
+		return false
+	}
+	e.settle()
+	key, next, ok := e.events.Head()
+	return !ok || at < key || at == key && seq < next
+}
+
+// Advance dispatches a held event in line: it moves the clock to at and
+// counts the event against the watchdog under name and in Dispatched —
+// ProcessNextEvent's own bookkeeping for a popped event; the caller then
+// runs the event's callback. Call it only for an event Precedes
+// approved.
+func (e *Engine) Advance(at float64, name string) {
+	e.checkTime(at)
+	e.now = at
+	e.watch(name)
+	e.dispatched++
+}
+
+// CallAtSeq is CallAt for a held event: it queues fn(arg) at absolute
+// time at under seq, a number from Reserve, with the past-time check but
+// no clamp (the holder computed at while the clock was not later).
+func (e *Engine) CallAtSeq(at float64, seq uint64, name string, fn func(float64), arg float64) Timer {
+	e.checkTime(at)
 	ev := e.newEvent()
+	ev.at = at
 	ev.call = fn
 	ev.arg = arg
 	ev.name = name
-	e.schedule(math.Max(at, e.now), ev)
+	e.events.PushSeq(at, seq, ev)
 	return Timer{ev: ev}
 }
 
@@ -261,15 +323,13 @@ func (e *Engine) ProcessNextEvent() bool {
 		return false
 	}
 	_, ev := e.events.Pop()
-	e.now = ev.at
-	e.watch(ev)
+	e.Advance(ev.at, ev.name)
 	// Copy the payload and recycle the entry up front: fn may schedule
 	// new events that reuse it, and no reference to a dispatched event
 	// survives (Cancel guards fired timers via the cancelled flag only
 	// until this pop).
 	fn, call, arg := ev.fn, ev.call, ev.arg
 	e.freeEvent(ev)
-	e.dispatched++
 	if call != nil {
 		call(arg)
 	} else {
@@ -282,9 +342,11 @@ func (e *Engine) ProcessNextEvent() bool {
 // When events remain beyond the horizon, the clock still advances to
 // until — mirroring SimPy's run(until=...), whose horizon is itself an
 // event — so Now() afterwards is the horizon, and work scheduled
-// relative to it is anchored there. It returns the final simulation
-// time.
+// relative to it is anchored there. While it runs, until also bounds
+// in-line dispatch (Precedes). It returns the final simulation time.
 func (e *Engine) Run(until float64) float64 {
+	defer func(h float64) { e.horizon = h }(e.horizon)
+	e.horizon = until
 	for {
 		at, ok := e.PeekNextEventTime()
 		if !ok {
@@ -318,13 +380,13 @@ func (e *Engine) SetWatchdog(maxEvents uint64, maxSimSeconds float64) {
 	e.wdEvents = 0
 }
 
-// watch enforces the armed limits against the live entry about to run.
-func (e *Engine) watch(ev *event) {
+// watch enforces the armed limits against the live event about to run,
+// labelled name.
+func (e *Engine) watch(name string) {
 	if e.wdMaxEvents == 0 && e.wdMaxSim == 0 {
 		return
 	}
 	e.wdEvents++
-	name := ev.name
 	if name == "" {
 		name = "(callback)"
 	}

@@ -169,6 +169,15 @@ type appSim struct {
 	waitFree  []*waitFrame
 	drainFree []*drainFrame
 
+	// runsAhead, decided once in startApp, selects run-ahead (see
+	// runAhead): no arbiter and no trace recorder. While such an app's
+	// code runs, its pending wake (wakeHeld, heldWake) and its drains (a
+	// FIFO from drainHead, linked through the frames) stay off the heap;
+	// running guards runAhead against re-entry.
+	runsAhead, running, wakeHeld bool
+	heldWake                     held
+	drainHead                    *drainFrame
+
 	met pckpt.RunMetrics
 	res stats.RunResult
 }
@@ -199,14 +208,82 @@ func (a *appSim) syncClock() { a.clockTo(a.eng.Now() - a.t0) }
 // engine-time conversion is one t0 addition. The deadline travels in the
 // event, so a prebound fn schedules without allocating.
 func (a *appSim) sched(delay float64, name string, fn func(local float64)) sim.Timer {
+	h := a.hold(delay)
+	return a.eng.CallAtSeq(h.at, h.seq, name, fn, h.local)
+}
+
+// held is an event the app keeps off the heap: the engine time, local
+// deadline and engine sequence number sched gives it.
+type held struct {
+	at, local float64
+	seq       uint64
+}
+
+// before orders held events as the heap does: by time, then sequence.
+func (h held) before(o held) bool { return h.at < o.at || h.at == o.at && h.seq < o.seq }
+
+// hold reserves the event sched(delay, …) schedules: its engine time
+// (the deadline's t0 conversion, clamped to the clock as CallAt clamps),
+// its local deadline, and the next engine sequence number.
+func (a *appSim) hold(delay float64) held {
+	now := a.eng.Now()
 	if delay == 0 {
 		// An immediate event joins the current timestamp batch; the t0
 		// round-trip could land an ulp past it. The local clock is already
 		// at the deadline, so fn's clockTo is a no-op.
-		return a.eng.CallAt(a.eng.Now(), name, fn, a.now())
+		return held{at: now, local: a.now(), seq: a.eng.Reserve()}
 	}
-	deadline := a.now() + delay
-	return a.eng.CallAt(a.t0+deadline, name, fn, deadline)
+	local := a.now() + delay
+	return held{at: max(a.t0+local, now), local: local, seq: a.eng.Reserve()}
+}
+
+// runAhead ends every engine entry point that can park the app: start,
+// wake and interrupted. An app with neither an arbiter nor a trace
+// recorder holds its pending wake and its drains off the heap (wait,
+// startDrain); here it dispatches them in line, in
+// (time, seq) order, while the earliest precedes every live heap event
+// and the Run horizon — it is then exactly the event ProcessNextEvent
+// would pop next — and runs the same wake or fired continuation the heap
+// would. Whatever is still held then goes onto the heap under its
+// reserved sequence number, so the engine, and an injector interrupt
+// cancelling the wake through a.blocked, never see the app holding
+// anything. The in-line calls end in runAhead too; running makes those
+// nested calls return at once.
+func (a *appSim) runAhead() {
+	if !a.runsAhead || a.running {
+		return
+	}
+	a.running = true
+	for {
+		f := a.drainHead
+		if a.wakeHeld && (f == nil || a.heldWake.before(f.held)) {
+			w := a.heldWake
+			if !a.eng.Precedes(w.at, w.seq) {
+				break
+			}
+			a.wakeHeld = false
+			a.eng.Advance(w.at, "app")
+			a.wake(w.local)
+			continue
+		}
+		if f == nil || !a.eng.Precedes(f.at, f.seq) {
+			break
+		}
+		a.drainHead, f.next = f.next, nil
+		a.eng.Advance(f.at, "drain")
+		f.fired(f.local)
+	}
+	if a.wakeHeld {
+		a.wakeHeld = false
+		w := a.heldWake
+		a.blocked = a.eng.CallAtSeq(w.at, w.seq, "app", a.wakeFn, w.local)
+	}
+	for f := a.drainHead; f != nil; {
+		a.eng.CallAtSeq(f.at, f.seq, "drain", f.firedFn, f.local)
+		f, f.next = f.next, nil
+	}
+	a.drainHead = nil
+	a.running = false
 }
 
 // trace emits a timeline event when tracing is enabled.
@@ -347,9 +424,12 @@ func startApp(eng *sim.Engine, cfg Config, seed uint64, opts AppOptions) *appSim
 		est:    failure.NewRateEstimator(cfg.System.JobFailureRate(cfg.App.Nodes)),
 		cl:     cl,
 		plat:   cfg.Derive(),
-		sigma:  cfg.Sigma(),
 		st:     policy.NewState(),
 	}
+	if cfg.Model.UsesLM() {
+		a.sigma = a.plat.SigmaLM
+	}
+	a.runsAhead = opts.Arbiter == nil && cfg.Trace == nil
 	a.wakeFn, a.interruptFn, a.injectFn = a.wake, a.interrupted, a.injectResume
 	a.computeWokeFn, a.bbWrittenFn, a.computeResumeFn = a.computeWoke, a.bbWritten, a.computeResume
 	a.pricing = pckpt.NewEpisodePricing(cfg.IO, a.plat.PerNodeGB)
@@ -372,12 +452,17 @@ func startApp(eng *sim.Engine, cfg Config, seed uint64, opts AppOptions) *appSim
 // wait parks the application for d seconds of simulated time: cont runs
 // at expiry with interrupted=false, or at the interrupt time with
 // interrupted=true if the injector cuts the wait short (in which case
-// less than d elapsed) — the CPS equivalent of sim.Proc.Wait.
+// less than d elapsed) — the CPS equivalent of sim.Proc.Wait. A
+// run-ahead app holds the wake for runAhead instead of scheduling it.
 func (a *appSim) wait(d float64, cont func(interrupted bool)) {
-	if d < 0 {
-		panic(fmt.Sprintf("stepsim: wait with negative duration %g", d))
+	if !(d >= 0) {
+		panic(fmt.Sprintf("stepsim: wait with negative or NaN duration %g", d))
 	}
 	a.blockedCont = cont
+	if a.runsAhead {
+		a.heldWake, a.wakeHeld = a.hold(d), true
+		return
+	}
 	a.blocked = a.sched(d, "app", a.wakeFn)
 }
 
@@ -385,6 +470,7 @@ func (a *appSim) wait(d float64, cont func(interrupted bool)) {
 func (a *appSim) wake(local float64) {
 	a.clockTo(local)
 	a.resume()(false)
+	a.runAhead()
 }
 
 // resume clears the parked state and returns the pending continuation,
@@ -421,6 +507,7 @@ func (a *appSim) interrupted(local float64) {
 		return // aborted between delivery and wake-up
 	}
 	a.resume()(true)
+	a.runAhead()
 }
 
 // refreshOCI re-derives the checkpoint interval from the current failure
@@ -438,6 +525,7 @@ func (a *appSim) start(local float64) {
 		return // aborted before the first compute cycle
 	}
 	a.runLoop()
+	a.runAhead()
 }
 
 func (a *appSim) runLoop() {
@@ -484,7 +572,7 @@ func (a *appSim) finish() {
 // absorbing interrupts, then runs computeDone.
 func (a *appSim) computeChunk() {
 	a.refreshOCI()
-	a.chunkTarget = math.Min(a.progress+a.curOCI, a.plat.ComputeSeconds)
+	a.chunkTarget = min(a.progress+a.curOCI, a.plat.ComputeSeconds)
 	if a.cfg.Trace != nil {
 		a.trace(trace.CycleStart, -1, fmt.Sprintf("interval=%.0fs", a.chunkTarget-a.progress))
 	}
@@ -529,7 +617,7 @@ func (a *appSim) computeResume() {
 		// A proactive action committed a full checkpoint; re-base the
 		// periodic schedule on the fresh interval.
 		a.refreshOCI()
-		a.chunkTarget = math.Min(a.progress+a.curOCI, a.plat.ComputeSeconds)
+		a.chunkTarget = min(a.progress+a.curOCI, a.plat.ComputeSeconds)
 	}
 	a.computeStep()
 }
@@ -581,11 +669,16 @@ type drainFrame struct {
 	fid      FlowID
 	firedFn  func(local float64) // solo: the drain timer
 	flowFn   func()              // shared machine: the arbiter's completion
+	// held and next place a drain runAhead holds in the app's FIFO.
+	held
+	next *drainFrame
 }
 
 // startDrain launches the asynchronous BB→PFS drain: a fixed-duration
 // callback solo, an arbitered flow (contending for drain slots and
-// fair-share bandwidth) on a shared machine.
+// fair-share bandwidth) on a shared machine. A run-ahead app holds the
+// drain in its FIFO instead: every drain lasts plat.Drain and starts no
+// earlier than the one before it, so FIFO order is (time, seq) order.
 func (a *appSim) startDrain(captured float64, gen int) {
 	var f *drainFrame
 	if n := len(a.drainFree); n > 0 {
@@ -593,9 +686,22 @@ func (a *appSim) startDrain(captured float64, gen int) {
 		a.drainFree = a.drainFree[:n-1]
 	} else {
 		f = &drainFrame{a: a}
-		f.firedFn, f.flowFn = f.fired, f.flowDone
+		if a.arb == nil {
+			f.firedFn = f.fired
+		} else {
+			f.flowFn = f.flowDone
+		}
 	}
 	f.captured, f.gen = captured, gen
+	if a.runsAhead {
+		f.held = a.hold(a.plat.Drain)
+		tail := &a.drainHead
+		for *tail != nil {
+			tail = &(*tail).next
+		}
+		*tail = f
+		return
+	}
 	if a.arb == nil {
 		a.sched(a.plat.Drain, "drain", f.firedFn)
 		return

@@ -149,6 +149,25 @@ func BenchmarkStepSimulate(b *testing.B) {
 	}
 }
 
+// BenchmarkStepSimulatePOP is the one-run rung of the failure-free
+// checkpoint cycle: POP under B on the Titan distribution makes about
+// 1,035 checkpoints for 0.7 failures per run, so nearly every event is
+// a compute wake, a BB-write wake or a drain — the timers a solo run
+// dispatches in line. BenchmarkStepSimulate's 48-node platform is
+// failure-dense instead.
+func BenchmarkStepSimulatePOP(b *testing.B) {
+	app, err := workload.ByName("POP")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := stepsim.Config{Model: policy.B, Config: platform.Config{App: app, System: failure.Titan}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stepsim.Simulate(cfg, uint64(i)+1)
+	}
+}
+
 // BenchmarkStepSimulateP1 and BenchmarkStepSimulateP2 track the episode
 // models end to end on the step tier — the sweep-facing numbers behind
 // the default-tier flip. Informational: the gated claim is the

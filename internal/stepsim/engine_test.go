@@ -7,6 +7,7 @@ package stepsim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pckpt/internal/sim"
@@ -163,6 +164,95 @@ func TestSchedulePastPanics(t *testing.T) {
 		e.After(-5, "", func() {})
 	})
 	e.RunAll()
+}
+
+// TestScheduleNaNPanics: a NaN time fails the past-time check. Queued,
+// it would compare false against every key and silently break the
+// (time, seq) order in-line dispatch relies on.
+func TestScheduleNaNPanics(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		schedule func(e *sim.Engine)
+	}{
+		{"After", func(e *sim.Engine) { e.After(math.NaN(), "", func() {}) }},
+		{"CallAt", func(e *sim.Engine) { e.CallAt(math.NaN(), "", func(float64) {}, 0) }},
+		{"CallAtSeq", func(e *sim.Engine) { e.CallAtSeq(math.NaN(), e.Reserve(), "", func(float64) {}, 0) }},
+	} {
+		e := sim.NewEngine()
+		e.After(10, "", func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a NaN event time did not panic", c.name)
+				}
+			}()
+			c.schedule(e)
+		})
+		e.RunAll()
+	}
+}
+
+// TestHeldEventPrimitives: an event held under a reserved sequence
+// number keeps the place CallAt would have given it. Precedes approves
+// it only ahead of every live queued event (cancelled heads skipped)
+// and within Run's horizon; Advance counts it like a popped event; and
+// CallAtSeq queues it in that same place.
+func TestHeldEventPrimitives(t *testing.T) {
+	e := sim.NewEngine()
+	var got []string
+	rec := func(s string) func(float64) { return func(float64) { got = append(got, s) } }
+	first := e.Reserve()                    // held at t=5, ahead of "queued"
+	e.CallAt(5, "queued", rec("queued"), 0) // seq first+1
+	second := e.Reserve()                   // held at t=5, behind "queued"
+	dead := e.After(1, "dead", func() {})   // a cancelled head is not live
+	e.Cancel(dead)
+	if !e.Precedes(5, first) || e.Precedes(5, second) || !e.Precedes(4, second) || e.Precedes(6, first) {
+		t.Fatal("Precedes does not follow the (time, seq) order")
+	}
+	if e.Precedes(math.NaN(), first) {
+		t.Fatal("a NaN time precedes the queue")
+	}
+	e.Advance(5, "held")
+	if e.Now() != 5 || e.Dispatched() != 1 {
+		t.Fatalf("Advance: now %g, dispatched %d; want 5, 1", e.Now(), e.Dispatched())
+	}
+	e.CallAtSeq(5, second, "second", rec("second"), 0)
+	e.CallAt(5, "later", rec("later"), 0)
+	e.RunAll()
+	if want := "queued second later"; strings.Join(got, " ") != want {
+		t.Fatalf("fired %v, want %s", got, want)
+	}
+	if e.Dispatched() != 4 {
+		t.Fatalf("Dispatched = %d, want 4 (one in line, three popped)", e.Dispatched())
+	}
+
+	// Run's horizon bounds in-line dispatch while Run drives the engine,
+	// and only then.
+	h := sim.NewEngine()
+	var inRun, atEdge bool
+	h.After(1, "", func() { inRun, atEdge = h.Precedes(11, h.Reserve()), h.Precedes(10, h.Reserve()) })
+	h.Run(10)
+	if inRun || !atEdge {
+		t.Fatalf("inside Run(10): Precedes(11) = %v, Precedes(10) = %v; want false, true", inRun, atEdge)
+	}
+	if !h.Precedes(11, h.Reserve()) {
+		t.Fatal("the horizon outlived Run")
+	}
+}
+
+// TestAdvanceWatchdog: an in-line dispatch trips the event watchdog at
+// the same count, time and name a popped event would.
+func TestAdvanceWatchdog(t *testing.T) {
+	e := sim.NewEngine()
+	e.SetWatchdog(1, 0)
+	e.After(1, "popped", func() {})
+	e.RunAll()
+	defer func() {
+		w, ok := recover().(*sim.WatchdogError)
+		if !ok || w.Events != 2 || w.Now != 3 || w.Name != "held" {
+			t.Fatalf("WatchdogError = %+v, want event 2 at t=3 named held", w)
+		}
+	}()
+	e.Advance(3, "held")
 }
 
 // TestWatchdogEventLimit: a self-rescheduling zero-delay event (the

@@ -69,7 +69,8 @@ func testReplay() *failure.Replay {
 // TestCrossValidationStepBitIdentity is the tentpole's acceptance gate: for
 // every supported model, platform variant, and seed, the step tier's
 // RunResult must equal crmodel's bit for bit — same failure stream, same
-// float arithmetic, same event ordering, same fault plan.
+// float arithmetic, same event ordering, same fault plan — and keep the
+// per-run invariants (checkRun).
 func TestCrossValidationStepBitIdentity(t *testing.T) {
 	for name, plat := range testPlatforms() {
 		plat := plat
@@ -81,6 +82,7 @@ func TestCrossValidationStepBitIdentity(t *testing.T) {
 					if app != step {
 						t.Errorf("%v seed %d: step tier diverged\napp:  %+v\nstep: %+v", id, seed, app, step)
 					}
+					checkRun(t, plat, step)
 				}
 			}
 		})

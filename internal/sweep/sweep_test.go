@@ -2,6 +2,7 @@ package sweep_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -85,6 +86,29 @@ func TestRun(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRunLedgersNaNEventTime: a run that schedules an event at a NaN
+// time panics in the engine's past-time check and lands in the ledger,
+// instead of finishing with the NaN event queued out of (time, seq)
+// order.
+func TestRunLedgersNaNEventTime(t *testing.T) {
+	const base = 11
+	out, failed := sweep.Run(3, base, 2, "cfg=nan", func(seed uint64) float64 {
+		delay := 2.0
+		if seed == sweep.Seed(base, 1) {
+			delay = math.NaN()
+		}
+		eng := sim.NewEngine()
+		eng.After(1, "", func() { eng.After(delay, "next", func() {}) })
+		return eng.RunAll()
+	})
+	if len(failed) != 1 || failed[0].Seed != sweep.Seed(base, 1) || !strings.Contains(failed[0].Err, "scheduling into the past") {
+		t.Fatalf("ledger %+v, want run 1's past-time panic", failed)
+	}
+	if out[0] != 3 || out[2] != 3 {
+		t.Fatalf("results %v, want the other runs to end at t=3", out)
 	}
 }
 
