@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test race allocs vet fmt-check errcheck crossval golden golden-degraded golden-scenario golden-contention golden-machine-degraded golden-update spec-validate cachepass race-machine bench bench-step bench-step-smoke bench-smoke bench-digest ci
+.PHONY: build test race allocs vet fmt-check errcheck fuzz-smoke crossval golden golden-degraded golden-scenario golden-contention golden-machine-degraded golden-update spec-validate cachepass race-machine bench bench-step bench-step-smoke bench-smoke bench-digest ci
 
 build:
 	$(GO) build ./...
@@ -148,6 +148,18 @@ bench-digest:
 race-machine:
 	$(GO) test -race -timeout 30m -count=1 ./internal/machine
 
+# fuzz-smoke runs every Fuzz* target under internal/ and cmd/ with the
+# fuzzing engine for 10 s each (plain `go test` only replays their seed
+# corpora). A failing input is written under the package's
+# testdata/fuzz/, where go test replays it from then on.
+fuzz-smoke:
+	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' internal cmd); do \
+		for fz in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz-smoke: $$fz in ./$$(dirname $$f)"; \
+			$(GO) test -run '^$$' -fuzz "^$$fz$$" -fuzztime 10s ./$$(dirname $$f); \
+		done; \
+	done
+
 # errcheck flags discarded results (a bare `p.Wait(d)` or `s.Validate()`
 # statement) in non-test code — the class of bug vet misses.
 errcheck:
@@ -166,8 +178,9 @@ errcheck:
 # the golden-table regression suite plus explicit degraded-platform,
 # scenario, contention, and machine-degraded golden gates, the
 # cold-then-warm cache pass, one-iteration smoke runs of the full
-# benchmark suite and the step-vs-process headroom pairs, and the
-# seed-42 output-digest check of the repository benchmark.
+# benchmark suite and the step-vs-process headroom pairs, a short run of
+# every fuzz target, and the seed-42 output-digest check of the
+# repository benchmark.
 ci:
 	$(MAKE) fmt-check
 	$(GO) vet ./...
@@ -187,4 +200,5 @@ ci:
 	$(MAKE) cachepass
 	$(MAKE) bench-smoke
 	$(MAKE) bench-step-smoke
+	$(MAKE) fuzz-smoke
 	$(MAKE) bench-digest

@@ -7,6 +7,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 )
@@ -35,10 +37,38 @@ func goldenPath(id string) string {
 	return filepath.Join("testdata", "golden", id+".json")
 }
 
-// cellClose compares one golden cell within per-cell relative tolerance,
-// with an absolute floor for near-zero cells (percent reductions cross
-// zero, where relative error is meaningless).
+// bitExact is set when golden cells must match bit for bit: on amd64 at
+// GOAMD64=v1, the configuration bench/reference.json's digests assume,
+// where the compiler fuses no multiply-adds. Other architectures and
+// amd64 levels may fuse them, so there cells keep a tolerance. cellMode
+// names the build and the comparison for failure messages.
+var bitExact, cellMode = goldenMode()
+
+// goldenMode reads GOARCH and the GOAMD64 level from the build settings.
+func goldenMode() (bool, string) {
+	level := "unset"
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "GOAMD64" {
+				level = s.Value
+			}
+		}
+	}
+	build := "GOARCH=" + runtime.GOARCH + " GOAMD64=" + level
+	if runtime.GOARCH == "amd64" && level == "v1" {
+		return true, build + ", bit-exact"
+	}
+	return false, build + ", tolerance 1e-7 + 1e-6 relative"
+}
+
+// cellClose compares one golden cell: bit for bit when bitExact is set,
+// else within per-cell relative tolerance, with an absolute floor for
+// near-zero cells (percent reductions cross zero, where relative error
+// is meaningless).
 func cellClose(want, got float64) bool {
+	if bitExact {
+		return math.Float64bits(want) == math.Float64bits(got)
+	}
 	if want == got {
 		return true
 	}
@@ -107,7 +137,7 @@ func compareCells(t *testing.T, want, got map[string]float64) {
 		case !inGot:
 			t.Errorf("golden cell %q = %g no longer produced", k, w)
 		case !cellClose(w, g):
-			t.Errorf("cell %q: golden %g, got %g (Δ %g)", k, w, g, g-w)
+			t.Errorf("cell %q: golden %g, got %g (Δ %g; %s)", k, w, g, g-w, cellMode)
 		default:
 			continue
 		}

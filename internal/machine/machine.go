@@ -168,9 +168,15 @@ type JobResult struct {
 	// past the retry bound — ends the job truncated).
 	Crashes int
 	// SoloWallSeconds is the same job's wall time run alone (same
-	// platform, same seed, no contention); SlowdownX is the contended
-	// wall time over it — ≥ 1 up to float error, exactly 1 when the
-	// machine never contends.
+	// platform, the job's first seed, no contention). SlowdownX is the
+	// final attempt's contended wall time (Run.WallSeconds) over it,
+	// exactly 1 when the machine never contends. It is not bounded
+	// below by 1: contention can move a checkpoint so that a failure
+	// costs less recomputation (clean tenants have read 0.999994×); a
+	// tenant readmitted after a crash restarts from zero progress under
+	// a fresh seed, so its final attempt is a different run from the
+	// solo one; and a truncated tenant's Run covers only its span
+	// before it gave up. The last two can read well below 1.
 	SoloWallSeconds float64
 	SlowdownX       float64
 	// Run is the job's full step-tier accounting under contention.

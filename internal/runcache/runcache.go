@@ -11,6 +11,15 @@
 // original simulation's output exactly — including every derived table
 // cell — without executing a single run.
 //
+// On disk an entry is, byte for byte, the JSON object earlier builds
+// wrote through encoding/json, so existing stores stay valid; but
+// neither side goes through reflection. Put renders the key once and
+// builds the whole entry in one buffer around stats.(*Agg).AppendJSON;
+// Get matches the entry's head against that one rendering and decodes
+// the aggregate in place with stats.DecodeAggJSON, which accepts that
+// exact form only. encoding/json remains for the metrics snapshot and
+// the rare failed-run ledger.
+//
 // The store is crash- and interrupt-safe by construction: each blob is
 // written atomically (temp file + rename) the moment its configuration
 // completes, and reads go straight to the blob file, so a sweep killed
@@ -18,11 +27,13 @@
 // An append-only index (index.jsonl, one JSON line per store) records
 // what was cached and when for humans and tooling; blobs stay
 // authoritative, so a torn index line is never trusted for reads.
-// Corrupt or truncated blobs are detected via a payload checksum,
-// evicted, and transparently recomputed by the caller.
+// Corrupt or truncated blobs are detected via a payload checksum and
+// the strict decode, evicted, and transparently recomputed by the
+// caller; so is a blob in any form other than the one Put writes.
 package runcache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -30,9 +41,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"pckpt/internal/metrics"
 	"pckpt/internal/stats"
@@ -65,23 +79,34 @@ type Key struct {
 // Canonical renders the key as versioned, newline-delimited text — the
 // preimage of Hash. The multi-line Platform rendering sits last so the
 // fixed-position fields above it stay self-delimiting.
-func (k Key) Canonical() string {
-	var b strings.Builder
-	b.WriteString("runcache/v1\n")
-	fmt.Fprintf(&b, "experiment=%s\n", k.Experiment)
-	fmt.Fprintf(&b, "label=%s\n", k.Label)
-	fmt.Fprintf(&b, "policy=%s\n", k.Policy)
-	fmt.Fprintf(&b, "runs=%d\n", k.Runs)
-	fmt.Fprintf(&b, "seed=%d\n", k.Seed)
-	fmt.Fprintf(&b, "fingerprint=%s\n", k.Fingerprint)
-	b.WriteString("platform:\n")
-	b.WriteString(k.Platform)
-	return b.String()
+func (k Key) Canonical() string { return string(k.appendCanonical(nil)) }
+
+// appendCanonical appends the Canonical text to dst.
+func (k Key) appendCanonical(dst []byte) []byte {
+	// 128 bytes hold the fixed text and both numbers.
+	dst = slices.Grow(dst, 128+len(k.Experiment)+len(k.Label)+len(k.Policy)+len(k.Fingerprint)+len(k.Platform))
+	dst = append(dst, "runcache/v1\nexperiment="...)
+	dst = append(dst, k.Experiment...)
+	dst = append(dst, "\nlabel="...)
+	dst = append(dst, k.Label...)
+	dst = append(dst, "\npolicy="...)
+	dst = append(dst, k.Policy...)
+	dst = append(dst, "\nruns="...)
+	dst = strconv.AppendInt(dst, int64(k.Runs), 10)
+	dst = append(dst, "\nseed="...)
+	dst = strconv.AppendUint(dst, k.Seed, 10)
+	dst = append(dst, "\nfingerprint="...)
+	dst = append(dst, k.Fingerprint...)
+	dst = append(dst, "\nplatform:\n"...)
+	return append(dst, k.Platform...)
 }
 
 // Hash returns the content address: hex SHA-256 of the canonical text.
-func (k Key) Hash() string {
-	sum := sha256.Sum256([]byte(k.Canonical()))
+func (k Key) Hash() string { return hashCanonical(k.appendCanonical(nil)) }
+
+// hashCanonical is Hash of an already rendered canonical text.
+func hashCanonical(canon []byte) string {
+	sum := sha256.Sum256(canon)
 	return hex.EncodeToString(sum[:])
 }
 
@@ -123,23 +148,94 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// blob is the on-disk envelope of one entry. Key holds the full
-// canonical text (collision and corruption guard); Check is the hex
-// SHA-256 of the Agg bytes, a newline, and the Metrics bytes.
-type blob struct {
-	Key     string          `json:"key"`
-	Check   string          `json:"check"`
-	Agg     json.RawMessage `json:"agg"`
-	Metrics json.RawMessage `json:"metrics,omitempty"`
+// An entry on disk is the JSON object
+//
+//	{"key":KEY,"check":"CHECK","agg":AGG,"metrics":METRICS}
+//
+// with KEY the full canonical text as a JSON string (collision and
+// corruption guard), CHECK the hex SHA-256 of the AGG bytes, a newline,
+// and the METRICS bytes, AGG the aggregate in stats' wire form, and
+// METRICS the metrics snapshot, left out with its key when the entry has
+// none. These are the bytes encoding/json writes for such an object, so
+// entries written by earlier builds stay readable.
+const (
+	checkField   = `,"check":"`
+	aggField     = `","agg":`
+	metricsField = `,"metrics":`
+
+	// checkLen is the length of CHECK: hex SHA-256.
+	checkLen = 2 * sha256.Size
+	// runBytes presizes Put's buffer: a run of the widest registered
+	// experiment, fault counters set, renders in about 320 bytes, and a
+	// healthy run in about 240.
+	runBytes = 320
+)
+
+// appendHead appends an entry's bytes up to its checksum.
+func appendHead(dst, canon []byte) []byte {
+	// Room for the escaped key and the fields around it.
+	dst = slices.Grow(dst, 2*len(canon)+32)
+	dst = append(dst, `{"key":`...)
+	dst = appendString(dst, canon)
+	return append(dst, checkField...)
 }
 
-// payloadCheck computes the blob checksum over the serialized payloads.
-func payloadCheck(agg, met json.RawMessage) string {
+// jsonEscapes maps the ASCII bytes encoding/json writes as a
+// backslash and one letter to that letter.
+var jsonEscapes = [utf8.RuneSelf]byte{'"': '"', '\\': '\\', '\b': 'b', '\f': 'f', '\n': 'n', '\r': 'r', '\t': 't'}
+
+// appendString appends s as the JSON string encoding/json writes for it:
+// <, > and & and the control bytes without a short escape as six-byte
+// \u escapes, each invalid UTF-8 byte as the \u escape of U+FFFD, and
+// the line and paragraph separators U+2028 and U+2029 as \u escapes.
+func appendString(dst, s []byte) []byte {
+	const hexDigits = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && jsonEscapes[c] == 0 && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			if e := jsonEscapes[c]; e != 0 {
+				dst = append(dst, '\\', e)
+			} else {
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRune(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
+		case r == 0x2028 || r == 0x2029:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// payloadCheck computes the entry checksum over the serialized payloads.
+func payloadCheck(agg, met []byte) (sum [sha256.Size]byte) {
 	h := sha256.New()
 	h.Write(agg)
 	h.Write([]byte{'\n'})
 	h.Write(met)
-	return hex.EncodeToString(h.Sum(nil))
+	h.Sum(sum[:0])
+	return sum
 }
 
 // path returns the blob path for a hash, sharded by its first byte.
@@ -150,38 +246,30 @@ func (s *Store) path(hash string) string {
 // Get looks a key up. With needMetrics set, an entry stored without a
 // metrics snapshot counts as a miss (it cannot serve a metered sweep);
 // the caller's recompute-and-Put then upgrades the entry in place.
-// Corrupt entries — unparsable envelope, canonical-key mismatch,
-// checksum mismatch, or unparsable payloads — are evicted from disk and
+// Corrupt entries — a canonical-key mismatch, a checksum mismatch, or
+// any byte outside the form Put writes — are evicted from disk and
 // reported as misses, never trusted.
 func (s *Store) Get(k Key, needMetrics bool) (*stats.Agg, *metrics.Snapshot, bool) {
-	hash := k.Hash()
+	canon := k.appendCanonical(nil)
+	hash := hashCanonical(canon)
 	data, err := os.ReadFile(s.path(hash))
 	if err != nil {
 		s.record(k.Experiment, Stats{Misses: 1})
 		return nil, nil, false
 	}
-	var bl blob
-	if err := json.Unmarshal(data, &bl); err != nil {
+	agg, met, ok := decodeEntry(data, canon, k.Runs)
+	if !ok {
 		s.evict(k, hash)
 		return nil, nil, false
 	}
-	if bl.Key != k.Canonical() || bl.Check != payloadCheck(bl.Agg, bl.Metrics) {
-		s.evict(k, hash)
-		return nil, nil, false
-	}
-	if needMetrics && len(bl.Metrics) == 0 {
+	if needMetrics && len(met) == 0 {
 		s.record(k.Experiment, Stats{Misses: 1})
 		return nil, nil, false
 	}
-	agg := &stats.Agg{}
-	if err := json.Unmarshal(bl.Agg, agg); err != nil {
-		s.evict(k, hash)
-		return nil, nil, false
-	}
 	var snap *metrics.Snapshot
-	if len(bl.Metrics) > 0 {
+	if len(met) > 0 {
 		snap = &metrics.Snapshot{}
-		if err := json.Unmarshal(bl.Metrics, snap); err != nil {
+		if err := json.Unmarshal(met, snap); err != nil {
 			s.evict(k, hash)
 			return nil, nil, false
 		}
@@ -190,31 +278,67 @@ func (s *Store) Get(k Key, needMetrics bool) (*stats.Agg, *metrics.Snapshot, boo
 	return agg, snap, true
 }
 
-// Put stores one completed configuration. The blob lands atomically
-// (temp file + rename), so a concurrent or interrupted reader never
-// observes a torn entry; an existing entry for the key is replaced.
+// decodeEntry checks an entry against the key's canonical text and its
+// payload checksum and decodes the aggregate, presized for runs runs.
+// met is the raw metrics snapshot, empty when the entry has none.
+func decodeEntry(data, canon []byte, runs int) (agg *stats.Agg, met []byte, ok bool) {
+	rest, ok := bytes.CutPrefix(data, appendHead(nil, canon))
+	if !ok || len(rest) < checkLen {
+		return nil, nil, false
+	}
+	check, rest := rest[:checkLen], rest[checkLen:]
+	if rest, ok = bytes.CutPrefix(rest, []byte(aggField)); !ok {
+		return nil, nil, false
+	}
+	agg, n, err := stats.DecodeAggJSON(rest, runs)
+	if err != nil {
+		return nil, nil, false
+	}
+	aggJSON, rest := rest[:n], rest[n:]
+	if m, found := bytes.CutPrefix(rest, []byte(metricsField)); found {
+		met, ok = bytes.CutSuffix(m, []byte("}"))
+		ok = ok && len(met) > 0
+	} else {
+		ok = string(rest) == "}"
+	}
+	var want [checkLen]byte
+	sum := payloadCheck(aggJSON, met)
+	hex.Encode(want[:], sum[:])
+	if !ok || !bytes.Equal(check, want[:]) {
+		return nil, nil, false
+	}
+	return agg, met, true
+}
+
+// Put stores one completed configuration. The entry is rendered in one
+// buffer, its checksum filled in last, and lands atomically (temp file
+// + rename), so a concurrent or interrupted reader never observes a
+// torn entry; an existing entry for the key is replaced.
 func (s *Store) Put(k Key, agg *stats.Agg, snap *metrics.Snapshot) error {
-	aggJSON, err := json.Marshal(agg)
+	canon := k.appendCanonical(nil)
+	data := appendHead(make([]byte, 0, 2*len(canon)+runBytes*(agg.N()+1)), canon)
+	checkAt := len(data)
+	data = append(data, make([]byte, checkLen)...)
+	data = append(data, aggField...)
+	aggAt := len(data)
+	data, err := agg.AppendJSON(data)
 	if err != nil {
 		return fmt.Errorf("runcache: encode agg: %w", err)
 	}
-	var metJSON json.RawMessage
+	aggJSON := data[aggAt:]
+	var met []byte
 	if snap != nil && !snap.Empty() {
-		if metJSON, err = json.Marshal(snap); err != nil {
+		if met, err = json.Marshal(snap); err != nil {
 			return fmt.Errorf("runcache: encode metrics: %w", err)
 		}
 	}
-	bl := blob{
-		Key:     k.Canonical(),
-		Check:   payloadCheck(aggJSON, metJSON),
-		Agg:     aggJSON,
-		Metrics: metJSON,
+	sum := payloadCheck(aggJSON, met)
+	hex.Encode(data[checkAt:], sum[:])
+	if len(met) > 0 {
+		data = append(append(data, metricsField...), met...)
 	}
-	data, err := json.Marshal(bl)
-	if err != nil {
-		return fmt.Errorf("runcache: encode blob: %w", err)
-	}
-	hash := k.Hash()
+	data = append(data, '}')
+	hash := hashCanonical(canon)
 	path := s.path(hash)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("runcache: %w", err)
