@@ -7,6 +7,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -51,14 +52,27 @@ func main() {
 			os.Exit(2)
 		}
 	} else {
-		var planted []deshlog.Planted
-		entries, planted = deshlog.Generate(deshlog.GenConfig{
+		gen := deshlog.GenConfig{
 			Nodes:         *nodes,
 			Duration:      *months * 30 * 24 * 3600,
 			Failures:      *failures,
 			NoisePerChain: *noise,
 			PartialChains: *partial,
-		}, rng.New(*seed))
+		}
+		if err := gen.Validate(); err != nil {
+			msg := err.Error()
+			var ce *deshlog.ConfigError
+			if errors.As(err, &ce) {
+				// Name the flag that set the offending field.
+				name := map[string]string{"Nodes": "nodes", "Duration": "months", "Failures": "failures",
+					"NoisePerChain": "noise", "PartialChains": "partial"}[ce.Field]
+				msg = fmt.Sprintf("-%s %s: %v", name, flag.Lookup(name).Value, err)
+			}
+			fmt.Fprintln(os.Stderr, "leadtimes:", msg)
+			os.Exit(2)
+		}
+		var planted []deshlog.Planted
+		entries, planted = deshlog.Generate(gen, rng.New(*seed))
 		if !*emit {
 			fmt.Printf("generated %d log entries with %d planted chains\n\n", len(entries), len(planted))
 		}

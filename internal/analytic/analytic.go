@@ -71,7 +71,7 @@ func PckptWins(alpha, sigma, recompB, ckptB float64) bool {
 		// handles more failures, which Eq. (6) guarantees for α > 1−σ.
 		return RecompReductionPckpt(recompB, alpha, sigma) > RecompReductionLM(recompB, sigma)
 	}
-	lhs := (1 - math.Sqrt(1-sigma)) / (Beta(alpha, sigma) - sigma)
+	lhs := CkptReductionLM(1, sigma) / (Beta(alpha, sigma) - sigma)
 	if Beta(alpha, sigma)-sigma <= 0 {
 		return false // LM handles at least as many failures as p-ckpt
 	}

@@ -137,9 +137,6 @@ func (c *Cluster) Reset(n, spares int) {
 	c.spares, c.used, c.observer = spares, 0, nil
 }
 
-// Len returns the job's node count.
-func (c *Cluster) Len() int { return len(c.nodes) }
-
 // Node returns a snapshot of node id. Mutate nodes through the Cluster's
 // methods, which keep the observer and the checkpoint ledger in step.
 func (c *Cluster) Node(id int) Node { return *c.node(id) }
@@ -239,7 +236,9 @@ func (c *Cluster) Replace(id int) error {
 
 // BBProgress returns the application progress (simulated seconds of
 // computation) captured by the newest checkpoint on node id's burst
-// buffer; negative means none.
+// buffer; negative means none. The simulator reads only the restart
+// point (RecoverableProgress); TestLedgerMatchesReference reads each
+// node's BB copy to check the ledger against its reference model.
 func (c *Cluster) BBProgress(id int) float64 { return c.progress(id, tierBB) }
 
 // PFSProgress returns the progress captured by node id's newest
@@ -247,7 +246,9 @@ func (c *Cluster) BBProgress(id int) float64 { return c.progress(id, tierBB) }
 func (c *Cluster) PFSProgress(id int) float64 { return c.progress(id, tierPFS) }
 
 // RecordBBCheckpoint notes that node id staged a checkpoint capturing the
-// given application progress on its burst buffer.
+// given application progress on its burst buffer. The simulator stages
+// job-wide (RecordBBCheckpointAll); TestLedgerMatchesReference stages
+// single nodes to drive per-node divergence in the ledger.
 func (c *Cluster) RecordBBCheckpoint(id int, progress float64) {
 	c.node(id) // panics on an out-of-range id
 	c.record(id, tierBB, progress)
@@ -346,13 +347,6 @@ func (c *Cluster) recordAll(t int, progress float64) {
 	c.coord[t] = progress
 }
 
-// Vulnerable returns the IDs of nodes currently Vulnerable or Migrating,
-// ascending. It allocates a fresh slice; hot paths that run once per
-// episode should prefer AppendVulnerable with a reused buffer.
-func (c *Cluster) Vulnerable() []int {
-	return c.AppendVulnerable(nil)
-}
-
 // AppendVulnerable appends the IDs of nodes currently Vulnerable or
 // Migrating, ascending, to buf and returns the extended slice. Callers
 // that keep buf across calls (`buf = c.AppendVulnerable(buf[:0])`) pay
@@ -366,7 +360,8 @@ func (c *Cluster) AppendVulnerable(buf []int) []int {
 	return buf
 }
 
-// CountState returns how many nodes are in the given state.
+// CountState returns how many nodes are in the given state. It is the
+// oracle TestStateMachineQuick checks AppendVulnerable against.
 func (c *Cluster) CountState(s State) int {
 	count := 0
 	for i := range c.nodes {

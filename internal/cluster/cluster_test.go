@@ -7,8 +7,8 @@ import (
 
 func TestNewInitialState(t *testing.T) {
 	c := New(4, 2)
-	if c.Len() != 4 || c.SparesLeft() != 2 {
-		t.Fatalf("Len=%d spares=%d", c.Len(), c.SparesLeft())
+	if len(c.nodes) != 4 || c.SparesLeft() != 2 {
+		t.Fatalf("nodes=%d spares=%d", len(c.nodes), c.SparesLeft())
 	}
 	for i := 0; i < 4; i++ {
 		n := c.Node(i)
@@ -69,8 +69,8 @@ func TestVulnerableLifecycle(t *testing.T) {
 	if err := c.MarkVulnerable(2, 100); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Vulnerable(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Vulnerable() = %v", got)
+	if got := c.AppendVulnerable(nil); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("AppendVulnerable(nil) = %v", got)
 	}
 	if c.Node(2).PredictedFailAt != 100 {
 		t.Fatal("predicted fail time not recorded")
@@ -94,7 +94,7 @@ func TestMigratingRequiresVulnerable(t *testing.T) {
 	if err := c.MarkMigrating(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Vulnerable(); len(got) != 1 {
+	if got := c.AppendVulnerable(nil); len(got) != 1 {
 		t.Fatalf("migrating node not reported vulnerable: %v", got)
 	}
 }
@@ -205,8 +205,8 @@ func TestRecoverableProgressNoCheckpoint(t *testing.T) {
 }
 
 // TestStateMachineQuick drives a random operation sequence and checks
-// invariants: vulnerable+migrating counts match Vulnerable(), spares
-// never go negative, and failed nodes never appear in Vulnerable().
+// invariants: vulnerable+migrating counts match AppendVulnerable, spares
+// never go negative, and failed nodes never appear in AppendVulnerable.
 func TestStateMachineQuick(t *testing.T) {
 	f := func(ops []uint8) bool {
 		c := New(8, 100)
@@ -235,7 +235,7 @@ func TestStateMachineQuick(t *testing.T) {
 			return false
 		}
 		vuln := map[int]bool{}
-		for _, id := range c.Vulnerable() {
+		for _, id := range c.AppendVulnerable(nil) {
 			vuln[id] = true
 			if s := c.Node(id).State; s != Vulnerable && s != Migrating {
 				return false
@@ -392,8 +392,8 @@ func TestAppendVulnerable(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("AppendVulnerable with warm buffer allocated %.1f times per run, want 0", allocs)
 	}
-	if got := c.Vulnerable(); len(got) != 3 || got[0] != 1 || got[1] != 4 || got[2] != 5 {
-		t.Fatalf("Vulnerable() = %v, want [1 4 5]", got)
+	if got := c.AppendVulnerable(nil); len(got) != 3 || got[0] != 1 || got[1] != 4 || got[2] != 5 {
+		t.Fatalf("AppendVulnerable(nil) = %v, want [1 4 5]", got)
 	}
 }
 

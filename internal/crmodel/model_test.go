@@ -36,18 +36,17 @@ func TestModelByName(t *testing.T) {
 
 func TestModelCapabilities(t *testing.T) {
 	cases := []struct {
-		m                          Model
-		pred, lm, pckpt, safeguard bool
+		m        Model
+		pred, lm bool
 	}{
-		{ModelB, false, false, false, false},
-		{ModelM1, true, false, false, true},
-		{ModelM2, true, true, false, false},
-		{ModelP1, true, false, true, false},
-		{ModelP2, true, true, true, false},
+		{ModelB, false, false},
+		{ModelM1, true, false},
+		{ModelM2, true, true},
+		{ModelP1, true, false},
+		{ModelP2, true, true},
 	}
 	for _, c := range cases {
-		if c.m.UsesPrediction() != c.pred || c.m.UsesLM() != c.lm ||
-			c.m.UsesPckpt() != c.pckpt || c.m.UsesSafeguard() != c.safeguard {
+		if c.m.UsesPrediction() != c.pred || c.m.UsesLM() != c.lm {
 			t.Errorf("capabilities wrong for %s", c.m)
 		}
 	}

@@ -13,7 +13,7 @@ func TestTraceRecordsRunTimeline(t *testing.T) {
 	var buf trace.Buffer
 	cfg := Config{Model: ModelP2, Config: platform.Config{App: failApp, System: failure.Titan}, Trace: &buf}
 	r := Simulate(cfg, 2)
-	if buf.Len() == 0 {
+	if len(buf.Events()) == 0 {
 		t.Fatal("no trace events recorded")
 	}
 	counts := buf.Counts()

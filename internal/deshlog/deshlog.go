@@ -11,6 +11,7 @@ package deshlog
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -146,11 +147,44 @@ type GenConfig struct {
 	Leads *failure.LeadTimeModel
 }
 
+// ConfigError is a GenConfig validation failure: the offending field
+// and its value.
+type ConfigError struct {
+	Field string
+	Value any
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("deshlog: invalid generator config: %s %v", e.Field, e.Value)
+}
+
+// Validate reports the first invalid field as a *ConfigError, or nil. A
+// NaN or infinite duration is invalid, as are negative counts.
+func (c GenConfig) Validate() error {
+	for _, f := range []struct {
+		name string
+		ok   bool
+		v    any
+	}{
+		{"Nodes", c.Nodes > 0, c.Nodes},
+		{"Duration", c.Duration > 0 && !math.IsInf(c.Duration, 1), c.Duration},
+		{"Failures", c.Failures >= 0, c.Failures},
+		{"NoisePerChain", c.NoisePerChain >= 0, c.NoisePerChain},
+		{"PartialChains", c.PartialChains >= 0, c.PartialChains},
+	} {
+		if !f.ok {
+			return &ConfigError{Field: f.name, Value: f.v}
+		}
+	}
+	return nil
+}
+
 // Generate synthesizes a log and returns its entries sorted by time plus
-// the planted ground truth.
+// the planted ground truth. It panics with Validate's error on an invalid
+// configuration.
 func Generate(cfg GenConfig, src *rng.Source) ([]Entry, []Planted) {
-	if cfg.Nodes <= 0 || cfg.Duration <= 0 || cfg.Failures < 0 {
-		panic("deshlog: invalid generator config")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	leads := cfg.Leads
 	if leads == nil {

@@ -211,3 +211,47 @@ func TestGeneratePanicsOnBadConfig(t *testing.T) {
 	}()
 	Generate(GenConfig{Nodes: 0, Duration: 1}, rng.New(1))
 }
+
+// TestGenConfigValidate: every field is checked, NaN and ±Inf included,
+// and the error names the field and its value; Generate panics with it.
+func TestGenConfigValidate(t *testing.T) {
+	good := GenConfig{Nodes: 4, Duration: 100, Failures: 2, NoisePerChain: 1, PartialChains: 1}
+	if err := good.Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	if err := (GenConfig{Nodes: 1, Duration: 1}).Validate(); err != nil {
+		t.Fatalf("zero counts rejected: %v", err)
+	}
+	for _, c := range []struct {
+		mutate func(*GenConfig)
+		want   string
+	}{
+		{func(c *GenConfig) { c.Nodes = 0 }, "Nodes 0"},
+		{func(c *GenConfig) { c.Nodes = -5 }, "Nodes -5"},
+		{func(c *GenConfig) { c.Duration = 0 }, "Duration 0"},
+		{func(c *GenConfig) { c.Duration = -1 }, "Duration -1"},
+		{func(c *GenConfig) { c.Duration = math.NaN() }, "Duration NaN"},
+		{func(c *GenConfig) { c.Duration = math.Inf(1) }, "Duration +Inf"},
+		{func(c *GenConfig) { c.Duration = math.Inf(-1) }, "Duration -Inf"},
+		{func(c *GenConfig) { c.Failures = -1 }, "Failures -1"},
+		{func(c *GenConfig) { c.NoisePerChain = -1 }, "NoisePerChain -1"},
+		{func(c *GenConfig) { c.PartialChains = -3 }, "PartialChains -3"},
+	} {
+		cfg := good
+		c.mutate(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: error %v, want one naming %q", cfg, err, c.want)
+			continue
+		}
+		func() {
+			defer func() {
+				r := recover()
+				if e, ok := r.(error); !ok || e.Error() != err.Error() {
+					t.Errorf("%+v: Generate panicked with %v, want %v", cfg, r, err)
+				}
+			}()
+			Generate(cfg, rng.New(1))
+		}()
+	}
+}

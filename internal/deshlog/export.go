@@ -14,7 +14,9 @@ import (
 // loop from raw logs all the way to a simulation input both tiers can
 // replay deterministically. nodes is the span the log covered and
 // horizonSeconds its window length (replay wraps modulo it); every chain
-// must fall inside both.
+// must fall inside both. No command exports a mined trace yet;
+// TestExportTraceRoundTrip drives the whole loop through it, checking
+// that the replay carries exactly the mined failures and lead mixture.
 func ExportTrace(name string, chains []Chain, nodes int, horizonSeconds float64) (*scenario.Trace, error) {
 	if len(chains) == 0 {
 		return nil, fmt.Errorf("deshlog: no chains to export")

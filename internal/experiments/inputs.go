@@ -17,11 +17,7 @@ func Table1(p Params) Result {
 	t := tablefmt.NewTable("Application", "Nodes", "Ckpt Size (GB)", "Per-node (GB)", "Compute (h)")
 	values := map[string]float64{}
 	for _, a := range workload.Summit() {
-		t.AddRow(a.Name,
-			fmt.Sprint(a.Nodes),
-			fmt.Sprintf("%.4g", a.TotalCkptGB),
-			fmt.Sprintf("%.4g", a.PerNodeGB()),
-			fmt.Sprintf("%g", a.ComputeHours))
+		t.AddRowf(a.Name, a.Nodes, a.TotalCkptGB, a.PerNodeGB(), a.ComputeHours)
 		values[a.Name+"/per-node-GB"] = a.PerNodeGB()
 	}
 	return Result{ID: "table1", Title: "Table I: HPC workload characteristics", Text: t.String(), Values: values}

@@ -79,11 +79,6 @@ func (s System) JobFailureRate(jobNodes int) float64 {
 	return 1 / (scale * math.Gamma(1+1/s.Shape))
 }
 
-// PerNodeRate returns the per-node failure rate λ in failures/second.
-func (s System) PerNodeRate() float64 {
-	return s.JobFailureRate(s.Nodes) / float64(s.Nodes)
-}
-
 // Validate reports a parameter error, or nil.
 func (s System) Validate() error {
 	switch {

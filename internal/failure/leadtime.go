@@ -121,7 +121,9 @@ func (m *LeadTimeModel) TailProb(x float64) float64 {
 }
 
 // Quantile returns the lead time q such that P(lead ≤ q) = p, found by
-// bisection on the analytic CDF. Used by display tools and tests.
+// bisection on the analytic CDF. No simulation inverts the CDF:
+// TestQuantileInvertsTail bisects through it to check that TailProb, the
+// tail σ is computed from, is continuous and reaches every level.
 func (m *LeadTimeModel) Quantile(p float64) float64 {
 	if p <= 0 {
 		return 0

@@ -252,12 +252,6 @@ func NewStream(cfg Config, src *rng.Source) *Stream {
 	return s
 }
 
-// Config returns the stream's (defaulted) configuration.
-func (s *Stream) Config() Config { return s.cfg }
-
-// Leads returns the (possibly scaled) lead-time model in effect.
-func (s *Stream) Leads() *LeadTimeModel { return s.leads }
-
 func (s *Stream) sampleSpur(from float64) float64 {
 	if s.spurRate <= 0 {
 		return math.Inf(1)

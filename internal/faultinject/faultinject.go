@@ -179,15 +179,6 @@ func New(cfg Config, src *rng.Source, reg *metrics.Registry) *Injector {
 	}
 }
 
-// Config returns the (defaulted) plan this injector draws from. The nil
-// injector reports the zero Config.
-func (in *Injector) Config() Config {
-	if in == nil {
-		return Config{}
-	}
-	return in.cfg
-}
-
 // BBWriteFails draws whether the BB checkpoint write that just finished
 // its transfer failed. The result must not be ignored: dropping it
 // un-degrades the platform (cmd/vet-ignored enforces this).

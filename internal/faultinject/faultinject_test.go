@@ -63,9 +63,6 @@ func TestNilInjectorIsDisabledPlan(t *testing.T) {
 	}
 	in.ObserveCorruptRestarts(3)
 	in.ObserveCascadeDepth(2)
-	if in.Config() != (Config{}) {
-		t.Fatal("nil injector reports a non-zero plan")
-	}
 }
 
 func TestDeterministicReplay(t *testing.T) {

@@ -35,9 +35,6 @@ type Config struct {
 	// AggregatePFSCeilingGBs is the file-system-wide bandwidth ceiling
 	// (2.5 TB/s aggregate on Summit per the CORAL evaluation).
 	AggregatePFSCeilingGBs float64
-	// NetworkGBs is the inter-node link bandwidth used by live migration
-	// (12.5 GB/s on Summit's fat-tree EDR infiniband).
-	NetworkGBs float64
 	// OptimalTasks is the per-node MPI task count at which single-node
 	// PFS bandwidth peaks (8 on Summit).
 	OptimalTasks int
@@ -46,10 +43,6 @@ type Config struct {
 	// HalfSaturationGB is the per-node transfer size at which bandwidth
 	// reaches half of its asymptote; small transfers are latency-bound.
 	HalfSaturationGB float64
-	// DRAMSizeGB and BBSizeGB bound checkpoint and migration footprints
-	// (512 GB DRAM, 1600 GB burst buffer per Summit node).
-	DRAMSizeGB float64
-	BBSizeGB   float64
 	// DrainConcurrency limits how many nodes bleed checkpoints from BB to
 	// PFS at once during the asynchronous drain (Sec. II).
 	DrainConcurrency int
@@ -63,12 +56,9 @@ func DefaultSummit() Config {
 		BBReadGBs:              5.5,
 		NodePFSPeakGBs:         13.5,
 		AggregatePFSCeilingGBs: 2500,
-		NetworkGBs:             12.5,
 		OptimalTasks:           8,
 		MaxTasks:               42,
 		HalfSaturationGB:       0.25,
-		DRAMSizeGB:             512,
-		BBSizeGB:               1600,
 		// High enough that the asynchronous drain window stays small
 		// relative to the OCI, matching the paper's observation that the
 		// drain window is negligible on Summit's PFS.
@@ -83,14 +73,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("iomodel: burst buffer bandwidths must be positive")
 	case c.NodePFSPeakGBs <= 0 || c.AggregatePFSCeilingGBs <= 0:
 		return fmt.Errorf("iomodel: PFS bandwidths must be positive")
-	case c.NetworkGBs <= 0:
-		return fmt.Errorf("iomodel: network bandwidth must be positive")
 	case c.OptimalTasks <= 0 || c.MaxTasks < c.OptimalTasks:
 		return fmt.Errorf("iomodel: task counts invalid (optimal=%d, max=%d)", c.OptimalTasks, c.MaxTasks)
 	case c.HalfSaturationGB <= 0:
 		return fmt.Errorf("iomodel: half-saturation size must be positive")
-	case c.DRAMSizeGB <= 0 || c.BBSizeGB <= 0:
-		return fmt.Errorf("iomodel: memory sizes must be positive")
 	case c.DrainConcurrency <= 0:
 		return fmt.Errorf("iomodel: drain concurrency must be positive")
 	}
@@ -256,15 +242,6 @@ func (m *Model) BBReadTime(perNodeGB float64) float64 {
 		return 0
 	}
 	return perNodeGB / m.cfg.BBReadGBs
-}
-
-// NetworkTransferTime returns the seconds to push totalGB over one
-// inter-node link — the live-migration path.
-func (m *Model) NetworkTransferTime(totalGB float64) float64 {
-	if totalGB <= 0 {
-		return 0
-	}
-	return totalGB / m.cfg.NetworkGBs
 }
 
 // DrainTime returns the seconds for the asynchronous BB→PFS bleed-off of

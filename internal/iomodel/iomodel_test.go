@@ -21,12 +21,9 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.BBReadGBs = -1 },
 		func(c *Config) { c.NodePFSPeakGBs = 0 },
 		func(c *Config) { c.AggregatePFSCeilingGBs = 0 },
-		func(c *Config) { c.NetworkGBs = 0 },
 		func(c *Config) { c.OptimalTasks = 0 },
 		func(c *Config) { c.MaxTasks = c.OptimalTasks - 1 },
 		func(c *Config) { c.HalfSaturationGB = 0 },
-		func(c *Config) { c.DRAMSizeGB = 0 },
-		func(c *Config) { c.BBSizeGB = 0 },
 		func(c *Config) { c.DrainConcurrency = 0 },
 	}
 	for i, mutate := range cases {
@@ -45,7 +42,7 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 		}
 	}()
 	c := DefaultSummit()
-	c.NetworkGBs = 0
+	c.BBWriteGBs = 0
 	New(c)
 }
 
@@ -193,16 +190,6 @@ func TestBBTimes(t *testing.T) {
 	}
 	if m.BBWriteTime(0) != 0 || m.BBReadTime(-1) != 0 {
 		t.Fatal("non-positive sizes must take zero time")
-	}
-}
-
-func TestNetworkTransferTime(t *testing.T) {
-	m := newSummit(t)
-	if got, want := m.NetworkTransferTime(125), 10.0; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("NetworkTransferTime(125) = %.3f, want %.3f", got, want)
-	}
-	if m.NetworkTransferTime(0) != 0 {
-		t.Fatal("zero transfer must take zero time")
 	}
 }
 

@@ -84,15 +84,11 @@ func (c Config) TransferGB(perNodeCkptGB float64) float64 {
 // Theta returns the minimum lead time in seconds for a migration of a
 // node with the given checkpoint footprint to complete before the
 // predicted failure: transfer size over network bandwidth. This is the θ
-// of the paper's Eq. (2) discussion.
+// of the paper's Eq. (2) discussion. A prediction with lead ≥ θ can
+// migrate (a tie migrates): policy's migrate and hybrid p-ckpt
+// strategies and pckpt.Run each compare the lead with this θ.
 func (c Config) Theta(perNodeCkptGB float64) float64 {
 	return c.TransferGB(perNodeCkptGB) / c.NetworkGBs
-}
-
-// Feasible reports whether a migration started with leadSeconds of
-// warning finishes in time for a node with the given footprint.
-func (c Config) Feasible(leadSeconds, perNodeCkptGB float64) bool {
-	return leadSeconds >= c.Theta(perNodeCkptGB)
 }
 
 // DilationSeconds returns the extra application runtime incurred by one
@@ -101,32 +97,3 @@ func (c Config) Feasible(leadSeconds, perNodeCkptGB float64) bool {
 func (c Config) DilationSeconds(perNodeCkptGB float64) float64 {
 	return c.Theta(perNodeCkptGB) * c.Dilation
 }
-
-// Migration tracks one in-flight migration so the simulation can abort it
-// when a shorter-lead prediction supersedes it (the LM→p-ckpt transition
-// in the paper's Fig. 5 state diagram).
-type Migration struct {
-	// Node is the vulnerable node being evacuated.
-	Node int
-	// Start and End are the migration's simulated time bounds.
-	Start, End float64
-	// Deadline is the predicted failure time it must beat.
-	Deadline float64
-	aborted  bool
-}
-
-// NewMigration plans a migration beginning at start for a node with the
-// given footprint and failure deadline.
-func NewMigration(c Config, node int, start, deadline, perNodeCkptGB float64) *Migration {
-	return &Migration{Node: node, Start: start, End: start + c.Theta(perNodeCkptGB), Deadline: deadline}
-}
-
-// Abort marks the migration cancelled (superseded by p-ckpt).
-func (m *Migration) Abort() { m.aborted = true }
-
-// Aborted reports whether the migration was cancelled.
-func (m *Migration) Aborted() bool { return m.aborted }
-
-// CompletesBy reports whether the migration, if not aborted, finishes at
-// or before its failure deadline.
-func (m *Migration) CompletesBy() bool { return !m.aborted && m.End <= m.Deadline }

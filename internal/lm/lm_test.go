@@ -72,17 +72,6 @@ func TestThetaKnownValues(t *testing.T) {
 	}
 }
 
-func TestFeasible(t *testing.T) {
-	c := Default()
-	theta := c.Theta(100)
-	if !c.Feasible(theta, 100) {
-		t.Fatal("exact lead must be feasible")
-	}
-	if c.Feasible(theta-0.01, 100) {
-		t.Fatal("lead below θ must be infeasible")
-	}
-}
-
 func TestWithAlpha(t *testing.T) {
 	c := Default().WithAlpha(1)
 	if c.TransferGB(100) != 100 {
@@ -112,28 +101,5 @@ func TestDilationSeconds(t *testing.T) {
 	want := c.Theta(40) * c.Dilation
 	if got := c.DilationSeconds(40); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("DilationSeconds = %g, want %g", got, want)
-	}
-}
-
-func TestMigrationLifecycle(t *testing.T) {
-	c := Default()
-	m := NewMigration(c, 7, 1000, 1000+c.Theta(40)+1, 40)
-	if m.Node != 7 || m.Start != 1000 {
-		t.Fatalf("migration fields wrong: %+v", m)
-	}
-	if !m.CompletesBy() {
-		t.Fatal("migration with sufficient lead must complete")
-	}
-	m.Abort()
-	if !m.Aborted() || m.CompletesBy() {
-		t.Fatal("aborted migration must not complete")
-	}
-}
-
-func TestMigrationMissesDeadline(t *testing.T) {
-	c := Default()
-	m := NewMigration(c, 0, 0, c.Theta(40)-1, 40)
-	if m.CompletesBy() {
-		t.Fatal("migration with short lead must miss its deadline")
 	}
 }

@@ -210,7 +210,10 @@ func (b *BandwidthArbiter) SetStarvationEscalation(boundSeconds float64) {
 }
 
 // Escalations returns how many times the starvation watchdog promoted
-// one of app's flows into the priority lane.
+// one of app's flows into the priority lane. Results report only the
+// machine-wide EscalationCount;
+// TestArbiterStarvationWatchdogEscalates reads the per-app count to
+// check that the starved app is the one promoted.
 func (b *BandwidthArbiter) Escalations(app int) int {
 	if app < 0 || app >= len(b.escalations) {
 		return 0
@@ -245,7 +248,11 @@ func (b *BandwidthArbiter) StarvationSeconds(app int) float64 {
 	return b.starveS[app]
 }
 
-// QueuedDrains returns the number of drains waiting for a slot.
+// QueuedDrains returns the number of drains waiting for a slot. No
+// result reports it: TestArbiterDrainSlotsQueueFIFO,
+// TestArbiterDrainOutageRequeuesFIFO and
+// TestArbiterFaultInterleavingConservation read it to check that drains
+// queue for their slots and that none is left queued once they finish.
 func (b *BandwidthArbiter) QueuedDrains() int { return len(b.drainQ) }
 
 // StartFlow implements stepsim.Arbiter. Done is always scheduled through

@@ -26,7 +26,7 @@ func BenchmarkArbiterReprice(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		arb.StartFlow(i%8, stepsim.ClassVulnerable, 1, 1, done)
-		for eng.HasPendingEvents() {
+		for {
 			if t, ok := eng.PeekNextEventTime(); !ok || t > eng.Now()+2 {
 				break
 			}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"pckpt/internal/faultinject"
 	"pckpt/internal/machine"
@@ -167,14 +168,19 @@ func TestArbiterStarvationWatchdogEscalates(t *testing.T) {
 	}
 }
 
-// Property test: under randomized interleavings of suspend, resume,
-// cancel, brownout/blackout ceiling moves, and drain-budget changes,
-// conservation holds at every repricing and every surviving flow still
-// completes once the machine heals.
+// Property test (testing/quick over the trial seed): under randomized
+// interleavings of suspend, resume, cancel, brownout/blackout ceiling
+// moves, and drain-budget changes, conservation holds at every
+// repricing, every surviving flow still completes once the machine
+// heals, and no drain is left queued for a slot.
 func TestArbiterFaultInterleavingConservation(t *testing.T) {
-	src := rng.New(0xfa417)
-	const trials = 25
-	for trial := 0; trial < trials; trial++ {
+	trial := func(seed uint64) bool {
+		defer func() {
+			if t.Failed() {
+				t.Logf("failing trial seed %#x", seed)
+			}
+		}()
+		src := rng.New(seed)
 		eng := sim.NewEngine()
 		const ceiling = 50.0
 		arb := machine.NewBandwidthArbiter(eng, ceiling, 2, 4)
@@ -235,20 +241,27 @@ func TestArbiterFaultInterleavingConservation(t *testing.T) {
 				// A cancel raced a completion within the same trial only if
 				// the flow finished first, in which case cancelled is never
 				// set (the closure checks). Anything else is a double-fire.
-				t.Fatalf("trial %d: flow %d both cancelled and completed", trial, i)
+				t.Fatalf("seed %#x: flow %d both cancelled and completed", seed, i)
 			}
 			if !cancelled[i] && !completed[i] {
-				t.Fatalf("trial %d: flow %d neither cancelled nor completed after the machine healed", trial, i)
+				t.Fatalf("seed %#x: flow %d neither cancelled nor completed after the machine healed", seed, i)
 			}
 		}
 		for app := 0; app < 4; app++ {
 			if s := arb.StarvationSeconds(app); s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
-				t.Fatalf("trial %d: StarvationSeconds(%d) = %g", trial, app, s)
+				t.Fatalf("seed %#x: StarvationSeconds(%d) = %g", seed, app, s)
 			}
 			if s := arb.MaxStarvationStretchSeconds(app); s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
-				t.Fatalf("trial %d: MaxStarvationStretchSeconds(%d) = %g", trial, app, s)
+				t.Fatalf("seed %#x: MaxStarvationStretchSeconds(%d) = %g", seed, app, s)
 			}
 		}
+		if q := arb.QueuedDrains(); q != 0 {
+			t.Fatalf("seed %#x: %d drains still queued for a slot after the machine healed", seed, q)
+		}
+		return true
+	}
+	if err := quick.Check(trial, &quick.Config{MaxCount: 25}); err != nil {
+		t.Error(err)
 	}
 }
 

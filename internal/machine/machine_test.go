@@ -208,10 +208,11 @@ func TestMachineMetricsPublished(t *testing.T) {
 		Metrics: reg,
 	}
 	machine.Simulate(cfg, 5)
-	if got := reg.Histogram("machine.queue_wait_seconds").Count(); got != 2 {
+	hists := reg.Snapshot(0).Histograms
+	if got := hists["machine.queue_wait_seconds"].Count; got != 2 {
 		t.Fatalf("queue_wait observations = %d, want 2", got)
 	}
-	if got := reg.Histogram("machine.slowdown_x").Count(); got != 2 {
+	if got := hists["machine.slowdown_x"].Count; got != 2 {
 		t.Fatalf("slowdown observations = %d, want 2", got)
 	}
 }

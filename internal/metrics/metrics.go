@@ -24,7 +24,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -43,14 +42,6 @@ func (c *Counter) Add(v float64) {
 
 // Inc accumulates 1.
 func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the accumulated total (0 for a nil counter).
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.n
-}
 
 // Gauge tracks an instantaneous value over simulation time, accumulating
 // the time integral so a snapshot can report the time-weighted mean (the
@@ -88,15 +79,6 @@ func (g *Gauge) Set(now, v float64) {
 	if v > g.max {
 		g.max = v
 	}
-}
-
-// Add adjusts the gauge by delta at time now (a Set relative to the last
-// value; 0 before the first Set).
-func (g *Gauge) Add(now, delta float64) {
-	if g == nil {
-		return
-	}
-	g.Set(now, g.last+delta)
 }
 
 // Histogram bucket layout: values in [histMin, histMin·2^histOctaves) map
@@ -172,14 +154,6 @@ func (h *Histogram) Observe(v float64) {
 	h.buckets[bucketIndex(v)]++
 }
 
-// Count returns the number of observations (0 for a nil histogram).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
 // Registry holds one simulation run's instruments, keyed by name. The
 // accessors are idempotent (same name → same handle) and nil-safe: on a
 // nil registry they return nil handles whose methods are no-ops.
@@ -245,26 +219,4 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Names returns every instrument name in the registry, sorted (for tests
-// and debugging; snapshots carry the data).
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var names []string
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

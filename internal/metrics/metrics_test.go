@@ -13,8 +13,8 @@ func TestCounter(t *testing.T) {
 	c := r.Counter("x")
 	c.Inc()
 	c.Add(2.5)
-	if got := c.Value(); got != 3.5 {
-		t.Fatalf("Value = %g, want 3.5", got)
+	if got := c.n; got != 3.5 {
+		t.Fatalf("total = %g, want 3.5", got)
 	}
 	if r.Counter("x") != c {
 		t.Fatal("same name must return the same handle")
@@ -35,18 +35,6 @@ func TestGaugeTimeWeightedMean(t *testing.T) {
 	}
 	if st.Min != 0 || st.Max != 3 || st.Last != 0 {
 		t.Fatalf("extrema = %+v", st)
-	}
-}
-
-func TestGaugeAdd(t *testing.T) {
-	r := New()
-	g := r.Gauge("q")
-	g.Add(0, 1)
-	g.Add(5, 1)
-	g.Add(10, -2)
-	st := r.Snapshot(10).Gauges["q"]
-	if st.Max != 2 || st.Last != 0 {
-		t.Fatalf("got %+v", st)
 	}
 }
 
@@ -80,8 +68,8 @@ func TestHistogramExtremes(t *testing.T) {
 	var h Histogram
 	h.Observe(0)    // underflow bucket
 	h.Observe(1e10) // overflow bucket
-	if h.Count() != 2 {
-		t.Fatalf("Count = %d", h.Count())
+	if h.count != 2 {
+		t.Fatalf("count = %d", h.count)
 	}
 	if got := bucketIndex(0); got != 0 {
 		t.Fatalf("bucketIndex(0) = %d", got)
@@ -115,16 +103,9 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	c.Add(1)
 	c.Inc()
 	g.Set(1, 2)
-	g.Add(2, 3)
 	h.Observe(4)
-	if c.Value() != 0 || h.Count() != 0 {
-		t.Fatal("nil handles must read as zero")
-	}
 	if s := r.Snapshot(10); !s.Empty() {
 		t.Fatal("nil registry snapshot must be empty")
-	}
-	if r.Names() != nil {
-		t.Fatal("nil registry must have no names")
 	}
 }
 

@@ -233,7 +233,11 @@ func (s *Snapshot) Merge(o *Snapshot) {
 // describes the first differing series in sorted name order, a series
 // only one side holds included; it returns "" when the two match. A nil
 // snapshot equals an empty one. Each description reads
-// `<kind> "<name>"[ <field>]: <s's value> vs <o's value>`.
+// `<kind> "<name>"[ <field>]: <s's value> vs <o's value>`. No run
+// compares snapshots: it is the oracle of the metering audits, which
+// require one model's series to match bit for bit across tiers and
+// paths (TestCrossValidationStepMeteredParity, TestRunAheadEquivalence,
+// TestRunConfigMetersIntoCollector).
 func (s *Snapshot) Diff(o *Snapshot) string {
 	if s == nil {
 		s = &Snapshot{}

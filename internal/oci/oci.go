@@ -13,17 +13,12 @@ import (
 	"math"
 )
 
-// Young returns the optimal compute interval between checkpoints per
-// Eq. (1): sqrt(2·t_bb / (λ·c)), where tCkptBB is the seconds to write
-// one checkpoint to the burst buffers, lambda the per-node failure rate
-// (failures/second), and nodes the job's node count.
-func Young(tCkptBB, lambda float64, nodes int) float64 {
-	return YoungSigma(tCkptBB, lambda, nodes, 0)
-}
-
 // YoungSigma returns the σ-extended interval per Eq. (2):
-// sqrt(2·t_bb / (λ·c·(1−σ))). σ is the fraction of failures avoided
-// proactively by live migration; σ=0 reduces to Eq. (1). The p-ckpt-only
+// sqrt(2·t_bb / (λ·c·(1−σ))), where tCkptBB is the seconds to write one
+// checkpoint to the burst buffers, lambda the per-node failure rate
+// (failures/second) and nodes the job's node count. σ is the fraction of
+// failures avoided proactively by live migration; σ=0 is Young's Eq. (1),
+// sqrt(2·t_bb / (λ·c)). The p-ckpt-only
 // model keeps σ=0 because p-ckpt mitigates failures by checkpointing (a
 // recovery still happens) rather than avoiding them.
 func YoungSigma(tCkptBB, lambda float64, nodes int, sigma float64) float64 {
@@ -85,7 +80,10 @@ func (c LossCase) String() string {
 // seconds into a checkpoint cycle, following Fig. 1. A cycle is: compute
 // for interval seconds, write BB for tBB seconds, while the previous
 // checkpoint drains asynchronously for tDrain seconds measured from the
-// cycle start. Returned loss is in seconds of computation to redo.
+// cycle start. Returned loss is in seconds of computation to redo. No
+// simulation classifies failures this way: the tiers restart from the
+// cluster's checkpoint ledger, and TestCycleLossOracle (internal/stepsim)
+// checks every failure of traced model-B runs against this function.
 func CycleLoss(offset, interval, tBB, tDrain float64) (float64, LossCase) {
 	switch {
 	case offset < 0:
@@ -112,8 +110,9 @@ func CycleLoss(offset, interval, tBB, tDrain float64) (float64, LossCase) {
 
 // ExpectedWaste returns the first-order expected overhead fraction of a
 // periodic checkpoint schedule: checkpoint time per cycle plus expected
-// recompute loss, divided by the interval. Used by tests to confirm the
-// Young interval minimises waste.
+// recompute loss, divided by the interval. No simulation prices waste
+// this way; it is the oracle of TestYoungMinimisesWaste, which checks
+// that the interval the models run (FromJobRate) minimises it.
 func ExpectedWaste(interval, tBB, jobRate float64) float64 {
 	if interval <= 0 {
 		panic("oci: non-positive interval")

@@ -8,18 +8,20 @@ import (
 
 func TestYoungKnownValue(t *testing.T) {
 	// sqrt(2·100 / (1e-8 · 1000)) = sqrt(2e10/1000)… compute directly.
-	got := Young(100, 1e-8, 1000)
+	got := YoungSigma(100, 1e-8, 1000, 0)
 	want := math.Sqrt(2 * 100 / (1e-8 * 1000))
 	if math.Abs(got-want)/want > 1e-12 {
-		t.Fatalf("Young = %g, want %g", got, want)
+		t.Fatalf("YoungSigma(σ=0) = %g, want %g", got, want)
 	}
 }
 
+// TestYoungSigmaZeroMatchesYoung: at σ = 0, Eq. (2) is Young's Eq. (1),
+// sqrt(2·t_bb / (λ·c)), bit for bit.
 func TestYoungSigmaZeroMatchesYoung(t *testing.T) {
 	f := func(a, b uint16) bool {
 		tBB := float64(a%1000) + 1
 		lam := (float64(b%1000) + 1) * 1e-9
-		return YoungSigma(tBB, lam, 500, 0) == Young(tBB, lam, 500)
+		return YoungSigma(tBB, lam, 500, 0) == math.Sqrt(2*tBB/(lam*500))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -44,8 +46,9 @@ func TestPaperSigmaElongationRange(t *testing.T) {
 	// Observation 6: the reduced failure rate increases the OCI by
 	// ≈54–340 %. Those factors correspond to σ ≈ 0.58–0.95 via
 	// 1/sqrt(1−σ); verify the formula reproduces the endpoints.
-	lo := YoungSigma(100, 1e-8, 100, 0.578) / Young(100, 1e-8, 100)
-	hi := YoungSigma(100, 1e-8, 100, 0.948) / Young(100, 1e-8, 100)
+	young := YoungSigma(100, 1e-8, 100, 0)
+	lo := YoungSigma(100, 1e-8, 100, 0.578) / young
+	hi := YoungSigma(100, 1e-8, 100, 0.948) / young
 	if lo < 1.5 || lo > 1.6 {
 		t.Errorf("σ=0.578 elongation %.2f, want ≈1.54", lo)
 	}
@@ -62,9 +65,9 @@ func TestFromJobRate(t *testing.T) {
 
 func TestYoungPanics(t *testing.T) {
 	cases := []func(){
-		func() { Young(0, 1e-8, 10) },
-		func() { Young(10, 0, 10) },
-		func() { Young(10, 1e-8, 0) },
+		func() { YoungSigma(0, 1e-8, 10, 0) },
+		func() { YoungSigma(10, 0, 10, 0) },
+		func() { YoungSigma(10, 1e-8, 0, 0) },
 		func() { YoungSigma(10, 1e-8, 10, -0.1) },
 		func() { YoungSigma(10, 1e-8, 10, 1) },
 		func() { FromJobRate(10, 0, 0) },

@@ -20,14 +20,13 @@ func (c Config) CanonicalString() string {
 	c = c.WithDefaults()
 	var b strings.Builder
 	io := c.IO.Config()
-	b.WriteString("platform/v4\n")
+	b.WriteString("platform/v5\n")
 	fmt.Fprintf(&b, "app=%s|%d|%s|%s\n", c.App.Name, c.App.Nodes, cf(c.App.TotalCkptGB), cf(c.App.ComputeHours))
 	fmt.Fprintf(&b, "system=%s|%s|%s|%d\n", c.System.Name, cf(c.System.Shape), cf(c.System.ScaleHours), c.System.Nodes)
 	fmt.Fprintf(&b, "spares=%d\n", c.SpareNodes)
-	fmt.Fprintf(&b, "io=%s|%s|%s|%s|%s|%d|%d|%s|%s|%s|%d\n",
+	fmt.Fprintf(&b, "io=%s|%s|%s|%s|%d|%d|%s|%d\n",
 		cf(io.BBWriteGBs), cf(io.BBReadGBs), cf(io.NodePFSPeakGBs), cf(io.AggregatePFSCeilingGBs),
-		cf(io.NetworkGBs), io.OptimalTasks, io.MaxTasks, cf(io.HalfSaturationGB),
-		cf(io.DRAMSizeGB), cf(io.BBSizeGB), io.DrainConcurrency)
+		io.OptimalTasks, io.MaxTasks, cf(io.HalfSaturationGB), io.DrainConcurrency)
 	fmt.Fprintf(&b, "lm=%s|%s|%s|%s\n", cf(c.LM.Alpha), cf(c.LM.RAMCapGB), cf(c.LM.NetworkGBs), cf(c.LM.Dilation))
 	b.WriteString("leads=")
 	for i, s := range c.Leads.Sequences() {

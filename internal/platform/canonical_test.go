@@ -79,7 +79,7 @@ func TestCanonicalStringSensitivity(t *testing.T) {
 func TestCanonicalStringVersionedAndStable(t *testing.T) {
 	c := testConfig()
 	s := c.CanonicalString()
-	if !strings.HasPrefix(s, "platform/v4\n") {
+	if !strings.HasPrefix(s, "platform/v5\n") {
 		t.Fatalf("missing version header: %q", s[:min(len(s), 40)])
 	}
 	if s != c.CanonicalString() {

@@ -91,12 +91,6 @@ func (id ID) UsesPrediction() bool { return id != B }
 // UsesLM reports whether the model can live-migrate.
 func (id ID) UsesLM() bool { return id == M2 || id == P2 }
 
-// UsesPckpt reports whether the model can run the p-ckpt protocol.
-func (id ID) UsesPckpt() bool { return id == P1 || id == P2 }
-
-// UsesSafeguard reports whether the model takes safeguard checkpoints.
-func (id ID) UsesSafeguard() bool { return id == M1 }
-
 // Action is a strategy's prediction-time decision. The tier executes it
 // with its own machinery (blocking episode vs priority lane, cluster
 // bookkeeping, tracing); the decision itself is tier-independent.

@@ -1,9 +1,11 @@
 package policy
 
 import (
+	"math"
 	"testing"
 
 	"pckpt/internal/failure"
+	"pckpt/internal/lm"
 )
 
 func TestCatalogue(t *testing.T) {
@@ -38,18 +40,41 @@ func TestCatalogue(t *testing.T) {
 }
 
 func TestCapabilityPredicates(t *testing.T) {
-	type caps struct{ pred, lm, pckpt, safeguard bool }
+	type caps struct{ pred, lm bool }
 	want := map[ID]caps{
-		B:  {false, false, false, false},
-		M1: {true, false, false, true},
-		M2: {true, true, false, false},
-		P1: {true, false, true, false},
-		P2: {true, true, true, false},
+		B:  {false, false},
+		M1: {true, false},
+		M2: {true, true},
+		P1: {true, false},
+		P2: {true, true},
 	}
 	for id, w := range want {
-		got := caps{id.UsesPrediction(), id.UsesLM(), id.UsesPckpt(), id.UsesSafeguard()}
+		got := caps{id.UsesPrediction(), id.UsesLM()}
 		if got != w {
 			t.Errorf("%v capabilities = %+v, want %+v", id, got, w)
+		}
+	}
+}
+
+// TestFeasibleTieMigrates: a migration is feasible when the lead covers
+// θ, a tie included (the migration ends exactly at the failure). At
+// lead = θ both LM strategies migrate; one ulp shorter, M2 lets the
+// failure strike and P2 falls back to a p-ckpt episode.
+func TestFeasibleTieMigrates(t *testing.T) {
+	theta := lm.Default().Theta(100)
+	short := math.Nextafter(theta, 0)
+	for _, c := range []struct {
+		id   ID
+		lead float64
+		want Action
+	}{
+		{M2, theta, ActMigrate},
+		{M2, short, ActNone},
+		{P2, theta, ActMigrate},
+		{P2, short, ActStartEpisode},
+	} {
+		if got := For(c.id).OnPrediction(NewState(), 3, c.lead, theta); got != c.want {
+			t.Errorf("%v at lead %v (θ = %v): action %v, want %v", c.id, c.lead, theta, got, c.want)
 		}
 	}
 }

@@ -247,9 +247,6 @@ func (s *State) FinishDrain(gen int) (depth int, current bool) {
 	return s.drainsInFlight, gen == s.drainGen
 }
 
-// DrainsInFlight returns the current drain queue depth.
-func (s *State) DrainsInFlight() int { return s.drainsInFlight }
-
 // CommitBB records a coordinated checkpoint at progress as staged on the
 // burst buffers.
 func (s *State) CommitBB(progress float64) { s.bbProgress = progress }
@@ -279,9 +276,6 @@ func (s *State) CommitPFS(progress float64) bool {
 	return false
 }
 
-// BBProgress returns the newest BB-staged progress (-1 = none).
-func (s *State) BBProgress() float64 { return s.bbProgress }
-
 // PFSProgress returns the newest PFS-resident progress (-1 = none).
 func (s *State) PFSProgress() float64 { return s.pfsProgress }
 
@@ -308,7 +302,10 @@ func (s *State) MarkCorrupt(progress float64) {
 }
 
 // RetainedPFSGenerations returns how many superseded PFS generations are
-// retained as fallback candidates.
+// retained as fallback candidates. Restarts read the generations, not
+// their count; TestCommitPFSRetentionCap and the corrupt-generation
+// ResolveRestart tests read it to check the retention cap and that a
+// corrupt generation is dropped.
 func (s *State) RetainedPFSGenerations() int { return len(s.pfsGens) }
 
 // dropGeneration discards a checkpoint generation discovered corrupt: if
@@ -357,7 +354,9 @@ func (s *State) newestGenBelow(progress float64) float64 {
 // progress q — whichever is fresher. It returns the restart progress
 // (clamped to 0: no checkpoint yet restarts from the beginning) and
 // whether recovery restores every node from the PFS (the mitigated path,
-// Sec. II) rather than the BB-assisted path.
+// Sec. II) rather than the BB-assisted path. Every tier restarts through
+// ResolveRestart; BestRestart is the clean-platform rule it must reduce
+// to, the oracle of TestResolveRestartMatchesBestRestartWithoutCorruption.
 func BestRestart(q float64, out FailureOutcome) (progress float64, fromPFS bool) {
 	if out.Mitigated && out.MitigatedAt >= q {
 		q = out.MitigatedAt

@@ -89,7 +89,10 @@ func (q *PQ[T]) Head() (key float64, seq uint64, ok bool) {
 
 // Clear removes all items but keeps the backing storage for reuse. The
 // vacated slots are zeroed so cleared values do not linger in the backing
-// array.
+// array. No owner reuses a queue yet (the engine pools only empty
+// ones); TestClearReleasesSlots pins the no-lingering-pointer contract a
+// pooled owner would need, as TestRemoveFuncReleasesTail does for
+// RemoveFunc.
 func (q *PQ[T]) Clear() {
 	for i := range q.items {
 		q.items[i] = pqItem[T]{}
@@ -121,16 +124,6 @@ func (q *PQ[T]) RemoveFunc(match func(val T) bool) int {
 		q.heapify()
 	}
 	return removed
-}
-
-// Items returns the queued values in heap (not sorted) order. Callers that
-// need sorted order should Pop. Intended for diagnostics.
-func (q *PQ[T]) Items() []T {
-	out := make([]T, len(q.items))
-	for i, it := range q.items {
-		out[i] = it.val
-	}
-	return out
 }
 
 func (q *PQ[T]) less(i, j int) bool {

@@ -195,23 +195,6 @@ func TestRemoveFuncPreservesHeapQuick(t *testing.T) {
 	}
 }
 
-func TestItems(t *testing.T) {
-	var q PQ[int]
-	q.Push(2, 20)
-	q.Push(1, 10)
-	items := q.Items()
-	if len(items) != 2 {
-		t.Fatalf("Items returned %d entries, want 2", len(items))
-	}
-	sum := items[0] + items[1]
-	if sum != 30 {
-		t.Fatalf("Items content wrong: %v", items)
-	}
-	if q.Len() != 2 {
-		t.Fatal("Items must not consume the queue")
-	}
-}
-
 func BenchmarkPushPop(b *testing.B) {
 	var q PQ[int]
 	b.ReportAllocs()

@@ -167,13 +167,6 @@ func (m *Mixture) Mean() float64 {
 	return sum / m.total
 }
 
-// Components returns a copy of the component list.
-func (m *Mixture) Components() []MixtureComponent {
-	out := make([]MixtureComponent, len(m.components))
-	copy(out, m.components)
-	return out
-}
-
 // Scaled wraps a distribution and multiplies every sample (and the mean)
 // by Factor. Lead-time variability experiments scale the published lead
 // times by 1 ± x/100 without touching the underlying shape.

@@ -272,38 +272,6 @@ func TestTruncatedClampsPathological(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(19)
-	f := func(n uint8) bool {
-		m := int(n%64) + 1
-		p := r.Perm(m)
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	r := New(20)
-	vals := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	seen := make([]bool, len(vals))
-	for _, v := range vals {
-		if seen[v] {
-			t.Fatalf("shuffle duplicated value %d", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	r := New(21)
 	hits := 0

@@ -78,7 +78,10 @@ type Key struct {
 
 // Canonical renders the key as versioned, newline-delimited text — the
 // preimage of Hash. The multi-line Platform rendering sits last so the
-// fixed-position fields above it stay self-delimiting.
+// fixed-position fields above it stay self-delimiting. The store renders
+// through appendCanonical; the codec tests (TestPutMatchesEncodingJSON,
+// TestGetRejectsEveryCorruption) use Canonical to build the blobs they
+// compare with the store's.
 func (k Key) Canonical() string { return string(k.appendCanonical(nil)) }
 
 // appendCanonical appends the Canonical text to dst.
@@ -102,6 +105,9 @@ func (k Key) appendCanonical(dst []byte) []byte {
 }
 
 // Hash returns the content address: hex SHA-256 of the canonical text.
+// The store hashes the text it already rendered (hashCanonical);
+// TestKeyHashStableAndSensitive and the corruption tests use Hash to
+// find a key's blob on disk.
 func (k Key) Hash() string { return hashCanonical(k.appendCanonical(nil)) }
 
 // hashCanonical is Hash of an already rendered canonical text.

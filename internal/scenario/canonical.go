@@ -11,7 +11,9 @@ import (
 // its file reference) and deterministically formatted. Rendering is a
 // fixed point — parsing a rendering and rendering again reproduces it
 // byte-for-byte — so a committed spec file in canonical form diffs
-// cleanly against any re-export.
+// cleanly against any re-export. No command re-exports a spec yet;
+// FuzzSpecParse and TestCanonicalFixedPoint hold every valid spec to
+// that fixed point.
 func (s *Spec) Render() ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -25,12 +27,15 @@ func (s *Spec) Render() ([]byte, error) {
 
 // CanonicalString renders the spec as stable, versioned, newline-
 // delimited key text — the scenario analogue of
-// platform.Config.CanonicalString, and the spec's identity in cache keys
-// and reports. Two specs that compile to the same simulations render
-// identically: the rendering is built from the compiled cohort × policy
-// grid (each cell carrying its platform's own canonical text), not from
-// the spec's surface syntax, so e.g. an inline trace and a trace_file
-// reference to the same content agree.
+// platform.Config.CanonicalString. Two specs that compile to the same
+// simulations render identically: the rendering is built from the
+// compiled cohort × policy grid (each cell carrying its platform's own
+// canonical text), not from the spec's surface syntax, so e.g. an inline
+// trace and a trace_file reference to the same content agree. No cache
+// key uses it (each cell is keyed by its own platform rendering);
+// TestCanonicalStringStability, TestMachineSpecCanonical and
+// FuzzSpecParse use it to check that spec identity follows the compiled
+// simulations.
 func (s *Spec) CanonicalString() (string, error) {
 	cfgs, err := s.Configs()
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 
 	"pckpt/internal/failure"
 	"pckpt/internal/faultinject"
-	"pckpt/internal/iomodel"
 	"pckpt/internal/lm"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
@@ -31,7 +30,7 @@ type ScaleSpec struct {
 	// Nodes is the target node count.
 	Nodes int `json:"nodes"`
 	// OldDRAMGB is the per-node DRAM of the system the footprint was
-	// measured on; zero selects Summit's 512 GB.
+	// measured on; zero selects Summit's 512 GB (lm.Config.RAMCapGB).
 	OldDRAMGB float64 `json:"old_dram_gb,omitempty"`
 	// NewDRAMGB is the target per-node DRAM; zero selects the source DRAM
 	// (pure node-count scaling).
@@ -79,7 +78,7 @@ func (a AppSpec) Resolve() (workload.App, error) {
 	if s := a.Scale; s != nil {
 		oldDRAM := s.OldDRAMGB
 		if oldDRAM == 0 {
-			oldDRAM = iomodel.DefaultSummit().DRAMSizeGB
+			oldDRAM = lm.Default().RAMCapGB
 		}
 		newDRAM := s.NewDRAMGB
 		if newDRAM == 0 {

@@ -61,25 +61,6 @@ func (t *Trace) ToReplay() *failure.Replay {
 	return re
 }
 
-// TraceFromReplay converts a runtime replay back to interchange form —
-// the inverse of ToReplay, used by exporters.
-func TraceFromReplay(re *failure.Replay) *Trace {
-	if re == nil {
-		return nil
-	}
-	t := &Trace{
-		Version:        1,
-		Name:           re.Name,
-		Nodes:          re.Nodes,
-		HorizonSeconds: re.HorizonSeconds,
-		Events:         make([]TraceEvent, len(re.Events)),
-	}
-	for i, ev := range re.Events {
-		t.Events[i] = TraceEvent{T: ev.T, Node: ev.Node, Lead: ev.Lead, Seq: ev.Seq, Spurious: ev.Spurious}
-	}
-	return t
-}
-
 // Validate reports a malformed trace, or nil. Field semantics are checked
 // by the runtime type's validator, so a trace is valid exactly when its
 // replay is.
@@ -94,7 +75,9 @@ func (t *Trace) Validate() error {
 }
 
 // Render returns the canonical JSON rendering of a valid trace — what
-// exporters write and what a spec's trace_file references.
+// exporters write and what a spec's trace_file references. No command
+// writes a trace file; TestTraceRoundTrip and TestExportTraceRoundTrip
+// render through it to check that a trace survives its JSON form.
 func (t *Trace) Render() ([]byte, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err

@@ -1,10 +1,10 @@
 package sim
 
 // The engine core: a single-goroutine, callback/step-based event loop
-// decomposed into the three primitives a shared-clock multi-instance
-// loop needs —
+// decomposed into the two primitives a shared-clock multi-instance loop
+// needs —
 //
-//	HasPendingEvents / PeekNextEventTime / ProcessNextEvent
+//	PeekNextEventTime / ProcessNextEvent
 //
 // — over a stable (time, seq) heap. An event is a callback, dispatching
 // one is a function call, and every simulation in the repo runs on it:
@@ -23,7 +23,7 @@ package sim
 //
 // A callback may also dispatch events it holds itself, off the heap, in
 // line (Reserve / Precedes / Advance / CallAtSeq): a held event keeps
-// the sequence number CallAt would have given it, runs only while it
+// the sequence number queueing it would have given it, runs only while it
 // precedes every live heap event, and counts for Dispatched and the
 // watchdog like a popped one. That run-ahead is bounded only by this
 // engine's own heap and the Run(until) horizon, so it cannot see a
@@ -159,8 +159,10 @@ func (e *Engine) freeEvent(ev *event) {
 // Now returns the current simulation time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Dispatched returns how many live events have been processed — the
-// step-rate numerator for benchmarks and throughput accounting.
+// Dispatched returns how many live events have been processed. No
+// simulation reads it: TestRunAheadEquivalence compares it between a
+// run-ahead app and the same app on the heap path, which must dispatch
+// the same events.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
 // schedule pushes an event at an absolute time.
@@ -194,24 +196,11 @@ func (e *Engine) After(delay float64, name string, fn func()) Timer {
 	return Timer{ev: ev}
 }
 
-// CallAt runs fn(arg) at absolute engine time at (clamped to now) and
-// returns a Timer Cancel can retract. The argument travels in the event,
-// so a prebound method value schedules without allocating: an app passes
-// its locally-computed deadline this way instead of capturing it in a
-// wrapper closure. An offset-started app schedules every deadline here —
-// one uniform t0+local rounding per event — so deadlines that tie in the
-// app's local clock still tie on the shared clock; re-deriving them from
-// eng.Now() at different moments would split such ties by an ulp and
-// reorder the run.
-func (e *Engine) CallAt(at float64, name string, fn func(float64), arg float64) Timer {
-	return e.CallAtSeq(max(at, e.now), e.Reserve(), name, fn, arg)
-}
-
-// Reserve hands out the sequence number CallAt would give an event
-// scheduled now, without queueing anything. The caller holds the event
-// itself: it either dispatches it in line (Precedes, then Advance) or
-// queues it later with CallAtSeq, and either way it fires exactly where
-// CallAt would have put it in the (time, seq) order.
+// Reserve hands out the sequence number an event scheduled now would
+// get, without queueing anything. The caller holds the event itself: it
+// either dispatches it in line (Precedes, then Advance) or queues it
+// later with CallAtSeq, and either way it fires exactly where queueing it
+// now would have put it in the (time, seq) order.
 func (e *Engine) Reserve() uint64 { return e.events.Reserve() }
 
 // Precedes reports whether an event held at (at, seq) comes before every
@@ -239,9 +228,13 @@ func (e *Engine) Advance(at float64, name string) {
 	e.dispatched++
 }
 
-// CallAtSeq is CallAt for a held event: it queues fn(arg) at absolute
-// time at under seq, a number from Reserve, with the past-time check but
-// no clamp (the holder computed at while the clock was not later).
+// CallAtSeq queues fn(arg) for a held event at absolute time at under
+// seq, a number from Reserve, and returns a Timer Cancel can retract. It
+// has the past-time check but no clamp (the holder computed at while the
+// clock was not later). The argument travels in the event, so a prebound
+// method value schedules without allocating: an app passes its
+// locally-computed deadline this way instead of capturing it in a
+// wrapper closure.
 func (e *Engine) CallAtSeq(at float64, seq uint64, name string, fn func(float64), arg float64) Timer {
 	e.checkTime(at)
 	ev := e.newEvent()
@@ -295,12 +288,6 @@ func (e *Engine) settle() {
 	}
 }
 
-// HasPendingEvents reports whether any live event remains.
-func (e *Engine) HasPendingEvents() bool {
-	e.settle()
-	return e.events.Len() > 0
-}
-
 // PeekNextEventTime returns the absolute time of the next live event.
 // The boolean is false when no live event remains. A shared-clock driver
 // interleaving several engines peeks each and steps the earliest.
@@ -344,6 +331,10 @@ func (e *Engine) ProcessNextEvent() bool {
 // event — so Now() afterwards is the horizon, and work scheduled
 // relative to it is anchored there. While it runs, until also bounds
 // in-line dispatch (Precedes). It returns the final simulation time.
+// Every tier drains its engine with RunAll; a driver interleaving several
+// engines on one clock must step each with Run (see the package
+// comment), and TestRunHorizon and TestRunAheadHorizon pin the horizon
+// rule it would rely on.
 func (e *Engine) Run(until float64) float64 {
 	defer func(h float64) { e.horizon = h }(e.horizon)
 	e.horizon = until

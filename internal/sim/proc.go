@@ -58,7 +58,10 @@ type Proc struct {
 	done *Event
 }
 
-// Name returns the diagnostic name given at spawn time.
+// Name returns the diagnostic name given at spawn time. The models only
+// print it in watchdog errors (through the engine); the ordering tests,
+// TestWakeOrderMatchesScheduleOrder among them, read it to record which
+// process ran when.
 func (p *Proc) Name() string { return p.name }
 
 // Alive reports whether the process has not yet finished.
@@ -170,7 +173,9 @@ func (p *Proc) WaitEvent(ev *Event) error {
 	return nil
 }
 
-// Join blocks until other has finished. Interruptible like WaitEvent.
+// Join blocks until other has finished. Interruptible like WaitEvent. No
+// model process waits for another; TestSpawnFromProcess and
+// BenchmarkSpawnChurn join the children they spawn with it.
 func (p *Proc) Join(other *Proc) error {
 	if !other.Alive() {
 		return nil

@@ -92,18 +92,12 @@ func (e *Env) SpawnAt(delay float64, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// Run processes events until none remain or the clock would pass until
-// (use RunAll for no horizon); the engine's horizon rule applies, so
-// Now() afterwards is the horizon when events remain beyond it. It
-// returns the final simulation time. A panic inside any process is
-// re-raised here.
-func (e *Env) Run(until float64) float64 { return e.eng.Run(until) }
-
-// RunAll processes events until none remain.
+// RunAll processes events until none remain and returns the final
+// simulation time. A panic inside any process is re-raised here.
 func (e *Env) RunAll() float64 { return e.eng.RunAll() }
 
 // SetWatchdog arms (or, with two zeros, disarms) the engine's watchdog
-// (see Engine.SetWatchdog): Run/RunAll panic with a *WatchdogError
+// (see Engine.SetWatchdog): RunAll panics with a *WatchdogError
 // naming the stuck process. Release resets both limits, so a pooled
 // engine never inherits a previous run's watchdog.
 func (e *Env) SetWatchdog(maxEvents uint64, maxSimSeconds float64) {

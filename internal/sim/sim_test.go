@@ -124,7 +124,7 @@ func TestRunHorizon(t *testing.T) {
 	fired := 0
 	env.At(1, func() { fired++ })
 	env.At(10, func() { fired++ })
-	end := env.Run(5)
+	end := env.eng.Run(5)
 	if fired != 1 {
 		t.Fatalf("fired %d callbacks before horizon, want 1", fired)
 	}
@@ -147,7 +147,7 @@ func TestRunHorizonAnchorsRelativeTime(t *testing.T) {
 	env := NewEnv()
 	env.At(1, func() {})
 	env.At(100, func() {})
-	if end := env.Run(7); end != 7 || env.Now() != 7 {
+	if end := env.eng.Run(7); end != 7 || env.Now() != 7 {
 		t.Fatalf("Run(7) = %g, Now() = %g, want both 7", end, env.Now())
 	}
 	var at float64
@@ -159,7 +159,7 @@ func TestRunHorizonAnchorsRelativeTime(t *testing.T) {
 	// A horizon before the first event still advances the clock.
 	env2 := NewEnv()
 	env2.At(50, func() {})
-	if end := env2.Run(3); end != 3 {
+	if end := env2.eng.Run(3); end != 3 {
 		t.Fatalf("Run(3) with no due events = %g, want 3", end)
 	}
 	env2.RunAll()
@@ -409,7 +409,7 @@ func TestProcCountTracksLiveProcesses(t *testing.T) {
 	env := NewEnv()
 	env.Spawn("a", func(p *Proc) { p.Wait(10) })
 	env.Spawn("b", func(p *Proc) { p.Wait(5) })
-	env.Run(6)
+	env.eng.Run(6)
 	if env.ProcCount() != 1 {
 		t.Fatalf("ProcCount = %d at t=6, want 1", env.ProcCount())
 	}

@@ -60,10 +60,14 @@ func NewResource(env *Env, capacity int) *Resource {
 	return &Resource{env: env, capacity: capacity}
 }
 
-// InUse returns the number of held units.
+// InUse returns the number of held units. No model reads it:
+// TestResourceAccounting and TestResourceUnderChurnConservesUnits check
+// that units are never over-granted and all come back.
 func (r *Resource) InUse() int { return r.inUse }
 
-// Queued returns the number of blocked acquirers.
+// Queued returns the number of blocked acquirers. No model reads it:
+// TestResourceInterruptWithdraws and TestResourceUnderChurnConservesUnits
+// check that a withdrawn or served acquirer leaves the queue.
 func (r *Resource) Queued() int { return len(r.waiters.items) }
 
 // Acquire blocks until a unit is granted. priority orders the wait queue

@@ -411,7 +411,9 @@ func (d *decoder) escape() (rune, bool) {
 // Merge appends o's runs to a (shard aggregation). Derived statistics of
 // the merged aggregate are independent of how runs were sharded:
 // associativity is exact, and commutativity holds up to float64
-// summation order (the property test in codec_test.go pins both).
+// summation order. No sweep shards its runs yet: TestAggMergeAssociative,
+// TestAggMergeCommutativeDerived and TestAggMergeEdgeCases pin that
+// contract for the sharded sweep the roadmap parks.
 func (a *Agg) Merge(o *Agg) {
 	if o == nil {
 		return

@@ -212,18 +212,6 @@ func (a *Agg) MeanFTRatio() float64 {
 	return float64(handled) / float64(total)
 }
 
-// TruncatedRuns counts recorded runs the platform ended early (spare
-// pool exhausted before the application completed).
-func (a *Agg) TruncatedRuns() int {
-	n := 0
-	for _, r := range a.runs {
-		if r.Truncated {
-			n++
-		}
-	}
-	return n
-}
-
 // MeanWallSeconds returns the run-averaged wall time.
 func (a *Agg) MeanWallSeconds() float64 {
 	if len(a.runs) == 0 {

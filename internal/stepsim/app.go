@@ -70,15 +70,6 @@ func (c Config) Validate() error {
 	return c.Config.Validate()
 }
 
-// Sigma returns Eq. (2)'s σ for this configuration (0 for models
-// without LM), exactly as the app tier computes it.
-func (c Config) Sigma() float64 {
-	if !c.Model.UsesLM() {
-		return 0
-	}
-	return c.Config.SigmaLM()
-}
-
 // maxRunEvents is the per-run watchdog ceiling, matching crmodel's.
 const maxRunEvents = 100_000_000
 
@@ -223,8 +214,12 @@ type held struct {
 func (h held) before(o held) bool { return h.at < o.at || h.at == o.at && h.seq < o.seq }
 
 // hold reserves the event sched(delay, …) schedules: its engine time
-// (the deadline's t0 conversion, clamped to the clock as CallAt clamps),
-// its local deadline, and the next engine sequence number.
+// (the deadline's t0 conversion, clamped to the clock), its local
+// deadline, and the next engine sequence number. An offset-started app
+// converts every deadline here — one uniform t0+local rounding per
+// event — so deadlines that tie in the app's local clock still tie on
+// the shared clock; re-deriving them from eng.Now() at different moments
+// would split such ties by an ulp and reorder the run.
 func (a *appSim) hold(delay float64) held {
 	now := a.eng.Now()
 	if delay == 0 {
@@ -347,10 +342,14 @@ type AppOptions struct {
 // AppHandle is a started application on a (possibly shared) engine.
 type AppHandle struct{ a *appSim }
 
-// Done reports whether the application has finished.
+// Done reports whether the application has finished. The machine learns
+// it from StartOptions.OnDone; TestAppAbortTruncatesMidFlight polls it.
 func (h *AppHandle) Done() bool { return h.a.appDone }
 
-// Result returns the run's accounting; meaningful once Done.
+// Result returns the run's accounting; meaningful once Done. The machine
+// receives it through StartOptions.OnDone; TestRunAheadSharedEngine and
+// TestAppAbortTruncatesMidFlight read it from the handle of an app they
+// started on a shared engine.
 func (h *AppHandle) Result() stats.RunResult { return h.a.res }
 
 // Abort kills a running application mid-flight — the machine layer's

@@ -38,13 +38,10 @@ func TestTieBreakFIFO(t *testing.T) {
 	}
 }
 
-// TestPrimitives exercises the HasPendingEvents / PeekNextEventTime /
-// ProcessNextEvent decomposition an external shared-clock driver uses.
+// TestPrimitives exercises the PeekNextEventTime / ProcessNextEvent
+// decomposition an external shared-clock driver uses.
 func TestPrimitives(t *testing.T) {
 	e := sim.NewEngine()
-	if e.HasPendingEvents() {
-		t.Fatal("fresh engine reports pending events")
-	}
 	if _, ok := e.PeekNextEventTime(); ok {
 		t.Fatal("fresh engine peeks an event")
 	}
@@ -55,9 +52,6 @@ func TestPrimitives(t *testing.T) {
 	fired := 0
 	e.After(2, "", func() { fired++ })
 	e.After(7, "", func() { fired++ })
-	if !e.HasPendingEvents() {
-		t.Fatal("no pending events after scheduling")
-	}
 	if at, ok := e.PeekNextEventTime(); !ok || at != 2 {
 		t.Fatalf("PeekNextEventTime = (%g, %t), want (2, true)", at, ok)
 	}
@@ -175,7 +169,6 @@ func TestScheduleNaNPanics(t *testing.T) {
 		schedule func(e *sim.Engine)
 	}{
 		{"After", func(e *sim.Engine) { e.After(math.NaN(), "", func() {}) }},
-		{"CallAt", func(e *sim.Engine) { e.CallAt(math.NaN(), "", func(float64) {}, 0) }},
 		{"CallAtSeq", func(e *sim.Engine) { e.CallAtSeq(math.NaN(), e.Reserve(), "", func(float64) {}, 0) }},
 	} {
 		e := sim.NewEngine()
@@ -192,7 +185,7 @@ func TestScheduleNaNPanics(t *testing.T) {
 }
 
 // TestHeldEventPrimitives: an event held under a reserved sequence
-// number keeps the place CallAt would have given it. Precedes approves
+// number keeps the place queueing it then would have given it. Precedes approves
 // it only ahead of every live queued event (cancelled heads skipped)
 // and within Run's horizon; Advance counts it like a popped event; and
 // CallAtSeq queues it in that same place.
@@ -200,10 +193,10 @@ func TestHeldEventPrimitives(t *testing.T) {
 	e := sim.NewEngine()
 	var got []string
 	rec := func(s string) func(float64) { return func(float64) { got = append(got, s) } }
-	first := e.Reserve()                    // held at t=5, ahead of "queued"
-	e.CallAt(5, "queued", rec("queued"), 0) // seq first+1
-	second := e.Reserve()                   // held at t=5, behind "queued"
-	dead := e.After(1, "dead", func() {})   // a cancelled head is not live
+	first := e.Reserve()                                    // held at t=5, ahead of "queued"
+	e.CallAtSeq(5, e.Reserve(), "queued", rec("queued"), 0) // seq first+1
+	second := e.Reserve()                                   // held at t=5, behind "queued"
+	dead := e.After(1, "dead", func() {})                   // a cancelled head is not live
 	e.Cancel(dead)
 	if !e.Precedes(5, first) || e.Precedes(5, second) || !e.Precedes(4, second) || e.Precedes(6, first) {
 		t.Fatal("Precedes does not follow the (time, seq) order")
@@ -216,7 +209,7 @@ func TestHeldEventPrimitives(t *testing.T) {
 		t.Fatalf("Advance: now %g, dispatched %d; want 5, 1", e.Now(), e.Dispatched())
 	}
 	e.CallAtSeq(5, second, "second", rec("second"), 0)
-	e.CallAt(5, "later", rec("later"), 0)
+	e.CallAtSeq(5, e.Reserve(), "later", rec("later"), 0)
 	e.RunAll()
 	if want := "queued second later"; strings.Join(got, " ") != want {
 		t.Fatalf("fired %v, want %s", got, want)
@@ -330,12 +323,12 @@ func TestReleaseReuse(t *testing.T) {
 	e.RunAll()
 	e.Release()
 	e2 := sim.NewEngine()
-	if e2.Now() != 0 || e2.HasPendingEvents() {
-		t.Fatalf("reused engine not reset: now=%g pending=%t", e2.Now(), e2.HasPendingEvents())
+	if _, pending := e2.PeekNextEventTime(); e2.Now() != 0 || pending {
+		t.Fatalf("reused engine not reset: now=%g pending=%t", e2.Now(), pending)
 	}
 	e2.After(1, "", func() {})
 	e2.Release() // pending events: must be a no-op
-	if !e2.HasPendingEvents() {
+	if _, pending := e2.PeekNextEventTime(); !pending {
 		t.Fatal("Release with pending events dropped them")
 	}
 	e2.RunAll()

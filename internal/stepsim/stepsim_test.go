@@ -182,8 +182,8 @@ func TestSpareExhaustionTraceParity(t *testing.T) {
 		var appBuf, stepBuf trace.Buffer
 		res := crmodel.Simulate(crmodel.Config{Model: policy.P2, Config: plat, Trace: &appBuf}, seed)
 		stepsim.Simulate(stepsim.Config{Model: policy.P2, Config: plat, Trace: &stepBuf}, seed)
-		if appBuf.Len() != stepBuf.Len() {
-			t.Fatalf("seed %d: timeline length %d vs %d", seed, appBuf.Len(), stepBuf.Len())
+		if len(appBuf.Events()) != len(stepBuf.Events()) {
+			t.Fatalf("seed %d: timeline length %d vs %d", seed, len(appBuf.Events()), len(stepBuf.Events()))
 		}
 		for i, ae := range appBuf.Events() {
 			if se := stepBuf.Events()[i]; ae != se {
@@ -250,8 +250,8 @@ func TestTraceTimelineParity(t *testing.T) {
 		var appBuf, stepBuf trace.Buffer
 		crmodel.Simulate(crmodel.Config{Model: id, Config: plat, Trace: &appBuf}, 7)
 		stepsim.Simulate(stepsim.Config{Model: id, Config: plat, Trace: &stepBuf}, 7)
-		if appBuf.Len() != stepBuf.Len() {
-			t.Errorf("%v: timeline length %d vs %d", id, appBuf.Len(), stepBuf.Len())
+		if len(appBuf.Events()) != len(stepBuf.Events()) {
+			t.Errorf("%v: timeline length %d vs %d", id, len(appBuf.Events()), len(stepBuf.Events()))
 			continue
 		}
 		for i, ae := range appBuf.Events() {

@@ -33,7 +33,7 @@ func (t *Table) AddRow(cells ...string) {
 }
 
 // AddRowf appends a row of formatted values: each argument is rendered
-// with %v except float64, which uses %.3g... callers needing full control
+// with %v except float64, which uses %.4g; callers needing full control
 // should format and use AddRow.
 func (t *Table) AddRowf(cells ...any) {
 	row := make([]string, 0, len(cells))
@@ -82,19 +82,6 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// Bar renders a horizontal bar of the given value scaled so that maxValue
-// occupies width runes. Negative values render empty.
-func Bar(value, maxValue float64, width int) string {
-	if maxValue <= 0 || value <= 0 || width <= 0 {
-		return ""
-	}
-	n := int(math.Round(value / maxValue * float64(width)))
-	if n > width {
-		n = width
-	}
-	return strings.Repeat("█", n)
 }
 
 // StackedBar renders segments (e.g. checkpoint/recompute/recovery) with

@@ -39,14 +39,17 @@ func TestAddRowf(t *testing.T) {
 	}
 }
 
+// TestBar: a one-segment StackedBar is a plain bar, scaled, clamped to
+// the width, and empty when degenerate.
 func TestBar(t *testing.T) {
-	if got := Bar(5, 10, 10); len([]rune(got)) != 5 {
-		t.Fatalf("Bar(5,10,10) = %q", got)
+	bar := func(v, top float64, width int) string { return StackedBar([]float64{v}, top, width) }
+	if got := bar(5, 10, 10); got != strings.Repeat("█", 5) {
+		t.Fatalf("bar(5,10,10) = %q", got)
 	}
-	if Bar(20, 10, 10) != strings.Repeat("█", 10) {
-		t.Fatal("Bar must clamp to width")
+	if bar(20, 10, 10) != strings.Repeat("█", 10) {
+		t.Fatal("bar must clamp to width")
 	}
-	if Bar(-1, 10, 10) != "" || Bar(1, 0, 10) != "" {
+	if bar(-1, 10, 10) != "" || bar(1, 0, 10) != "" {
 		t.Fatal("degenerate bars must be empty")
 	}
 }

@@ -108,11 +108,11 @@ type Buffer struct {
 // Record appends the event.
 func (b *Buffer) Record(e Event) { b.events = append(b.events, e) }
 
-// Events returns the recorded timeline.
+// Events returns the recorded timeline. The tiers only record, and the
+// renderers read through Filter and Render; the timeline tests
+// (TestTraceTimelineParity, TestTraceRecordsRunTimeline) compare the
+// recorded events of two runs one by one.
 func (b *Buffer) Events() []Event { return b.events }
-
-// Len returns the number of recorded events.
-func (b *Buffer) Len() int { return len(b.events) }
 
 // Filter returns the events of the given kinds, in order.
 func (b *Buffer) Filter(kinds ...Kind) []Event {

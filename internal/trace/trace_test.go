@@ -20,8 +20,8 @@ func TestBufferRecordAndFilter(t *testing.T) {
 	b.Record(Event{T: 2, Kind: Failure, Node: 3, Detail: "unhandled loss=10s"})
 	b.Record(Event{T: 3, Kind: Failure, Node: 5})
 	b.Record(Event{T: 4, Kind: Complete, Node: -1})
-	if b.Len() != 4 {
-		t.Fatalf("Len = %d", b.Len())
+	if len(b.Events()) != 4 {
+		t.Fatalf("recorded %d events", len(b.Events()))
 	}
 	fails := b.Filter(Failure)
 	if len(fails) != 2 || fails[0].Node != 3 {

@@ -85,7 +85,8 @@ func Names() []string {
 
 // SortBySize orders apps by total checkpoint volume, descending, in place.
 // The paper's observations are phrased in terms of application size; the
-// figures keep this order.
+// figures keep this order by iterating Summit(), which lists Table I
+// already sorted: TestSortBySize holds Summit() to SortBySize's order.
 func SortBySize(apps []App) {
 	sort.SliceStable(apps, func(i, j int) bool {
 		return apps[i].TotalCkptGB > apps[j].TotalCkptGB

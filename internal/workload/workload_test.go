@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -79,6 +80,14 @@ func TestSortBySize(t *testing.T) {
 	SortBySize(apps)
 	if apps[0].Name != "big" || apps[2].Name != "small" {
 		t.Fatalf("sorted order wrong: %v", apps)
+	}
+	// The figures iterate Summit() in Table I order, which must be the
+	// size order the paper's observations are phrased in.
+	summit := Summit()
+	sorted := slices.Clone(summit)
+	SortBySize(sorted)
+	if !slices.Equal(summit, sorted) {
+		t.Fatalf("Summit() is not in size order:\n%v\nwant\n%v", summit, sorted)
 	}
 }
 
