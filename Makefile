@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test race allocs vet fmt-check errcheck fuzz-smoke crossval golden golden-degraded golden-scenario golden-contention golden-machine-degraded golden-update spec-validate cachepass race-machine bench bench-step bench-step-smoke bench-smoke bench-digest ci
+.PHONY: build test race allocs vet fmt-check errcheck fuzz-smoke crossval golden golden-degraded golden-scenario golden-contention golden-machine-degraded golden-update spec-validate cachepass race-machine bench bench-step bench-step-smoke bench-smoke bench-digest bench-check ci
 
 build:
 	$(GO) build ./...
@@ -138,6 +138,12 @@ bench-smoke:
 bench-digest:
 	bash bench/run.sh -seconds 0 -reps 1
 
+# bench-check vets the benchmark module and runs its own tests, among
+# them TestJudge and TestBenchmarkJSONMatchesProgram. bench/ is a module
+# of its own, so the root's `go vet ./...` and `go test ./...` skip it.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
+
 # race-machine is a focused race pass over the shared-machine layer:
 # the arbiter, admission plane, fault driver, and SimulateN's cross-run
 # worker pool. The machine tests include a DeepEqual worker-determinism
@@ -165,7 +171,8 @@ fuzz-smoke:
 errcheck:
 	$(GO) run ./cmd/vet-ignored ./internal ./cmd
 
-# ci is the full gate: formatting, vet, the ignored-result check (the
+# ci is the full gate: formatting, vet (of the benchmark module too, with
+# its own tests), the ignored-result check (the
 # interruptible sim calls, the fault-injector draws, bare Validate()
 # statements, and the episode lifecycle hooks), build, scenario-spec
 # validation, the FULL race-enabled test suite (no -short: the
@@ -184,6 +191,7 @@ errcheck:
 ci:
 	$(MAKE) fmt-check
 	$(GO) vet ./...
+	$(MAKE) bench-check
 	$(MAKE) errcheck
 	$(GO) build ./...
 	$(MAKE) spec-validate

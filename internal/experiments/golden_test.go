@@ -9,8 +9,16 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
+
+	"pckpt/internal/metrics"
+	"pckpt/internal/platform"
+	"pckpt/internal/policy"
+	"pckpt/internal/stats"
+	"pckpt/internal/stepsim"
 )
 
 // updateGolden rewrites the committed goldens from the current code:
@@ -79,15 +87,23 @@ func cellClose(want, got float64) bool {
 // parameters and compares each machine-readable cell against the
 // committed golden. Any intentional behaviour change regenerates the
 // goldens with -update and reviews the diff — that diff IS the review
-// artifact for "did my change move the paper's numbers".
+// artifact for "did my change move the paper's numbers". Every run a
+// sweep simulates on the way is also held to stepsim.CheckRun's
+// invariants (checkedTier).
 func TestGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden replay of the full registry is not -short")
 	}
+	var checked atomic.Int64
 	for _, d := range All() {
 		d := d
 		t.Run(d.ID, func(t *testing.T) {
+			before := checked.Load()
+			runSweepsOn(t, checkedTier(t, &checked))
 			r := d.Run(goldenParams)
+			if slices.Contains(sweepingExperiments, d.ID) && checked.Load() == before {
+				t.Error("no sweep run was checked")
+			}
 			if r.Text == "" {
 				t.Fatal("experiment rendered no text")
 			}
@@ -109,6 +125,24 @@ func TestGolden(t *testing.T) {
 			compareCells(t, want.Values, r.Values)
 		})
 	}
+	t.Logf("checked the invariants of %d runs", checked.Load())
+}
+
+// checkedTier is the step tier holding every run to stepsim.CheckRun: a
+// run that breaks an invariant fails t, naming the run. checked counts
+// the runs.
+func checkedTier(t *testing.T, checked *atomic.Int64) Tier {
+	tier := StepTier()
+	run := tier.Run
+	tier.Run = func(id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry) stats.RunResult {
+		r := run(id, plat, seed, reg)
+		if err := stepsim.CheckRun(plat, r); err != nil {
+			t.Errorf("model=%s app=%s seed %#x: %v", id, plat.App.Name, seed, err)
+		}
+		checked.Add(1)
+		return r
+	}
+	return tier
 }
 
 // compareCells diffs two cell maps, reporting missing, extra, and

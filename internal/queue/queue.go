@@ -28,23 +28,17 @@ func (q *PQ[T]) Len() int { return len(q.items) }
 
 // Push inserts val with the given key.
 func (q *PQ[T]) Push(key float64, val T) {
-	q.PushSeq(key, q.Reserve(), val)
+	q.items = append(q.items, pqItem[T]{key: key, seq: q.Reserve(), val: val})
+	q.up(len(q.items) - 1)
 }
 
 // Reserve hands out the sequence number the next Push would use, without
-// queueing anything: an item held outside the queue keeps its place in
-// the (key, seq) order, and PushSeq can queue it there later.
+// queueing anything: an item held outside the queue under it (an engine
+// alarm) sorts in the (key, seq) order exactly where pushing it then
+// would have put it, and no later Push takes the number.
 func (q *PQ[T]) Reserve() uint64 {
 	q.seq++
 	return q.seq
-}
-
-// PushSeq inserts val with the given key under a sequence number from
-// Reserve. Queueing one number twice breaks the insertion-order
-// tie-break.
-func (q *PQ[T]) PushSeq(key float64, seq uint64, val T) {
-	q.items = append(q.items, pqItem[T]{key: key, seq: seq, val: val})
-	q.up(len(q.items) - 1)
 }
 
 // Pop removes and returns the item with the smallest key (ties broken by

@@ -21,19 +21,15 @@ package sim
 // engines on one shared clock by repeatedly asking each for its next
 // event time and stepping the earliest.
 //
-// A callback may also dispatch events it holds itself, off the heap, in
-// line (Reserve / Precedes / Advance / CallAtSeq): a held event keeps
-// the sequence number queueing it would have given it, runs only while it
-// precedes every live heap event, and counts for Dispatched and the
-// watchdog like a popped one. That run-ahead is bounded only by this
-// engine's own heap and the Run(until) horizon, so it cannot see a
-// sibling engine's events: a driver interleaving several engines on one
-// clock must step each with Run(until), never a bare ProcessNextEvent,
-// or one engine's callbacks can run past the other engines' next events.
+// Beside the heap the engine keeps its bound alarms (Alarm, Bind):
+// reusable timers whose callbacks are bound once, for the few timers a
+// step app re-arms every cycle. Arming one takes the sequence number an
+// event scheduled then would take, and ProcessNextEvent dispatches the
+// armed alarms and the heap in one (time, seq) order, so an alarm fires
+// exactly where the same event on the heap would.
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"pckpt/internal/queue"
@@ -45,7 +41,6 @@ import (
 // without allocating a closure. Cancelled entries stay in the heap and
 // are skipped when popped, making timer cancellation O(1).
 type event struct {
-	at        float64 // absolute fire time, mirrored from the heap key
 	fn        func()
 	call      func(float64)
 	arg       float64
@@ -58,12 +53,31 @@ type event struct {
 // pending wake is one.
 type Timer struct{ ev *event }
 
-// Engine is the simulation core: a virtual clock plus the pending-event
-// heap. Create one with NewEngine, schedule closures, then drive it with
-// ProcessNextEvent (or Run/RunAll).
+// Alarm is a reusable, cancellable timer whose callback is bound once,
+// by Engine.Bind. Arming it stores only scalars: no heap entry, no
+// allocation. The engine dispatches armed alarms in (time, seq) order
+// together with its heap, by scanning every alarm bound to it, and counts
+// each dispatch for Dispatched and the watchdog like a popped event.
+// Embed an Alarm by value in the state it serves: the engine keeps its
+// address until Release.
+type Alarm struct {
+	eng   *Engine
+	fn    func(float64)
+	name  string
+	at    float64
+	arg   float64
+	seq   uint64
+	armed bool
+}
+
+// Engine is the simulation core: a virtual clock, the pending-event heap
+// and the bound alarms. Create one with NewEngine, schedule callbacks,
+// then drive it with ProcessNextEvent (or Run/RunAll).
 type Engine struct {
 	now    float64
 	events queue.PQ[*event]
+	// alarms are the bound alarms, armed or not, in Bind order.
+	alarms []*Alarm
 	// free is the event free list: every entry popped from the heap is
 	// recycled, so a steady-state run reuses a small working set.
 	free []*event
@@ -73,14 +87,13 @@ type Engine struct {
 	// the heap without bound.
 	ncancelled int
 	// Watchdog limits (see SetWatchdog); zero disables each check.
+	// wdBase is dispatched at arming, so dispatched−wdBase counts the
+	// events since.
 	wdMaxEvents uint64
 	wdMaxSim    float64
-	wdEvents    uint64
+	wdBase      uint64
 	// dispatched counts live events processed since construction.
 	dispatched uint64
-	// horizon is Run's until while Run drives the engine, +Inf otherwise:
-	// in-line dispatch (Precedes) must not pass it.
-	horizon float64
 }
 
 // WatchdogError is the panic value ProcessNextEvent raises when an armed
@@ -111,7 +124,7 @@ func (w *WatchdogError) Error() string {
 
 // enginePool recycles released engines — principally the event-heap
 // backing array and the free list — across runs of a sweep.
-var enginePool = sync.Pool{New: func() any { return &Engine{horizon: math.Inf(1)} }}
+var enginePool = sync.Pool{New: func() any { return new(Engine) }}
 
 // NewEngine returns an empty engine with the clock at zero. It may reuse
 // the buffers of a previously Released engine.
@@ -119,21 +132,22 @@ func NewEngine() *Engine {
 	return enginePool.Get().(*Engine)
 }
 
-// Release hands the engine back for reuse by a later NewEngine. Call it
-// only when the run is over: with events still pending, Release is a
-// no-op and the engine is simply dropped. Using an engine after
+// Release hands the engine back for reuse by a later NewEngine and
+// unbinds its alarms. Call it only when the run is over: with events
+// still pending or an alarm armed, Release is a no-op and the engine is
+// simply dropped. Using an engine, or an alarm bound to it, after
 // releasing it is a bug.
 func (e *Engine) Release() {
-	if e.events.Len() != 0 {
+	if _, _, pending := e.next(); pending {
 		return
 	}
+	clear(e.alarms)
+	e.alarms = e.alarms[:0]
 	e.now = 0
-	e.ncancelled = 0
 	e.wdMaxEvents = 0
 	e.wdMaxSim = 0
-	e.wdEvents = 0
+	e.wdBase = 0
 	e.dispatched = 0
-	e.horizon = math.Inf(1)
 	enginePool.Put(e)
 }
 
@@ -159,16 +173,16 @@ func (e *Engine) freeEvent(ev *event) {
 // Now returns the current simulation time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Dispatched returns how many live events have been processed. No
-// simulation reads it: TestRunAheadEquivalence compares it between a
-// run-ahead app and the same app on the heap path, which must dispatch
-// the same events.
+// Dispatched returns how many live events, alarms included, have been
+// processed; cancelled events and disarmed alarms never count. No
+// simulation reads it: TestRunAheadEquivalence and its siblings pin it
+// per run, and FuzzEngineAlarms holds alarms to the count the same
+// events make on the heap.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
 // schedule pushes an event at an absolute time.
 func (e *Engine) schedule(at float64, ev *event) {
 	e.checkTime(at)
-	ev.at = at
 	e.events.Push(at, ev)
 }
 
@@ -196,55 +210,38 @@ func (e *Engine) After(delay float64, name string, fn func()) Timer {
 	return Timer{ev: ev}
 }
 
-// Reserve hands out the sequence number an event scheduled now would
-// get, without queueing anything. The caller holds the event itself: it
-// either dispatches it in line (Precedes, then Advance) or queues it
-// later with CallAtSeq, and either way it fires exactly where queueing it
-// now would have put it in the (time, seq) order.
-func (e *Engine) Reserve() uint64 { return e.events.Reserve() }
-
-// Precedes reports whether an event held at (at, seq) comes before every
-// live queued event — it is the one ProcessNextEvent would dispatch next
-// — and, while Run(until) drives the engine, lies within the horizon
-// (at <= until). A NaN time precedes nothing.
-func (e *Engine) Precedes(at float64, seq uint64) bool {
-	if !(at <= e.horizon) {
-		return false
-	}
-	e.settle()
-	key, next, ok := e.events.Head()
-	return !ok || at < key || at == key && seq < next
-}
-
-// Advance dispatches a held event in line: it moves the clock to at and
-// counts the event against the watchdog under name and in Dispatched —
-// ProcessNextEvent's own bookkeeping for a popped event; the caller then
-// runs the event's callback. Call it only for an event Precedes
-// approved.
-func (e *Engine) Advance(at float64, name string) {
-	e.checkTime(at)
-	e.now = at
-	e.watch(name)
-	e.dispatched++
-}
-
-// CallAtSeq queues fn(arg) for a held event at absolute time at under
-// seq, a number from Reserve, and returns a Timer Cancel can retract. It
-// has the past-time check but no clamp (the holder computed at while the
-// clock was not later). The argument travels in the event, so a prebound
-// method value schedules without allocating: an app passes its
-// locally-computed deadline this way instead of capturing it in a
-// wrapper closure.
-func (e *Engine) CallAtSeq(at float64, seq uint64, name string, fn func(float64), arg float64) Timer {
-	e.checkTime(at)
+// CallAt runs fn(arg) at absolute time at and returns a Timer Cancel can
+// retract. The argument travels in the event, so a prebound method value
+// schedules without allocating: an app passes its locally computed
+// deadline this way instead of capturing it in a wrapper closure.
+func (e *Engine) CallAt(at float64, name string, fn func(float64), arg float64) Timer {
 	ev := e.newEvent()
-	ev.at = at
-	ev.call = fn
-	ev.arg = arg
-	ev.name = name
-	e.events.PushSeq(at, seq, ev)
+	ev.call, ev.arg, ev.name = fn, arg, name
+	e.schedule(at, ev)
 	return Timer{ev: ev}
 }
+
+// Bind registers a with the engine, unarmed: once armed, it runs fn(arg)
+// under name (the label of its watchdog trips). Bind an alarm once; it
+// stays bound until Release, and a dispatch scans every bound alarm.
+func (e *Engine) Bind(a *Alarm, name string, fn func(float64)) {
+	*a = Alarm{eng: e, fn: fn, name: name}
+	e.alarms = append(e.alarms, a)
+}
+
+// Arm sets the alarm to run its callback with arg at absolute time at,
+// replacing any earlier setting. It takes the sequence number an event
+// scheduled now would take, so it fires exactly where CallAt(at, …)
+// would have queued the same callback. The past-time check is the
+// heap's.
+func (a *Alarm) Arm(at, arg float64) {
+	a.eng.checkTime(at)
+	a.at, a.arg, a.seq, a.armed = at, arg, a.eng.events.Reserve(), true
+}
+
+// Disarm clears the alarm; disarming an unarmed alarm is a no-op. As
+// with a cancelled event, its sequence number is never reused.
+func (a *Alarm) Disarm() { a.armed = false }
 
 // Cancel lazily retracts a scheduled timer, compacting the heap when
 // dead entries reach both an absolute floor and half the heap. Cancelling
@@ -274,43 +271,56 @@ func (e *Engine) compact() {
 	e.ncancelled = 0
 }
 
-// settle drops cancelled entries off the heap head so the Peek/Has
-// primitives report the next LIVE event.
-func (e *Engine) settle() {
-	for e.events.Len() > 0 {
+// next finds the next live event in (time, seq) order: the armed alarm
+// that fires first, when it precedes the heap's live head, or else the
+// head itself (alarm nil). ok is false when nothing is pending.
+// Cancelled entries at the head are dropped first.
+func (e *Engine) next() (alarm *Alarm, at float64, ok bool) {
+	for e.ncancelled > 0 {
 		_, ev, _ := e.events.Peek()
 		if !ev.cancelled {
-			return
+			break
 		}
 		e.events.Pop()
 		e.ncancelled--
 		e.freeEvent(ev)
 	}
+	at, seq, ok := e.events.Head()
+	for _, a := range e.alarms {
+		if a.armed && (!ok || a.at < at || a.at == at && a.seq < seq) {
+			alarm, at, seq, ok = a, a.at, a.seq, true
+		}
+	}
+	return alarm, at, ok
 }
 
 // PeekNextEventTime returns the absolute time of the next live event.
 // The boolean is false when no live event remains. A shared-clock driver
 // interleaving several engines peeks each and steps the earliest.
 func (e *Engine) PeekNextEventTime() (float64, bool) {
-	e.settle()
-	if e.events.Len() == 0 {
-		return 0, false
-	}
-	at, _, _ := e.events.Peek()
-	return at, true
+	_, at, ok := e.next()
+	return at, ok
 }
 
-// ProcessNextEvent advances the clock to the next live event and runs it.
-// It reports false when no live event remained (the clock is unchanged).
-// The result must not be ignored in driver loops — a discarded false
-// spins forever (cmd/vet-ignored enforces this).
+// ProcessNextEvent advances the clock to the next live event, alarm or
+// heap entry, and runs it. It reports false when no live event remained
+// (the clock is unchanged). The result must not be ignored in driver
+// loops — a discarded false spins forever (cmd/vet-ignored enforces
+// this).
 func (e *Engine) ProcessNextEvent() bool {
-	e.settle()
-	if e.events.Len() == 0 {
+	a, at, ok := e.next()
+	if !ok {
 		return false
 	}
+	if a != nil {
+		// Disarm first: the callback may arm the alarm again.
+		a.armed = false
+		e.dispatch(at, a.name)
+		a.fn(a.arg)
+		return true
+	}
 	_, ev := e.events.Pop()
-	e.Advance(ev.at, ev.name)
+	e.dispatch(at, ev.name)
 	// Copy the payload and recycle the entry up front: fn may schedule
 	// new events that reuse it, and no reference to a dispatched event
 	// survives (Cancel guards fired timers via the cancelled flag only
@@ -325,19 +335,30 @@ func (e *Engine) ProcessNextEvent() bool {
 	return true
 }
 
+// dispatch moves the clock to a live event's time and counts the event,
+// labelled name, for Dispatched and against the watchdog.
+func (e *Engine) dispatch(at float64, name string) {
+	e.now = at
+	if e.wdMaxEvents > 0 && e.dispatched-e.wdBase >= e.wdMaxEvents || e.wdMaxSim > 0 && at > e.wdMaxSim {
+		e.trip(name)
+	}
+	e.dispatched++
+}
+
 // Run processes events until none remain or the clock would pass until.
 // When events remain beyond the horizon, the clock still advances to
 // until — mirroring SimPy's run(until=...), whose horizon is itself an
 // event — so Now() afterwards is the horizon, and work scheduled
-// relative to it is anchored there. While it runs, until also bounds
-// in-line dispatch (Precedes). It returns the final simulation time.
-// Every tier drains its engine with RunAll; a driver interleaving several
-// engines on one clock must step each with Run (see the package
-// comment), and TestRunHorizon and TestRunAheadHorizon pin the horizon
-// rule it would rely on.
+// relative to it is anchored there. It returns the final simulation
+// time. until must not precede the clock: Run panics on an earlier or
+// NaN horizon rather than turning the clock back. Every tier drains its
+// engine with RunAll; TestRunHorizon and TestRunAheadHorizon pin the
+// horizon rule a driver stepping several engines on one clock would rely
+// on.
 func (e *Engine) Run(until float64) float64 {
-	defer func(h float64) { e.horizon = h }(e.horizon)
-	e.horizon = until
+	if !(until >= e.now) {
+		panic(fmt.Sprintf("sim: Run(%g) before the clock (now=%g)", until, e.now))
+	}
 	for {
 		at, ok := e.PeekNextEventTime()
 		if !ok {
@@ -368,23 +389,19 @@ func (e *Engine) RunAll() float64 {
 func (e *Engine) SetWatchdog(maxEvents uint64, maxSimSeconds float64) {
 	e.wdMaxEvents = maxEvents
 	e.wdMaxSim = maxSimSeconds
-	e.wdEvents = 0
+	e.wdBase = e.dispatched
 }
 
-// watch enforces the armed limits against the live event about to run,
-// labelled name.
-func (e *Engine) watch(name string) {
-	if e.wdMaxEvents == 0 && e.wdMaxSim == 0 {
-		return
-	}
-	e.wdEvents++
+// trip raises the WatchdogError of the armed limit the event about to
+// run, labelled name, crosses: the event limit first, then the sim-time
+// limit.
+func (e *Engine) trip(name string) {
 	if name == "" {
 		name = "(callback)"
 	}
-	if e.wdMaxEvents > 0 && e.wdEvents > e.wdMaxEvents {
-		panic(&WatchdogError{Reason: "event limit", Events: e.wdEvents, Now: e.now, Name: name})
+	w := &WatchdogError{Reason: "event limit", Events: e.dispatched - e.wdBase + 1, Now: e.now, Name: name}
+	if !(e.wdMaxEvents > 0 && w.Events > e.wdMaxEvents) {
+		w.Reason = "sim-time limit"
 	}
-	if e.wdMaxSim > 0 && e.now > e.wdMaxSim {
-		panic(&WatchdogError{Reason: "sim-time limit", Events: e.wdEvents, Now: e.now, Name: name})
-	}
+	panic(w)
 }

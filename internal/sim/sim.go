@@ -1,13 +1,15 @@
 // Package sim is the repository's discrete-event simulation engine: one
 // event core (Engine, engine.go) with two programming models on top.
 // Callbacks schedule directly on the engine — the step tier's
-// continuation-passing apps and the machine layer drive it this way —
-// and the process layer (Env, Proc) provides the semantics the paper's
-// SimPy framework relies on: processes that wait for simulated time to
-// pass, broadcast condition events, and asynchronous interruption of a
-// blocked process (used to inject failures into a computing application
-// and to abort an in-flight live migration when a shorter-lead
-// prediction arrives).
+// continuation-passing apps and the machine layer drive it this way, the
+// apps arming the timers they re-arm every cycle as reusable alarms
+// (Alarm) that the engine dispatches in one (time, seq) order with its
+// heap — and the process layer (Env, Proc) provides the semantics the
+// paper's SimPy framework relies on: processes that wait for simulated
+// time to pass, broadcast condition events, and asynchronous
+// interruption of a blocked process (used to inject failures into a
+// computing application and to abort an in-flight live migration when a
+// shorter-lead prediction arrives).
 //
 // Each process runs on its own goroutine, but execution is strictly
 // lock-step: exactly one goroutine — either the engine's driver or the

@@ -150,6 +150,16 @@ func TestRunHorizonAnchorsRelativeTime(t *testing.T) {
 	if end := env.eng.Run(7); end != 7 || env.Now() != 7 {
 		t.Fatalf("Run(7) = %g, Now() = %g, want both 7", end, env.Now())
 	}
+	// A horizon behind the clock would turn it back past the event at
+	// t=1 and anchor the follow-up At(2) at 5: Run refuses it.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Run(3) after Run(7) did not panic; Now() = %g", env.Now())
+			}
+		}()
+		env.eng.Run(3)
+	}()
 	var at float64
 	env.At(2, func() { at = env.Now() })
 	env.RunAll()

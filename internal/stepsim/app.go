@@ -134,13 +134,13 @@ type appSim struct {
 	vulnBuf []int
 
 	// Step-machine state standing in for the application goroutine:
-	// appDone mirrors !Proc.Alive(); blocked is the pending wake timer
-	// while the app waits; blockedCont is the wait's continuation
-	// (invoked with interrupted=true when the injector cuts it short);
-	// interruptPending drops double interrupt deliveries exactly like
-	// sim.Proc (the first reason wins).
+	// appDone mirrors !Proc.Alive(); wakeAlarm is the wake while the app
+	// waits; blockedCont is the wait's continuation (invoked with
+	// interrupted=true when the injector cuts it short); interruptPending
+	// drops double interrupt deliveries exactly like sim.Proc (the first
+	// reason wins).
 	appDone          bool
-	blocked          sim.Timer
+	wakeAlarm        sim.Alarm
 	blockedCont      func(interrupted bool)
 	interruptPending bool
 
@@ -148,26 +148,19 @@ type appSim struct {
 	// StartApp, so scheduling one allocates nothing. Each has at most one
 	// instance in flight, so its state lives in the fields beside it:
 	// chunkTarget/chunkStart for the compute interval, bbBegan for the BB
-	// write, injectEv for the event the parked injector delivers next.
-	wakeFn, interruptFn, injectFn func(local float64)
-	computeWokeFn, bbWrittenFn    func(bool)
-	computeResumeFn               func()
-	chunkTarget, chunkStart       float64
-	bbBegan                       float64
-	injectEv                      failure.Event
+	// write, injectEv for the event the parked injector delivers next, at
+	// injectAlarm.
+	interruptFn                func(local float64)
+	computeWokeFn, bbWrittenFn func(bool)
+	computeResumeFn            func()
+	chunkTarget, chunkStart    float64
+	bbBegan                    float64
+	injectEv                   failure.Event
+	injectAlarm                sim.Alarm
 	// waitFree and drainFree are the free lists of blockedWait and drain
 	// frames: those can have several instances in flight.
 	waitFree  []*waitFrame
 	drainFree []*drainFrame
-
-	// runsAhead, decided once in startApp, selects run-ahead (see
-	// runAhead): no arbiter and no trace recorder. While such an app's
-	// code runs, its pending wake (wakeHeld, heldWake) and its drains (a
-	// FIFO from drainHead, linked through the frames) stay off the heap;
-	// running guards runAhead against re-entry.
-	runsAhead, running, wakeHeld bool
-	heldWake                     held
-	drainHead                    *drainFrame
 
 	met pckpt.RunMetrics
 	res stats.RunResult
@@ -190,95 +183,36 @@ func (a *appSim) clockTo(local float64) {
 // completions), which have no locally-computed deadline.
 func (a *appSim) syncClock() { a.clockTo(a.eng.Now() - a.t0) }
 
-// sched runs fn(deadline) after delay seconds of app-local time and
-// returns the cancellable Timer. The deadline is computed in local
-// arithmetic — now()+delay, the exact float ops a solo run performs — and
-// fn starts by advancing the local clock to it with clockTo, so local
-// arithmetic never round-trips through the absolute clock (which would
-// lose last-ulp bits and let locally tied deadlines split). The
-// engine-time conversion is one t0 addition. The deadline travels in the
-// event, so a prebound fn schedules without allocating.
-func (a *appSim) sched(delay float64, name string, fn func(local float64)) sim.Timer {
-	h := a.hold(delay)
-	return a.eng.CallAtSeq(h.at, h.seq, name, fn, h.local)
+// sched runs fn(deadline) after delay seconds of app-local time, on the
+// event heap. The deadline is computed in local arithmetic (see
+// deadline), and fn starts by advancing the local clock to it with
+// clockTo, so local arithmetic never round-trips through the absolute
+// clock (which would lose last-ulp bits and let locally tied deadlines
+// split). The deadline travels in the event, so a prebound fn schedules
+// without allocating.
+func (a *appSim) sched(delay float64, name string, fn func(local float64)) {
+	at, local := a.deadline(delay)
+	a.eng.CallAt(at, name, fn, local)
 }
 
-// held is an event the app keeps off the heap: the engine time, local
-// deadline and engine sequence number sched gives it.
-type held struct {
-	at, local float64
-	seq       uint64
-}
-
-// before orders held events as the heap does: by time, then sequence.
-func (h held) before(o held) bool { return h.at < o.at || h.at == o.at && h.seq < o.seq }
-
-// hold reserves the event sched(delay, …) schedules: its engine time
-// (the deadline's t0 conversion, clamped to the clock), its local
-// deadline, and the next engine sequence number. An offset-started app
-// converts every deadline here — one uniform t0+local rounding per
-// event — so deadlines that tie in the app's local clock still tie on
-// the shared clock; re-deriving them from eng.Now() at different moments
-// would split such ties by an ulp and reorder the run.
-func (a *appSim) hold(delay float64) held {
+// deadline converts a delay of app-local time into an event's engine
+// time and local deadline. The local deadline is now()+delay, the exact
+// float ops a solo run performs; the engine time is its t0 conversion,
+// clamped to the clock. An offset-started app converts every deadline
+// here — one uniform t0+local rounding per event — so deadlines that tie
+// in the app's local clock still tie on the shared clock; re-deriving
+// them from eng.Now() at different moments would split such ties by an
+// ulp and reorder the run. The app's alarms are armed at the same pair.
+func (a *appSim) deadline(delay float64) (at, local float64) {
 	now := a.eng.Now()
 	if delay == 0 {
 		// An immediate event joins the current timestamp batch; the t0
 		// round-trip could land an ulp past it. The local clock is already
-		// at the deadline, so fn's clockTo is a no-op.
-		return held{at: now, local: a.now(), seq: a.eng.Reserve()}
+		// at the deadline, so the callback's clockTo is a no-op.
+		return now, a.now()
 	}
-	local := a.now() + delay
-	return held{at: max(a.t0+local, now), local: local, seq: a.eng.Reserve()}
-}
-
-// runAhead ends every engine entry point that can park the app: start,
-// wake and interrupted. An app with neither an arbiter nor a trace
-// recorder holds its pending wake and its drains off the heap (wait,
-// startDrain); here it dispatches them in line, in
-// (time, seq) order, while the earliest precedes every live heap event
-// and the Run horizon — it is then exactly the event ProcessNextEvent
-// would pop next — and runs the same wake or fired continuation the heap
-// would. Whatever is still held then goes onto the heap under its
-// reserved sequence number, so the engine, and an injector interrupt
-// cancelling the wake through a.blocked, never see the app holding
-// anything. The in-line calls end in runAhead too; running makes those
-// nested calls return at once.
-func (a *appSim) runAhead() {
-	if !a.runsAhead || a.running {
-		return
-	}
-	a.running = true
-	for {
-		f := a.drainHead
-		if a.wakeHeld && (f == nil || a.heldWake.before(f.held)) {
-			w := a.heldWake
-			if !a.eng.Precedes(w.at, w.seq) {
-				break
-			}
-			a.wakeHeld = false
-			a.eng.Advance(w.at, "app")
-			a.wake(w.local)
-			continue
-		}
-		if f == nil || !a.eng.Precedes(f.at, f.seq) {
-			break
-		}
-		a.drainHead, f.next = f.next, nil
-		a.eng.Advance(f.at, "drain")
-		f.fired(f.local)
-	}
-	if a.wakeHeld {
-		a.wakeHeld = false
-		w := a.heldWake
-		a.blocked = a.eng.CallAtSeq(w.at, w.seq, "app", a.wakeFn, w.local)
-	}
-	for f := a.drainHead; f != nil; {
-		a.eng.CallAtSeq(f.at, f.seq, "drain", f.firedFn, f.local)
-		f, f.next = f.next, nil
-	}
-	a.drainHead = nil
-	a.running = false
+	local = a.now() + delay
+	return max(a.t0+local, now), local
 }
 
 // trace emits a timeline event when tracing is enabled.
@@ -366,8 +300,7 @@ func (h *AppHandle) Abort() stats.RunResult {
 		return a.res
 	}
 	a.syncClock()
-	a.eng.Cancel(a.blocked)
-	a.blocked = sim.Timer{}
+	a.wakeAlarm.Disarm()
 	a.blockedCont = nil
 	a.interruptPending = false
 	for _, id := range a.blockFlows {
@@ -428,8 +361,9 @@ func startApp(eng *sim.Engine, cfg Config, seed uint64, opts AppOptions) *appSim
 	if cfg.Model.UsesLM() {
 		a.sigma = a.plat.SigmaLM
 	}
-	a.runsAhead = opts.Arbiter == nil && cfg.Trace == nil
-	a.wakeFn, a.interruptFn, a.injectFn = a.wake, a.interrupted, a.injectResume
+	eng.Bind(&a.wakeAlarm, "app", a.wake)
+	eng.Bind(&a.injectAlarm, "injector", a.injectResume)
+	a.interruptFn = a.interrupted
 	a.computeWokeFn, a.bbWrittenFn, a.computeResumeFn = a.computeWoke, a.bbWritten, a.computeResume
 	a.pricing = pckpt.NewEpisodePricing(cfg.IO, a.plat.PerNodeGB)
 	a.met = pckpt.NewRunMetrics(cfg.Metrics, cfg.Model)
@@ -451,25 +385,20 @@ func startApp(eng *sim.Engine, cfg Config, seed uint64, opts AppOptions) *appSim
 // wait parks the application for d seconds of simulated time: cont runs
 // at expiry with interrupted=false, or at the interrupt time with
 // interrupted=true if the injector cuts the wait short (in which case
-// less than d elapsed) — the CPS equivalent of sim.Proc.Wait. A
-// run-ahead app holds the wake for runAhead instead of scheduling it.
+// less than d elapsed) — the CPS equivalent of sim.Proc.Wait. The wake
+// is the app's alarm, armed where sched would queue it.
 func (a *appSim) wait(d float64, cont func(interrupted bool)) {
 	if !(d >= 0) {
 		panic(fmt.Sprintf("stepsim: wait with negative or NaN duration %g", d))
 	}
 	a.blockedCont = cont
-	if a.runsAhead {
-		a.heldWake, a.wakeHeld = a.hold(d), true
-		return
-	}
-	a.blocked = a.sched(d, "app", a.wakeFn)
+	a.wakeAlarm.Arm(a.deadline(d))
 }
 
-// wake is the parked application's timer firing: the wait ran out.
+// wake is the parked application's alarm firing: the wait ran out.
 func (a *appSim) wake(local float64) {
 	a.clockTo(local)
 	a.resume()(false)
-	a.runAhead()
 }
 
 // resume clears the parked state and returns the pending continuation,
@@ -477,7 +406,6 @@ func (a *appSim) wake(local float64) {
 func (a *appSim) resume() func(bool) {
 	cont := a.blockedCont
 	a.blockedCont = nil
-	a.blocked = sim.Timer{}
 	a.interruptPending = false
 	return cont
 }
@@ -494,8 +422,7 @@ func (a *appSim) interrupt() {
 		return
 	}
 	a.interruptPending = true
-	a.eng.Cancel(a.blocked)
-	a.blocked = sim.Timer{}
+	a.wakeAlarm.Disarm()
 	a.sched(0, "app", a.interruptFn)
 }
 
@@ -506,7 +433,6 @@ func (a *appSim) interrupted(local float64) {
 		return // aborted between delivery and wake-up
 	}
 	a.resume()(true)
-	a.runAhead()
 }
 
 // refreshOCI re-derives the checkpoint interval from the current failure
@@ -524,7 +450,6 @@ func (a *appSim) start(local float64) {
 		return // aborted before the first compute cycle
 	}
 	a.runLoop()
-	a.runAhead()
 }
 
 func (a *appSim) runLoop() {
@@ -666,18 +591,13 @@ type drainFrame struct {
 	captured float64
 	gen      int
 	fid      FlowID
-	firedFn  func(local float64) // solo: the drain timer
-	flowFn   func()              // shared machine: the arbiter's completion
-	// held and next place a drain runAhead holds in the app's FIFO.
-	held
-	next *drainFrame
+	alarm    sim.Alarm // solo: the drain timer
+	flowFn   func()    // shared machine: the arbiter's completion
 }
 
 // startDrain launches the asynchronous BB→PFS drain: a fixed-duration
-// callback solo, an arbitered flow (contending for drain slots and
-// fair-share bandwidth) on a shared machine. A run-ahead app holds the
-// drain in its FIFO instead: every drain lasts plat.Drain and starts no
-// earlier than the one before it, so FIFO order is (time, seq) order.
+// alarm solo, an arbitered flow (contending for drain slots and
+// fair-share bandwidth) on a shared machine.
 func (a *appSim) startDrain(captured float64, gen int) {
 	var f *drainFrame
 	if n := len(a.drainFree); n > 0 {
@@ -686,30 +606,21 @@ func (a *appSim) startDrain(captured float64, gen int) {
 	} else {
 		f = &drainFrame{a: a}
 		if a.arb == nil {
-			f.firedFn = f.fired
+			a.eng.Bind(&f.alarm, "drain", f.fired)
 		} else {
 			f.flowFn = f.flowDone
 		}
 	}
 	f.captured, f.gen = captured, gen
-	if a.runsAhead {
-		f.held = a.hold(a.plat.Drain)
-		tail := &a.drainHead
-		for *tail != nil {
-			tail = &(*tail).next
-		}
-		*tail = f
-		return
-	}
 	if a.arb == nil {
-		a.sched(a.plat.Drain, "drain", f.firedFn)
+		f.alarm.Arm(a.deadline(a.plat.Drain))
 		return
 	}
 	f.fid = a.arb.StartFlow(a.appIdx, ClassDrain, float64(a.plat.Nodes)*a.plat.PerNodeGB, a.plat.Drain, f.flowFn)
 	a.drainFlows = append(a.drainFlows, f.fid)
 }
 
-// fired is the solo drain timer running out.
+// fired is the solo drain alarm running out.
 func (f *drainFrame) fired(local float64) {
 	f.a.clockTo(local)
 	f.done()
@@ -1296,8 +1207,9 @@ func (a *appSim) injectStart(local float64) {
 
 // injectLoop is the injector "process": it delivers the event stream to
 // the application, skipping failures avoided by completed migrations.
-// It parks (schedules injectResume for injectEv) for future events and
-// delivers same-time events inline, exactly like crmodel's injector loop.
+// It parks (arms injectAlarm, whose callback is injectResume, for
+// injectEv) for future events and delivers same-time events inline,
+// exactly like crmodel's injector loop.
 func (a *appSim) injectLoop() {
 	for {
 		ev := a.stream.Next()
@@ -1306,7 +1218,7 @@ func (a *appSim) injectLoop() {
 		}
 		if dt := ev.Time - a.now(); dt > 0 {
 			a.injectEv = ev
-			a.sched(dt, "injector", a.injectFn)
+			a.injectAlarm.Arm(a.deadline(dt))
 			return
 		}
 		a.deliver(ev)

@@ -152,8 +152,8 @@ func BenchmarkStepSimulate(b *testing.B) {
 // BenchmarkStepSimulatePOP is the one-run rung of the failure-free
 // checkpoint cycle: POP under B on the Titan distribution makes about
 // 1,035 checkpoints for 0.7 failures per run, so nearly every event is
-// a compute wake, a BB-write wake or a drain — the timers a solo run
-// dispatches in line. BenchmarkStepSimulate's 48-node platform is
+// a compute wake, a BB-write wake or a drain — the timers an app arms
+// as engine alarms. BenchmarkStepSimulate's 48-node platform is
 // failure-dense instead.
 func BenchmarkStepSimulatePOP(b *testing.B) {
 	app, err := workload.ByName("POP")

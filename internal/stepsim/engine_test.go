@@ -3,9 +3,11 @@ package stepsim
 // The callback contract of sim.Engine that the continuation-passing port
 // (app.go) and the machine layer's shared-clock driver are written
 // against: tie-break order, the step primitives, cancellation and
-// compaction, the horizon rule, the watchdog and the engine pool.
+// compaction, the horizon rule, the watchdog and the engine pool. The
+// alarms app.go arms are held to the heap by sim's FuzzEngineAlarms.
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -143,6 +145,28 @@ func TestRunHorizon(t *testing.T) {
 	if now := e2.Run(50); now != 4 {
 		t.Fatalf("Run(50) = %g, want 4 (heap drained first)", now)
 	}
+
+	// A horizon before the clock, or NaN, is refused: Run never turns the
+	// clock back past events that have already run.
+	for _, until := range []float64{3, math.NaN()} {
+		e3 := sim.NewEngine()
+		e3.After(10, "", func() {})
+		e3.After(15, "", func() {})
+		if now := e3.Run(12); now != 12 {
+			t.Fatalf("Run(12) = %g, want 12", now)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Run(%g) after Run(12) did not panic; Now() = %g", until, e3.Now())
+				}
+			}()
+			e3.Run(until)
+		}()
+		if e3.Now() != 12 {
+			t.Errorf("refused Run(%g) moved the clock to %g", until, e3.Now())
+		}
+	}
 }
 
 // TestSchedulePastPanics: a negative delay lands before the clock, and
@@ -160,16 +184,21 @@ func TestSchedulePastPanics(t *testing.T) {
 	e.RunAll()
 }
 
-// TestScheduleNaNPanics: a NaN time fails the past-time check. Queued,
-// it would compare false against every key and silently break the
-// (time, seq) order in-line dispatch relies on.
+// TestScheduleNaNPanics: a NaN time fails the past-time check. Queued or
+// armed, it would compare false against every key and silently break
+// the (time, seq) order dispatch relies on.
 func TestScheduleNaNPanics(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		schedule func(e *sim.Engine)
 	}{
 		{"After", func(e *sim.Engine) { e.After(math.NaN(), "", func() {}) }},
-		{"CallAtSeq", func(e *sim.Engine) { e.CallAtSeq(math.NaN(), e.Reserve(), "", func(float64) {}, 0) }},
+		{"CallAt", func(e *sim.Engine) { e.CallAt(math.NaN(), "", func(float64) {}, 0) }},
+		{"Arm", func(e *sim.Engine) {
+			var a sim.Alarm
+			e.Bind(&a, "", func(float64) {})
+			a.Arm(math.NaN(), 0)
+		}},
 	} {
 		e := sim.NewEngine()
 		e.After(10, "", func() {
@@ -184,68 +213,54 @@ func TestScheduleNaNPanics(t *testing.T) {
 	}
 }
 
-// TestHeldEventPrimitives: an event held under a reserved sequence
-// number keeps the place queueing it then would have given it. Precedes approves
-// it only ahead of every live queued event (cancelled heads skipped)
-// and within Run's horizon; Advance counts it like a popped event; and
-// CallAtSeq queues it in that same place.
-func TestHeldEventPrimitives(t *testing.T) {
+// TestAlarmPrimitives: an alarm fires in (time, seq) order with the heap,
+// under the sequence number it took when armed; re-arming replaces its
+// setting and takes a new number; a disarmed alarm never fires; and a
+// dispatched alarm counts for Dispatched and trips the watchdog under its
+// bound name. FuzzEngineAlarms (internal/sim) holds arbitrary programs
+// of these calls to the heap.
+func TestAlarmPrimitives(t *testing.T) {
 	e := sim.NewEngine()
 	var got []string
-	rec := func(s string) func(float64) { return func(float64) { got = append(got, s) } }
-	first := e.Reserve()                                    // held at t=5, ahead of "queued"
-	e.CallAtSeq(5, e.Reserve(), "queued", rec("queued"), 0) // seq first+1
-	second := e.Reserve()                                   // held at t=5, behind "queued"
-	dead := e.After(1, "dead", func() {})                   // a cancelled head is not live
-	e.Cancel(dead)
-	if !e.Precedes(5, first) || e.Precedes(5, second) || !e.Precedes(4, second) || e.Precedes(6, first) {
-		t.Fatal("Precedes does not follow the (time, seq) order")
+	rec := func(s string) func(float64) {
+		return func(arg float64) { got = append(got, fmt.Sprintf("%s@%g/%g", s, e.Now(), arg)) }
 	}
-	if e.Precedes(math.NaN(), first) {
-		t.Fatal("a NaN time precedes the queue")
+	var early, late, off sim.Alarm
+	e.Bind(&early, "early", rec("early"))
+	e.Bind(&late, "late", rec("late"))
+	e.Bind(&off, "off", rec("off"))
+	late.Arm(5, 1)                          // ahead of "queued"
+	e.CallAt(5, "queued", rec("queued"), 2) // ahead of "early"
+	early.Arm(5, 3)
+	late.Arm(5, 4) // re-armed: now behind "early"
+	off.Arm(1, 0)
+	off.Disarm()
+	off.Disarm() // disarming an unarmed alarm is a no-op
+	if at, ok := e.PeekNextEventTime(); !ok || at != 5 {
+		t.Fatalf("PeekNextEventTime = (%g, %t), want (5, true) past the disarmed alarm", at, ok)
 	}
-	e.Advance(5, "held")
-	if e.Now() != 5 || e.Dispatched() != 1 {
-		t.Fatalf("Advance: now %g, dispatched %d; want 5, 1", e.Now(), e.Dispatched())
-	}
-	e.CallAtSeq(5, second, "second", rec("second"), 0)
-	e.CallAtSeq(5, e.Reserve(), "later", rec("later"), 0)
 	e.RunAll()
-	if want := "queued second later"; strings.Join(got, " ") != want {
+	if want := "queued@5/2 early@5/3 late@5/4"; strings.Join(got, " ") != want {
 		t.Fatalf("fired %v, want %s", got, want)
 	}
-	if e.Dispatched() != 4 {
-		t.Fatalf("Dispatched = %d, want 4 (one in line, three popped)", e.Dispatched())
+	if e.Dispatched() != 3 {
+		t.Fatalf("Dispatched = %d, want 3", e.Dispatched())
 	}
 
-	// Run's horizon bounds in-line dispatch while Run drives the engine,
-	// and only then.
-	h := sim.NewEngine()
-	var inRun, atEdge bool
-	h.After(1, "", func() { inRun, atEdge = h.Precedes(11, h.Reserve()), h.Precedes(10, h.Reserve()) })
-	h.Run(10)
-	if inRun || !atEdge {
-		t.Fatalf("inside Run(10): Precedes(11) = %v, Precedes(10) = %v; want false, true", inRun, atEdge)
-	}
-	if !h.Precedes(11, h.Reserve()) {
-		t.Fatal("the horizon outlived Run")
-	}
-}
-
-// TestAdvanceWatchdog: an in-line dispatch trips the event watchdog at
-// the same count, time and name a popped event would.
-func TestAdvanceWatchdog(t *testing.T) {
-	e := sim.NewEngine()
-	e.SetWatchdog(1, 0)
-	e.After(1, "popped", func() {})
-	e.RunAll()
+	w := sim.NewEngine()
+	w.SetWatchdog(1, 0)
+	var tick sim.Alarm
+	w.Bind(&tick, "tick", func(float64) {})
+	tick.Arm(1, 0)
+	w.RunAll()
+	tick.Arm(3, 0)
 	defer func() {
-		w, ok := recover().(*sim.WatchdogError)
-		if !ok || w.Events != 2 || w.Now != 3 || w.Name != "held" {
-			t.Fatalf("WatchdogError = %+v, want event 2 at t=3 named held", w)
+		trip, ok := recover().(*sim.WatchdogError)
+		if !ok || trip.Events != 2 || trip.Now != 3 || trip.Name != "tick" {
+			t.Fatalf("WatchdogError = %+v, want event 2 at t=3 named tick", trip)
 		}
 	}()
-	e.Advance(3, "held")
+	w.RunAll()
 }
 
 // TestWatchdogEventLimit: a self-rescheduling zero-delay event (the

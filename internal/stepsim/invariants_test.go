@@ -2,54 +2,54 @@ package stepsim_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/stats"
+	"pckpt/internal/stepsim"
 )
 
-// checkRun asserts the invariants every solo step-tier run keeps,
-// whatever the model, platform or seed:
-//
-//   - the three overhead buckets are finite and non-negative;
-//   - the counters nest: Predicted ≤ Failures, Mitigated ≤ Failures,
-//     Avoided ≤ Migrations;
-//   - a run that was not truncated accounts for its whole wall time:
-//     WallSeconds = ComputeSeconds + Checkpoint + Recompute + Recovery
-//     − Migrations·DilationSeconds, to a relative 1e-12. Every second
-//     the app is parked lands in exactly one bucket, and each completed
-//     migration charges its dilation to Checkpoint without parking.
-//
-// A wait that skipped or double-counted its accounting (a wake
-// dispatched twice, or one lost between the heap and the app) breaks
-// the identity.
+// checkRun fails t when r breaks an invariant of stepsim.CheckRun.
 func checkRun(t testing.TB, plat platform.Config, r stats.RunResult) {
 	t.Helper()
-	for _, b := range []struct {
-		name string
-		v    float64
+	if err := stepsim.CheckRun(plat, r); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCheckRunFlagsBrokenRuns: a clean run passes, and each invariant
+// fails once its side of the run is broken. A truncated run is exempt
+// from the wall-time identity only.
+func TestCheckRunFlagsBrokenRuns(t *testing.T) {
+	plat := testPlatforms()["clean"]
+	r := stepsim.Simulate(stepsim.Config{Model: policy.P2, Config: plat}, 4)
+	if err := stepsim.CheckRun(plat, r); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	for _, c := range []struct {
+		name    string
+		corrupt func(*stats.RunResult)
+		want    string
 	}{
-		{"Checkpoint", r.Checkpoint},
-		{"Recompute", r.Recompute},
-		{"Recovery", r.Recovery},
+		{"wall", func(r *stats.RunResult) { r.WallSeconds += 1e-3 }, "relative residual"},
+		{"negative", func(r *stats.RunResult) { r.Recovery = -1 }, "Recovery overhead -1"},
+		{"NaN", func(r *stats.RunResult) { r.Checkpoint = math.NaN() }, "Checkpoint overhead NaN"},
+		{"nesting", func(r *stats.RunResult) { r.Mitigated = r.Failures + 1 }, "do not nest"},
+		{"truncated wall", func(r *stats.RunResult) { r.WallSeconds, r.Truncated = r.WallSeconds/2, true }, ""},
 	} {
-		if !(b.v >= 0) || math.IsInf(b.v, 1) {
-			t.Errorf("%s overhead %v is negative or not finite", b.name, b.v)
+		broken := r
+		c.corrupt(&broken)
+		err := stepsim.CheckRun(plat, broken)
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+			continue
 		}
-	}
-	if r.Predicted > r.Failures || r.Mitigated > r.Failures || r.Avoided > r.Migrations {
-		t.Errorf("counters do not nest: predicted %d, mitigated %d of %d failures; %d avoided of %d migrations",
-			r.Predicted, r.Mitigated, r.Failures, r.Avoided, r.Migrations)
-	}
-	if r.Truncated {
-		return
-	}
-	c := plat.WithDefaults()
-	d := c.Derive()
-	want := d.ComputeSeconds + r.Checkpoint + r.Recompute + r.Recovery -
-		float64(r.Migrations)*c.LM.DilationSeconds(d.PerNodeGB)
-	if diff := math.Abs(r.WallSeconds - want); !(diff <= 1e-12*r.WallSeconds) {
-		t.Errorf("wall %v s, compute plus overheads minus dilation %v s (relative residual %.3g; overheads %v)",
-			r.WallSeconds, want, diff/r.WallSeconds, r.Overheads)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: CheckRun = %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
 }
