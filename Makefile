@@ -82,9 +82,11 @@ spec-validate:
 	$(GO) run ./cmd/speccheck ./examples ./internal/experiments/specs
 
 # golden-update regenerates testdata/golden after an intentional
-# behaviour change; review the diff before committing.
+# behaviour change: the experiments' cells and the stdout goldens of
+# cmd/experiments and cmd/pckpt-sim (which only an amd64 GOAMD64=v1
+# build may rewrite). Review the diff before committing.
 golden-update:
-	$(GO) test ./internal/experiments -count=1 -run TestGolden -update
+	$(GO) test ./internal/experiments ./cmd/experiments ./cmd/pckpt-sim -count=1 -run TestGolden -update
 
 # cachepass runs the cross-process cold-then-warm result-cache check:
 # the same test twice against one shared cache directory — the first

@@ -24,6 +24,7 @@ import (
 	"pckpt/internal/nodesim"
 	"pckpt/internal/pckpt"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/rng"
 	"pckpt/internal/sim"
 	"pckpt/internal/stepsim"
@@ -101,7 +102,7 @@ func BenchmarkAblationSingleRunPerModel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, m := range crmodel.Models() {
+	for _, m := range policy.All() {
 		b.Run(m.String(), func(b *testing.B) {
 			cfg := crmodel.Config{Model: m, Config: platform.Config{App: app, System: failure.Titan}}
 			b.ReportAllocs()
@@ -121,7 +122,7 @@ func BenchmarkAblationSingleStepRunPerModel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, m := range crmodel.Models() {
+	for _, m := range policy.All() {
 		b.Run(m.String(), func(b *testing.B) {
 			cfg := stepsim.Config{Model: m, Config: platform.Config{App: app, System: failure.Titan}}
 			b.ReportAllocs()

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"pckpt/internal/goldentest"
 )
 
 // TestMain doubles the test binary as the experiments CLI: when re-exec'd
@@ -98,4 +102,36 @@ func TestCLIRejectsNonPositiveRuns(t *testing.T) {
 			t.Errorf("-runs %s: exit %d, stdout %q, stderr %q; want exit 2 naming -runs on one line and no output", runs, code, stdout, stderr)
 		}
 	}
+}
+
+// TestCLICacheWriteErrorIsOneLine: a cache the CLI cannot write to (every
+// shard directory name taken by a regular file) exits 2 with one stderr
+// line naming the experiment, not a panic and its goroutine dump.
+func TestCLICacheWriteErrorIsOneLine(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "objects"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 256; i++ {
+		if err := os.WriteFile(filepath.Join(dir, "objects", fmt.Sprintf("%02x", i)), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, stderr, code := runCLI(t, "-run", "fig4", "-runs", "2", "-cache", dir)
+	if code != 2 || strings.Count(stderr, "\n") != 1 || strings.Contains(stderr, "goroutine") ||
+		!strings.HasPrefix(stderr, "experiments: fig4: runcache: ") {
+		t.Errorf("unwritable cache: exit %d, stderr %q; want exit 2 and one line naming fig4 and the runcache error", code, stderr)
+	}
+}
+
+// TestGoldenStdout pins every byte -run all prints at 12 runs per
+// configuration. The bytes hold only where simulated numbers are
+// bit-exact (goldentest.BitExact); -update rewrites the golden.
+func TestGoldenStdout(t *testing.T) {
+	goldentest.RequireBitExact(t)
+	stdout, stderr, code := runCLI(t, "-run", "all", "-runs", "12", "-no-cache")
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr: %s", code, stderr)
+	}
+	goldentest.Check(t, filepath.Join("testdata", "golden", "run-all.txt"), stdout)
 }

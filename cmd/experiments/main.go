@@ -27,7 +27,8 @@
 // it finishes, so SIGINT/SIGTERM aborts at the next configuration
 // boundary with the completed prefix preserved — rerunning the same
 // command skips straight to the unfinished tail. -no-cache disables the
-// cache, -cache-stats prints per-experiment hit/miss accounting.
+// cache, -cache-stats prints per-experiment hit/miss accounting. A run
+// that panics is left out of the means and named on stderr, cached or not.
 package main
 
 import (
@@ -169,11 +170,14 @@ func main() {
 			}
 			os.Exit(130)
 		}
-		exitOn(err)
-		fmt.Printf("=== %s (%s)\n\n%s\n", r.Title, r.ID, r.Text)
+		if err != nil {
+			exitOn(fmt.Errorf("experiments: %s: %w", d.ID, err))
+		}
+		fmt.Printf("=== %s (%s)\n\n%s\n", d.Title, d.ID, r.Text)
 		if *values {
 			fmt.Println(experiments.RenderResultValues(r))
 		}
+		experiments.WarnFailed(r.Failed)
 	}
 
 	if p.Metrics != nil {

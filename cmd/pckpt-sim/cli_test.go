@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pckpt/internal/goldentest"
 )
 
 // TestMain doubles the test binary as the pckpt-sim CLI: when re-exec'd
@@ -279,4 +281,40 @@ func TestCLIRejectsNonFiniteBackoff(t *testing.T) {
 			t.Errorf("-inject-backoff %s: exit %d, stdout %q, stderr %q; want exit 2 naming RestartBackoffSeconds and no output", backoff, code, stdout, stderr)
 		}
 	}
+}
+
+// TestGoldenStdout pins every byte pckpt-sim prints for each example
+// spec at 8 runs, and for a metered flag-mode run, its snapshot file
+// included. The bytes hold only where simulated numbers are bit-exact
+// (goldentest.BitExact); -update rewrites the goldens.
+func TestGoldenStdout(t *testing.T) {
+	goldentest.RequireBitExact(t)
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example specs found (%v)", err)
+	}
+	for _, path := range paths {
+		name := "spec-" + strings.TrimSuffix(filepath.Base(path), ".json")
+		t.Run(name, func(t *testing.T) {
+			stdout, stderr, code := runCLI(t, "-spec", path, "-runs", "8")
+			if code != 0 || stderr != "" {
+				t.Fatalf("exit %d, stderr: %s", code, stderr)
+			}
+			goldentest.Check(t, filepath.Join("testdata", "golden", name+".txt"), stdout)
+		})
+	}
+	t.Run("flag-metrics", func(t *testing.T) {
+		out := filepath.Join(t.TempDir(), "m.json")
+		stdout, stderr, code := runCLI(t, "-app", "GYRO", "-model", "P1", "-runs", "8", "-metrics", "-metrics-out", out)
+		if code != 0 || stderr != "" {
+			t.Fatalf("exit %d, stderr: %s", code, stderr)
+		}
+		golden := filepath.Join("testdata", "golden", "flag-metrics")
+		goldentest.Check(t, golden+".txt", strings.ReplaceAll(stdout, out, "METRICS_OUT"))
+		snap, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		goldentest.Check(t, golden+".json", string(snap))
+	})
 }

@@ -201,7 +201,7 @@ func main() {
 	s := agg.TotalSummary()
 	t.AddRow("total overhead 95% CI", fmt.Sprintf("[%s, %s]", tablefmt.Hours(s.CI95Lo), tablefmt.Hours(s.CI95Hi)))
 	fmt.Println(t.String())
-	warnFailed(agg.Failed())
+	experiments.WarnFailed(agg.Failed())
 
 	if o.baseline && model != crmodel.ModelB {
 		// Every tier implements model B, so the reduction is computed
@@ -217,14 +217,6 @@ func main() {
 		fmt.Printf("\nsimulation metrics (%d runs merged):\n\n%s", o.runs, metrics.Render(snap))
 		exitOn(snap.WriteJSON(o.metricsOut))
 		fmt.Printf("metrics snapshot written to %s\n", o.metricsOut)
-	}
-}
-
-// warnFailed reports each run of a sweep that panicked instead of
-// completing; the printed means cover only the completed runs.
-func warnFailed(failed []stats.FailedRun) {
-	for _, f := range failed {
-		fmt.Fprintf(os.Stderr, "warning: run with seed %d failed (%s): %s\n", f.Seed, f.Config, f.Err)
 	}
 }
 

@@ -109,10 +109,12 @@ func machineFlag(fs *flag.FlagSet) (name string) {
 }
 
 // runSpec executes one scenario spec: every cohort × policy cell
-// simulates with the spec's run/seed plan (matching the flag path's seed
-// usage exactly, so a spec mirroring a flag invocation is bit-identical
-// to it), optionally resolving cells from a runcache directory first.
-// Cells run on the step tier, so their tier-agnostic cache keys hold.
+// resolves through experiments.Resolve with the spec's run/seed plan
+// (matching the flag path's seed usage exactly, so a spec mirroring a
+// flag invocation is bit-identical to it), optionally from a runcache
+// directory. Cells run on the step tier, so their tier-agnostic cache
+// keys hold; TestCrossValidationSweepCells audits that tier against the
+// app-tier reference on every example spec's cells.
 func runSpec(path, cacheDir string, fs *flag.FlagSet) error {
 	set := explicitFlags(fs)
 	for _, name := range specConflicts {
@@ -138,9 +140,12 @@ func runSpec(path, cacheDir string, fs *flag.FlagSet) error {
 		return err
 	}
 
-	var store *runcache.Store
+	// The cell uses the spec's base seed directly for every
+	// configuration: the same contract as flag mode, where the model run
+	// and its B baseline share -seed.
+	p := experiments.Params{Experiment: "pckpt-sim", Seed: s.Seed, Workers: runtime.GOMAXPROCS(0)}
 	if cacheDir != "" {
-		if store, err = runcache.Open(cacheDir); err != nil {
+		if p.Cache, err = runcache.Open(cacheDir); err != nil {
 			return err
 		}
 	}
@@ -155,12 +160,15 @@ func runSpec(path, cacheDir string, fs *flag.FlagSet) error {
 	baseline := map[string]stats.Overheads{}
 	aggs := make([]*stats.Agg, len(cfgs))
 	for i, rc := range cfgs {
-		agg, err := runSpecCell(s, rc, store)
+		agg, err := experiments.Resolve(p, experiments.Cell{
+			Tier: experiments.StepTier(), Label: s.Name + "|" + rc.Label,
+			Policy: rc.Policy, Platform: rc.Platform, Runs: s.Runs, Seed: s.Seed,
+		})
 		if err != nil {
 			return err
 		}
 		aggs[i] = agg
-		warnFailed(agg.Failed())
+		experiments.WarnFailed(agg.Failed())
 		if rc.Policy == policy.B {
 			baseline[rc.Label] = agg.MeanOverheads()
 		}
@@ -182,8 +190,8 @@ func runSpec(path, cacheDir string, fs *flag.FlagSet) error {
 	}
 	fmt.Println(t.String())
 
-	if store != nil {
-		st := store.Totals()
+	if p.Cache != nil {
+		st := p.Cache.Totals()
 		fmt.Printf("cache: %d hits, %d misses\n", st.Hits, st.Misses)
 	}
 	return nil
@@ -238,37 +246,6 @@ func runMachineSpec(s *scenario.Spec, cacheDir string) error {
 			sum.Mean(float64(sum.Brownouts)), sum.Mean(sum.BrownoutSeconds), sum.Mean(float64(sum.DrainOutages)),
 			sum.Mean(float64(sum.TenantCrashes)), sum.Mean(float64(sum.CrashRequeues)), sum.Mean(float64(sum.Escalations)))
 	}
-	warnFailed(sum.Failed)
+	experiments.WarnFailed(sum.Failed)
 	return nil
-}
-
-// runSpecCell resolves one cell: from the cache when possible, by
-// simulation otherwise. The cell uses the spec's base seed directly for
-// every configuration — the same contract as the flag mode, where the
-// model run and its B baseline share -seed. Simulation runs through the
-// sweep runner on the step tier, which TestCrossValidationSweepCells
-// audits against the app-tier reference on every example spec's cells.
-func runSpecCell(s *scenario.Spec, rc scenario.RunConfig, store *runcache.Store) (*stats.Agg, error) {
-	key := runcache.Key{
-		Experiment:  "pckpt-sim",
-		Label:       s.Name + "|" + rc.Label,
-		Policy:      rc.Policy.String(),
-		Platform:    rc.Platform.CanonicalString(),
-		Runs:        s.Runs,
-		Seed:        s.Seed,
-		Fingerprint: runcache.Fingerprint(),
-	}
-	if store != nil {
-		if agg, _, ok := store.Get(key, false); ok {
-			return agg, nil
-		}
-	}
-	agg, _ := experiments.SimulateSweepN(experiments.StepTier(), rc.Policy, rc.Platform, s.Runs, s.Seed,
-		runtime.GOMAXPROCS(0), false)
-	if store != nil {
-		if err := store.Put(key, agg, nil); err != nil {
-			return nil, err
-		}
-	}
-	return agg, nil
 }

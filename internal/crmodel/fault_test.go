@@ -6,6 +6,7 @@ import (
 	"pckpt/internal/failure"
 	"pckpt/internal/faultinject"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 )
 
 // TestZeroRateInjectionBitIdentical pins the seed-derivation hygiene
@@ -15,7 +16,7 @@ import (
 // nothing. RestartRetries/backoff alone carry no rates, so they arm
 // nothing.
 func TestZeroRateInjectionBitIdentical(t *testing.T) {
-	for _, m := range Models() {
+	for _, m := range policy.All() {
 		for seed := uint64(1); seed <= 20; seed++ {
 			clean := Config{Model: m, Config: platform.Config{App: failApp, System: failure.Titan}}
 			armed := clean
@@ -39,7 +40,7 @@ func TestInjectionDegradesDeterministically(t *testing.T) {
 		RestartFailProb:  0.2,
 		CascadeProb:      0.1,
 	}
-	for _, m := range Models() {
+	for _, m := range policy.All() {
 		cfg := Config{Model: m, Config: platform.Config{App: failApp, System: failure.Titan, Faults: faults}}
 		a := Simulate(cfg, 777)
 		if b := Simulate(cfg, 777); a != b {

@@ -51,9 +51,6 @@ const (
 	ModelP2 Model = policy.P2
 )
 
-// Models lists all five in presentation order.
-func Models() []Model { return policy.All() }
-
 // ModelByName parses a model name ("B", "M1", ...).
 func ModelByName(name string) (Model, error) { return policy.ByName(name) }
 

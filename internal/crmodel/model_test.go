@@ -7,6 +7,7 @@ import (
 	"pckpt/internal/failure"
 	"pckpt/internal/lm"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/workload"
 )
 
@@ -17,13 +18,10 @@ func TestModelStrings(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", m, m.String(), s)
 		}
 	}
-	if len(Models()) != 5 {
-		t.Fatalf("Models() has %d entries", len(Models()))
-	}
 }
 
 func TestModelByName(t *testing.T) {
-	for _, m := range Models() {
+	for _, m := range policy.All() {
 		got, err := ModelByName(m.String())
 		if err != nil || got != m {
 			t.Errorf("ModelByName(%s) = %v, %v", m, got, err)

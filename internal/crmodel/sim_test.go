@@ -8,6 +8,7 @@ import (
 	"pckpt/internal/failure"
 	"pckpt/internal/iomodel"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/stats"
 	"pckpt/internal/sweep"
 	"pckpt/internal/workload"
@@ -129,7 +130,7 @@ func TestRecomputeAccountedOnFailure(t *testing.T) {
 }
 
 func TestWallTimeExceedsCompute(t *testing.T) {
-	for _, m := range Models() {
+	for _, m := range policy.All() {
 		cfg := Config{Model: m, Config: platform.Config{App: smallApp, System: failure.Titan}}
 		r := Simulate(cfg, 3)
 		if r.WallSeconds < smallApp.ComputeSeconds() {
@@ -201,7 +202,7 @@ func TestOverheadReductionOrderingCHIMERA(t *testing.T) {
 	app := testApp(t, "CHIMERA")
 	const runs = 300
 	totals := map[Model]float64{}
-	for _, m := range Models() {
+	for _, m := range policy.All() {
 		agg := simulateN(t, Config{Model: m, Config: platform.Config{App: app, System: failure.Titan}}, runs, 99)
 		totals[m] = agg.MeanOverheads().Total()
 	}

@@ -2,96 +2,120 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
+	"os"
 
-	"pckpt/internal/metrics"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
 	"pckpt/internal/runcache"
 	"pckpt/internal/stats"
 )
 
-// ErrInterrupted is returned by Run when the sweep was aborted at a
-// configuration boundary via Params.Interrupt. Every configuration
-// completed before the abort has already been flushed to the cache, so
-// rerunning the same sweep against the same cache directory resumes at
-// the unfinished tail.
+// ErrInterrupted is returned by Resolve, and so by Run, when
+// Params.Interrupt was closed before a cell the cache could not serve.
+// Every cell resolved before it is already in the cache, so a rerun
+// against the same cache directory resumes at the unfinished tail.
 var ErrInterrupted = errors.New("experiments: sweep interrupted")
 
-// Run executes one registry entry with cache bookkeeping: the registry
-// ID is stamped into Params as the cache-key namespace, and an
-// interrupt (Params.Interrupt closed before an un-cached configuration)
-// surfaces as ErrInterrupted instead of a panic. Calling a Def's Run
-// function directly remains supported — it simply skips both services.
-func Run(d Def, p Params) (res Result, err error) {
-	p.Experiment = d.ID
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok && errors.Is(e, ErrInterrupted) {
-				err = ErrInterrupted
-				return
-			}
-			panic(r)
-		}
-	}()
-	return d.Run(p), nil
+// Cell is one configuration of a sweep: Runs seeds of Policy on
+// Platform, simulated on Tier from base seed Seed. Its cache key holds
+// Label and the Params' Seed, so Seed must follow from those two.
+type Cell struct {
+	Tier     Tier
+	Label    string
+	Policy   policy.ID
+	Platform platform.Config
+	Runs     int
+	Seed     uint64
 }
 
-// cacheKey assembles the content-address for one configuration. Workers
-// is deliberately excluded (TestWorkersDeterminism guards that results
-// are worker-count independent); runs is a parameter because crossval
-// scales its run count down from p.Runs.
-func (p Params) cacheKey(label string, id policy.ID, plat platform.Config, runs int) runcache.Key {
-	return runcache.Key{
+// Resolve turns a cell into its aggregate; it is the only code that
+// does. A cell with no faults of its own takes p.Faults. A cache hit
+// must carry a metrics snapshot when p.Metrics collects (the recompute's
+// Put upgrades an unmetered entry). Only a miss checks p.Interrupt, so
+// an interrupted rerun still fast-forwards through its cached prefix.
+// A cache write error is returned: dropping entries would break the
+// resume contract.
+func Resolve(p Params, c Cell) (*stats.Agg, error) {
+	if p.Faults.Enabled() && !c.Platform.Faults.Enabled() {
+		c.Platform.Faults = p.Faults
+	}
+	key := runcache.Key{
 		Experiment:  p.Experiment,
-		Label:       label,
-		Policy:      id.String(),
-		Platform:    plat.CanonicalString(),
-		Runs:        runs,
+		Label:       c.Label,
+		Policy:      c.Policy.String(),
+		Platform:    c.Platform.CanonicalString(),
+		Runs:        c.Runs,
 		Seed:        p.Seed,
 		Fingerprint: runcache.Fingerprint(),
 	}
-}
-
-// cacheGet resolves a key against the cache, folding a stored metrics
-// snapshot into the collector on a hit. needMetrics demands a snapshot:
-// a metered sweep must not silently lose metrics to an entry cached by
-// an un-metered one (the recompute's Put upgrades the entry instead).
-func (p Params) cacheGet(key runcache.Key, needMetrics bool) (*stats.Agg, bool) {
-	if p.Cache == nil {
-		return nil, false
-	}
-	agg, snap, ok := p.Cache.Get(key, needMetrics)
-	if !ok {
-		return nil, false
-	}
-	p.Metrics.Add(snap)
-	return agg, true
-}
-
-// cachePut flushes a freshly simulated aggregate. Write errors are
-// deliberately fatal: a half-functional cache that silently drops
-// entries would break the resume contract.
-func (p Params) cachePut(key runcache.Key, agg *stats.Agg, snap *metrics.Snapshot) {
-	if p.Cache == nil {
-		return
-	}
-	if err := p.Cache.Put(key, agg, snap); err != nil {
-		panic(err)
-	}
-}
-
-// checkInterrupt aborts the sweep (via ErrInterrupted, recovered in Run)
-// when Params.Interrupt has been closed. Called only in front of actual
-// simulation work, so cached configurations keep resolving after the
-// signal — exactly what lets an interrupted rerun fast-forward through
-// its completed prefix.
-func (p Params) checkInterrupt() {
-	if p.Interrupt == nil {
-		return
+	meter := p.Metrics != nil
+	if p.Cache != nil {
+		if agg, snap, ok := p.Cache.Get(key, meter); ok {
+			p.Metrics.Add(snap)
+			return agg, nil
+		}
 	}
 	select {
 	case <-p.Interrupt:
-		panic(ErrInterrupted)
+		return nil, ErrInterrupted
 	default:
+	}
+	agg, snap := SimulateSweepN(c.Tier, c.Policy, c.Platform, c.Runs, c.Seed, p.Workers, meter)
+	p.Metrics.Add(snap)
+	if p.Cache != nil {
+		if err := p.Cache.Put(key, agg, snap); err != nil {
+			return nil, err
+		}
+	}
+	return agg, nil
+}
+
+// resolveError carries a Resolve error out of an experiment function,
+// which returns none, to Run.
+type resolveError struct{ error }
+
+// mustResolve is Resolve for experiment functions: it adds the cell's
+// failed runs to Run's ledger and panics with an error for Run to return.
+func mustResolve(p Params, c Cell) *stats.Agg {
+	agg, err := Resolve(p, c)
+	if err != nil {
+		panic(resolveError{err})
+	}
+	if p.failed != nil {
+		*p.failed = append(*p.failed, agg.Failed()...)
+	}
+	return agg
+}
+
+// Run executes one registry entry: it stamps the registry ID into Params
+// as the cache-key namespace, returns a resolve error (ErrInterrupted, a
+// cache write failure), and lists in Result.Failed the failed runs of
+// every cell resolved. A Def's Run function called directly keys under
+// "", panics on a resolve error and leaves Failed empty.
+func Run(d Def, p Params) (res Result, err error) {
+	p.Experiment = d.ID
+	var failed []stats.FailedRun
+	p.failed = &failed
+	defer func() {
+		if r := recover(); r != nil {
+			re, ok := r.(resolveError)
+			if !ok {
+				panic(r)
+			}
+			err = re.error
+		}
+	}()
+	res = d.Run(p)
+	res.Failed = failed
+	return res, nil
+}
+
+// WarnFailed writes one warning line to stderr for each run of a sweep
+// that panicked instead of completing: the printed means cover only the
+// completed runs.
+func WarnFailed(failed []stats.FailedRun) {
+	for _, f := range failed {
+		fmt.Fprintf(os.Stderr, "warning: run with seed %d failed (%s): %s\n", f.Seed, f.Config, f.Err)
 	}
 }

@@ -3,15 +3,22 @@ package experiments
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 
+	"pckpt/internal/failure"
 	"pckpt/internal/metrics"
+	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/runcache"
+	"pckpt/internal/stats"
+	"pckpt/internal/sweep"
 )
 
 // cacheDirFlag lets `make ci` drive the cross-process cold-then-warm
@@ -257,5 +264,60 @@ func TestCacheColdWarm(t *testing.T) {
 	}
 	if st.Hits != 0 && st.Misses != 0 {
 		t.Fatalf("mixed traffic %+v: a shared dir must be fully cold or fully warm", st)
+	}
+}
+
+// TestRunReturnsCacheWriteError: when the store cannot write an entry
+// (every shard directory name is taken by a regular file), Run returns
+// the runcache error instead of panicking out of the experiment.
+func TestRunReturnsCacheWriteError(t *testing.T) {
+	dir := t.TempDir()
+	store, err := runcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 256; i++ {
+		if err := os.WriteFile(filepath.Join(dir, "objects", fmt.Sprintf("%02x", i)), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := ByID("fig4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(d, fig4Params(store)); !errors.Is(err, syscall.ENOTDIR) || !strings.HasPrefix(err.Error(), "runcache: ") {
+		t.Fatalf("Run against an unwritable store returned %v, want the runcache ENOTDIR error", err)
+	}
+}
+
+// TestRunReportsFailedRuns plants a crash on one seed of one fig4 cell:
+// Run reports that run in Result.Failed on a cold run, and again on a
+// warm run that resolves every cell from the cache's stored ledger.
+func TestRunReportsFailedRuns(t *testing.T) {
+	label := fmt.Sprintf("CHIMERA|%s|%s|ls=%.3f|fn=%.3f", failure.Titan.Name, policy.M2, 0.5, failure.DefaultFNRate)
+	crashSeed := sweep.Seed(configSeed(42, label), 3)
+	tier := StepTier()
+	run := tier.Run
+	tier.Run = func(id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry) stats.RunResult {
+		if id == policy.M2 && plat.LeadScale == 0.5 && seed == crashSeed {
+			panic("planted crash")
+		}
+		return run(id, plat, seed, reg)
+	}
+	runSweepsOn(t, tier)
+
+	dir := t.TempDir()
+	for _, pass := range []string{"cold", "warm"} {
+		store, err := runcache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := mustRun(t, "fig4", fig4Params(store))
+		if len(r.Failed) != 1 || r.Failed[0].Seed != crashSeed || r.Failed[0].Err != "planted crash" {
+			t.Errorf("%s run reported failed runs %+v, want the planted crash at seed %#x", pass, r.Failed, crashSeed)
+		}
+		if st := store.Totals(); pass == "warm" && (st.Hits != fig4Configs || st.Misses != 0) {
+			t.Errorf("warm run traffic %+v, want %d hits", st, fig4Configs)
+		}
 	}
 }

@@ -82,12 +82,7 @@ func Contention(p Params) Result {
 			" mean makespan %.2fh, peak aggregate allocation %.2f GB/s)\n",
 		cfg.PFSCeilingGBs, machine.FIFO{}.Name(), sum.Mean(sum.MakespanSeconds)/3600, sum.PeakAllocGBs) +
 		failedRunsLine(sum)
-	return Result{
-		ID:     "contention",
-		Title:  "Extension: multi-tenant contention — shared PFS bandwidth arbitration and admission",
-		Text:   text,
-		Values: values,
-	}
+	return Result{Text: text, Values: values}
 }
 
 // failedRunsLine is the line a machine experiment appends to its text

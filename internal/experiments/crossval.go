@@ -74,10 +74,10 @@ func CrossValidation(p Params) Result {
 		if len(others) == 0 {
 			continue
 		}
-		aAgg := runTier(p, ref, id, plat, runs, p.Seed)
+		aAgg := runTier(p, ref, id, plat, runs)
 		aF, aM, aA := addRow(id, ref.Name, aAgg)
 		for _, ot := range others {
-			oAgg := runTier(p, ot, id, plat, runs, p.Seed)
+			oAgg := runTier(p, ot, id, plat, runs)
 			oF, oM, oA := addRow(id, ot.Name, oAgg)
 			pre := id.String() + "/" + ot.Name
 			values[pre+"/failures-diff"] = float64(aF - oF)
@@ -100,5 +100,5 @@ func CrossValidation(p Params) Result {
 		}
 	}
 	text := t.String() + fmt.Sprintf("\n(%d matched seeds per model; all tiers share internal/platform quantities and the internal/policy catalogue; the step tier must match the app tier bit for bit)\n", runs)
-	return Result{ID: "crossval", Title: "Cross-validation: app-level reference vs node-granular and step tiers on matched seeds", Text: text, Values: values}
+	return Result{Text: text, Values: values}
 }

@@ -63,9 +63,6 @@ func TestCrossValidation(t *testing.T) {
 // cells, which must be zero.
 func TestCrossValidationExperiment(t *testing.T) {
 	r := CrossValidation(Params{Runs: 96, Seed: 42})
-	if r.ID != "crossval" {
-		t.Fatalf("ID = %q", r.ID)
-	}
 	for _, lbl := range []string{"B", "P1", "P2"} {
 		if d, ok := r.Values[lbl+"/node/failures-diff"]; !ok || d != 0 {
 			t.Errorf("%s: failure-count divergence %v across app/node tiers", lbl, d)

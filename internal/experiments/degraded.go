@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"pckpt/internal/crmodel"
 	"pckpt/internal/failure"
 	"pckpt/internal/faultinject"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/tablefmt"
 )
 
@@ -42,15 +42,12 @@ func Degraded(p Params) Result {
 	t := tablefmt.NewTable("App", "Inject", "Model", "Total(h)", "vs clean", "FT", "WrFail", "Corrupt", "Retry", "Casc")
 	values := map[string]float64{}
 	for _, app := range apps {
-		clean := map[crmodel.Model]float64{}
+		clean := map[policy.ID]float64{}
 		for _, rate := range degradedRates {
-			for _, m := range crmodel.Models() {
+			for _, m := range policy.All() {
 				label := fmt.Sprintf("%s|%s|%s|inject=%.3f", app.Name, sys.Name, m, rate)
-				cfg := crmodel.Config{
-					Model:  m,
-					Config: platform.Config{App: app, System: sys, Faults: degradedFaults(rate)},
-				}
-				agg := runConfig(p, cfg, label)
+				plat := platform.Config{App: app, System: sys, Faults: degradedFaults(rate)}
+				agg := runConfig(p, m, plat, label)
 				mo := agg.MeanOverheads()
 				if rate == 0 {
 					clean[m] = mo.Total()
@@ -80,10 +77,5 @@ func Degraded(p Params) Result {
 	}
 	text := t.String() + "\n(vs clean: overhead change relative to the same policy on a perfect platform;\n" +
 		" WrFail/Corrupt/Retry/Casc: injected-fault totals across all runs of the configuration)\n"
-	return Result{
-		ID:     "degraded",
-		Title:  "Extension: degraded platform — injected write failures, corruption, restart retries",
-		Text:   text,
-		Values: values,
-	}
+	return Result{Text: text, Values: values}
 }

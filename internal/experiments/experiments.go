@@ -11,11 +11,11 @@ import (
 	"sort"
 	"strings"
 
-	"pckpt/internal/crmodel"
 	"pckpt/internal/failure"
 	"pckpt/internal/faultinject"
 	"pckpt/internal/metrics"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/runcache"
 	"pckpt/internal/stats"
 	"pckpt/internal/workload"
@@ -73,10 +73,12 @@ type Params struct {
 	MachineFaults faultinject.MachineConfig
 	// Interrupt, when non-nil, aborts the sweep at the next
 	// configuration boundary once closed: already-cached configurations
-	// still resolve, the first un-cached one panics with ErrInterrupted
-	// (recovered by Run). Completed configurations are already flushed
-	// to Cache, so a rerun resumes at the unfinished tail.
+	// still resolve, the first un-cached one returns ErrInterrupted.
+	// Completed configurations are already flushed to Cache, so a rerun
+	// resumes at the unfinished tail.
 	Interrupt <-chan struct{}
+
+	failed *[]stats.FailedRun // Run's failed-run ledger (see mustResolve)
 }
 
 func (p Params) withDefaults() Params {
@@ -94,21 +96,22 @@ func (p Params) withDefaults() Params {
 
 // Result is one experiment's rendered output.
 type Result struct {
-	// ID is the registry key ("fig6a", "table2", ...).
-	ID string
-	// Title describes the experiment.
-	Title string
 	// Text is the rendered table/figure.
 	Text string
 	// Values holds machine-readable headline numbers keyed by a short
 	// label, letting tests assert the paper's qualitative claims without
 	// parsing Text.
 	Values map[string]float64
+	// Failed lists the runs that panicked in the cells Run resolved, in
+	// resolve order; the rendered means cover only the completed runs.
+	Failed []stats.FailedRun
 }
 
 // Def is a registry entry.
 type Def struct {
-	ID    string
+	// ID is the registry key ("fig6a", "table2", ...).
+	ID string
+	// Title describes the experiment.
 	Title string
 	Run   func(Params) Result
 }
@@ -118,7 +121,7 @@ func All() []Def {
 	return []Def{
 		{"table1", "Table I: HPC workload characteristics", Table1},
 		{"table3", "Table III: Weibull distributions for failure generation", Table3},
-		{"fig2a", "Fig. 2a: failure prediction lead time distribution (mined)", Fig2a},
+		{"fig2a", "Fig. 2a: lead-time distribution of mined failure sequences", Fig2a},
 		{"fig2b", "Fig. 2b: single-node I/O bandwidth vs task count", Fig2b},
 		{"fig2c", "Fig. 2c: weak-scaling I/O performance matrix", Fig2c},
 		{"fig4", "Fig. 4: lead-time variability impact on M1/M2", Fig4},
@@ -187,45 +190,28 @@ func configSeed(base uint64, label string) uint64 {
 // to substitute a fake or auditing tier.
 var sweepTier = StepTier()
 
-// runConfig resolves one (model, app, …) configuration: from the cache
-// when possible, by simulation otherwise (metering into p.Metrics when
-// collection is on, and flushing the fresh aggregate back to the cache).
+// runConfig resolves one sweep cell, its runs seeded from the label.
 // Every sweep, metered or not, runs on the step tier; cache keys are
 // tier-agnostic because the step tier is bit-identical to the app-tier
 // reference, which TestCrossValidationSweepCells audits on every seed of
 // every sweeping experiment.
-func runConfig(p Params, cfg crmodel.Config, label string) *stats.Agg {
-	if p.Faults.Enabled() && !cfg.Faults.Enabled() {
-		cfg.Faults = p.Faults
-	}
-	key := p.cacheKey(label, cfg.Model, cfg.Config, p.Runs)
-	if agg, ok := p.cacheGet(key, p.Metrics != nil); ok {
-		return agg
-	}
-	p.checkInterrupt()
-	agg, snap := SimulateSweepN(sweepTier, cfg.Model, cfg.Config, p.Runs, configSeed(p.Seed, label),
-		p.Workers, p.Metrics != nil)
-	p.Metrics.Add(snap)
-	p.cachePut(key, agg, snap)
-	return agg
+func runConfig(p Params, id policy.ID, plat platform.Config, label string) *stats.Agg {
+	return mustResolve(p, Cell{Tier: sweepTier, Label: label, Policy: id, Platform: plat, Runs: p.Runs, Seed: configSeed(p.Seed, label)})
 }
 
 // modelSet runs several models on one app/system/lead-scale and returns
 // the aggregates keyed by model.
-func modelSet(p Params, app workload.App, sys failure.System, leadScale float64, fnRate float64, models []crmodel.Model) map[crmodel.Model]*stats.Agg {
-	out := make(map[crmodel.Model]*stats.Agg, len(models))
+func modelSet(p Params, app workload.App, sys failure.System, leadScale float64, fnRate float64, models []policy.ID) map[policy.ID]*stats.Agg {
+	out := make(map[policy.ID]*stats.Agg, len(models))
 	for _, m := range models {
 		label := fmt.Sprintf("%s|%s|%s|ls=%.3f|fn=%.3f", app.Name, sys.Name, m, leadScale, fnRate)
-		cfg := crmodel.Config{
-			Model: m,
-			Config: platform.Config{
-				App:       app,
-				System:    sys,
-				LeadScale: leadScale,
-				FNRate:    fnRate,
-			},
+		plat := platform.Config{
+			App:       app,
+			System:    sys,
+			LeadScale: leadScale,
+			FNRate:    fnRate,
 		}
-		out[m] = runConfig(p, cfg, label)
+		out[m] = runConfig(p, m, plat, label)
 	}
 	return out
 }

@@ -123,10 +123,10 @@ func TestFig6aPaperClaims(t *testing.T) {
 func TestFig6RobustAcrossDistributions(t *testing.T) {
 	// Observation 7: reductions persist across the Weibull catalogues.
 	p := Params{Runs: 80, Seed: 42, Apps: []string{"XGC"}}
-	for _, run := range []func(Params) Result{Fig6b, Fig6System8} {
+	for id, run := range map[string]func(Params) Result{"fig6b": Fig6b, "fig6sys8": Fig6System8} {
 		r := run(p)
 		if red := r.Values["XGC/P2/reduction-pct"]; red < 35 {
-			t.Errorf("%s: XGC P2 reduction %.1f%%, want ≥35%%", r.ID, red)
+			t.Errorf("%s: XGC P2 reduction %.1f%%, want ≥35%%", id, red)
 		}
 	}
 }

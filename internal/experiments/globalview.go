@@ -59,5 +59,5 @@ func GlobalView(p Params) Result {
 	}
 	text := t.String() + "\n(three co-resident jobs; tight leads sized for uncontended commits —\n" +
 		"the global vulnerable-first view preserves them as bursts overlap)\n"
-	return Result{ID: "globalview", Title: "Extension: p-ckpt with a global system view (paper's out-of-scope item)", Text: text, Values: values}
+	return Result{Text: text, Values: values}
 }

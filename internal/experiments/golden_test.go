@@ -2,29 +2,22 @@ package experiments
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
 
+	"pckpt/internal/goldentest"
 	"pckpt/internal/metrics"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
 	"pckpt/internal/stats"
 	"pckpt/internal/stepsim"
 )
-
-// updateGolden rewrites the committed goldens from the current code:
-//
-//	go test ./internal/experiments -run TestGolden -update
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from current results")
 
 // goldenParams pins the regression configuration: small enough that the
 // whole registry replays in seconds, large enough that every table has
@@ -45,25 +38,15 @@ func goldenPath(id string) string {
 	return filepath.Join("testdata", "golden", id+".json")
 }
 
-// bitExact is set when golden cells must match bit for bit: on amd64 at
-// GOAMD64=v1, the configuration bench/reference.json's digests assume,
-// where the compiler fuses no multiply-adds. Other architectures and
-// amd64 levels may fuse them, so there cells keep a tolerance. cellMode
-// names the build and the comparison for failure messages.
+// bitExact is set when golden cells must match bit for bit (see
+// goldentest.BitExact); elsewhere cells keep a tolerance. cellMode names
+// the build and the comparison for failure messages.
 var bitExact, cellMode = goldenMode()
 
-// goldenMode reads GOARCH and the GOAMD64 level from the build settings.
+// goldenMode names the cell comparison this build makes.
 func goldenMode() (bool, string) {
-	level := "unset"
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "GOAMD64" {
-				level = s.Value
-			}
-		}
-	}
-	build := "GOARCH=" + runtime.GOARCH + " GOAMD64=" + level
-	if runtime.GOARCH == "amd64" && level == "v1" {
+	exact, build := goldentest.BitExact()
+	if exact {
 		return true, build + ", bit-exact"
 	}
 	return false, build + ", tolerance 1e-7 + 1e-6 relative"
@@ -107,8 +90,8 @@ func TestGolden(t *testing.T) {
 			if r.Text == "" {
 				t.Fatal("experiment rendered no text")
 			}
-			if *updateGolden {
-				writeGolden(t, r)
+			if *goldentest.Update {
+				writeGolden(t, d, r)
 				return
 			}
 			data, err := os.ReadFile(goldenPath(d.ID))
@@ -119,8 +102,8 @@ func TestGolden(t *testing.T) {
 			if err := json.Unmarshal(data, &want); err != nil {
 				t.Fatalf("golden unparsable: %v", err)
 			}
-			if want.ID != r.ID || want.Title != r.Title {
-				t.Errorf("identity drifted: golden (%s, %q) vs result (%s, %q)", want.ID, want.Title, r.ID, r.Title)
+			if want.ID != d.ID || want.Title != d.Title {
+				t.Errorf("identity drifted: golden (%s, %q) vs registry (%s, %q)", want.ID, want.Title, d.ID, d.Title)
 			}
 			compareCells(t, want.Values, r.Values)
 		})
@@ -182,17 +165,17 @@ func compareCells(t *testing.T, want, got map[string]float64) {
 }
 
 // writeGolden rewrites one experiment's golden file.
-func writeGolden(t *testing.T, r Result) {
+func writeGolden(t *testing.T, d Def, r Result) {
 	t.Helper()
-	if err := os.MkdirAll(filepath.Dir(goldenPath(r.ID)), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(goldenPath(d.ID)), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.MarshalIndent(golden{ID: r.ID, Title: r.Title, Values: r.Values}, "", "  ")
+	data, err := json.MarshalIndent(golden{ID: d.ID, Title: d.Title, Values: r.Values}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(goldenPath(r.ID), append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(goldenPath(d.ID), append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Printf("golden: wrote %s (%d cells)\n", goldenPath(r.ID), len(r.Values))
+	fmt.Printf("golden: wrote %s (%d cells)\n", goldenPath(d.ID), len(r.Values))
 }

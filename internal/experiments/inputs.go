@@ -20,7 +20,7 @@ func Table1(p Params) Result {
 		t.AddRowf(a.Name, a.Nodes, a.TotalCkptGB, a.PerNodeGB(), a.ComputeHours)
 		values[a.Name+"/per-node-GB"] = a.PerNodeGB()
 	}
-	return Result{ID: "table1", Title: "Table I: HPC workload characteristics", Text: t.String(), Values: values}
+	return Result{Text: t.String(), Values: values}
 }
 
 // Table3 renders the Table III failure distribution catalogue.
@@ -35,7 +35,7 @@ func Table3(p Params) Result {
 			fmt.Sprintf("%.2f", s.MeanInterarrivalHours()))
 		values[s.Name+"/mtbf-h"] = s.MeanInterarrivalHours()
 	}
-	return Result{ID: "table3", Title: "Table III: Weibull distributions for failure generation", Text: t.String(), Values: values}
+	return Result{Text: t.String(), Values: values}
 }
 
 // Fig2a generates a six-month synthetic log, mines it Desh-style, and
@@ -67,7 +67,7 @@ func Fig2a(p Params) Result {
 		values["generator-mean-lead-s"] = failure.DefaultLeadTimes().Mean()
 		fmt.Fprintf(&b, "\nmined model mean lead: %.2f s (generator: %.2f s)\n", model.Mean(), failure.DefaultLeadTimes().Mean())
 	}
-	return Result{ID: "fig2a", Title: "Fig. 2a: lead-time distribution of mined failure sequences", Text: b.String(), Values: values}
+	return Result{Text: b.String(), Values: values}
 }
 
 // Fig2b renders the single-node bandwidth-vs-task-count curves.
@@ -92,7 +92,7 @@ func Fig2b(p Params) Result {
 	values["peak-1task-GBs"] = io.SingleNodeBandwidth(1, 64)
 	values["peak-42task-GBs"] = io.SingleNodeBandwidth(42, 64)
 	text := t.String() + "\n(bandwidth in GB/s; the 8-task row dominates, matching the paper)\n"
-	return Result{ID: "fig2b", Title: "Fig. 2b: single-node I/O bandwidth vs task count", Text: text, Values: values}
+	return Result{Text: text, Values: values}
 }
 
 // Fig2c renders the weak-scaling performance matrix with a heat map.
@@ -116,5 +116,5 @@ func Fig2c(p Params) Result {
 		"corner-min-GBs": mx.At(0, 0),
 		"corner-max-GBs": mx.At(len(nodes)-1, len(sizes)-1),
 	}
-	return Result{ID: "fig2c", Title: "Fig. 2c: weak-scaling I/O performance matrix", Text: b.String(), Values: values}
+	return Result{Text: b.String(), Values: values}
 }

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"pckpt/internal/crmodel"
 	"pckpt/internal/failure"
+	"pckpt/internal/policy"
 	"pckpt/internal/stats"
 	"pckpt/internal/tablefmt"
 )
@@ -16,20 +16,18 @@ var fig4Scales = []float64{0.5, 0.7, 0.9, 1.0, 1.1, 1.3, 1.5}
 // Fig4 reproduces the lead-time variability study for the prior-work
 // models M1 (safeguard) and M2 (LM), relative to base model B.
 func Fig4(p Params) Result {
-	return leadVariability(p, []crmodel.Model{crmodel.ModelM1, crmodel.ModelM2},
-		"fig4", "Fig. 4: lead-time variability impact on M1/M2")
+	return leadVariability(p, []policy.ID{policy.M1, policy.M2})
 }
 
 // Fig7 is the same study for this paper's models P1 and P2.
 func Fig7(p Params) Result {
-	return leadVariability(p, []crmodel.Model{crmodel.ModelP1, crmodel.ModelP2},
-		"fig7", "Fig. 7: lead-time variability impact on P1/P2")
+	return leadVariability(p, []policy.ID{policy.P1, policy.P2})
 }
 
 // leadVariability sweeps the lead-time scale and reports per-component
 // percent overhead reductions versus B (the y-axis of Figs. 4 and 7; 0 %
 // means unchanged, 100 % means eliminated).
-func leadVariability(p Params, models []crmodel.Model, id, title string) Result {
+func leadVariability(p Params, models []policy.ID) Result {
 	p = p.withDefaults()
 	apps := p.apps("CHIMERA", "XGC", "POP")
 	t := tablefmt.NewTable("App", "Lead Δ", "Model", "Ckpt red.", "Recomp red.", "Recov red.", "Total red.")
@@ -37,8 +35,8 @@ func leadVariability(p Params, models []crmodel.Model, id, title string) Result 
 	for _, app := range apps {
 		// B ignores predictions, so its overheads are lead-scale
 		// independent: compute once.
-		baseAgg := modelSet(p, app, failure.Titan, 1, failure.DefaultFNRate, []crmodel.Model{crmodel.ModelB})
-		base := baseAgg[crmodel.ModelB].MeanOverheads()
+		baseAgg := modelSet(p, app, failure.Titan, 1, failure.DefaultFNRate, []policy.ID{policy.B})
+		base := baseAgg[policy.B].MeanOverheads()
 		for _, scale := range fig4Scales {
 			aggs := modelSet(p, app, failure.Titan, scale, failure.DefaultFNRate, models)
 			for _, m := range models {
@@ -52,23 +50,21 @@ func leadVariability(p Params, models []crmodel.Model, id, title string) Result 
 			}
 		}
 	}
-	return Result{ID: id, Title: title, Text: t.String(), Values: values}
+	return Result{Text: t.String(), Values: values}
 }
 
 // Table2 reproduces the FT-ratio table for M1 and M2 under varied lead
 // times.
 func Table2(p Params) Result {
-	return ftRatioTable(p, []crmodel.Model{crmodel.ModelM1, crmodel.ModelM2},
-		"table2", "Table II: FT ratio for applications under M1 and M2")
+	return ftRatioTable(p, []policy.ID{policy.M1, policy.M2})
 }
 
 // Table4 is the FT-ratio table for P1 and P2.
 func Table4(p Params) Result {
-	return ftRatioTable(p, []crmodel.Model{crmodel.ModelP1, crmodel.ModelP2},
-		"table4", "Table IV: FT ratio for applications under P1 and P2")
+	return ftRatioTable(p, []policy.ID{policy.P1, policy.P2})
 }
 
-func ftRatioTable(p Params, models []crmodel.Model, id, title string) Result {
+func ftRatioTable(p Params, models []policy.ID) Result {
 	p = p.withDefaults()
 	apps := p.apps("CHIMERA", "XGC", "POP")
 	header := []string{"Lead Δ"}
@@ -91,7 +87,7 @@ func ftRatioTable(p Params, models []crmodel.Model, id, title string) Result {
 		}
 		t.AddRow(row...)
 	}
-	return Result{ID: id, Title: title, Text: t.String(), Values: values}
+	return Result{Text: t.String(), Values: values}
 }
 
 // fig8Scales expands the variability axis to ±90 % as in Fig. 8.
@@ -112,9 +108,9 @@ func Fig8(p Params) Result {
 	for _, scale := range fig8Scales {
 		row := []string{leadScaleLabel(scale)}
 		for _, app := range apps {
-			aggs := modelSet(p, app, failure.Titan, scale, failure.DefaultFNRate, []crmodel.Model{crmodel.ModelP2})
+			aggs := modelSet(p, app, failure.Titan, scale, failure.DefaultFNRate, []policy.ID{policy.P2})
 			var avoided, mitigated, total int
-			for _, r := range aggs[crmodel.ModelP2].Runs() {
+			for _, r := range aggs[policy.P2].Runs() {
 				avoided += r.Avoided
 				mitigated += r.Mitigated
 				total += r.TotalFailures()
@@ -129,5 +125,5 @@ func Fig8(p Params) Result {
 		t.AddRow(row...)
 	}
 	text := t.String() + "\n(positive: LM is the dominant proactive choice; negative: p-ckpt dominates)\n"
-	return Result{ID: "fig8", Title: "Fig. 8: FT-ratio difference, LM vs p-ckpt in P2", Text: text, Values: values}
+	return Result{Text: text, Values: values}
 }

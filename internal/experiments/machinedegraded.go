@@ -104,10 +104,5 @@ func MachineDegraded(p Params) Result {
 		faults.StarvationEscalationSeconds, values["escalations"],
 		values["makespan-h"], sum.PeakAllocGBs) +
 		failedRunsLine(sum)
-	return Result{
-		ID:     "machine-degraded",
-		Title:  "Extension: machine-scope fault domains — PFS brownouts, tenant crashes with requeue, bounded-starvation degradation",
-		Text:   text,
-		Values: values,
-	}
+	return Result{Text: text, Values: values}
 }

@@ -5,10 +5,10 @@ import (
 	"strings"
 
 	"pckpt/internal/analytic"
-	"pckpt/internal/crmodel"
 	"pckpt/internal/failure"
 	"pckpt/internal/lm"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/stats"
 	"pckpt/internal/tablefmt"
 )
@@ -24,12 +24,12 @@ var obs9FNRates = []float64{failure.DefaultFNRate, 0.2, 0.3, 0.4}
 func Obs9(p Params) Result {
 	p = p.withDefaults()
 	apps := p.apps("CHIMERA", "XGC", "POP")
-	models := []crmodel.Model{crmodel.ModelM1, crmodel.ModelM2, crmodel.ModelP1, crmodel.ModelP2}
+	models := []policy.ID{policy.M1, policy.M2, policy.P1, policy.P2}
 	t := tablefmt.NewTable("App", "FN rate", "Model", "Recomp red.", "Total red.", "FT")
 	values := map[string]float64{}
 	for _, app := range apps {
-		baseAgg := modelSet(p, app, failure.Titan, 1, failure.DefaultFNRate, []crmodel.Model{crmodel.ModelB})
-		base := baseAgg[crmodel.ModelB].MeanOverheads()
+		baseAgg := modelSet(p, app, failure.Titan, 1, failure.DefaultFNRate, []policy.ID{policy.B})
+		base := baseAgg[policy.B].MeanOverheads()
 		for _, fn := range obs9FNRates {
 			aggs := modelSet(p, app, failure.Titan, 1, fn, models)
 			for _, m := range models {
@@ -44,7 +44,7 @@ func Obs9(p Params) Result {
 		}
 	}
 	text := t.String() + "\n(FP rate fixed at 18%; rising FN hits M2/P2 recomputation hardest, per Observation 9)\n"
-	return Result{ID: "obs9", Title: "Observation 9: false-negative-rate sensitivity", Text: text, Values: values}
+	return Result{Text: text, Values: values}
 }
 
 // Obs9Fix evaluates the extension the paper proposes as future work:
@@ -59,29 +59,26 @@ func Obs9Fix(p Params) Result {
 	t := tablefmt.NewTable("App", "FN rate", "Variant", "σ used", "Recomp red.", "Total red.")
 	values := map[string]float64{}
 	for _, app := range apps {
-		baseAgg := modelSet(p, app, failure.Titan, 1, failure.DefaultFNRate, []crmodel.Model{crmodel.ModelB})
-		base := baseAgg[crmodel.ModelB].MeanOverheads()
+		baseAgg := modelSet(p, app, failure.Titan, 1, failure.DefaultFNRate, []policy.ID{policy.B})
+		base := baseAgg[policy.B].MeanOverheads()
 		for _, fn := range obs9FNRates {
 			for _, aware := range []bool{false, true} {
-				cfg := crmodel.Config{
-					Model: crmodel.ModelP2,
-					Config: platform.Config{
-						App:                app,
-						System:             failure.Titan,
-						FNRate:             fn,
-						AccuracyAwareSigma: aware,
-					},
+				plat := platform.Config{
+					App:                app,
+					System:             failure.Titan,
+					FNRate:             fn,
+					AccuracyAwareSigma: aware,
 				}
 				variant := "published"
 				if aware {
 					variant = "accuracy-aware"
 				}
 				label := fmt.Sprintf("obs9fix|%s|fn=%.3f|%s", app.Name, fn, variant)
-				agg := runConfig(p, cfg, label)
+				agg := runConfig(p, policy.P2, plat, label)
 				mo := agg.MeanOverheads()
 				_, rc, _, tot := stats.ReductionBreakdown(base, mo)
 				t.AddRow(app.Name, fmt.Sprintf("%.3f", fn), variant,
-					fmt.Sprintf("%.3f", cfg.Sigma()),
+					fmt.Sprintf("%.3f", plat.SigmaLM()),
 					tablefmt.Percent(rc), tablefmt.Percent(tot))
 				values[fmt.Sprintf("%s/fn=%.3f/%s/recomp-red", app.Name, fn, variant)] = rc
 				values[fmt.Sprintf("%s/fn=%.3f/%s/total-red", app.Name, fn, variant)] = tot
@@ -89,7 +86,7 @@ func Obs9Fix(p Params) Result {
 		}
 	}
 	text := t.String() + "\n(extension of the paper's future work: σ adjusted by actual recall)\n"
-	return Result{ID: "obs9fix", Title: "Extension: accuracy-aware σ in Eq. (2) (paper's future work)", Text: text, Values: values}
+	return Result{Text: text, Values: values}
 }
 
 // Analytic renders the Eqs. (4)–(8) model: break-even α per σ, plus each
@@ -117,9 +114,9 @@ func Analytic(p Params) Result {
 	// model's verdict at α = 3.
 	at := tablefmt.NewTable("App", "θ (s)", "σ", "β(α=3)", "p-ckpt wins at 50/50?")
 	for _, app := range p.apps() {
-		cfg := crmodel.Config{Model: crmodel.ModelP2, Config: platform.Config{App: app, System: failure.Titan, LM: lm.Default()}}
-		sigma := cfg.Sigma()
-		theta := cfg.Theta()
+		plat := platform.Config{App: app, System: failure.Titan, LM: lm.Default()}
+		sigma := plat.SigmaLM()
+		theta := plat.Theta()
 		if sigma >= analytic.SigmaMax {
 			sigma = analytic.SigmaMax - 1e-9 // model validity bound
 		}
@@ -130,5 +127,5 @@ func Analytic(p Params) Result {
 		values[app.Name+"/sigma"] = sigma
 	}
 	b.WriteString(at.String())
-	return Result{ID: "analytic", Title: "Observation 8: analytical LM vs p-ckpt model (Eqs. 4-8)", Text: b.String(), Values: values}
+	return Result{Text: b.String(), Values: values}
 }

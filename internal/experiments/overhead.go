@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"pckpt/internal/crmodel"
 	"pckpt/internal/failure"
 	"pckpt/internal/lm"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/stats"
 	"pckpt/internal/tablefmt"
 )
@@ -14,31 +14,31 @@ import (
 // Fig6a reproduces the headline overhead comparison under the Titan
 // failure distribution.
 func Fig6a(p Params) Result {
-	return fig6(p, failure.Titan, "fig6a", "Fig. 6a: overhead by model, OLCF Titan distribution")
+	return fig6(p, failure.Titan)
 }
 
 // Fig6b is the same experiment under the LANL System 18 distribution.
 func Fig6b(p Params) Result {
-	return fig6(p, failure.LANLSystem18, "fig6b", "Fig. 6b: overhead by model, LANL System 18 distribution")
+	return fig6(p, failure.LANLSystem18)
 }
 
 // Fig6System8 covers the System 8 numbers quoted in the paper's text
 // (the figure itself was omitted there for space).
 func Fig6System8(p Params) Result {
-	return fig6(p, failure.LANLSystem8, "fig6sys8", "Fig. 6 (text): overhead by model, LANL System 8 distribution")
+	return fig6(p, failure.LANLSystem8)
 }
 
 // fig6 runs all five models over the application set for one failure
 // distribution and renders the stacked-overhead comparison.
-func fig6(p Params, sys failure.System, id, title string) Result {
+func fig6(p Params, sys failure.System) Result {
 	p = p.withDefaults()
 	apps := p.apps()
 	t := tablefmt.NewTable("App", "Model", "Ckpt(h)", "Recomp(h)", "Recov(h)", "Total(h)", "vs B", "FT", "Bar (vs base total)")
 	values := map[string]float64{}
 	for _, app := range apps {
-		aggs := modelSet(p, app, sys, 1, failure.DefaultFNRate, crmodel.Models())
-		base := aggs[crmodel.ModelB].MeanOverheads()
-		for _, m := range crmodel.Models() {
+		aggs := modelSet(p, app, sys, 1, failure.DefaultFNRate, policy.All())
+		base := aggs[policy.B].MeanOverheads()
+		for _, m := range policy.All() {
 			mo := aggs[m].MeanOverheads()
 			h := mo.Hours()
 			_, _, _, tot := stats.ReductionBreakdown(base, mo)
@@ -55,7 +55,7 @@ func fig6(p Params, sys failure.System, id, title string) Result {
 		}
 	}
 	text := t.String() + "\nbar fills: █ checkpoint  ▒ recomputation  ░ recovery\n"
-	return Result{ID: id, Title: title, Text: text, Values: values}
+	return Result{Text: text, Values: values}
 }
 
 // fig6cAlphas is the LM-transfer-ratio sweep of Fig. 6c (the paper's
@@ -70,9 +70,10 @@ func Fig6c(p Params) Result {
 	values := map[string]float64{}
 	for _, app := range apps {
 		label := fmt.Sprintf("fig6c|%s|base", app.Name)
-		baseAgg := runConfig(p, crmodel.Config{Model: crmodel.ModelB, Config: platform.Config{App: app, System: failure.Titan}}, label)
+		plat := platform.Config{App: app, System: failure.Titan}
+		baseAgg := runConfig(p, policy.B, plat, label)
 		base := baseAgg.MeanOverheads()
-		p1Agg := runConfig(p, crmodel.Config{Model: crmodel.ModelP1, Config: platform.Config{App: app, System: failure.Titan}}, fmt.Sprintf("fig6c|%s|P1", app.Name))
+		p1Agg := runConfig(p, policy.P1, plat, fmt.Sprintf("fig6c|%s|P1", app.Name))
 		addRow := func(name string, agg *stats.Agg) float64 {
 			mo := agg.MeanOverheads()
 			ck, rc, _, tot := stats.ReductionBreakdown(base, mo)
@@ -84,12 +85,12 @@ func Fig6c(p Params) Result {
 		addRow("B", baseAgg)
 		values[app.Name+"/P1/reduction-pct"] = addRow("P1", p1Agg)
 		for _, alpha := range fig6cAlphas {
-			cfg := crmodel.Config{Model: crmodel.ModelM2, Config: platform.Config{App: app, System: failure.Titan, LM: lm.Default().WithAlpha(alpha)}}
-			agg := runConfig(p, cfg, fmt.Sprintf("fig6c|%s|M2-%.1f", app.Name, alpha))
+			m2Plat := platform.Config{App: app, System: failure.Titan, LM: lm.Default().WithAlpha(alpha)}
+			agg := runConfig(p, policy.M2, m2Plat, fmt.Sprintf("fig6c|%s|M2-%.1f", app.Name, alpha))
 			name := fmt.Sprintf("M2-%gx", alpha)
 			values[fmt.Sprintf("%s/M2-%g/reduction-pct", app.Name, alpha)] = addRow(name, agg)
 		}
 	}
 	text := t.String() + "\n(P1 beats M2 for large apps until the LM transfer ratio α drops near 1, per Observation 8)\n"
-	return Result{ID: "fig6c", Title: "Fig. 6c: LM transfer size sweep (M2-α vs P1)", Text: text, Values: values}
+	return Result{Text: text, Values: values}
 }

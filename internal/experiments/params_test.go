@@ -4,10 +4,10 @@ import (
 	"runtime"
 	"testing"
 
-	"pckpt/internal/crmodel"
 	"pckpt/internal/failure"
 	"pckpt/internal/metrics"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/workload"
 )
 
@@ -34,8 +34,8 @@ func TestParamsWithDefaults(t *testing.T) {
 func TestRunConfigMetersIntoCollector(t *testing.T) {
 	app := workload.App{Name: "tiny", Nodes: 16, TotalCkptGB: 160, ComputeHours: 10}
 	p := Params{Runs: 4, Seed: 1, SeedSet: true, Workers: 2, Metrics: metrics.NewCollector()}
-	cfg := crmodel.Config{Model: crmodel.ModelB, Config: platform.Config{App: app, System: failure.Titan}}
-	if agg := runConfig(p, cfg, "meter-test"); agg.N() != 4 {
+	plat := platform.Config{App: app, System: failure.Titan}
+	if agg := runConfig(p, policy.B, plat, "meter-test"); agg.N() != 4 {
 		t.Fatalf("metered runConfig aggregated %d runs, want 4", agg.N())
 	}
 	snap := p.Metrics.Snapshot()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"pckpt/internal/crmodel"
 	"pckpt/internal/scenario"
 	"pckpt/internal/stats"
 	"pckpt/internal/tablefmt"
@@ -65,8 +64,7 @@ func Scenario(p Params) Result {
 		}
 		for _, rc := range cfgs {
 			label := fmt.Sprintf("scenario=%s|%s|%s", s.Name, rc.Label, rc.Policy)
-			cfg := crmodel.Config{Model: rc.Policy, Config: rc.Platform}
-			agg := runConfig(p, cfg, label)
+			agg := runConfig(p, rc.Policy, rc.Platform, label)
 			mo := agg.MeanOverheads()
 			fails, mitig, avoid := meanCounts(agg)
 			t.AddRow(s.Name, rc.Label, rc.Policy.String(),
@@ -82,12 +80,7 @@ func Scenario(p Params) Result {
 	}
 	text := t.String() + "\n(each row is one cohort × policy cell of an embedded scenario spec;\n" +
 		" the replayed-month spec consumes a recorded failure trace instead of Weibull draws)\n"
-	return Result{
-		ID:     "scenario",
-		Title:  "Extension: declarative scenario specs — cohorts, platforms, failure-trace replay",
-		Text:   text,
-		Values: values,
-	}
+	return Result{Text: text, Values: values}
 }
 
 // meanCounts averages the per-run failure / mitigation / avoidance

@@ -19,7 +19,7 @@ import (
 // (internal/stepsim). All consume the shared platform configuration and
 // the policy catalogue, so a sweep is written once and runs at any
 // granularity. Adding a tier is one registry entry in Tiers(); the
-// runner, cache, and cross-validation machinery key on Name.
+// resolver, cache, and cross-validation machinery key on Name.
 type Tier struct {
 	// Name labels the tier in tables and cache keys ("app" / "node" /
 	// "step"); it must be unique across the Tiers() registry.
@@ -108,24 +108,12 @@ func TierNames() []string {
 	return names
 }
 
-// runTier runs a tier's sweep behind the result cache: the tier name
-// joins the per-configuration label so the granularities of one
-// catalogue entry never collide, and a fresh aggregate is flushed back to
-// the cache (tier runs are never metered, so no snapshot is stored or
-// required).
-func runTier(p Params, t Tier, id policy.ID, plat platform.Config, n int, baseSeed uint64) *stats.Agg {
-	if p.Faults.Enabled() && !plat.Faults.Enabled() {
-		plat.Faults = p.Faults
-	}
-	key := p.cacheKey("tier="+t.Name, id, plat, n)
-	key.Seed = baseSeed
-	if agg, ok := p.cacheGet(key, false); ok {
-		return agg
-	}
-	p.checkInterrupt()
-	agg, _ := SimulateSweepN(t, id, plat, n, baseSeed, p.Workers, false)
-	p.cachePut(key, agg, nil)
-	return agg
+// runTier resolves n unmetered runs on a tier from the base seed itself,
+// so every tier sees the same seeds; the tier name labels the cell, so
+// tiers never share a cache entry.
+func runTier(p Params, t Tier, id policy.ID, plat platform.Config, n int) *stats.Agg {
+	p.Metrics = nil
+	return mustResolve(p, Cell{Tier: t, Label: "tier=" + t.Name, Policy: id, Platform: plat, Runs: n, Seed: p.Seed})
 }
 
 // DefaultCrossCheckStride was the density of the retired sampled

@@ -72,7 +72,7 @@ func TestRunTierCacheKeysDistinct(t *testing.T) {
 	tiers := []Tier{mk("alpha", 100), mk("beta", 200), mk("gamma", 300)}
 	for pass := 0; pass < 2; pass++ {
 		for i, tr := range tiers {
-			agg := runTier(p, tr, policy.B, plat, 3, p.Seed)
+			agg := runTier(p, tr, policy.B, plat, 3)
 			if want := float64((i + 1) * 100); agg.MeanWallSeconds() != want {
 				t.Fatalf("pass %d tier %s: mean wall %.0f, want %.0f (cache key collision)",
 					pass, tr.Name, agg.MeanWallSeconds(), want)
