@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test race allocs vet fmt-check errcheck fuzz-smoke crossval golden golden-degraded golden-scenario golden-contention golden-machine-degraded golden-update spec-validate cachepass race-machine bench bench-step bench-step-smoke bench-smoke bench-digest bench-check ci
+.PHONY: build test race allocs vet fmt-check errcheck examples fuzz-smoke crossval golden golden-degraded golden-scenario golden-contention golden-machine-degraded golden-update spec-validate cachepass race-machine bench bench-step bench-step-smoke bench-smoke bench-digest bench-check ci
 
 build:
 	$(GO) build ./...
@@ -168,6 +168,24 @@ fuzz-smoke:
 		done; \
 	done
 
+# examples runs all seven example programs with small arguments and
+# fails on a non-zero exit; `go vet ./...` only compiles them. It also
+# runs protocol_trace twice and diffs the outputs: the p-ckpt episode on
+# the process layer must print byte-identical traces.
+examples:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir" ./examples/...; \
+	"$$dir/global_coordination" > /dev/null; \
+	"$$dir/leadtime_variability" -runs 4 > /dev/null; \
+	"$$dir/model_selection" -runs 4 > /dev/null; \
+	"$$dir/node_granularity" -seeds 2 > /dev/null; \
+	"$$dir/quickstart" > /dev/null; \
+	"$$dir/timeline" > /dev/null; \
+	"$$dir/protocol_trace" > "$$dir/trace1.txt"; \
+	"$$dir/protocol_trace" > "$$dir/trace2.txt"; \
+	diff "$$dir/trace1.txt" "$$dir/trace2.txt"; \
+	echo "examples: all seven exit 0, protocol_trace deterministic"
+
 # errcheck flags discarded results (a bare `p.Wait(d)` or `s.Validate()`
 # statement) in non-test code — the class of bug vet misses.
 errcheck:
@@ -176,8 +194,9 @@ errcheck:
 # ci is the full gate: formatting, vet (of the benchmark module too, with
 # its own tests), the ignored-result check (the
 # interruptible sim calls, the fault-injector draws, bare Validate()
-# statements, and the episode lifecycle hooks), build, scenario-spec
-# validation, the FULL race-enabled test suite (no -short: the
+# statements, and the episode lifecycle hooks), build, a run of every
+# example program, scenario-spec validation,
+# the FULL race-enabled test suite (no -short: the
 # worker-determinism sweeps and injection bit-identity tests must run
 # raced — they are exactly the tests that catch cross-worker
 # nondeterminism), the un-raced allocation gates, a dedicated race pass over the tier cross-validation
@@ -196,6 +215,7 @@ ci:
 	$(MAKE) bench-check
 	$(MAKE) errcheck
 	$(GO) build ./...
+	$(MAKE) examples
 	$(MAKE) spec-validate
 	$(MAKE) race
 	$(MAKE) allocs

@@ -251,20 +251,32 @@ func TestCLISpecFlagPrecedence(t *testing.T) {
 // before anything prints. Unchecked, -lead-scale NaN never finished (its
 // failure stream queued NaN-timed events inside one engine event, out of
 // the watchdog's sight), -alpha NaN reported a wall time shorter than
-// the job's compute, and -fn/-fp NaN skewed every overhead.
+// the job's compute, and -fn/-fp NaN skewed every overhead. An explicit
+// zero -fn, -fp or -lead-scale exits 2 the same way, in either mode:
+// the platform reads 0 as its default, so it silently ran 0.125, 0.18
+// or 1.
 func TestCLIRejectsNonFinitePlatform(t *testing.T) {
-	for _, c := range []struct{ flag, value, want string }{
-		{"-alpha", "NaN", "alpha NaN"},
-		{"-lead-scale", "NaN", "lead scale NaN"},
-		{"-fn", "NaN", "FN rate NaN"},
-		{"-fp", "Inf", "FP rate +Inf"},
+	flagMode := []string{"-app", "XGC", "-model", "M2", "-runs", "2", "-baseline=false"}
+	specMode := []string{"-spec", specPath, "-runs", "2"}
+	for _, c := range []struct {
+		mode              []string
+		flag, value, want string
+	}{
+		{flagMode, "-alpha", "NaN", "alpha NaN"},
+		{flagMode, "-lead-scale", "NaN", "lead scale NaN"},
+		{flagMode, "-fn", "NaN", "FN rate NaN"},
+		{flagMode, "-fp", "Inf", "FP rate +Inf"},
+		{flagMode, "-fn", "0", "-fn must be positive, got 0 (0 selects the default 0.125)"},
+		{flagMode, "-fp", "0", "-fp must be positive, got 0 (0 selects the default 0.18)"},
+		{flagMode, "-lead-scale", "0", "-lead-scale must be positive, got 0 (0 selects the default 1)"},
+		{specMode, "-fn", "0", `-fn must be positive, got 0 (0 selects the default 0.125); for a zero-error predictor set "perfect_predictor": true`},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-		stdout, stderr, code := runCLIContext(ctx, t, "-app", "XGC", "-model", "M2", "-runs", "2", "-baseline=false", c.flag, c.value)
+		stdout, stderr, code := runCLIContext(ctx, t, append(c.mode, c.flag, c.value)...)
 		cancel()
 		if code != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, c.want) {
-			t.Errorf("%s %s: exit %d, stdout %q, stderr %q; want exit 2, no output and one line naming %q",
-				c.flag, c.value, code, stdout, stderr, c.want)
+			t.Errorf("%s %s %s: exit %d, stdout %q, stderr %q; want exit 2, no output and one line naming %q",
+				c.mode[0], c.flag, c.value, code, stdout, stderr, c.want)
 		}
 	}
 }

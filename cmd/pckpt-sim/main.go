@@ -63,9 +63,9 @@ func bindOptions(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.system, "system", "OLCF Titan", "failure distribution from the Table III catalogue")
 	fs.IntVar(&o.runs, "runs", 200, "simulation runs to average")
 	fs.Uint64Var(&o.seed, "seed", 42, "base RNG seed")
-	fs.Float64Var(&o.leadScale, "lead-scale", 1.0, "lead-time scale factor (1.1 = +10%)")
-	fs.Float64Var(&o.fn, "fn", failure.DefaultFNRate, "predictor false-negative rate")
-	fs.Float64Var(&o.fp, "fp", failure.DefaultFPRate, "predictor false-positive share")
+	fs.Float64Var(&o.leadScale, "lead-scale", 1.0, "lead-time scale factor (1.1 = +10%); must be positive")
+	fs.Float64Var(&o.fn, "fn", failure.DefaultFNRate, "predictor false-negative rate; must be positive (a spec's perfect_predictor runs a zero-error predictor)")
+	fs.Float64Var(&o.fp, "fp", failure.DefaultFPRate, "predictor false-positive share; must be positive (a spec's perfect_predictor runs a zero-error predictor)")
 	fs.Float64Var(&o.alpha, "alpha", lm.DefaultAlpha, "LM transfer to checkpoint size ratio")
 	fs.BoolVar(&o.baseline, "baseline", true, "also run model B and print reductions")
 	fs.BoolVar(&o.trace, "trace", false, "trace one run (the base seed) and print its timeline summary")
@@ -76,6 +76,23 @@ func bindOptions(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	return o
+}
+
+// checkPositive rejects a zero or negative -fn, -fp or -lead-scale in
+// either mode: platform.Config reads 0 as "use the default", so a typed
+// 0 would silently run 0.125, 0.18 or 1. NaN and Inf pass here and fail
+// platform validation, which names the field.
+func (o *options) checkPositive() error {
+	const perfect = `; for a zero-error predictor set "perfect_predictor": true in a -spec platform block`
+	switch {
+	case o.fn <= 0:
+		return fmt.Errorf("pckpt-sim: -fn must be positive, got %v (0 selects the default %v)%s", o.fn, failure.DefaultFNRate, perfect)
+	case o.fp <= 0:
+		return fmt.Errorf("pckpt-sim: -fp must be positive, got %v (0 selects the default %v)%s", o.fp, failure.DefaultFPRate, perfect)
+	case o.leadScale <= 0:
+		return fmt.Errorf("pckpt-sim: -lead-scale must be positive, got %v (0 selects the default 1)", o.leadScale)
+	}
+	return nil
 }
 
 // config builds flag mode's configuration: the Table I application under
@@ -116,6 +133,7 @@ func main() {
 	if o.runs < 1 {
 		exitOn(fmt.Errorf("pckpt-sim: -runs must be at least 1, got %d", o.runs))
 	}
+	exitOn(o.checkPositive())
 
 	if o.cpuProfile != "" {
 		f, err := os.Create(o.cpuProfile)
@@ -158,7 +176,7 @@ func main() {
 	exitOn(cfg.Validate())
 
 	fmt.Printf("%s on %s under %s (%s tier, %d runs, seed %d)\n", model, cfg.App, cfg.System.Name, tier.Name, o.runs, o.seed)
-	fmt.Printf("θ = %.2f s, σ = %.3f, per-node checkpoint = %.2f GB\n\n", cfg.Theta(), cfg.Sigma(), cfg.App.PerNodeGB())
+	fmt.Printf("θ = %.2f s, σ = %.3f, per-node checkpoint = %.2f GB\n\n", cfg.Theta(), model.Sigma(cfg.Derive()), cfg.App.PerNodeGB())
 
 	// All tiers route through the shared tier runner: identical seed
 	// sequences, so switching -tier changes the engine, not the

@@ -64,7 +64,7 @@ func main() {
 			best = crmodel.ModelP2
 		}
 		// The Eq. (8) view: does p-ckpt beat pure LM at the default α?
-		sigma := (crmodel.Config{Model: crmodel.ModelP2, Config: platform.Config{App: app, System: sys}}).Sigma()
+		sigma := crmodel.ModelP2.Sigma(platform.Config{App: app, System: sys}.Derive())
 		if sigma >= analytic.SigmaMax {
 			sigma = analytic.SigmaMax - 1e-9
 		}

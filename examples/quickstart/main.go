@@ -35,7 +35,7 @@ func main() {
 		Config: platform.Config{App: app, System: failure.Titan},
 	}
 	fmt.Printf("application: %v\n", app)
-	fmt.Printf("LM threshold θ = %.1f s, Eq.(2) σ = %.2f\n\n", cfg.Theta(), cfg.Sigma())
+	fmt.Printf("LM threshold θ = %.1f s, Eq.(2) σ = %.2f\n\n", cfg.Theta(), cfg.Model.Sigma(cfg.Derive()))
 
 	// Average 200 independent runs (deterministic in the seed) on the
 	// step tier, then do the same for the base model to compute the

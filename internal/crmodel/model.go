@@ -90,14 +90,3 @@ func (c Config) Validate() error {
 	}
 	return c.Config.Validate()
 }
-
-// Sigma returns the σ of Eq. (2) for this configuration: the fraction of
-// failures avoidable by LM given the (scaled) lead-time distribution and
-// the predictor's *baseline* recall (see platform.Config.SigmaLM for why
-// the baseline). Models without LM use σ = 0.
-func (c Config) Sigma() float64 {
-	if !c.Model.UsesLM() {
-		return 0
-	}
-	return c.Config.SigmaLM()
-}

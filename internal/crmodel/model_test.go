@@ -114,10 +114,14 @@ func TestThetaMatchesLMModel(t *testing.T) {
 	}
 }
 
+// sigma is the σ a run of c prices its OCI with: the one gate,
+// policy.ID.Sigma, over the run's derivation.
+func sigma(c Config) float64 { return c.Model.Sigma(c.Derive()) }
+
 func TestSigmaZeroWithoutLM(t *testing.T) {
 	app := testApp(t, "CHIMERA")
 	for _, m := range []Model{ModelB, ModelM1, ModelP1} {
-		if s := (Config{Model: m, Config: platform.Config{App: app, System: failure.Titan}}).Sigma(); s != 0 {
+		if s := sigma(Config{Model: m, Config: platform.Config{App: app, System: failure.Titan}}); s != 0 {
 			t.Errorf("%s sigma = %g, want 0", m, s)
 		}
 	}
@@ -130,10 +134,10 @@ func TestSigmaUsesBaselineRecall(t *testing.T) {
 	moreFN.FNRate = 0.4
 	// Eq. (2) ignores the configured accuracy (Observation 9): σ must not
 	// change when the actual FN rate does.
-	if a, b := base.Sigma(), moreFN.Sigma(); a != b {
+	if a, b := sigma(base), sigma(moreFN); a != b {
 		t.Fatalf("sigma changed with FN rate: %g vs %g", a, b)
 	}
-	if s := base.Sigma(); s < 0.40 || s < 0 || s > 0.60 {
+	if s := sigma(base); s < 0.40 || s < 0 || s > 0.60 {
 		t.Fatalf("CHIMERA σ = %.3f, want ≈0.47", s)
 	}
 }
@@ -142,8 +146,8 @@ func TestSigmaScalesWithLeads(t *testing.T) {
 	app := testApp(t, "CHIMERA")
 	lo := Config{Model: ModelP2, Config: platform.Config{App: app, System: failure.Titan, LeadScale: 0.5}}
 	hi := Config{Model: ModelP2, Config: platform.Config{App: app, System: failure.Titan, LeadScale: 1.5}}
-	if lo.Sigma() >= hi.Sigma() {
-		t.Fatalf("sigma not increasing with lead scale: %g vs %g", lo.Sigma(), hi.Sigma())
+	if sigma(lo) >= sigma(hi) {
+		t.Fatalf("sigma not increasing with lead scale: %g vs %g", sigma(lo), sigma(hi))
 	}
 }
 
@@ -154,7 +158,7 @@ func TestAccuracyAwareSigma(t *testing.T) {
 	aware.AccuracyAwareSigma = true
 	// The published σ ignores the degraded recall; the accuracy-aware
 	// variant must shrink σ proportionally: (1−0.4)/(1−0.125).
-	ratio := aware.Sigma() / published.Sigma()
+	ratio := sigma(aware) / sigma(published)
 	want := (1 - 0.4) / (1 - failure.DefaultFNRate)
 	if math.Abs(ratio-want) > 1e-9 {
 		t.Fatalf("accuracy-aware σ ratio %.4f, want %.4f", ratio, want)
@@ -163,7 +167,7 @@ func TestAccuracyAwareSigma(t *testing.T) {
 	base := Config{Model: ModelP2, Config: platform.Config{App: app, System: failure.Titan}}
 	baseAware := base
 	baseAware.AccuracyAwareSigma = true
-	if base.Sigma() != baseAware.Sigma() {
+	if sigma(base) != sigma(baseAware) {
 		t.Fatal("variants must agree at the baseline FN rate")
 	}
 }

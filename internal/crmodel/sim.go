@@ -11,7 +11,6 @@ import (
 	"pckpt/internal/pckpt"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
-	"pckpt/internal/rng"
 	"pckpt/internal/sim"
 	"pckpt/internal/stats"
 	"pckpt/internal/trace"
@@ -23,17 +22,13 @@ import (
 // configured C/R model (internal/policy) deciding every proactive
 // reaction against the shared lifecycle state machine.
 type appSim struct {
-	cfg Config
-	pol policy.Policy
-	// pricing derives the episode's phase-1/phase-2 transfer prices from
-	// the shared pckpt.EpisodePricing, so every tier prices the protocol
-	// with the same float operations (bit-identity across tiers).
-	pricing pckpt.EpisodePricing
-	env     *sim.Env
-	app     *sim.Proc
-	stream  failure.EventSource
-	est     *failure.RateEstimator
-	cl      *cluster.Cluster
+	cfg    Config
+	pol    policy.Policy
+	env    *sim.Env
+	app    *sim.Proc
+	stream failure.EventSource
+	est    *failure.RateEstimator
+	cl     *cluster.Cluster
 	// inj is the degraded-platform fault plan (nil = perfect platform;
 	// every hook on nil is a no-op).
 	inj *faultinject.Injector
@@ -76,11 +71,6 @@ func (a *appSim) trace(kind trace.Kind, node int, detail string) {
 	})
 }
 
-// maxRunEvents is the per-run watchdog ceiling: vastly above what any
-// real configuration dispatches, low enough that a livelocked run dies
-// in seconds instead of hanging its sweep worker forever.
-const maxRunEvents = 100_000_000
-
 // Simulate executes one run and returns its accounting. Deterministic in
 // (cfg, seed).
 func Simulate(cfg Config, seed uint64) stats.RunResult {
@@ -88,31 +78,25 @@ func Simulate(cfg Config, seed uint64) stats.RunResult {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	src := rng.New(seed)
+	plat := cfg.Derive()
 	a := &appSim{
 		cfg:   cfg,
 		pol:   policy.For(cfg.Model),
 		env:   sim.NewEnv(),
 		est:   failure.NewRateEstimator(cfg.System.JobFailureRate(cfg.App.Nodes)),
 		cl:    cluster.New(cfg.App.Nodes, cfg.SpareLimit()),
-		plat:  cfg.Derive(),
-		sigma: cfg.Sigma(),
+		plat:  plat,
+		sigma: cfg.Model.Sigma(plat),
 		st:    policy.NewState(),
 	}
-	a.pricing = pckpt.NewEpisodePricing(cfg.IO, a.plat.PerNodeGB)
 	a.met = pckpt.NewRunMetrics(cfg.Metrics, cfg.Model)
 	if cfg.Metrics != nil {
 		a.met.ObserveCluster(a.cl, a.env.Now)
 	}
-	a.stream = failure.NewSource(cfg.StreamConfig(cfg.Metrics), src.Split(1))
-	// The fault plan draws from its own named substream: with every rate
-	// at zero it consumes no draws, so the run is bit-identical to one
-	// with injection disabled.
-	a.inj = faultinject.New(cfg.Faults, src.Split(faultinject.StreamKey), cfg.Metrics)
+	a.stream, a.inj = cfg.Sources(seed, cfg.Metrics)
 	// A run that stops making progress (however it got there) must fail
-	// fast with a diagnostic, not hang a sweep: real runs dispatch
-	// several orders of magnitude fewer events than this ceiling.
-	a.env.SetWatchdog(maxRunEvents, 0)
+	// fast with a diagnostic, not hang a sweep.
+	a.env.SetWatchdog(sim.RunEventBudget, 0)
 
 	a.app = a.env.Spawn("app", a.run)
 	a.env.Spawn("injector", a.inject)
@@ -206,7 +190,6 @@ func (a *appSim) bbCheckpoint(p *sim.Proc) {
 		return
 	}
 	a.res.Checkpoints++
-	a.st.CommitBB(a.progress)
 	if a.inj.CorruptCommit() {
 		// Silently torn: the job believes this generation is good; a
 		// restart that reads it will discover otherwise.
@@ -370,7 +353,7 @@ func (a *appSim) pckptEpisode(p *sim.Proc, first failure.Event) {
 	}
 	for ep.Q.Len() > 0 && !ep.Abandoned {
 		_, ev := ep.Q.Pop()
-		if !a.blockedWait(p, a.pricing.VulnerableWrite, &a.res.Overheads.Checkpoint) {
+		if !a.blockedWait(p, a.plat.SingleNodePFSWrite, &a.res.Overheads.Checkpoint) {
 			break
 		}
 		if a.inj.PFSWriteFails() {
@@ -379,7 +362,7 @@ func (a *appSim) pckptEpisode(p *sim.Proc, first failure.Event) {
 			// re-enters the lead-time priority queue; otherwise its
 			// prediction goes unserved.
 			a.res.PFSWriteFailures++
-			if ev.Kind == failure.KindPrediction && a.env.Now()+a.pricing.VulnerableWrite <= ev.FailTime {
+			if ev.Kind == failure.KindPrediction && a.env.Now()+a.plat.SingleNodePFSWrite <= ev.FailTime {
 				ep.Q.Push(ev.FailTime, ev)
 			}
 			continue
@@ -406,7 +389,7 @@ func (a *appSim) pckptEpisode(p *sim.Proc, first failure.Event) {
 	// Phase 2: pfs-commit broadcast; healthy nodes write together.
 	healthy := a.plat.Nodes - ep.Committed
 	if healthy > 0 {
-		tr := a.pricing.Phase2Transfer(healthy)
+		tr := a.cfg.IO.PFSWriteTransfer(healthy, a.plat.PerNodeGB)
 		if !a.blockedWait(p, tr.Seconds, &a.res.Overheads.Checkpoint) {
 			a.met.EpisodesAbandoned.Inc()
 			return

@@ -26,8 +26,9 @@ import (
 )
 
 // StreamKey is the rng.Split key reserved for the fault plan. The failure
-// stream owns key 1 in both tiers; the injector owns key 2. Keeping the
-// keys distinct is what makes rate-0 injection bit-identical to disabled.
+// stream owns key 1 and the injector key 2 (platform.Config.Sources
+// splits both for every tier). Keeping the keys distinct is what makes
+// rate-0 injection bit-identical to disabled.
 const StreamKey = 2
 
 // MaxCascadeDepth bounds how many secondary failures may pile onto one

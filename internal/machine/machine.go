@@ -205,9 +205,6 @@ type Result struct {
 	Escalations     int
 }
 
-// machineMaxEvents scales the solo per-run watchdog by cohort size.
-const machineMaxEvents = 100_000_000
-
 // Simulate runs the whole cohort on one shared engine and returns
 // per-job and machine-wide outcomes. Deterministic in (cfg, seed): jobs
 // are admitted by cfg.Admission as nodes free up, all PFS transfers
@@ -221,7 +218,7 @@ func Simulate(cfg Config, seed uint64) Result {
 		panic(err)
 	}
 	eng := sim.NewEngine()
-	eng.SetWatchdog(uint64(len(cfg.Jobs))*machineMaxEvents, 0)
+	eng.SetWatchdog(uint64(len(cfg.Jobs))*sim.RunEventBudget, 0)
 	arb := NewBandwidthArbiter(eng, cfg.PFSCeilingGBs, cfg.MaxConcurrentDrains, len(cfg.Jobs))
 
 	fi := faultinject.NewMachine(cfg.Faults, rng.New(seed).Split(faultinject.MachineStreamKey))

@@ -5,7 +5,6 @@ import (
 
 	"pckpt/internal/failure"
 	"pckpt/internal/faultinject"
-	"pckpt/internal/pckpt"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
 	"pckpt/internal/sim"
@@ -51,16 +50,12 @@ type node struct {
 
 // cluster is the shared state, mutated lock-step.
 type cluster struct {
-	cfg Config
-	pol policy.Policy
-	env *sim.Env
-	// pricing derives the episode's phase-1/phase-2 transfer prices from
-	// the shared pckpt.EpisodePricing (identical float operations across
-	// tiers).
-	pricing pckpt.EpisodePricing
-	nodes   []*node
-	coord   *sim.Proc
-	est     *failure.RateEstimator
+	cfg   Config
+	pol   policy.Policy
+	env   *sim.Env
+	nodes []*node
+	coord *sim.Proc
+	est   *failure.RateEstimator
 	// inj is the degraded-platform fault plan (nil = perfect platform;
 	// every hook on nil is a no-op).
 	inj *faultinject.Injector

@@ -11,9 +11,9 @@
 // the application-level model in internal/crmodel on matched
 // configurations — the two tiers consume identical failure streams and
 // must tell the same story. Both tiers share the model catalogue and
-// strategies of internal/policy and the derived quantities of
-// internal/platform, so agreement on the platform math holds by
-// construction.
+// strategies of internal/policy and the derived quantities and seeded
+// sources of internal/platform, so agreement on the platform math holds
+// by construction.
 //
 // Structure: a coordinator process drives phases (compute → BB write →
 // async drain; p-ckpt episodes and recoveries on demand) by issuing
@@ -31,12 +31,9 @@ import (
 	"fmt"
 
 	"pckpt/internal/failure"
-	"pckpt/internal/faultinject"
 	"pckpt/internal/metrics"
-	"pckpt/internal/pckpt"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
-	"pckpt/internal/rng"
 	"pckpt/internal/sim"
 	"pckpt/internal/stats"
 )
@@ -88,15 +85,6 @@ func (c Config) Validate() error {
 	return c.Config.Validate()
 }
 
-// Sigma mirrors crmodel.Config.Sigma: Eq. (2)'s σ at the baseline recall
-// (accuracy-blind, per the paper). Policies without LM use σ = 0.
-func (c Config) Sigma() float64 {
-	if !c.Policy.UsesLM() {
-		return 0
-	}
-	return c.Config.SigmaLM()
-}
-
 // nodeMetrics is the node-granular tier's instrument handle set; all nil
 // (free no-ops) when metering is off. Names are prefixed
 // "nodesim.<policy>." to keep the tier's distributions apart from the
@@ -131,10 +119,6 @@ func newNodeMetrics(r *metrics.Registry, pol Policy) nodeMetrics {
 	}
 }
 
-// maxRunEvents is the per-run watchdog ceiling, mirroring crmodel's: far
-// above any real run, low enough that a livelock dies fast.
-const maxRunEvents = 100_000_000
-
 // Simulate executes one node-granular run. Deterministic in (cfg, seed);
 // with the same seed it consumes the identical failure stream as
 // crmodel.Simulate on the matching configuration.
@@ -144,29 +128,24 @@ func Simulate(cfg Config, seed uint64) stats.RunResult {
 		panic(err)
 	}
 	env := sim.NewEnv()
+	plat := cfg.Derive()
 	c := &cluster{
 		cfg:   cfg,
 		pol:   policy.For(cfg.Policy),
 		env:   env,
 		est:   failure.NewRateEstimator(cfg.System.JobFailureRate(cfg.App.Nodes)),
-		plat:  cfg.Derive(),
-		sigma: cfg.Sigma(),
+		plat:  plat,
+		sigma: cfg.Policy.Sigma(plat),
 		st:    policy.NewState(),
 		lane:  sim.NewResource(env, 1),
 	}
 	c.allDone = sim.NewEvent(env)
-	c.pricing = pckpt.NewEpisodePricing(cfg.IO, c.plat.PerNodeGB)
 
 	c.met = newNodeMetrics(cfg.Metrics, cfg.Policy)
-	src := rng.New(seed)
-	stream := failure.NewSource(cfg.StreamConfig(cfg.Metrics), src.Split(1))
-	// The fault plan draws from its own named substream (key 2; the
-	// failure stream owns key 1): rate-0 injection consumes no draws and
-	// is bit-identical to injection disabled.
-	c.inj = faultinject.New(cfg.Faults, src.Split(faultinject.StreamKey), cfg.Metrics)
-	// Fail fast with a diagnostic if a run ever stops making progress;
-	// real runs dispatch orders of magnitude fewer events.
-	env.SetWatchdog(maxRunEvents, 0)
+	var stream failure.EventSource
+	stream, c.inj = cfg.Sources(seed, cfg.Metrics)
+	// Fail fast with a diagnostic if a run ever stops making progress.
+	env.SetWatchdog(sim.RunEventBudget, 0)
 
 	for i := 0; i < cfg.App.Nodes; i++ {
 		n := &node{id: i, ready: sim.NewEvent(env)}

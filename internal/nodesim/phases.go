@@ -94,7 +94,6 @@ func (c *cluster) bbPhase(p *sim.Proc) {
 		return
 	}
 	c.res.Checkpoints++
-	c.st.CommitBB(c.progress)
 	if c.inj.CorruptCommit() {
 		// Silently torn; discovered only when a restart reads it.
 		c.st.MarkCorrupt(c.progress)
@@ -179,7 +178,7 @@ func (c *cluster) vulnWrite(p *sim.Proc, n *node, cmd command) {
 			return // episode abandoned while queued
 		}
 		c.met.laneWait.Observe(c.env.Now() - posted)
-		err := p.Wait(c.pricing.VulnerableWrite)
+		err := p.Wait(c.plat.SingleNodePFSWrite)
 		c.lane.Release()
 		if err != nil {
 			return // aborted mid-write
@@ -190,7 +189,7 @@ func (c *cluster) vulnWrite(p *sim.Proc, n *node, cmd command) {
 			// deadline, so the same lead-time priority); otherwise the
 			// prediction goes unserved.
 			c.res.PFSWriteFailures++
-			if c.env.Now()+c.pricing.VulnerableWrite <= cmd.deadline {
+			if c.env.Now()+c.plat.SingleNodePFSWrite <= cmd.deadline {
 				continue
 			}
 			return
@@ -264,7 +263,7 @@ func (c *cluster) runEpisode(p *sim.Proc, first failure.Event) {
 	// Phase 2: pfs-commit broadcast; every remaining node writes.
 	healthy := len(c.nodes) - ep.Committed
 	if healthy > 0 {
-		tr := c.pricing.Phase2Transfer(healthy)
+		tr := c.cfg.IO.PFSWriteTransfer(healthy, c.plat.PerNodeGB)
 		for _, n := range c.nodes {
 			if !n.busy {
 				c.post(n, command{kind: cmdBulkWrite, dur: tr.Seconds})

@@ -42,7 +42,7 @@ func BenchmarkEpisodeProcess(b *testing.B) {
 	d := plat.Derive()
 	const k = 16
 	w := d.SingleNodePFSWrite
-	phase2 := pckpt.NewEpisodePricing(plat.IO, d.PerNodeGB).Phase2Transfer(plat.App.Nodes - k).Seconds
+	phase2 := plat.IO.PFSWriteTransfer(plat.App.Nodes-k, d.PerNodeGB).Seconds
 	preds := benchPreds(k, w, phase2)
 	cfg := pckpt.Config{Nodes: plat.App.Nodes, PerNodeGB: d.PerNodeGB, IO: plat.IO}
 	b.ResetTimer()

@@ -185,9 +185,6 @@ type episode struct {
 	env *sim.Env
 
 	pckptActive bool
-	// pricing derives the phase-1 and phase-2 transfer prices (shared
-	// with every other episode implementation; see EpisodePricing).
-	pricing EpisodePricing
 	// vulnQ holds nodes awaiting prioritized PFS access, keyed by
 	// predicted failure deadline (lower deadline = less lead = higher
 	// priority).
@@ -269,7 +266,6 @@ func Run(cfg Config, preds []Prediction) *Result {
 	e := &episode{
 		cfg:        cfg,
 		env:        env,
-		pricing:    NewEpisodePricing(cfg.IO, cfg.PerNodeGB),
 		queued:     sim.NewEvent(env),
 		pfsCommit:  sim.NewEvent(env),
 		migrations: make(map[int]*sim.Proc),
@@ -358,7 +354,7 @@ func (e *episode) startPckpt() {
 // as long as the remaining lead covers another attempt; once it cannot,
 // the prediction goes unserved.
 func (e *episode) joinQueue(proc *sim.Proc, node int, deadline float64, action Action) {
-	write := e.pricing.VulnerableWrite
+	write := e.cfg.IO.SingleNodePFSWriteTime(e.cfg.PerNodeGB)
 	enqueued := e.env.Now()
 	e.pending++
 	for {
@@ -451,7 +447,7 @@ func (e *episode) finish(proc *sim.Proc) {
 	e.tracef("all vulnerable nodes committed: pfs-commit broadcast, %d healthy nodes begin phase 2", healthy)
 	e.pfsCommit.Trigger()
 	if healthy > 0 {
-		tr := e.pricing.Phase2Transfer(healthy)
+		tr := e.cfg.IO.PFSWriteTransfer(healthy, e.cfg.PerNodeGB)
 		for attempt := 0; ; attempt++ {
 			if err := proc.Wait(tr.Seconds); err != nil {
 				panic(fmt.Sprintf("pckpt: phase-2 write interrupted: %v", err))

@@ -20,7 +20,7 @@ func (c Config) CanonicalString() string {
 	c = c.WithDefaults()
 	var b strings.Builder
 	io := c.IO.Config()
-	b.WriteString("platform/v5\n")
+	b.WriteString("platform/v6\n")
 	fmt.Fprintf(&b, "app=%s|%d|%s|%s\n", c.App.Name, c.App.Nodes, cf(c.App.TotalCkptGB), cf(c.App.ComputeHours))
 	fmt.Fprintf(&b, "system=%s|%s|%s|%d\n", c.System.Name, cf(c.System.Shape), cf(c.System.ScaleHours), c.System.Nodes)
 	fmt.Fprintf(&b, "spares=%d\n", c.SpareNodes)
@@ -38,7 +38,6 @@ func (c Config) CanonicalString() string {
 	b.WriteByte('\n')
 	fmt.Fprintf(&b, "leadscale=%s\n", cf(c.LeadScale))
 	fmt.Fprintf(&b, "predictor=%s|%s|%t\n", cf(c.FNRate), cf(c.FPRate), c.PerfectPredictor)
-	fmt.Fprintf(&b, "oci-refresh=%s\n", cf(c.OCIRefreshSeconds))
 	fmt.Fprintf(&b, "accuracy-aware-sigma=%t\n", c.AccuracyAwareSigma)
 	fmt.Fprintf(&b, "faults=%s|%s|%s|%s|%d|%s|%s\n",
 		cf(c.Faults.BBWriteFailProb), cf(c.Faults.PFSWriteFailProb), cf(c.Faults.CorruptProb),

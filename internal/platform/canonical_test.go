@@ -27,7 +27,6 @@ func TestCanonicalStringDefaultInsensitive(t *testing.T) {
 	explicit.LeadScale = 1
 	explicit.FNRate = failure.DefaultFNRate
 	explicit.FPRate = failure.DefaultFPRate
-	explicit.OCIRefreshSeconds = 3600
 	if zero.CanonicalString() != explicit.CanonicalString() {
 		t.Fatalf("zero-valued and explicitly defaulted configs render differently:\n%s\nvs\n%s",
 			zero.CanonicalString(), explicit.CanonicalString())
@@ -48,7 +47,6 @@ func TestCanonicalStringSensitivity(t *testing.T) {
 		"fn-rate":        func(c *Config) { c.FNRate = 0.3 },
 		"fp-rate":        func(c *Config) { c.FPRate = 0.01 },
 		"perfect":        func(c *Config) { c.PerfectPredictor = true },
-		"oci-refresh":    func(c *Config) { c.OCIRefreshSeconds = 60 },
 		"accuracy-aware": func(c *Config) { c.AccuracyAwareSigma = true },
 		"io": func(c *Config) {
 			io := iomodel.DefaultSummit()
@@ -79,7 +77,7 @@ func TestCanonicalStringSensitivity(t *testing.T) {
 func TestCanonicalStringVersionedAndStable(t *testing.T) {
 	c := testConfig()
 	s := c.CanonicalString()
-	if !strings.HasPrefix(s, "platform/v5\n") {
+	if !strings.HasPrefix(s, "platform/v6\n") {
 		t.Fatalf("missing version header: %q", s[:min(len(s), 40)])
 	}
 	if s != c.CanonicalString() {

@@ -73,24 +73,17 @@ func TestDerivedParity(t *testing.T) {
 			if stepDerived != want {
 				t.Errorf("stepsim derivation diverges:\nstep %+v\nwant %+v", stepDerived, want)
 			}
-			// σ(LM) parity for the hybrid entry both tiers run: the tiers
-			// must price migration mitigation off the same sigma, and it
-			// must be the platform package's number, not a local recompute.
-			// The step tier reads it from its derivation (stepDerived above).
-			appSigma := crmodel.Config{Model: crmodel.ModelP2, Config: tc.cfg}.Sigma()
-			nodeSigma := nodesim.Config{Policy: nodesim.PolicyHybrid, Config: tc.cfg}.Sigma()
-			if appSigma != nodeSigma {
-				t.Errorf("sigma diverges: app %v vs node %v", appSigma, nodeSigma)
-			}
-			if appSigma != tc.cfg.SigmaLM() {
-				t.Errorf("sigma %v != platform SigmaLM %v", appSigma, tc.cfg.SigmaLM())
-			}
-			// Non-LM entries must gate sigma to zero in every tier.
-			if s := (crmodel.Config{Model: crmodel.ModelP1, Config: tc.cfg}).Sigma(); s != 0 {
-				t.Errorf("P1 sigma %v, want 0 (no live migration)", s)
-			}
-			if s := (nodesim.Config{Policy: nodesim.PolicyPckpt, Config: tc.cfg}).Sigma(); s != 0 {
-				t.Errorf("p-ckpt policy sigma %v, want 0 (no live migration)", s)
+			// One σ gate for every tier: policy.ID.Sigma hands the
+			// LM-capable models the platform package's own number and every
+			// other model zero.
+			for _, id := range policy.All() {
+				wantSigma := 0.0
+				if id.UsesLM() {
+					wantSigma = tc.cfg.SigmaLM()
+				}
+				if s := id.Sigma(appDerived); s != wantSigma {
+					t.Errorf("%s sigma %v, want %v", id, s, wantSigma)
+				}
 			}
 		})
 	}

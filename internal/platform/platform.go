@@ -1,10 +1,13 @@
-// Package platform computes the paper's platform quantities — Eq. (2)'s
-// σ, the LM threshold θ, BB/PFS write times, the asynchronous drain
-// duration, and the two recovery paths — exactly once, from one unified
-// configuration. Both simulation tiers (internal/crmodel at application
-// granularity, internal/nodesim at node granularity) embed Config and
-// consume Derived, so the quantities cannot drift between tiers: a
-// matched pair of configurations yields byte-identical numbers by
+// Package platform derives every input a simulation run reads from one
+// unified configuration, exactly once: the paper's platform quantities
+// (Eq. (2)'s σ, the LM threshold θ, BB/PFS write times with the p-ckpt
+// episode's phase-1 price among them, the asynchronous drain duration,
+// and the two recovery paths) through Derive, and the run's seeded
+// failure stream and fault plan through Sources. All three simulation tiers
+// (internal/crmodel at application granularity, internal/nodesim at node
+// granularity, internal/stepsim on engine callbacks) embed Config and
+// consume both, so the inputs cannot drift between tiers: a matched pair
+// of configurations yields byte-identical numbers and draws by
 // construction.
 package platform
 
@@ -18,6 +21,7 @@ import (
 	"pckpt/internal/iomodel"
 	"pckpt/internal/lm"
 	"pckpt/internal/metrics"
+	"pckpt/internal/rng"
 	"pckpt/internal/workload"
 )
 
@@ -51,9 +55,6 @@ type Config struct {
 	FNRate, FPRate float64
 	// PerfectPredictor forces FN = FP = 0.
 	PerfectPredictor bool
-	// OCIRefreshSeconds is how often the optimal checkpoint interval is
-	// re-derived from the observed failure rate; zero selects hourly.
-	OCIRefreshSeconds float64
 	// AccuracyAwareSigma enables the extension the paper's Observation 9
 	// proposes as future work: include the predictor's actual accuracy in
 	// Eq. (2)'s σ, so the LM-assisted models stop overestimating their
@@ -119,9 +120,6 @@ func (c Config) WithDefaults() Config {
 			c.FPRate = failure.DefaultFPRate
 		}
 	}
-	if c.OCIRefreshSeconds == 0 {
-		c.OCIRefreshSeconds = 3600
-	}
 	c.Faults = c.Faults.WithDefaults()
 	return c
 }
@@ -148,8 +146,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("platform: FN rate %v outside [0, 1]", c.FNRate)
 	case !(c.FPRate >= 0 && c.FPRate < 1):
 		return fmt.Errorf("platform: FP rate %v outside [0, 1)", c.FPRate)
-	case !(c.OCIRefreshSeconds >= 0) || math.IsInf(c.OCIRefreshSeconds, 1):
-		return fmt.Errorf("platform: negative or non-finite OCI refresh period %v", c.OCIRefreshSeconds)
 	case c.SpareNodes < 0:
 		return fmt.Errorf("platform: negative spare-node count")
 	}
@@ -182,8 +178,8 @@ func (c Config) Theta() float64 {
 
 // SigmaLM returns the σ of Eq. (2) for a model that live-migrates: the
 // fraction of failures avoidable by LM given the (scaled) lead-time
-// distribution. Models without LM use σ = 0 — the tiers gate on their
-// catalogue capability before calling this.
+// distribution. Models without LM use σ = 0: policy.ID.Sigma gates
+// Derived.SigmaLM on the model's capability.
 //
 // Deliberately, σ uses the baseline false-negative rate rather than the
 // configured one: the paper's Eq. (2) does not include the prediction
@@ -203,11 +199,16 @@ func (c Config) SigmaLM() float64 {
 	return leads.Sigma(c.Theta(), fn)
 }
 
-// StreamConfig builds the failure/prediction stream configuration both
-// tiers inject, wired to an optional metrics registry.
-func (c Config) StreamConfig(reg *metrics.Registry) failure.Config {
+// Sources seeds one run's stochastic inputs: the failure/prediction
+// stream draws from the seed's Split(1) substream, the fault plan from
+// Split(faultinject.StreamKey). Every tier starts a run here, so one seed
+// delivers the same failures and faults on each; reg, when non-nil,
+// meters both. A plan with every rate at zero consumes no draws, so such
+// a run is bit-identical to one with injection disabled.
+func (c Config) Sources(seed uint64, reg *metrics.Registry) (failure.EventSource, *faultinject.Injector) {
 	c = c.WithDefaults()
-	return failure.Config{
+	src := rng.New(seed)
+	stream := failure.NewSource(failure.Config{
 		System:    c.System,
 		JobNodes:  c.App.Nodes,
 		Leads:     c.Leads,
@@ -216,7 +217,8 @@ func (c Config) StreamConfig(reg *metrics.Registry) failure.Config {
 		FPRate:    c.FPRate,
 		Metrics:   reg,
 		Replay:    c.Replay,
-	}
+	}, src.Split(1))
+	return stream, faultinject.New(c.Faults, src.Split(faultinject.StreamKey), reg)
 }
 
 // Derived is the full set of precomputed platform quantities (seconds /
@@ -236,14 +238,16 @@ type Derived struct {
 	Drain float64
 	// Theta is the LM lead-time threshold θ.
 	Theta float64
-	// SigmaLM is Eq. (2)'s σ for LM-capable models (callers gate on the
-	// catalogue capability and use 0 otherwise).
+	// SigmaLM is Eq. (2)'s σ for LM-capable models (policy.ID.Sigma
+	// gates it on the catalogue capability, 0 otherwise).
 	SigmaLM float64
-	// SingleNodePFSWrite is one node's uncontended PFS write (p-ckpt
-	// phase 1).
+	// SingleNodePFSWrite is one node's uncontended PFS write: the price
+	// of each vulnerable node's prioritized commit in p-ckpt phase 1.
+	// Phase 2, the healthy nodes' contended write, depends on how many
+	// committed first and is priced by IO.PFSWriteTransfer per episode.
 	SingleNodePFSWrite float64
-	// FullPFSWrite is the all-node contended PFS write (safeguard /
-	// p-ckpt phase 2).
+	// FullPFSWrite is the all-node contended PFS write (M1's safeguard
+	// checkpoint).
 	FullPFSWrite float64
 	// RecoveryBB is the unhandled-failure recovery path: surviving nodes
 	// restore from BB while the replacement reads the PFS.
@@ -251,8 +255,6 @@ type Derived struct {
 	// RecoveryPFS is the mitigated-failure recovery path: all nodes
 	// restore from the PFS.
 	RecoveryPFS float64
-	// Faults is the (defaulted) fault plan the tiers inject from.
-	Faults faultinject.Config
 }
 
 // Derive computes every platform quantity from the configuration.
@@ -272,6 +274,5 @@ func (c Config) Derive() Derived {
 		FullPFSWrite:       c.IO.PFSWriteTime(nodes, perNode),
 		RecoveryBB:         math.Max(c.IO.BBReadTime(perNode), c.IO.SingleNodePFSReadTime(perNode)),
 		RecoveryPFS:        c.IO.PFSReadTime(nodes, perNode),
-		Faults:             c.Faults,
 	}
 }

@@ -31,9 +31,6 @@ func TestValidateRejects(t *testing.T) {
 		{"negative-fp", func(c *Config) { c.FPRate = -0.1 }, "FP rate -0.1"},
 		{"nan-fp", func(c *Config) { c.FPRate = nan }, "FP rate NaN"},
 		{"inf-fp", func(c *Config) { c.FPRate = inf }, "FP rate +Inf"},
-		{"negative-oci-refresh", func(c *Config) { c.OCIRefreshSeconds = -1 }, "OCI refresh period -1"},
-		{"nan-oci-refresh", func(c *Config) { c.OCIRefreshSeconds = nan }, "OCI refresh period NaN"},
-		{"inf-oci-refresh", func(c *Config) { c.OCIRefreshSeconds = inf }, "OCI refresh period +Inf"},
 		{"nan-lm-alpha", func(c *Config) { c.LM = lm.Default().WithAlpha(nan) }, "alpha NaN"},
 		{"inf-lm-alpha", func(c *Config) { c.LM = lm.Default().WithAlpha(inf) }, "alpha +Inf"},
 		{"negative-spares", func(c *Config) { c.SpareNodes = -1 }, "spare-node count"},

@@ -1,9 +1,10 @@
 // Package policy is the single source of truth for the paper's C/R model
 // catalogue (B, M1, M2, P1, P2) and the proactive strategy each model
-// applies. Both simulation tiers — the application-level model in
-// internal/crmodel and the node-granular simulator in internal/nodesim —
-// consume this package, so a model's identity, labels, capabilities, and
-// prediction-time decisions exist exactly once.
+// applies. All three simulation tiers — the application-level model in
+// internal/crmodel, the node-granular simulator in internal/nodesim and
+// the step tier in internal/stepsim — consume this package, so a model's
+// identity, labels, capabilities, σ gate and prediction-time decisions
+// exist exactly once.
 //
 // The package has three parts:
 //
@@ -15,7 +16,11 @@
 //     tiers previously duplicated as ad-hoc counters (see state.go).
 package policy
 
-import "fmt"
+import (
+	"fmt"
+
+	"pckpt/internal/platform"
+)
 
 // ID identifies a C/R model in the catalogue.
 type ID uint8
@@ -90,6 +95,16 @@ func (id ID) UsesPrediction() bool { return id != B }
 
 // UsesLM reports whether the model can live-migrate.
 func (id ID) UsesLM() bool { return id == M2 || id == P2 }
+
+// Sigma returns the σ the model's OCI uses on platform d: Eq. (2)'s
+// d.SigmaLM for a model that live-migrates, 0 (Eq. (1)) for the rest.
+// It is the one σ gate; every tier and every printed σ read it here.
+func (id ID) Sigma(d platform.Derived) float64 {
+	if !id.UsesLM() {
+		return 0
+	}
+	return d.SigmaLM
+}
 
 // Action is a strategy's prediction-time decision. The tier executes it
 // with its own machinery (blocking episode vs priority lane, cluster

@@ -102,7 +102,8 @@ func TestResolveRestartCorruptMitigationFallsToCheckpoint(t *testing.T) {
 func TestResolveRestartUndrainedBBGeneration(t *testing.T) {
 	s := NewState()
 	s.CommitPFS(100)
-	s.CommitBB(300) // staged, drain still in flight
+	// The generation at 300 is staged on the BBs, its drain still in
+	// flight: the tier passes it as q below.
 	s.MarkCorrupt(300)
 	p, fromPFS, corrupted := s.ResolveRestart(300, FailureOutcome{})
 	if p != 100 || !fromPFS || corrupted != 1 {

@@ -65,9 +65,8 @@ type State struct {
 	// rescheduled is raised when a proactive action committed a full
 	// checkpoint, so the compute loop re-bases its next periodic one.
 	rescheduled bool
-	// bbProgress / pfsProgress are the newest BB-staged and fully
-	// PFS-resident coordinated checkpoints (-1 = none yet).
-	bbProgress  float64
+	// pfsProgress is the newest fully PFS-resident coordinated checkpoint
+	// (-1 = none yet).
 	pfsProgress float64
 	// drainGen / drainsInFlight: each BB write restarts the drain of the
 	// newest data; superseded drains count as in flight until their
@@ -102,7 +101,6 @@ const maxPFSGens = 8
 // NewState returns the start-of-run lifecycle state.
 func NewState() *State {
 	return &State{
-		bbProgress:  -1,
 		pfsProgress: -1,
 		predicted:   make(map[int64]Prediction),
 		mitigatedAt: make(map[int64]float64),
@@ -246,10 +244,6 @@ func (s *State) FinishDrain(gen int) (depth int, current bool) {
 	s.drainsInFlight--
 	return s.drainsInFlight, gen == s.drainGen
 }
-
-// CommitBB records a coordinated checkpoint at progress as staged on the
-// burst buffers.
-func (s *State) CommitBB(progress float64) { s.bbProgress = progress }
 
 // CommitPFS records a full-application checkpoint at progress as
 // PFS-resident, if it is newer than the one already there; it reports

@@ -107,8 +107,6 @@ type PlatformSpec struct {
 	FPRate float64 `json:"fp_rate,omitempty"`
 	// PerfectPredictor forces FN = FP = 0.
 	PerfectPredictor bool `json:"perfect_predictor,omitempty"`
-	// OCIRefreshSeconds re-derives the OCI this often (0 = hourly).
-	OCIRefreshSeconds float64 `json:"oci_refresh_seconds,omitempty"`
 	// AccuracyAwareSigma enables the Observation 9 extension.
 	AccuracyAwareSigma bool `json:"accuracy_aware_sigma,omitempty"`
 	// LMAlpha is the live-migration transfer/checkpoint ratio (0 = 3.0).
@@ -237,9 +235,6 @@ func (s *Spec) Normalize() *Spec {
 			p.FPRate = failure.DefaultFPRate
 		}
 	}
-	if p.OCIRefreshSeconds == 0 {
-		p.OCIRefreshSeconds = 3600
-	}
 	if p.LMAlpha == 0 {
 		p.LMAlpha = lm.DefaultAlpha
 	}
@@ -352,7 +347,6 @@ func (s *Spec) Configs() ([]RunConfig, error) {
 			FNRate:             n.Platform.FNRate,
 			FPRate:             n.Platform.FPRate,
 			PerfectPredictor:   n.Platform.PerfectPredictor,
-			OCIRefreshSeconds:  n.Platform.OCIRefreshSeconds,
 			AccuracyAwareSigma: n.Platform.AccuracyAwareSigma,
 			Faults:             faults,
 			Replay:             replay,

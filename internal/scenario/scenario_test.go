@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,6 +15,8 @@ import (
 	"pckpt/internal/lm"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
+	"pckpt/internal/stats"
+	"pckpt/internal/stepsim"
 	"pckpt/internal/workload"
 )
 
@@ -315,8 +318,8 @@ func TestCanonicalFixedPoint(t *testing.T) {
 		  "name": "full",
 		  "description": "everything set",
 		  "apps": [{"name": "POP"}, {"name": "T", "nodes": 3, "total_ckpt_gb": 1.5, "compute_hours": 2}],
-		  "platform": {"lead_scale": 0.5, "fn_rate": 0.3, "fp_rate": 0.1, "oci_refresh_seconds": 600,
-		               "lm_alpha": 2, "faults": {"bb_write_fail_prob": 0.01, "restart_retries": 2}},
+		  "platform": {"lead_scale": 0.5, "fn_rate": 0.3, "fp_rate": 0.1, "lm_alpha": 2,
+		               "faults": {"bb_write_fail_prob": 0.01, "restart_retries": 2}},
 		  "failures": {"system": "LANL System 18"},
 		  "policies": ["M2", "P1"],
 		  "runs": 10,
@@ -348,7 +351,7 @@ func TestCanonicalStringStability(t *testing.T) {
 	  "version": 1,
 	  "name": "minimal",
 	  "apps": [{"name": "VULCAN"}],
-	  "platform": {"lead_scale": 1, "fn_rate": 0.125, "fp_rate": 0.18, "oci_refresh_seconds": 3600, "lm_alpha": 3},
+	  "platform": {"lead_scale": 1, "fn_rate": 0.125, "fp_rate": 0.18, "lm_alpha": 3},
 	  "failures": {"system": "OLCF Titan"},
 	  "policies": ["B", "P2"],
 	  "runs": 3,
@@ -376,5 +379,67 @@ func TestCanonicalStringStability(t *testing.T) {
 	}
 	if cp == cz {
 		t.Fatal("lead-scale change does not perturb the canonical rendering")
+	}
+}
+
+// TestEveryPlatformKeyMovesAResult: each key of a spec's platform block
+// must reach the simulation. The test walks PlatformSpec by reflection
+// and applies each field's listed perturbation (to another valid value)
+// to a spec of crossval's small busy P2 cell; compiled through Configs,
+// the cell's step-tier runs on eight seeds must then change (most of
+// this cell's short runs see no failure and few predictions, so two
+// seeds leave the predictor keys unmoved). It catches a key that parses
+// but never reaches platform.Config, which the platform-level gate
+// (TestEveryConfigFieldMovesAnOutput) cannot see; a new key with no
+// perturbation listed fails too.
+func TestEveryPlatformKeyMovesAResult(t *testing.T) {
+	keys := map[string]func(*PlatformSpec){
+		"LeadScale":          func(p *PlatformSpec) { p.LeadScale = 2 },
+		"FNRate":             func(p *PlatformSpec) { p.FNRate = 0.2 },
+		"FPRate":             func(p *PlatformSpec) { p.FPRate = 0.5 },
+		"PerfectPredictor":   func(p *PlatformSpec) { p.PerfectPredictor = true },
+		"AccuracyAwareSigma": func(p *PlatformSpec) { p.AccuracyAwareSigma = true },
+		"LMAlpha":            func(p *PlatformSpec) { p.LMAlpha = 20 }, // θ past most leads: σ and the OCI drop
+		"Faults":             func(p *PlatformSpec) { p.Faults = &faultinject.Config{BBWriteFailProb: 0.2} },
+	}
+	// The spec names no catalogue system this busy: the compiled cell
+	// takes crossval's after Configs, which leaves every platform key as
+	// the spec set it.
+	busy := failure.System{Name: "busy", Shape: 0.75, ScaleHours: 40, Nodes: 48}
+	results := func(p PlatformSpec) []stats.RunResult {
+		t.Helper()
+		s := &Spec{
+			Name:     "knob",
+			Apps:     []AppSpec{{Name: "crossval-48", Nodes: 48, TotalCkptGB: 960, ComputeHours: 24}},
+			Platform: &p,
+			Policies: []string{"P2"},
+		}
+		cfgs, err := s.Configs()
+		if err != nil || len(cfgs) != 1 {
+			t.Fatalf("Configs = %d cells, %v; want one", len(cfgs), err)
+		}
+		pc := cfgs[0].Platform
+		pc.System = busy
+		var out []stats.RunResult
+		for seed := uint64(1); seed <= 8; seed++ {
+			out = append(out, stepsim.Simulate(stepsim.Config{Model: cfgs[0].Policy, Config: pc}, seed))
+		}
+		return out
+	}
+	// Off the default recall, so the accuracy-aware σ differs from the
+	// published one.
+	base := PlatformSpec{FNRate: 0.3}
+	want := results(base)
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(PlatformSpec{})) {
+		perturb, ok := keys[f.Name]
+		if !ok {
+			t.Errorf("PlatformSpec.%s: no perturbation listed", f.Name)
+			continue
+		}
+		p := base
+		perturb(&p)
+		if reflect.DeepEqual(results(p), want) {
+			t.Errorf("PlatformSpec.%s (%s): perturbing it moves no step-tier result", f.Name, f.Tag.Get("json"))
+		}
 	}
 }

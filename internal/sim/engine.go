@@ -381,6 +381,13 @@ func (e *Engine) RunAll() float64 {
 	return e.now
 }
 
+// RunEventBudget is the watchdog's event ceiling for one application
+// run, on every tier: vastly above what any real configuration
+// dispatches, low enough that a livelocked run dies in seconds instead
+// of hanging its sweep worker forever. A shared machine arms it once per
+// tenant.
+const RunEventBudget = 100_000_000
+
 // SetWatchdog arms (or, with two zeros, disarms) the watchdog:
 // ProcessNextEvent panics with a *WatchdogError once more than maxEvents
 // events have been dispatched since arming, or once the clock reaches an

@@ -28,7 +28,6 @@ import (
 	"pckpt/internal/pckpt"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
-	"pckpt/internal/rng"
 	"pckpt/internal/sim"
 	"pckpt/internal/stats"
 	"pckpt/internal/trace"
@@ -69,9 +68,6 @@ func (c Config) Validate() error {
 	}
 	return c.Config.Validate()
 }
-
-// maxRunEvents is the per-run watchdog ceiling, matching crmodel's.
-const maxRunEvents = 100_000_000
 
 // appSim is the state of one step-tier run. It mirrors crmodel.appSim
 // field for field, but the application "process" is a continuation chain
@@ -118,10 +114,6 @@ type appSim struct {
 
 	plat  platform.Derived
 	sigma float64
-	// pricing derives the episode's phase-1/phase-2 transfer prices from
-	// the shared pckpt.EpisodePricing (identical float operations across
-	// tiers).
-	pricing pckpt.EpisodePricing
 
 	progress float64
 	curOCI   float64
@@ -234,7 +226,7 @@ func (a *appSim) trace(kind trace.Kind, node int, detail string) {
 // models on the same configuration and seed.
 func Simulate(cfg Config, seed uint64) stats.RunResult {
 	eng := sim.NewEngine()
-	eng.SetWatchdog(maxRunEvents, 0)
+	eng.SetWatchdog(sim.RunEventBudget, 0)
 	a := startApp(eng, cfg, seed, AppOptions{})
 	eng.RunAll()
 	eng.Release()
@@ -342,9 +334,9 @@ func startApp(eng *sim.Engine, cfg Config, seed uint64, opts AppOptions) *appSim
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	src := rng.New(seed)
 	cl := clusterPool.Get().(*cluster.Cluster)
 	cl.Reset(cfg.App.Nodes, cfg.SpareLimit())
+	plat := cfg.Derive()
 	a := &appSim{
 		cfg:    cfg,
 		pol:    policy.For(cfg.Model),
@@ -355,25 +347,19 @@ func startApp(eng *sim.Engine, cfg Config, seed uint64, opts AppOptions) *appSim
 		onDone: opts.OnDone,
 		est:    failure.NewRateEstimator(cfg.System.JobFailureRate(cfg.App.Nodes)),
 		cl:     cl,
-		plat:   cfg.Derive(),
+		plat:   plat,
+		sigma:  cfg.Model.Sigma(plat),
 		st:     policy.NewState(),
-	}
-	if cfg.Model.UsesLM() {
-		a.sigma = a.plat.SigmaLM
 	}
 	eng.Bind(&a.wakeAlarm, "app", a.wake)
 	eng.Bind(&a.injectAlarm, "injector", a.injectResume)
 	a.interruptFn = a.interrupted
 	a.computeWokeFn, a.bbWrittenFn, a.computeResumeFn = a.computeWoke, a.bbWritten, a.computeResume
-	a.pricing = pckpt.NewEpisodePricing(cfg.IO, a.plat.PerNodeGB)
 	a.met = pckpt.NewRunMetrics(cfg.Metrics, cfg.Model)
 	if cfg.Metrics != nil {
 		a.met.ObserveCluster(a.cl, a.eng.Now)
 	}
-	// Substream layout matches the app tier exactly: the failure stream
-	// draws from Split(1), the fault plan from Split(StreamKey).
-	a.stream = failure.NewSource(cfg.StreamConfig(cfg.Metrics), src.Split(1))
-	a.inj = faultinject.New(cfg.Faults, src.Split(faultinject.StreamKey), cfg.Metrics)
+	a.stream, a.inj = cfg.Sources(seed, cfg.Metrics)
 
 	// Start order mirrors crmodel's spawn order: the app's first compute
 	// cycle schedules its wake before the injector draws the stream.
@@ -571,7 +557,6 @@ func (a *appSim) bbWritten(ok bool) {
 		return
 	}
 	a.res.Checkpoints++
-	a.st.CommitBB(a.progress)
 	if a.inj.CorruptCommit() {
 		a.st.MarkCorrupt(a.progress)
 	}
@@ -918,7 +903,7 @@ func (a *appSim) pckptEpisode(first failure.Event, k func()) {
 		// Phase 2: pfs-commit broadcast; healthy nodes write together.
 		healthy := a.plat.Nodes - ep.Committed
 		if healthy > 0 {
-			tr := a.pricing.Phase2Transfer(healthy)
+			tr := a.cfg.IO.PFSWriteTransfer(healthy, a.plat.PerNodeGB)
 			a.flowWait(ClassCollective, tr.VolumeGB, tr.Seconds, &a.res.Overheads.Checkpoint, func(ok bool) {
 				if !ok {
 					a.met.EpisodesAbandoned.Inc()
@@ -939,7 +924,7 @@ func (a *appSim) pckptEpisode(first failure.Event, k func()) {
 			return
 		}
 		_, ev := ep.Q.Pop()
-		a.flowWait(ClassVulnerable, a.plat.PerNodeGB, a.pricing.VulnerableWrite, &a.res.Overheads.Checkpoint, func(ok bool) {
+		a.flowWait(ClassVulnerable, a.plat.PerNodeGB, a.plat.SingleNodePFSWrite, &a.res.Overheads.Checkpoint, func(ok bool) {
 			if !ok {
 				finish() // the failure that voided the wait abandoned ep
 				return
@@ -950,7 +935,7 @@ func (a *appSim) pckptEpisode(first failure.Event, k func()) {
 				// node re-enters the lead-time priority queue; otherwise
 				// its prediction goes unserved.
 				a.res.PFSWriteFailures++
-				if ev.Kind == failure.KindPrediction && a.now()+a.pricing.VulnerableWrite <= ev.FailTime {
+				if ev.Kind == failure.KindPrediction && a.now()+a.plat.SingleNodePFSWrite <= ev.FailTime {
 					ep.Q.Push(ev.FailTime, ev)
 				}
 				drain()

@@ -162,7 +162,7 @@ func TestDrainPriorityInvariant(t *testing.T) {
 	d := plat.Derive()
 	w := d.SingleNodePFSWrite
 	const k = 12
-	phase2 := pckpt.NewEpisodePricing(plat.IO, d.PerNodeGB).Phase2Transfer(plat.App.Nodes - k).Seconds
+	phase2 := plat.IO.PFSWriteTransfer(plat.App.Nodes-k, d.PerNodeGB).Seconds
 	for seed := 1; seed <= 6; seed++ {
 		l := lcg(seed)
 		preds := genScenario(&l, k, w, phase2)
@@ -203,7 +203,7 @@ func TestAbortedMigrationInsertsInOrder(t *testing.T) {
 	plat = plat.WithDefaults()
 	d := plat.Derive()
 	w, theta := d.SingleNodePFSWrite, d.Theta
-	phase2 := pckpt.NewEpisodePricing(plat.IO, d.PerNodeGB).Phase2Transfer(plat.App.Nodes - 3).Seconds
+	phase2 := plat.IO.PFSWriteTransfer(plat.App.Nodes-3, d.PerNodeGB).Seconds
 	triggerLead := 5*w + phase2 // past the 3-commit episode end, below θ
 	if theta <= triggerLead {
 		t.Fatalf("θ=%v ≤ trigger lead %v: α=8 no longer stretches θ past the episode; rescale the scenario", theta, triggerLead)
