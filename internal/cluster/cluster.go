@@ -89,20 +89,36 @@ type Cluster struct {
 	diverged []divergence
 	spares   int
 	used     int
+	// atRisk counts the Vulnerable and Migrating nodes, kept by setState.
+	atRisk   int
 	observer Observer
 }
 
 // SetObserver installs the state-transition observer (nil to remove).
 func (c *Cluster) SetObserver(o Observer) { c.observer = o }
 
-// setState applies a transition and notifies the observer on change.
+// setState applies a transition, keeps the at-risk count, and notifies
+// the observer on change.
 func (c *Cluster) setState(n *Node, to State) {
 	from := n.State
+	if from == to {
+		return
+	}
 	n.State = to
-	if c.observer != nil && from != to {
+	if isAtRisk(from) {
+		c.atRisk--
+	}
+	if isAtRisk(to) {
+		c.atRisk++
+	}
+	if c.observer != nil {
 		c.observer(n.ID, from, to)
 	}
 }
+
+// isAtRisk reports whether a node in state s has a predicted failure
+// pending: Vulnerable, or Migrating away from it.
+func isAtRisk(s State) bool { return s == Vulnerable || s == Migrating }
 
 // New builds a cluster of n job nodes backed by spares reserve nodes.
 func New(n, spares int) *Cluster {
@@ -134,7 +150,7 @@ func (c *Cluster) Reset(n, spares int) {
 		c.diverged = make([]divergence, 0, 8)
 	}
 	c.diverged = c.diverged[:0]
-	c.spares, c.used, c.observer = spares, 0, nil
+	c.spares, c.used, c.atRisk, c.observer = spares, 0, 0, nil
 }
 
 // Node returns a snapshot of node id. Mutate nodes through the Cluster's
@@ -347,21 +363,13 @@ func (c *Cluster) recordAll(t int, progress float64) {
 	c.coord[t] = progress
 }
 
-// AppendVulnerable appends the IDs of nodes currently Vulnerable or
-// Migrating, ascending, to buf and returns the extended slice. Callers
-// that keep buf across calls (`buf = c.AppendVulnerable(buf[:0])`) pay
-// zero allocations once the buffer has grown to the episode's width.
-func (c *Cluster) AppendVulnerable(buf []int) []int {
-	for i := range c.nodes {
-		if s := c.nodes[i].State; s == Vulnerable || s == Migrating {
-			buf = append(buf, i)
-		}
-	}
-	return buf
-}
+// AtRisk returns how many nodes are Vulnerable or Migrating: the width a
+// p-ckpt episode opens against, and the vulnerable-node gauge's value.
+// It is a count kept on every transition, so reading it costs O(1).
+func (c *Cluster) AtRisk() int { return c.atRisk }
 
 // CountState returns how many nodes are in the given state. It is the
-// oracle TestStateMachineQuick checks AppendVulnerable against.
+// oracle TestStateMachineQuick checks AtRisk against.
 func (c *Cluster) CountState(s State) int {
 	count := 0
 	for i := range c.nodes {

@@ -69,8 +69,8 @@ func TestVulnerableLifecycle(t *testing.T) {
 	if err := c.MarkVulnerable(2, 100); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.AppendVulnerable(nil); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("AppendVulnerable(nil) = %v", got)
+	if got := c.AtRisk(); got != 1 {
+		t.Fatalf("AtRisk() = %d, want 1", got)
 	}
 	if c.Node(2).PredictedFailAt != 100 {
 		t.Fatal("predicted fail time not recorded")
@@ -94,8 +94,8 @@ func TestMigratingRequiresVulnerable(t *testing.T) {
 	if err := c.MarkMigrating(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.AppendVulnerable(nil); len(got) != 1 {
-		t.Fatalf("migrating node not reported vulnerable: %v", got)
+	if got := c.AtRisk(); got != 1 {
+		t.Fatalf("migrating node not counted at risk: AtRisk() = %d", got)
 	}
 }
 
@@ -205,8 +205,8 @@ func TestRecoverableProgressNoCheckpoint(t *testing.T) {
 }
 
 // TestStateMachineQuick drives a random operation sequence and checks
-// invariants: vulnerable+migrating counts match AppendVulnerable, spares
-// never go negative, and failed nodes never appear in AppendVulnerable.
+// invariants after every operation: the O(1) AtRisk count equals the
+// scanned vulnerable+migrating population, and spares never go negative.
 func TestStateMachineQuick(t *testing.T) {
 	f := func(ops []uint8) bool {
 		c := New(8, 100)
@@ -230,18 +230,11 @@ func TestStateMachineQuick(t *testing.T) {
 					c.Replace(id)
 				}
 			}
-		}
-		if c.SparesLeft() < 0 {
-			return false
-		}
-		vuln := map[int]bool{}
-		for _, id := range c.AppendVulnerable(nil) {
-			vuln[id] = true
-			if s := c.Node(id).State; s != Vulnerable && s != Migrating {
+			if c.SparesLeft() < 0 || c.AtRisk() != c.CountState(Vulnerable)+c.CountState(Migrating) {
 				return false
 			}
 		}
-		return len(vuln) == c.CountState(Vulnerable)+c.CountState(Migrating)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -374,26 +367,27 @@ func TestObserverTable(t *testing.T) {
 	}
 }
 
-func TestAppendVulnerable(t *testing.T) {
+// TestAtRisk: the count covers Vulnerable and Migrating nodes, follows
+// every transition out of them, and a Reset clears it.
+func TestAtRisk(t *testing.T) {
 	c := New(6, 1)
 	c.MarkVulnerable(1, 10)
 	c.MarkVulnerable(4, 20)
 	c.MarkVulnerable(5, 30)
 	c.MarkMigrating(4)
-	buf := make([]int, 0, 8)
-	buf = c.AppendVulnerable(buf)
-	if len(buf) != 3 || buf[0] != 1 || buf[1] != 4 || buf[2] != 5 {
-		t.Fatalf("AppendVulnerable = %v, want [1 4 5]", buf)
+	c.MarkVulnerable(4, 15) // a superseding prediction on a migrating node
+	if got := c.AtRisk(); got != 3 {
+		t.Fatalf("AtRisk() = %d, want 3", got)
 	}
-	// Reusing the buffer must not allocate and must replace, not append.
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = c.AppendVulnerable(buf[:0])
-	})
-	if allocs != 0 {
-		t.Fatalf("AppendVulnerable with warm buffer allocated %.1f times per run, want 0", allocs)
+	c.AbortMigration(4, 15)
+	c.MarkHealthy(1)
+	c.Fail(5)
+	if got := c.AtRisk(); got != 1 {
+		t.Fatalf("after heal and fail: AtRisk() = %d, want 1", got)
 	}
-	if got := c.AppendVulnerable(nil); len(got) != 3 || got[0] != 1 || got[1] != 4 || got[2] != 5 {
-		t.Fatalf("AppendVulnerable(nil) = %v, want [1 4 5]", got)
+	c.Reset(6, 1)
+	if got := c.AtRisk(); got != 0 {
+		t.Fatalf("after Reset: AtRisk() = %d, want 0", got)
 	}
 }
 

@@ -49,9 +49,6 @@ type appSim struct {
 	// Event plumbing: the injector appends, the app drains on interrupt.
 	pending      []failure.Event
 	safeguarding bool // M1 safeguard in flight
-	// vulnBuf is the reused episode-width scratch buffer (metered runs
-	// only): cluster.AppendVulnerable fills it without allocating.
-	vulnBuf []int
 
 	met pckpt.RunMetrics
 	res stats.RunResult
@@ -347,10 +344,7 @@ func (a *appSim) pckptEpisode(p *sim.Proc, first failure.Event) {
 		}
 		ep.Q.Push(ev.FailTime, ev)
 	})
-	if a.cfg.Metrics != nil {
-		a.vulnBuf = a.cl.AppendVulnerable(a.vulnBuf[:0])
-		a.met.EpisodeWidth.Observe(float64(len(a.vulnBuf)))
-	}
+	a.met.EpisodeWidth.Observe(float64(a.cl.AtRisk()))
 	for ep.Q.Len() > 0 && !ep.Abandoned {
 		_, ev := ep.Q.Pop()
 		if !a.blockedWait(p, a.plat.SingleNodePFSWrite, &a.res.Overheads.Checkpoint) {

@@ -45,8 +45,8 @@ type Params struct {
 	Tiers []string
 	// Metrics, when non-nil, collects merged simulation-metric snapshots
 	// across every configuration the experiment runs (see
-	// internal/metrics). Metering adds per-run registries but keeps the
-	// simulation hot path allocation-free.
+	// internal/metrics). Metering adds one registry per worker, reset
+	// between runs, and keeps the simulation hot path allocation-free.
 	Metrics *metrics.Collector
 	// Cache, when non-nil, is consulted before every configuration is
 	// simulated and receives every freshly simulated aggregate, making

@@ -5,9 +5,13 @@ import (
 	"testing"
 
 	"pckpt/internal/failure"
+	"pckpt/internal/faultinject"
 	"pckpt/internal/metrics"
+	"pckpt/internal/pckpt"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
+	"pckpt/internal/stats"
+	"pckpt/internal/sweep"
 	"pckpt/internal/workload"
 )
 
@@ -89,5 +93,91 @@ func TestFig7MeteredSweepTierParity(t *testing.T) {
 	}
 	if d := stepSnap.Diff(appSnap); d != "" {
 		t.Fatalf("fig7 snapshot depends on the sweep tier: %s", d)
+	}
+}
+
+// TestMeteredSweepReusedRegistriesMatchFresh: a metered sweep reuses one
+// registry per worker, yet its snapshot equals the seed-order merge of
+// fresh per-run registries' snapshots over the completed seeds, at any
+// worker count. One planted seed records and then panics: its registry
+// must be dropped, not reused. Another alone resolves an extra gauge: no
+// later run on its registry may report it.
+func TestMeteredSweepReusedRegistriesMatchFresh(t *testing.T) {
+	const n, base = 12, 5
+	crash, extra := sweep.Seed(base, 4), sweep.Seed(base, 2)
+	tier := StepTier()
+	run := tier.Run
+	tier.Run = func(id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry) stats.RunResult {
+		if seed == extra {
+			reg.Gauge("test.extra").Set(0, 5)
+		}
+		r := run(id, plat, seed, reg)
+		if seed == crash {
+			panic("planted crash")
+		}
+		return r
+	}
+	want := &metrics.Snapshot{}
+	for i := 0; i < n; i++ {
+		if seed := sweep.Seed(base, i); seed != crash {
+			reg := metrics.New()
+			r := tier.Run(policy.P2, auditPlat, seed, reg)
+			want.Merge(reg.Snapshot(r.WallSeconds))
+		}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		agg, snap := SimulateSweepN(tier, policy.P2, auditPlat, n, base, workers, true)
+		if f := agg.Failed(); agg.N() != n-1 || len(f) != 1 || f[0].Seed != crash {
+			t.Fatalf("workers=%d: %d completed, failed %+v", workers, agg.N(), f)
+		}
+		if d := snap.Diff(want); d != "" {
+			t.Fatalf("workers=%d: reused registries vs fresh ones: %s", workers, d)
+		}
+	}
+}
+
+// TestReusedRegistryZeroAlloc pins "no registry per run": once a
+// registry has served one run, resetting it, resolving a run's handle
+// sets again (sim.<model>.* through pckpt.NewRunMetrics, and the
+// failure.* and faultinject.* series the run's sources resolve) and
+// recording into them allocates nothing.
+func TestReusedRegistryZeroAlloc(t *testing.T) {
+	reg := metrics.New()
+	plat := auditPlat
+	plat.Faults = faultinject.Config{BBWriteFailProb: 0.1}
+	plat.Sources(1, reg)
+	pckpt.NewRunMetrics(reg, policy.P2)
+	var counters, gauges, hists []string
+	snap := reg.Snapshot(0)
+	for name := range snap.Counters {
+		counters = append(counters, name)
+	}
+	for name := range snap.Gauges {
+		gauges = append(gauges, name)
+	}
+	for name := range snap.Histograms {
+		hists = append(hists, name)
+	}
+	if len(counters) < 10 || len(hists) < 10 {
+		t.Fatalf("resolved %d counters and %d histograms, want the three handle sets", len(counters), len(hists))
+	}
+	run := func() {
+		reg.Reset()
+		m := pckpt.NewRunMetrics(reg, policy.P2)
+		m.EpisodeWidth.Observe(3)
+		m.VulnNodes.Set(1, 2)
+		for _, name := range counters {
+			reg.Counter(name).Inc()
+		}
+		for _, name := range gauges {
+			reg.Gauge(name).Set(2, 1)
+		}
+		for _, name := range hists {
+			reg.Histogram(name).Observe(0.5)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("a reused registry allocated %.1f times per run", allocs)
 	}
 }

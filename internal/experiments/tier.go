@@ -128,10 +128,13 @@ const DefaultCrossCheckStride = 16
 // count. A run that panics — a model bug, or the sim watchdog killing a
 // livelock — lands in the aggregate's failed-run ledger.
 //
-// meter records every run into its own registry and returns the
-// snapshots of the completed runs merged in seed order, so the merged
-// snapshot is as deterministic as the aggregate. Unmetered sweeps
-// allocate no registry and return a nil snapshot.
+// meter records every run into a registry of its own and returns the
+// completed runs' frames folded in seed order, so the merged snapshot is
+// as deterministic as the aggregate. The sweep keeps at most one
+// registry per worker: a run takes a reset one, or a new one, and resets
+// it for the next run once its frame is taken. A run that panics drops
+// its registry with whatever it recorded. Unmetered sweeps allocate no
+// registry and return a nil snapshot.
 func SimulateSweepN(t Tier, id policy.ID, plat platform.Config, n int, baseSeed uint64, workers int, meter bool) (*stats.Agg, *metrics.Snapshot) {
 	desc := fmt.Sprintf("tier=%s model=%s app=%s", t.Name, id, plat.App.Name)
 	if !meter {
@@ -140,22 +143,31 @@ func SimulateSweepN(t Tier, id policy.ID, plat platform.Config, n int, baseSeed 
 		})
 		return stats.NewAgg(sweep.Completed(results, baseSeed, failed), failed), nil
 	}
+	idle := make(chan *metrics.Registry, max(workers, 1))
 	runs, failed := sweep.Run(n, baseSeed, workers, desc, func(seed uint64) meteredRun {
-		reg := metrics.New()
+		var reg *metrics.Registry
+		select {
+		case reg = <-idle:
+		default:
+			reg = metrics.New()
+		}
 		r := t.Run(id, plat, seed, reg)
-		return meteredRun{r, reg.Snapshot(r.WallSeconds)}
+		m := meteredRun{r, reg.Frame(r.WallSeconds)}
+		reg.Reset()
+		idle <- reg // never blocks: each worker holds at most one registry
+		return m
 	})
 	results := make([]stats.RunResult, len(runs))
-	merged := &metrics.Snapshot{}
+	var fold metrics.Fold
 	for i, m := range runs {
 		results[i] = m.RunResult
-		merged.Merge(m.snap) // a run that panicked left none
+		fold.Add(m.frame) // a run that panicked left the zero frame
 	}
-	return stats.NewAgg(sweep.Completed(results, baseSeed, failed), failed), merged
+	return stats.NewAgg(sweep.Completed(results, baseSeed, failed), failed), fold.Snapshot()
 }
 
-// meteredRun is one metered run's result and its frozen registry.
+// meteredRun is one metered run's result and its registry's frame.
 type meteredRun struct {
 	stats.RunResult
-	snap *metrics.Snapshot
+	frame metrics.Frame
 }

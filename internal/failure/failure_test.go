@@ -2,6 +2,8 @@ package failure
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -137,6 +139,59 @@ func TestScaledModel(t *testing.T) {
 	for _, x := range []float64{10, 40, 100} {
 		if a, b := s.TailProb(1.5*x), m.TailProb(x); math.Abs(a-b) > 1e-9 {
 			t.Errorf("scaled tail mismatch at x=%g: %g vs %g", x, a, b)
+		}
+	}
+}
+
+// TestScaledMemoized: Scaled builds one copy per factor and hands it out
+// again, without allocating, to every later caller; the memoized copy
+// draws and answers bit for bit as a model built fresh from the scaled
+// sequences.
+func TestScaledMemoized(t *testing.T) {
+	m := DefaultLeadTimes()
+	// Concurrent first calls, as a sweep's workers make them, share one
+	// copy.
+	got := make([]*LeadTimeModel, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = m.Scaled(0.9)
+		}()
+	}
+	wg.Wait()
+	s := m.Scaled(0.9)
+	for i, g := range got {
+		if g != s {
+			t.Fatalf("goroutine %d got a second Scaled(0.9) copy", i)
+		}
+	}
+	if m.Scaled(1.1) == s {
+		t.Fatal("Scaled(1.1) returned the 0.9 copy")
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Scaled(0.9) }); n != 0 {
+		t.Fatalf("a memoized Scaled allocated %.1f times per call", n)
+	}
+	seqs := append([]Sequence(nil), m.Sequences()...)
+	for i := range seqs {
+		seqs[i].MeanLeadSec *= 0.9
+	}
+	fresh := NewLeadTimeModel(seqs)
+	if !reflect.DeepEqual(s.Sequences(), fresh.Sequences()) {
+		t.Fatalf("sequences %+v, want %+v", s.Sequences(), fresh.Sequences())
+	}
+	for _, x := range []float64{0, 5, 20, 41, 45.6, 100, 1e4} {
+		if a, b := s.TailProb(x), fresh.TailProb(x); math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("TailProb(%g) = %v, fresh %v", x, a, b)
+		}
+	}
+	r1, r2 := rng.New(5), rng.New(5)
+	for i := 0; i < 1000; i++ {
+		v1, id1 := s.Sample(r1)
+		v2, id2 := fresh.Sample(r2)
+		if math.Float64bits(v1) != math.Float64bits(v2) || id1 != id2 {
+			t.Fatalf("draw %d: (%v, %d), fresh (%v, %d)", i, v1, id1, v2, id2)
 		}
 	}
 }

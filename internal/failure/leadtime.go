@@ -3,6 +3,7 @@ package failure
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"pckpt/internal/rng"
 )
@@ -43,6 +44,19 @@ type LeadTimeModel struct {
 	seqs    []Sequence
 	mix     *rng.Mixture
 	weights float64
+
+	// scaled memoizes Scaled's copies, one per factor. A model is
+	// immutable once built and the default one is shared by every
+	// defaulted platform, so every run of a lead-scaled cell would
+	// otherwise rebuild the same mixture twice.
+	scaledMu sync.Mutex
+	scaled   []scaledLeads
+}
+
+// scaledLeads is one memoized Scaled copy.
+type scaledLeads struct {
+	factor float64
+	model  *LeadTimeModel
 }
 
 // DefaultLeadTimes returns the lead-time model calibrated to the paper's
@@ -151,17 +165,29 @@ func (m *LeadTimeModel) Quantile(p float64) float64 {
 
 // Scaled returns a copy of the model with every lead time multiplied by
 // factor — the paper's lead-time variability axis (a +50 % variation is
-// factor 1.5). Means and tail probabilities scale consistently.
+// factor 1.5). Means and tail probabilities scale consistently. The copy
+// is built once per factor and shared: every later call with the same
+// factor returns the same model without allocating. Safe for concurrent
+// use.
 func (m *LeadTimeModel) Scaled(factor float64) *LeadTimeModel {
 	if factor <= 0 {
 		panic("failure: lead-time scale factor must be positive")
+	}
+	m.scaledMu.Lock()
+	defer m.scaledMu.Unlock()
+	for _, s := range m.scaled {
+		if math.Float64bits(s.factor) == math.Float64bits(factor) {
+			return s.model
+		}
 	}
 	seqs := make([]Sequence, len(m.seqs))
 	copy(seqs, m.seqs)
 	for i := range seqs {
 		seqs[i].MeanLeadSec *= factor
 	}
-	return NewLeadTimeModel(seqs)
+	scaled := NewLeadTimeModel(seqs)
+	m.scaled = append(m.scaled, scaledLeads{factor, scaled})
+	return scaled
 }
 
 // Sigma returns σ of Eq. (2): the fraction of failures predictable with a

@@ -3,6 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -80,6 +81,100 @@ func TestHistogramExtremes(t *testing.T) {
 	if got := bucketIndex(math.NaN()); got != 0 {
 		t.Fatalf("bucketIndex(NaN) = %d", got)
 	}
+	// Past the range, v/histMin overflows to +Inf; such values, and +Inf
+	// itself, still land in the top bucket.
+	for _, v := range []float64{math.MaxFloat64, math.Inf(1)} {
+		if got := bucketIndex(v); got != numBuckets-1 {
+			t.Fatalf("bucketIndex(%g) = %d, want %d", v, got, numBuckets-1)
+		}
+		h.Observe(v)
+	}
+	if h.count != 4 || h.buckets[numBuckets-1] != 3 {
+		t.Fatalf("count = %d, top bucket = %d", h.count, h.buckets[numBuckets-1])
+	}
+}
+
+// log2Bucket is the bucket layout's definition, which bucketIndex's
+// table reproduces: the truncated log2 of v/histMin, clamped, with an
+// overflowing v/histMin in the top bucket.
+func log2Bucket(v float64) int {
+	if !(v >= histMin) {
+		return 0
+	}
+	q := v / histMin
+	if math.IsInf(q, 1) {
+		return numBuckets - 1
+	}
+	i := 1 + int(bucketsPerOctave*math.Log2(q))
+	if i >= numBuckets {
+		return numBuckets - 1
+	}
+	return i
+}
+
+// TestBucketStartMatchesLog2 re-derives the committed table: each entry
+// is the first float64 the Log2 definition puts in its bucket (its
+// predecessor lands one bucket lower), within 20 ulps of the ideal bound
+// histMin·2^((k-1)/4). Around every entry, and on log-uniform values
+// across the range and past both ends, bucketIndex equals the definition.
+func TestBucketStartMatchesLog2(t *testing.T) {
+	for k := 1; k < numBuckets; k++ {
+		s := bucketStart[k-1]
+		if got := log2Bucket(s); got != k {
+			t.Fatalf("bucketStart[%d] = %v falls in bucket %d, want %d", k-1, s, got, k)
+		}
+		if got := log2Bucket(math.Nextafter(s, 0)); got != k-1 {
+			t.Fatalf("the float64 below bucketStart[%d] = %v falls in bucket %d, want %d", k-1, s, got, k-1)
+		}
+		ideal := histMin * math.Exp2(float64(k-1)/bucketsPerOctave)
+		if d := int64(math.Float64bits(s)) - int64(math.Float64bits(ideal)); d < -20 || d > 20 {
+			t.Fatalf("bucketStart[%d] = %v is %d ulps from %v", k-1, s, d, ideal)
+		}
+		for d := int64(-2000); d <= 2000; d++ {
+			v := math.Float64frombits(uint64(int64(math.Float64bits(s)) + d))
+			if got, want := bucketIndex(v), log2Bucket(v); got != want {
+				t.Fatalf("bucketIndex(%v) = %d, definition %d", v, got, want)
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		v := math.Exp2(r.Float64()*120 - 40) // 2^-40 … 2^80
+		if got, want := bucketIndex(v), log2Bucket(v); got != want {
+			t.Fatalf("bucketIndex(%v) = %d, definition %d", v, got, want)
+		}
+	}
+}
+
+// FuzzBucketIndex holds the table kernel to the Log2 definition on any
+// float64: where the definition does not overflow they agree, +Inf and
+// values too large for it land in the top bucket, NaN and negatives in
+// bucket 0. The seed corpus is every table entry and its predecessor.
+func FuzzBucketIndex(f *testing.F) {
+	for _, s := range bucketStart {
+		f.Add(math.Float64bits(s))
+		f.Add(math.Float64bits(math.Nextafter(s, 0)))
+	}
+	for _, v := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, 1e300} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		got := bucketIndex(v)
+		if got != log2Bucket(v) {
+			t.Fatalf("bucketIndex(%v) = %d, definition %d", v, got, log2Bucket(v))
+		}
+		switch {
+		case math.IsNaN(v) || v < histMin:
+			if got != 0 {
+				t.Fatalf("bucketIndex(%v) = %d, want the underflow bucket", v, got)
+			}
+		case v >= bucketStart[numBuckets-2]:
+			if got != numBuckets-1 {
+				t.Fatalf("bucketIndex(%v) = %d, want the top bucket", v, got)
+			}
+		}
+	})
 }
 
 func TestBucketBoundsCoverIndex(t *testing.T) {

@@ -3,6 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"sort"
@@ -103,13 +104,11 @@ func (h *HistStat) refreshQuantiles() {
 	h.P99 = h.Quantile(0.99)
 }
 
-// merge folds o into h bucket-for-bucket. Both bucket lists are sparse
-// and ascending, so one two-pointer pass merges them into a new slice:
-// h never shares a backing array with o, nor with any snapshot that
-// shared h's old list.
-func (h *HistStat) merge(o HistStat) {
+// absorb folds o's count, sum and extrema into h and reports whether o
+// holds any observation; the caller adds the buckets.
+func (h *HistStat) absorb(o HistStat) bool {
 	if o.Count == 0 {
-		return
+		return false
 	}
 	if h.Count == 0 {
 		h.Min, h.Max = o.Min, o.Max
@@ -119,6 +118,17 @@ func (h *HistStat) merge(o HistStat) {
 	}
 	h.Count += o.Count
 	h.Sum += o.Sum
+	return true
+}
+
+// merge folds o into h bucket-for-bucket. Both bucket lists are sparse
+// and ascending, so one two-pointer pass merges them into a new slice:
+// h never shares a backing array with o, nor with any snapshot that
+// shared h's old list.
+func (h *HistStat) merge(o HistStat) {
+	if !h.absorb(o) {
+		return
+	}
 	a, b := h.Buckets, o.Buckets
 	merged := make([]Bucket, 0, len(a)+len(b))
 	for len(a) > 0 && len(b) > 0 {
@@ -151,43 +161,9 @@ type Snapshot struct {
 // value for the remaining now−t). The registry remains usable. Returns
 // an empty snapshot for a nil registry.
 func (r *Registry) Snapshot(now float64) *Snapshot {
-	s := &Snapshot{}
-	if r == nil {
-		return s
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.counters) > 0 {
-		s.Counters = make(map[string]float64, len(r.counters))
-		for name, c := range r.counters {
-			s.Counters[name] = c.n
-		}
-	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]GaugeStat, len(r.gauges))
-		for name, g := range r.gauges {
-			st := GaugeStat{Integral: g.integral, Seconds: g.dur, Min: g.min, Max: g.max, Last: g.last}
-			if g.set && now > g.lastT {
-				st.Integral += (now - g.lastT) * g.last
-				st.Seconds += now - g.lastT
-			}
-			s.Gauges[name] = st
-		}
-	}
-	if len(r.hists) > 0 {
-		s.Histograms = make(map[string]HistStat, len(r.hists))
-		for name, h := range r.hists {
-			st := HistStat{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-			for i, n := range h.buckets {
-				if n > 0 {
-					st.Buckets = append(st.Buckets, Bucket{Index: i, Count: n})
-				}
-			}
-			st.refreshQuantiles()
-			s.Histograms[name] = st
-		}
-	}
-	return s
+	var f Fold
+	f.Add(r.Frame(now))
+	return f.Snapshot()
 }
 
 // Merge folds o into s. Metrics present in only one side are kept as-is;
@@ -198,26 +174,10 @@ func (s *Snapshot) Merge(o *Snapshot) {
 		return
 	}
 	for name, v := range o.Counters {
-		if s.Counters == nil {
-			s.Counters = make(map[string]float64, len(o.Counters))
-		}
-		s.Counters[name] += v
+		s.addCounter(name, v)
 	}
 	for name, og := range o.Gauges {
-		if s.Gauges == nil {
-			s.Gauges = make(map[string]GaugeStat, len(o.Gauges))
-		}
-		g, ok := s.Gauges[name]
-		if !ok {
-			s.Gauges[name] = og
-			continue
-		}
-		g.Integral += og.Integral
-		g.Seconds += og.Seconds
-		g.Min = math.Min(g.Min, og.Min)
-		g.Max = math.Max(g.Max, og.Max)
-		g.Last = og.Last
-		s.Gauges[name] = g
+		s.addGauge(name, og)
 	}
 	for name, oh := range o.Histograms {
 		if s.Histograms == nil {
@@ -227,6 +187,179 @@ func (s *Snapshot) Merge(o *Snapshot) {
 		h.merge(oh)
 		s.Histograms[name] = h
 	}
+}
+
+// addCounter adds v to the named counter.
+func (s *Snapshot) addCounter(name string, v float64) {
+	if s.Counters == nil {
+		s.Counters = make(map[string]float64)
+	}
+	s.Counters[name] += v
+}
+
+// addGauge folds og into the named gauge: integrals and spans add,
+// extrema widen, and the last value is og's.
+func (s *Snapshot) addGauge(name string, og GaugeStat) {
+	if s.Gauges == nil {
+		s.Gauges = make(map[string]GaugeStat)
+	}
+	g, ok := s.Gauges[name]
+	if !ok {
+		s.Gauges[name] = og
+		return
+	}
+	g.Integral += og.Integral
+	g.Seconds += og.Seconds
+	g.Min = math.Min(g.Min, og.Min)
+	g.Max = math.Max(g.Max, og.Max)
+	g.Last = og.Last
+	s.Gauges[name] = g
+}
+
+// Frame is one run's registry state, frozen as Snapshot freezes it but
+// without maps or derived quantiles: the per-run half of a Fold. Each
+// live series keeps its raw state — a histogram its count, sum, extrema
+// and occupied buckets, all histograms' buckets in one array. The zero
+// Frame is a run that recorded nothing.
+type Frame struct {
+	counters []namedCounter
+	gauges   []namedGauge
+	hists    []namedHist
+	buckets  []Bucket
+}
+
+type namedCounter struct {
+	name string
+	n    float64
+}
+
+type namedGauge struct {
+	name string
+	st   GaugeStat
+}
+
+// namedHist is one histogram of a frame: st holds its count, sum and
+// extrema, and its occupied buckets end at buckets[end] (they start where
+// the previous histogram's end).
+type namedHist struct {
+	name string
+	st   HistStat
+	end  int
+}
+
+// Frame freezes the registry's live series at simulation time now, as
+// Snapshot does. The frame shares nothing with the registry, so the
+// registry may be Reset and reused at once. Returns the zero Frame for a
+// nil registry.
+func (r *Registry) Frame(now float64) Frame {
+	var f Frame
+	if r == nil {
+		return f
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if live := r.counters.live; len(live) > 0 {
+		f.counters = make([]namedCounter, len(live))
+		for i, s := range live {
+			f.counters[i] = namedCounter{s.name, s.val.n}
+		}
+	}
+	if live := r.gauges.live; len(live) > 0 {
+		f.gauges = make([]namedGauge, len(live))
+		for i, s := range live {
+			g := &s.val
+			st := GaugeStat{Integral: g.integral, Seconds: g.dur, Min: g.min, Max: g.max, Last: g.last}
+			if g.set && now > g.lastT {
+				st.Integral += (now - g.lastT) * g.last
+				st.Seconds += now - g.lastT
+			}
+			f.gauges[i] = namedGauge{s.name, st}
+		}
+	}
+	if live := r.hists.live; len(live) > 0 {
+		f.hists = make([]namedHist, len(live))
+		occupied := r.scratch[:0]
+		for i, s := range live {
+			h := &s.val
+			if h.count > 0 {
+				for j, n := range h.buckets {
+					if n > 0 {
+						occupied = append(occupied, Bucket{Index: j, Count: n})
+					}
+				}
+			}
+			f.hists[i] = namedHist{s.name, HistStat{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}, len(occupied)}
+		}
+		if len(occupied) > 0 {
+			f.buckets = append([]Bucket(nil), occupied...)
+		}
+		r.scratch = occupied
+	}
+	return f
+}
+
+// Fold merges run frames, in the order added, into one snapshot: the
+// same snapshot, bit for bit, as Merge-ing the runs' Snapshots in that
+// order, without building them. Histograms fold into dense bucket
+// arrays and get their quantiles once, in Snapshot. The zero Fold is
+// empty and ready to use; it is not safe for concurrent use.
+type Fold struct {
+	acc   Snapshot // counters and gauges
+	hists map[string]*histFold
+}
+
+// histFold is one histogram's running fold: count, sum and extrema, and
+// the dense bucket counts.
+type histFold struct {
+	st      HistStat
+	buckets [numBuckets]uint64
+}
+
+// Add folds one run's frame.
+func (f *Fold) Add(fr Frame) {
+	for _, c := range fr.counters {
+		f.acc.addCounter(c.name, c.n)
+	}
+	for _, g := range fr.gauges {
+		f.acc.addGauge(g.name, g.st)
+	}
+	start := 0
+	for _, h := range fr.hists {
+		if f.hists == nil {
+			f.hists = make(map[string]*histFold)
+		}
+		hf := f.hists[h.name]
+		if hf == nil {
+			hf = new(histFold)
+			f.hists[h.name] = hf
+		}
+		if hf.st.absorb(h.st) {
+			for _, b := range fr.buckets[start:h.end] {
+				hf.buckets[b.Index] += b.Count
+			}
+		}
+		start = h.end
+	}
+}
+
+// Snapshot returns the fold so far as a snapshot that shares nothing
+// with the fold, quantiles included.
+func (f *Fold) Snapshot() *Snapshot {
+	s := &Snapshot{Counters: maps.Clone(f.acc.Counters), Gauges: maps.Clone(f.acc.Gauges)}
+	if len(f.hists) > 0 {
+		s.Histograms = make(map[string]HistStat, len(f.hists))
+		for name, hf := range f.hists {
+			st := hf.st
+			for i, n := range hf.buckets {
+				if n > 0 {
+					st.Buckets = append(st.Buckets, Bucket{Index: i, Count: n})
+				}
+			}
+			st.refreshQuantiles()
+			s.Histograms[name] = st
+		}
+	}
+	return s
 }
 
 // Diff compares s with o bit for bit — floats by math.Float64bits — and

@@ -161,3 +161,110 @@ func TestSnapshotDiff(t *testing.T) {
 		t.Fatalf("nil vs populated: %q", d)
 	}
 }
+
+// record applies one random operation, decoded from w, to r: resolve a
+// series of one kind, or record into it. Gauge times are the step
+// number, so they never go backwards.
+func record(r *Registry, w uint32, step int) {
+	name := []string{"a", "b", "c", "d", "e"}[w%5]
+	v := float64(w>>12) * 0.37
+	if w>>11&1 == 1 {
+		v = math.Exp2(float64(w>>12%96) - 40) // across the bucket range
+	}
+	switch w >> 3 % 8 {
+	case 0:
+		r.Counter(name)
+	case 1:
+		r.Counter(name).Inc()
+	case 2:
+		r.Counter(name).Add(v)
+	case 3:
+		r.Gauge(name)
+	case 4:
+		r.Gauge(name).Set(float64(step), v)
+	case 5:
+		r.Histogram(name)
+	default:
+		r.Histogram(name).Observe(v)
+	}
+}
+
+// TestResetMatchesFreshQuick: a registry reused across Resets behaves as
+// a fresh one. Random programs of resolves, records and Resets run
+// against one registry; after every step its snapshot must equal, bit
+// for bit and series set included, that of a fresh registry given only
+// the calls since the last Reset. Right after a Reset it holds no series
+// at all: one resolved only before the reset is gone.
+func TestResetMatchesFreshQuick(t *testing.T) {
+	f := func(prog []uint32) bool {
+		reused, fresh := New(), New()
+		for step, w := range prog {
+			if w%7 == 0 {
+				reused.Reset()
+				fresh = New()
+				if s := reused.Snapshot(float64(step)); !s.Empty() {
+					t.Logf("step %d: a reset registry still lists %+v", step, s)
+					return false
+				}
+				continue
+			}
+			record(reused, w, step)
+			record(fresh, w, step)
+			if d := reused.Snapshot(float64(step)).Diff(fresh.Snapshot(float64(step))); d != "" {
+				t.Logf("step %d: reused vs fresh: %s", step, d)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFoldMatchesMerge: folding run frames equals Merge-ing the runs'
+// snapshots in the same order, bit for bit — quantiles, which the fold
+// computes once at the end, included — and a zero frame folds as a run
+// that recorded nothing.
+func TestFoldMatchesMerge(t *testing.T) {
+	f := func(runs [][]uint32) bool {
+		var fold Fold
+		merged := &Snapshot{}
+		reg := New()
+		for i, prog := range runs {
+			for step, w := range prog {
+				record(reg, w, step)
+			}
+			now := float64(len(prog) + i)
+			fold.Add(reg.Frame(now))
+			fold.Add(Frame{})
+			merged.Merge(reg.Snapshot(now))
+			reg.Reset()
+		}
+		if d := fold.Snapshot().Diff(merged); d != "" {
+			t.Logf("fold vs merge: %s", d)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFoldSnapshotIsACopy: a snapshot taken from a fold shares no
+// storage with it, so later Adds leave it unchanged.
+func TestFoldSnapshotIsACopy(t *testing.T) {
+	reg := New()
+	reg.Counter("c").Inc()
+	reg.Gauge("g").Set(0, 1)
+	reg.Histogram("h").Observe(2)
+	var fold Fold
+	fold.Add(reg.Frame(1))
+	got := fold.Snapshot()
+	want := fold.Snapshot()
+	fold.Add(reg.Frame(1))
+	if d := got.Diff(want); d != "" {
+		t.Fatalf("Add changed an earlier snapshot: %s", d)
+	}
+}

@@ -1,6 +1,8 @@
 package pckpt
 
 import (
+	"sync"
+
 	"pckpt/internal/cluster"
 	"pckpt/internal/metrics"
 	"pckpt/internal/policy"
@@ -50,48 +52,94 @@ type RunMetrics struct {
 	EpisodesAbandoned *metrics.Counter
 }
 
+// The series RunMetrics records, indexing runSeries.
+const (
+	bbWrite = iota
+	episodeDur
+	commitLat
+	episodeWidth
+	safeguardDur
+	recoveryDur
+	recomputeLoss
+	pfsGBs
+	leadConsumed
+	leadMargin
+	drainDepth
+	vulnNodes
+	bbAborted
+	episodesAbandoned
+	numRunSeries
+)
+
+// runSeries names each series after its "sim.<model>." prefix.
+var runSeries = [numRunSeries]string{
+	bbWrite:           "bb_write_seconds",
+	episodeDur:        "episode_seconds",
+	commitLat:         "episode_commit_latency_seconds",
+	episodeWidth:      "episode_width_nodes",
+	safeguardDur:      "safeguard_seconds",
+	recoveryDur:       "recovery_seconds",
+	recomputeLoss:     "recompute_loss_seconds",
+	pfsGBs:            "pfs_effective_gbps",
+	leadConsumed:      "lead_consumed_seconds",
+	leadMargin:        "lead_margin_seconds",
+	drainDepth:        "drain_queue_depth",
+	vulnNodes:         "vulnerable_nodes",
+	bbAborted:         "bb_writes_aborted",
+	episodesAbandoned: "episodes_abandoned",
+}
+
+// seriesNames returns a catalogue model's full series names. They are
+// built once, on the first metered run, rather than concatenated on
+// every one; nothing is built at package init.
+func seriesNames(id policy.ID) *[numRunSeries]string {
+	catalogueOnce.Do(func() {
+		for _, id := range policy.All() {
+			for i, s := range runSeries {
+				catalogueSeries[id][i] = "sim." + id.String() + "." + s
+			}
+		}
+	})
+	return &catalogueSeries[id]
+}
+
+var (
+	catalogueOnce   sync.Once
+	catalogueSeries [policy.P2 + 1][numRunSeries]string
+)
+
 // NewRunMetrics resolves the handle set against r (all nil when r is nil).
 func NewRunMetrics(r *metrics.Registry, id policy.ID) RunMetrics {
 	if r == nil {
 		return RunMetrics{}
 	}
-	p := "sim." + id.String() + "."
+	n := seriesNames(id)
 	return RunMetrics{
-		BBWrite:           r.Histogram(p + "bb_write_seconds"),
-		EpisodeDur:        r.Histogram(p + "episode_seconds"),
-		CommitLat:         r.Histogram(p + "episode_commit_latency_seconds"),
-		EpisodeWidth:      r.Histogram(p + "episode_width_nodes"),
-		SafeguardDur:      r.Histogram(p + "safeguard_seconds"),
-		RecoveryDur:       r.Histogram(p + "recovery_seconds"),
-		RecomputeLoss:     r.Histogram(p + "recompute_loss_seconds"),
-		PFSGBs:            r.Histogram(p + "pfs_effective_gbps"),
-		LeadConsumed:      r.Histogram(p + "lead_consumed_seconds"),
-		LeadMargin:        r.Histogram(p + "lead_margin_seconds"),
-		DrainDepth:        r.Gauge(p + "drain_queue_depth"),
-		VulnNodes:         r.Gauge(p + "vulnerable_nodes"),
-		BBAborted:         r.Counter(p + "bb_writes_aborted"),
-		EpisodesAbandoned: r.Counter(p + "episodes_abandoned"),
+		BBWrite:           r.Histogram(n[bbWrite]),
+		EpisodeDur:        r.Histogram(n[episodeDur]),
+		CommitLat:         r.Histogram(n[commitLat]),
+		EpisodeWidth:      r.Histogram(n[episodeWidth]),
+		SafeguardDur:      r.Histogram(n[safeguardDur]),
+		RecoveryDur:       r.Histogram(n[recoveryDur]),
+		RecomputeLoss:     r.Histogram(n[recomputeLoss]),
+		PFSGBs:            r.Histogram(n[pfsGBs]),
+		LeadConsumed:      r.Histogram(n[leadConsumed]),
+		LeadMargin:        r.Histogram(n[leadMargin]),
+		DrainDepth:        r.Gauge(n[drainDepth]),
+		VulnNodes:         r.Gauge(n[vulnNodes]),
+		BBAborted:         r.Counter(n[bbAborted]),
+		EpisodesAbandoned: r.Counter(n[episodesAbandoned]),
 	}
 }
 
-// ObserveCluster installs a cluster observer maintaining the VulnNodes
-// gauge, stamped with the simulation clock now. Call it only when
-// metering is on, so the unmetered hot path keeps a nil observer (one
-// branch per transition, nothing more). The observer holds these
-// handles: a caller that recycles cl must remove it before the cluster
-// outlives the run.
+// ObserveCluster installs a cluster observer that sets the VulnNodes
+// gauge to the cluster's at-risk count on every transition, stamped with
+// the simulation clock now. Call it only when metering is on, so the
+// unmetered hot path keeps a nil observer (one branch per transition,
+// nothing more). The observer holds these handles: a caller that
+// recycles cl must remove it before the cluster outlives the run.
 func (m RunMetrics) ObserveCluster(cl *cluster.Cluster, now func() float64) {
-	vuln := 0
-	counted := func(s cluster.State) bool {
-		return s == cluster.Vulnerable || s == cluster.Migrating
-	}
-	cl.SetObserver(func(id int, from, to cluster.State) {
-		if counted(from) {
-			vuln--
-		}
-		if counted(to) {
-			vuln++
-		}
-		m.VulnNodes.Set(now(), float64(vuln))
+	cl.SetObserver(func(int, cluster.State, cluster.State) {
+		m.VulnNodes.Set(now(), float64(cl.AtRisk()))
 	})
 }

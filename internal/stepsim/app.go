@@ -121,9 +121,6 @@ type appSim struct {
 
 	pending      []failure.Event
 	safeguarding bool
-	// vulnBuf is the reused episode-width scratch buffer (metered runs
-	// only): cluster.AppendVulnerable fills it without allocating.
-	vulnBuf []int
 
 	// Step-machine state standing in for the application goroutine:
 	// appDone mirrors !Proc.Alive(); wakeAlarm is the wake while the app
@@ -871,10 +868,7 @@ func (a *appSim) pckptEpisode(first failure.Event, k func()) {
 		}
 		ep.Q.Push(ev.FailTime, ev)
 	})
-	if a.cfg.Metrics != nil {
-		a.vulnBuf = a.cl.AppendVulnerable(a.vulnBuf[:0])
-		a.met.EpisodeWidth.Observe(float64(len(a.vulnBuf)))
-	}
+	a.met.EpisodeWidth.Observe(float64(a.cl.AtRisk()))
 	finish := func() { // everything after crmodel's drain loop
 		if ep.Abandoned {
 			a.met.EpisodesAbandoned.Inc()
