@@ -84,7 +84,12 @@ type divergence struct {
 // skipped it). Only diverged nodes have an entry in diverged, so the
 // coordinated calls cost O(diverged nodes) rather than O(nodes).
 type Cluster struct {
-	nodes    []Node
+	nodes []Node
+	// touched lists the nodes changed since the last Reset, and dirty
+	// marks them, so Reset restores only those: every node of the
+	// backing array outside touched is already Node{ID: i}.
+	touched  []int
+	dirty    []bool
 	coord    [2]float64
 	diverged []divergence
 	spares   int
@@ -97,6 +102,15 @@ type Cluster struct {
 // SetObserver installs the state-transition observer (nil to remove).
 func (c *Cluster) SetObserver(o Observer) { c.observer = o }
 
+// touch notes that node n is about to change, so the next Reset
+// restores it.
+func (c *Cluster) touch(n *Node) {
+	if !c.dirty[n.ID] {
+		c.dirty[n.ID] = true
+		c.touched = append(c.touched, n.ID)
+	}
+}
+
 // setState applies a transition, keeps the at-risk count, and notifies
 // the observer on change.
 func (c *Cluster) setState(n *Node, to State) {
@@ -104,6 +118,7 @@ func (c *Cluster) setState(n *Node, to State) {
 	if from == to {
 		return
 	}
+	c.touch(n)
 	n.State = to
 	if isAtRisk(from) {
 		c.atRisk--
@@ -130,7 +145,9 @@ func New(n, spares int) *Cluster {
 // Reset makes c a fresh cluster of n job nodes backed by spares reserve
 // nodes, indistinguishable from New(n, spares) (the observer is removed
 // too), reusing c's buffers where they are large enough. A sweep that
-// recycles one cluster across runs allocates no node table per run.
+// recycles one cluster across runs allocates no node table per run, and
+// pays only for the nodes the previous run changed: the rest of the
+// table is still fresh.
 func (c *Cluster) Reset(n, spares int) {
 	if n <= 0 {
 		panic("cluster: non-positive node count")
@@ -140,11 +157,19 @@ func (c *Cluster) Reset(n, spares int) {
 	}
 	if cap(c.nodes) < n {
 		c.nodes = make([]Node, n)
+		for i := range c.nodes {
+			c.nodes[i] = Node{ID: i}
+		}
+		c.dirty = make([]bool, n)
+		c.touched = make([]int, 0, 8)
 	}
-	c.nodes = c.nodes[:n]
-	for i := range c.nodes {
-		c.nodes[i] = Node{ID: i}
+	nodes, dirty := c.nodes[:cap(c.nodes)], c.dirty[:cap(c.dirty)]
+	for _, id := range c.touched {
+		nodes[id] = Node{ID: id}
+		dirty[id] = false
 	}
+	c.touched = c.touched[:0]
+	c.nodes, c.dirty = nodes[:n], dirty[:n]
 	c.coord = [2]float64{-1, -1}
 	if c.diverged == nil {
 		c.diverged = make([]divergence, 0, 8)
@@ -183,6 +208,7 @@ func (c *Cluster) MarkVulnerable(id int, failAt float64) error {
 	if n.State != Migrating {
 		c.setState(n, Vulnerable)
 	}
+	c.touch(n)
 	n.PredictedFailAt = failAt
 	return nil
 }

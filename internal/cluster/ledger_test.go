@@ -352,3 +352,45 @@ func BenchmarkRecordCheckpointAll(b *testing.B) {
 		})
 	}
 }
+
+// TestResetAcrossRunsQuick recycles one cluster through random rounds,
+// each a Reset to a random node count (smaller and larger than before)
+// followed by random operations. Reset restores only the nodes the
+// previous rounds changed, so after every Reset the table must equal a
+// New cluster's node for node, and the round's operations must give
+// what they give on New — a node changed in an earlier, larger round
+// and then hidden by a smaller one must come back fresh.
+func TestResetAcrossRunsQuick(t *testing.T) {
+	f := func(rounds [][]uint16, sizes []uint8) bool {
+		c := New(1, 0)
+		for r, ops := range rounds {
+			n, spares := 1, 2
+			if len(sizes) > 0 {
+				n = 1 + int(sizes[r%len(sizes)])%12
+			}
+			c.Reset(n, spares)
+			fresh := New(n, spares)
+			for i := 0; i < n; i++ {
+				if c.Node(i) != fresh.Node(i) {
+					t.Errorf("round %d: node %d after Reset(%d) is %+v, New has %+v", r, i, n, c.Node(i), fresh.Node(i))
+					return false
+				}
+			}
+			if !reflect.DeepEqual(c.nodes, fresh.nodes) || c.AtRisk() != 0 || c.SparesLeft() != spares {
+				t.Errorf("round %d: Reset(%d) left %+v", r, n, c)
+				return false
+			}
+			for step, word := range ops {
+				op := decodeOp(word, n)
+				if got, want := op.apply(c), op.apply(fresh); got != want || !reflect.DeepEqual(c.nodes, fresh.nodes) {
+					t.Errorf("round %d step %d (%+v): recycled and New clusters diverged", r, step, op)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}

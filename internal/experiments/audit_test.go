@@ -15,7 +15,6 @@ import (
 	"pckpt/internal/policy"
 	"pckpt/internal/scenario"
 	"pckpt/internal/stats"
-	"pckpt/internal/stepsim"
 	"pckpt/internal/sweep"
 	"pckpt/internal/workload"
 )
@@ -45,33 +44,57 @@ func (a *sweepAudit) tier() Tier {
 	return Tier{
 		Name:     a.t.Name + "+" + a.ref.Name,
 		Supports: a.t.Supports,
-		Run: func(id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry) stats.RunResult {
-			var refReg *metrics.Registry
-			if reg != nil {
-				refReg = metrics.New()
-			}
-			got, gotPanic := tryTierRun(a.t, id, plat, seed, reg)
-			want, wantPanic := tryTierRun(a.ref, id, plat, seed, refReg)
-			var diff string
-			switch {
-			case gotPanic != nil && wantPanic != nil:
-				// Both panicked: the sweep ledgers the run.
-			case gotPanic != nil || wantPanic != nil:
-				diff = fmt.Sprintf("%s panic=%v, %s panic=%v", a.t.Name, gotPanic, a.ref.Name, wantPanic)
-			case got != want:
-				diff = fmt.Sprintf("\n%s: %#v\n%s: %#v", a.t.Name, got, a.ref.Name, want)
-			case reg != nil:
-				if d := reg.Snapshot(got.WallSeconds).Diff(refReg.Snapshot(want.WallSeconds)); d != "" {
-					diff = "metrics: " + d
-				}
-			}
-			a.record(id, plat, seed, diff)
-			if gotPanic != nil {
-				panic(gotPanic)
-			}
-			return got
+		Prepare: func(id policy.ID, plat platform.Config) (Runner, error) {
+			run, runErr := a.t.Prepare(id, plat)
+			ref, refErr := a.ref.Prepare(id, plat)
+			return func(seed uint64, reg *metrics.Registry) stats.RunResult {
+				return a.compare(id, plat, seed, reg, run, runErr, ref, refErr)
+			}, nil
 		},
 	}
+}
+
+// compare runs one seed on both tiers' prepared cells and records any
+// divergence; the sweep sees a.t's result, panic and metrics.
+func (a *sweepAudit) compare(id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry, run Runner, runErr error, ref Runner, refErr error) stats.RunResult {
+	var refReg *metrics.Registry
+	if reg != nil {
+		refReg = metrics.New()
+	}
+	got, gotPanic := tryTierRun(run, runErr, seed, reg)
+	want, wantPanic := tryTierRun(ref, refErr, seed, refReg)
+	var diff string
+	switch {
+	case gotPanic != nil && wantPanic != nil:
+		// Both panicked: the sweep ledgers the run.
+	case gotPanic != nil || wantPanic != nil:
+		diff = fmt.Sprintf("%s panic=%v, %s panic=%v", a.t.Name, gotPanic, a.ref.Name, wantPanic)
+	case got != want:
+		diff = fmt.Sprintf("\n%s: %#v\n%s: %#v", a.t.Name, got, a.ref.Name, want)
+	case reg != nil:
+		if d := reg.Snapshot(got.WallSeconds).Diff(refReg.Snapshot(want.WallSeconds)); d != "" {
+			diff = "metrics: " + d
+		}
+	}
+	a.record(id, plat, seed, diff)
+	if gotPanic != nil {
+		panic(gotPanic)
+	}
+	return got
+}
+
+// wrapRuns returns t with every Runner it prepares wrapped by wrap,
+// which also sees the cell.
+func wrapRuns(t Tier, wrap func(id policy.ID, plat platform.Config, run Runner) Runner) Tier {
+	prepare := t.Prepare
+	t.Prepare = func(id policy.ID, plat platform.Config) (Runner, error) {
+		run, err := prepare(id, plat)
+		if err != nil {
+			return nil, err
+		}
+		return wrap(id, plat, run), nil
+	}
+	return t
 }
 
 // record counts one compared seed and keeps its divergence, if any.
@@ -85,10 +108,14 @@ func (a *sweepAudit) record(id policy.ID, plat platform.Config, seed uint64, dif
 	}
 }
 
-// tryTierRun runs one seed on t and returns its panic value, if any.
-func tryTierRun(t Tier, id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry) (r stats.RunResult, panicked any) {
+// tryTierRun runs one seed of a prepared cell and returns its panic
+// value, if any; a cell that failed to prepare panics with its error.
+func tryTierRun(run Runner, prepErr error, seed uint64, reg *metrics.Registry) (r stats.RunResult, panicked any) {
+	if prepErr != nil {
+		return r, prepErr
+	}
 	defer func() { panicked = recover() }()
-	return t.Run(id, plat, seed, reg), nil
+	return run(seed, reg), nil
 }
 
 // auditPlat is the small crossval platform the audit's own tests sweep.
@@ -108,15 +135,16 @@ func TestSweepAuditReportsDriftedSeed(t *testing.T) {
 	}
 
 	driftSeed := sweep.Seed(3, 2)
-	drift := StepTier()
-	drift.Name = "fake-drift"
-	drift.Run = func(id policy.ID, plat platform.Config, seed uint64, _ *metrics.Registry) stats.RunResult {
-		r := stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, seed)
-		if seed == driftSeed {
-			r.WallSeconds++
+	drift := wrapRuns(StepTier(), func(_ policy.ID, _ platform.Config, run Runner) Runner {
+		return func(seed uint64, _ *metrics.Registry) stats.RunResult {
+			r := run(seed, nil)
+			if seed == driftSeed {
+				r.WallSeconds++
+			}
+			return r
 		}
-		return r
-	}
+	})
+	drift.Name = "fake-drift"
 	a := &sweepAudit{t: drift, ref: AppTier()}
 	if agg, _ := SimulateSweepN(a.tier(), policy.P1, auditPlat, 4, 3, 2, false); agg.N() != 4 || a.runs != 4 {
 		t.Fatalf("drifted tier: %d runs, %d audited, want 4 and 4", agg.N(), a.runs)
@@ -140,15 +168,15 @@ func TestSweepAuditOneSidedPanic(t *testing.T) {
 	var calls atomic.Int32 // runs of the crashing tiers
 	crashing := func(name string, base Tier) Tier {
 		base.Name = name
-		run := base.Run
-		base.Run = func(id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry) stats.RunResult {
-			calls.Add(1)
-			if seed == crashSeed {
-				panic("planted " + name + " crash")
+		return wrapRuns(base, func(_ policy.ID, _ platform.Config, run Runner) Runner {
+			return func(seed uint64, reg *metrics.Registry) stats.RunResult {
+				calls.Add(1)
+				if seed == crashSeed {
+					panic("planted " + name + " crash")
+				}
+				return run(seed, reg)
 			}
-			return run(id, plat, seed, reg)
-		}
-		return base
+		})
 	}
 	step, app := crashing("fake-step", StepTier()), crashing("fake-app", AppTier())
 
@@ -197,13 +225,14 @@ func TestSweepAuditOneSidedPanic(t *testing.T) {
 // unmetered one has nothing to compare and stays silent.
 func TestSweepAuditMeteredSeries(t *testing.T) {
 	const series = "sim.P1.bb_write_seconds"
-	planted := StepTier()
+	planted := wrapRuns(StepTier(), func(_ policy.ID, _ platform.Config, run Runner) Runner {
+		return func(seed uint64, reg *metrics.Registry) stats.RunResult {
+			r := run(seed, reg)
+			reg.Histogram(series).Observe(1)
+			return r
+		}
+	})
 	planted.Name = "planted"
-	planted.Run = func(id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry) stats.RunResult {
-		r := stepsim.Simulate(stepsim.Config{Model: id, Config: plat, Metrics: reg}, seed)
-		reg.Histogram(series).Observe(1)
-		return r
-	}
 	plain := &sweepAudit{t: planted, ref: AppTier()}
 	if agg, _ := SimulateSweepN(plain.tier(), policy.P1, auditPlat, 3, 5, 2, false); agg.N() != 3 || plain.runs != 3 || len(plain.diffs) != 0 {
 		t.Fatalf("unmetered planted sweep: %d runs, %d audited, diffs %q", agg.N(), plain.runs, plain.diffs)

@@ -296,14 +296,14 @@ func TestRunReturnsCacheWriteError(t *testing.T) {
 func TestRunReportsFailedRuns(t *testing.T) {
 	label := fmt.Sprintf("CHIMERA|%s|%s|ls=%.3f|fn=%.3f", failure.Titan.Name, policy.M2, 0.5, failure.DefaultFNRate)
 	crashSeed := sweep.Seed(configSeed(42, label), 3)
-	tier := StepTier()
-	run := tier.Run
-	tier.Run = func(id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry) stats.RunResult {
-		if id == policy.M2 && plat.LeadScale == 0.5 && seed == crashSeed {
-			panic("planted crash")
+	tier := wrapRuns(StepTier(), func(id policy.ID, plat platform.Config, run Runner) Runner {
+		return func(seed uint64, reg *metrics.Registry) stats.RunResult {
+			if id == policy.M2 && plat.LeadScale == 0.5 && seed == crashSeed {
+				panic("planted crash")
+			}
+			return run(seed, reg)
 		}
-		return run(id, plat, seed, reg)
-	}
+	})
 	runSweepsOn(t, tier)
 
 	dir := t.TempDir()

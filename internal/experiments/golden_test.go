@@ -115,17 +115,16 @@ func TestGolden(t *testing.T) {
 // run that breaks an invariant fails t, naming the run. checked counts
 // the runs.
 func checkedTier(t *testing.T, checked *atomic.Int64) Tier {
-	tier := StepTier()
-	run := tier.Run
-	tier.Run = func(id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry) stats.RunResult {
-		r := run(id, plat, seed, reg)
-		if err := stepsim.CheckRun(plat, r); err != nil {
-			t.Errorf("model=%s app=%s seed %#x: %v", id, plat.App.Name, seed, err)
+	return wrapRuns(StepTier(), func(id policy.ID, plat platform.Config, run Runner) Runner {
+		return func(seed uint64, reg *metrics.Registry) stats.RunResult {
+			r := run(seed, reg)
+			if err := stepsim.CheckRun(plat, r); err != nil {
+				t.Errorf("model=%s app=%s seed %#x: %v", id, plat.App.Name, seed, err)
+			}
+			checked.Add(1)
+			return r
 		}
-		checked.Add(1)
-		return r
-	}
-	return tier
+	})
 }
 
 // compareCells diffs two cell maps, reporting missing, extra, and

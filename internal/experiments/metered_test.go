@@ -105,23 +105,27 @@ func TestFig7MeteredSweepTierParity(t *testing.T) {
 func TestMeteredSweepReusedRegistriesMatchFresh(t *testing.T) {
 	const n, base = 12, 5
 	crash, extra := sweep.Seed(base, 4), sweep.Seed(base, 2)
-	tier := StepTier()
-	run := tier.Run
-	tier.Run = func(id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry) stats.RunResult {
-		if seed == extra {
-			reg.Gauge("test.extra").Set(0, 5)
+	tier := wrapRuns(StepTier(), func(_ policy.ID, _ platform.Config, run Runner) Runner {
+		return func(seed uint64, reg *metrics.Registry) stats.RunResult {
+			if seed == extra {
+				reg.Gauge("test.extra").Set(0, 5)
+			}
+			r := run(seed, reg)
+			if seed == crash {
+				panic("planted crash")
+			}
+			return r
 		}
-		r := run(id, plat, seed, reg)
-		if seed == crash {
-			panic("planted crash")
-		}
-		return r
+	})
+	run, err := tier.Prepare(policy.P2, auditPlat)
+	if err != nil {
+		t.Fatal(err)
 	}
 	want := &metrics.Snapshot{}
 	for i := 0; i < n; i++ {
 		if seed := sweep.Seed(base, i); seed != crash {
 			reg := metrics.New()
-			r := tier.Run(policy.P2, auditPlat, seed, reg)
+			r := run(seed, reg)
 			want.Merge(reg.Snapshot(r.WallSeconds))
 		}
 	}

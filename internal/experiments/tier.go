@@ -28,18 +28,30 @@ type Tier struct {
 	// (the node tier implements the subset with a NodeLabel; the app and
 	// step tiers implement the full catalogue).
 	Supports func(id policy.ID) bool
-	// Run runs one seed of the model on the shared platform config,
-	// recording the run's simulation-time metrics into reg; a nil reg
-	// runs unmetered. A registry is single-run state (see
-	// internal/metrics), so concurrent runs need one each.
-	Run func(id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry) stats.RunResult
+	// Prepare readies one cell — a model on the shared platform config —
+	// for its runs and returns the Runner that runs one seed of it. The
+	// step tier validates and derives the cell once here; the app and
+	// node tiers, the references tests compare against, set each run up
+	// themselves. An invalid cell returns the error each of its runs
+	// would panic with.
+	Prepare func(id policy.ID, plat platform.Config) (Runner, error)
 }
 
-// Simulate runs one unmetered seed: Run with a nil registry. Nothing in
-// this module uses it; it stays because the benchmark's replay of the
+// Runner runs one seed of a prepared cell, recording the run's
+// simulation-time metrics into reg; a nil reg runs unmetered. A registry
+// is single-run state (see internal/metrics), so concurrent runs need
+// one each; the Runner itself is safe to call concurrently.
+type Runner func(seed uint64, reg *metrics.Registry) stats.RunResult
+
+// Simulate prepares the cell and runs one unmetered seed of it. Nothing
+// in this module uses it; it stays because the benchmark's replay of the
 // sweep paths (bench/replay.go, a separate module) calls it.
 func (t Tier) Simulate(id policy.ID, plat platform.Config, seed uint64) stats.RunResult {
-	return t.Run(id, plat, seed, nil)
+	run, err := t.Prepare(id, plat)
+	if err != nil {
+		panic(err)
+	}
+	return run(seed, nil)
 }
 
 // AppTier is the application-granularity tier and the reference the
@@ -48,8 +60,10 @@ func AppTier() Tier {
 	return Tier{
 		Name:     "app",
 		Supports: func(policy.ID) bool { return true },
-		Run: func(id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry) stats.RunResult {
-			return crmodel.Simulate(crmodel.Config{Model: id, Config: plat, Metrics: reg}, seed)
+		Prepare: func(id policy.ID, plat platform.Config) (Runner, error) {
+			return func(seed uint64, reg *metrics.Registry) stats.RunResult {
+				return crmodel.Simulate(crmodel.Config{Model: id, Config: plat, Metrics: reg}, seed)
+			}, nil
 		},
 	}
 }
@@ -60,8 +74,10 @@ func NodeTier() Tier {
 	return Tier{
 		Name:     "node",
 		Supports: func(id policy.ID) bool { return id.NodeLabel() != "" },
-		Run: func(id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry) stats.RunResult {
-			return nodesim.Simulate(nodesim.Config{Policy: id, Config: plat, Metrics: reg}, seed)
+		Prepare: func(id policy.ID, plat platform.Config) (Runner, error) {
+			return func(seed uint64, reg *metrics.Registry) stats.RunResult {
+				return nodesim.Simulate(nodesim.Config{Policy: id, Config: plat, Metrics: reg}, seed)
+			}, nil
 		},
 	}
 }
@@ -70,13 +86,18 @@ func NodeTier() Tier {
 // five-model catalogue — p-ckpt episodes included — and is bit-identical
 // to the app tier on shared failure streams — same RunResult, not just
 // agreeing statistics. It is the only tier experiment and spec sweeps
-// run on; crossval and the tests hold it to the app-tier reference.
+// run on; crossval and the tests hold it to the app-tier reference. A
+// cell is a stepsim.Cell, prepared once; its runs recycle their records.
 func StepTier() Tier {
 	return Tier{
 		Name:     "step",
 		Supports: stepsim.Supports,
-		Run: func(id policy.ID, plat platform.Config, seed uint64, reg *metrics.Registry) stats.RunResult {
-			return stepsim.Simulate(stepsim.Config{Model: id, Config: plat, Metrics: reg}, seed)
+		Prepare: func(id policy.ID, plat platform.Config) (Runner, error) {
+			c, err := stepsim.Prepare(stepsim.Config{Model: id, Config: plat})
+			if err != nil {
+				return nil, err
+			}
+			return c.Run, nil
 		},
 	}
 }
@@ -125,8 +146,10 @@ const DefaultCrossCheckStride = 16
 // SimulateSweepN runs n seeds of one catalogue entry on a tier, drawing
 // the sweep.Seed sequence every tier uses, so per-seed results are
 // comparable across tiers; they aggregate in seed order for any worker
-// count. A run that panics — a model bug, or the sim watchdog killing a
-// livelock — lands in the aggregate's failed-run ledger.
+// count. The cell is prepared once (Tier.Prepare), and a cell that fails
+// validation fails each of its runs with that error. A run that panics —
+// a model bug, or the sim watchdog killing a livelock — lands in the
+// aggregate's failed-run ledger.
 //
 // meter records every run into a registry of its own and returns the
 // completed runs' frames folded in seed order, so the merged snapshot is
@@ -137,9 +160,13 @@ const DefaultCrossCheckStride = 16
 // registry and return a nil snapshot.
 func SimulateSweepN(t Tier, id policy.ID, plat platform.Config, n int, baseSeed uint64, workers int, meter bool) (*stats.Agg, *metrics.Snapshot) {
 	desc := fmt.Sprintf("tier=%s model=%s app=%s", t.Name, id, plat.App.Name)
+	run, err := t.Prepare(id, plat)
+	if err != nil {
+		run = func(uint64, *metrics.Registry) stats.RunResult { panic(err) }
+	}
 	if !meter {
 		results, failed := sweep.Run(n, baseSeed, workers, desc, func(seed uint64) stats.RunResult {
-			return t.Run(id, plat, seed, nil)
+			return run(seed, nil)
 		})
 		return stats.NewAgg(sweep.Completed(results, baseSeed, failed), failed), nil
 	}
@@ -151,7 +178,7 @@ func SimulateSweepN(t Tier, id policy.ID, plat platform.Config, n int, baseSeed 
 		default:
 			reg = metrics.New()
 		}
-		r := t.Run(id, plat, seed, reg)
+		r := run(seed, reg)
 		m := meteredRun{r, reg.Frame(r.WallSeconds)}
 		reg.Reset()
 		idle <- reg // never blocks: each worker holds at most one registry

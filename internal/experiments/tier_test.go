@@ -23,11 +23,13 @@ func TestSimulateSweepNLedgersPanickingRun(t *testing.T) {
 	fake := Tier{
 		Name:     "fake",
 		Supports: func(policy.ID) bool { return true },
-		Run: func(id policy.ID, plat platform.Config, seed uint64, _ *metrics.Registry) stats.RunResult {
-			if seed == badSeed {
-				panic("planted tier crash")
-			}
-			return stats.RunResult{WallSeconds: float64(seed % 97)}
+		Prepare: func(policy.ID, platform.Config) (Runner, error) {
+			return func(seed uint64, _ *metrics.Registry) stats.RunResult {
+				if seed == badSeed {
+					panic("planted tier crash")
+				}
+				return stats.RunResult{WallSeconds: float64(seed % 97)}
+			}, nil
 		},
 	}
 	plat := platform.Config{App: workload.App{Name: "fakeapp", Nodes: 4, TotalCkptGB: 4, ComputeHours: 1}}
@@ -63,9 +65,11 @@ func TestRunTierCacheKeysDistinct(t *testing.T) {
 		return Tier{
 			Name:     name,
 			Supports: func(policy.ID) bool { return true },
-			Run: func(id policy.ID, plat platform.Config, seed uint64, _ *metrics.Registry) stats.RunResult {
-				calls[name]++
-				return stats.RunResult{WallSeconds: wall}
+			Prepare: func(policy.ID, platform.Config) (Runner, error) {
+				return func(uint64, *metrics.Registry) stats.RunResult {
+					calls[name]++
+					return stats.RunResult{WallSeconds: wall}
+				}, nil
 			},
 		}
 	}

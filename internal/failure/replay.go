@@ -1,10 +1,12 @@
 package failure
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -211,6 +213,8 @@ type ReplayStream struct {
 
 // NewReplayStream builds a stream over re for a job on jobNodes nodes.
 // It panics on an invalid trace (construction is configuration-time).
+// Plan.Start restarts a recycled one; TestReplayStream* and deshlog's
+// TestExportTraceRoundTrip build bare replay streams with it.
 func NewReplayStream(re *Replay, jobNodes int, reg *metrics.Registry) *ReplayStream {
 	if err := re.Validate(); err != nil {
 		panic(err)
@@ -218,7 +222,17 @@ func NewReplayStream(re *Replay, jobNodes int, reg *metrics.Registry) *ReplayStr
 	if jobNodes <= 0 {
 		panic("failure: replay stream with non-positive job size")
 	}
-	return &ReplayStream{re: re, jobNodes: jobNodes, met: newStreamMeters(reg)}
+	s := new(ReplayStream)
+	s.reset(re, jobNodes, reg)
+	return s
+}
+
+// reset restarts s at the first cycle of re, keeping its event buffer.
+func (s *ReplayStream) reset(re *Replay, jobNodes int, reg *metrics.Registry) {
+	s.re, s.jobNodes = re, jobNodes
+	s.cycle, s.idx, s.nextID = 0, 0, 0
+	s.buf = s.buf[:0]
+	s.met = newStreamMeters(reg)
 }
 
 // expandCycle materialises the next trace cycle into the emission buffer.
@@ -252,8 +266,12 @@ func (s *ReplayStream) expandCycle() {
 	// Stable sort: ties keep trace order, then prediction before failure
 	// (each pair was appended in that order), so the interleave is
 	// deterministic with no dependence on sort internals.
-	sort.SliceStable(s.buf, func(i, j int) bool { return s.buf[i].Time < s.buf[j].Time })
+	slices.SortStableFunc(s.buf, byTime)
 }
+
+// byTime orders events by time; a stable sort with it keeps ties in
+// append order.
+func byTime(a, b Event) int { return cmp.Compare(a.Time, b.Time) }
 
 // Next returns the next event in time order. The stream is infinite; the
 // caller stops consuming when its simulation ends.

@@ -96,11 +96,6 @@ type Config struct {
 	// FPRate is the fraction of predictions that are false positives
 	// (the paper holds it at 0.18).
 	FPRate float64
-	// Metrics, when non-nil, receives the predictor's delivered
-	// accounting as the stream is consumed: the lead-time distribution
-	// actually handed to the simulator plus true/false positive and
-	// false negative counts (see internal/metrics). Nil costs nothing.
-	Metrics *metrics.Registry
 	// Replay, when non-nil, replaces the parametric Weibull source with
 	// a recorded failure trace: NewSource returns a ReplayStream over it
 	// and every other stochastic knob of this Config is ignored (the
@@ -146,17 +141,100 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// NewSource builds the event source this configuration describes: a
-// ReplayStream when a recorded trace is configured, the parametric
-// Stream otherwise. Panics on invalid configuration, like NewStream.
+// NewSource builds the unmetered event source this configuration
+// describes: a ReplayStream when a recorded trace is configured, the
+// parametric Stream otherwise. Panics on invalid configuration, like
+// NewStream. The tiers plan a cell once and Start each run's source
+// (platform.Plan); TestNewSourceDispatch builds sources in one call with
+// it.
 func NewSource(cfg Config, src *rng.Source) EventSource {
-	if cfg.Replay != nil {
-		if err := cfg.Validate(); err != nil {
-			panic(err)
-		}
-		return NewReplayStream(cfg.Replay, cfg.JobNodes, cfg.Metrics)
+	p, err := NewPlan(cfg)
+	if err != nil {
+		panic(err)
 	}
-	return NewStream(cfg, src)
+	return p.Start(new(SourceState), src, nil)
+}
+
+// Plan is a validated stream configuration with everything its streams
+// share derived once: the scaled lead-time model, the job's Weibull
+// scale and the spurious-prediction rate. A sweep plans a cell once and
+// starts each run's stream from the plan; NewSource and NewStream plan
+// and start in one call. A Plan is read-only, so concurrent runs share
+// it.
+type Plan struct {
+	cfg      Config
+	leads    *LeadTimeModel
+	jobScale float64 // Weibull scale for job inter-arrivals, seconds
+	spurRate float64 // spurious predictions per second (0 = none)
+}
+
+// NewPlan validates cfg and derives what every stream of it shares.
+func NewPlan(cfg Config) (*Plan, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	p := &Plan{cfg: cfg}
+	if cfg.Replay != nil {
+		return p, nil
+	}
+	p.leads = cfg.Leads
+	if cfg.LeadScale != 1 {
+		p.leads = p.leads.Scaled(cfg.LeadScale)
+	}
+	p.jobScale = cfg.System.JobScaleSeconds(cfg.JobNodes)
+	// Spurious predictions arrive so that FPRate of all predictions are
+	// false: rate_fp = rate_true_pred × FP/(1−FP).
+	truePredRate := (1 - cfg.FNRate) * cfg.System.JobFailureRate(cfg.JobNodes)
+	if cfg.FPRate > 0 && truePredRate > 0 {
+		p.spurRate = truePredRate * cfg.FPRate / (1 - cfg.FPRate)
+	}
+	return p, nil
+}
+
+// SourceState is the storage of one run's event source, of either kind.
+// A recycled run record keeps one and Plan.Start restarts it, reusing
+// the parametric stream's event heap and the replay's cycle buffer.
+type SourceState struct {
+	stream Stream
+	replay ReplayStream
+}
+
+// Drop clears the metric handles and configuration references st holds,
+// keeping its buffers for the next Start.
+func (st *SourceState) Drop() {
+	st.stream.buf.Clear()
+	st.stream = Stream{buf: st.stream.buf}
+	st.replay = ReplayStream{buf: st.replay.buf[:0]}
+}
+
+// Start begins one run's event source in st: the replay of the plan's
+// trace, or the parametric stream drawing from a copy of src. reg, when
+// non-nil, receives the predictor's delivered accounting as the source
+// is consumed: the lead-time distribution actually handed to the
+// simulator plus true/false positive and false negative counts (see
+// internal/metrics). Nil costs nothing. The source is the one
+// NewSource(cfg, src) builds, draw for draw.
+func (p *Plan) Start(st *SourceState, src *rng.Source, reg *metrics.Registry) EventSource {
+	if p.cfg.Replay != nil {
+		st.replay.reset(p.cfg.Replay, p.cfg.JobNodes, reg)
+		return &st.replay
+	}
+	p.startStream(&st.stream, src, reg)
+	return &st.stream
+}
+
+// startStream restarts s as the parametric stream of the plan. The event
+// heap keeps its backing array; its sequence counter keeps counting,
+// which leaves the pop order unchanged (ties break on relative order).
+func (p *Plan) startStream(s *Stream, src *rng.Source, reg *metrics.Registry) {
+	s.buf.Clear()
+	s.cfg, s.leads, s.src = p.cfg, p.leads, *src
+	s.jobScale, s.spurRate = p.jobScale, p.spurRate
+	s.nextID, s.emittedTo = 0, 0
+	s.met = newStreamMeters(reg)
+	s.nextFail = s.src.Weibull(s.cfg.System.Shape, s.jobScale)
+	s.nextSpur = s.sampleSpur(0)
 }
 
 // DefaultFNRate is the baseline false-negative rate of the predictor.
@@ -171,7 +249,7 @@ const DefaultFPRate = 0.18
 type Stream struct {
 	cfg       Config
 	leads     *LeadTimeModel
-	src       *rng.Source
+	src       rng.Source
 	buf       queue.PQ[Event]
 	nextFail  float64 // arrival time of the next not-yet-expanded failure
 	nextSpur  float64 // arrival time of the next spurious prediction
@@ -219,36 +297,21 @@ func (m *streamMeters) account(ev Event) {
 	}
 }
 
-// NewStream builds a parametric stream. It panics on invalid
-// configuration, and on a replay configuration — NewSource dispatches
-// between the two source kinds.
+// NewStream builds an unmetered parametric stream drawing from a copy of
+// src. It panics on invalid configuration, and on a replay configuration
+// — NewSource dispatches between the two source kinds. The Test*Stream*
+// tests of this package and BenchmarkFailureStream build bare streams
+// with it.
 func NewStream(cfg Config, src *rng.Source) *Stream {
 	if cfg.Replay != nil {
 		panic("failure: NewStream on a replay configuration (use NewSource)")
 	}
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	p, err := NewPlan(cfg)
+	if err != nil {
 		panic(err)
 	}
-	leads := cfg.Leads
-	if cfg.LeadScale != 1 {
-		leads = leads.Scaled(cfg.LeadScale)
-	}
-	s := &Stream{
-		cfg:      cfg,
-		leads:    leads,
-		src:      src,
-		jobScale: cfg.System.JobScaleSeconds(cfg.JobNodes),
-		met:      newStreamMeters(cfg.Metrics),
-	}
-	// Spurious predictions arrive so that FPRate of all predictions are
-	// false: rate_fp = rate_true_pred × FP/(1−FP).
-	truePredRate := (1 - cfg.FNRate) * cfg.System.JobFailureRate(cfg.JobNodes)
-	if cfg.FPRate > 0 && truePredRate > 0 {
-		s.spurRate = truePredRate * cfg.FPRate / (1 - cfg.FPRate)
-	}
-	s.nextFail = s.src.Weibull(cfg.System.Shape, s.jobScale)
-	s.nextSpur = s.sampleSpur(0)
+	s := new(Stream)
+	p.startStream(s, src, nil)
 	return s
 }
 
@@ -271,7 +334,7 @@ func (s *Stream) expandFailure() {
 		s.buf.Push(t, Event{Kind: KindFailure, Time: t, Node: node, FailTime: t, ID: s.nextID})
 		return
 	}
-	lead, seq := s.leads.Sample(s.src)
+	lead, seq := s.leads.Sample(&s.src)
 	if lead > LeadCap {
 		lead = LeadCap
 	}
@@ -289,7 +352,7 @@ func (s *Stream) expandSpur() {
 	t := s.nextSpur
 	s.nextSpur = s.sampleSpur(t)
 	s.nextID++
-	lead, seq := s.leads.Sample(s.src)
+	lead, seq := s.leads.Sample(&s.src)
 	if lead > LeadCap {
 		lead = LeadCap
 	}
@@ -336,10 +399,17 @@ type RateEstimator struct {
 // NewRateEstimator builds an estimator around an analytic prior rate
 // (failures/second, job-wide).
 func NewRateEstimator(prior float64) *RateEstimator {
+	e := new(RateEstimator)
+	e.Reset(prior)
+	return e
+}
+
+// Reset makes e the estimator NewRateEstimator(prior) returns, in place.
+func (e *RateEstimator) Reset(prior float64) {
 	if prior <= 0 {
 		panic("failure: non-positive prior rate")
 	}
-	return &RateEstimator{prior: prior, priorWeight: 3 / prior}
+	*e = RateEstimator{prior: prior, priorWeight: 3 / prior}
 }
 
 // Observe records one failure.

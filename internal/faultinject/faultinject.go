@@ -150,7 +150,7 @@ func (c Config) Validate() error {
 // touching any stream.
 type Injector struct {
 	cfg Config
-	src *rng.Source
+	src rng.Source
 
 	bbWriteFailures  *metrics.Counter
 	pfsWriteFailures *metrics.Counter
@@ -161,16 +161,26 @@ type Injector struct {
 }
 
 // New builds the injector for one run from the run's fault substream
-// (src must be the root source's Split(StreamKey)). A zero cfg returns
-// nil — the disabled plan — so callers construct unconditionally.
+// (src must be the root source's Split(StreamKey); the injector draws
+// from a copy). A zero cfg returns nil — the disabled plan — so callers
+// construct unconditionally.
 func New(cfg Config, src *rng.Source, reg *metrics.Registry) *Injector {
 	cfg = cfg.WithDefaults()
 	if cfg == (Config{}) {
 		return nil
 	}
-	return &Injector{
+	in := new(Injector)
+	in.Reset(cfg, src, reg)
+	return in
+}
+
+// Reset makes in, in place, the injector New(cfg, src, reg) returns for
+// a plan that is already defaulted and not zero: a recycled run record
+// keeps one injector and resets it for each run.
+func (in *Injector) Reset(cfg Config, src *rng.Source, reg *metrics.Registry) {
+	*in = Injector{
 		cfg:              cfg,
-		src:              src,
+		src:              *src,
 		bbWriteFailures:  reg.Counter("faultinject.bb_write_failures"),
 		pfsWriteFailures: reg.Counter("faultinject.pfs_write_failures"),
 		corruptRestarts:  reg.Counter("faultinject.corrupt_restarts"),

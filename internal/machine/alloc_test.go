@@ -141,3 +141,58 @@ func TestMachineRunAllocsFlat(t *testing.T) {
 			al, rl.Brownouts, rl.DrainOutages, as, rs.Brownouts, rs.DrainOutages)
 	}
 }
+
+// TestMachineCrashReadmissionAllocsNoRecord: a tenant readmitted after a
+// crash restarts on a recycled step-tier run record, so a readmission
+// costs only the machine's own bookkeeping (its requeue timer and
+// completion hook, and the admission log) — a few allocations, where a
+// new app record cost dozens. Two cohorts differ only in their crash
+// rate; the crashing one's extra allocations, per readmission, must stay
+// below the bound.
+func TestMachineCrashReadmissionAllocsNoRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts need the engine and record pools, which -race defeats")
+	}
+	cohort := func(crashRate float64) machine.Config {
+		return machine.Config{
+			Jobs: []machine.JobSpec{
+				quietTenant(policy.B, 6),
+				quietTenant(policy.M1, 6),
+				quietTenant(policy.P2, 6),
+			},
+			PFSCeilingGBs:       20,
+			MaxConcurrentDrains: 2,
+			Faults: faultinject.MachineConfig{
+				BrownoutRatePerHour: 1,
+				BrownoutMeanSeconds: 600,
+				CrashRatePerHour:    crashRate,
+				CrashMaxRetries:     4,
+				CrashBackoffSeconds: 60,
+			},
+		}
+	}
+	const seeds = 4
+	calm, crashy := cohort(0), cohort(1)
+	readmissions := 0
+	for seed := uint64(1); seed <= seeds; seed++ {
+		readmissions += machine.Simulate(crashy, seed).CrashRequeues
+	}
+	if readmissions < 8 {
+		t.Fatalf("%d readmissions are too few to separate their cost", readmissions)
+	}
+	runs := func(cfg machine.Config) func() {
+		return func() {
+			for seed := uint64(1); seed <= seeds; seed++ {
+				machine.Simulate(cfg, seed)
+			}
+		}
+	}
+	ac := testing.AllocsPerRun(5, runs(calm))
+	ax := testing.AllocsPerRun(5, runs(crashy))
+	const bound = 6
+	if per := (ax - ac) / float64(readmissions); per > bound {
+		t.Errorf("%.0f allocations with %d readmissions vs %.0f without: %.1f per readmission, want at most %d",
+			ax, readmissions, ac, per, bound)
+	}
+	t.Logf("%.0f allocations with %d readmissions vs %.0f without", ax, readmissions, ac)
+}

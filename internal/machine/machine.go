@@ -213,10 +213,39 @@ type Result struct {
 // draws seed sweep.Seed(seed, i), the same derivation the sweep
 // runners use.
 func Simulate(cfg Config, seed uint64) Result {
+	return prepare(cfg).simulate(seed)
+}
+
+// prepared is a cohort ready to simulate: the defaulted, validated
+// configuration and each job's step-tier cell, prepared once and shared
+// by every tenant start, crash readmission and solo baseline of the
+// runs that simulate it.
+type prepared struct {
+	cfg   Config
+	cells []*stepsim.Cell
+}
+
+// prepare defaults and validates cfg and prepares its jobs' cells. It
+// panics on an invalid cohort.
+func prepare(cfg Config) *prepared {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	p := &prepared{cfg: cfg, cells: make([]*stepsim.Cell, len(cfg.Jobs))}
+	for i, j := range cfg.Jobs {
+		c, err := stepsim.Prepare(stepsim.Config{Model: j.Model, Config: j.Platform})
+		if err != nil {
+			panic(fmt.Errorf("machine: job %d: %w", i, err))
+		}
+		p.cells[i] = c
+	}
+	return p
+}
+
+// simulate runs the prepared cohort once from seed.
+func (p *prepared) simulate(seed uint64) Result {
+	cfg := p.cfg
 	eng := sim.NewEngine()
 	eng.SetWatchdog(uint64(len(cfg.Jobs))*sim.RunEventBudget, 0)
 	arb := NewBandwidthArbiter(eng, cfg.PFSCeilingGBs, cfg.MaxConcurrentDrains, len(cfg.Jobs))
@@ -226,6 +255,7 @@ func Simulate(cfg Config, seed uint64) Result {
 		arb.SetStarvationEscalation(bound)
 	}
 
+	cells := p.cells
 	res := Result{Jobs: make([]JobResult, len(cfg.Jobs))}
 	arb.SetAllocObserver(func(t, total, ceiling float64) {
 		if total > res.PeakAllocGBs {
@@ -263,7 +293,6 @@ func Simulate(cfg Config, seed uint64) Result {
 				jr.StartSeconds = now
 			}
 			jr.QueueWaitSeconds += now - p.ArrivalSeconds
-			job := cfg.Jobs[p.Job]
 			// A readmitted job replays a fresh seed derived from its crash
 			// count, so retry runs are independent draws but the whole
 			// machine stays deterministic in (cfg, seed).
@@ -272,13 +301,10 @@ func Simulate(cfg Config, seed uint64) Result {
 				jobSeed = sweep.Seed(jobSeed, ten.crashes)
 			}
 			ten.running = true
-			ten.handle = stepsim.StartApp(eng, stepsim.Config{
-				Model:   job.Model,
-				Config:  job.Platform,
-				Metrics: cfg.Metrics,
-			}, jobSeed, stepsim.AppOptions{
+			ten.handle = cells[p.Job].Start(eng, jobSeed, stepsim.AppOptions{
 				Arbiter:  arb,
 				AppIndex: p.Job,
+				Metrics:  cfg.Metrics,
 				OnDone: func(r stats.RunResult) {
 					jr.EndSeconds = eng.Now()
 					jr.Run = r
@@ -314,8 +340,8 @@ func Simulate(cfg Config, seed uint64) Result {
 	}
 	eng.RunAll()
 	eng.Release()
-	// Not at abort: a crashed tenant's pending callbacks touch its table
-	// until the engine drains. The solo baselines below reuse the tables.
+	// Not at abort: a crashed tenant's pending callbacks touch its record
+	// until the engine drains. The solo baselines below reuse the records.
 	for _, h := range started {
 		h.Release()
 	}
@@ -329,8 +355,7 @@ func Simulate(cfg Config, seed uint64) Result {
 	// machine — the slowdown denominator.
 	for i := range res.Jobs {
 		jr := &res.Jobs[i]
-		job := cfg.Jobs[i]
-		solo := stepsim.Simulate(stepsim.Config{Model: job.Model, Config: job.Platform}, sweep.Seed(seed, i))
+		solo := cells[i].Run(sweep.Seed(seed, i), nil)
 		jr.SoloWallSeconds = solo.WallSeconds
 		if solo.WallSeconds > 0 {
 			jr.SlowdownX = jr.Run.WallSeconds / solo.WallSeconds
@@ -457,18 +482,15 @@ func Sweep(cfg Config, runs int, seed uint64, workers int) Summary {
 	return s
 }
 
-// sweepRuns is the sweep behind SimulateN and Sweep. It validates the
-// cohort once, on the caller's goroutine, so an invalid cohort panics
-// here instead of becoming one ledger entry per run, and drops the
-// shared observers, which concurrent runs would race on; per-run
-// introspection uses Simulate.
+// sweepRuns is the sweep behind SimulateN and Sweep. It validates and
+// prepares the cohort once, on the caller's goroutine, so an invalid
+// cohort panics here instead of becoming one ledger entry per run, and
+// drops the shared observers, which concurrent runs would race on;
+// per-run introspection uses Simulate.
 func sweepRuns(cfg Config, runs int, seed uint64, workers int) ([]Result, []stats.FailedRun) {
-	d := cfg.WithDefaults()
-	if err := d.Validate(); err != nil {
-		panic(err)
-	}
 	cfg.Metrics = nil
 	cfg.OnAlloc = nil
-	desc := fmt.Sprintf("machine jobs=%d nodes=%d", len(d.Jobs), d.Nodes)
-	return sweep.Run(runs, seed, workers, desc, func(s uint64) Result { return Simulate(cfg, s) })
+	p := prepare(cfg)
+	desc := fmt.Sprintf("machine jobs=%d nodes=%d", len(p.cfg.Jobs), p.cfg.Nodes)
+	return sweep.Run(runs, seed, workers, desc, p.simulate)
 }

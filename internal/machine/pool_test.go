@@ -11,13 +11,14 @@ import (
 )
 
 // TestPooledTenantTablesReleaseMeteredRun: a machine run returns every
-// tenant's node table to the step tier's pool, and a metered tenant's
-// table carries an observer holding the run's metric handles. The pool
-// must not keep them alive: one GC after the run (which moves the pooled
-// tables to the pool's victim cache, still reachable) every tenant
-// model's vulnerable-node gauge must be collectable. Every model is
-// watched because a solo baseline re-Resets one pooled table, which
-// would hide a missing observer clear on that one.
+// tenant's run record, node table included, to the step tier's pool,
+// and a metered tenant's record holds the run's metric handles (the
+// table's observer among them). The pool must not keep them alive: one
+// GC after the run (which moves the pooled records to the pool's victim
+// cache, still reachable) every tenant model's vulnerable-node gauge
+// must be collectable. Every model is watched because a solo baseline
+// re-Resets one pooled record, which would hide a missing clear on that
+// one.
 func TestPooledTenantTablesReleaseMeteredRun(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop Puts at random")

@@ -24,6 +24,12 @@
 // order (all histograms share one bucket layout, so the merge is exact)
 // and computes each merged histogram's quantiles once. The hot path stays
 // lock-free, and a run allocates no registry.
+//
+// A Snapshot's JSON form (WriteJSON, the result cache's metered entries)
+// is encoding/json's, except that a non-finite float — a histogram that
+// observed +Inf carries it in its sum, extremes and quantiles — is
+// written as the string "+Inf", "-Inf" or "NaN", which encoding/json
+// would refuse; decoding restores it bit for bit.
 package metrics
 
 import (

@@ -486,7 +486,8 @@ func (s *Snapshot) Empty() bool {
 	return s == nil || (len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Histograms) == 0)
 }
 
-// WriteJSON writes the snapshot to path as indented JSON.
+// WriteJSON writes the snapshot to path as indented JSON (MarshalJSON's
+// encoding).
 func (s *Snapshot) WriteJSON(path string) error {
 	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
@@ -526,4 +527,126 @@ func (c *Collector) Snapshot() *Snapshot {
 	out := &Snapshot{}
 	out.Merge(&c.snap)
 	return out
+}
+
+// MarshalJSON encodes the snapshot through its JSON mirror: encoding/json's
+// bytes for every finite value, and the string "+Inf", "-Inf" or "NaN"
+// for a non-finite float, which encoding/json refuses (a histogram that
+// observed +Inf carries it in its sum, extremes and quantiles).
+func (s *Snapshot) MarshalJSON() ([]byte, error) {
+	w := snapshotJSON{}
+	if len(s.Counters) > 0 {
+		w.Counters = make(map[string]jsonFloat, len(s.Counters))
+		for name, v := range s.Counters {
+			w.Counters[name] = jsonFloat(v)
+		}
+	}
+	if len(s.Gauges) > 0 {
+		w.Gauges = make(map[string]gaugeJSON, len(s.Gauges))
+		for name, g := range s.Gauges {
+			w.Gauges[name] = gaugeJSON{jsonFloat(g.Integral), jsonFloat(g.Seconds), jsonFloat(g.Min), jsonFloat(g.Max), jsonFloat(g.Last)}
+		}
+	}
+	if len(s.Histograms) > 0 {
+		w.Histograms = make(map[string]histJSON, len(s.Histograms))
+		for name, h := range s.Histograms {
+			w.Histograms[name] = histJSON{h.Count, jsonFloat(h.Sum), jsonFloat(h.Min), jsonFloat(h.Max),
+				jsonFloat(h.P50), jsonFloat(h.P95), jsonFloat(h.P99), h.Buckets}
+		}
+	}
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON decodes what MarshalJSON encodes, non-finite strings
+// included, restoring each float bit for bit.
+func (s *Snapshot) UnmarshalJSON(data []byte) error {
+	var w snapshotJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	*s = Snapshot{}
+	if w.Counters != nil {
+		s.Counters = make(map[string]float64, len(w.Counters))
+		for name, v := range w.Counters {
+			s.Counters[name] = float64(v)
+		}
+	}
+	if w.Gauges != nil {
+		s.Gauges = make(map[string]GaugeStat, len(w.Gauges))
+		for name, g := range w.Gauges {
+			s.Gauges[name] = GaugeStat{float64(g.Integral), float64(g.Seconds), float64(g.Min), float64(g.Max), float64(g.Last)}
+		}
+	}
+	if w.Histograms != nil {
+		s.Histograms = make(map[string]HistStat, len(w.Histograms))
+		for name, h := range w.Histograms {
+			s.Histograms[name] = HistStat{h.Count, float64(h.Sum), float64(h.Min), float64(h.Max),
+				float64(h.P50), float64(h.P95), float64(h.P99), h.Buckets}
+		}
+	}
+	return nil
+}
+
+// snapshotJSON, gaugeJSON and histJSON mirror Snapshot, GaugeStat and
+// HistStat field for field and tag for tag, with jsonFloat floats.
+type snapshotJSON struct {
+	Counters   map[string]jsonFloat `json:"counters,omitempty"`
+	Gauges     map[string]gaugeJSON `json:"gauges,omitempty"`
+	Histograms map[string]histJSON  `json:"histograms,omitempty"`
+}
+
+type gaugeJSON struct {
+	Integral jsonFloat `json:"integral"`
+	Seconds  jsonFloat `json:"seconds"`
+	Min      jsonFloat `json:"min"`
+	Max      jsonFloat `json:"max"`
+	Last     jsonFloat `json:"last"`
+}
+
+type histJSON struct {
+	Count   uint64    `json:"count"`
+	Sum     jsonFloat `json:"sum"`
+	Min     jsonFloat `json:"min"`
+	Max     jsonFloat `json:"max"`
+	P50     jsonFloat `json:"p50"`
+	P95     jsonFloat `json:"p95"`
+	P99     jsonFloat `json:"p99"`
+	Buckets []Bucket  `json:"buckets,omitempty"`
+}
+
+// jsonFloat is a float64 whose JSON form is encoding/json's number for a
+// finite value and the string "+Inf", "-Inf" or "NaN" otherwise.
+type jsonFloat float64
+
+// MarshalJSON implements json.Marshaler.
+func (f jsonFloat) MarshalJSON() ([]byte, error) {
+	switch v := float64(f); {
+	case math.IsNaN(v):
+		return []byte(`"NaN"`), nil
+	case math.IsInf(v, 1):
+		return []byte(`"+Inf"`), nil
+	case math.IsInf(v, -1):
+		return []byte(`"-Inf"`), nil
+	default:
+		return json.Marshal(v)
+	}
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (f *jsonFloat) UnmarshalJSON(data []byte) error {
+	switch string(data) {
+	case `"NaN"`:
+		*f = jsonFloat(math.NaN())
+	case `"+Inf"`:
+		*f = jsonFloat(math.Inf(1))
+	case `"-Inf"`:
+		*f = jsonFloat(math.Inf(-1))
+	default:
+		var v float64
+		if err := json.Unmarshal(data, &v); err != nil {
+			return err
+		}
+		*f = jsonFloat(v)
+	}
+	return nil
 }

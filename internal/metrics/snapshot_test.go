@@ -1,7 +1,12 @@
 package metrics
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -266,5 +271,141 @@ func TestFoldSnapshotIsACopy(t *testing.T) {
 	fold.Add(reg.Frame(1))
 	if d := got.Diff(want); d != "" {
 		t.Fatalf("Add changed an earlier snapshot: %s", d)
+	}
+}
+
+// nonFiniteSnapshot records +Inf, -Inf and NaN into a histogram and a
+// gauge each, next to a finite series.
+func nonFiniteSnapshot() *Snapshot {
+	r := New()
+	for name, v := range map[string]float64{"inf": math.Inf(1), "neginf": math.Inf(-1), "nan": math.NaN()} {
+		r.Histogram("h." + name).Observe(v)
+		r.Histogram("h." + name).Observe(2)
+		g := r.Gauge("g." + name)
+		g.Set(1, 3)
+		g.Set(2, v)
+		r.Counter("c." + name).Add(v)
+	}
+	r.Histogram("h.finite").Observe(0.25)
+	return r.Snapshot(4)
+}
+
+// sameSnapshotBits reports the first float of got that differs from
+// want's bit for bit, or "".
+func sameSnapshotBits(want, got *Snapshot) string {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for name, v := range want.Counters {
+		if !same(v, got.Counters[name]) {
+			return fmt.Sprintf("counter %s: %v, want %v", name, got.Counters[name], v)
+		}
+	}
+	for name, w := range want.Gauges {
+		g := got.Gauges[name]
+		for i, pair := range [][2]float64{{w.Integral, g.Integral}, {w.Seconds, g.Seconds}, {w.Min, g.Min}, {w.Max, g.Max}, {w.Last, g.Last}} {
+			if !same(pair[0], pair[1]) {
+				return fmt.Sprintf("gauge %s field %d: %v, want %v", name, i, pair[1], pair[0])
+			}
+		}
+	}
+	for name, w := range want.Histograms {
+		h := got.Histograms[name]
+		for i, pair := range [][2]float64{{w.Sum, h.Sum}, {w.Min, h.Min}, {w.Max, h.Max}, {w.P50, h.P50}, {w.P95, h.P95}, {w.P99, h.P99}} {
+			if !same(pair[0], pair[1]) {
+				return fmt.Sprintf("histogram %s field %d: %v, want %v", name, i, pair[1], pair[0])
+			}
+		}
+		if h.Count != w.Count || !reflect.DeepEqual(h.Buckets, w.Buckets) {
+			return fmt.Sprintf("histogram %s: count or buckets differ", name)
+		}
+	}
+	if len(got.Counters) != len(want.Counters) || len(got.Gauges) != len(want.Gauges) || len(got.Histograms) != len(want.Histograms) {
+		return "series sets differ"
+	}
+	return ""
+}
+
+// plainSnapshot is Snapshot without its JSON methods: encoding/json's
+// own encoding, which every finite snapshot must keep byte for byte.
+type plainSnapshot Snapshot
+
+// TestSnapshotJSONMirrorFields: Snapshot's JSON mirror types carry every
+// field of the types they mirror, by name and tag, so a field added to
+// HistStat or GaugeStat cannot drop out of the encoding.
+func TestSnapshotJSONMirrorFields(t *testing.T) {
+	for _, pair := range [][2]reflect.Type{
+		{reflect.TypeOf(Snapshot{}), reflect.TypeOf(snapshotJSON{})},
+		{reflect.TypeOf(GaugeStat{}), reflect.TypeOf(gaugeJSON{})},
+		{reflect.TypeOf(HistStat{}), reflect.TypeOf(histJSON{})},
+	} {
+		orig, mirror := pair[0], pair[1]
+		if orig.NumField() != mirror.NumField() {
+			t.Errorf("%s has %d fields, its mirror %s %d", orig, orig.NumField(), mirror, mirror.NumField())
+			continue
+		}
+		for i := 0; i < orig.NumField(); i++ {
+			o, m := orig.Field(i), mirror.Field(i)
+			if o.Name != m.Name || o.Tag != m.Tag {
+				t.Errorf("%s field %d is %s %q, its mirror's %s %q", orig, i, o.Name, o.Tag, m.Name, m.Tag)
+			}
+		}
+	}
+}
+
+// TestSnapshotJSONNonFinite: a snapshot holding +Inf, -Inf and NaN
+// writes its JSON file (encoding/json alone refuses such a value) with
+// each non-finite float as a string, and reads back bit for bit. A
+// finite snapshot keeps encoding/json's own bytes and decodes as
+// encoding/json decodes them.
+func TestSnapshotJSONNonFinite(t *testing.T) {
+	want := nonFiniteSnapshot()
+	path := filepath.Join(t.TempDir(), "m.json")
+	if err := want.WriteJSON(path); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{`"+Inf"`, `"-Inf"`, `"NaN"`} {
+		if !strings.Contains(string(data), s) {
+			t.Errorf("snapshot file lacks %s", s)
+		}
+	}
+	got := &Snapshot{}
+	if err := json.Unmarshal(data, got); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if d := sameSnapshotBits(want, got); d != "" {
+		t.Fatalf("round trip: %s", d)
+	}
+
+	finite := New()
+	finite.Histogram("h").Observe(1e-9)
+	finite.Histogram("h").Observe(-3.5e300)
+	finite.Gauge("g").Set(1, 1e22)
+	finite.Gauge("g").Set(2, math.Copysign(0, -1))
+	finite.Counter("c").Add(0.1)
+	snap := finite.Snapshot(3)
+	enc, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := json.Marshal((*plainSnapshot)(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(enc) != string(plain) {
+		t.Fatalf("finite snapshot changed bytes:\n%s\n%s", enc, plain)
+	}
+	var viaPlain plainSnapshot
+	viaMirror := &Snapshot{}
+	if err := json.Unmarshal(plain, &viaPlain); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(plain, viaMirror); err != nil {
+		t.Fatal(err)
+	}
+	if d := sameSnapshotBits((*Snapshot)(&viaPlain), viaMirror); d != "" {
+		t.Fatalf("finite decode: %s", d)
 	}
 }

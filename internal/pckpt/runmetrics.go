@@ -132,14 +132,22 @@ func NewRunMetrics(r *metrics.Registry, id policy.ID) RunMetrics {
 	}
 }
 
-// ObserveCluster installs a cluster observer that sets the VulnNodes
-// gauge to the cluster's at-risk count on every transition, stamped with
-// the simulation clock now. Call it only when metering is on, so the
-// unmetered hot path keeps a nil observer (one branch per transition,
-// nothing more). The observer holds these handles: a caller that
-// recycles cl must remove it before the cluster outlives the run.
+// ObserveCluster installs a cluster observer that applies CountVulnerable
+// on every transition, stamped with the simulation clock now. Call it
+// only when metering is on, so the unmetered hot path keeps a nil
+// observer (one branch per transition, nothing more). The observer holds
+// these handles: a caller that recycles cl must remove it before the
+// cluster outlives the run.
 func (m RunMetrics) ObserveCluster(cl *cluster.Cluster, now func() float64) {
 	cl.SetObserver(func(int, cluster.State, cluster.State) {
-		m.VulnNodes.Set(now(), float64(cl.AtRisk()))
+		m.CountVulnerable(now(), cl)
 	})
+}
+
+// CountVulnerable sets the VulnNodes gauge to cl's at-risk count at
+// simulation time now: what a metered run records on each cluster
+// transition, through ObserveCluster's observer or the step tier's
+// prebound one.
+func (m RunMetrics) CountVulnerable(now float64, cl *cluster.Cluster) {
+	m.VulnNodes.Set(now, float64(cl.AtRisk()))
 }

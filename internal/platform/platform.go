@@ -201,24 +201,75 @@ func (c Config) SigmaLM() float64 {
 
 // Sources seeds one run's stochastic inputs: the failure/prediction
 // stream draws from the seed's Split(1) substream, the fault plan from
-// Split(faultinject.StreamKey). Every tier starts a run here, so one seed
-// delivers the same failures and faults on each; reg, when non-nil,
-// meters both. A plan with every rate at zero consumes no draws, so such
-// a run is bit-identical to one with injection disabled.
+// Split(faultinject.StreamKey). Every tier starts a run here or at
+// Plan.Seed, which Sources calls, so one seed delivers the same failures
+// and faults on each; reg, when non-nil, meters both. A plan with every
+// rate at zero consumes no draws, so such a run is bit-identical to one
+// with injection disabled.
 func (c Config) Sources(seed uint64, reg *metrics.Registry) (failure.EventSource, *faultinject.Injector) {
+	p, err := c.Plan()
+	if err != nil {
+		panic(err)
+	}
+	return p.Seed(new(Inputs), seed, reg)
+}
+
+// Plan is a cell's stochastic-input plan: its failure stream's plan and
+// its defaulted fault plan, validated and derived once. Seed starts each
+// run's sources from it. A Plan is read-only, so concurrent runs of a
+// cell share it.
+type Plan struct {
+	stream *failure.Plan
+	faults faultinject.Config
+}
+
+// Plan validates the configuration's failure stream and derives what
+// every run of it shares.
+func (c Config) Plan() (Plan, error) {
 	c = c.WithDefaults()
-	src := rng.New(seed)
-	stream := failure.NewSource(failure.Config{
+	stream, err := failure.NewPlan(failure.Config{
 		System:    c.System,
 		JobNodes:  c.App.Nodes,
 		Leads:     c.Leads,
 		LeadScale: c.LeadScale,
 		FNRate:    c.FNRate,
 		FPRate:    c.FPRate,
-		Metrics:   reg,
 		Replay:    c.Replay,
-	}, src.Split(1))
-	return stream, faultinject.New(c.Faults, src.Split(faultinject.StreamKey), reg)
+	})
+	return Plan{stream: stream, faults: c.Faults}, err
+}
+
+// Inputs is the storage of one run's stochastic inputs: the event
+// source and the fault injector. A recycled run record keeps one and
+// Plan.Seed restarts it for each run.
+type Inputs struct {
+	source failure.SourceState
+	inj    faultinject.Injector
+}
+
+// Drop clears the metric handles and configuration references the
+// inputs hold, keeping their buffers, so a pooled run record keeps no
+// finished run's registry alive.
+func (in *Inputs) Drop() {
+	in.source.Drop()
+	in.inj = faultinject.Injector{}
+}
+
+// Seed starts one run's sources in the storage in, the ones
+// Sources(seed, reg) returns draw for draw: the root source's Split(1) feeds the stream and
+// its Split(faultinject.StreamKey) the injector, which is nil for a zero
+// fault plan.
+func (p *Plan) Seed(in *Inputs, seed uint64, reg *metrics.Registry) (failure.EventSource, *faultinject.Injector) {
+	var root, sub rng.Source
+	root.Seed(seed)
+	root.SplitTo(1, &sub)
+	stream := p.stream.Start(&in.source, &sub, reg)
+	if p.faults == (faultinject.Config{}) {
+		return stream, nil
+	}
+	root.SplitTo(faultinject.StreamKey, &sub)
+	in.inj.Reset(p.faults, &sub, reg)
+	return stream, &in.inj
 }
 
 // Derived is the full set of precomputed platform quantities (seconds /

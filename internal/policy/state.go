@@ -1,7 +1,7 @@
 package policy
 
 import (
-	"sort"
+	"slices"
 
 	"pckpt/internal/failure"
 	"pckpt/internal/queue"
@@ -90,7 +90,14 @@ type State struct {
 	mitigatedAt map[int64]float64    // failure ID → PFS-recoverable progress
 	avoided     map[int64]bool       // failure IDs neutralised by LM
 	migrations  map[int]*Migration   // node → in-flight migration
-	episode     *Episode             // non-nil while a p-ckpt episode runs
+	episode     *Episode             // &ep while a p-ckpt episode runs, else nil
+
+	// Storage reused across episodes, migrations and Resets: at most one
+	// episode is live, a migration record is free again once
+	// FinishMigration has read it, and AbortMigrations sorts in order.
+	ep       Episode
+	migFree  []*Migration
+	abortBuf []int
 }
 
 // maxPFSGens caps the retained superseded-generation history. Eight
@@ -100,13 +107,34 @@ const maxPFSGens = 8
 
 // NewState returns the start-of-run lifecycle state.
 func NewState() *State {
-	return &State{
-		pfsProgress: -1,
-		predicted:   make(map[int64]Prediction),
-		mitigatedAt: make(map[int64]float64),
-		avoided:     make(map[int64]bool),
-		migrations:  make(map[int]*Migration),
+	s := new(State)
+	s.Reset()
+	return s
+}
+
+// Reset returns s to the start-of-run state in place: its maps are
+// cleared, not reallocated, and its episode and migration records are
+// kept for reuse, so a recycled run record starts a run without
+// allocating one. A migration still in flight is dropped with its
+// record.
+func (s *State) Reset() {
+	if s.predicted == nil {
+		s.predicted = make(map[int64]Prediction)
+		s.mitigatedAt = make(map[int64]float64)
+		s.avoided = make(map[int64]bool)
+		s.migrations = make(map[int]*Migration)
 	}
+	clear(s.predicted)
+	clear(s.mitigatedAt)
+	clear(s.avoided)
+	clear(s.migrations)
+	clear(s.corruptGens)
+	s.epoch, s.rescheduled, s.pfsProgress = 0, false, -1
+	s.drainGen, s.drainsInFlight = 0, 0
+	s.pfsGens = s.pfsGens[:0]
+	s.episode = nil
+	s.ep.Q.Clear()
+	s.ep = Episode{Q: s.ep.Q}
 }
 
 // Epoch returns the current fail epoch. Blocking activities snapshot it
@@ -133,7 +161,14 @@ func (s *State) Migrating(node int) bool { return s.migrations[node] != nil }
 // StartMigration registers an in-flight migration for ev's node and
 // returns its handle (the tier schedules the completion callback).
 func (s *State) StartMigration(ev failure.Event) *Migration {
-	m := &Migration{Ev: ev}
+	var m *Migration
+	if n := len(s.migFree); n > 0 {
+		m = s.migFree[n-1]
+		s.migFree = s.migFree[:n-1]
+		*m = Migration{Ev: ev}
+	} else {
+		m = &Migration{Ev: ev}
+	}
 	s.migrations[ev.Node] = m
 	return m
 }
@@ -141,12 +176,15 @@ func (s *State) StartMigration(ev failure.Event) *Migration {
 // FinishMigration completes a migration at its scheduled time: it
 // reports false if the migration was aborted meanwhile, otherwise it
 // deregisters it and reports true (the tier then credits the avoidance).
+// Either way the handle is spent: its record goes back for reuse, so
+// the tier must not read m afterwards.
 func (s *State) FinishMigration(m *Migration) bool {
-	if m.Aborted {
-		return false
+	aborted := m.Aborted
+	if !aborted {
+		delete(s.migrations, m.Ev.Node)
 	}
-	delete(s.migrations, m.Ev.Node)
-	return true
+	s.migFree = append(s.migFree, m)
+	return !aborted
 }
 
 // AbortMigrations cancels every in-flight migration (a p-ckpt request
@@ -157,11 +195,12 @@ func (s *State) FinishMigration(m *Migration) bool {
 // timelines and deadline-tie resolution) is identical on every tier and
 // every run.
 func (s *State) AbortMigrations(each func(ev failure.Event)) {
-	nodes := make([]int, 0, len(s.migrations))
+	nodes := s.abortBuf[:0]
 	for node := range s.migrations {
 		nodes = append(nodes, node)
 	}
-	sort.Ints(nodes)
+	slices.Sort(nodes)
+	s.abortBuf = nodes
 	for _, node := range nodes {
 		m := s.migrations[node]
 		m.Aborted = true
@@ -171,8 +210,12 @@ func (s *State) AbortMigrations(each func(ev failure.Event)) {
 }
 
 // BeginEpisode opens a p-ckpt episode snapshotting the given progress.
+// Episodes never overlap, so each reuses one record (and its queue's
+// storage): the handle is valid until EndEpisode.
 func (s *State) BeginEpisode(progress float64) *Episode {
-	s.episode = &Episode{StartProgress: progress}
+	s.ep.Q.Clear()
+	s.ep = Episode{Q: s.ep.Q, StartProgress: progress}
+	s.episode = &s.ep
 	return s.episode
 }
 

@@ -83,10 +83,11 @@ func (q *PQ[T]) Head() (key float64, seq uint64, ok bool) {
 
 // Clear removes all items but keeps the backing storage for reuse. The
 // vacated slots are zeroed so cleared values do not linger in the backing
-// array. No owner reuses a queue yet (the engine pools only empty
-// ones); TestClearReleasesSlots pins the no-lingering-pointer contract a
-// pooled owner would need, as TestRemoveFuncReleasesTail does for
-// RemoveFunc.
+// array. The sequence counter keeps counting: ties still break in push
+// order, so a cleared queue pops exactly as a new one would. A recycled
+// failure stream and a reused p-ckpt episode clear their queues this
+// way; TestClearReleasesSlots pins the no-lingering-pointer contract, as
+// TestRemoveFuncReleasesTail does for RemoveFunc.
 func (q *PQ[T]) Clear() {
 	for i := range q.items {
 		q.items[i] = pqItem[T]{}

@@ -35,16 +35,21 @@ func splitMix64(x *uint64) uint64 {
 // same seed produce identical streams.
 func New(seed uint64) *Source {
 	var s Source
-	x := seed
-	for i := range s.s {
-		s.s[i] = splitMix64(&x)
+	s.Seed(seed)
+	return &s
+}
+
+// Seed resets r, in place, to the stream New(seed) starts: a recycled
+// run record reseeds its generators without allocating new ones.
+func (r *Source) Seed(seed uint64) {
+	for i := range r.s {
+		r.s[i] = splitMix64(&seed)
 	}
 	// xoshiro256** requires a nonzero state; SplitMix64 of any seed is
 	// astronomically unlikely to produce all zeros, but guard anyway.
-	if s.s[0]|s.s[1]|s.s[2]|s.s[3] == 0 {
-		s.s[0] = 0x9e3779b97f4a7c15
+	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
+		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &s
 }
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
@@ -67,15 +72,15 @@ func (r *Source) Uint64() uint64 {
 // draws the parent has made: substream identity depends only on the
 // parent's seed state at Split time and the key.
 func (r *Source) Split(key uint64) *Source {
-	x := r.s[0] ^ rotl(r.s[2], 23) ^ (key * 0xd1342543de82ef95)
 	var s Source
-	for i := range s.s {
-		s.s[i] = splitMix64(&x)
-	}
-	if s.s[0]|s.s[1]|s.s[2]|s.s[3] == 0 {
-		s.s[0] = 0x9e3779b97f4a7c15
-	}
+	r.SplitTo(key, &s)
 	return &s
+}
+
+// SplitTo sets dst to the substream Split(key) derives, in place: the
+// value form a recycled run record keeps its substreams in.
+func (r *Source) SplitTo(key uint64, dst *Source) {
+	dst.Seed(r.s[0] ^ rotl(r.s[2], 23) ^ (key * 0xd1342543de82ef95))
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.

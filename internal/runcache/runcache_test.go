@@ -510,3 +510,48 @@ func TestGetRejectsEveryCorruption(t *testing.T) {
 		t.Fatal("the intact entry missed")
 	}
 }
+
+// TestPutGetNonFiniteMetrics: a metered entry whose snapshot holds +Inf,
+// -Inf and NaN — in a histogram and a gauge — stores, and a metered Get
+// returns every float bit for bit.
+func TestPutGetNonFiniteMetrics(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	for name, v := range map[string]float64{"inf": math.Inf(1), "neginf": math.Inf(-1), "nan": math.NaN()} {
+		reg.Histogram("h." + name).Observe(v)
+		reg.Gauge("g."+name).Set(1, v)
+	}
+	want := reg.Snapshot(2)
+	if err := s.Put(testKey(), testAgg(), want); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	_, got, ok := s.Get(testKey(), true)
+	if !ok {
+		t.Fatal("metered Get missed the entry Put wrote")
+	}
+	bits := func(vs ...float64) []uint64 {
+		out := make([]uint64, len(vs))
+		for i, v := range vs {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	for name, w := range want.Histograms {
+		g := got.Histograms[name]
+		if !reflect.DeepEqual(bits(g.Sum, g.Min, g.Max, g.P50, g.P95, g.P99), bits(w.Sum, w.Min, w.Max, w.P50, w.P95, w.P99)) || g.Count != w.Count {
+			t.Errorf("histogram %s: %+v, want %+v", name, g, w)
+		}
+	}
+	for name, w := range want.Gauges {
+		g := got.Gauges[name]
+		if !reflect.DeepEqual(bits(g.Integral, g.Seconds, g.Min, g.Max, g.Last), bits(w.Integral, w.Seconds, w.Min, w.Max, w.Last)) {
+			t.Errorf("gauge %s: %+v, want %+v", name, g, w)
+		}
+	}
+	if len(got.Histograms) != 3 || len(got.Gauges) != 3 {
+		t.Fatalf("Get returned %d histograms and %d gauges, want 3 and 3", len(got.Histograms), len(got.Gauges))
+	}
+}

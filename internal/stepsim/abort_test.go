@@ -24,7 +24,7 @@ func TestAppAbortTruncatesMidFlight(t *testing.T) {
 					solo := stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, seed)
 					cut := solo.WallSeconds / 2
 					eng := sim.NewEngine()
-					h := stepsim.StartApp(eng, stepsim.Config{Model: id, Config: plat}, seed, stepsim.AppOptions{})
+					h := startApp(eng, stepsim.Config{Model: id, Config: plat}, seed, stepsim.AppOptions{})
 					var partial = struct {
 						res  bool
 						wall float64
@@ -65,7 +65,7 @@ func TestAppAbortAfterCompletionIsNoop(t *testing.T) {
 	for _, id := range stepModels {
 		solo := stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, 2)
 		eng := sim.NewEngine()
-		h := stepsim.StartApp(eng, stepsim.Config{Model: id, Config: plat}, 2, stepsim.AppOptions{})
+		h := startApp(eng, stepsim.Config{Model: id, Config: plat}, 2, stepsim.AppOptions{})
 		eng.RunAll()
 		got := h.Abort()
 		eng.Release()
@@ -92,8 +92,8 @@ func TestAppAbortMidRecoveryOnMachine(t *testing.T) {
 		arb := machine.NewBandwidthArbiter(eng, 2500, 4, 2)
 		traced := cfg
 		traced.Trace = tr
-		victim = stepsim.StartApp(eng, traced, seed, stepsim.AppOptions{Arbiter: arb, AppIndex: 0})
-		other = stepsim.StartApp(eng, cfg, seed+100, stepsim.AppOptions{Arbiter: arb, AppIndex: 1})
+		victim = startApp(eng, traced, seed, stepsim.AppOptions{Arbiter: arb, AppIndex: 0})
+		other = startApp(eng, cfg, seed+100, stepsim.AppOptions{Arbiter: arb, AppIndex: 1})
 		if cut > 0 {
 			eng.After(cut, "", func() { aborted = victim.Abort() })
 		}

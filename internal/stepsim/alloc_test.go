@@ -5,6 +5,7 @@ import (
 
 	"pckpt/internal/failure"
 	"pckpt/internal/platform"
+	"pckpt/internal/stats"
 	"pckpt/internal/stepsim"
 	"pckpt/internal/workload"
 )
@@ -26,18 +27,24 @@ func quietPlatform(computeHours float64) platform.Config {
 }
 
 // TestStepCycleAllocsFlat pins the steady-state periodic cycle (compute
-// interval, BB write, BB→PFS drain) as allocation-free: a run eight
-// times as long, with several times the checkpoints, allocates the same
-// as the short one up to a small constant.
+// interval, BB write, BB→PFS drain) as allocation-free: a warm run of a
+// prepared cell allocates nothing, and neither does one eight times as
+// long, with several times the checkpoints.
 func TestStepCycleAllocsFlat(t *testing.T) {
 	if raceEnabled {
-		t.Skip("allocation counts need the engine and cluster pools, which -race defeats")
+		t.Skip("allocation counts need the engine and record pools, which -race defeats")
 	}
 	const hours = 24
 	for _, id := range stepModels {
-		short := stepsim.Config{Model: id, Config: quietPlatform(hours)}
-		long := stepsim.Config{Model: id, Config: quietPlatform(8 * hours)}
-		rs, rl := stepsim.Simulate(short, 1), stepsim.Simulate(long, 1)
+		short, err := stepsim.Prepare(stepsim.Config{Model: id, Config: quietPlatform(hours)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		long, err := stepsim.Prepare(stepsim.Config{Model: id, Config: quietPlatform(8 * hours)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, rl := short.Run(1, nil), long.Run(1, nil)
 		if rs.Failures != 0 || rl.Failures != 0 {
 			t.Fatalf("%v: quiet platform saw failures (%d, %d)", id, rs.Failures, rl.Failures)
 		}
@@ -45,11 +52,51 @@ func TestStepCycleAllocsFlat(t *testing.T) {
 			t.Fatalf("%v: %d and %d checkpoints do not separate the cycle cost from the per-run cost",
 				id, rs.Checkpoints, rl.Checkpoints)
 		}
-		as := testing.AllocsPerRun(20, func() { stepsim.Simulate(short, 1) })
-		al := testing.AllocsPerRun(20, func() { stepsim.Simulate(long, 1) })
-		if al > as+4 {
-			t.Errorf("%v: %.0f allocs for %d checkpoints vs %.0f for %d: the cycle allocates",
-				id, al, rl.Checkpoints, as, rs.Checkpoints)
+		as := testing.AllocsPerRun(20, func() { short.Run(1, nil) })
+		al := testing.AllocsPerRun(20, func() { long.Run(1, nil) })
+		if as != 0 || al != 0 {
+			t.Errorf("%v: %.0f allocs for %d checkpoints and %.0f for %d, want 0 and 0",
+				id, as, rs.Checkpoints, al, rl.Checkpoints)
 		}
+	}
+}
+
+// TestStepRunAllocsZero pins a warm step run as allocation-free: once
+// the record and engine pools hold a record grown to a run's needs,
+// whole runs of every model — failures, predictions, p-ckpt episodes,
+// migrations, M1 safeguards, restart retries and injected faults
+// included, which the test checks the runs exercised — allocate
+// nothing, on a prepared cell.
+func TestStepRunAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts need the engine and record pools, which -race defeats")
+	}
+	plat := testPlatforms()["degraded"]
+	var seen stats.RunResult
+	for _, id := range stepModels {
+		c, err := stepsim.Prepare(stepsim.Config{Model: id, Config: plat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := func() {
+			for seed := uint64(1); seed <= 4; seed++ {
+				r := c.Run(seed, nil)
+				seen.Failures += r.Failures
+				seen.Predicted += r.Predicted
+				seen.ProactiveCkpts += r.ProactiveCkpts
+				seen.Migrations += r.Migrations
+				seen.RestartRetries += r.RestartRetries
+				seen.PFSWriteFailures += r.PFSWriteFailures
+				seen.BBWriteFailures += r.BBWriteFailures
+				seen.Cascades += r.Cascades
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, runs); allocs != 0 {
+			t.Errorf("%v: %.1f allocations per four warm runs, want 0", id, allocs)
+		}
+	}
+	if seen.Failures == 0 || seen.Predicted == 0 || seen.ProactiveCkpts == 0 || seen.Migrations == 0 ||
+		seen.RestartRetries == 0 || seen.PFSWriteFailures == 0 || seen.BBWriteFailures == 0 || seen.Cascades == 0 {
+		t.Fatalf("the runs left a path unexercised: %+v", seen)
 	}
 }

@@ -10,22 +10,23 @@
 // tier cross-validate bit-identically against crmodel (see
 // stepsim_test.go).
 //
-// Simulate runs one app on a dedicated engine; StartApp starts one on a
-// caller-driven, possibly shared engine (internal/machine interleaves
-// several apps on one clock this way).
+// Prepare readies a configuration once for all its runs (a Cell); a
+// Cell's Run runs one app on a dedicated engine and its Start starts one
+// on a caller-driven, possibly shared engine (internal/machine
+// interleaves several apps on one clock this way). Simulate prepares and
+// runs in one call. Runs are recycled records: once the pools are warm a
+// run allocates nothing.
 package stepsim
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"pckpt/internal/cluster"
 	"pckpt/internal/failure"
 	"pckpt/internal/faultinject"
 	"pckpt/internal/metrics"
 	"pckpt/internal/oci"
-	"pckpt/internal/pckpt"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
 	"pckpt/internal/sim"
@@ -34,10 +35,11 @@ import (
 )
 
 // Config parameterises one step-tier simulation: the model under test,
-// the shared platform configuration, and this tier's observers. It is
-// the same shape as crmodel.Config and covers the full catalogue — the
-// p-ckpt episode machinery (P1/P2) runs here as a continuation chain,
-// bit-identical to the app tier's process form.
+// the shared platform configuration, and the trace observer. It is
+// crmodel.Config's shape less the metrics registry, which each run names
+// for itself (Cell.Run's reg, AppOptions.Metrics), and covers the full
+// catalogue — the p-ckpt episode machinery (P1/P2) runs here as a
+// continuation chain, bit-identical to the app tier's process form.
 type Config struct {
 	// Model is the C/R policy to simulate. Must satisfy Supports.
 	Model policy.ID
@@ -45,10 +47,6 @@ type Config struct {
 	platform.Config
 	// Trace, when non-nil, receives the run's timeline events.
 	Trace trace.Recorder
-	// Metrics, when non-nil, receives the run's simulation-time metrics
-	// under the "sim.<model>." prefix — the app tier's series, recorded
-	// through the shared pckpt.RunMetrics. Nil costs nothing.
-	Metrics *metrics.Registry
 }
 
 // Supports reports whether the step tier implements the catalogue
@@ -69,90 +67,169 @@ func (c Config) Validate() error {
 	return c.Config.Validate()
 }
 
-// appSim is the state of one step-tier run. It mirrors crmodel.appSim
-// field for field, but the application "process" is a continuation chain
-// of engine callbacks instead of a goroutine: every blocking call site of
-// the process-based tier appears here as a wait with an explicit
-// continuation, scheduled at the same logical point in the same
-// statement order — which is what makes a run bit-identical to the app
-// tier on the shared failure stream.
-type appSim struct {
+// Cell is one step-tier configuration prepared for its runs: validated
+// and defaulted once, with everything its runs share derived once — the
+// platform quantities, the model's strategy and σ, the OCI estimator's
+// prior, the spare limit and the stochastic-input plan. A run derives
+// nothing. A Cell is read-only, so concurrent runs share it.
+type Cell struct {
 	cfg    Config
 	pol    policy.Policy
-	eng    *sim.Engine
-	stream failure.EventSource
-	est    *failure.RateEstimator
-	cl     *cluster.Cluster
-	inj    *faultinject.Injector
+	plat   platform.Derived
+	sigma  float64
+	prior  float64
+	spares int
+	plan   platform.Plan
+}
 
-	// t0 is the app's start time on the (possibly shared) engine, and
-	// localNow the app's own clock in seconds since t0. The local clock
-	// advances to each event's locally-computed deadline rather than
-	// being re-derived from the engine clock: subtracting t0 back out
-	// would lose last-ulp bits, and those bits compound (an ulp-short
-	// progress buys a whole extra checkpoint cycle). Every time in the
-	// app's accounting, trace, and failure stream is local, so a job
-	// admitted mid-machine-run computes the same timeline a solo run
-	// does.
-	t0       float64
-	localNow float64
-	// arb, when non-nil, is the shared machine's bandwidth arbiter: PFS
-	// transfers become flows priced against the other tenants instead of
-	// fixed solo durations. appIdx identifies this app at the arbiter.
-	arb    Arbiter
-	appIdx int
-	// onDone, when non-nil, observes the final result the moment the app
-	// finishes (the shared-machine completion hook).
-	onDone func(stats.RunResult)
-	// drainFlows tracks in-flight drain transfers at the arbiter so a
-	// finished (or truncated) job withdraws them from the machine.
-	drainFlows []FlowID
-	// blockFlows tracks the arbitered flows the app is parked on —
-	// including suspended outer flows of nested waits — so an aborted
-	// tenant withdraws them from the machine.
-	blockFlows []FlowID
+// Prepare validates cfg and derives everything its runs share; it
+// returns the validation error a run of cfg would panic with. cfg.Trace
+// records every run of the cell.
+func Prepare(cfg Config) (*Cell, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	plan, err := cfg.Plan()
+	if err != nil {
+		return nil, err
+	}
+	plat := cfg.Derive()
+	return &Cell{
+		cfg:    cfg,
+		pol:    policy.For(cfg.Model),
+		plat:   plat,
+		sigma:  cfg.Model.Sigma(plat),
+		prior:  cfg.System.JobFailureRate(cfg.App.Nodes),
+		spares: cfg.SpareLimit(),
+		plan:   plan,
+	}, nil
+}
 
-	plat  platform.Derived
-	sigma float64
+// Simulate executes one unmetered run and returns its accounting:
+// Prepare, then Run. Deterministic in (cfg, seed), and bit-identical to
+// crmodel.Simulate for the supported models on the same configuration
+// and seed.
+func Simulate(cfg Config, seed uint64) stats.RunResult {
+	c, err := Prepare(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return c.Run(seed, nil)
+}
 
-	progress float64
-	curOCI   float64
-	st       *policy.State
+// Run executes one run of the cell on a dedicated engine, metered into
+// reg (nil runs unmetered), and returns its accounting. The run's record
+// comes from a pool and goes back once the engine has drained; a run
+// that panics drops it.
+func (c *Cell) Run(seed uint64, reg *metrics.Registry) stats.RunResult {
+	eng := sim.NewEngine()
+	eng.SetWatchdog(sim.RunEventBudget, 0)
+	a := c.start(eng, seed, AppOptions{Metrics: reg})
+	eng.RunAll()
+	eng.Release()
+	res := a.res
+	a.release()
+	return res
+}
 
-	pending      []failure.Event
-	safeguarding bool
+// AppOptions configures an application started on a shared engine. The
+// zero value reproduces a solo unmetered run exactly.
+type AppOptions struct {
+	// Arbiter, when non-nil, routes the app's PFS transfers through a
+	// shared-machine bandwidth arbiter instead of pricing each at its
+	// uncontended solo duration.
+	Arbiter Arbiter
+	// AppIndex identifies the app at the arbiter and in diagnostics.
+	AppIndex int
+	// OnDone, when non-nil, runs the moment the app completes (normally
+	// or truncated), receiving the final result — the machine layer's
+	// job-departure hook. It fires on the simulation goroutine.
+	OnDone func(stats.RunResult)
+	// Metrics, when non-nil, receives the run's simulation-time metrics
+	// under the "sim.<model>." prefix — the app tier's series, recorded
+	// through the shared pckpt.RunMetrics. Nil costs nothing.
+	Metrics *metrics.Registry
+}
 
-	// Step-machine state standing in for the application goroutine:
-	// appDone mirrors !Proc.Alive(); wakeAlarm is the wake while the app
-	// waits; blockedCont is the wait's continuation (invoked with
-	// interrupted=true when the injector cuts it short); interruptPending
-	// drops double interrupt deliveries exactly like sim.Proc (the first
-	// reason wins).
-	appDone          bool
-	wakeAlarm        sim.Alarm
-	blockedCont      func(interrupted bool)
-	interruptPending bool
+// AppHandle is a started application on a (possibly shared) engine. It
+// lives in the app's run record and dies with Release.
+type AppHandle struct{ a *appSim }
 
-	// The periodic cycle's continuations are method values bound once in
-	// StartApp, so scheduling one allocates nothing. Each has at most one
-	// instance in flight, so its state lives in the fields beside it:
-	// chunkTarget/chunkStart for the compute interval, bbBegan for the BB
-	// write, injectEv for the event the parked injector delivers next, at
-	// injectAlarm.
-	interruptFn                func(local float64)
-	computeWokeFn, bbWrittenFn func(bool)
-	computeResumeFn            func()
-	chunkTarget, chunkStart    float64
-	bbBegan                    float64
-	injectEv                   failure.Event
-	injectAlarm                sim.Alarm
-	// waitFree and drainFree are the free lists of blockedWait and drain
-	// frames: those can have several instances in flight.
-	waitFree  []*waitFrame
-	drainFree []*drainFrame
+// Done reports whether the application has finished. The machine learns
+// it from StartOptions.OnDone; TestAppAbortTruncatesMidFlight polls it.
+func (h *AppHandle) Done() bool { return h.a.appDone }
 
-	met pckpt.RunMetrics
-	res stats.RunResult
+// Result returns the run's accounting; meaningful once Done and until
+// Release. The machine receives it through StartOptions.OnDone;
+// TestRunAheadSharedEngine and TestAppAbortTruncatesMidFlight read it
+// from the handle of an app they started on a shared engine.
+func (h *AppHandle) Result() stats.RunResult { return h.a.res }
+
+// Abort kills a running application mid-flight — the machine layer's
+// tenant-crash hook. The pending wake is cancelled, every arbitered
+// flow (blocking and drain alike) is withdrawn from the machine, and
+// the run is marked truncated at the current time; the partial
+// accounting is returned. OnDone does NOT fire — the caller owns the
+// crash bookkeeping (requeue or give up). Aborting a finished app is a
+// no-op returning the final result. Must run on the simulation
+// goroutine, between engine events.
+func (h *AppHandle) Abort() stats.RunResult {
+	a := h.a
+	if a.appDone {
+		return a.res
+	}
+	a.syncClock()
+	a.wakeAlarm.Disarm()
+	a.blockedCont = nil
+	a.interruptPending = false
+	for _, id := range a.blockFlows {
+		a.arb.CancelFlow(id)
+	}
+	a.blockFlows = a.blockFlows[:0]
+	for _, id := range a.drainFlows {
+		a.arb.CancelFlow(id)
+	}
+	a.drainFlows = a.drainFlows[:0]
+	a.res.Truncated = true
+	a.res.WallSeconds = a.now()
+	a.trace(trace.Truncated, -1, "tenant crash")
+	a.appDone = true
+	return a.res
+}
+
+// Release returns the application's run record, node table included, to
+// the pool Run draws from. Call it only once the engine has drained: an
+// aborted app's pending callbacks still touch the record until then.
+// The handle is dead afterwards (read Result first); a second Release
+// before the record is reused is a no-op.
+func (h *AppHandle) Release() { h.a.release() }
+
+// Start schedules one run of the cell on eng, starting at the engine's
+// current time. The caller drives the engine; several apps on one engine
+// share its clock (the multi-tenant machine of internal/machine) while
+// each keeps its own local time base, failure substreams, and accounting
+// — an app admitted at t on a shared engine with no arbiter computes
+// bit-identically to a solo run. The app's record comes from a pool;
+// Release returns it.
+func (c *Cell) Start(eng *sim.Engine, seed uint64, opts AppOptions) *AppHandle {
+	return &c.start(eng, seed, opts).handle
+}
+
+// start takes a record from the pool and starts one run of c on it.
+func (c *Cell) start(eng *sim.Engine, seed uint64, opts AppOptions) *appSim {
+	a := recordPool.Get().(*appSim)
+	c.startOn(a, eng, seed, opts)
+	return a
+}
+
+// startOn resets record a for one run of c and schedules the run's first
+// events. Start order mirrors crmodel's spawn order: the app's first
+// compute cycle schedules its wake before the injector draws the stream.
+func (c *Cell) startOn(a *appSim, eng *sim.Engine, seed uint64, opts AppOptions) {
+	a.reset(c, eng, seed, opts)
+	a.sched(0, "app", a.fn.start)
+	a.sched(0, "injector", a.fn.injectStart)
 }
 
 // now returns the app-local simulation time: seconds since the app
@@ -218,153 +295,6 @@ func (a *appSim) trace(kind trace.Kind, node int, detail string) {
 	})
 }
 
-// Simulate executes one run and returns its accounting. Deterministic in
-// (cfg, seed), and bit-identical to crmodel.Simulate for the supported
-// models on the same configuration and seed.
-func Simulate(cfg Config, seed uint64) stats.RunResult {
-	eng := sim.NewEngine()
-	eng.SetWatchdog(sim.RunEventBudget, 0)
-	a := startApp(eng, cfg, seed, AppOptions{})
-	eng.RunAll()
-	eng.Release()
-	a.releaseCluster()
-	return a.res
-}
-
-// clusterPool recycles node tables across the runs of a sweep and the
-// tenants of a machine; a CHIMERA run's table has 2272 entries.
-var clusterPool = sync.Pool{New: func() any { return new(cluster.Cluster) }}
-
-// releaseCluster returns the app's node table to clusterPool. It first
-// drops a metered run's observer: that holds the run's metric handles,
-// which the pooled table must not keep alive. A second call is a no-op.
-func (a *appSim) releaseCluster() {
-	if a.cl == nil {
-		return
-	}
-	a.cl.SetObserver(nil)
-	clusterPool.Put(a.cl)
-	a.cl = nil
-}
-
-// AppOptions configures an application started on a shared engine. The
-// zero value reproduces a solo Simulate run exactly.
-type AppOptions struct {
-	// Arbiter, when non-nil, routes the app's PFS transfers through a
-	// shared-machine bandwidth arbiter instead of pricing each at its
-	// uncontended solo duration.
-	Arbiter Arbiter
-	// AppIndex identifies the app at the arbiter and in diagnostics.
-	AppIndex int
-	// OnDone, when non-nil, runs the moment the app completes (normally
-	// or truncated), receiving the final result — the machine layer's
-	// job-departure hook. It fires on the simulation goroutine.
-	OnDone func(stats.RunResult)
-}
-
-// AppHandle is a started application on a (possibly shared) engine.
-type AppHandle struct{ a *appSim }
-
-// Done reports whether the application has finished. The machine learns
-// it from StartOptions.OnDone; TestAppAbortTruncatesMidFlight polls it.
-func (h *AppHandle) Done() bool { return h.a.appDone }
-
-// Result returns the run's accounting; meaningful once Done. The machine
-// receives it through StartOptions.OnDone; TestRunAheadSharedEngine and
-// TestAppAbortTruncatesMidFlight read it from the handle of an app they
-// started on a shared engine.
-func (h *AppHandle) Result() stats.RunResult { return h.a.res }
-
-// Abort kills a running application mid-flight — the machine layer's
-// tenant-crash hook. The pending wake is cancelled, every arbitered
-// flow (blocking and drain alike) is withdrawn from the machine, and
-// the run is marked truncated at the current time; the partial
-// accounting is returned. OnDone does NOT fire — the caller owns the
-// crash bookkeeping (requeue or give up). Aborting a finished app is a
-// no-op returning the final result. Must run on the simulation
-// goroutine, between engine events.
-func (h *AppHandle) Abort() stats.RunResult {
-	a := h.a
-	if a.appDone {
-		return a.res
-	}
-	a.syncClock()
-	a.wakeAlarm.Disarm()
-	a.blockedCont = nil
-	a.interruptPending = false
-	for _, id := range a.blockFlows {
-		a.arb.CancelFlow(id)
-	}
-	a.blockFlows = nil
-	for _, id := range a.drainFlows {
-		a.arb.CancelFlow(id)
-	}
-	a.drainFlows = nil
-	a.res.Truncated = true
-	a.res.WallSeconds = a.now()
-	a.trace(trace.Truncated, -1, "tenant crash")
-	a.appDone = true
-	return a.res
-}
-
-// Release returns the application's node table to the pool Simulate
-// draws from. Call it only once the engine has drained: an aborted app's
-// pending callbacks still touch the table until then. Result stays
-// valid; Release again is a no-op.
-func (h *AppHandle) Release() { h.a.releaseCluster() }
-
-// StartApp schedules one application run on eng, starting at the
-// engine's current time. The caller drives the engine; several apps on
-// one engine share its clock (the multi-tenant machine of
-// internal/machine) while each keeps its own local time base, failure
-// substreams, and accounting — an app admitted at t on a shared engine
-// with no arbiter computes bit-identically to a solo Simulate run. The
-// app's node table comes from a pool; Release returns it.
-func StartApp(eng *sim.Engine, cfg Config, seed uint64, opts AppOptions) *AppHandle {
-	return &AppHandle{a: startApp(eng, cfg, seed, opts)}
-}
-
-// startApp is StartApp without the handle, on a pooled node table reset
-// to the application's node count.
-func startApp(eng *sim.Engine, cfg Config, seed uint64, opts AppOptions) *appSim {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	cl := clusterPool.Get().(*cluster.Cluster)
-	cl.Reset(cfg.App.Nodes, cfg.SpareLimit())
-	plat := cfg.Derive()
-	a := &appSim{
-		cfg:    cfg,
-		pol:    policy.For(cfg.Model),
-		eng:    eng,
-		t0:     eng.Now(),
-		arb:    opts.Arbiter,
-		appIdx: opts.AppIndex,
-		onDone: opts.OnDone,
-		est:    failure.NewRateEstimator(cfg.System.JobFailureRate(cfg.App.Nodes)),
-		cl:     cl,
-		plat:   plat,
-		sigma:  cfg.Model.Sigma(plat),
-		st:     policy.NewState(),
-	}
-	eng.Bind(&a.wakeAlarm, "app", a.wake)
-	eng.Bind(&a.injectAlarm, "injector", a.injectResume)
-	a.interruptFn = a.interrupted
-	a.computeWokeFn, a.bbWrittenFn, a.computeResumeFn = a.computeWoke, a.bbWritten, a.computeResume
-	a.met = pckpt.NewRunMetrics(cfg.Metrics, cfg.Model)
-	if cfg.Metrics != nil {
-		a.met.ObserveCluster(a.cl, a.eng.Now)
-	}
-	a.stream, a.inj = cfg.Sources(seed, cfg.Metrics)
-
-	// Start order mirrors crmodel's spawn order: the app's first compute
-	// cycle schedules its wake before the injector draws the stream.
-	a.sched(0, "app", a.start)
-	a.sched(0, "injector", a.injectStart)
-	return a
-}
-
 // wait parks the application for d seconds of simulated time: cont runs
 // at expiry with interrupted=false, or at the interrupt time with
 // interrupted=true if the injector cuts the wait short (in which case
@@ -406,7 +336,7 @@ func (a *appSim) interrupt() {
 	}
 	a.interruptPending = true
 	a.wakeAlarm.Disarm()
-	a.sched(0, "app", a.interruptFn)
+	a.sched(0, "app", a.fn.interrupted)
 }
 
 // interrupted is the parked application waking at an interrupt.
@@ -469,7 +399,7 @@ func (a *appSim) finish() {
 	for _, id := range a.drainFlows {
 		a.arb.CancelFlow(id)
 	}
-	a.drainFlows = nil
+	a.drainFlows = a.drainFlows[:0]
 	if a.onDone != nil {
 		a.onDone(a.res)
 	}
@@ -499,7 +429,7 @@ func (a *appSim) computeStep() {
 		return
 	}
 	a.chunkStart = a.now()
-	a.wait(a.chunkTarget-a.progress, a.computeWokeFn)
+	a.wait(a.chunkTarget-a.progress, a.fn.computeWoke)
 }
 
 // computeWoke banks the computation done since computeStep parked.
@@ -510,7 +440,7 @@ func (a *appSim) computeWoke(interrupted bool) {
 		a.computeDone()
 		return
 	}
-	a.handleEvents(a.computeResumeFn)
+	a.handleEvents(a.fn.computeResume)
 }
 
 // computeResume continues an interrupted compute interval once its events
@@ -533,7 +463,7 @@ func (a *appSim) computeResume() {
 // checkpoint; bbWritten follows it.
 func (a *appSim) bbCheckpoint() {
 	a.bbBegan = a.now()
-	a.blockedWait(a.plat.BBWrite, &a.res.Overheads.Checkpoint, a.bbWrittenFn)
+	a.blockedWait(a.plat.BBWrite, &a.res.Overheads.Checkpoint, a.fn.bbWritten)
 }
 
 // bbWritten commits a completed BB write, launches the asynchronous PFS
@@ -567,34 +497,35 @@ func (a *appSim) bbWritten(ok bool) {
 }
 
 // drainFrame is one BB→PFS drain in flight; several can be. Frames are
-// recycled through the app's free list, their continuations bound once.
+// recycled through the record's free list, their continuations bound
+// once. A solo frame binds its alarm to the run's engine on its first
+// use in the run (boundRun).
 type drainFrame struct {
 	a        *appSim
 	captured float64
 	gen      int
 	fid      FlowID
 	alarm    sim.Alarm // solo: the drain timer
-	flowFn   func()    // shared machine: the arbiter's completion
+	boundRun uint64
+	firedFn  func(local float64)
+	flowFn   func() // shared machine: the arbiter's completion
 }
 
 // startDrain launches the asynchronous BB→PFS drain: a fixed-duration
 // alarm solo, an arbitered flow (contending for drain slots and
 // fair-share bandwidth) on a shared machine.
 func (a *appSim) startDrain(captured float64, gen int) {
-	var f *drainFrame
-	if n := len(a.drainFree); n > 0 {
-		f = a.drainFree[n-1]
-		a.drainFree = a.drainFree[:n-1]
-	} else {
-		f = &drainFrame{a: a}
-		if a.arb == nil {
-			a.eng.Bind(&f.alarm, "drain", f.fired)
-		} else {
-			f.flowFn = f.flowDone
-		}
+	f, fresh := a.drains.take()
+	if fresh {
+		f.a = a
+		f.firedFn, f.flowFn = f.fired, f.flowDone
 	}
 	f.captured, f.gen = captured, gen
 	if a.arb == nil {
+		if f.boundRun != a.runs {
+			a.eng.Bind(&f.alarm, "drain", f.firedFn)
+			f.boundRun = a.runs
+		}
 		f.alarm.Arm(a.deadline(a.plat.Drain))
 		return
 	}
@@ -620,7 +551,7 @@ func (f *drainFrame) done() {
 	if a.arb != nil {
 		a.dropDrainFlow(f.fid)
 	}
-	a.drainFree = append(a.drainFree, f)
+	a.drains.put(f)
 	depth, current := a.st.FinishDrain(gen)
 	a.met.DrainDepth.Set(a.now(), float64(depth))
 	// The drain completes unless a newer checkpoint superseded it.
@@ -650,12 +581,9 @@ func (a *appSim) dropDrainFlow(fid FlowID) {
 // k receives false if a failure voided the activity before dur fully
 // elapsed, true on completion.
 func (a *appSim) blockedWait(dur float64, bucket *float64, k func(ok bool)) {
-	var f *waitFrame
-	if n := len(a.waitFree); n > 0 {
-		f = a.waitFree[n-1]
-		a.waitFree = a.waitFree[:n-1]
-	} else {
-		f = &waitFrame{a: a}
+	f, fresh := a.waits.take()
+	if fresh {
+		f.a = a
 		f.wokeFn, f.resumeFn = f.woke, f.resume
 	}
 	f.epoch, f.remaining, f.bucket, f.k = a.st.Epoch(), dur, bucket, k
@@ -664,7 +592,7 @@ func (a *appSim) blockedWait(dur float64, bucket *float64, k func(ok bool)) {
 
 // waitFrame is one blockedWait in flight. Waits nest — a safeguard or a
 // recovery handled inside an interrupted BB write blocks again — so each
-// has a frame, recycled through the app's free list with its
+// has a frame, recycled through the record's free list with its
 // continuations bound once.
 type waitFrame struct {
 	a         *appSim
@@ -714,7 +642,7 @@ func (f *waitFrame) resume() {
 func (f *waitFrame) done(ok bool) {
 	k := f.k
 	f.bucket, f.k = nil, nil
-	f.a.waitFree = append(f.a.waitFree, f)
+	f.a.waits.put(f)
 	k(ok)
 }
 
@@ -730,37 +658,80 @@ func (a *appSim) flowWait(class WriteClass, volumeGB, soloSeconds float64, bucke
 		a.blockedWait(soloSeconds, bucket, k)
 		return
 	}
-	epoch := a.st.Epoch()
-	var fid FlowID
-	var park func()
-	park = func() {
-		start := a.now()
-		a.blockedCont = func(interrupted bool) {
-			*bucket += a.now() - start
-			if !interrupted {
-				k(true)
-				return
-			}
-			a.arb.SuspendFlow(fid)
-			a.handleEvents(func() {
-				if a.st.Epoch() != epoch {
-					a.arb.CancelFlow(fid)
-					a.dropBlockFlow(fid)
-					k(false)
-					return
-				}
-				a.arb.ResumeFlow(fid)
-				park()
-			})
-		}
+	f, fresh := a.flows.take()
+	if fresh {
+		f.a = a
+		f.parkedFn, f.resumeFn, f.doneFn = f.parked, f.resume, f.done
 	}
-	fid = a.arb.StartFlow(a.appIdx, class, volumeGB, soloSeconds, func() {
-		a.syncClock()
-		a.dropBlockFlow(fid)
-		a.resume()(false)
-	})
-	a.blockFlows = append(a.blockFlows, fid)
-	park()
+	f.epoch, f.bucket, f.k = a.st.Epoch(), bucket, k
+	f.fid = a.arb.StartFlow(a.appIdx, class, volumeGB, soloSeconds, f.doneFn)
+	a.blockFlows = append(a.blockFlows, f.fid)
+	f.park()
+}
+
+// flowFrame is one arbitered blocking transfer in flight. Like waits,
+// they nest, so each has a frame from the record's free list with its
+// continuations bound once: parked is the app's blockedCont while the
+// flow runs, resume continues it after an interrupt, done is the
+// arbiter's completion callback.
+type flowFrame struct {
+	a                *appSim
+	fid              FlowID
+	epoch            int
+	start            float64
+	bucket           *float64
+	k                func(ok bool)
+	parkedFn         func(interrupted bool)
+	resumeFn, doneFn func()
+}
+
+// park blocks the app on the flow.
+func (f *flowFrame) park() {
+	f.start = f.a.now()
+	f.a.blockedCont = f.parkedFn
+}
+
+// parked accounts the time parked, then completes the wait or suspends
+// the flow while the interrupting events are handled.
+func (f *flowFrame) parked(interrupted bool) {
+	a := f.a
+	*f.bucket += a.now() - f.start
+	if !interrupted {
+		f.finish(true)
+		return
+	}
+	a.arb.SuspendFlow(f.fid)
+	a.handleEvents(f.resumeFn)
+}
+
+// resume cancels the flow if a failure among the handled events voided
+// it, or resumes it and parks again.
+func (f *flowFrame) resume() {
+	a := f.a
+	if a.st.Epoch() != f.epoch {
+		a.arb.CancelFlow(f.fid)
+		a.dropBlockFlow(f.fid)
+		f.finish(false)
+		return
+	}
+	a.arb.ResumeFlow(f.fid)
+	f.park()
+}
+
+// done is the arbiter completing the flow: the app wakes.
+func (f *flowFrame) done() {
+	a := f.a
+	a.syncClock()
+	a.dropBlockFlow(f.fid)
+	a.resume()(false)
+}
+
+// finish recycles the frame, then runs its continuation.
+func (f *flowFrame) finish(ok bool) {
+	k := f.k
+	f.bucket, f.k = nil, nil
+	f.a.flows.put(f)
+	k(ok)
 }
 
 // dropBlockFlow forgets a completed or cancelled blocking flow's handle.
@@ -776,20 +747,51 @@ func (a *appSim) dropBlockFlow(fid FlowID) {
 // handleEvents drains the pending queue, then runs k. A truncated run
 // stops draining: the job is dead, the remaining events go nowhere.
 func (a *appSim) handleEvents(k func()) {
-	if len(a.pending) == 0 || a.res.Truncated {
+	if a.pendHead == len(a.pending) || a.res.Truncated {
 		k()
 		return
 	}
-	ev := a.pending[0]
-	a.pending = a.pending[1:]
-	next := func() { a.handleEvents(k) }
+	f, fresh := a.events.take()
+	if fresh {
+		f.a = a
+		f.nextFn = f.next
+	}
+	f.k = k
+	f.next()
+}
+
+// eventsFrame is one handleEvents loop in flight: the loops nest (a
+// recovery handled inside an interrupted wait parks and handles events
+// again), so each has a frame whose next — the continuation every
+// handler runs when it is done with its event — is bound once.
+type eventsFrame struct {
+	a      *appSim
+	k      func()
+	nextFn func()
+}
+
+// next hands the next pending event to its handler, or, once the queue
+// is empty (or the run truncated), recycles the frame and runs k.
+func (f *eventsFrame) next() {
+	a := f.a
+	if a.pendHead == len(a.pending) || a.res.Truncated {
+		k := f.k
+		f.k = nil
+		a.events.put(f)
+		k()
+		return
+	}
+	ev := a.pending[a.pendHead]
+	if a.pendHead++; a.pendHead == len(a.pending) {
+		a.pending, a.pendHead = a.pending[:0], 0
+	}
 	switch ev.Kind {
 	case failure.KindPrediction, failure.KindSpurious:
-		a.onPrediction(ev, next)
+		a.onPrediction(ev, f.nextFn)
 	case failure.KindFailure:
-		a.onFailure(ev, next)
+		a.onFailure(ev, f.nextFn)
 	default:
-		next()
+		f.next()
 	}
 }
 
@@ -807,17 +809,15 @@ func (a *appSim) onPrediction(ev failure.Event, k func()) {
 	if err := a.cl.MarkVulnerable(ev.Node, ev.FailTime); err == nil {
 		// Clear the vulnerable mark once the predicted failure time has
 		// passed without a newer prediction superseding it.
-		failAt := ev.FailTime
-		node := ev.Node
-		a.sched(math.Max(failAt-a.now(), 0), "vuln-clear", func(local float64) {
-			a.clockTo(local)
-			n := a.cl.Node(node)
-			if n.State == cluster.Vulnerable && n.PredictedFailAt == failAt {
-				a.cl.MarkHealthy(node)
-			}
-		})
+		f, fresh := a.vulnClears.take()
+		if fresh {
+			f.a = a
+			f.fireFn = f.fire
+		}
+		f.node, f.failAt = ev.Node, ev.FailTime
+		a.sched(math.Max(f.failAt-a.now(), 0), "vuln-clear", f.fireFn)
 	}
-	switch act := a.pol.OnPrediction(a.st, ev.Node, ev.Lead, a.plat.Theta); act {
+	switch act := a.pol.OnPrediction(&a.st, ev.Node, ev.Lead, a.plat.Theta); act {
 	case policy.ActJoinEpisode:
 		// Phase 1 in progress: the new vulnerable node joins the
 		// node-local priority queue (lower lead = higher priority).
@@ -837,6 +837,27 @@ func (a *appSim) onPrediction(ev failure.Event, k func()) {
 	}
 }
 
+// vulnFrame is one pending vulnerable-mark clear: a heap event, one per
+// prediction, so several can be in flight.
+type vulnFrame struct {
+	a      *appSim
+	node   int
+	failAt float64
+	fireFn func(local float64)
+}
+
+// fire clears the node's vulnerable mark unless a newer prediction
+// superseded it.
+func (f *vulnFrame) fire(local float64) {
+	a, node, failAt := f.a, f.node, f.failAt
+	a.vulnClears.put(f)
+	a.clockTo(local)
+	n := a.cl.Node(node)
+	if n.State == cluster.Vulnerable && n.PredictedFailAt == failAt {
+		a.cl.MarkHealthy(node)
+	}
+}
+
 // pckptEpisode runs one coordinated prioritized checkpoint: phase 1
 // serves vulnerable nodes serially by lead-time priority with
 // uncontended PFS access; phase 2 commits the remaining nodes at
@@ -851,108 +872,134 @@ func (a *appSim) onPrediction(ev failure.Event, k func()) {
 func (a *appSim) pckptEpisode(first failure.Event, k func()) {
 	a.res.ProactiveCkpts++
 	a.trace(trace.EpisodeStart, first.Node, "")
-	epBegin := a.now()
-	ep := a.st.BeginEpisode(a.progress)
-	done := func() { // crmodel's `defer a.st.EndEpisode()`
-		a.st.EndEpisode()
-		k()
-	}
-	ep.Q.Push(first.FailTime, first)
+	a.epBegin = a.now()
+	a.ep = a.st.BeginEpisode(a.progress)
+	a.epK = k
+	a.ep.Q.Push(first.FailTime, first)
 	// A p-ckpt request supersedes in-flight migrations (Fig. 5): abort
 	// them and requeue their nodes as vulnerable.
-	a.st.AbortMigrations(func(ev failure.Event) {
-		a.res.AbortedMigrations++
-		a.trace(trace.MigrationAborted, ev.Node, "superseded by p-ckpt")
-		if a.cl.Node(ev.Node).State == cluster.Migrating {
-			a.cl.AbortMigration(ev.Node, ev.FailTime)
-		}
-		ep.Q.Push(ev.FailTime, ev)
-	})
+	a.st.AbortMigrations(a.fn.epAbortMigration)
 	a.met.EpisodeWidth.Observe(float64(a.cl.AtRisk()))
-	finish := func() { // everything after crmodel's drain loop
-		if ep.Abandoned {
-			a.met.EpisodesAbandoned.Inc()
-			done()
-			return
-		}
-		commit := func() {
-			if a.inj.PFSWriteFails() {
-				// The phase-2 collective write failed: the episode's full
-				// checkpoint never commits (phase-1 mitigations stand —
-				// those nodes' states did reach the PFS).
-				a.res.PFSWriteFailures++
-			} else {
-				a.commitFullPFS(ep.StartProgress)
-				if a.inj.CorruptCommit() {
-					a.st.MarkCorrupt(ep.StartProgress)
-				}
-				a.st.MarkRescheduled()
-			}
-			a.met.EpisodeDur.Observe(a.now() - epBegin)
-			if a.cfg.Trace != nil {
-				a.trace(trace.EpisodeEnd, -1, fmt.Sprintf("blocked=%.1fs committed=%d", a.now()-epBegin, ep.Committed))
-			}
-			done()
-		}
-		// Phase 2: pfs-commit broadcast; healthy nodes write together.
-		healthy := a.plat.Nodes - ep.Committed
-		if healthy > 0 {
-			tr := a.cfg.IO.PFSWriteTransfer(healthy, a.plat.PerNodeGB)
-			a.flowWait(ClassCollective, tr.VolumeGB, tr.Seconds, &a.res.Overheads.Checkpoint, func(ok bool) {
-				if !ok {
-					a.met.EpisodesAbandoned.Inc()
-					done()
-					return
-				}
-				a.met.PFSGBs.Observe(tr.GBs)
-				commit()
-			})
-			return
-		}
-		commit()
+	a.episodeDrain()
+}
+
+// episodeAbortMigration accounts one migration the episode superseded
+// and queues its node for phase 1.
+func (a *appSim) episodeAbortMigration(ev failure.Event) {
+	a.res.AbortedMigrations++
+	a.trace(trace.MigrationAborted, ev.Node, "superseded by p-ckpt")
+	if a.cl.Node(ev.Node).State == cluster.Migrating {
+		a.cl.AbortMigration(ev.Node, ev.FailTime)
 	}
-	var drain func()
-	drain = func() {
-		if ep.Q.Len() == 0 || ep.Abandoned {
-			finish()
-			return
-		}
-		_, ev := ep.Q.Pop()
-		a.flowWait(ClassVulnerable, a.plat.PerNodeGB, a.plat.SingleNodePFSWrite, &a.res.Overheads.Checkpoint, func(ok bool) {
-			if !ok {
-				finish() // the failure that voided the wait abandoned ep
-				return
-			}
-			if a.inj.PFSWriteFails() {
-				// The vulnerable node's prioritized write tore. If the
-				// remaining lead time still covers another attempt, the
-				// node re-enters the lead-time priority queue; otherwise
-				// its prediction goes unserved.
-				a.res.PFSWriteFailures++
-				if ev.Kind == failure.KindPrediction && a.now()+a.plat.SingleNodePFSWrite <= ev.FailTime {
-					ep.Q.Push(ev.FailTime, ev)
-				}
-				drain()
-				return
-			}
-			ep.Committed++
-			a.met.CommitLat.Observe(a.now() - epBegin)
-			a.trace(trace.VulnerableCommit, ev.Node, "")
-			a.cl.RecordPFSCheckpoint(ev.Node, ep.StartProgress)
-			if a.cl.Node(ev.Node).State == cluster.Vulnerable {
-				a.cl.MarkHealthy(ev.Node)
-			}
-			if ev.Kind == failure.KindPrediction && a.now() <= ev.FailTime {
-				// The vulnerable node's state reached the PFS before its
-				// failure: the failure is mitigated.
-				a.st.Mitigate(ev.ID, ep.StartProgress)
-				a.met.LeadConsumed.Observe(a.now() - (ev.FailTime - ev.Lead))
-				a.met.LeadMargin.Observe(ev.FailTime - a.now())
-			}
-			drain()
-		})
+	a.ep.Q.Push(ev.FailTime, ev)
+}
+
+// episodeDone closes the episode (crmodel's `defer a.st.EndEpisode()`)
+// and returns to the caller's continuation.
+func (a *appSim) episodeDone() {
+	a.st.EndEpisode()
+	k := a.epK
+	a.ep, a.epK = nil, nil
+	k()
+}
+
+// episodeDrain is phase 1's loop: serve the next vulnerable node, or
+// move on once the queue is empty or the episode was abandoned.
+func (a *appSim) episodeDrain() {
+	if a.ep.Q.Len() == 0 || a.ep.Abandoned {
+		a.episodeFinish()
+		return
 	}
-	drain()
+	_, a.epEv = a.ep.Q.Pop()
+	a.flowWait(ClassVulnerable, a.plat.PerNodeGB, a.plat.SingleNodePFSWrite, &a.res.Overheads.Checkpoint, a.fn.epWritten)
+}
+
+// episodeWritten follows one vulnerable node's prioritized write.
+func (a *appSim) episodeWritten(ok bool) {
+	if !ok {
+		a.episodeFinish() // the failure that voided the wait abandoned ep
+		return
+	}
+	ep, ev := a.ep, a.epEv
+	if a.inj.PFSWriteFails() {
+		// The vulnerable node's prioritized write tore. If the
+		// remaining lead time still covers another attempt, the
+		// node re-enters the lead-time priority queue; otherwise
+		// its prediction goes unserved.
+		a.res.PFSWriteFailures++
+		if ev.Kind == failure.KindPrediction && a.now()+a.plat.SingleNodePFSWrite <= ev.FailTime {
+			ep.Q.Push(ev.FailTime, ev)
+		}
+		a.episodeDrain()
+		return
+	}
+	ep.Committed++
+	a.met.CommitLat.Observe(a.now() - a.epBegin)
+	a.trace(trace.VulnerableCommit, ev.Node, "")
+	a.cl.RecordPFSCheckpoint(ev.Node, ep.StartProgress)
+	if a.cl.Node(ev.Node).State == cluster.Vulnerable {
+		a.cl.MarkHealthy(ev.Node)
+	}
+	if ev.Kind == failure.KindPrediction && a.now() <= ev.FailTime {
+		// The vulnerable node's state reached the PFS before its
+		// failure: the failure is mitigated.
+		a.st.Mitigate(ev.ID, ep.StartProgress)
+		a.met.LeadConsumed.Observe(a.now() - (ev.FailTime - ev.Lead))
+		a.met.LeadMargin.Observe(ev.FailTime - a.now())
+	}
+	a.episodeDrain()
+}
+
+// episodeFinish is everything after crmodel's drain loop: phase 2, the
+// healthy nodes' collective write, then the commit.
+func (a *appSim) episodeFinish() {
+	if a.ep.Abandoned {
+		a.met.EpisodesAbandoned.Inc()
+		a.episodeDone()
+		return
+	}
+	// Phase 2: pfs-commit broadcast; healthy nodes write together.
+	healthy := a.plat.Nodes - a.ep.Committed
+	if healthy > 0 {
+		tr := a.cfg.IO.PFSWriteTransfer(healthy, a.plat.PerNodeGB)
+		a.epGBs = tr.GBs
+		a.flowWait(ClassCollective, tr.VolumeGB, tr.Seconds, &a.res.Overheads.Checkpoint, a.fn.epPhase2)
+		return
+	}
+	a.episodeCommit()
+}
+
+// episodePhase2 follows the healthy nodes' collective write.
+func (a *appSim) episodePhase2(ok bool) {
+	if !ok {
+		a.met.EpisodesAbandoned.Inc()
+		a.episodeDone()
+		return
+	}
+	a.met.PFSGBs.Observe(a.epGBs)
+	a.episodeCommit()
+}
+
+// episodeCommit commits the episode's full checkpoint.
+func (a *appSim) episodeCommit() {
+	ep := a.ep
+	if a.inj.PFSWriteFails() {
+		// The phase-2 collective write failed: the episode's full
+		// checkpoint never commits (phase-1 mitigations stand —
+		// those nodes' states did reach the PFS).
+		a.res.PFSWriteFailures++
+	} else {
+		a.commitFullPFS(ep.StartProgress)
+		if a.inj.CorruptCommit() {
+			a.st.MarkCorrupt(ep.StartProgress)
+		}
+		a.st.MarkRescheduled()
+	}
+	a.met.EpisodeDur.Observe(a.now() - a.epBegin)
+	if a.cfg.Trace != nil {
+		a.trace(trace.EpisodeEnd, -1, fmt.Sprintf("blocked=%.1fs committed=%d", a.now()-a.epBegin, ep.Committed))
+	}
+	a.episodeDone()
 }
 
 // startMigration begins a live migration. The application keeps running;
@@ -963,77 +1010,110 @@ func (a *appSim) startMigration(ev failure.Event) {
 		a.trace(trace.MigrationStart, ev.Node, fmt.Sprintf("theta=%.1fs", a.plat.Theta))
 	}
 	a.cl.MarkMigrating(ev.Node)
-	a.sched(a.plat.Theta, "migration", func(local float64) {
-		a.clockTo(local)
-		if !a.st.FinishMigration(m) {
-			return
-		}
-		a.res.Migrations++
-		a.trace(trace.MigrationDone, ev.Node, "")
-		// The application dilates slightly while migrating.
-		a.res.Overheads.Checkpoint += a.cfg.LM.DilationSeconds(a.plat.PerNodeGB)
-		if a.cl.Node(ev.Node).State == cluster.Migrating {
-			a.cl.MarkHealthy(ev.Node)
-		}
-		if ev.Kind == failure.KindPrediction {
-			a.st.MarkAvoided(ev.ID)
-			a.res.Avoided++
-			a.st.ForgetPrediction(ev.ID)
-		}
-	})
+	f, fresh := a.migrations.take()
+	if fresh {
+		f.a = a
+		f.doneFn = f.done
+	}
+	f.m, f.ev = m, ev
+	a.sched(a.plat.Theta, "migration", f.doneFn)
+}
+
+// migrationFrame is one live migration's completion: a heap event, and
+// several migrations can be in flight.
+type migrationFrame struct {
+	a      *appSim
+	m      *policy.Migration
+	ev     failure.Event
+	doneFn func(local float64)
+}
+
+// done completes the migration unless it was aborted meanwhile.
+func (f *migrationFrame) done(local float64) {
+	a, m, ev := f.a, f.m, f.ev
+	f.m = nil
+	a.migrations.put(f)
+	a.clockTo(local)
+	if !a.st.FinishMigration(m) {
+		return
+	}
+	a.res.Migrations++
+	a.trace(trace.MigrationDone, ev.Node, "")
+	// The application dilates slightly while migrating.
+	a.res.Overheads.Checkpoint += a.cfg.LM.DilationSeconds(a.plat.PerNodeGB)
+	if a.cl.Node(ev.Node).State == cluster.Migrating {
+		a.cl.MarkHealthy(ev.Node)
+	}
+	if ev.Kind == failure.KindPrediction {
+		a.st.MarkAvoided(ev.ID)
+		a.res.Avoided++
+		a.st.ForgetPrediction(ev.ID)
+	}
 }
 
 // safeguard runs M1's just-in-time checkpoint: every node writes to the
-// PFS synchronously, racing the predicted failure. done stands in for
-// crmodel's deferred safeguarding-flag clear: it runs on every exit path
-// before control returns to the caller's continuation.
+// PFS synchronously, racing the predicted failure. safeguardDone stands
+// in for crmodel's deferred safeguarding-flag clear: it runs on every
+// exit path before control returns to the caller's continuation. At
+// most one safeguard is in flight, so its state lives in sg* fields.
 func (a *appSim) safeguard(k func()) {
 	if a.safeguarding {
 		k() // the in-flight safeguard covers this prediction too
 		return
 	}
 	a.safeguarding = true
-	done := func() {
-		a.safeguarding = false
-		k()
-	}
+	a.sgK = k
 	a.res.ProactiveCkpts++
 	a.trace(trace.SafeguardStart, -1, "")
-	began := a.now()
-	startProgress := a.progress
-	a.flowWait(ClassCollective, float64(a.plat.Nodes)*a.plat.PerNodeGB, a.plat.FullPFSWrite, &a.res.Overheads.Checkpoint, func(ok bool) {
-		if !ok {
-			done() // the failure won the race (or rolled us back)
-			return
-		}
-		if a.inj.PFSWriteFails() {
-			a.res.PFSWriteFailures++
-			a.trace(trace.SafeguardEnd, -1, "write failed (injected)")
-			done()
-			return
-		}
-		a.commitFullPFS(startProgress)
-		if a.inj.CorruptCommit() {
-			a.st.MarkCorrupt(startProgress)
-		}
-		a.st.MarkRescheduled()
-		a.trace(trace.SafeguardEnd, -1, "")
-		now := a.now()
-		a.met.SafeguardDur.Observe(now - began)
-		if a.plat.FullPFSWrite > 0 {
-			a.met.PFSGBs.Observe(float64(a.plat.Nodes) * a.plat.PerNodeGB / a.plat.FullPFSWrite)
-		}
-		a.st.EachPrediction(func(id int64, pi policy.Prediction) {
-			if pi.FailAt >= now {
-				// The safeguard committed everyone's state before this
-				// pending failure: mitigated.
-				a.st.Mitigate(id, startProgress)
-				a.met.LeadConsumed.Observe(now - (pi.FailAt - pi.Lead))
-				a.met.LeadMargin.Observe(pi.FailAt - now)
-			}
-		})
-		done()
-	})
+	a.sgBegan = a.now()
+	a.sgStart = a.progress
+	a.flowWait(ClassCollective, float64(a.plat.Nodes)*a.plat.PerNodeGB, a.plat.FullPFSWrite, &a.res.Overheads.Checkpoint, a.fn.sgWritten)
+}
+
+// safeguardDone clears the in-flight flag and returns to the caller.
+func (a *appSim) safeguardDone() {
+	a.safeguarding = false
+	k := a.sgK
+	a.sgK = nil
+	k()
+}
+
+// safeguardWritten follows the safeguard's all-node write.
+func (a *appSim) safeguardWritten(ok bool) {
+	if !ok {
+		a.safeguardDone() // the failure won the race (or rolled us back)
+		return
+	}
+	if a.inj.PFSWriteFails() {
+		a.res.PFSWriteFailures++
+		a.trace(trace.SafeguardEnd, -1, "write failed (injected)")
+		a.safeguardDone()
+		return
+	}
+	a.commitFullPFS(a.sgStart)
+	if a.inj.CorruptCommit() {
+		a.st.MarkCorrupt(a.sgStart)
+	}
+	a.st.MarkRescheduled()
+	a.trace(trace.SafeguardEnd, -1, "")
+	a.sgT = a.now()
+	a.met.SafeguardDur.Observe(a.sgT - a.sgBegan)
+	if a.plat.FullPFSWrite > 0 {
+		a.met.PFSGBs.Observe(float64(a.plat.Nodes) * a.plat.PerNodeGB / a.plat.FullPFSWrite)
+	}
+	a.st.EachPrediction(a.fn.sgMitigate)
+	a.safeguardDone()
+}
+
+// safeguardMitigate marks one outstanding prediction mitigated if its
+// failure has not struck by the safeguard's commit at sgT: the safeguard
+// committed everyone's state before it.
+func (a *appSim) safeguardMitigate(id int64, pi policy.Prediction) {
+	if pi.FailAt >= a.sgT {
+		a.st.Mitigate(id, a.sgStart)
+		a.met.LeadConsumed.Observe(a.sgT - (pi.FailAt - pi.Lead))
+		a.met.LeadMargin.Observe(pi.FailAt - a.sgT)
+	}
 }
 
 // commitFullPFS records a full-application checkpoint at progress q as
@@ -1051,7 +1131,7 @@ func (a *appSim) onFailure(ev failure.Event, k func()) {
 	if ev.Lead > 0 {
 		a.res.Predicted++
 	}
-	out := a.pol.OnFailure(a.st, ev)
+	out := a.pol.OnFailure(&a.st, ev)
 	if out.MigrationAborted {
 		a.res.AbortedMigrations++
 	}
@@ -1105,77 +1185,133 @@ func (a *appSim) onFailure(ev failure.Event, k func()) {
 	// Recovery mirrors crmodel's retry structure: corrupt candidates cost
 	// a torn read each, cascades void the partial restore, and failed
 	// restart attempts charge deterministic doubling backoff. The nested
-	// `for !blockedWait(...) {}` loops become persistentWait chains; k is
+	// `for !blockedWait(...) {}` loops become recovery-frame chains; k is
 	// their truncated-abort continuation (crmodel's `return` from the
 	// retry loops skips the recovery metering the same way).
-	began := a.now()
-	attempt, cascades := 0, 0
-	finish := func() {
-		if cascades > 0 {
-			a.inj.ObserveCascadeDepth(cascades)
-		}
-		a.met.RecoveryDur.Observe(a.now() - began)
-		a.trace(trace.RecoveryDone, ev.Node, "")
-		k()
+	f, fresh := a.recoveries.take()
+	if fresh {
+		f.a = a
+		f.mainLoopFn, f.attemptedFn, f.corruptNextFn, f.waitedFn = f.mainLoop, f.attempted, f.corruptNext, f.waited
 	}
-	var mainLoop func()
-	mainLoop = func() {
-		// CascadeRecovery is drawn every iteration — even at the depth
-		// cap — exactly as the app tier does, to keep the rng plan in
-		// lockstep.
-		if strike, frac := a.inj.CascadeRecovery(); strike && cascades < faultinject.MaxCascadeDepth {
-			cascades++
-			a.res.Cascades++
-			a.persistentWait(frac*recoveryGB, frac*recovery, mainLoop, k)
-			return
-		}
-		a.persistentWait(recoveryGB, recovery, func() {
-			fail, backoff := a.inj.RestartAttemptFails(attempt)
-			if !fail {
-				finish()
-				return
-			}
-			attempt++
-			a.res.RestartRetries++
-			if backoff > 0 {
-				// Backoff is idle waiting, not I/O: never arbitered.
-				a.persistentWait(0, backoff, mainLoop, k)
-				return
-			}
-			mainLoop()
-		}, k)
-	}
-	var corruptLoop func(i int)
-	corruptLoop = func(i int) {
-		if i >= corrupted {
-			mainLoop()
-			return
-		}
-		a.persistentWait(recoveryGB, recovery, func() { corruptLoop(i + 1) }, k)
-	}
-	corruptLoop(0)
+	f.k, f.node = k, ev.Node
+	f.began, f.recovery, f.recoveryGB = a.now(), recovery, recoveryGB
+	f.attempt, f.cascades, f.corrupted, f.i = 0, 0, corrupted, 0
+	f.corruptLoop()
 }
 
-// persistentWait repeats a recovery-bucket wait until it completes
-// without a voiding failure — the CPS form of crmodel's
-// `for !a.blockedWait(p, dur, &a.res.Overheads.Recovery) {}` loops.
-// gb > 0 marks the wait as a PFS restore read of that volume: on a
-// shared machine it contends at the arbiter as a ClassRecovery flow
-// (solo, or gb == 0, it is exactly blockedWait). trunc runs instead of
-// retrying when a voiding failure truncated the run (crmodel's
-// `if a.res.Truncated { return }` inside those loops).
-func (a *appSim) persistentWait(gb, dur float64, k, trunc func()) {
-	a.flowWait(ClassRecovery, gb, dur, &a.res.Overheads.Recovery, func(ok bool) {
-		if ok {
-			k()
-			return
-		}
-		if a.res.Truncated {
-			trunc()
-			return
-		}
-		a.persistentWait(gb, dur, k, trunc)
-	})
+// recoveryFrame is one failure's recovery in flight. Recoveries nest (a
+// failure during a recovery wait is handled inside it), so each has a
+// frame from the record's free list. Its loops are crmodel's retry
+// loops: corruptLoop charges one restore per corrupt candidate, mainLoop
+// the cascades, the restore and the restart attempts; wait is
+// crmodel's `for !a.blockedWait(p, dur, &a.res.Overheads.Recovery) {}`,
+// one at a time per frame.
+type recoveryFrame struct {
+	a                    *appSim
+	k                    func()
+	node                 int
+	began                float64
+	recovery, recoveryGB float64
+	attempt, cascades    int
+	corrupted, i         int
+	// The retry loop's wait: its volume, duration and continuation.
+	waitGB, waitDur float64
+	waitK           func()
+
+	mainLoopFn, attemptedFn, corruptNextFn func()
+	waitedFn                               func(ok bool)
+}
+
+// corruptLoop restores from the i-th corrupt candidate, or moves on to
+// the main loop once every candidate was tried.
+func (f *recoveryFrame) corruptLoop() {
+	if f.i >= f.corrupted {
+		f.mainLoop()
+		return
+	}
+	f.wait(f.recoveryGB, f.recovery, f.corruptNextFn)
+}
+
+// corruptNext follows one corrupt candidate's torn restore.
+func (f *recoveryFrame) corruptNext() {
+	f.i++
+	f.corruptLoop()
+}
+
+// mainLoop draws a cascade — every iteration, even at the depth cap,
+// exactly as the app tier does, to keep the rng plan in lockstep — and
+// waits out the voided partial restore, or runs the restore itself.
+func (f *recoveryFrame) mainLoop() {
+	a := f.a
+	if strike, frac := a.inj.CascadeRecovery(); strike && f.cascades < faultinject.MaxCascadeDepth {
+		f.cascades++
+		a.res.Cascades++
+		f.wait(frac*f.recoveryGB, frac*f.recovery, f.mainLoopFn)
+		return
+	}
+	f.wait(f.recoveryGB, f.recovery, f.attemptedFn)
+}
+
+// attempted follows a completed restore: the restart attempt succeeds,
+// or fails and charges its backoff before the loop runs again.
+func (f *recoveryFrame) attempted() {
+	a := f.a
+	fail, backoff := a.inj.RestartAttemptFails(f.attempt)
+	if !fail {
+		f.finish()
+		return
+	}
+	f.attempt++
+	a.res.RestartRetries++
+	if backoff > 0 {
+		// Backoff is idle waiting, not I/O: never arbitered.
+		f.wait(0, backoff, f.mainLoopFn)
+		return
+	}
+	f.mainLoop()
+}
+
+// finish meters the completed recovery and returns to the caller.
+func (f *recoveryFrame) finish() {
+	a := f.a
+	if f.cascades > 0 {
+		a.inj.ObserveCascadeDepth(f.cascades)
+	}
+	a.met.RecoveryDur.Observe(a.now() - f.began)
+	a.trace(trace.RecoveryDone, f.node, "")
+	f.exit()
+}
+
+// exit recycles the frame and runs the caller's continuation.
+func (f *recoveryFrame) exit() {
+	k := f.k
+	f.k, f.waitK = nil, nil
+	f.a.recoveries.put(f)
+	k()
+}
+
+// wait repeats a recovery-bucket wait until it completes without a
+// voiding failure, then runs k. gb > 0 marks the wait as a PFS restore
+// read of that volume: on a shared machine it contends at the arbiter
+// as a ClassRecovery flow (solo, or gb == 0, it is exactly blockedWait).
+// A voiding failure that truncated the run ends the recovery instead
+// (crmodel's `if a.res.Truncated { return }` inside those loops).
+func (f *recoveryFrame) wait(gb, dur float64, k func()) {
+	f.waitGB, f.waitDur, f.waitK = gb, dur, k
+	f.a.flowWait(ClassRecovery, gb, dur, &f.a.res.Overheads.Recovery, f.waitedFn)
+}
+
+// waited follows one attempt of the wait.
+func (f *recoveryFrame) waited(ok bool) {
+	if ok {
+		f.waitK()
+		return
+	}
+	if f.a.res.Truncated {
+		f.exit()
+		return
+	}
+	f.wait(f.waitGB, f.waitDur, f.waitK)
 }
 
 // injectStart starts the injector "process".

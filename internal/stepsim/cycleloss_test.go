@@ -61,13 +61,12 @@ func TestCycleLossOracle(t *testing.T) {
 			rec := &cycleRecorder{t: t, run: fmt.Sprintf("%s seed %d", plat.App.Name, seed), cases: &cases, pinned: &pinned}
 			cfg := Config{Model: policy.B, Config: plat, Trace: rec}
 			eng := sim.NewEngine()
-			rec.a = startApp(eng, cfg, seed, AppOptions{})
+			rec.a = startFresh(eng, cfg, seed)
 			d := rec.a.plat
 			rec.tBB, rec.tDrain = d.BBWrite, d.Drain
 			rec.pfs, rec.drained = -1, true
 			eng.RunAll()
 			eng.Release()
-			rec.a.releaseCluster()
 			if rec.minInterval <= d.Drain {
 				t.Fatalf("%s: an interval of %g s does not cover the %g s drain; two drains were in flight", rec.run, rec.minInterval, d.Drain)
 			}

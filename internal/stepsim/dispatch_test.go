@@ -32,21 +32,23 @@ type nopRecorder struct{}
 
 func (nopRecorder) Record(trace.Event) {}
 
-// runOn runs one app on its own engine, as Simulate does, traced by
-// nopRecorder or not, with the event watchdog armed at limit (0 = off).
-// It returns the result and the engine's dispatch count.
-func runOn(cfg stepsim.Config, seed uint64, traced bool, limit uint64) (stats.RunResult, uint64) {
+// runOn runs one app on its own engine, as Cell.Run does, metered into
+// reg (nil runs unmetered), traced by nopRecorder or not, with the event
+// watchdog armed at limit (0 = off). It returns the result and the
+// engine's dispatch count.
+func runOn(cfg stepsim.Config, reg *metrics.Registry, seed uint64, traced bool, limit uint64) (stats.RunResult, uint64) {
 	if traced {
 		cfg.Trace = nopRecorder{}
 	}
 	eng := sim.NewEngine()
 	eng.SetWatchdog(limit, 0)
-	h := stepsim.StartApp(eng, cfg, seed, stepsim.AppOptions{})
+	h := startApp(eng, cfg, seed, stepsim.AppOptions{Metrics: reg})
 	eng.RunAll()
 	n := eng.Dispatched()
 	eng.Release()
+	res := h.Result()
 	h.Release()
-	return h.Result(), n
+	return res, n
 }
 
 // overlapPlatform drains one node at a time (DrainConcurrency 1), so a
@@ -124,8 +126,8 @@ func TestRunAheadEquivalence(t *testing.T) {
 				for seed := uint64(1); seed <= 8; seed++ {
 					want := pins[seed-1]
 					cfg := stepsim.Config{Model: id, Config: plat}
-					ref, refN := runOn(cfg, seed, true, 0)
-					got, gotN := runOn(cfg, seed, false, 0)
+					ref, refN := runOn(cfg, nil, seed, true, 0)
+					got, gotN := runOn(cfg, nil, seed, false, 0)
 					if got != ref {
 						t.Fatalf("%v seed %d: tracing changed the run\ntraced:   %+v\nuntraced: %+v", id, seed, ref, got)
 					}
@@ -135,10 +137,8 @@ func TestRunAheadEquivalence(t *testing.T) {
 					checkRun(t, plat, got)
 
 					refReg, gotReg := metrics.New(), metrics.New()
-					cfg.Metrics = refReg
-					ref, refN = runOn(cfg, seed, true, 0)
-					cfg.Metrics = gotReg
-					got, gotN = runOn(cfg, seed, false, 0)
+					ref, refN = runOn(cfg, refReg, seed, true, 0)
+					got, gotN = runOn(cfg, gotReg, seed, false, 0)
 					if got != ref {
 						t.Fatalf("%v seed %d: tracing changed the metered run\ntraced:   %+v\nuntraced: %+v", id, seed, ref, got)
 					}
@@ -166,15 +166,16 @@ func TestRunAheadSharedEngine(t *testing.T) {
 			ca.Trace, cb.Trace = nopRecorder{}, nopRecorder{}
 		}
 		eng := sim.NewEngine()
-		ha := stepsim.StartApp(eng, ca, 1, stepsim.AppOptions{})
+		ha := startApp(eng, ca, 1, stepsim.AppOptions{})
 		var hb *stepsim.AppHandle
-		eng.After(12345.678, "", func() { hb = stepsim.StartApp(eng, cb, 2, stepsim.AppOptions{AppIndex: 1}) })
+		eng.After(12345.678, "", func() { hb = startApp(eng, cb, 2, stepsim.AppOptions{AppIndex: 1}) })
 		eng.RunAll()
 		n = eng.Dispatched()
 		eng.Release()
+		a, b = ha.Result(), hb.Result()
 		ha.Release()
 		hb.Release()
-		return ha.Result(), hb.Result(), n
+		return a, b, n
 	}
 	refA, refB, refN := run(true)
 	gotA, gotB, gotN := run(false)
@@ -199,7 +200,7 @@ func watchdogTrip(t *testing.T, cfg stepsim.Config, seed uint64, traced bool, li
 			trip = w
 		}
 	}()
-	runOn(cfg, seed, traced, limit)
+	runOn(cfg, nil, seed, traced, limit)
 	return nil
 }
 
@@ -278,7 +279,7 @@ func TestRunAheadHorizon(t *testing.T) {
 				c.Trace = nopRecorder{}
 			}
 			eng := sim.NewEngine()
-			h := stepsim.StartApp(eng, c, 3, stepsim.AppOptions{})
+			h := startApp(eng, c, 3, stepsim.AppOptions{})
 			if got := eng.Run(horizon); got != horizon {
 				t.Fatalf("%v: Run(%v) = %v", id, horizon, got)
 			}
@@ -327,8 +328,8 @@ func TestRunAheadOverlappingDrains(t *testing.T) {
 			}
 			for seed := uint64(1); seed <= 3; seed++ {
 				refReg, gotReg := metrics.New(), metrics.New()
-				ref, refN := runOn(stepsim.Config{Model: id, Config: plat, Metrics: refReg}, seed, true, 0)
-				got, gotN := runOn(stepsim.Config{Model: id, Config: plat, Metrics: gotReg}, seed, false, 0)
+				ref, refN := runOn(stepsim.Config{Model: id, Config: plat}, refReg, seed, true, 0)
+				got, gotN := runOn(stepsim.Config{Model: id, Config: plat}, gotReg, seed, false, 0)
 				if got != ref {
 					t.Fatalf("quiet=%v %v seed %d: tracing changed the run\ntraced:   %+v\nuntraced: %+v", quiet, id, seed, ref, got)
 				}

@@ -43,17 +43,16 @@ func TestNestedWaitFramesBitIdentity(t *testing.T) {
 			cfg := Config{Model: id, Config: NestedPlatform()}
 			want := crmodel.Simulate(crmodel.Config{Model: id, Config: cfg.Config}, seed)
 			eng := sim.NewEngine()
-			a := startApp(eng, cfg, seed, AppOptions{})
+			a := startFresh(eng, cfg, seed)
 			eng.RunAll()
 			eng.Release()
-			a.releaseCluster()
 			if a.res != want {
 				t.Errorf("%v seed %d: step tier diverged\napp:  %+v\nstep: %+v", id, seed, want, a.res)
 			}
-			if len(a.waitFree) >= 2 {
+			if len(a.waits.all) >= 2 {
 				nested++
 			}
-			if len(a.waitFree) >= 3 {
+			if len(a.waits.all) >= 3 {
 				deep++
 			}
 		}

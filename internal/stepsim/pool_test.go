@@ -10,12 +10,12 @@ import (
 	"pckpt/internal/stepsim"
 )
 
-// TestPooledClusterReleasesMeteredRun: Simulate recycles its cluster
-// through a pool, and a metered run installs a cluster observer that
-// holds the run's metric handles. The pool must not keep them alive: one
-// GC after the run (which moves the pooled cluster to the pool's victim
-// cache, still reachable) the run's vulnerable-node gauge must be
-// collectable.
+// TestPooledClusterReleasesMeteredRun: Simulate recycles its run record,
+// node table included, through a pool, and a metered run installs a
+// cluster observer and resolves metric handles that hold the run's
+// registry. The pool must not keep them alive: one GC after the run
+// (which moves the pooled record to the pool's victim cache, still
+// reachable) the run's vulnerable-node gauge must be collectable.
 func TestPooledClusterReleasesMeteredRun(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop Puts at random")
@@ -25,7 +25,7 @@ func TestPooledClusterReleasesMeteredRun(t *testing.T) {
 		reg := metrics.New()
 		gauge := reg.Gauge("sim.P2.vulnerable_nodes")
 		runtime.SetFinalizer(gauge, func(*metrics.Gauge) { close(freed) })
-		stepsim.Simulate(stepsim.Config{Model: policy.P2, Config: testPlatforms()["clean"], Metrics: reg}, 3)
+		prepare(t, stepsim.Config{Model: policy.P2, Config: testPlatforms()["clean"]}).Run(3, reg)
 	}()
 	runtime.GC()
 	select {

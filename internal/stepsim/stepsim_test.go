@@ -16,6 +16,26 @@ import (
 	"pckpt/internal/workload"
 )
 
+// prepare prepares cfg, failing the test on a validation error.
+func prepare(t testing.TB, cfg stepsim.Config) *stepsim.Cell {
+	t.Helper()
+	c, err := stepsim.Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// startApp prepares cfg and starts one run of it on eng, for the tests
+// that start apps on a shared engine.
+func startApp(eng *sim.Engine, cfg stepsim.Config, seed uint64, opts stepsim.AppOptions) *stepsim.AppHandle {
+	c, err := stepsim.Prepare(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return c.Start(eng, seed, opts)
+}
+
 // stepModels is the catalogue the step tier implements — all five
 // models, episode machinery included.
 var stepModels = []policy.ID{policy.B, policy.M1, policy.M2, policy.P1, policy.P2}
@@ -275,7 +295,7 @@ func TestCrossValidationStepMeteredParity(t *testing.T) {
 				for seed := uint64(1); seed <= 8; seed++ {
 					plain := stepsim.Simulate(stepsim.Config{Model: id, Config: plat}, seed)
 					stepReg, appReg := metrics.New(), metrics.New()
-					step := stepsim.Simulate(stepsim.Config{Model: id, Config: plat, Metrics: stepReg}, seed)
+					step := prepare(t, stepsim.Config{Model: id, Config: plat}).Run(seed, stepReg)
 					app := crmodel.Simulate(crmodel.Config{Model: id, Config: plat, Metrics: appReg}, seed)
 					if step != plain || app != plain {
 						t.Fatalf("%v seed %d: metering changed the result\nplain: %+v\nstep:  %+v\napp:   %+v",
@@ -343,7 +363,7 @@ func TestStartAppOffsetIdentity(t *testing.T) {
 					var h *stepsim.AppHandle
 					// Admit the app at t=98765.4321s of machine time.
 					eng.After(98765.4321, "", func() {
-						h = stepsim.StartApp(eng, stepsim.Config{Model: id, Config: plat}, seed, stepsim.AppOptions{AppIndex: 3})
+						h = startApp(eng, stepsim.Config{Model: id, Config: plat}, seed, stepsim.AppOptions{AppIndex: 3})
 					})
 					eng.RunAll()
 					if !h.Done() {

@@ -12,7 +12,7 @@ import (
 // arming the wake alarm at a NaN time.
 func TestWaitRejectsNaN(t *testing.T) {
 	eng := sim.NewEngine()
-	a := startApp(eng, Config{Model: policy.B, Config: NestedPlatform()}, 1, AppOptions{})
+	a := startFresh(eng, Config{Model: policy.B, Config: NestedPlatform()}, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("wait(NaN) did not panic")
