@@ -44,6 +44,28 @@ const (
 	DefaultRestartBackoffSeconds = 30
 )
 
+// MaxBackoffSeconds is where every exponential backoff of the fault
+// plans stops doubling: a failed restart attempt's downtime and a crashed
+// tenant's requeue delay. Uncapped, a long retry budget doubles a backoff
+// past any horizon (3.3e14 s at a tenant's 40th crash) while brownout
+// windows keep the engine busy, so the machine never drains. The
+// committed specs and goldens stay below the ceiling (their longest
+// backoffs are 1,200 s for a machine crash and 240 s for a restart), so
+// it moves none of their results.
+const MaxBackoffSeconds = 3600
+
+// backoff returns base doubled once per prior attempt (doublings >= 0),
+// the doubling stopping at MaxBackoffSeconds; a base already above the
+// ceiling is charged as it is. math.Ldexp scales by a power of two
+// exactly, so below the ceiling the result is base·2^doublings bit for
+// bit, and no integer shift can wrap.
+func backoff(base float64, doublings int) float64 {
+	if base >= MaxBackoffSeconds {
+		return base
+	}
+	return math.Min(math.Ldexp(base, doublings), MaxBackoffSeconds)
+}
+
 // Config is the declarative fault plan. The zero value is a perfect
 // platform. All probabilities are per-event (per checkpoint write, per
 // restart attempt, per recovery window) and must lie in [0, 1).
@@ -80,8 +102,9 @@ type Config struct {
 	// (default DefaultRestartRetries when RestartFailProb > 0).
 	RestartRetries int `json:"restart_retries,omitempty"`
 	// RestartBackoffSeconds is the base backoff charged as downtime after
-	// a failed restart attempt; it doubles per attempt (default
-	// DefaultRestartBackoffSeconds when RestartFailProb > 0).
+	// a failed restart attempt; it doubles per attempt up to
+	// MaxBackoffSeconds (default DefaultRestartBackoffSeconds when
+	// RestartFailProb > 0).
 	RestartBackoffSeconds float64 `json:"restart_backoff_seconds,omitempty"`
 }
 
@@ -94,7 +117,7 @@ func (c *Config) BindFlags(fs *flag.FlagSet) {
 	fs.Float64Var(&c.RestartFailProb, "inject-restart", c.RestartFailProb, "degraded platform: restart-attempt failure probability")
 	fs.Float64Var(&c.CascadeProb, "inject-cascade", c.CascadeProb, "degraded platform: secondary-failure probability per recovery window")
 	fs.IntVar(&c.RestartRetries, "inject-retries", c.RestartRetries, "degraded platform: restart retry bound (0 = default)")
-	fs.Float64Var(&c.RestartBackoffSeconds, "inject-backoff", c.RestartBackoffSeconds, "degraded platform: base restart backoff seconds, doubling per attempt (0 = default)")
+	fs.Float64Var(&c.RestartBackoffSeconds, "inject-backoff", c.RestartBackoffSeconds, "degraded platform: base restart backoff seconds, doubling per attempt up to 3600 (0 = default)")
 }
 
 // WithDefaults fills the retry/backoff fields when restart failures are
@@ -232,9 +255,10 @@ func (in *Injector) CorruptCommit() bool {
 
 // RestartAttemptFails draws whether restart attempt number attempt
 // (0-based) fails, and if so the backoff to charge as downtime before
-// the next attempt: base backoff doubled per prior attempt. Attempts at
-// or beyond the retry bound always succeed — the platform is assumed to
-// have recovered by then — which keeps every recovery finite.
+// the next attempt: base backoff doubled per prior attempt, up to
+// MaxBackoffSeconds. Attempts at or beyond the retry bound always
+// succeed — the platform is assumed to have recovered by then — which
+// keeps every recovery finite.
 func (in *Injector) RestartAttemptFails(attempt int) (fail bool, backoffSeconds float64) {
 	if in == nil || in.cfg.RestartFailProb <= 0 {
 		return false, 0
@@ -246,7 +270,7 @@ func (in *Injector) RestartAttemptFails(attempt int) (fail bool, backoffSeconds 
 		return false, 0
 	}
 	in.restartRetries.Inc()
-	return true, in.cfg.RestartBackoffSeconds * float64(uint64(1)<<uint(attempt))
+	return true, backoff(in.cfg.RestartBackoffSeconds, attempt)
 }
 
 // CascadeRecovery draws whether a secondary failure lands inside the

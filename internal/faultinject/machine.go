@@ -89,8 +89,8 @@ type MachineConfig struct {
 	// beyond the bound ends as a truncated run instead of requeueing.
 	CrashMaxRetries int `json:"crash_max_retries,omitempty"`
 	// CrashBackoffSeconds is the base requeue delay after a crash,
-	// doubling per prior crash of the same job (default
-	// DefaultCrashBackoffSeconds when the rate is set).
+	// doubling per prior crash of the same job up to MaxBackoffSeconds
+	// (default DefaultCrashBackoffSeconds when the rate is set).
 	CrashBackoffSeconds float64 `json:"crash_backoff_seconds,omitempty"`
 
 	// StarvationEscalationSeconds arms the arbiter's starvation
@@ -110,7 +110,7 @@ func (c *MachineConfig) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.DrainOutageSlots, "machine-drain-outage-slots", c.DrainOutageSlots, "machine faults: drain slots removed per outage (0 = default)")
 	fs.Float64Var(&c.CrashRatePerHour, "machine-crash-rate", c.CrashRatePerHour, "machine faults: rack crashes per hour (tenants crash and requeue)")
 	fs.IntVar(&c.CrashMaxRetries, "machine-crash-retries", c.CrashMaxRetries, "machine faults: crash readmissions per job before the run truncates (0 = default)")
-	fs.Float64Var(&c.CrashBackoffSeconds, "machine-crash-backoff", c.CrashBackoffSeconds, "machine faults: base requeue backoff seconds, doubling per crash (0 = default)")
+	fs.Float64Var(&c.CrashBackoffSeconds, "machine-crash-backoff", c.CrashBackoffSeconds, "machine faults: base requeue backoff seconds, doubling per crash up to 3600 (0 = default)")
 	fs.Float64Var(&c.StarvationEscalationSeconds, "machine-starve-escalation", c.StarvationEscalationSeconds, "machine faults: starvation-watchdog bound seconds (0 = watchdog off)")
 }
 
@@ -193,26 +193,34 @@ func (c MachineConfig) Validate() error {
 // draws from its own substream, so the processes' timelines are
 // mutually independent no matter how their events interleave.
 type MachineInjector struct {
-	cfg      MachineConfig
-	brownout *rng.Source
-	drain    *rng.Source
-	crash    *rng.Source
+	cfg                    MachineConfig
+	brownout, drain, crash rng.Source
 }
 
 // NewMachine builds the machine-fault injector from the plan's
 // substream (src must be the machine root source's
 // Split(MachineStreamKey)). A zero cfg returns nil — the disabled plan.
+// No simulation calls it: a machine run record resets the injector it
+// keeps (Reset). TestMachineInjectorNilSafe, TestBackoffCeiling and the
+// other injector tests build theirs with it.
 func NewMachine(cfg MachineConfig, src *rng.Source) *MachineInjector {
+	return new(MachineInjector).Reset(cfg, src)
+}
+
+// Reset makes in, in place, the injector NewMachine(cfg, src) builds and
+// returns it; for a zero cfg it returns nil, the disabled plan, and
+// leaves in alone. A machine run record keeps one injector and reseeds
+// its substreams for each run.
+func (in *MachineInjector) Reset(cfg MachineConfig, src *rng.Source) *MachineInjector {
 	cfg = cfg.WithDefaults()
 	if cfg == (MachineConfig{}) {
 		return nil
 	}
-	return &MachineInjector{
-		cfg:      cfg,
-		brownout: src.Split(0),
-		drain:    src.Split(1),
-		crash:    src.Split(2),
-	}
+	in.cfg = cfg
+	src.SplitTo(0, &in.brownout)
+	src.SplitTo(1, &in.drain)
+	src.SplitTo(2, &in.crash)
+	return in
 }
 
 // MachineConfig returns the (defaulted) plan. The nil injector reports
@@ -290,10 +298,11 @@ func (in *MachineInjector) CrashRack(numRacks int) int {
 }
 
 // CrashBackoffSeconds returns the requeue delay after a job's crash
-// number crashes (1-based): base backoff doubled per prior crash.
+// number crashes (1-based): base backoff doubled per prior crash, up to
+// MaxBackoffSeconds.
 func (in *MachineInjector) CrashBackoffSeconds(crashes int) float64 {
 	if in == nil || crashes <= 0 {
 		return 0
 	}
-	return in.cfg.CrashBackoffSeconds * float64(uint64(1)<<uint(crashes-1))
+	return backoff(in.cfg.CrashBackoffSeconds, crashes-1)
 }

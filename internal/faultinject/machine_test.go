@@ -242,3 +242,41 @@ func TestMachineConfigBindFlags(t *testing.T) {
 		t.Fatalf("BindFlags bound %d flags, want 9", n)
 	}
 }
+
+// Both exponential backoffs — a crash requeue's and a failed restart's
+// — stay finite, never shrink, and stop at MaxBackoffSeconds for every
+// attempt from 1 to 1,000: no integer shift wraps them to zero, and no
+// doubling runs them past any horizon. Below the ceiling they keep
+// doubling exactly, and a base above it is charged unchanged.
+func TestBackoffCeiling(t *testing.T) {
+	crash := NewMachine(MachineConfig{CrashRatePerHour: 1}, rng.New(1).Split(MachineStreamKey))
+	restart := New(Config{RestartFailProb: 0.9, RestartRetries: 1001}, rng.New(1).Split(StreamKey), nil)
+	lastCrash, lastRestart, restarts := 0.0, 0.0, 0
+	for attempt := 1; attempt <= 1000; attempt++ {
+		c := crash.CrashBackoffSeconds(attempt)
+		if math.IsInf(c, 0) || math.IsNaN(c) || c < lastCrash || c > MaxBackoffSeconds {
+			t.Fatalf("crash %d: backoff %g after %g (ceiling %d)", attempt, c, lastCrash, MaxBackoffSeconds)
+		}
+		lastCrash = c
+		// Attempts are 0-based here; a successful one charges nothing.
+		if fail, r := restart.RestartAttemptFails(attempt - 1); fail {
+			restarts++
+			if math.IsInf(r, 0) || math.IsNaN(r) || r < lastRestart || r > MaxBackoffSeconds {
+				t.Fatalf("restart attempt %d: backoff %g after %g (ceiling %d)", attempt-1, r, lastRestart, MaxBackoffSeconds)
+			}
+			lastRestart = r
+		}
+	}
+	if lastCrash != MaxBackoffSeconds || lastRestart != MaxBackoffSeconds || restarts < 800 {
+		t.Fatalf("backoffs end at %g (crash) and %g (restart, %d failed attempts), want the %d s ceiling",
+			lastCrash, lastRestart, restarts, MaxBackoffSeconds)
+	}
+	for doublings, want := range map[int]float64{0: 300, 1: 600, 2: 1200, 3: 2400, 4: MaxBackoffSeconds, 64: MaxBackoffSeconds, 2000: MaxBackoffSeconds} {
+		if got := backoff(300, doublings); got != want {
+			t.Errorf("backoff(300, %d) = %g, want %g", doublings, got, want)
+		}
+	}
+	if got := backoff(5000, 10); got != 5000 {
+		t.Errorf("backoff(5000, 10) = %g, want the base above the ceiling, 5000", got)
+	}
+}

@@ -69,9 +69,13 @@ type BandwidthArbiter struct {
 	ceiling  float64
 	maxDrain int
 
-	active   []*flow // allocation order: ascending flow id
-	drainQ   []*flow // FIFO drains awaiting a slot
-	byID     map[stepsim.FlowID]*flow
+	active []*flow // allocation order: ascending flow id
+	drainQ []*flow // FIFO drains awaiting a slot
+	// live holds every flow started and not yet completed or cancelled —
+	// active, queued and suspended alike — in ascending id order. An ID
+	// is looked up by scanning it: a machine has a few live flows, and
+	// every lookup already costs a repricing over the active ones.
+	live     []*flow
 	nextID   stepsim.FlowID
 	inDrain  int
 	lastT    float64
@@ -102,25 +106,81 @@ type BandwidthArbiter struct {
 
 // NewBandwidthArbiter creates the arbiter for a machine whose PFS
 // sustains ceilingGBs aggregate bandwidth and maxDrains concurrent
-// drains, shared by numApps applications on eng.
+// drains, shared by numApps applications on eng. No simulation calls it:
+// a machine run record resets the arbiter it keeps. The TestArbiter*
+// tests, BenchmarkArbiterReprice and stepsim's shared-engine tests
+// (TestAppAbortMidRecoveryOnMachine, TestRecycledRecordMatchesFreshQuick)
+// build arbiters with it.
 func NewBandwidthArbiter(eng *sim.Engine, ceilingGBs float64, maxDrains, numApps int) *BandwidthArbiter {
+	b := new(BandwidthArbiter)
+	b.reset(eng, ceilingGBs, maxDrains, numApps)
+	return b
+}
+
+// reset makes b, in place, the arbiter NewBandwidthArbiter returns: every
+// flow still live is retired, and the flow records (their callbacks
+// bound), the per-app tables and the scratch lists keep their storage.
+// b's old engine must have drained or be dropped, so that no timer of a
+// retired flow can fire. A machine run record resets one arbiter per run.
+func (b *BandwidthArbiter) reset(eng *sim.Engine, ceilingGBs float64, maxDrains, numApps int) {
 	if ceilingGBs <= 0 {
 		panic(fmt.Sprintf("machine: non-positive bandwidth ceiling %g", ceilingGBs))
 	}
 	if maxDrains <= 0 {
 		panic(fmt.Sprintf("machine: non-positive drain concurrency %d", maxDrains))
 	}
-	return &BandwidthArbiter{
+	for _, f := range b.live {
+		b.freeFlow(f)
+	}
+	*b = BandwidthArbiter{
 		eng:         eng,
 		ceiling:     ceilingGBs,
 		maxDrain:    maxDrains,
-		byID:        make(map[stepsim.FlowID]*flow),
-		starving:    make([]bool, numApps),
-		starveS:     make([]float64, numApps),
-		escalations: make([]int, numApps),
-		maxStretch:  make([]float64, numApps),
+		active:      b.active[:0],
+		drainQ:      b.drainQ[:0],
+		live:        b.live[:0],
+		starving:    zeroed(b.starving, numApps),
+		starveS:     zeroed(b.starveS, numApps),
+		escalations: zeroed(b.escalations, numApps),
+		maxStretch:  zeroed(b.maxStretch, numApps),
 		lastT:       eng.Now(),
+		scratch:     b.scratch[:0],
+		escScratch:  b.escScratch[:0],
+		free:        b.free,
 	}
+}
+
+// zeroed returns s resized to n zero values, reusing its storage.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// lookup returns the live flow with the given id, or nil: a completed
+// or cancelled flow's id finds nothing, even once its record is reused.
+func (b *BandwidthArbiter) lookup(id stepsim.FlowID) *flow {
+	for _, f := range b.live {
+		if f.id == id {
+			return f
+		}
+	}
+	return nil
+}
+
+// retire removes f from the live set and returns its record to the free
+// list.
+func (b *BandwidthArbiter) retire(f *flow) {
+	for i, g := range b.live {
+		if g == f {
+			b.live = append(b.live[:i], b.live[i+1:]...)
+			break
+		}
+	}
+	b.freeFlow(f)
 }
 
 // SetAllocObserver installs fn to observe every repricing's total
@@ -269,7 +329,7 @@ func (b *BandwidthArbiter) StartFlow(app int, class stepsim.WriteClass, volumeGB
 	f.remainGB = volumeGB
 	f.soloRate = volumeGB / soloSeconds
 	f.done = done
-	b.byID[f.id] = f
+	b.live = append(b.live, f)
 	b.grow(app)
 	if class == stepsim.ClassDrain && b.inDrain >= b.maxDrain {
 		f.queued = true
@@ -284,7 +344,7 @@ func (b *BandwidthArbiter) StartFlow(app int, class stepsim.WriteClass, volumeGB
 // SuspendFlow implements stepsim.Arbiter: the flow's remaining volume is
 // frozen and its bandwidth (and drain slot) returns to the machine.
 func (b *BandwidthArbiter) SuspendFlow(id stepsim.FlowID) {
-	f := b.byID[id]
+	f := b.lookup(id)
 	if f == nil || f.suspended {
 		return
 	}
@@ -301,7 +361,7 @@ func (b *BandwidthArbiter) SuspendFlow(id stepsim.FlowID) {
 // ResumeFlow implements stepsim.Arbiter: the flow re-enters contention
 // with its remaining volume (a drain re-queues if no slot is free).
 func (b *BandwidthArbiter) ResumeFlow(id stepsim.FlowID) {
-	f := b.byID[id]
+	f := b.lookup(id)
 	if f == nil || !f.suspended {
 		return
 	}
@@ -318,11 +378,10 @@ func (b *BandwidthArbiter) ResumeFlow(id stepsim.FlowID) {
 // CancelFlow implements stepsim.Arbiter: the flow is abandoned and done
 // will not fire.
 func (b *BandwidthArbiter) CancelFlow(id stepsim.FlowID) {
-	f := b.byID[id]
+	f := b.lookup(id)
 	if f == nil {
 		return
 	}
-	delete(b.byID, id)
 	switch {
 	case f.suspended:
 		// Held no slot, no bandwidth, no timer.
@@ -332,7 +391,7 @@ func (b *BandwidthArbiter) CancelFlow(id stepsim.FlowID) {
 		b.deactivate(f)
 		b.reprice()
 	}
-	b.freeFlow(f)
+	b.retire(f)
 }
 
 // complete fires when a flow's completion timer expires: the flow's
@@ -341,11 +400,10 @@ func (b *BandwidthArbiter) CancelFlow(id stepsim.FlowID) {
 // reuses the record.
 func (b *BandwidthArbiter) complete(f *flow) {
 	f.timer = sim.Timer{}
-	delete(b.byID, f.id)
 	b.deactivate(f)
 	b.reprice()
 	done := f.done
-	b.freeFlow(f)
+	b.retire(f)
 	done()
 }
 
@@ -366,9 +424,10 @@ func (b *BandwidthArbiter) newFlow() *flow {
 
 // freeFlow zeroes a retired record, keeping its bound callbacks, and
 // returns it to the free list. The caller guarantees the record has left
-// byID, the active set and the drain queue, and that both its timers are
-// cancelled (or fired): no engine event or lookup can reach it again.
-// Flow IDs are never reused, so a stale ID still finds nothing in byID.
+// the live set, the active set and the drain queue, and that both its
+// timers are cancelled (or fired): no engine event or lookup can reach it
+// again. A run never reuses a flow ID, so a stale ID finds nothing in the
+// live set.
 func (b *BandwidthArbiter) freeFlow(f *flow) {
 	*f = flow{completeFn: f.completeFn, escalateFn: f.escalateFn}
 	b.free = append(b.free, f)
@@ -423,7 +482,7 @@ func (b *BandwidthArbiter) noteStretch(f *flow, t float64) {
 // until it next holds bandwidth (deactivation clears it).
 func (b *BandwidthArbiter) escalate(f *flow) {
 	f.escTimer = sim.Timer{}
-	if b.byID[f.id] != f || f.suspended || f.queued || f.escalated || f.rate > 0 {
+	if b.lookup(f.id) != f || f.suspended || f.queued || f.escalated || f.rate > 0 {
 		return
 	}
 	f.escalated = true

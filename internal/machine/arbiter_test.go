@@ -147,3 +147,50 @@ func TestArbiterConservationAndStarvation(t *testing.T) {
 		t.Fatalf("StarvationSeconds(0) = %g, want 0", got)
 	}
 }
+
+// Once a flow completes or is cancelled, its ID finds nothing, even
+// after the arbiter hands the flow's record to a new flow: suspending,
+// resuming or cancelling the old ID is a no-op, the new flow completes
+// at its solo duration, and the old flow's done never fires (again).
+func TestArbiterStaleFlowIDFindsNothing(t *testing.T) {
+	for _, retire := range []string{"completed", "cancelled"} {
+		t.Run(retire, func(t *testing.T) {
+			eng := sim.NewEngine()
+			arb := machine.NewBandwidthArbiter(eng, 1000, 4, 2)
+			oldDone := 0
+			old := arb.StartFlow(0, stepsim.ClassCollective, 100, 10, func() { oldDone++ })
+			if retire == "completed" {
+				eng.RunAll()
+				if oldDone != 1 {
+					t.Fatalf("the first flow's done fired %d times, want 1", oldDone)
+				}
+			} else {
+				arb.CancelFlow(old)
+			}
+			// The retired record is the only free one: the next flow
+			// reuses it under a new ID.
+			start := eng.Now()
+			newAt := -1.0
+			fresh := arb.StartFlow(1, stepsim.ClassDrain, 200, 20, func() { newAt = eng.Now() })
+			if fresh == old {
+				t.Fatalf("the new flow reused ID %d", old)
+			}
+			eng.After(5, "", func() {
+				arb.SuspendFlow(old)
+				arb.CancelFlow(old)
+			})
+			eng.After(6, "", func() { arb.ResumeFlow(old) })
+			eng.RunAll()
+			if !near(newAt-start, 20) {
+				t.Fatalf("the new flow finished %gs after its start, want 20: a stale ID reached it", newAt-start)
+			}
+			want := 0
+			if retire == "completed" {
+				want = 1
+			}
+			if oldDone != want {
+				t.Fatalf("the %s flow's done fired %d times, want %d", retire, oldDone, want)
+			}
+		})
+	}
+}

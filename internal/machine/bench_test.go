@@ -1,10 +1,12 @@
 package machine_test
 
 import (
+	"runtime"
 	"testing"
 
 	"pckpt/internal/machine"
 	"pckpt/internal/policy"
+	"pckpt/internal/scenario"
 	"pckpt/internal/sim"
 	"pckpt/internal/stepsim"
 )
@@ -50,4 +52,28 @@ func BenchmarkMachineSimulate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		machine.Simulate(cfg, uint64(i+1))
 	}
+}
+
+// BenchmarkMachineDegradedSpec is the machine path's one-call rung: the
+// machine-degraded example spec, loaded through scenario, simulated b.N
+// times by one SimulateN call at one worker. It reports ns/run and
+// allocs/run; the spec's three tenants, brownouts, drain outages and
+// crash requeues are the benchmark's machine-spec workload.
+func BenchmarkMachineDegradedSpec(b *testing.B) {
+	spec, err := scenario.Load("../../examples/scenarios/machine-degraded.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, err := spec.MachineConfig()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	machine.SimulateN(cfg, b.N, 42, 1)
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/run")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/run")
 }

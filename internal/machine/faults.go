@@ -2,7 +2,7 @@ package machine
 
 import (
 	"pckpt/internal/faultinject"
-	"pckpt/internal/sim"
+	"pckpt/internal/rng"
 )
 
 // faultDriver runs the machine-scope fault plan against a live
@@ -12,71 +12,67 @@ import (
 // events so the whole degraded machine stays a deterministic
 // single-goroutine simulation. Every process stops rescheduling once
 // all tenants have finished, so the engine drains.
+//
+// The driver lives in its run record: its handlers are bound once, and
+// each run reseeds the injector's substreams in place.
 type faultDriver struct {
-	eng *sim.Engine
-	arb *BandwidthArbiter
+	r *run
+	// fi is the run's injector: &inj when the plan is armed, nil when it
+	// is disabled.
 	fi  *faultinject.MachineInjector
-	cfg *Config
-	res *Result
-
-	tenants []tenantState
-	// racks maps job → fault domain; one crash draw strikes every
-	// running tenant of the drawn rack.
-	racks    []int
-	numRacks int
-
-	// Hooks back into the driver's admission state (closures over
-	// Simulate's queue): requeue re-enters a crashed job, freeNodes
-	// credits the pool, tryAdmit re-runs the admission policy.
-	requeue   func(j int, p PendingJob)
-	freeNodes func(n int)
-	tryAdmit  func()
+	inj faultinject.MachineInjector
 
 	baseCeiling float64
 	baseDrains  int
 
-	// The five event handlers, bound once in start: scheduling a window
-	// edge or a strike then allocates nothing.
+	// The five event handlers, bound once: scheduling a window edge or a
+	// strike then allocates nothing.
 	brownoutOpenFn, brownoutCloseFn, drainOutageOpenFn, drainOutageCloseFn, crashStrikeFn func()
 }
 
-// start wires the rack map and schedules the first gap of every enabled
-// fault process. Must run before the engine does (time zero).
-func (d *faultDriver) start() {
-	d.racks = d.cfg.Racks
-	if len(d.racks) == 0 {
-		d.racks = make([]int, len(d.cfg.Jobs))
-		for i := range d.racks {
-			d.racks[i] = i
-		}
-	}
-	for _, r := range d.racks {
-		if r >= d.numRacks {
-			d.numRacks = r + 1
-		}
-	}
-	d.baseCeiling = d.arb.Ceiling()
-	d.baseDrains = d.arb.MaxDrains()
+// bind attaches the driver to its record and binds its handlers.
+func (d *faultDriver) bind(r *run) {
+	d.r = r
 	d.brownoutOpenFn, d.brownoutCloseFn = d.brownoutOpen, d.brownoutClose
 	d.drainOutageOpenFn, d.drainOutageCloseFn = d.drainOutageOpen, d.drainOutageClose
 	d.crashStrikeFn = d.crashStrike
+}
+
+// reset readies the driver for a run of plan from the machine seed and
+// returns the run's injector: the one faultinject.NewMachine builds from
+// the seed's Split(MachineStreamKey) substream, or nil for the zero
+// plan.
+func (d *faultDriver) reset(plan faultinject.MachineConfig, seed uint64) *faultinject.MachineInjector {
+	var root, src rng.Source
+	root.Seed(seed)
+	root.SplitTo(faultinject.MachineStreamKey, &src)
+	d.fi = d.inj.Reset(plan, &src)
+	return d.fi
+}
+
+// start schedules the first gap of every enabled fault process. Must run
+// before the engine does (time zero).
+func (d *faultDriver) start() {
+	eng := d.r.eng
+	d.baseCeiling = d.r.arb.Ceiling()
+	d.baseDrains = d.r.arb.MaxDrains()
 	mc := d.fi.MachineConfig()
 	if mc.BrownoutRatePerHour > 0 {
-		d.eng.After(d.fi.NextBrownoutGap(), "machine-brownout", d.brownoutOpenFn)
+		eng.After(d.fi.NextBrownoutGap(), "machine-brownout", d.brownoutOpenFn)
 	}
 	if mc.DrainOutageRatePerHour > 0 {
-		d.eng.After(d.fi.NextDrainOutageGap(), "machine-drain-outage", d.drainOutageOpenFn)
+		eng.After(d.fi.NextDrainOutageGap(), "machine-drain-outage", d.drainOutageOpenFn)
 	}
 	if mc.CrashRatePerHour > 0 {
-		d.eng.After(d.fi.NextCrashGap(), "machine-crash", d.crashStrikeFn)
+		eng.After(d.fi.NextCrashGap(), "machine-crash", d.crashStrikeFn)
 	}
 }
 
 // allDone reports whether every job has left the machine for good —
 // completed, or truncated past its crash-retry bound.
 func (d *faultDriver) allDone() bool {
-	for i := range d.tenants {
-		if !d.tenants[i].finished {
+	for _, t := range d.r.tenants[:len(d.r.p.cfg.Jobs)] {
+		if !t.finished {
 			return false
 		}
 	}
@@ -92,20 +88,20 @@ func (d *faultDriver) brownoutOpen() {
 		return
 	}
 	dur, factor := d.fi.BrownoutWindow()
-	d.res.Brownouts++
-	d.res.BrownoutSeconds += dur
-	d.arb.SetCeiling(d.baseCeiling * factor)
-	d.eng.After(dur, "machine-brownout", d.brownoutCloseFn)
+	d.r.res.Brownouts++
+	d.r.res.BrownoutSeconds += dur
+	d.r.arb.SetCeiling(d.baseCeiling * factor)
+	d.r.eng.After(dur, "machine-brownout", d.brownoutCloseFn)
 }
 
 // brownoutClose ends the open brownout window: the ceiling returns to
 // base and, unless every tenant has finished, the next gap is drawn.
 func (d *faultDriver) brownoutClose() {
-	d.arb.SetCeiling(d.baseCeiling)
+	d.r.arb.SetCeiling(d.baseCeiling)
 	if d.allDone() {
 		return
 	}
-	d.eng.After(d.fi.NextBrownoutGap(), "machine-brownout", d.brownoutOpenFn)
+	d.r.eng.After(d.fi.NextBrownoutGap(), "machine-brownout", d.brownoutOpenFn)
 }
 
 // drainOutageOpen starts one drain-slot outage: the machine-wide drain
@@ -116,19 +112,19 @@ func (d *faultDriver) drainOutageOpen() {
 		return
 	}
 	dur, slots := d.fi.DrainOutageWindow()
-	d.res.DrainOutages++
-	d.arb.SetMaxDrains(max(d.baseDrains-slots, 0))
-	d.eng.After(dur, "machine-drain-outage", d.drainOutageCloseFn)
+	d.r.res.DrainOutages++
+	d.r.arb.SetMaxDrains(max(d.baseDrains-slots, 0))
+	d.r.eng.After(dur, "machine-drain-outage", d.drainOutageCloseFn)
 }
 
 // drainOutageClose ends the open outage: the drain budget returns to
 // base and, unless every tenant has finished, the next gap is drawn.
 func (d *faultDriver) drainOutageClose() {
-	d.arb.SetMaxDrains(d.baseDrains)
+	d.r.arb.SetMaxDrains(d.baseDrains)
 	if d.allDone() {
 		return
 	}
-	d.eng.After(d.fi.NextDrainOutageGap(), "machine-drain-outage", d.drainOutageOpenFn)
+	d.r.eng.After(d.fi.NextDrainOutageGap(), "machine-drain-outage", d.drainOutageOpenFn)
 }
 
 // crashStrike fires one planned rack crash. The rack is drawn
@@ -141,51 +137,47 @@ func (d *faultDriver) crashStrike() {
 	if d.allDone() {
 		return
 	}
-	rack := d.fi.CrashRack(d.numRacks)
+	p := d.r.p
+	rack := d.fi.CrashRack(p.numRacks)
 	struck := false
-	for j := range d.tenants {
-		if d.racks[j] == rack && d.tenants[j].running {
-			d.crashTenant(j)
+	for j, t := range d.r.tenants[:len(p.cfg.Jobs)] {
+		if p.racks[j] == rack && t.running {
+			d.crashTenant(t)
 			struck = true
 		}
 	}
 	if struck {
-		d.tryAdmit()
+		d.r.tryAdmit()
 	}
-	d.eng.After(d.fi.NextCrashGap(), "machine-crash", d.crashStrikeFn)
+	d.r.eng.After(d.fi.NextCrashGap(), "machine-crash", d.crashStrikeFn)
 }
 
 // crashTenant aborts one running job and routes it through the crash
 // lifecycle: crash → requeue (bounded, exponential backoff) or
 // crash → give-up with the truncated-run marker.
-func (d *faultDriver) crashTenant(j int) {
-	ten := &d.tenants[j]
-	now := d.eng.Now()
-	nodes := d.cfg.Jobs[j].need()
-	partial := ten.handle.Abort()
-	ten.handle = nil
-	ten.running = false
-	ten.crashes++
-	d.freeNodes(nodes)
-	jr := &d.res.Jobs[j]
+func (d *faultDriver) crashTenant(t *tenant) {
+	r := d.r
+	now := r.eng.Now()
+	nodes := r.p.cfg.Jobs[t.job].need()
+	partial := t.handle.Abort()
+	t.handle = nil
+	t.running = false
+	t.crashes++
+	r.freeNodes += nodes
+	jr := &r.res.Jobs[t.job]
 	jr.Crashes++
-	d.res.TenantCrashes++
-	d.res.Decisions = append(d.res.Decisions, RoutingDecision{Kind: DecisionCrash, Job: j, AtSeconds: now, Nodes: nodes})
-	if ten.crashes > d.fi.MachineConfig().CrashMaxRetries {
+	r.res.TenantCrashes++
+	r.decisions = append(r.decisions, RoutingDecision{Kind: DecisionCrash, Job: t.job, AtSeconds: now, Nodes: nodes})
+	if t.crashes > d.fi.MachineConfig().CrashMaxRetries {
 		// Retry budget exhausted: the job leaves the machine as the
 		// truncated partial run — the PR 5/PR 9 degradation marker —
 		// rather than panicking or spinning forever.
 		jr.Run = partial
 		jr.EndSeconds = now
-		ten.finished = true
-		d.res.Decisions = append(d.res.Decisions, RoutingDecision{Kind: DecisionGiveUp, Job: j, AtSeconds: now, Nodes: nodes})
+		t.finished = true
+		r.decisions = append(r.decisions, RoutingDecision{Kind: DecisionGiveUp, Job: t.job, AtSeconds: now, Nodes: nodes})
 		return
 	}
-	d.res.CrashRequeues++
-	backoff := d.fi.CrashBackoffSeconds(ten.crashes)
-	d.eng.After(backoff, "machine-requeue", func() {
-		t := d.eng.Now()
-		d.res.Decisions = append(d.res.Decisions, RoutingDecision{Kind: DecisionRequeue, Job: j, AtSeconds: t, Nodes: nodes})
-		d.requeue(j, PendingJob{Job: j, Nodes: nodes, ArrivalSeconds: t})
-	})
+	r.res.CrashRequeues++
+	r.eng.After(d.fi.CrashBackoffSeconds(t.crashes), "machine-requeue", t.requeueFn)
 }

@@ -491,3 +491,44 @@ func TestMachineRacksInertWithoutFaults(t *testing.T) {
 		t.Fatal("rack assignments changed a fault-free simulation")
 	}
 }
+
+// A cohort whose tenants crash far faster than they finish still ends:
+// with a retry budget past the 64 doublings where the old integer shift
+// wrapped, every backoff stops at faultinject.MaxBackoffSeconds, so each
+// tenant either completes or gives up truncated after its last retry
+// while brownout windows run throughout, well inside the run's event
+// budget. Uncapped, the 40th crash waited 3.3e14 s while brownouts kept
+// the engine busy until the watchdog tripped.
+func TestMachineCrashLoopEnds(t *testing.T) {
+	const retries = 70
+	cfg := machine.Config{
+		Jobs: []machine.JobSpec{
+			quietTenant(policy.B, 24),
+			quietTenant(policy.M1, 24),
+			quietTenant(policy.P2, 24),
+		},
+		PFSCeilingGBs:       20,
+		MaxConcurrentDrains: 2,
+		Faults: faultinject.MachineConfig{
+			BrownoutRatePerHour: 1,
+			BrownoutMeanSeconds: 600,
+			CrashRatePerHour:    6,
+			CrashMaxRetries:     retries,
+			CrashBackoffSeconds: 300,
+		},
+	}
+	res, dispatched := machine.SimulateFresh(cfg, 1)
+	for _, jr := range res.Jobs {
+		if jr.Run.Truncated != (jr.Crashes == retries+1) || jr.Crashes > retries+1 {
+			t.Fatalf("job %d: %d crashes, truncated %v: neither completed nor given up after %d retries", jr.Job, jr.Crashes, jr.Run.Truncated, retries)
+		}
+	}
+	if res.TenantCrashes <= 65 || res.Brownouts == 0 {
+		t.Fatalf("%d crashes and %d brownouts do not reach past the 64-doubling wrap", res.TenantCrashes, res.Brownouts)
+	}
+	budget := uint64(len(cfg.Jobs)) * sim.RunEventBudget
+	if dispatched > budget/1000 {
+		t.Fatalf("%d events dispatched, more than a thousandth of the %d-event budget", dispatched, budget)
+	}
+	t.Logf("%d crashes, %d brownouts, makespan %.0f h, %d events", res.TenantCrashes, res.Brownouts, res.MakespanSeconds/3600, dispatched)
+}

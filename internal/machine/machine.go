@@ -2,12 +2,12 @@ package machine
 
 import (
 	"fmt"
+	"sync"
 
 	"pckpt/internal/faultinject"
 	"pckpt/internal/metrics"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
-	"pckpt/internal/rng"
 	"pckpt/internal/sim"
 	"pckpt/internal/stats"
 	"pckpt/internal/stepsim"
@@ -217,12 +217,16 @@ func Simulate(cfg Config, seed uint64) Result {
 }
 
 // prepared is a cohort ready to simulate: the defaulted, validated
-// configuration and each job's step-tier cell, prepared once and shared
-// by every tenant start, crash readmission and solo baseline of the
-// runs that simulate it.
+// configuration, each job's step-tier cell, prepared once and shared by
+// every tenant start, crash readmission and solo baseline of the runs
+// that simulate it, and the rack map.
 type prepared struct {
 	cfg   Config
 	cells []*stepsim.Cell
+	// racks maps job → fault domain (cfg.Racks, or each job its own);
+	// numRacks is one past the highest.
+	racks    []int
+	numRacks int
 }
 
 // prepare defaults and validates cfg and prepares its jobs' cells. It
@@ -232,7 +236,7 @@ func prepare(cfg Config) *prepared {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	p := &prepared{cfg: cfg, cells: make([]*stepsim.Cell, len(cfg.Jobs))}
+	p := &prepared{cfg: cfg, cells: make([]*stepsim.Cell, len(cfg.Jobs)), racks: cfg.Racks}
 	for i, j := range cfg.Jobs {
 		c, err := stepsim.Prepare(stepsim.Config{Model: j.Model, Config: j.Platform})
 		if err != nil {
@@ -240,132 +244,81 @@ func prepare(cfg Config) *prepared {
 		}
 		p.cells[i] = c
 	}
+	if len(p.racks) == 0 {
+		p.racks = make([]int, len(cfg.Jobs))
+		for i := range p.racks {
+			p.racks[i] = i
+		}
+	}
+	for _, r := range p.racks {
+		p.numRacks = max(p.numRacks, r+1)
+	}
 	return p
 }
 
-// simulate runs the prepared cohort once from seed.
-func (p *prepared) simulate(seed uint64) Result {
-	cfg := p.cfg
-	eng := sim.NewEngine()
-	eng.SetWatchdog(uint64(len(cfg.Jobs))*sim.RunEventBudget, 0)
-	arb := NewBandwidthArbiter(eng, cfg.PFSCeilingGBs, cfg.MaxConcurrentDrains, len(cfg.Jobs))
-
-	fi := faultinject.NewMachine(cfg.Faults, rng.New(seed).Split(faultinject.MachineStreamKey))
-	if bound := fi.MachineConfig().StarvationEscalationSeconds; bound > 0 {
-		arb.SetStarvationEscalation(bound)
-	}
-
-	cells := p.cells
-	res := Result{Jobs: make([]JobResult, len(cfg.Jobs))}
-	arb.SetAllocObserver(func(t, total, ceiling float64) {
-		if total > res.PeakAllocGBs {
-			res.PeakAllocGBs = total
-		}
-		if cfg.OnAlloc != nil {
-			cfg.OnAlloc(t, total, ceiling)
-		}
-	})
-
-	tenants := make([]tenantState, len(cfg.Jobs))
+// run is a machine run record: everything one simulation of a cohort
+// needs besides its result — the engine, the arbiter with its flow
+// records, the fault driver with its handlers bound, the tenants with
+// their hooks bound, and the admission queue, handle list and decision
+// log. Records are recycled through runPool and reset in place by each
+// run; a pooled record references no cohort.
+type run struct {
+	p    *prepared
+	seed uint64
+	eng  *sim.Engine
+	arb  BandwidthArbiter
+	// faults runs the machine-scope fault plan; its injector is nil when
+	// the plan is disabled.
+	faults  faultDriver
+	tenants []*tenant
+	// queue holds the jobs awaiting admission in arrival order;
+	// freeNodes counts the unoccupied nodes.
+	queue     []PendingJob
+	freeNodes int
 	// started holds every app handle, crashed tenants' included, so their
-	// node tables return to the pool once the engine drains.
-	started := make([]*stepsim.AppHandle, 0, len(cfg.Jobs))
-	var m struct {
-		queue     []PendingJob
-		freeNodes int
-	}
-	m.freeNodes = cfg.Nodes
-	var tryAdmit func()
-	tryAdmit = func() {
-		for {
-			idx, ok := cfg.Admission.Admit(m.queue, m.freeNodes)
-			if !ok {
-				return
-			}
-			p := m.queue[idx]
-			m.queue = append(m.queue[:idx], m.queue[idx+1:]...)
-			m.freeNodes -= p.Nodes
-			now := eng.Now()
-			res.Decisions = append(res.Decisions, RoutingDecision{Kind: DecisionAdmit, Job: p.Job, AtSeconds: now, Nodes: p.Nodes})
-			jr := &res.Jobs[p.Job]
-			ten := &tenants[p.Job]
-			if ten.crashes == 0 {
-				jr.StartSeconds = now
-			}
-			jr.QueueWaitSeconds += now - p.ArrivalSeconds
-			// A readmitted job replays a fresh seed derived from its crash
-			// count, so retry runs are independent draws but the whole
-			// machine stays deterministic in (cfg, seed).
-			jobSeed := sweep.Seed(seed, p.Job)
-			if ten.crashes > 0 {
-				jobSeed = sweep.Seed(jobSeed, ten.crashes)
-			}
-			ten.running = true
-			ten.handle = cells[p.Job].Start(eng, jobSeed, stepsim.AppOptions{
-				Arbiter:  arb,
-				AppIndex: p.Job,
-				Metrics:  cfg.Metrics,
-				OnDone: func(r stats.RunResult) {
-					jr.EndSeconds = eng.Now()
-					jr.Run = r
-					ten.running = false
-					ten.finished = true
-					m.freeNodes += p.Nodes
-					tryAdmit()
-				},
-			})
-			started = append(started, ten.handle)
-		}
-	}
-	for i, j := range cfg.Jobs {
-		res.Jobs[i] = JobResult{Job: i, Model: j.Model, ArrivalSeconds: j.ArrivalSeconds}
-		i, j := i, j
-		eng.After(j.ArrivalSeconds, "job-arrival", func() {
-			m.queue = append(m.queue, PendingJob{Job: i, Nodes: j.need(), ArrivalSeconds: j.ArrivalSeconds})
-			tryAdmit()
-		})
-	}
-	if fi != nil {
-		d := &faultDriver{
-			eng: eng, arb: arb, fi: fi, cfg: &cfg, res: &res,
-			tenants: tenants,
-			requeue: func(j int, p PendingJob) {
-				m.queue = append(m.queue, p)
-				tryAdmit()
-			},
-			freeNodes: func(n int) { m.freeNodes += n },
-			tryAdmit:  func() { tryAdmit() },
-		}
-		d.start()
-	}
-	eng.RunAll()
-	eng.Release()
-	// Not at abort: a crashed tenant's pending callbacks touch its record
-	// until the engine drains. The solo baselines below reuse the records.
-	for _, h := range started {
-		h.Release()
-	}
-	// Makespan is the last departure, not the engine clock: the failure
-	// streams park wake-events past each app's completion.
-	for i := range res.Jobs {
-		res.MakespanSeconds = max(res.MakespanSeconds, res.Jobs[i].EndSeconds)
-	}
+	// step-tier records return to the pool once the engine drains.
+	started []*stepsim.AppHandle
+	// decisions is the admission log; the result gets a copy.
+	decisions []RoutingDecision
+	// res is the result being built; its Jobs and Decisions are the two
+	// slices a run allocates, and finish hands res over whole.
+	res Result
+	// observeFn is observeAlloc, bound once.
+	observeFn func(t, totalGBs, ceilingGBs float64)
+}
 
-	// Solo baselines: the same job, platform, and seed on an idle
-	// machine — the slowdown denominator.
-	for i := range res.Jobs {
-		jr := &res.Jobs[i]
-		solo := cells[i].Run(sweep.Seed(seed, i), nil)
-		jr.SoloWallSeconds = solo.WallSeconds
-		if solo.WallSeconds > 0 {
-			jr.SlowdownX = jr.Run.WallSeconds / solo.WallSeconds
-		}
-		jr.StarvationSeconds = arb.StarvationSeconds(i)
-		jr.MaxStarvationStretchSeconds = arb.MaxStarvationStretchSeconds(i)
-	}
-	res.Escalations = arb.EscalationCount()
-	observeMachineMetrics(cfg, &res)
+// runPool recycles run records across the runs of a sweep, so each sweep
+// worker runs on one warm record, and across Simulate calls.
+var runPool = sync.Pool{New: func() any { return newRun() }}
+
+// simulate runs the cohort once from seed on a pooled record. A run that
+// panics drops its record.
+func (p *prepared) simulate(seed uint64) Result {
+	r := runPool.Get().(*run)
+	res := r.simulate(p, seed)
+	runPool.Put(r)
 	return res
+}
+
+// newRun makes a run record and binds its hooks.
+func newRun() *run {
+	r := &run{eng: sim.NewEngine()}
+	r.observeFn = r.observeAlloc
+	r.faults.bind(r)
+	return r
+}
+
+// tenant is one job on a run record: its lifecycle state, zeroed after
+// every run, and its arrival, requeue and completion hooks, bound once
+// when the record grows to the job, so neither scheduling them nor
+// starting the job's app allocates.
+type tenant struct {
+	tenantState
+	r   *run
+	job int
+
+	arriveFn, requeueFn func()
+	departFn            func(stats.RunResult)
 }
 
 // tenantState is the driver's per-job lifecycle bookkeeping: the live
@@ -376,6 +329,178 @@ type tenantState struct {
 	running  bool
 	finished bool
 	crashes  int
+}
+
+// simulate runs the prepared cohort once from seed on r.
+func (r *run) simulate(p *prepared, seed uint64) Result {
+	r.begin(p, seed)
+	r.eng.RunAll()
+	return r.finish()
+}
+
+// begin resets r for one run of the prepared cohort from seed and
+// schedules the run's first events: the arrivals, then the fault plan's
+// first gaps.
+func (r *run) begin(p *prepared, seed uint64) {
+	cfg := &p.cfg
+	n := len(cfg.Jobs)
+	r.p, r.seed = p, seed
+	r.eng.SetWatchdog(uint64(n)*sim.RunEventBudget, 0)
+	r.arb.reset(r.eng, cfg.PFSCeilingGBs, cfg.MaxConcurrentDrains, n)
+	fi := r.faults.reset(cfg.Faults, seed)
+	if bound := fi.MachineConfig().StarvationEscalationSeconds; bound > 0 {
+		r.arb.SetStarvationEscalation(bound)
+	}
+	r.res = Result{Jobs: make([]JobResult, n)}
+	r.arb.SetAllocObserver(r.observeFn)
+	r.queue = r.queue[:0]
+	r.freeNodes = cfg.Nodes
+	r.decisions = r.decisions[:0]
+	for len(r.tenants) < n {
+		t := &tenant{r: r, job: len(r.tenants)}
+		t.arriveFn, t.requeueFn, t.departFn = t.arrive, t.requeue, t.depart
+		r.tenants = append(r.tenants, t)
+	}
+	for i, j := range cfg.Jobs {
+		r.res.Jobs[i] = JobResult{Job: i, Model: j.Model, ArrivalSeconds: j.ArrivalSeconds}
+		r.eng.After(j.ArrivalSeconds, "job-arrival", r.tenants[i].arriveFn)
+	}
+	if fi != nil {
+		r.faults.start()
+	}
+}
+
+// finish completes a run whose engine has drained: it releases the
+// tenants' app records, runs the solo baselines, and hands the result
+// over, leaving the record clear for the next run.
+func (r *run) finish() Result {
+	p := r.p
+	r.eng.Reset() // drained: nothing is pending
+	// Not at abort: a crashed tenant's pending callbacks touch its record
+	// until the engine drains. The solo baselines below reuse the records.
+	for i, h := range r.started {
+		h.Release()
+		r.started[i] = nil
+	}
+	r.started = r.started[:0]
+	res := &r.res
+	// Makespan is the last departure, not the engine clock: the failure
+	// streams park wake-events past each app's completion.
+	for i := range res.Jobs {
+		res.MakespanSeconds = max(res.MakespanSeconds, res.Jobs[i].EndSeconds)
+	}
+
+	// Solo baselines: the same job, platform, and seed on an idle
+	// machine — the slowdown denominator.
+	for i := range res.Jobs {
+		jr := &res.Jobs[i]
+		solo := p.cells[i].Run(sweep.Seed(r.seed, i), nil)
+		jr.SoloWallSeconds = solo.WallSeconds
+		if solo.WallSeconds > 0 {
+			jr.SlowdownX = jr.Run.WallSeconds / solo.WallSeconds
+		}
+		jr.StarvationSeconds = r.arb.StarvationSeconds(i)
+		jr.MaxStarvationStretchSeconds = r.arb.MaxStarvationStretchSeconds(i)
+	}
+	res.Escalations = r.arb.EscalationCount()
+	res.Decisions = append([]RoutingDecision(nil), r.decisions...)
+	observeMachineMetrics(p.cfg, res)
+	out := r.res
+	r.clear()
+	return out
+}
+
+// clear drops everything the finished run referenced — the cohort (its
+// cells, registry and observer), the result and the app handles — so a
+// pooled record keeps no run alive, and zeroes the tenants' lifecycle
+// state for the next run.
+func (r *run) clear() {
+	r.p = nil
+	r.res = Result{}
+	for _, t := range r.tenants {
+		t.tenantState = tenantState{}
+	}
+}
+
+// observeAlloc is the arbiter's repricing observer: it keeps the peak
+// allocation and forwards to Config.OnAlloc.
+func (r *run) observeAlloc(t, total, ceiling float64) {
+	if total > r.res.PeakAllocGBs {
+		r.res.PeakAllocGBs = total
+	}
+	if on := r.p.cfg.OnAlloc; on != nil {
+		on(t, total, ceiling)
+	}
+}
+
+// tryAdmit admits queued jobs while the admission policy picks one,
+// starting each job's app on the shared engine and arbiter.
+func (r *run) tryAdmit() {
+	cfg := &r.p.cfg
+	for {
+		idx, ok := cfg.Admission.Admit(r.queue, r.freeNodes)
+		if !ok {
+			return
+		}
+		p := r.queue[idx]
+		r.queue = append(r.queue[:idx], r.queue[idx+1:]...)
+		r.freeNodes -= p.Nodes
+		now := r.eng.Now()
+		r.decisions = append(r.decisions, RoutingDecision{Kind: DecisionAdmit, Job: p.Job, AtSeconds: now, Nodes: p.Nodes})
+		jr := &r.res.Jobs[p.Job]
+		t := r.tenants[p.Job]
+		if t.crashes == 0 {
+			jr.StartSeconds = now
+		}
+		jr.QueueWaitSeconds += now - p.ArrivalSeconds
+		// A readmitted job replays a fresh seed derived from its crash
+		// count, so retry runs are independent draws but the whole
+		// machine stays deterministic in (cfg, seed).
+		jobSeed := sweep.Seed(r.seed, p.Job)
+		if t.crashes > 0 {
+			jobSeed = sweep.Seed(jobSeed, t.crashes)
+		}
+		t.running = true
+		t.handle = r.p.cells[p.Job].Start(r.eng, jobSeed, stepsim.AppOptions{
+			Arbiter:  &r.arb,
+			AppIndex: p.Job,
+			Metrics:  cfg.Metrics,
+			OnDone:   t.departFn,
+		})
+		r.started = append(r.started, t.handle)
+	}
+}
+
+// arrive queues the tenant's job at its arrival time.
+func (t *tenant) arrive() {
+	j := &t.r.p.cfg.Jobs[t.job]
+	t.r.queue = append(t.r.queue, PendingJob{Job: t.job, Nodes: j.need(), ArrivalSeconds: j.ArrivalSeconds})
+	t.r.tryAdmit()
+}
+
+// depart is the tenant's completion hook: the job leaves the machine
+// with its final result, and its nodes go back to the pool for the
+// queued jobs.
+func (t *tenant) depart(res stats.RunResult) {
+	r := t.r
+	jr := &r.res.Jobs[t.job]
+	jr.EndSeconds = r.eng.Now()
+	jr.Run = res
+	t.running = false
+	t.finished = true
+	r.freeNodes += r.p.cfg.Jobs[t.job].need()
+	r.tryAdmit()
+}
+
+// requeue re-enters a crashed tenant's job at the back of the admission
+// queue once its backoff has passed.
+func (t *tenant) requeue() {
+	r := t.r
+	now := r.eng.Now()
+	nodes := r.p.cfg.Jobs[t.job].need()
+	r.decisions = append(r.decisions, RoutingDecision{Kind: DecisionRequeue, Job: t.job, AtSeconds: now, Nodes: nodes})
+	r.queue = append(r.queue, PendingJob{Job: t.job, Nodes: nodes, ArrivalSeconds: now})
+	r.tryAdmit()
 }
 
 // observeMachineMetrics publishes machine-level outcomes to the

@@ -13,10 +13,11 @@ import (
 // TestPooledTenantTablesReleaseMeteredRun: a machine run returns every
 // tenant's run record, node table included, to the step tier's pool,
 // and a metered tenant's record holds the run's metric handles (the
-// table's observer among them). The pool must not keep them alive: one
-// GC after the run (which moves the pooled records to the pool's victim
-// cache, still reachable) every tenant model's vulnerable-node gauge
-// must be collectable. Every model is watched because a solo baseline
+// table's observer among them); the machine's own run record, pooled
+// too, held the cohort and its registry. Neither pool may keep them
+// alive: one GC after the run (which moves the pooled records to the
+// pools' victim caches, still reachable) every tenant model's
+// vulnerable-node gauge must be collectable. Every model is watched because a solo baseline
 // re-Resets one pooled record, which would hide a missing clear on that
 // one.
 func TestPooledTenantTablesReleaseMeteredRun(t *testing.T) {

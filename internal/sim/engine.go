@@ -138,8 +138,20 @@ func NewEngine() *Engine {
 // simply dropped. Using an engine, or an alarm bound to it, after
 // releasing it is a bug.
 func (e *Engine) Release() {
+	if e.Reset() {
+		enginePool.Put(e)
+	}
+}
+
+// Reset readies a drained engine for another run in place, as Release
+// does before pooling it: the clock back at zero, every alarm unbound,
+// the watchdog disarmed and the dispatch count zeroed, the heap and the
+// event free list kept. It reports false, changing nothing, while an
+// event is pending or an alarm armed. A machine run record keeps one
+// engine across the runs of a sweep this way.
+func (e *Engine) Reset() bool {
 	if _, _, pending := e.next(); pending {
-		return
+		return false
 	}
 	clear(e.alarms)
 	e.alarms = e.alarms[:0]
@@ -148,7 +160,7 @@ func (e *Engine) Release() {
 	e.wdMaxSim = 0
 	e.wdBase = 0
 	e.dispatched = 0
-	enginePool.Put(e)
+	return true
 }
 
 // newEvent takes an entry off the free list, or allocates one.
