@@ -24,9 +24,9 @@
 //
 // Sweeps are resumable: every completed configuration is flushed to the
 // content-addressed result cache (-cache DIR, on by default) the moment
-// it finishes, so SIGINT/SIGTERM aborts at the next configuration
-// boundary with the completed prefix preserved — rerunning the same
-// command skips straight to the unfinished tail. -no-cache disables the
+// its last run finishes, so SIGINT/SIGTERM stops starting runs and keeps
+// every completed configuration — rerunning the same command simulates
+// only the rest. -no-cache disables the
 // cache, -cache-stats prints per-experiment hit/miss accounting. A run
 // that panics is left out of the means and named on stderr, cached or not.
 package main
@@ -132,8 +132,8 @@ func main() {
 		p.Cache = store
 	}
 
-	// SIGINT/SIGTERM abort the sweep at the next configuration boundary;
-	// the completed prefix is already flushed to the cache. A second
+	// SIGINT/SIGTERM stop the sweep from starting runs; every completed
+	// configuration is already flushed to the cache. A second
 	// signal kills the process outright (default disposition restored).
 	interrupt := make(chan struct{})
 	sigCh := make(chan os.Signal, 1)

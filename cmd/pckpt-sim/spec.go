@@ -108,10 +108,10 @@ func machineFlag(fs *flag.FlagSet) (name string) {
 	return name
 }
 
-// runSpec executes one scenario spec: every cohort × policy cell
-// resolves through experiments.Resolve with the spec's run/seed plan
-// (matching the flag path's seed usage exactly, so a spec mirroring a
-// flag invocation is bit-identical to it), optionally from a runcache
+// runSpec executes one scenario spec: its cohort × policy cells resolve
+// as one plan through experiments.ResolveCells with the spec's run/seed
+// plan (matching the flag path's seed usage exactly, so a spec mirroring
+// a flag invocation is bit-identical to it), optionally from a runcache
 // directory. Cells run on the step tier, so their tier-agnostic cache
 // keys hold; TestCrossValidationSweepCells audits that tier against the
 // app-tier reference on every example spec's cells.
@@ -143,7 +143,7 @@ func runSpec(path, cacheDir string, fs *flag.FlagSet) error {
 	// The cell uses the spec's base seed directly for every
 	// configuration: the same contract as flag mode, where the model run
 	// and its B baseline share -seed.
-	p := experiments.Params{Experiment: "pckpt-sim", Seed: s.Seed, Workers: runtime.GOMAXPROCS(0)}
+	p := experiments.Params{Experiment: "pckpt-sim", Seed: s.Seed}
 	if cacheDir != "" {
 		if p.Cache, err = runcache.Open(cacheDir); err != nil {
 			return err
@@ -156,21 +156,23 @@ func runSpec(path, cacheDir string, fs *flag.FlagSet) error {
 	}
 	fmt.Println()
 
-	// Baseline totals per cohort label, for the "vs B" column.
-	baseline := map[string]stats.Overheads{}
-	aggs := make([]*stats.Agg, len(cfgs))
+	cells := make([]experiments.Cell, len(cfgs))
 	for i, rc := range cfgs {
-		agg, err := experiments.Resolve(p, experiments.Cell{
+		cells[i] = experiments.Cell{
 			Tier: experiments.StepTier(), Label: s.Name + "|" + rc.Label,
 			Policy: rc.Policy, Platform: rc.Platform, Runs: s.Runs, Seed: s.Seed,
-		})
-		if err != nil {
-			return err
 		}
-		aggs[i] = agg
-		experiments.WarnFailed(agg.Failed())
+	}
+	aggs, err := experiments.ResolveCells(p, cells)
+	if err != nil {
+		return err
+	}
+	// Baseline totals per cohort label, for the "vs B" column.
+	baseline := map[string]stats.Overheads{}
+	for i, rc := range cfgs {
+		experiments.WarnFailed(aggs[i].Failed())
 		if rc.Policy == policy.B {
-			baseline[rc.Label] = agg.MeanOverheads()
+			baseline[rc.Label] = aggs[i].MeanOverheads()
 		}
 	}
 

@@ -9,8 +9,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
+	"time"
 
 	"pckpt/internal/failure"
 	"pckpt/internal/metrics"
@@ -130,11 +133,18 @@ func TestCacheCorruptionRecovery(t *testing.T) {
 	}
 }
 
-// Interrupts abort at the next un-cached configuration, and the cached
-// prefix keeps resolving after the signal — so a fully warmed cache
-// completes even under a pre-closed interrupt, and a partially warmed
-// one stops exactly at its first hole.
+// Interrupts stop seed dispatch, and cached cells keep resolving after
+// the signal — so a fully warmed cache completes even under a pre-closed
+// interrupt, and a partially warmed one looks every cell up, misses each
+// hole and simulates nothing.
 func TestCacheInterruptResume(t *testing.T) {
+	var simulated atomic.Int64
+	runSweepsOn(t, wrapRuns(StepTier(), func(_ policy.ID, _ platform.Config, run Runner) Runner {
+		return func(seed uint64, reg *metrics.Registry) stats.RunResult {
+			simulated.Add(1)
+			return run(seed, reg)
+		}
+	}))
 	dir := t.TempDir()
 	cold, err := runcache.Open(dir)
 	if err != nil {
@@ -162,9 +172,9 @@ func TestCacheInterruptResume(t *testing.T) {
 	}
 	sameResult(t, r1, r2)
 
-	// Punch holes in the tail (as a mid-sweep SIGINT would leave them):
-	// the interrupted rerun must fast-forward through the prefix and
-	// abort at the first hole.
+	// Punch holes (as a mid-sweep SIGINT would leave them): the
+	// interrupted rerun must look every cell up, then stop before any
+	// seed of a hole runs.
 	paths := blobFiles(t, dir)
 	for _, path := range paths[len(paths)-3:] {
 		if err := os.Remove(path); err != nil {
@@ -177,11 +187,15 @@ func TestCacheInterruptResume(t *testing.T) {
 	}
 	p = fig4Params(partial)
 	p.Interrupt = closed
+	simulated.Store(0)
 	if _, err := Run(d, p); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("partially cached sweep under interrupt returned %v, want ErrInterrupted", err)
 	}
-	if st := partial.Totals(); st.Puts != 0 || st.Misses != 1 {
-		t.Fatalf("interrupted run traffic %+v, want exactly one miss and no puts", st)
+	if st := partial.Totals(); st.Puts != 0 || st.Misses != 3 || st.Hits != fig4Configs-3 {
+		t.Fatalf("interrupted run traffic %+v, want each of the 3 holes missed and no puts", st)
+	}
+	if n := simulated.Load(); n != 0 {
+		t.Fatalf("interrupted run simulated %d seeds, want none", n)
 	}
 
 	// Without the interrupt the rerun refills only the holes.
@@ -290,15 +304,37 @@ func TestRunReturnsCacheWriteError(t *testing.T) {
 	}
 }
 
-// TestRunReportsFailedRuns plants a crash on one seed of one fig4 cell:
-// Run reports that run in Result.Failed on a cold run, and again on a
-// warm run that resolves every cell from the cache's stored ledger.
+// TestRunReportsFailedRuns plants crashes on three seeds of two fig4
+// cells: Run reports those runs in Result.Failed, in declaration order
+// and seed order within a cell, on a cold run and again on a warm run
+// that resolves every cell from the cache's stored ledgers, at any
+// worker count. With several workers the first planted seed crashes
+// only once the second has, so the cell's seeds crash out of order.
 func TestRunReportsFailedRuns(t *testing.T) {
-	label := fmt.Sprintf("CHIMERA|%s|%s|ls=%.3f|fn=%.3f", failure.Titan.Name, policy.M2, 0.5, failure.DefaultFNRate)
-	crashSeed := sweep.Seed(configSeed(42, label), 3)
+	m2Label := fmt.Sprintf("CHIMERA|%s|%s|ls=%.3f|fn=%.3f", failure.Titan.Name, policy.M2, 0.5, failure.DefaultFNRate)
+	m1Label := fmt.Sprintf("CHIMERA|%s|%s|ls=%.3f|fn=%.3f", failure.Titan.Name, policy.M1, 1.5, failure.DefaultFNRate)
+	m2Base, m1Base := configSeed(42, m2Label), configSeed(42, m1Label)
+	// M2 at 0.5 is declared before M1 at 1.5; within it, seed 1 before 3.
+	want := []stats.FailedRun{
+		{Seed: sweep.Seed(m2Base, 1), Err: "planted crash"},
+		{Seed: sweep.Seed(m2Base, 3), Err: "planted crash"},
+		{Seed: sweep.Seed(m1Base, 0), Err: "planted crash"},
+	}
+	var second chan struct{} // closed as the second planted seed crashes
+	var closeSecond *sync.Once
 	tier := wrapRuns(StepTier(), func(id policy.ID, plat platform.Config, run Runner) Runner {
 		return func(seed uint64, reg *metrics.Registry) stats.RunResult {
-			if id == policy.M2 && plat.LeadScale == 0.5 && seed == crashSeed {
+			switch seed {
+			case want[0].Seed:
+				select {
+				case <-second:
+				case <-time.After(2 * time.Second):
+				}
+				panic("planted crash")
+			case want[1].Seed:
+				closeSecond.Do(func() { close(second) })
+				panic("planted crash")
+			case want[2].Seed:
 				panic("planted crash")
 			}
 			return run(seed, reg)
@@ -306,18 +342,31 @@ func TestRunReportsFailedRuns(t *testing.T) {
 	})
 	runSweepsOn(t, tier)
 
-	dir := t.TempDir()
-	for _, pass := range []string{"cold", "warm"} {
-		store, err := runcache.Open(dir)
-		if err != nil {
-			t.Fatal(err)
+	for _, workers := range []int{1, 7} {
+		second, closeSecond = make(chan struct{}), new(sync.Once)
+		if workers == 1 {
+			closeSecond.Do(func() { close(second) }) // one worker runs the seeds in order
 		}
-		r := mustRun(t, "fig4", fig4Params(store))
-		if len(r.Failed) != 1 || r.Failed[0].Seed != crashSeed || r.Failed[0].Err != "planted crash" {
-			t.Errorf("%s run reported failed runs %+v, want the planted crash at seed %#x", pass, r.Failed, crashSeed)
-		}
-		if st := store.Totals(); pass == "warm" && (st.Hits != fig4Configs || st.Misses != 0) {
-			t.Errorf("warm run traffic %+v, want %d hits", st, fig4Configs)
+		dir := t.TempDir()
+		for _, pass := range []string{"cold", "warm"} {
+			store, err := runcache.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := fig4Params(store)
+			p.Workers = workers
+			r := mustRun(t, "fig4", p)
+			ok := len(r.Failed) == len(want)
+			for i := 0; ok && i < len(want); i++ {
+				f := r.Failed[i]
+				ok = f.Seed == want[i].Seed && f.Err == want[i].Err && strings.Contains(f.Config, "tier=step")
+			}
+			if !ok {
+				t.Errorf("workers=%d %s run reported failed runs %+v, want the planted crashes %+v in order", workers, pass, r.Failed, want)
+			}
+			if st := store.Totals(); pass == "warm" && (st.Hits != fig4Configs || st.Misses != 0) {
+				t.Errorf("workers=%d warm run traffic %+v, want %d hits", workers, st, fig4Configs)
+			}
 		}
 	}
 }

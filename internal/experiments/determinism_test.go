@@ -12,7 +12,8 @@ import (
 // every model (fig6a), a lead-scale sweep (fig4), and the dual-tier
 // runner (crossval, which exercises SimulateSweepN on every tier), and
 // the degraded-platform sweep (fault-plan draws must replay identically
-// regardless of scheduling).
+// regardless of scheduling). Each runs through Run, so the worker count
+// also sizes the pool every cell of the plan shares.
 func TestWorkersDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run determinism replay is not -short")
@@ -49,8 +50,14 @@ func TestWorkersDeterminism(t *testing.T) {
 			serial.Workers = 1
 			parallel := tc.p
 			parallel.Workers = 8
-			r1 := d.Run(serial)
-			r2 := d.Run(parallel)
+			r1, err := Run(d, serial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r2, err := Run(d, parallel)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if r1.Text != r2.Text {
 				t.Errorf("rendered text differs between Workers=1 and Workers=8:\n--- serial\n%s\n--- parallel\n%s", r1.Text, r2.Text)
 			}

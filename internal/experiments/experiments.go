@@ -71,14 +71,14 @@ type Params struct {
 	// -machine-* flags). Only contention and machine-degraded honour it;
 	// neither is cached, so the plan needs no cache-key plumbing.
 	MachineFaults faultinject.MachineConfig
-	// Interrupt, when non-nil, aborts the sweep at the next
-	// configuration boundary once closed: already-cached configurations
-	// still resolve, the first un-cached one returns ErrInterrupted.
-	// Completed configurations are already flushed to Cache, so a rerun
-	// resumes at the unfinished tail.
+	// Interrupt, when non-nil, stops the sweep once closed: no further
+	// seed starts, cached configurations still resolve, and Run returns
+	// ErrInterrupted if any configuration is left unresolved. Every
+	// configuration whose seeds all finished is already flushed to
+	// Cache, so a rerun resumes with the rest.
 	Interrupt <-chan struct{}
 
-	failed *[]stats.FailedRun // Run's failed-run ledger (see mustResolve)
+	plan *plan // Run's cell plan (see mustResolve)
 }
 
 func (p Params) withDefaults() Params {

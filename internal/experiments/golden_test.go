@@ -67,8 +67,9 @@ func cellClose(want, got float64) bool {
 }
 
 // TestGolden replays every registered experiment at the pinned
-// parameters and compares each machine-readable cell against the
-// committed golden. Any intentional behaviour change regenerates the
+// parameters through Run, the path users take (each experiment's cells
+// resolved as one plan), and compares each machine-readable cell
+// against the committed golden. Any intentional behaviour change regenerates the
 // goldens with -update and reviews the diff — that diff IS the review
 // artifact for "did my change move the paper's numbers". Every run a
 // sweep simulates on the way is also held to stepsim.CheckRun's
@@ -83,7 +84,10 @@ func TestGolden(t *testing.T) {
 		t.Run(d.ID, func(t *testing.T) {
 			before := checked.Load()
 			runSweepsOn(t, checkedTier(t, &checked))
-			r := d.Run(goldenParams)
+			r, err := Run(d, goldenParams)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if slices.Contains(sweepingExperiments, d.ID) && checked.Load() == before {
 				t.Error("no sweep run was checked")
 			}

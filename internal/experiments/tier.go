@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"pckpt/internal/crmodel"
 	"pckpt/internal/metrics"
 	"pckpt/internal/nodesim"
@@ -10,7 +8,6 @@ import (
 	"pckpt/internal/policy"
 	"pckpt/internal/stats"
 	"pckpt/internal/stepsim"
-	"pckpt/internal/sweep"
 )
 
 // Tier is one simulation granularity the experiment runner can drive: the
@@ -146,10 +143,12 @@ const DefaultCrossCheckStride = 16
 // SimulateSweepN runs n seeds of one catalogue entry on a tier, drawing
 // the sweep.Seed sequence every tier uses, so per-seed results are
 // comparable across tiers; they aggregate in seed order for any worker
-// count. The cell is prepared once (Tier.Prepare), and a cell that fails
-// validation fails each of its runs with that error. A run that panics —
-// a model bug, or the sim watchdog killing a livelock — lands in the
-// aggregate's failed-run ledger.
+// count. It is the uncached one-cell case of the plan executor
+// (ResolveCells): the cell is prepared once (Tier.Prepare), a cell that
+// fails validation fails each of its runs with that error, and a run
+// that panics — a model bug, or the sim watchdog killing a livelock —
+// lands in the aggregate's failed-run ledger. workers <= 0 means
+// GOMAXPROCS.
 //
 // meter records every run into a registry of its own and returns the
 // completed runs' frames folded in seed order, so the merged snapshot is
@@ -159,42 +158,7 @@ const DefaultCrossCheckStride = 16
 // its registry with whatever it recorded. Unmetered sweeps allocate no
 // registry and return a nil snapshot.
 func SimulateSweepN(t Tier, id policy.ID, plat platform.Config, n int, baseSeed uint64, workers int, meter bool) (*stats.Agg, *metrics.Snapshot) {
-	desc := fmt.Sprintf("tier=%s model=%s app=%s", t.Name, id, plat.App.Name)
-	run, err := t.Prepare(id, plat)
-	if err != nil {
-		run = func(uint64, *metrics.Registry) stats.RunResult { panic(err) }
-	}
-	if !meter {
-		results, failed := sweep.Run(n, baseSeed, workers, desc, func(seed uint64) stats.RunResult {
-			return run(seed, nil)
-		})
-		return stats.NewAgg(sweep.Completed(results, baseSeed, failed), failed), nil
-	}
-	idle := make(chan *metrics.Registry, max(workers, 1))
-	runs, failed := sweep.Run(n, baseSeed, workers, desc, func(seed uint64) meteredRun {
-		var reg *metrics.Registry
-		select {
-		case reg = <-idle:
-		default:
-			reg = metrics.New()
-		}
-		r := run(seed, reg)
-		m := meteredRun{r, reg.Frame(r.WallSeconds)}
-		reg.Reset()
-		idle <- reg // never blocks: each worker holds at most one registry
-		return m
-	})
-	results := make([]stats.RunResult, len(runs))
-	var fold metrics.Fold
-	for i, m := range runs {
-		results[i] = m.RunResult
-		fold.Add(m.frame) // a run that panicked left the zero frame
-	}
-	return stats.NewAgg(sweep.Completed(results, baseSeed, failed), failed), fold.Snapshot()
-}
-
-// meteredRun is one metered run's result and its registry's frame.
-type meteredRun struct {
-	stats.RunResult
-	frame metrics.Frame
+	pl := plan{cells: []planCell{{Cell: Cell{Tier: t, Policy: id, Platform: plat, Runs: n, Seed: baseSeed}, meter: meter}}}
+	pl.execute(workers, nil)
+	return pl.cells[0].agg, pl.cells[0].snap
 }

@@ -1,10 +1,6 @@
 package platform
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // CanonicalString renders the fully-defaulted configuration as a stable,
 // newline-delimited key text. Two configurations that simulate
@@ -16,44 +12,88 @@ import (
 // collide. The layout is versioned: any change to the field set or
 // formatting must bump the header line, which safely invalidates every
 // previously stored cache entry.
-func (c Config) CanonicalString() string {
+func (c Config) CanonicalString() string { return string(c.AppendCanonical(nil)) }
+
+// AppendCanonical appends the CanonicalString text to dst. With room in
+// dst it allocates nothing, unless the configuration replays a trace
+// (the trace's digest is rendered then).
+func (c Config) AppendCanonical(dst []byte) []byte {
 	c = c.WithDefaults()
-	var b strings.Builder
 	io := c.IO.Config()
-	b.WriteString("platform/v6\n")
-	fmt.Fprintf(&b, "app=%s|%d|%s|%s\n", c.App.Name, c.App.Nodes, cf(c.App.TotalCkptGB), cf(c.App.ComputeHours))
-	fmt.Fprintf(&b, "system=%s|%s|%s|%d\n", c.System.Name, cf(c.System.Shape), cf(c.System.ScaleHours), c.System.Nodes)
-	fmt.Fprintf(&b, "spares=%d\n", c.SpareNodes)
-	fmt.Fprintf(&b, "io=%s|%s|%s|%s|%d|%d|%s|%d\n",
-		cf(io.BBWriteGBs), cf(io.BBReadGBs), cf(io.NodePFSPeakGBs), cf(io.AggregatePFSCeilingGBs),
-		io.OptimalTasks, io.MaxTasks, cf(io.HalfSaturationGB), io.DrainConcurrency)
-	fmt.Fprintf(&b, "lm=%s|%s|%s|%s\n", cf(c.LM.Alpha), cf(c.LM.RAMCapGB), cf(c.LM.NetworkGBs), cf(c.LM.Dilation))
-	b.WriteString("leads=")
+	dst = append(dst, "platform/v6\napp="...)
+	dst = append(dst, c.App.Name...)
+	dst = appendInt(dst, '|', c.App.Nodes)
+	dst = appendFloat(dst, '|', c.App.TotalCkptGB)
+	dst = appendFloat(dst, '|', c.App.ComputeHours)
+	dst = append(dst, "\nsystem="...)
+	dst = append(dst, c.System.Name...)
+	dst = appendFloat(dst, '|', c.System.Shape)
+	dst = appendFloat(dst, '|', c.System.ScaleHours)
+	dst = appendInt(dst, '|', c.System.Nodes)
+	dst = append(dst, "\nspares="...)
+	dst = strconv.AppendInt(dst, int64(c.SpareNodes), 10)
+	dst = append(dst, "\nio="...)
+	dst = strconv.AppendFloat(dst, io.BBWriteGBs, 'g', -1, 64)
+	dst = appendFloat(dst, '|', io.BBReadGBs)
+	dst = appendFloat(dst, '|', io.NodePFSPeakGBs)
+	dst = appendFloat(dst, '|', io.AggregatePFSCeilingGBs)
+	dst = appendInt(dst, '|', io.OptimalTasks)
+	dst = appendInt(dst, '|', io.MaxTasks)
+	dst = appendFloat(dst, '|', io.HalfSaturationGB)
+	dst = appendInt(dst, '|', io.DrainConcurrency)
+	dst = append(dst, "\nlm="...)
+	dst = strconv.AppendFloat(dst, c.LM.Alpha, 'g', -1, 64)
+	dst = appendFloat(dst, '|', c.LM.RAMCapGB)
+	dst = appendFloat(dst, '|', c.LM.NetworkGBs)
+	dst = appendFloat(dst, '|', c.LM.Dilation)
+	dst = append(dst, "\nleads="...)
 	for i, s := range c.Leads.Sequences() {
 		if i > 0 {
-			b.WriteByte(';')
+			dst = append(dst, ';')
 		}
-		fmt.Fprintf(&b, "%d:%s:%s:%s", s.ID, cf(s.Weight), cf(s.MeanLeadSec), cf(s.CV))
+		dst = strconv.AppendInt(dst, int64(s.ID), 10)
+		dst = appendFloat(dst, ':', s.Weight)
+		dst = appendFloat(dst, ':', s.MeanLeadSec)
+		dst = appendFloat(dst, ':', s.CV)
 	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "leadscale=%s\n", cf(c.LeadScale))
-	fmt.Fprintf(&b, "predictor=%s|%s|%t\n", cf(c.FNRate), cf(c.FPRate), c.PerfectPredictor)
-	fmt.Fprintf(&b, "accuracy-aware-sigma=%t\n", c.AccuracyAwareSigma)
-	fmt.Fprintf(&b, "faults=%s|%s|%s|%s|%d|%s|%s\n",
-		cf(c.Faults.BBWriteFailProb), cf(c.Faults.PFSWriteFailProb), cf(c.Faults.CorruptProb),
-		cf(c.Faults.RestartFailProb), c.Faults.RestartRetries, cf(c.Faults.RestartBackoffSeconds),
-		cf(c.Faults.CascadeProb))
+	dst = append(dst, "\nleadscale="...)
+	dst = strconv.AppendFloat(dst, c.LeadScale, 'g', -1, 64)
+	dst = append(dst, "\npredictor="...)
+	dst = strconv.AppendFloat(dst, c.FNRate, 'g', -1, 64)
+	dst = appendFloat(dst, '|', c.FPRate)
+	dst = append(dst, '|')
+	dst = strconv.AppendBool(dst, c.PerfectPredictor)
+	dst = append(dst, "\naccuracy-aware-sigma="...)
+	dst = strconv.AppendBool(dst, c.AccuracyAwareSigma)
+	f := c.Faults
+	dst = append(dst, "\nfaults="...)
+	dst = strconv.AppendFloat(dst, f.BBWriteFailProb, 'g', -1, 64)
+	dst = appendFloat(dst, '|', f.PFSWriteFailProb)
+	dst = appendFloat(dst, '|', f.CorruptProb)
+	dst = appendFloat(dst, '|', f.RestartFailProb)
+	dst = appendInt(dst, '|', f.RestartRetries)
+	dst = appendFloat(dst, '|', f.RestartBackoffSeconds)
+	dst = appendFloat(dst, '|', f.CascadeProb)
 	// A replayed trace is identified by its content digest: a replay run
 	// can never collide with a parametric run, nor with a replay of any
 	// other trace (the system/leads lines above alone would not
 	// guarantee that — an explicit System override makes them equal).
+	dst = append(dst, "\nreplay="...)
 	if c.Replay == nil {
-		b.WriteString("replay=none\n")
+		dst = append(dst, "none"...)
 	} else {
-		fmt.Fprintf(&b, "replay=%s\n", c.Replay.Digest())
+		dst = append(dst, c.Replay.Digest()...)
 	}
-	return b.String()
+	return append(dst, '\n')
 }
 
-// cf formats a float64 with the smallest digit count that round-trips.
-func cf(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+// appendFloat appends sep and x with the smallest digit count that
+// round-trips.
+func appendFloat(dst []byte, sep byte, x float64) []byte {
+	return strconv.AppendFloat(append(dst, sep), x, 'g', -1, 64)
+}
+
+// appendInt appends sep and n in decimal.
+func appendInt(dst []byte, sep byte, n int) []byte {
+	return strconv.AppendInt(append(dst, sep), int64(n), 10)
+}

@@ -84,3 +84,45 @@ func TestCanonicalStringVersionedAndStable(t *testing.T) {
 		t.Fatal("rendering not stable across calls")
 	}
 }
+
+// TestCanonicalStringText pins the rendering byte for byte: the text is
+// the platform half of every cache key, so stores written by earlier
+// builds stay valid only while it stays as it is.
+func TestCanonicalStringText(t *testing.T) {
+	const leads = "leads=1:4900:43.3:0.026;2:1300:32:0.12;3:550:95:0.8;4:70:320:1;5:1100:25:0.05;6:450:22:0.05;7:1250:18.5:0.08;8:250:12:0.25;9:80:6:0.4;10:50:9:0.3\n"
+	c := testConfig()
+	want := "platform/v6\napp=CHIMERA|2272|646382|360\nsystem=OLCF Titan|0.6885|5.4527|18868\nspares=0\nio=2.1|5.5|13.5|2500|8|42|0.25|512\nlm=3|512|12.5|0.015\n" +
+		leads + "leadscale=1\npredictor=0.125|0.18|false\naccuracy-aware-sigma=false\nfaults=0|0|0|0|0|0|0\nreplay=none\n"
+	if got := c.CanonicalString(); got != want {
+		t.Errorf("default config renders\n%q\nwant\n%q", got, want)
+	}
+	c.Faults = faultinject.Config{PFSWriteFailProb: 0.05, RestartRetries: 2}
+	c.PerfectPredictor = true
+	c.AccuracyAwareSigma = true
+	c.SpareNodes = 3
+	c.LM = lm.Default().WithAlpha(2.5)
+	c.LeadScale = 0.1
+	want = "platform/v6\napp=CHIMERA|2272|646382|360\nsystem=OLCF Titan|0.6885|5.4527|18868\nspares=3\nio=2.1|5.5|13.5|2500|8|42|0.25|512\nlm=2.5|512|12.5|0.015\n" +
+		leads + "leadscale=0.1\npredictor=0|0|true\naccuracy-aware-sigma=true\nfaults=0|0.05|0|0|2|0|0\nreplay=none\n"
+	if got := c.CanonicalString(); got != want {
+		t.Errorf("perturbed config renders\n%q\nwant\n%q", got, want)
+	}
+}
+
+// TestAppendCanonicalAllocsZero: rendering a key into a buffer with room
+// for it allocates nothing when the configuration replays no trace, so a
+// plan renders each cell's key without garbage.
+func TestAppendCanonicalAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are gated without -race (make allocs)")
+	}
+	c := testConfig()
+	c.Faults = faultinject.Config{PFSWriteFailProb: 0.05}
+	buf := make([]byte, 0, 1024)
+	if n := testing.AllocsPerRun(100, func() { buf = c.AppendCanonical(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendCanonical into a %d-byte buffer allocated %v times per call, want 0", cap(buf), n)
+	}
+	if string(buf) != c.CanonicalString() {
+		t.Fatal("AppendCanonical and CanonicalString render different text")
+	}
+}

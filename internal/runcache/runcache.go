@@ -14,19 +14,21 @@
 // On disk an entry is, byte for byte, the JSON object earlier builds
 // wrote through encoding/json, so existing stores stay valid; but
 // neither side goes through reflection. Put renders the key once and
-// builds the whole entry in one buffer around stats.(*Agg).AppendJSON;
-// Get matches the entry's head against that one rendering and decodes
-// the aggregate in place with stats.DecodeAggJSON, which accepts that
-// exact form only. encoding/json remains for the metrics snapshot and
-// the rare failed-run ledger.
+// builds the whole entry in one reused buffer around
+// stats.(*Agg).AppendJSON; Get reads the entry into a reused buffer,
+// matches its head against that one rendering and decodes the aggregate
+// in place with stats.DecodeAggJSON, which accepts that exact form only.
+// encoding/json remains for the metrics snapshot and the rare failed-run
+// ledger.
 //
 // The store is crash- and interrupt-safe by construction: each blob is
 // written atomically (temp file + rename) the moment its configuration
 // completes, and reads go straight to the blob file, so a sweep killed
-// mid-flight leaves a valid store holding exactly the completed prefix.
-// An append-only index (index.jsonl, one JSON line per store) records
-// what was cached and when for humans and tooling; blobs stay
-// authoritative, so a torn index line is never trusted for reads.
+// mid-flight leaves a valid store holding exactly the completed
+// configurations. An append-only index (index.jsonl, one JSON line per
+// store, in completion order) records what was cached and when for
+// humans and tooling; blobs stay authoritative, so a torn index line is
+// never trusted for reads.
 // Corrupt or truncated blobs are detected via a payload checksum and
 // the strict decode, evicted, and transparently recomputed by the
 // caller; so is a blob in any form other than the one Put writes.
@@ -38,6 +40,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -254,16 +257,27 @@ func (s *Store) path(hash string) string {
 // the caller's recompute-and-Put then upgrades the entry in place.
 // Corrupt entries — a canonical-key mismatch, a checksum mismatch, or
 // any byte outside the form Put writes — are evicted from disk and
-// reported as misses, never trusted.
+// reported as misses, never trusted. The entry is read into pooled
+// scratch, taken only once the entry's file is open, and nothing Get
+// returns aliases it.
 func (s *Store) Get(k Key, needMetrics bool) (*stats.Agg, *metrics.Snapshot, bool) {
 	canon := k.appendCanonical(nil)
 	hash := hashCanonical(canon)
-	data, err := os.ReadFile(s.path(hash))
+	f, err := os.Open(s.path(hash))
 	if err != nil {
 		s.record(k.Experiment, Stats{Misses: 1})
 		return nil, nil, false
 	}
-	agg, met, ok := decodeEntry(data, canon, k.Runs)
+	b := takeScratch()
+	defer scratch.Put(b)
+	b.data, err = readAll(f, b.data[:0])
+	f.Close()
+	if err != nil {
+		s.record(k.Experiment, Stats{Misses: 1})
+		return nil, nil, false
+	}
+	b.head = appendHead(b.head[:0], canon)
+	agg, met, ok := decodeEntry(b.data, b.head, k.Runs)
 	if !ok {
 		s.evict(k, hash)
 		return nil, nil, false
@@ -284,11 +298,52 @@ func (s *Store) Get(k Key, needMetrics bool) (*stats.Agg, *metrics.Snapshot, boo
 	return agg, snap, true
 }
 
-// decodeEntry checks an entry against the key's canonical text and its
-// payload checksum and decodes the aggregate, presized for runs runs.
-// met is the raw metrics snapshot, empty when the entry has none.
-func decodeEntry(data, canon []byte, runs int) (agg *stats.Agg, met []byte, ok bool) {
-	rest, ok := bytes.CutPrefix(data, appendHead(nil, canon))
+// entryScratch is the buffers one Get or Put renders and reads an entry
+// in. The store pools them across calls and goroutines, so a warm lookup
+// reads into a buffer an earlier one grew.
+type entryScratch struct {
+	canon, head, data []byte
+}
+
+// scratch pools entryScratch values; the first use of each allocates it.
+var scratch sync.Pool
+
+// takeScratch takes a pooled scratch, or makes an empty one.
+func takeScratch() *entryScratch {
+	if b, ok := scratch.Get().(*entryScratch); ok {
+		return b
+	}
+	return new(entryScratch)
+}
+
+// minRead is the least room readAll reads into: a 200-run entry is
+// about 50 KB, so a fresh buffer takes it in one read.
+const minRead = 64 << 10
+
+// readAll appends f's remaining bytes to dst, growing it only when the
+// file outruns its capacity.
+func readAll(f *os.File, dst []byte) ([]byte, error) {
+	for {
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, max(cap(dst), minRead))
+		}
+		n, err := f.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+}
+
+// decodeEntry checks an entry against the key's rendered head (appendHead
+// of its canonical text) and its payload checksum and decodes the
+// aggregate, presized for runs runs. met is the raw metrics snapshot,
+// empty when the entry has none; it aliases data.
+func decodeEntry(data, head []byte, runs int) (agg *stats.Agg, met []byte, ok bool) {
+	rest, ok := bytes.CutPrefix(data, head)
 	if !ok || len(rest) < checkLen {
 		return nil, nil, false
 	}
@@ -317,12 +372,15 @@ func decodeEntry(data, canon []byte, runs int) (agg *stats.Agg, met []byte, ok b
 }
 
 // Put stores one completed configuration. The entry is rendered in one
-// buffer, its checksum filled in last, and lands atomically (temp file
-// + rename), so a concurrent or interrupted reader never observes a
+// pooled buffer, its checksum filled in last, and lands atomically (temp
+// file + rename), so a concurrent or interrupted reader never observes a
 // torn entry; an existing entry for the key is replaced.
 func (s *Store) Put(k Key, agg *stats.Agg, snap *metrics.Snapshot) error {
-	canon := k.appendCanonical(nil)
-	data := appendHead(make([]byte, 0, 2*len(canon)+runBytes*(agg.N()+1)), canon)
+	b := takeScratch()
+	defer scratch.Put(b)
+	b.canon = k.appendCanonical(b.canon[:0])
+	canon := b.canon
+	data := appendHead(slices.Grow(b.data[:0], 2*len(canon)+runBytes*(agg.N()+1)), canon)
 	checkAt := len(data)
 	data = append(data, make([]byte, checkLen)...)
 	data = append(data, aggField...)
@@ -344,6 +402,7 @@ func (s *Store) Put(k Key, agg *stats.Agg, snap *metrics.Snapshot) error {
 		data = append(append(data, metricsField...), met...)
 	}
 	data = append(data, '}')
+	b.data = data
 	hash := hashCanonical(canon)
 	path := s.path(hash)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

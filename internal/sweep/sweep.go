@@ -1,8 +1,9 @@
 // Package sweep is the one worker pool every multi-run sweep goes
-// through: n independent runs of one configuration, run i seeded
+// through (Each): n independent runs of one configuration, run i seeded
 // Seed(base, i), results in index order for any worker count, and a
 // panicking run — a model bug, or a watchdog killing a livelock —
-// ledgered instead of killing the process.
+// ledgered instead of killing the process. The experiment executor runs
+// every seed of every cell of a plan on the same pool.
 package sweep
 
 import (
@@ -26,14 +27,36 @@ func Seed(base uint64, i int) uint64 {
 // goroutines (clamped to [1, n]) and returns the results in index order.
 // A run that panics leaves a zero R and a stats.FailedRun{Seed, Config:
 // desc, Err} entry in the ledger, also in index order. n <= 0 returns
-// nil, nil. run must be safe to call concurrently.
+// nil, nil. run must be safe to call concurrently. It is the one-cell
+// case of Each, the pool every sweep runs on.
 func Run[R any](n int, base uint64, workers int, desc string, run func(seed uint64) R) ([]R, []stats.FailedRun) {
 	if n <= 0 {
 		return nil, nil
 	}
-	workers = min(max(workers, 1), n)
 	out := make([]R, n)
 	errs := make([]string, n)
+	Each(n, workers, nil, func(i int) {
+		out[i], errs[i] = Try(run, Seed(base, i))
+	})
+	var failed []stats.FailedRun
+	for i, err := range errs {
+		if err != "" {
+			failed = append(failed, stats.FailedRun{Seed: Seed(base, i), Config: desc, Err: err})
+		}
+	}
+	return out, failed
+}
+
+// Each calls task(i) for i in [0, n) on up to workers goroutines
+// (clamped to [1, n]), handing the indices out in order, and returns once
+// every task it started has returned. A non-nil stop is asked before
+// each index goes out; once it reports true, Each hands out no more.
+// n <= 0 starts nothing. task must be safe to call concurrently.
+func Each(n, workers int, stop func() bool, task func(i int)) {
+	if n <= 0 {
+		return
+	}
+	workers = min(max(workers, 1), n)
 	// Indices go out over an unbuffered channel, as in the pools this one
 	// replaced. Pulling them off an atomic counter instead cost a
 	// two-worker machine sweep about 15 % more CPU on a 2-vCPU host: the
@@ -45,26 +68,20 @@ func Run[R any](n int, base uint64, workers int, desc string, run func(seed uint
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				out[i], errs[i] = try(run, Seed(base, i))
+				task(i)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && (stop == nil || !stop()); i++ {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
-	var failed []stats.FailedRun
-	for i, err := range errs {
-		if err != "" {
-			failed = append(failed, stats.FailedRun{Seed: Seed(base, i), Config: desc, Err: err})
-		}
-	}
-	return out, failed
 }
 
-// try runs one seed, turning a panic into its rendering.
-func try[R any](run func(seed uint64) R, seed uint64) (r R, err string) {
+// Try runs one seed, turning a panic into its rendering; err is "" when
+// run returned.
+func Try[R any](run func(seed uint64) R, seed uint64) (r R, err string) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Sprint(p)
