@@ -130,8 +130,8 @@ var auditPlat = platform.Config{
 // tier passes.
 func TestSweepAuditReportsDriftedSeed(t *testing.T) {
 	honest := &sweepAudit{t: StepTier(), ref: AppTier()}
-	if agg, _ := SimulateSweepN(honest.tier(), policy.P1, auditPlat, 4, 3, 2, false); agg.N() != 4 || honest.runs != 4 || len(honest.diffs) != 0 {
-		t.Fatalf("honest tier: %d runs, %d audited, diffs %q", agg.N(), honest.runs, honest.diffs)
+	if agg, _ := SimulateSweepN(honest.tier(), policy.P1, auditPlat, 4, 3, 2, false); len(agg.Runs()) != 4 || honest.runs != 4 || len(honest.diffs) != 0 {
+		t.Fatalf("honest tier: %d runs, %d audited, diffs %q", len(agg.Runs()), honest.runs, honest.diffs)
 	}
 
 	driftSeed := sweep.Seed(3, 2)
@@ -146,8 +146,8 @@ func TestSweepAuditReportsDriftedSeed(t *testing.T) {
 	})
 	drift.Name = "fake-drift"
 	a := &sweepAudit{t: drift, ref: AppTier()}
-	if agg, _ := SimulateSweepN(a.tier(), policy.P1, auditPlat, 4, 3, 2, false); agg.N() != 4 || a.runs != 4 {
-		t.Fatalf("drifted tier: %d runs, %d audited, want 4 and 4", agg.N(), a.runs)
+	if agg, _ := SimulateSweepN(a.tier(), policy.P1, auditPlat, 4, 3, 2, false); len(agg.Runs()) != 4 || a.runs != 4 {
+		t.Fatalf("drifted tier: %d runs, %d audited, want 4 and 4", len(agg.Runs()), a.runs)
 	}
 	if len(a.diffs) != 1 {
 		t.Fatalf("drifted tier: %d divergences %q, want 1", len(a.diffs), a.diffs)
@@ -194,8 +194,8 @@ func TestSweepAuditOneSidedPanic(t *testing.T) {
 		calls.Store(0)
 		a := &sweepAudit{t: tc.t, ref: tc.ref}
 		agg, _ := SimulateSweepN(a.tier(), policy.P1, auditPlat, 4, 3, 2, false)
-		if tc.ledgered != (len(agg.Failed()) == 1 && agg.Failed()[0].Seed == crashSeed) || agg.N()+len(agg.Failed()) != 4 {
-			t.Errorf("%s: %d runs, ledger %+v; want the crash seed ledgered: %t", tc.name, agg.N(), agg.Failed(), tc.ledgered)
+		if tc.ledgered != (len(agg.Failed()) == 1 && agg.Failed()[0].Seed == crashSeed) || len(agg.Runs())+len(agg.Failed()) != 4 {
+			t.Errorf("%s: %d runs, ledger %+v; want the crash seed ledgered: %t", tc.name, len(agg.Runs()), agg.Failed(), tc.ledgered)
 		}
 		if calls.Load() != tc.calls {
 			t.Errorf("%s: crashing tiers ran %d times, want %d", tc.name, calls.Load(), tc.calls)
@@ -234,12 +234,12 @@ func TestSweepAuditMeteredSeries(t *testing.T) {
 	})
 	planted.Name = "planted"
 	plain := &sweepAudit{t: planted, ref: AppTier()}
-	if agg, _ := SimulateSweepN(plain.tier(), policy.P1, auditPlat, 3, 5, 2, false); agg.N() != 3 || plain.runs != 3 || len(plain.diffs) != 0 {
-		t.Fatalf("unmetered planted sweep: %d runs, %d audited, diffs %q", agg.N(), plain.runs, plain.diffs)
+	if agg, _ := SimulateSweepN(plain.tier(), policy.P1, auditPlat, 3, 5, 2, false); len(agg.Runs()) != 3 || plain.runs != 3 || len(plain.diffs) != 0 {
+		t.Fatalf("unmetered planted sweep: %d runs, %d audited, diffs %q", len(agg.Runs()), plain.runs, plain.diffs)
 	}
 	metered := &sweepAudit{t: planted, ref: AppTier()}
-	if agg, snap := SimulateSweepN(metered.tier(), policy.P1, auditPlat, 3, 5, 2, true); agg.N() != 3 || snap.Empty() {
-		t.Fatalf("metered planted sweep: %d runs, empty snapshot %t", agg.N(), snap.Empty())
+	if agg, snap := SimulateSweepN(metered.tier(), policy.P1, auditPlat, 3, 5, 2, true); len(agg.Runs()) != 3 || snap.Empty() {
+		t.Fatalf("metered planted sweep: %d runs, empty snapshot %t", len(agg.Runs()), snap.Empty())
 	}
 	if len(metered.diffs) != 3 {
 		t.Fatalf("metered planted sweep: %d divergences %q, want 3", len(metered.diffs), metered.diffs)

@@ -33,8 +33,8 @@ func TestCrossValidation(t *testing.T) {
 				}
 				aAgg, _ := SimulateSweepN(ref, id, plat, runs, 42, 2, false)
 				oAgg, _ := SimulateSweepN(tier, id, plat, runs, 42, 2, false)
-				if aAgg.N() != runs || oAgg.N() != runs {
-					t.Fatalf("%v: run counts %d/%d, want %d", id, aAgg.N(), oAgg.N(), runs)
+				if len(aAgg.Runs()) != runs || len(oAgg.Runs()) != runs {
+					t.Fatalf("%v: run counts %d/%d, want %d", id, len(aAgg.Runs()), len(oAgg.Runs()), runs)
 				}
 				var wallDiff float64
 				for i, ar := range aAgg.Runs() {

@@ -68,8 +68,8 @@ func TestSimulateSweepNMeteredMatchesUnmetered(t *testing.T) {
 func TestSimulateSweepNMeteredZeroRuns(t *testing.T) {
 	for _, tier := range meteredTiers {
 		agg, snap := SimulateSweepN(tier, policy.B, platform.Config{}, 0, 1, 1, true)
-		if agg.N() != 0 || snap == nil || !snap.Empty() {
-			t.Fatalf("%s: zero runs: n=%d snapshot=%+v", tier.Name, agg.N(), snap)
+		if len(agg.Runs()) != 0 || snap == nil || !snap.Empty() {
+			t.Fatalf("%s: zero runs: n=%d snapshot=%+v", tier.Name, len(agg.Runs()), snap)
 		}
 	}
 }
@@ -131,8 +131,8 @@ func TestMeteredSweepReusedRegistriesMatchFresh(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		agg, snap := SimulateSweepN(tier, policy.P2, auditPlat, n, base, workers, true)
-		if f := agg.Failed(); agg.N() != n-1 || len(f) != 1 || f[0].Seed != crash {
-			t.Fatalf("workers=%d: %d completed, failed %+v", workers, agg.N(), f)
+		if f := agg.Failed(); len(agg.Runs()) != n-1 || len(f) != 1 || f[0].Seed != crash {
+			t.Fatalf("workers=%d: %d completed, failed %+v", workers, len(agg.Runs()), f)
 		}
 		if d := snap.Diff(want); d != "" {
 			t.Fatalf("workers=%d: reused registries vs fresh ones: %s", workers, d)

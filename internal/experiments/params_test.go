@@ -35,8 +35,8 @@ func TestRunConfigMetersIntoCollector(t *testing.T) {
 	app := workload.App{Name: "tiny", Nodes: 16, TotalCkptGB: 160, ComputeHours: 10}
 	p := Params{Runs: 4, Seed: 1, SeedSet: true, Workers: 2, Metrics: metrics.NewCollector()}
 	plat := platform.Config{App: app, System: failure.Titan}
-	if agg := runConfig(p, policy.B, plat, "meter-test"); agg.N() != 4 {
-		t.Fatalf("metered runConfig aggregated %d runs, want 4", agg.N())
+	if agg := runConfig(p, policy.B, plat, "meter-test"); len(agg.Runs()) != 4 {
+		t.Fatalf("metered runConfig aggregated %d runs, want 4", len(agg.Runs()))
 	}
 	snap := p.Metrics.Snapshot()
 	if snap.Empty() {

@@ -95,6 +95,52 @@ func TestPlanMatchesCellByCell(t *testing.T) {
 	}
 }
 
+// TestResolveCellsCachesNonFiniteRuns: runs whose overheads or wall time
+// are NaN or infinite resolve alike without a cache, cache-cold and
+// cache-warm, bit for bit, and the warm pass simulates nothing. (A cache
+// entry used to have no form for such a run, so the cold pass failed.)
+func TestResolveCellsCachesNonFiniteRuns(t *testing.T) {
+	var simulated atomic.Int64
+	tier := Tier{
+		Name:     "nonfinite",
+		Supports: func(policy.ID) bool { return true },
+		Prepare: func(policy.ID, platform.Config) (Runner, error) {
+			return func(seed uint64, _ *metrics.Registry) stats.RunResult {
+				simulated.Add(1)
+				x := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1}[seed%4]
+				return stats.RunResult{Overheads: stats.Overheads{Recovery: x}, WallSeconds: -x}
+			}, nil
+		},
+	}
+	plat := platform.Config{App: workload.App{Name: "fakeapp", Nodes: 4, TotalCkptGB: 4, ComputeHours: 1}}
+	cells := []Cell{{Tier: tier, Label: "nonfinite", Policy: policy.B, Platform: plat, Runs: 8, Seed: 1}}
+	want, err := ResolveCells(Params{Workers: 2}, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, mode := range []string{"cold", "warm"} {
+		store, err := runcache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		simulated.Store(0)
+		got, err := ResolveCells(Params{Workers: 2, Cache: store}, cells)
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		for i, r := range got[0].Runs() {
+			w := want[0].Runs()[i]
+			if math.Float64bits(r.Recovery) != math.Float64bits(w.Recovery) || math.Float64bits(r.WallSeconds) != math.Float64bits(w.WallSeconds) {
+				t.Fatalf("%s: run %d is %+v, want %+v", mode, i, r, w)
+			}
+		}
+		if n := simulated.Load(); (mode == "warm") != (n == 0) {
+			t.Fatalf("%s: simulated %d runs", mode, n)
+		}
+	}
+}
+
 // TestResolveCellsDefaultsWorkers: a zero Params.Workers sizes the pool
 // from GOMAXPROCS, as Params documents, not one worker. Each run waits
 // until as many runs as the pool should hold have started, or until a
@@ -130,8 +176,8 @@ func TestResolveCellsDefaultsWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aggs[0].N() != seeds {
-		t.Fatalf("resolved %d runs, want %d", aggs[0].N(), seeds)
+	if len(aggs[0].Runs()) != seeds {
+		t.Fatalf("resolved %d runs, want %d", len(aggs[0].Runs()), seeds)
 	}
 	if got := peak.Load(); got != want {
 		t.Fatalf("zero Workers ran at most %d runs at once, want GOMAXPROCS (%d)", got, want)

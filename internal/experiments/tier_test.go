@@ -34,8 +34,8 @@ func TestSimulateSweepNLedgersPanickingRun(t *testing.T) {
 	}
 	plat := platform.Config{App: workload.App{Name: "fakeapp", Nodes: 4, TotalCkptGB: 4, ComputeHours: 1}}
 	agg, _ := SimulateSweepN(fake, policy.P2, plat, 6, 11, 3, false)
-	if agg.N() != 5 || len(agg.Failed()) != 1 {
-		t.Fatalf("%d runs + %d failures, want 5 + 1", agg.N(), len(agg.Failed()))
+	if len(agg.Runs()) != 5 || len(agg.Failed()) != 1 {
+		t.Fatalf("%d runs + %d failures, want 5 + 1", len(agg.Runs()), len(agg.Failed()))
 	}
 	f := agg.Failed()[0]
 	if f.Seed != badSeed || f.Err != "planted tier crash" {

@@ -10,7 +10,7 @@ import (
 
 // fig4Key is the key of one 200-run fig4 cell: CHIMERA's M2 at a 0.5
 // lead scale.
-func fig4Key(t *testing.T) Key {
+func fig4Key(t testing.TB) Key {
 	app, err := workload.ByName("CHIMERA")
 	if err != nil {
 		t.Fatal(err)
@@ -74,5 +74,32 @@ func TestStoreGetMissAllocs(t *testing.T) {
 	})
 	if got != 7 {
 		t.Fatalf("a missing Get allocated %v times, want 7", got)
+	}
+}
+
+// TestStorePutAllocs pins a warm Put of a 200-run fig4 entry at 23
+// allocations. The entry renders into pooled scratch without any; they
+// are the metadata of its write: the key's hash and blob path, the shard
+// directory check, the temp file's creation, write and rename, and the
+// index line.
+func TestStorePutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are gated without -race (make allocs)")
+	}
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, agg := fig4Key(t), benchAgg()
+	if err := s.Put(k, agg, nil); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(50, func() {
+		if err := s.Put(k, agg, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 23 {
+		t.Fatalf("a warm Put allocated %v times, want 23", got)
 	}
 }

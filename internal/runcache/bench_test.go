@@ -31,7 +31,7 @@ func BenchmarkStoreGet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	k := testKey()
+	k := fig4Key(b)
 	if err := s.Put(k, benchAgg(), nil); err != nil {
 		b.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func BenchmarkStorePut(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	k, agg := testKey(), benchAgg()
+	k, agg := fig4Key(b), benchAgg()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -6,20 +6,18 @@
 // worker count, which a determinism test guarantees cannot change
 // results), the platform configuration's canonical rendering, the policy
 // ID, and a code fingerprint derived from the module build info. The
-// stored value is the full serialized stats.Agg (plus the merged metrics
-// snapshot when the run was metered), so a cache hit reproduces the
-// original simulation's output exactly — including every derived table
-// cell — without executing a single run.
+// stored value is the full stats.Agg run list and failed-run ledger
+// (plus the merged metrics snapshot when the run was metered), so a
+// cache hit reproduces the original simulation's output exactly —
+// including every derived table cell — without executing a single run.
 //
-// On disk an entry is, byte for byte, the JSON object earlier builds
-// wrote through encoding/json, so existing stores stay valid; but
-// neither side goes through reflection. Put renders the key once and
-// builds the whole entry in one reused buffer around
-// stats.(*Agg).AppendJSON; Get reads the entry into a reused buffer,
-// matches its head against that one rendering and decodes the aggregate
-// in place with stats.DecodeAggJSON, which accepts that exact form only.
-// encoding/json remains for the metrics snapshot and the rare failed-run
-// ledger.
+// An entry's binary layout is this package's alone (see appendEntry): a
+// format tag, the key's full canonical text, a SHA-256 of the payload,
+// and the payload, which holds every run field as its raw 64-bit word,
+// so the round trip is lossless bit for bit, NaN payloads included. Put
+// renders the key once and the whole entry in one pooled buffer; Get
+// reads the entry into pooled scratch and accepts exactly the bytes Put
+// would write for the key.
 //
 // The store is crash- and interrupt-safe by construction: each blob is
 // written atomically (temp file + rename) the moment its configuration
@@ -29,19 +27,22 @@
 // store, in completion order) records what was cached and when for
 // humans and tooling; blobs stay authoritative, so a torn index line is
 // never trusted for reads.
-// Corrupt or truncated blobs are detected via a payload checksum and
-// the strict decode, evicted, and transparently recomputed by the
-// caller; so is a blob in any form other than the one Put writes.
+// Corrupt or truncated blobs are detected via the payload checksum and
+// the strict read, evicted, and transparently recomputed by the caller;
+// so is a blob in any other form, such as an earlier build's JSON entry
+// at the same path.
 package runcache
 
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -49,14 +50,13 @@ import (
 	"strings"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"pckpt/internal/metrics"
 	"pckpt/internal/stats"
 )
 
 // Key identifies one simulated configuration. All fields participate in
-// the content address; see Canonical for the exact layout.
+// the content address; see appendCanonical for the exact layout.
 type Key struct {
 	// Experiment is the registry ID namespace ("fig6a", "crossval", ...).
 	Experiment string
@@ -79,15 +79,10 @@ type Key struct {
 	Fingerprint string
 }
 
-// Canonical renders the key as versioned, newline-delimited text — the
-// preimage of Hash. The multi-line Platform rendering sits last so the
-// fixed-position fields above it stay self-delimiting. The store renders
-// through appendCanonical; the codec tests (TestPutMatchesEncodingJSON,
-// TestGetRejectsEveryCorruption) use Canonical to build the blobs they
-// compare with the store's.
-func (k Key) Canonical() string { return string(k.appendCanonical(nil)) }
-
-// appendCanonical appends the Canonical text to dst.
+// appendCanonical appends the key's canonical text to dst: versioned,
+// newline-delimited text, the preimage of Hash, which every entry also
+// carries in full. The multi-line Platform rendering sits last so the
+// fixed-position fields above it stay self-delimiting.
 func (k Key) appendCanonical(dst []byte) []byte {
 	// 128 bytes hold the fixed text and both numbers.
 	dst = slices.Grow(dst, 128+len(k.Experiment)+len(k.Label)+len(k.Policy)+len(k.Fingerprint)+len(k.Platform))
@@ -157,97 +152,177 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// An entry on disk is the JSON object
+// An entry on disk is
 //
-//	{"key":KEY,"check":"CHECK","agg":AGG,"metrics":METRICS}
+//	entry   = tag, len(key), key, SHA-256(payload), payload
+//	payload = runs, failed, runs × run, failed × ledger, metrics
 //
-// with KEY the full canonical text as a JSON string (collision and
-// corruption guard), CHECK the hex SHA-256 of the AGG bytes, a newline,
-// and the METRICS bytes, AGG the aggregate in stats' wire form, and
-// METRICS the metrics snapshot, left out with its key when the entry has
-// none. These are the bytes encoding/json writes for such an object, so
-// entries written by earlier builds stay readable.
+// tag is entryTag and key the key's canonical text. Every count and
+// length is one little-endian 64-bit word. A run is its floats as IEEE
+// bits and its counters as two's complement words, in runFields order,
+// then one truncation byte, 0 or 1; a ledger entry is its seed and its
+// two strings, each a length and its bytes. metrics is the snapshot's
+// JSON (the form -metrics-out writes) up to the end of the entry, empty
+// when the entry has none. One word width keeps every bounds check a
+// comparison.
 const (
-	checkField   = `,"check":"`
-	aggField     = `","agg":`
-	metricsField = `,"metrics":`
+	// entryTag opens every entry and versions its layout; the key text's
+	// own header versions the key. The JSON entries of earlier builds
+	// were the first layout.
+	entryTag = "runcache-entry/v2\n"
 
-	// checkLen is the length of CHECK: hex SHA-256.
-	checkLen = 2 * sha256.Size
-	// runBytes presizes Put's buffer: a run of the widest registered
-	// experiment, fault counters set, renders in about 320 bytes, and a
-	// healthy run in about 240.
-	runBytes = 320
+	wordLen = 8
+	// runFloats and runCounts size a run's fields (runFields).
+	runFloats, runCounts = 4, 13
+	// runLen is one run's bytes: its words and its truncation byte.
+	runLen = (runFloats+runCounts)*wordLen + 1
+	// ledgerLen is the least a ledger entry takes: a seed and two empty
+	// strings.
+	ledgerLen = 3 * wordLen
 )
 
-// appendHead appends an entry's bytes up to its checksum.
-func appendHead(dst, canon []byte) []byte {
-	// Room for the escaped key and the fields around it.
-	dst = slices.Grow(dst, 2*len(canon)+32)
-	dst = append(dst, `{"key":`...)
-	dst = appendString(dst, canon)
-	return append(dst, checkField...)
+// runFields returns pointers to r's floats and counters in entry order.
+// TestCodecFieldCoverage fails on a RunResult field that has no place
+// here or in the truncation byte.
+func runFields(r *stats.RunResult) ([runFloats]*float64, [runCounts]*int) {
+	return [...]*float64{&r.Checkpoint, &r.Recompute, &r.Recovery, &r.WallSeconds},
+		[...]*int{&r.Failures, &r.Predicted, &r.Mitigated, &r.Avoided,
+			&r.Checkpoints, &r.ProactiveCkpts, &r.Migrations, &r.AbortedMigrations,
+			&r.BBWriteFailures, &r.PFSWriteFailures, &r.CorruptRestarts,
+			&r.RestartRetries, &r.Cascades}
 }
 
-// jsonEscapes maps the ASCII bytes encoding/json writes as a
-// backslash and one letter to that letter.
-var jsonEscapes = [utf8.RuneSelf]byte{'"': '"', '\\': '\\', '\b': 'b', '\f': 'f', '\n': 'n', '\r': 'r', '\t': 't'}
-
-// appendString appends s as the JSON string encoding/json writes for it:
-// <, > and & and the control bytes without a short escape as six-byte
-// \u escapes, each invalid UTF-8 byte as the \u escape of U+FFFD, and
-// the line and paragraph separators U+2028 and U+2029 as \u escapes.
-func appendString(dst, s []byte) []byte {
-	const hexDigits = "0123456789abcdef"
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= 0x20 && jsonEscapes[c] == 0 && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			if e := jsonEscapes[c]; e != 0 {
-				dst = append(dst, '\\', e)
-			} else {
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
+// appendEntry appends the entry of agg and the metrics JSON met under
+// the canonical key text canon, its checksum filled in last.
+func appendEntry(dst, canon []byte, agg *stats.Agg, met []byte) []byte {
+	runs, failed := agg.Runs(), agg.Failed()
+	dst = slices.Grow(dst, len(entryTag)+wordLen+len(canon)+sha256.Size+2*wordLen+runLen*len(runs)+len(met))
+	dst = append(dst, entryTag...)
+	dst = append(appendWord(dst, uint64(len(canon))), canon...)
+	check := len(dst)
+	dst = append(dst, make([]byte, sha256.Size)...)
+	payload := len(dst)
+	dst = appendWord(dst, uint64(len(runs)))
+	dst = appendWord(dst, uint64(len(failed)))
+	for i := range runs {
+		floats, counts := runFields(&runs[i])
+		for _, f := range floats {
+			dst = appendWord(dst, math.Float64bits(*f))
 		}
-		r, size := utf8.DecodeRune(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-		case r == 0x2028 || r == 0x2029:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-		default:
-			i += size
-			continue
+		for _, n := range counts {
+			dst = appendWord(dst, uint64(*n))
 		}
-		i += size
-		start = i
+		var truncated byte
+		if runs[i].Truncated {
+			truncated = 1
+		}
+		dst = append(dst, truncated)
 	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
+	for _, f := range failed {
+		dst = appendWord(dst, f.Seed)
+		dst = appendText(dst, f.Config)
+		dst = appendText(dst, f.Err)
+	}
+	dst = append(dst, met...)
+	sum := sha256.Sum256(dst[payload:])
+	copy(dst[check:], sum[:])
+	return dst
 }
 
-// payloadCheck computes the entry checksum over the serialized payloads.
-func payloadCheck(agg, met []byte) (sum [sha256.Size]byte) {
-	h := sha256.New()
-	h.Write(agg)
-	h.Write([]byte{'\n'})
-	h.Write(met)
-	h.Sum(sum[:0])
-	return sum
+// appendWord appends w as one little-endian word.
+func appendWord(dst []byte, w uint64) []byte { return binary.LittleEndian.AppendUint64(dst, w) }
+
+// word reads the word at the head of p.
+func word(p []byte) uint64 { return binary.LittleEndian.Uint64(p) }
+
+// appendText appends s with its length.
+func appendText(dst []byte, s string) []byte {
+	return append(appendWord(dst, uint64(len(s))), s...)
 }
 
-// path returns the blob path for a hash, sharded by its first byte.
+// decodeEntry reads data back if it is an entry Put writes under the
+// canonical key text canon for a key of runs runs: the tag, the key text
+// and the checksum must match, and the payload must decode whole with
+// runs completed and failed runs in all. met is the metrics JSON, empty
+// when the entry has none; it aliases data.
+func decodeEntry(data, canon []byte, runs int) (agg *stats.Agg, met []byte, ok bool) {
+	rest, ok := bytes.CutPrefix(data, []byte(entryTag))
+	if !ok || len(rest) < wordLen+len(canon)+sha256.Size || word(rest) != uint64(len(canon)) {
+		return nil, nil, false
+	}
+	rest = rest[wordLen:]
+	key, check, payload := rest[:len(canon)], rest[len(canon):len(canon)+sha256.Size], rest[len(canon)+sha256.Size:]
+	if !bytes.Equal(key, canon) || sha256.Sum256(payload) != [sha256.Size]byte(check) {
+		return nil, nil, false
+	}
+	return decodePayload(payload, runs)
+}
+
+// decodePayload decodes a payload of runs runs in all. Each count is
+// held to the bytes left before anything is allocated for it, so a
+// corrupt count allocates nothing.
+func decodePayload(p []byte, runs int) (*stats.Agg, []byte, bool) {
+	if len(p) < 2*wordLen {
+		return nil, nil, false
+	}
+	nRuns, nFailed := word(p), word(p[wordLen:])
+	p = p[2*wordLen:]
+	if nRuns > uint64(len(p)/runLen) || nFailed > uint64((len(p)-int(nRuns)*runLen)/ledgerLen) ||
+		nRuns+nFailed != uint64(runs) {
+		return nil, nil, false
+	}
+	completed := make([]stats.RunResult, nRuns)
+	for i := range completed {
+		floats, counts := runFields(&completed[i])
+		for j, f := range floats {
+			*f = math.Float64frombits(word(p[j*wordLen:]))
+		}
+		for j, n := range counts {
+			*n = int(word(p[(runFloats+j)*wordLen:]))
+		}
+		if p[runLen-1] > 1 {
+			return nil, nil, false
+		}
+		completed[i].Truncated = p[runLen-1] == 1
+		p = p[runLen:]
+	}
+	failed := make([]stats.FailedRun, nFailed)
+	for i := range failed {
+		f := &failed[i]
+		var ok bool
+		if f.Seed, p, ok = cutWord(p); !ok {
+			return nil, nil, false
+		}
+		if f.Config, p, ok = cutText(p); !ok {
+			return nil, nil, false
+		}
+		if f.Err, p, ok = cutText(p); !ok {
+			return nil, nil, false
+		}
+	}
+	return stats.NewAgg(completed, failed), p, true
+}
+
+// cutWord cuts a word from the head of p.
+func cutWord(p []byte) (uint64, []byte, bool) {
+	if len(p) < wordLen {
+		return 0, nil, false
+	}
+	return word(p), p[wordLen:], true
+}
+
+// cutText cuts a string and its length from the head of p.
+func cutText(p []byte) (string, []byte, bool) {
+	n, p, ok := cutWord(p)
+	if !ok || n > uint64(len(p)) {
+		return "", nil, false
+	}
+	return string(p[:n]), p[n:], true
+}
+
+// path returns the blob path for a hash, sharded by its first byte. The
+// .json suffix is older than the binary layout; Entries and the
+// benchmark's traced replay find blobs by it.
 func (s *Store) path(hash string) string {
 	return filepath.Join(s.dir, "objects", hash[:2], hash+".json")
 }
@@ -256,7 +331,7 @@ func (s *Store) path(hash string) string {
 // metrics snapshot counts as a miss (it cannot serve a metered sweep);
 // the caller's recompute-and-Put then upgrades the entry in place.
 // Corrupt entries — a canonical-key mismatch, a checksum mismatch, or
-// any byte outside the form Put writes — are evicted from disk and
+// any byte Put would not have written — are evicted from disk and
 // reported as misses, never trusted. The entry is read into pooled
 // scratch, taken only once the entry's file is open, and nothing Get
 // returns aliases it.
@@ -276,8 +351,7 @@ func (s *Store) Get(k Key, needMetrics bool) (*stats.Agg, *metrics.Snapshot, boo
 		s.record(k.Experiment, Stats{Misses: 1})
 		return nil, nil, false
 	}
-	b.head = appendHead(b.head[:0], canon)
-	agg, met, ok := decodeEntry(b.data, b.head, k.Runs)
+	agg, met, ok := decodeEntry(b.data, canon, k.Runs)
 	if !ok {
 		s.evict(k, hash)
 		return nil, nil, false
@@ -288,8 +362,9 @@ func (s *Store) Get(k Key, needMetrics bool) (*stats.Agg, *metrics.Snapshot, boo
 	}
 	var snap *metrics.Snapshot
 	if len(met) > 0 {
+		// Put writes a snapshot only when it holds a series.
 		snap = &metrics.Snapshot{}
-		if err := json.Unmarshal(met, snap); err != nil {
+		if err := json.Unmarshal(met, snap); err != nil || snap.Empty() {
 			s.evict(k, hash)
 			return nil, nil, false
 		}
@@ -302,7 +377,7 @@ func (s *Store) Get(k Key, needMetrics bool) (*stats.Agg, *metrics.Snapshot, boo
 // in. The store pools them across calls and goroutines, so a warm lookup
 // reads into a buffer an earlier one grew.
 type entryScratch struct {
-	canon, head, data []byte
+	canon, data []byte
 }
 
 // scratch pools entryScratch values; the first use of each allocates it.
@@ -317,7 +392,7 @@ func takeScratch() *entryScratch {
 }
 
 // minRead is the least room readAll reads into: a 200-run entry is
-// about 50 KB, so a fresh buffer takes it in one read.
+// about 28 KB, so a fresh buffer takes it in one read.
 const minRead = 64 << 10
 
 // readAll appends f's remaining bytes to dst, growing it only when the
@@ -338,72 +413,23 @@ func readAll(f *os.File, dst []byte) ([]byte, error) {
 	}
 }
 
-// decodeEntry checks an entry against the key's rendered head (appendHead
-// of its canonical text) and its payload checksum and decodes the
-// aggregate, presized for runs runs. met is the raw metrics snapshot,
-// empty when the entry has none; it aliases data.
-func decodeEntry(data, head []byte, runs int) (agg *stats.Agg, met []byte, ok bool) {
-	rest, ok := bytes.CutPrefix(data, head)
-	if !ok || len(rest) < checkLen {
-		return nil, nil, false
-	}
-	check, rest := rest[:checkLen], rest[checkLen:]
-	if rest, ok = bytes.CutPrefix(rest, []byte(aggField)); !ok {
-		return nil, nil, false
-	}
-	agg, n, err := stats.DecodeAggJSON(rest, runs)
-	if err != nil {
-		return nil, nil, false
-	}
-	aggJSON, rest := rest[:n], rest[n:]
-	if m, found := bytes.CutPrefix(rest, []byte(metricsField)); found {
-		met, ok = bytes.CutSuffix(m, []byte("}"))
-		ok = ok && len(met) > 0
-	} else {
-		ok = string(rest) == "}"
-	}
-	var want [checkLen]byte
-	sum := payloadCheck(aggJSON, met)
-	hex.Encode(want[:], sum[:])
-	if !ok || !bytes.Equal(check, want[:]) {
-		return nil, nil, false
-	}
-	return agg, met, true
-}
-
 // Put stores one completed configuration. The entry is rendered in one
-// pooled buffer, its checksum filled in last, and lands atomically (temp
-// file + rename), so a concurrent or interrupted reader never observes a
-// torn entry; an existing entry for the key is replaced.
+// pooled buffer and lands atomically (temp file + rename), so a
+// concurrent or interrupted reader never observes a torn entry; an
+// existing entry for the key is replaced.
 func (s *Store) Put(k Key, agg *stats.Agg, snap *metrics.Snapshot) error {
-	b := takeScratch()
-	defer scratch.Put(b)
-	b.canon = k.appendCanonical(b.canon[:0])
-	canon := b.canon
-	data := appendHead(slices.Grow(b.data[:0], 2*len(canon)+runBytes*(agg.N()+1)), canon)
-	checkAt := len(data)
-	data = append(data, make([]byte, checkLen)...)
-	data = append(data, aggField...)
-	aggAt := len(data)
-	data, err := agg.AppendJSON(data)
-	if err != nil {
-		return fmt.Errorf("runcache: encode agg: %w", err)
-	}
-	aggJSON := data[aggAt:]
 	var met []byte
 	if snap != nil && !snap.Empty() {
+		var err error
 		if met, err = json.Marshal(snap); err != nil {
 			return fmt.Errorf("runcache: encode metrics: %w", err)
 		}
 	}
-	sum := payloadCheck(aggJSON, met)
-	hex.Encode(data[checkAt:], sum[:])
-	if len(met) > 0 {
-		data = append(append(data, metricsField...), met...)
-	}
-	data = append(data, '}')
-	b.data = data
-	hash := hashCanonical(canon)
+	b := takeScratch()
+	defer scratch.Put(b)
+	b.canon = k.appendCanonical(b.canon[:0])
+	b.data = appendEntry(b.data[:0], b.canon, agg, met)
+	hash := hashCanonical(b.canon)
 	path := s.path(hash)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("runcache: %w", err)
@@ -412,7 +438,7 @@ func (s *Store) Put(k Key, agg *stats.Agg, snap *metrics.Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("runcache: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	if _, err := tmp.Write(b.data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("runcache: %w", err)
@@ -426,7 +452,7 @@ func (s *Store) Put(k Key, agg *stats.Agg, snap *metrics.Snapshot) error {
 		return fmt.Errorf("runcache: %w", err)
 	}
 	s.record(k.Experiment, Stats{Puts: 1})
-	s.appendIndex(k, hash, len(data))
+	s.appendIndex(k, hash, len(b.data))
 	return nil
 }
 

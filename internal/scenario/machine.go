@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"strings"
 
 	"pckpt/internal/faultinject"
 	"pckpt/internal/machine"
@@ -38,8 +37,7 @@ type MachineSpec struct {
 	// faultinject.MachineConfig's JSON tags, and zero fields take the
 	// faultinject defaults for whichever processes are enabled. Absent
 	// means a healthy machine — and, like the block itself, contributes
-	// nothing to the canonical rendering, so pre-fault specs keep their
-	// cache identity.
+	// nothing to the canonical rendering, so pre-fault specs keep theirs.
 	Faults *faultinject.MachineConfig `json:"faults,omitempty"`
 }
 
@@ -163,27 +161,4 @@ func checkMachine(m *MachineSpec) error {
 		}
 	}
 	return nil
-}
-
-// canonicalMachine appends the machine block's canonical lines; absent
-// blocks contribute nothing, keeping pre-machine renderings stable.
-func canonicalMachine(b *strings.Builder, m *MachineSpec) {
-	if m == nil {
-		return
-	}
-	fmt.Fprintf(b, "machine=nodes:%d|ceiling:%g|drains:%d|admission:%s", m.Nodes, m.PFSCeilingGBs, m.MaxConcurrentDrains, m.Admission)
-	for _, at := range m.ArrivalSeconds {
-		fmt.Fprintf(b, "|arrive:%g", at)
-	}
-	for _, r := range m.Racks {
-		fmt.Fprintf(b, "|rack:%d", r)
-	}
-	b.WriteString("\n")
-	if m.Faults != nil {
-		f := m.Faults
-		fmt.Fprintf(b, "machine.faults=brownout:%g|brownout-mean:%g|factors:%g-%g|blackout:%g|drain-outage:%g|drain-mean:%g|slots:%d|crash:%g|retries:%d|backoff:%g|escalate:%g\n",
-			f.BrownoutRatePerHour, f.BrownoutMeanSeconds, f.BrownoutMinFactor, f.BrownoutMaxFactor, f.BlackoutProb,
-			f.DrainOutageRatePerHour, f.DrainOutageMeanSeconds, f.DrainOutageSlots,
-			f.CrashRatePerHour, f.CrashMaxRetries, f.CrashBackoffSeconds, f.StarvationEscalationSeconds)
-	}
 }

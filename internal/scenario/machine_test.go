@@ -3,7 +3,6 @@ package scenario
 import (
 	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"pckpt/internal/faultinject"
@@ -73,9 +72,8 @@ func TestMachineSpecRejects(t *testing.T) {
 	}
 }
 
-// The machine block round-trips through the canonical rendering and
-// shows up in the canonical string; its absence leaves pre-machine specs
-// byte-identical.
+// The machine block round-trips through the canonical rendering; its
+// absence leaves pre-machine specs' renderings without one.
 func TestMachineSpecCanonical(t *testing.T) {
 	s := mustParse(t, machineSpec)
 	r1, err := s.Render()
@@ -93,20 +91,12 @@ func TestMachineSpecCanonical(t *testing.T) {
 	if !bytes.Equal(r1, r2) {
 		t.Errorf("machine rendering is not a fixed point:\n%s\nvs\n%s", r1, r2)
 	}
-	cs, err := s.CanonicalString()
+	plain, err := mustParse(t, minimalSpec).Render()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "machine=nodes:0|ceiling:5|drains:0|admission:fifo|arrive:0|arrive:600\n"
-	if !strings.Contains(cs, want) {
-		t.Errorf("canonical string lacks machine line %q:\n%s", want, cs)
-	}
-	plain, err := mustParse(t, minimalSpec).CanonicalString()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plain, "machine=") {
-		t.Errorf("machine-less spec renders a machine line:\n%s", plain)
+	if bytes.Contains(plain, []byte(`"machine"`)) {
+		t.Errorf("machine-less spec renders a machine block:\n%s", plain)
 	}
 }
 
@@ -186,48 +176,37 @@ func TestMachineFaultSpecRejects(t *testing.T) {
 	}
 }
 
-// The faults line appears in the canonical string only when the block is
-// present — pre-fault machine specs keep their exact cache identity —
-// and equal effective plans render equal canonical forms.
+// The faults block appears in the canonical rendering only when it is
+// present, so fault-less machine specs keep their rendering, and equal
+// effective plans render equally.
 func TestMachineFaultSpecCanonical(t *testing.T) {
 	s := mustParse(t, machineFaultSpec)
-	cs, err := s.CanonicalString()
+	plain, err := mustParse(t, machineSpec).Render()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMachine := "machine=nodes:0|ceiling:5|drains:0|admission:fifo|arrive:0|arrive:600|rack:0|rack:0\n"
-	if !strings.Contains(cs, wantMachine) {
-		t.Errorf("canonical string lacks the racked machine line %q:\n%s", wantMachine, cs)
-	}
-	wantFaults := "machine.faults=brownout:0.5|brownout-mean:600|factors:0.25-0.75|blackout:0.25|drain-outage:0|drain-mean:0|slots:0|crash:0.1|retries:2|backoff:300|escalate:0\n"
-	if !strings.Contains(cs, wantFaults) {
-		t.Errorf("canonical string lacks the faults line %q:\n%s", wantFaults, cs)
-	}
-
-	// A fault-less machine spec renders no faults line, byte-identical to
-	// its pre-fault canonical form.
-	plain, err := mustParse(t, machineSpec).CanonicalString()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plain, "machine.faults=") || strings.Contains(plain, "rack:") {
-		t.Errorf("fault-less machine spec renders fault/rack segments:\n%s", plain)
+	if bytes.Contains(plain, []byte(`"faults"`)) || bytes.Contains(plain, []byte(`"racks"`)) {
+		t.Errorf("fault-less machine spec renders fault or rack keys:\n%s", plain)
 	}
 
 	// Spelling out the defaults changes nothing: same effective plan,
-	// same canonical identity.
+	// same rendering.
 	explicit := mustParse(t, machineFaultSpec)
 	explicit.Machine.Faults.BrownoutMeanSeconds = faultinject.DefaultBrownoutMeanSeconds
 	explicit.Machine.Faults.BrownoutMinFactor = faultinject.DefaultBrownoutMinFactor
 	explicit.Machine.Faults.BrownoutMaxFactor = faultinject.DefaultBrownoutMaxFactor
 	explicit.Machine.Faults.CrashMaxRetries = faultinject.DefaultCrashMaxRetries
 	explicit.Machine.Faults.CrashBackoffSeconds = faultinject.DefaultCrashBackoffSeconds
-	cs2, err := explicit.CanonicalString()
+	implicitR, err := s.Render()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs != cs2 {
-		t.Errorf("equal effective plans render different canonical forms:\n%s\nvs\n%s", cs, cs2)
+	explicitR, err := explicit.Render()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(implicitR, explicitR) {
+		t.Errorf("equal effective plans render differently:\n%s\nvs\n%s", implicitR, explicitR)
 	}
 
 	// Round-trip fixed point with the faults block present.

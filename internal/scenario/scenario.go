@@ -5,9 +5,10 @@
 // and compiles to the exact platform.Config values the flag-driven tools
 // build, so a spec-configured run is bit-identical to its flag-configured
 // twin. Specs have a strict parser (unknown fields are errors), a
-// validator that never panics on malformed input, and a versioned
-// canonical rendering that participates in runcache keys the same way
-// platform.Config.CanonicalString does.
+// validator that never panics on malformed input, and a canonical JSON
+// rendering (Render) that is a fixed point. A spec's cells key the
+// result cache by their platform.Config canonical text, like every other
+// cell.
 package scenario
 
 import (
@@ -206,8 +207,7 @@ func Load(path string) (*Spec, error) {
 
 // Normalize returns a copy with every zero field replaced by its
 // effective default, so two specs that simulate identically normalize
-// identically (the canonical rendering and CanonicalString apply it
-// first). Idempotent. A resolved inline trace supersedes its trace_file
+// identically (the canonical rendering applies it first). Idempotent. A resolved inline trace supersedes its trace_file
 // reference, so the rendering is independent of file layout.
 func (s *Spec) Normalize() *Spec {
 	n := *s

@@ -345,43 +345,6 @@ func TestCanonicalFixedPoint(t *testing.T) {
 	}
 }
 
-func TestCanonicalStringStability(t *testing.T) {
-	zero := mustParse(t, minimalSpec)
-	explicit := mustParse(t, `{
-	  "version": 1,
-	  "name": "minimal",
-	  "apps": [{"name": "VULCAN"}],
-	  "platform": {"lead_scale": 1, "fn_rate": 0.125, "fp_rate": 0.18, "lm_alpha": 3},
-	  "failures": {"system": "OLCF Titan"},
-	  "policies": ["B", "P2"],
-	  "runs": 3,
-	  "seed": 42
-	}`)
-	cz, err := zero.CanonicalString()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ce, err := explicit.CanonicalString()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cz != ce {
-		t.Fatalf("defaulted and explicit specs render differently:\n%s\nvs\n%s", cz, ce)
-	}
-	if !strings.HasPrefix(cz, "scenario/v1\n") {
-		t.Fatalf("missing version header: %q", cz[:min(len(cz), 40)])
-	}
-	perturbed := mustParse(t, minimalSpec)
-	perturbed.Platform = &PlatformSpec{LeadScale: 1.2}
-	cp, err := perturbed.CanonicalString()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp == cz {
-		t.Fatal("lead-scale change does not perturb the canonical rendering")
-	}
-}
-
 // TestEveryPlatformKeyMovesAResult: each key of a spec's platform block
 // must reach the simulation. The test walks PlatformSpec by reflection
 // and applies each field's listed perturbation (to another valid value)

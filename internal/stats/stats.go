@@ -3,7 +3,9 @@
 // simulation runs: per-run overhead breakdowns (checkpoint, recomputation,
 // recovery — the stacked bars of Fig. 6), fault-tolerance ratios (Tables
 // II and IV), and percent-reduction series versus the base model (the
-// y-axes of Figs. 4 and 7).
+// y-axes of Figs. 4 and 7). The package holds no storage format:
+// internal/runcache persists an Agg's runs and failed-run ledger in an
+// entry layout of its own.
 package stats
 
 import (
@@ -73,26 +75,26 @@ type RunResult struct {
 
 	// BBWriteFailures counts injected burst-buffer checkpoint-write
 	// failures.
-	BBWriteFailures int `json:",omitempty"`
+	BBWriteFailures int
 	// PFSWriteFailures counts injected PFS write failures (drains,
 	// safeguards, prioritized writes, phase-2 collectives).
-	PFSWriteFailures int `json:",omitempty"`
+	PFSWriteFailures int
 	// CorruptRestarts counts checkpoint generations discovered corrupt
 	// while resolving restarts.
-	CorruptRestarts int `json:",omitempty"`
+	CorruptRestarts int
 	// RestartRetries counts failed restart attempts that were retried
 	// after backoff.
-	RestartRetries int `json:",omitempty"`
+	RestartRetries int
 	// Cascades counts secondary failures that landed inside recovery
 	// windows.
-	Cascades int `json:",omitempty"`
+	Cascades int
 
 	// Truncated marks a run the platform ended early: a node failure
 	// struck after the spare pool was exhausted, so the resource manager
 	// could not re-host the failed rank and the job died. WallSeconds and
 	// the overhead buckets cover the truncated span only; ComputeSeconds
 	// of progress was NOT reached.
-	Truncated bool `json:",omitempty"`
+	Truncated bool
 }
 
 // TotalFailures returns all failure events, including avoided ones.
@@ -150,11 +152,11 @@ func Summarize(xs []float64) Summary {
 // without killing the rest of the sweep.
 type FailedRun struct {
 	// Seed is the derived per-run seed that reproduces the panic.
-	Seed uint64 `json:"seed"`
+	Seed uint64
 	// Config describes the failing configuration (model, app, tier).
-	Config string `json:"config"`
+	Config string
 	// Err is the recovered panic value's rendering.
-	Err string `json:"err"`
+	Err string
 }
 
 // Agg accumulates RunResults across repeated seeds, plus the ledger of
@@ -175,9 +177,6 @@ func (a *Agg) Add(r RunResult) { a.runs = append(a.runs, r) }
 // every derived statistic; they exist so the sweep can finish and still
 // report exactly what broke.
 func (a *Agg) AddFailed(f FailedRun) { a.failed = append(a.failed, f) }
-
-// N returns the number of recorded (completed) runs.
-func (a *Agg) N() int { return len(a.runs) }
 
 // Runs returns the recorded results.
 func (a *Agg) Runs() []RunResult { return a.runs }

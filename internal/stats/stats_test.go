@@ -98,8 +98,8 @@ func TestAggMeans(t *testing.T) {
 	var a Agg
 	a.Add(RunResult{Overheads: Overheads{Checkpoint: 10, Recompute: 20, Recovery: 2}, WallSeconds: 100, Failures: 2, Mitigated: 1})
 	a.Add(RunResult{Overheads: Overheads{Checkpoint: 30, Recompute: 0, Recovery: 0}, WallSeconds: 200, Failures: 2, Mitigated: 2})
-	if a.N() != 2 {
-		t.Fatalf("N = %d", a.N())
+	if len(a.Runs()) != 2 {
+		t.Fatalf("N = %d", len(a.Runs()))
 	}
 	mo := a.MeanOverheads()
 	if mo.Checkpoint != 20 || mo.Recompute != 10 || mo.Recovery != 1 {
