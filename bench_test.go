@@ -145,7 +145,7 @@ func BenchmarkAblationWorkerScaling(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				experiments.SimulateSweepN(experiments.StepTier(), crmodel.ModelP2, plat, 32, uint64(i), workers, false)
+				experiments.SimulateSweepN(experiments.StepTier(), policy.P2, plat, 32, uint64(i), workers, false)
 			}
 		})
 	}
@@ -164,7 +164,7 @@ func BenchmarkAblationDrainConcurrency(b *testing.B) {
 		ioCfg.DrainConcurrency = conc
 		io := iomodel.New(ioCfg)
 		b.Run(fmt.Sprintf("drainers=%d", conc), func(b *testing.B) {
-			cfg := crmodel.Config{Model: crmodel.ModelB, Config: platform.Config{App: app, System: failure.Titan, IO: io}}
+			cfg := crmodel.Config{Model: policy.B, Config: platform.Config{App: app, System: failure.Titan, IO: io}}
 			var recompute float64
 			for i := 0; i < b.N; i++ {
 				recompute += crmodel.Simulate(cfg, uint64(i)).Recompute
@@ -241,7 +241,7 @@ func BenchmarkPckptEpisode(b *testing.B) {
 func BenchmarkNodeGranularRun(b *testing.B) {
 	app := workload.App{Name: "bench", Nodes: 48, TotalCkptGB: 48 * 20, ComputeHours: 24}
 	sys := failure.System{Name: "busy", Shape: 0.75, ScaleHours: 40, Nodes: 48}
-	cfg := nodesim.Config{Policy: nodesim.PolicyHybrid, Config: platform.Config{App: app, System: sys}}
+	cfg := nodesim.Config{Policy: policy.P2, Config: platform.Config{App: app, System: sys}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		nodesim.Simulate(cfg, uint64(i))

@@ -31,6 +31,7 @@ import (
 	"pckpt/internal/lm"
 	"pckpt/internal/metrics"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/stats"
 	"pckpt/internal/stepsim"
 	"pckpt/internal/tablefmt"
@@ -103,7 +104,7 @@ func (o *options) config() (crmodel.Config, error) {
 	if err != nil {
 		return crmodel.Config{}, err
 	}
-	model, err := crmodel.ModelByName(o.model)
+	model, err := policy.ByName(o.model)
 	if err != nil {
 		return crmodel.Config{}, err
 	}
@@ -221,10 +222,10 @@ func main() {
 	fmt.Println(t.String())
 	experiments.WarnFailed(agg.Failed())
 
-	if o.baseline && model != crmodel.ModelB {
+	if o.baseline && model != policy.B {
 		// Every tier implements model B, so the reduction is computed
 		// within the selected tier.
-		baseAgg, _ := experiments.SimulateSweepN(tier, crmodel.ModelB, cfg.Config, o.runs, o.seed, runtime.GOMAXPROCS(0), false)
+		baseAgg, _ := experiments.SimulateSweepN(tier, policy.B, cfg.Config, o.runs, o.seed, runtime.GOMAXPROCS(0), false)
 		base := baseAgg.MeanOverheads()
 		ck, rc, rv, tot := stats.ReductionBreakdown(base, mo)
 		fmt.Printf("vs base model B: checkpoint %s, recomputation %s, recovery %s, TOTAL %s\n",

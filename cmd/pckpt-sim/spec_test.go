@@ -7,11 +7,11 @@ import (
 	"strings"
 	"testing"
 
-	"pckpt/internal/crmodel"
 	"pckpt/internal/experiments"
 	"pckpt/internal/failure"
 	"pckpt/internal/lm"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/scenario"
 	"pckpt/internal/workload"
 )
@@ -54,7 +54,7 @@ func TestChimeraTitanSpecMatchesFlagRun(t *testing.T) {
 	}
 
 	n := s.Normalize()
-	for i, model := range []crmodel.Model{crmodel.ModelB, crmodel.ModelP2} {
+	for i, model := range []policy.ID{policy.B, policy.P2} {
 		if got, want := cfgs[i].Platform.CanonicalString(), flagCfg.CanonicalString(); got != want {
 			t.Fatalf("spec platform renders differently from the flag twin:\n%s\nvs\n%s", got, want)
 		}

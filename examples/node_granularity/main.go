@@ -15,6 +15,7 @@ import (
 	"pckpt/internal/failure"
 	"pckpt/internal/nodesim"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/stats"
 	"pckpt/internal/tablefmt"
 	"pckpt/internal/workload"
@@ -29,28 +30,19 @@ func main() {
 	app := workload.App{Name: "demo", Nodes: *nodes, TotalCkptGB: float64(*nodes) * 20, ComputeHours: *hours}
 	sys := failure.System{Name: "busy", Shape: 0.75, ScaleHours: 40, Nodes: *nodes}
 
-	pairs := []struct {
-		policy nodesim.Policy
-		model  crmodel.Model
-	}{
-		{nodesim.PolicyBase, crmodel.ModelB},
-		{nodesim.PolicyPckpt, crmodel.ModelP1},
-		{nodesim.PolicyHybrid, crmodel.ModelP2},
-	}
-
 	t := tablefmt.NewTable("policy", "tier", "ckpt(h)", "recomp(h)", "recov(h)", "total(h)", "FT", "wall(h)")
-	for _, pair := range pairs {
+	for _, id := range []policy.ID{policy.B, policy.P1, policy.P2} {
 		var nAgg, cAgg stats.Agg
 		for seed := uint64(0); seed < uint64(*seeds); seed++ {
-			nAgg.Add(nodesim.Simulate(nodesim.Config{Policy: pair.policy, Config: platform.Config{App: app, System: sys}}, seed))
-			cAgg.Add(crmodel.Simulate(crmodel.Config{Model: pair.model, Config: platform.Config{App: app, System: sys}}, seed))
+			nAgg.Add(nodesim.Simulate(nodesim.Config{Policy: id, Config: platform.Config{App: app, System: sys}}, seed))
+			cAgg.Add(crmodel.Simulate(crmodel.Config{Model: id, Config: platform.Config{App: app, System: sys}}, seed))
 		}
 		for _, row := range []struct {
 			tier string
 			agg  *stats.Agg
 		}{{"node-granular", &nAgg}, {"app-level", &cAgg}} {
 			mo := row.agg.MeanOverheads().Hours()
-			t.AddRow(pair.policy.NodeLabel(), row.tier,
+			t.AddRow(id.NodeLabel(), row.tier,
 				fmt.Sprintf("%.3f", mo.Checkpoint),
 				fmt.Sprintf("%.3f", mo.Recompute),
 				fmt.Sprintf("%.3f", mo.Recovery),

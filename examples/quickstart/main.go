@@ -14,6 +14,7 @@ import (
 	"pckpt/internal/experiments"
 	"pckpt/internal/failure"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/stats"
 	"pckpt/internal/workload"
 )
@@ -31,7 +32,7 @@ func main() {
 	// lead times, Desh-grade predictor accuracy) defaults to the paper's
 	// setup.
 	cfg := crmodel.Config{
-		Model:  crmodel.ModelP2,
+		Model:  policy.P2,
 		Config: platform.Config{App: app, System: failure.Titan},
 	}
 	fmt.Printf("application: %v\n", app)
@@ -43,7 +44,7 @@ func main() {
 	const runs, seed = 200, 1
 	step, workers := experiments.StepTier(), runtime.GOMAXPROCS(0)
 	hybrid, _ := experiments.SimulateSweepN(step, cfg.Model, cfg.Config, runs, seed, workers, false)
-	baseline, _ := experiments.SimulateSweepN(step, crmodel.ModelB, cfg.Config, runs, seed, workers, false)
+	baseline, _ := experiments.SimulateSweepN(step, policy.B, cfg.Config, runs, seed, workers, false)
 
 	bo, ho := baseline.MeanOverheads(), hybrid.MeanOverheads()
 	fmt.Printf("base model B:   %v\n", bo)

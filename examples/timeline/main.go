@@ -14,6 +14,7 @@ import (
 	"pckpt/internal/crmodel"
 	"pckpt/internal/failure"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/trace"
 	"pckpt/internal/workload"
 )
@@ -29,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	model, err := crmodel.ModelByName(*modelName)
+	model, err := policy.ByName(*modelName)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package pckpt
+package appmodel
 
 import (
 	"sync"
@@ -9,12 +9,11 @@ import (
 )
 
 // RunMetrics is one application run's instrument handles, resolved once
-// at run start. Both application-granularity tiers record through it —
-// the process model (internal/crmodel) and the callback port
-// (internal/stepsim) — so the two share one vocabulary and, being
-// bit-identical, give the same snapshot for the same seed. With metering
-// off every handle is nil and every call is a no-op that allocates
-// nothing (the same contract as trace.Recorder).
+// at run start. A Run records through them whichever scheduler executes
+// it — the process model (internal/crmodel) or the continuation port
+// (internal/stepsim) — so the two give the same snapshot for the same
+// seed. With metering off every handle is nil and every call is a no-op
+// that allocates nothing (the same contract as trace.Recorder).
 //
 // Metric names are prefixed "sim.<model>." so aggregating across the
 // five C/R models in one experiment keeps their distributions apart.
@@ -132,22 +131,9 @@ func NewRunMetrics(r *metrics.Registry, id policy.ID) RunMetrics {
 	}
 }
 
-// ObserveCluster installs a cluster observer that applies CountVulnerable
-// on every transition, stamped with the simulation clock now. Call it
-// only when metering is on, so the unmetered hot path keeps a nil
-// observer (one branch per transition, nothing more). The observer holds
-// these handles: a caller that recycles cl must remove it before the
-// cluster outlives the run.
-func (m RunMetrics) ObserveCluster(cl *cluster.Cluster, now func() float64) {
-	cl.SetObserver(func(int, cluster.State, cluster.State) {
-		m.CountVulnerable(now(), cl)
-	})
-}
-
 // CountVulnerable sets the VulnNodes gauge to cl's at-risk count at
 // simulation time now: what a metered run records on each cluster
-// transition, through ObserveCluster's observer or the step tier's
-// prebound one.
+// transition, through the node-table observer its scheduler installs.
 func (m RunMetrics) CountVulnerable(now float64, cl *cluster.Cluster) {
 	m.VulnNodes.Set(now, float64(cl.AtRisk()))
 }

@@ -9,6 +9,7 @@ import (
 	"pckpt/internal/lm"
 	"pckpt/internal/pckpt"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/workload"
 )
 
@@ -69,7 +70,7 @@ func TestEpisodeBlockedTimeMatchesProtocol(t *testing.T) {
 	// only activity: with FP>0 and a huge MTBF, real failures never
 	// arrive but spurious predictions (which trigger full episodes) do.
 	quiet := failure.System{Name: "quiet", Shape: 1, ScaleHours: 200, Nodes: app.Nodes}
-	cfg := Config{Model: ModelP1, Config: platform.Config{App: app, System: quiet, FNRate: 1e-9, FPRate: 0.9}}
+	cfg := Config{Model: policy.P1, Config: platform.Config{App: app, System: quiet, FNRate: 1e-9, FPRate: 0.9}}
 
 	perNode := app.PerNodeGB()
 	episode := io.SingleNodePFSWriteTime(perNode) + io.PFSWriteTime(app.Nodes-1, perNode)

@@ -70,7 +70,7 @@ func TestCorruptionForcesFallback(t *testing.T) {
 	faults := faultinject.Config{CorruptProb: 0.5}
 	found := false
 	for seed := uint64(1); seed <= 30 && !found; seed++ {
-		cfg := Config{Model: ModelP2, Config: platform.Config{App: failApp, System: failure.Titan, Faults: faults}}
+		cfg := Config{Model: policy.P2, Config: platform.Config{App: failApp, System: failure.Titan, Faults: faults}}
 		r := Simulate(cfg, seed)
 		found = r.CorruptRestarts > 0
 	}

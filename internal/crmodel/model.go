@@ -16,13 +16,17 @@
 //	P2 — hybrid p-ckpt: LM preferred, p-ckpt fallback with LM abort
 //	     (this paper's headline model).
 //
-// The model catalogue and per-model strategies live in internal/policy;
-// the platform quantities in internal/platform. This package supplies the
-// application-granularity execution of both: a simulation run executes
-// the application's compute/checkpoint cycle on the discrete-event
-// engine, injects the failure/prediction stream, and accounts overheads
-// per the paper's definitions (checkpoint / recomputation / recovery).
-// Every run is deterministic given its seed.
+// The model catalogue and per-model strategies live in internal/policy,
+// the platform quantities in internal/platform, and the model's
+// transitions (cycles, checkpoints, drains, predictions, episodes,
+// safeguards, failures) in internal/appmodel. This package is the
+// reference scheduler that executes them: a run is an application
+// process doing the compute/checkpoint cycle on the process layer of
+// internal/sim, and an injector process delivering the failure and
+// prediction stream, as in the paper's SimPy study. internal/stepsim
+// executes the same model as engine continuations and is held
+// bit-identical to this package. Every run is deterministic given its
+// seed.
 package crmodel
 
 import (
@@ -34,31 +38,11 @@ import (
 	"pckpt/internal/trace"
 )
 
-// Model selects a C/R policy. It is the policy catalogue's ID type; the
-// constants below are the catalogue entries under their historical names.
-type Model = policy.ID
-
-const (
-	// ModelB is the base model: periodic checkpointing only.
-	ModelB Model = policy.B
-	// ModelM1 adds safeguard checkpointing on prediction.
-	ModelM1 Model = policy.M1
-	// ModelM2 adds live migration on prediction.
-	ModelM2 Model = policy.M2
-	// ModelP1 adds coordinated prioritized checkpointing (p-ckpt).
-	ModelP1 Model = policy.P1
-	// ModelP2 is the hybrid: LM preferred, p-ckpt fallback.
-	ModelP2 Model = policy.P2
-)
-
-// ModelByName parses a model name ("B", "M1", ...).
-func ModelByName(name string) (Model, error) { return policy.ByName(name) }
-
 // Config parameterises one simulation: the model under test, the shared
 // platform configuration, and this tier's observers.
 type Config struct {
 	// Model is the C/R policy to simulate.
-	Model Model
+	Model policy.ID
 	// Config is the tier-independent platform: application, failure
 	// system, I/O pricing, migration model, predictor. Its fields are
 	// promoted (cfg.App, cfg.System, ...).

@@ -12,7 +12,7 @@ import (
 )
 
 func TestModelStrings(t *testing.T) {
-	want := map[Model]string{ModelB: "B", ModelM1: "M1", ModelM2: "M2", ModelP1: "P1", ModelP2: "P2"}
+	want := map[policy.ID]string{policy.B: "B", policy.M1: "M1", policy.M2: "M2", policy.P1: "P1", policy.P2: "P2"}
 	for m, s := range want {
 		if m.String() != s {
 			t.Errorf("%d.String() = %q, want %q", m, m.String(), s)
@@ -20,28 +20,34 @@ func TestModelStrings(t *testing.T) {
 	}
 }
 
+// TestModelByName: every catalogue name parses, through the parser the
+// CLIs use, to a model a Config accepts.
 func TestModelByName(t *testing.T) {
 	for _, m := range policy.All() {
-		got, err := ModelByName(m.String())
+		got, err := policy.ByName(m.String())
 		if err != nil || got != m {
-			t.Errorf("ModelByName(%s) = %v, %v", m, got, err)
+			t.Errorf("policy.ByName(%s) = %v, %v", m, got, err)
+		}
+		cfg := Config{Model: got, Config: platform.Config{App: testApp(t, "XGC"), System: failure.Titan}}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", m, err)
 		}
 	}
-	if _, err := ModelByName("Z9"); err == nil {
+	if _, err := policy.ByName("Z9"); err == nil {
 		t.Fatal("unknown model accepted")
 	}
 }
 
 func TestModelCapabilities(t *testing.T) {
 	cases := []struct {
-		m        Model
+		m        policy.ID
 		pred, lm bool
 	}{
-		{ModelB, false, false},
-		{ModelM1, true, false},
-		{ModelM2, true, true},
-		{ModelP1, true, false},
-		{ModelP2, true, true},
+		{policy.B, false, false},
+		{policy.M1, true, false},
+		{policy.M2, true, true},
+		{policy.P1, true, false},
+		{policy.P2, true, true},
 	}
 	for _, c := range cases {
 		if c.m.UsesPrediction() != c.pred || c.m.UsesLM() != c.lm {
@@ -60,7 +66,7 @@ func testApp(t *testing.T, name string) workload.App {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	cfg := Config{Model: ModelP2, Config: platform.Config{App: testApp(t, "POP"), System: failure.Titan}}
+	cfg := Config{Model: policy.P2, Config: platform.Config{App: testApp(t, "POP"), System: failure.Titan}}
 	d := cfg.withDefaults()
 	if d.IO == nil || d.Leads == nil || d.LeadScale != 1 {
 		t.Fatal("defaults not applied")
@@ -74,7 +80,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestPerfectPredictorOverrides(t *testing.T) {
-	cfg := Config{Model: ModelP1, Config: platform.Config{App: testApp(t, "POP"), System: failure.Titan, PerfectPredictor: true}}
+	cfg := Config{Model: policy.P1, Config: platform.Config{App: testApp(t, "POP"), System: failure.Titan, PerfectPredictor: true}}
 	d := cfg.withDefaults()
 	if d.FNRate != 0 || d.FPRate != 0 {
 		t.Fatalf("perfect predictor not honoured: fn=%g fp=%g", d.FNRate, d.FPRate)
@@ -82,16 +88,16 @@ func TestPerfectPredictorOverrides(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	ok := Config{Model: ModelP2, Config: platform.Config{App: testApp(t, "XGC"), System: failure.Titan}}
+	ok := Config{Model: policy.P2, Config: platform.Config{App: testApp(t, "XGC"), System: failure.Titan}}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	bad := []Config{
-		{Model: ModelP2, Config: platform.Config{App: workload.App{}, System: failure.Titan}},
-		{Model: ModelP2, Config: platform.Config{App: testApp(t, "XGC"), System: failure.System{}}},
-		{Model: ModelP2, Config: platform.Config{App: testApp(t, "XGC"), System: failure.Titan, LeadScale: -1}},
-		{Model: ModelP2, Config: platform.Config{App: testApp(t, "XGC"), System: failure.Titan, FNRate: 2}},
-		{Model: ModelP2, Config: platform.Config{App: testApp(t, "XGC"), System: failure.Titan, FPRate: 1}},
+		{Model: policy.P2, Config: platform.Config{App: workload.App{}, System: failure.Titan}},
+		{Model: policy.P2, Config: platform.Config{App: testApp(t, "XGC"), System: failure.System{}}},
+		{Model: policy.P2, Config: platform.Config{App: testApp(t, "XGC"), System: failure.Titan, LeadScale: -1}},
+		{Model: policy.P2, Config: platform.Config{App: testApp(t, "XGC"), System: failure.Titan, FNRate: 2}},
+		{Model: policy.P2, Config: platform.Config{App: testApp(t, "XGC"), System: failure.Titan, FPRate: 1}},
 		{Model: 99, Config: platform.Config{App: testApp(t, "XGC"), System: failure.Titan}},
 	}
 	for i, c := range bad {
@@ -103,7 +109,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestThetaMatchesLMModel(t *testing.T) {
 	app := testApp(t, "CHIMERA")
-	cfg := Config{Model: ModelP2, Config: platform.Config{App: app, System: failure.Titan}}
+	cfg := Config{Model: policy.P2, Config: platform.Config{App: app, System: failure.Titan}}
 	want := lm.Default().Theta(app.PerNodeGB())
 	if got := cfg.Theta(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Theta = %g, want %g", got, want)
@@ -120,7 +126,7 @@ func sigma(c Config) float64 { return c.Model.Sigma(c.Derive()) }
 
 func TestSigmaZeroWithoutLM(t *testing.T) {
 	app := testApp(t, "CHIMERA")
-	for _, m := range []Model{ModelB, ModelM1, ModelP1} {
+	for _, m := range []policy.ID{policy.B, policy.M1, policy.P1} {
 		if s := sigma(Config{Model: m, Config: platform.Config{App: app, System: failure.Titan}}); s != 0 {
 			t.Errorf("%s sigma = %g, want 0", m, s)
 		}
@@ -129,7 +135,7 @@ func TestSigmaZeroWithoutLM(t *testing.T) {
 
 func TestSigmaUsesBaselineRecall(t *testing.T) {
 	app := testApp(t, "CHIMERA")
-	base := Config{Model: ModelP2, Config: platform.Config{App: app, System: failure.Titan}}
+	base := Config{Model: policy.P2, Config: platform.Config{App: app, System: failure.Titan}}
 	moreFN := base
 	moreFN.FNRate = 0.4
 	// Eq. (2) ignores the configured accuracy (Observation 9): σ must not
@@ -144,8 +150,8 @@ func TestSigmaUsesBaselineRecall(t *testing.T) {
 
 func TestSigmaScalesWithLeads(t *testing.T) {
 	app := testApp(t, "CHIMERA")
-	lo := Config{Model: ModelP2, Config: platform.Config{App: app, System: failure.Titan, LeadScale: 0.5}}
-	hi := Config{Model: ModelP2, Config: platform.Config{App: app, System: failure.Titan, LeadScale: 1.5}}
+	lo := Config{Model: policy.P2, Config: platform.Config{App: app, System: failure.Titan, LeadScale: 0.5}}
+	hi := Config{Model: policy.P2, Config: platform.Config{App: app, System: failure.Titan, LeadScale: 1.5}}
 	if sigma(lo) >= sigma(hi) {
 		t.Fatalf("sigma not increasing with lead scale: %g vs %g", sigma(lo), sigma(hi))
 	}
@@ -153,7 +159,7 @@ func TestSigmaScalesWithLeads(t *testing.T) {
 
 func TestAccuracyAwareSigma(t *testing.T) {
 	app := testApp(t, "CHIMERA")
-	published := Config{Model: ModelP2, Config: platform.Config{App: app, System: failure.Titan, FNRate: 0.4}}
+	published := Config{Model: policy.P2, Config: platform.Config{App: app, System: failure.Titan, FNRate: 0.4}}
 	aware := published
 	aware.AccuracyAwareSigma = true
 	// The published σ ignores the degraded recall; the accuracy-aware
@@ -164,7 +170,7 @@ func TestAccuracyAwareSigma(t *testing.T) {
 		t.Fatalf("accuracy-aware σ ratio %.4f, want %.4f", ratio, want)
 	}
 	// At the baseline FN rate the two variants agree.
-	base := Config{Model: ModelP2, Config: platform.Config{App: app, System: failure.Titan}}
+	base := Config{Model: policy.P2, Config: platform.Config{App: app, System: failure.Titan}}
 	baseAware := base
 	baseAware.AccuracyAwareSigma = true
 	if sigma(base) != sigma(baseAware) {

@@ -31,7 +31,7 @@ var smallApp = workload.App{Name: "tiny", Nodes: 16, TotalCkptGB: 160, ComputeHo
 var failApp = workload.App{Name: "faily", Nodes: 2000, TotalCkptGB: 2000, ComputeHours: 200}
 
 func TestSimulateDeterministic(t *testing.T) {
-	cfg := Config{Model: ModelP2, Config: platform.Config{App: failApp, System: failure.Titan}}
+	cfg := Config{Model: policy.P2, Config: platform.Config{App: failApp, System: failure.Titan}}
 	a := Simulate(cfg, 12345)
 	b := Simulate(cfg, 12345)
 	if a != b {
@@ -44,7 +44,7 @@ func TestSimulateDeterministic(t *testing.T) {
 }
 
 func TestFailureFreeRunHasOnlyCheckpointOverhead(t *testing.T) {
-	cfg := Config{Model: ModelB, Config: platform.Config{App: smallApp, System: quietSystem}}
+	cfg := Config{Model: policy.B, Config: platform.Config{App: smallApp, System: quietSystem}}
 	r := Simulate(cfg, 1)
 	if r.Failures != 0 || r.Recompute != 0 || r.Recovery != 0 {
 		t.Fatalf("quiet system produced failure work: %+v", r)
@@ -66,7 +66,7 @@ func TestFailureFreeRunHasOnlyCheckpointOverhead(t *testing.T) {
 }
 
 func TestModelBIgnoresPredictions(t *testing.T) {
-	cfg := Config{Model: ModelB, Config: platform.Config{App: smallApp, System: failure.Titan}}
+	cfg := Config{Model: policy.B, Config: platform.Config{App: smallApp, System: failure.Titan}}
 	r := Simulate(cfg, 7)
 	if r.ProactiveCkpts != 0 || r.Migrations != 0 || r.Avoided != 0 || r.Mitigated != 0 {
 		t.Fatalf("base model took proactive actions: %+v", r)
@@ -77,7 +77,7 @@ func TestP1MitigatesWithPerfectPredictor(t *testing.T) {
 	// Tiny footprint → p-ckpt latency ≪ every lead; perfect predictor →
 	// every failure predicted. All failures must be mitigated.
 	app := workload.App{Name: "micro", Nodes: 8, TotalCkptGB: 0.8, ComputeHours: 2000}
-	cfg := Config{Model: ModelP1, Config: platform.Config{App: app, System: failure.Titan, PerfectPredictor: true}}
+	cfg := Config{Model: policy.P1, Config: platform.Config{App: app, System: failure.Titan, PerfectPredictor: true}}
 	var failures, mitigated int
 	for seed := uint64(0); seed < 10; seed++ {
 		r := Simulate(cfg, seed)
@@ -94,7 +94,7 @@ func TestP1MitigatesWithPerfectPredictor(t *testing.T) {
 
 func TestM2AvoidsWithPerfectPredictor(t *testing.T) {
 	app := workload.App{Name: "micro", Nodes: 8, TotalCkptGB: 0.8, ComputeHours: 2000}
-	cfg := Config{Model: ModelM2, Config: platform.Config{App: app, System: failure.Titan, PerfectPredictor: true}}
+	cfg := Config{Model: policy.M2, Config: platform.Config{App: app, System: failure.Titan, PerfectPredictor: true}}
 	var struck, avoided int
 	for seed := uint64(0); seed < 10; seed++ {
 		r := Simulate(cfg, seed)
@@ -110,7 +110,7 @@ func TestM2AvoidsWithPerfectPredictor(t *testing.T) {
 }
 
 func TestRecomputeAccountedOnFailure(t *testing.T) {
-	cfg := Config{Model: ModelB, Config: platform.Config{App: failApp, System: failure.Titan}}
+	cfg := Config{Model: policy.B, Config: platform.Config{App: failApp, System: failure.Titan}}
 	sawLoss := false
 	for seed := uint64(0); seed < 20 && !sawLoss; seed++ {
 		r := Simulate(cfg, seed)
@@ -143,7 +143,7 @@ func TestP2UsesBothMechanisms(t *testing.T) {
 	// CHIMERA's θ≈41 s sits mid-distribution, so P2 must exercise both
 	// LM (long leads) and p-ckpt (short leads).
 	app := testApp(t, "CHIMERA")
-	cfg := Config{Model: ModelP2, Config: platform.Config{App: app, System: failure.Titan}}
+	cfg := Config{Model: policy.P2, Config: platform.Config{App: app, System: failure.Titan}}
 	var avoided, mitigated int
 	for seed := uint64(0); seed < 30; seed++ {
 		r := Simulate(cfg, seed)
@@ -156,7 +156,7 @@ func TestP2UsesBothMechanisms(t *testing.T) {
 }
 
 func TestP1NeverMigrates(t *testing.T) {
-	cfg := Config{Model: ModelP1, Config: platform.Config{App: testApp(t, "CHIMERA"), System: failure.Titan}}
+	cfg := Config{Model: policy.P1, Config: platform.Config{App: testApp(t, "CHIMERA"), System: failure.Titan}}
 	for seed := uint64(0); seed < 5; seed++ {
 		r := Simulate(cfg, seed)
 		if r.Migrations != 0 || r.Avoided != 0 {
@@ -166,14 +166,14 @@ func TestP1NeverMigrates(t *testing.T) {
 }
 
 func TestM1NeverMigratesAndP2Aborts(t *testing.T) {
-	cfgM1 := Config{Model: ModelM1, Config: platform.Config{App: testApp(t, "CHIMERA"), System: failure.Titan}}
+	cfgM1 := Config{Model: policy.M1, Config: platform.Config{App: testApp(t, "CHIMERA"), System: failure.Titan}}
 	if r := Simulate(cfgM1, 11); r.Migrations != 0 {
 		t.Fatalf("M1 migrated: %+v", r)
 	}
 	// Under a failure storm, migrations overlap short-lead predictions
 	// often enough that the LM-abort path must fire.
 	stormApp := workload.App{Name: "stormy", Nodes: 64, TotalCkptGB: 64 * 200, ComputeHours: 4}
-	cfgP2 := Config{Model: ModelP2, Config: platform.Config{App: stormApp, System: stormSystem}}
+	cfgP2 := Config{Model: policy.P2, Config: platform.Config{App: stormApp, System: stormSystem}}
 	aborted := 0
 	for seed := uint64(0); seed < 20; seed++ {
 		aborted += Simulate(cfgP2, seed).AbortedMigrations
@@ -201,20 +201,20 @@ func TestOverheadReductionOrderingCHIMERA(t *testing.T) {
 	// P2 best, P1 better than M2, M1 indistinguishable from B.
 	app := testApp(t, "CHIMERA")
 	const runs = 300
-	totals := map[Model]float64{}
+	totals := map[policy.ID]float64{}
 	for _, m := range policy.All() {
 		agg := simulateN(t, Config{Model: m, Config: platform.Config{App: app, System: failure.Titan}}, runs, 99)
 		totals[m] = agg.MeanOverheads().Total()
 	}
-	if !(totals[ModelP2] < totals[ModelP1] && totals[ModelP1] < totals[ModelM2] && totals[ModelM2] < totals[ModelM1]) {
+	if !(totals[policy.P2] < totals[policy.P1] && totals[policy.P1] < totals[policy.M2] && totals[policy.M2] < totals[policy.M1]) {
 		t.Fatalf("ordering violated: B=%.0f M1=%.0f M2=%.0f P1=%.0f P2=%.0f",
-			totals[ModelB], totals[ModelM1], totals[ModelM2], totals[ModelP1], totals[ModelP2])
+			totals[policy.B], totals[policy.M1], totals[policy.M2], totals[policy.P1], totals[policy.P2])
 	}
-	if red := 100 * (totals[ModelB] - totals[ModelM1]) / totals[ModelB]; math.Abs(red) > 10 {
+	if red := 100 * (totals[policy.B] - totals[policy.M1]) / totals[policy.B]; math.Abs(red) > 10 {
 		t.Fatalf("M1 moved CHIMERA overhead by %.1f%%; the paper finds safeguard useless for large apps", red)
 	}
 	// P2's total reduction must land in the paper's neighbourhood.
-	if red := 100 * (totals[ModelB] - totals[ModelP2]) / totals[ModelB]; red < 35 || red > 70 {
+	if red := 100 * (totals[policy.B] - totals[policy.P2]) / totals[policy.B]; red < 35 || red > 70 {
 		t.Fatalf("P2 reduction %.1f%% outside the plausible band [35, 70]", red)
 	}
 }
@@ -227,15 +227,15 @@ func TestFTRatiosMatchPaperTable(t *testing.T) {
 	// time (0 % change) with generous tolerances.
 	checks := []struct {
 		app    string
-		model  Model
+		model  policy.ID
 		lo, hi float64
 	}{
-		{"CHIMERA", ModelM1, 0.0, 0.03},  // paper 0.006
-		{"CHIMERA", ModelM2, 0.38, 0.56}, // paper 0.47
-		{"CHIMERA", ModelP1, 0.62, 0.80}, // paper 0.70
-		{"XGC", ModelM2, 0.58, 0.76},     // paper 0.66
-		{"XGC", ModelP1, 0.76, 0.92},     // paper 0.84
-		{"POP", ModelP2, 0.76, 0.95},     // paper 0.85
+		{"CHIMERA", policy.M1, 0.0, 0.03},  // paper 0.006
+		{"CHIMERA", policy.M2, 0.38, 0.56}, // paper 0.47
+		{"CHIMERA", policy.P1, 0.62, 0.80}, // paper 0.70
+		{"XGC", policy.M2, 0.58, 0.76},     // paper 0.66
+		{"XGC", policy.P1, 0.76, 0.92},     // paper 0.84
+		{"POP", policy.P2, 0.76, 0.95},     // paper 0.85
 	}
 	for _, c := range checks {
 		app := testApp(t, c.app)

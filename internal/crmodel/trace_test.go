@@ -6,12 +6,13 @@ import (
 
 	"pckpt/internal/failure"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/trace"
 )
 
 func TestTraceRecordsRunTimeline(t *testing.T) {
 	var buf trace.Buffer
-	cfg := Config{Model: ModelP2, Config: platform.Config{App: failApp, System: failure.Titan}, Trace: &buf}
+	cfg := Config{Model: policy.P2, Config: platform.Config{App: failApp, System: failure.Titan}, Trace: &buf}
 	r := Simulate(cfg, 2)
 	if len(buf.Events()) == 0 {
 		t.Fatal("no trace events recorded")
@@ -47,7 +48,7 @@ func TestTraceRecordsRunTimeline(t *testing.T) {
 
 func TestTraceEpisodeBracketsCommits(t *testing.T) {
 	var buf trace.Buffer
-	cfg := Config{Model: ModelP1, Config: platform.Config{App: failApp, System: failure.Titan}, Trace: &buf}
+	cfg := Config{Model: policy.P1, Config: platform.Config{App: failApp, System: failure.Titan}, Trace: &buf}
 	r := Simulate(cfg, 5)
 	if r.ProactiveCkpts == 0 {
 		t.Skip("seed produced no episodes")
@@ -74,7 +75,7 @@ func TestTraceEpisodeBracketsCommits(t *testing.T) {
 
 func TestTraceRenderReadable(t *testing.T) {
 	var buf trace.Buffer
-	cfg := Config{Model: ModelP2, Config: platform.Config{App: failApp, System: failure.Titan}, Trace: &buf}
+	cfg := Config{Model: policy.P2, Config: platform.Config{App: failApp, System: failure.Titan}, Trace: &buf}
 	Simulate(cfg, 2)
 	out := buf.Render()
 	for _, want := range []string{"cycle-start", "bb-write", "complete"} {
@@ -89,7 +90,7 @@ func TestTraceRenderReadable(t *testing.T) {
 
 func TestNoTraceNoOverheadPath(t *testing.T) {
 	// A nil recorder must not change results (tracing is observational).
-	cfg := Config{Model: ModelP2, Config: platform.Config{App: failApp, System: failure.Titan}}
+	cfg := Config{Model: policy.P2, Config: platform.Config{App: failApp, System: failure.Titan}}
 	plain := Simulate(cfg, 9)
 	var buf trace.Buffer
 	cfg.Trace = &buf

@@ -80,17 +80,6 @@ func Contention(p Params) Result {
 			" slowdown is contended wall over the same job, platform, and seed run solo —\n"+
 			" the arbiter's priority lane keeps p-ckpt phase-1 writes at their solo price;\n"+
 			" mean makespan %.2fh, peak aggregate allocation %.2f GB/s)\n",
-		cfg.PFSCeilingGBs, machine.FIFO{}.Name(), sum.Mean(sum.MakespanSeconds)/3600, sum.PeakAllocGBs) +
-		failedRunsLine(sum)
-	return Result{Text: text, Values: values}
-}
-
-// failedRunsLine is the line a machine experiment appends to its text
-// when runs panicked, naming the first; it is empty when none did.
-func failedRunsLine(sum machine.Summary) string {
-	if len(sum.Failed) == 0 {
-		return ""
-	}
-	return fmt.Sprintf("(%d of %d runs panicked and are excluded from the means; first: %+v)\n",
-		len(sum.Failed), len(sum.Failed)+sum.Runs, sum.Failed[0])
+		cfg.PFSCeilingGBs, machine.FIFO{}.Name(), sum.Mean(sum.MakespanSeconds)/3600, sum.PeakAllocGBs)
+	return Result{Text: text, Values: values, Failed: sum.Failed}
 }

@@ -3,10 +3,11 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pckpt/internal/machine"
-	"pckpt/internal/stats"
+	"pckpt/internal/sweep"
 )
 
 // fastParams keeps experiment tests quick; the qualitative claims they
@@ -355,17 +356,40 @@ func TestObservation5And6(t *testing.T) {
 	}
 }
 
-// TestFailedRunsLine pins the machine experiments' ledger line: absent
-// when every run completed, so healthy goldens never move, and naming
-// the count and first failure otherwise.
-func TestFailedRunsLine(t *testing.T) {
-	if got := failedRunsLine(machine.Summary{Runs: 4}); got != "" {
-		t.Fatalf("healthy sweep got failure line %q", got)
+// panicFirstAdmission is FIFO admission that panics on its first
+// decision: in a one-worker sweep that is run 0's first admission.
+type panicFirstAdmission struct{ fired atomic.Bool }
+
+func (*panicFirstAdmission) Name() string { return "panic-first" }
+
+func (a *panicFirstAdmission) Admit(queue []machine.PendingJob, freeNodes int) (int, bool) {
+	if !a.fired.Swap(true) {
+		panic("planted admission panic")
 	}
-	got := failedRunsLine(machine.Summary{Runs: 3, Failed: []stats.FailedRun{{Seed: 99, Config: "machine jobs=3", Err: "boom"}}})
-	for _, want := range []string{"1 of 4 runs panicked", "99", "boom"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("failure line %q lacks %q", got, want)
-		}
+	return machine.FIFO{}.Admit(queue, freeNodes)
+}
+
+// TestMachineExperimentLedgersPanickingRun: an experiment that declares
+// no cells and sweeps a machine cohort itself, as Contention and
+// MachineDegraded do, hands its panicked runs to Run's caller in
+// Result.Failed, the ledger every solo experiment fills, and not in its
+// text.
+func TestMachineExperimentLedgersPanickingRun(t *testing.T) {
+	const runs, seed = 3, 42
+	d := Def{ID: "machine-ledger", Title: "a cohort whose first admission panics", Run: func(p Params) Result {
+		cfg := contentionCohort()
+		cfg.Admission = &panicFirstAdmission{}
+		sum := machine.Sweep(cfg, p.Runs, p.Seed, 1)
+		return Result{Text: fmt.Sprintf("%d runs\n", sum.Runs), Failed: sum.Failed}
+	}}
+	res, err := Run(d, Params{Runs: runs, Seed: seed, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failed) != 1 || res.Text != fmt.Sprintf("%d runs\n", runs-1) {
+		t.Fatalf("text %q, failed %+v: want %d completed runs and one failure", res.Text, res.Failed, runs-1)
+	}
+	if f := res.Failed[0]; f.Seed != sweep.Seed(seed, 0) || f.Err != "planted admission panic" || !strings.Contains(f.Config, "machine") {
+		t.Fatalf("failure misattributed: %+v", f)
 	}
 }

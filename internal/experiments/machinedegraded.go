@@ -102,7 +102,6 @@ func MachineDegraded(p Params) Result {
 		values["brownouts"], values["brownout-s"], faults.BlackoutProb, values["drain-outages"],
 		values["tenant-crashes"], values["crash-requeues"],
 		faults.StarvationEscalationSeconds, values["escalations"],
-		values["makespan-h"], sum.PeakAllocGBs) +
-		failedRunsLine(sum)
-	return Result{Text: text, Values: values}
+		values["makespan-h"], sum.PeakAllocGBs)
+	return Result{Text: text, Values: values, Failed: sum.Failed}
 }

@@ -4,10 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"pckpt/internal/appmodel"
 	"pckpt/internal/failure"
 	"pckpt/internal/faultinject"
 	"pckpt/internal/metrics"
-	"pckpt/internal/pckpt"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
 	"pckpt/internal/stats"
@@ -142,7 +142,7 @@ func TestMeteredSweepReusedRegistriesMatchFresh(t *testing.T) {
 
 // TestReusedRegistryZeroAlloc pins "no registry per run": once a
 // registry has served one run, resetting it, resolving a run's handle
-// sets again (sim.<model>.* through pckpt.NewRunMetrics, and the
+// sets again (sim.<model>.* through appmodel.NewRunMetrics, and the
 // failure.* and faultinject.* series the run's sources resolve) and
 // recording into them allocates nothing.
 func TestReusedRegistryZeroAlloc(t *testing.T) {
@@ -150,7 +150,7 @@ func TestReusedRegistryZeroAlloc(t *testing.T) {
 	plat := auditPlat
 	plat.Faults = faultinject.Config{BBWriteFailProb: 0.1}
 	plat.Sources(1, reg)
-	pckpt.NewRunMetrics(reg, policy.P2)
+	appmodel.NewRunMetrics(reg, policy.P2)
 	var counters, gauges, hists []string
 	snap := reg.Snapshot(0)
 	for name := range snap.Counters {
@@ -167,7 +167,7 @@ func TestReusedRegistryZeroAlloc(t *testing.T) {
 	}
 	run := func() {
 		reg.Reset()
-		m := pckpt.NewRunMetrics(reg, policy.P2)
+		m := appmodel.NewRunMetrics(reg, policy.P2)
 		m.EpisodeWidth.Observe(3)
 		m.VulnNodes.Set(1, 2)
 		for _, name := range counters {

@@ -109,7 +109,7 @@ func TestNodesimConsumesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := cfgs[0]
-	cfg := nodesim.Config{Policy: nodesim.Policy(rc.Policy), Config: rc.Platform}
+	cfg := nodesim.Config{Policy: rc.Policy, Config: rc.Platform}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -45,8 +45,8 @@ type Bucket struct {
 // HistStat is a histogram's snapshot: exact count/sum/min/max, the
 // non-empty buckets (sparse, ascending index), and quantiles estimated
 // from them. P50/P95/P99 are derived fields recomputed on merge; they are
-// serialized so downstream consumers (BENCH_*.json comparisons) need not
-// know the bucket layout.
+// serialized so readers of a snapshot file (-metrics-out) need not know
+// the bucket layout.
 type HistStat struct {
 	Count   uint64   `json:"count"`
 	Sum     float64  `json:"sum"`

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/workload"
 
 	"pckpt/internal/failure"
@@ -15,7 +16,7 @@ import (
 // here are dominated by the DES engine (heap items, wake events, process
 // plumbing), not the model.
 func BenchmarkSimulateHybrid(b *testing.B) {
-	cfg := Config{Policy: PolicyHybrid, Config: platform.Config{App: smallApp, System: busySystem}}
+	cfg := Config{Policy: policy.P2, Config: platform.Config{App: smallApp, System: busySystem}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Simulate(cfg, uint64(i))
@@ -26,7 +27,7 @@ func BenchmarkSimulateHybrid(b *testing.B) {
 // predictions, no episodes — pure BSP compute/checkpoint phases. Isolates
 // the phase-handshake cost from the protocol cost.
 func BenchmarkSimulateBase(b *testing.B) {
-	cfg := Config{Policy: PolicyBase, Config: platform.Config{App: smallApp, System: busySystem}}
+	cfg := Config{Policy: policy.B, Config: platform.Config{App: smallApp, System: busySystem}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Simulate(cfg, uint64(i))
@@ -40,7 +41,7 @@ func BenchmarkSimulateBase(b *testing.B) {
 func BenchmarkSimulateStorm(b *testing.B) {
 	storm := failure.System{Name: "storm", Shape: 0.7, ScaleHours: 1.5, Nodes: 32}
 	app := workload.App{Name: "stormy", Nodes: 32, TotalCkptGB: 32 * 30, ComputeHours: 3}
-	cfg := Config{Policy: PolicyPckpt, Config: platform.Config{App: app, System: storm}}
+	cfg := Config{Policy: policy.P1, Config: platform.Config{App: app, System: storm}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Simulate(cfg, uint64(i))
@@ -51,7 +52,7 @@ func BenchmarkSimulateStorm(b *testing.B) {
 // seeds of one configuration back to back, which is where cross-run reuse
 // of engine buffers pays off.
 func BenchmarkSimulateSweep(b *testing.B) {
-	cfg := Config{Policy: PolicyPckpt, Config: platform.Config{App: smallApp, System: busySystem}}
+	cfg := Config{Policy: policy.P1, Config: platform.Config{App: smallApp, System: busySystem}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

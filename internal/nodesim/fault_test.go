@@ -6,6 +6,7 @@ import (
 	"pckpt/internal/failure"
 	"pckpt/internal/faultinject"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 )
 
 // stormySystem fails the small job every ≈3 h: frequent enough that the
@@ -19,7 +20,7 @@ var stormySystem = failure.System{Name: "stormy", Shape: 0.75, ScaleHours: 3, No
 // injection disabled, for every policy, because the fault plan lives on
 // its own rng substream and rate-zero hooks never draw.
 func TestZeroRateInjectionBitIdentical(t *testing.T) {
-	for _, pol := range []Policy{PolicyBase, PolicyPckpt, PolicyHybrid} {
+	for _, pol := range []policy.ID{policy.B, policy.P1, policy.P2} {
 		for seed := uint64(1); seed <= 20; seed++ {
 			clean := Config{Policy: pol, Config: platform.Config{App: smallApp, System: busySystem}}
 			armed := clean
@@ -43,7 +44,7 @@ func TestInjectionDegradesDeterministically(t *testing.T) {
 		RestartFailProb:  0.2,
 		CascadeProb:      0.1,
 	}
-	for _, pol := range []Policy{PolicyBase, PolicyPckpt, PolicyHybrid} {
+	for _, pol := range []policy.ID{policy.B, policy.P1, policy.P2} {
 		cfg := Config{Policy: pol, Config: platform.Config{App: smallApp, System: stormySystem, Faults: faults}}
 		a := Simulate(cfg, 777)
 		if b := Simulate(cfg, 777); a != b {
@@ -73,7 +74,7 @@ func TestCorruptionForcesFallback(t *testing.T) {
 	faults := faultinject.Config{CorruptProb: 0.5}
 	found := false
 	for seed := uint64(1); seed <= 30 && !found; seed++ {
-		cfg := Config{Policy: PolicyHybrid, Config: platform.Config{App: smallApp, System: stormySystem, Faults: faults}}
+		cfg := Config{Policy: policy.P2, Config: platform.Config{App: smallApp, System: stormySystem, Faults: faults}}
 		r := Simulate(cfg, seed)
 		found = r.CorruptRestarts > 0
 	}

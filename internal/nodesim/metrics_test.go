@@ -5,11 +5,12 @@ import (
 
 	"pckpt/internal/metrics"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 )
 
 func TestSimulateMetersNodeGranularRun(t *testing.T) {
 	reg := metrics.New()
-	cfg := Config{Policy: PolicyHybrid, Config: platform.Config{App: smallApp, System: busySystem}, Metrics: reg}
+	cfg := Config{Policy: policy.P2, Config: platform.Config{App: smallApp, System: busySystem}, Metrics: reg}
 	r := Simulate(cfg, 5)
 	snap := reg.Snapshot(r.WallSeconds)
 	// Every completed BB phase observes exactly one blocked span.
@@ -20,7 +21,7 @@ func TestSimulateMetersNodeGranularRun(t *testing.T) {
 		t.Fatalf("drain queue depth gauge missing or flat: %+v", g)
 	}
 	// Metering must not perturb the simulation.
-	if plain := Simulate(Config{Policy: PolicyHybrid, Config: platform.Config{App: smallApp, System: busySystem}}, 5); r != plain {
+	if plain := Simulate(Config{Policy: policy.P2, Config: platform.Config{App: smallApp, System: busySystem}}, 5); r != plain {
 		t.Fatalf("metering changed the run:\n%+v\n%+v", r, plain)
 	}
 }

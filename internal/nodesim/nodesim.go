@@ -38,28 +38,16 @@ import (
 	"pckpt/internal/stats"
 )
 
-// Policy selects the proactive strategy. It is the policy catalogue's ID
-// type; the node-granular tier implements the subset below (it exists
-// for the paper's contribution, not for re-running every baseline), and
-// Validate rejects catalogue entries outside it.
-type Policy = policy.ID
-
-const (
-	// PolicyBase: periodic checkpointing only (model B).
-	PolicyBase Policy = policy.B
-	// PolicyPckpt: coordinated prioritized checkpointing (model P1).
-	PolicyPckpt Policy = policy.P1
-	// PolicyHybrid: LM preferred, p-ckpt fallback (model P2).
-	PolicyHybrid Policy = policy.P2
-)
-
 // Config parameterises a node-granular run: the policy under test, the
 // shared platform configuration, and this tier's observers. Embedding
 // platform.Config is what keeps the two tiers comparable: their defaults
 // and derived quantities come from the same code by construction.
 type Config struct {
-	// Policy is the proactive strategy to simulate.
-	Policy Policy
+	// Policy is the proactive strategy to simulate: a catalogue entry
+	// the node-granular tier implements (B, P1 or P2; it exists for the
+	// paper's contribution, not for re-running every baseline), which
+	// Validate checks.
+	Policy policy.ID
 	// Config is the tier-independent platform: application, failure
 	// system, I/O pricing, migration model, predictor. Its fields are
 	// promoted (cfg.App, cfg.System, ...).
@@ -101,7 +89,7 @@ type nodeMetrics struct {
 	episodesAbandoned *metrics.Counter
 }
 
-func newNodeMetrics(r *metrics.Registry, pol Policy) nodeMetrics {
+func newNodeMetrics(r *metrics.Registry, pol policy.ID) nodeMetrics {
 	if r == nil {
 		return nodeMetrics{}
 	}

@@ -7,6 +7,7 @@ import (
 	"pckpt/internal/crmodel"
 	"pckpt/internal/failure"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
 	"pckpt/internal/workload"
 )
 
@@ -18,22 +19,22 @@ var smallApp = workload.App{Name: "small", Nodes: 48, TotalCkptGB: 48 * 20, Comp
 var busySystem = failure.System{Name: "busy", Shape: 0.75, ScaleHours: 40, Nodes: 48}
 
 func TestPolicyString(t *testing.T) {
-	if PolicyBase.NodeLabel() != "base" || PolicyPckpt.NodeLabel() != "p-ckpt" || PolicyHybrid.NodeLabel() != "hybrid" {
+	if policy.B.NodeLabel() != "base" || policy.P1.NodeLabel() != "p-ckpt" || policy.P2.NodeLabel() != "hybrid" {
 		t.Fatal("policy node labels wrong")
 	}
-	if PolicyBase.String() != "B" || PolicyPckpt.String() != "P1" || PolicyHybrid.String() != "P2" {
+	if policy.B.String() != "B" || policy.P1.String() != "P1" || policy.P2.String() != "P2" {
 		t.Fatal("policy catalogue names wrong")
 	}
 }
 
 func TestValidate(t *testing.T) {
-	ok := Config{Policy: PolicyHybrid, Config: platform.Config{App: smallApp, System: busySystem}}
+	ok := Config{Policy: policy.P2, Config: platform.Config{App: smallApp, System: busySystem}}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	bad := []Config{
-		{Policy: PolicyHybrid, Config: platform.Config{App: workload.App{}, System: busySystem}},
-		{Policy: PolicyHybrid, Config: platform.Config{App: smallApp, System: failure.System{}}},
+		{Policy: policy.P2, Config: platform.Config{App: workload.App{}, System: busySystem}},
+		{Policy: policy.P2, Config: platform.Config{App: smallApp, System: failure.System{}}},
 		{Policy: 9, Config: platform.Config{App: smallApp, System: busySystem}},
 	}
 	for i, c := range bad {
@@ -44,7 +45,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	cfg := Config{Policy: PolicyHybrid, Config: platform.Config{App: smallApp, System: busySystem}}
+	cfg := Config{Policy: policy.P2, Config: platform.Config{App: smallApp, System: busySystem}}
 	a := Simulate(cfg, 5)
 	b := Simulate(cfg, 5)
 	if a != b {
@@ -54,7 +55,7 @@ func TestDeterministic(t *testing.T) {
 
 func TestFailureFreeBaseRun(t *testing.T) {
 	quiet := failure.System{Name: "quiet", Shape: 1, ScaleHours: 4000, Nodes: 48}
-	cfg := Config{Policy: PolicyBase, Config: platform.Config{App: smallApp, System: quiet}}
+	cfg := Config{Policy: policy.B, Config: platform.Config{App: smallApp, System: quiet}}
 	r := Simulate(cfg, 1)
 	if r.Failures != 0 || r.Recompute != 0 || r.Recovery != 0 {
 		t.Fatalf("quiet run saw failure work: %+v", r)
@@ -73,17 +74,12 @@ func TestFailureFreeBaseRun(t *testing.T) {
 // failure streams (same stream config, same seed) and must agree on what
 // happened — event counts exactly, overhead accounting closely.
 func TestCrossValidatesAgainstCrmodel(t *testing.T) {
-	policies := map[Policy]crmodel.Model{
-		PolicyBase:   crmodel.ModelB,
-		PolicyPckpt:  crmodel.ModelP1,
-		PolicyHybrid: crmodel.ModelP2,
-	}
-	for pol, model := range policies {
+	for _, pol := range []policy.ID{policy.B, policy.P1, policy.P2} {
 		var wallDiff, totalNode, totalApp float64
 		var fails, mitig, avoid, failsC, mitigC, avoidC int
 		for seed := uint64(0); seed < 12; seed++ {
 			nr := Simulate(Config{Policy: pol, Config: platform.Config{App: smallApp, System: busySystem}}, seed)
-			cr := crmodel.Simulate(crmodel.Config{Model: model, Config: platform.Config{App: smallApp, System: busySystem}}, seed)
+			cr := crmodel.Simulate(crmodel.Config{Model: pol, Config: platform.Config{App: smallApp, System: busySystem}}, seed)
 			// Exact agreement on the failure stream's bookkeeping.
 			if nr.Failures != cr.Failures || nr.Predicted != cr.Predicted {
 				t.Fatalf("%v seed %d: stream divergence (node %d/%d vs app %d/%d)",
@@ -124,7 +120,7 @@ func TestCrossValidatesAgainstCrmodel(t *testing.T) {
 }
 
 func TestPckptMitigatesAtNodeGranularity(t *testing.T) {
-	cfg := Config{Policy: PolicyPckpt, Config: platform.Config{App: smallApp, System: busySystem}}
+	cfg := Config{Policy: policy.P1, Config: platform.Config{App: smallApp, System: busySystem}}
 	var failures, mitigated, proactive int
 	for seed := uint64(0); seed < 30; seed++ {
 		r := Simulate(cfg, seed)
@@ -143,7 +139,7 @@ func TestPckptMitigatesAtNodeGranularity(t *testing.T) {
 }
 
 func TestHybridUsesMigrationAtNodeGranularity(t *testing.T) {
-	cfg := Config{Policy: PolicyHybrid, Config: platform.Config{App: smallApp, System: busySystem}}
+	cfg := Config{Policy: policy.P2, Config: platform.Config{App: smallApp, System: busySystem}}
 	var avoided, migrations int
 	for seed := uint64(0); seed < 30; seed++ {
 		r := Simulate(cfg, seed)
@@ -156,7 +152,7 @@ func TestHybridUsesMigrationAtNodeGranularity(t *testing.T) {
 }
 
 func TestBasePolicyTakesNoProactiveAction(t *testing.T) {
-	cfg := Config{Policy: PolicyBase, Config: platform.Config{App: smallApp, System: busySystem}}
+	cfg := Config{Policy: policy.B, Config: platform.Config{App: smallApp, System: busySystem}}
 	for seed := uint64(0); seed < 10; seed++ {
 		r := Simulate(cfg, seed)
 		if r.ProactiveCkpts != 0 || r.Migrations != 0 || r.Mitigated != 0 || r.Avoided != 0 {
@@ -171,7 +167,7 @@ func TestLaneSerializesVulnerableWrites(t *testing.T) {
 	// accounted, wall time finite).
 	storm := failure.System{Name: "storm", Shape: 0.7, ScaleHours: 1.5, Nodes: 32}
 	app := workload.App{Name: "stormy", Nodes: 32, TotalCkptGB: 32 * 30, ComputeHours: 3}
-	cfg := Config{Policy: PolicyPckpt, Config: platform.Config{App: app, System: storm}}
+	cfg := Config{Policy: policy.P1, Config: platform.Config{App: app, System: storm}}
 	for seed := uint64(0); seed < 5; seed++ {
 		r := Simulate(cfg, seed)
 		if r.WallSeconds < app.ComputeSeconds() {

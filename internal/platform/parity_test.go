@@ -61,8 +61,8 @@ func TestDerivedParity(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := tc.cfg.Derive()
-			appDerived := crmodel.Config{Model: crmodel.ModelP2, Config: tc.cfg}.Derive()
-			nodeDerived := nodesim.Config{Policy: nodesim.PolicyHybrid, Config: tc.cfg}.Derive()
+			appDerived := crmodel.Config{Model: policy.P2, Config: tc.cfg}.Derive()
+			nodeDerived := nodesim.Config{Policy: policy.P2, Config: tc.cfg}.Derive()
 			stepDerived := stepsim.Config{Model: policy.M2, Config: tc.cfg}.Derive()
 			if appDerived != want {
 				t.Errorf("crmodel derivation diverges:\napp  %+v\nwant %+v", appDerived, want)

@@ -167,7 +167,7 @@ func TestFlagEquivalence(t *testing.T) {
 		t.Fatalf("spec and flag configs render differently:\n%s\nvs\n%s", got, want.CanonicalString())
 	}
 	specRes := crmodel.Simulate(crmodel.Config{Model: cfgs[0].Policy, Config: cfgs[0].Platform}, s.Normalize().Seed)
-	flagRes := crmodel.Simulate(crmodel.Config{Model: crmodel.ModelP2, Config: want}, 7)
+	flagRes := crmodel.Simulate(crmodel.Config{Model: policy.P2, Config: want}, 7)
 	if specRes != flagRes {
 		t.Fatalf("spec run diverges from flag run:\n%+v\nvs\n%+v", specRes, flagRes)
 	}

@@ -1,14 +1,14 @@
-// Package stepsim is the step tier: the five C/R models (B, M1, M2, P1,
-// P2) written in continuation-passing style as callbacks on sim.Engine,
-// plus the Arbiter contract a multi-tenant machine implements to share
-// the PFS between apps. There are no goroutines and no channels: every
-// blocking call site of the process-based reference (internal/crmodel)
-// appears here as a wait with an explicit continuation, scheduled at the
-// same logical point in the same statement order. Because both run on
-// the same engine core — one heap, one (time, seq) tie-break — a step
-// run observes the identical event order, which is what lets the step
-// tier cross-validate bit-identically against crmodel (see
-// stepsim_test.go).
+// Package stepsim is the step tier: a scheduler that executes the five
+// C/R models (B, M1, M2, P1, P2) of internal/appmodel in
+// continuation-passing style as callbacks on sim.Engine, plus the
+// Arbiter contract a multi-tenant machine implements to share the PFS
+// between apps. There are no goroutines and no channels: every wait of
+// the process-based reference scheduler (internal/crmodel) appears here
+// as a wait with an explicit continuation, scheduled at the same logical
+// point between the same appmodel transitions. Because both run on the
+// same engine core — one heap, one (time, seq) tie-break — a step run
+// observes the identical event order, which is what lets the step tier
+// cross-validate bit-identically against crmodel (see stepsim_test.go).
 //
 // Prepare readies a configuration once for all its runs (a Cell); a
 // Cell's Run runs one app on a dedicated engine and its Start starts one
@@ -22,11 +22,9 @@ import (
 	"fmt"
 	"math"
 
-	"pckpt/internal/cluster"
+	"pckpt/internal/appmodel"
 	"pckpt/internal/failure"
-	"pckpt/internal/faultinject"
 	"pckpt/internal/metrics"
-	"pckpt/internal/oci"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
 	"pckpt/internal/sim"
@@ -69,17 +67,13 @@ func (c Config) Validate() error {
 
 // Cell is one step-tier configuration prepared for its runs: validated
 // and defaulted once, with everything its runs share derived once — the
-// platform quantities, the model's strategy and σ, the OCI estimator's
-// prior, the spare limit and the stochastic-input plan. A run derives
-// nothing. A Cell is read-only, so concurrent runs share it.
+// model's setup (appmodel.Setup: the platform quantities, the model's
+// strategy and σ, the OCI estimator's prior, the spare limit) and the
+// stochastic-input plan. A run derives nothing. A Cell is read-only, so
+// concurrent runs share it.
 type Cell struct {
-	cfg    Config
-	pol    policy.Policy
-	plat   platform.Derived
-	sigma  float64
-	prior  float64
-	spares int
-	plan   platform.Plan
+	setup appmodel.Setup
+	plan  platform.Plan
 }
 
 // Prepare validates cfg and derives everything its runs share; it
@@ -94,16 +88,7 @@ func Prepare(cfg Config) (*Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	plat := cfg.Derive()
-	return &Cell{
-		cfg:    cfg,
-		pol:    policy.For(cfg.Model),
-		plat:   plat,
-		sigma:  cfg.Model.Sigma(plat),
-		prior:  cfg.System.JobFailureRate(cfg.App.Nodes),
-		spares: cfg.SpareLimit(),
-		plan:   plan,
-	}, nil
+	return &Cell{setup: appmodel.NewSetup(cfg.Model, cfg.Config, cfg.Trace), plan: plan}, nil
 }
 
 // Simulate executes one unmetered run and returns its accounting:
@@ -128,7 +113,7 @@ func (c *Cell) Run(seed uint64, reg *metrics.Registry) stats.RunResult {
 	a := c.start(eng, seed, AppOptions{Metrics: reg})
 	eng.RunAll()
 	eng.Release()
-	res := a.res
+	res := a.Res
 	a.release()
 	return res
 }
@@ -148,7 +133,7 @@ type AppOptions struct {
 	OnDone func(stats.RunResult)
 	// Metrics, when non-nil, receives the run's simulation-time metrics
 	// under the "sim.<model>." prefix — the app tier's series, recorded
-	// through the shared pckpt.RunMetrics. Nil costs nothing.
+	// through the shared appmodel.RunMetrics. Nil costs nothing.
 	Metrics *metrics.Registry
 }
 
@@ -164,7 +149,7 @@ func (h *AppHandle) Done() bool { return h.a.appDone }
 // Release. The machine receives it through StartOptions.OnDone;
 // TestRunAheadSharedEngine and TestAppAbortTruncatesMidFlight read it
 // from the handle of an app they started on a shared engine.
-func (h *AppHandle) Result() stats.RunResult { return h.a.res }
+func (h *AppHandle) Result() stats.RunResult { return h.a.Res }
 
 // Abort kills a running application mid-flight — the machine layer's
 // tenant-crash hook. The pending wake is cancelled, every arbitered
@@ -177,25 +162,17 @@ func (h *AppHandle) Result() stats.RunResult { return h.a.res }
 func (h *AppHandle) Abort() stats.RunResult {
 	a := h.a
 	if a.appDone {
-		return a.res
+		return a.Res
 	}
 	a.syncClock()
 	a.wakeAlarm.Disarm()
 	a.blockedCont = nil
 	a.interruptPending = false
-	for _, id := range a.blockFlows {
-		a.arb.CancelFlow(id)
-	}
-	a.blockFlows = a.blockFlows[:0]
-	for _, id := range a.drainFlows {
-		a.arb.CancelFlow(id)
-	}
-	a.drainFlows = a.drainFlows[:0]
-	a.res.Truncated = true
-	a.res.WallSeconds = a.now()
-	a.trace(trace.Truncated, -1, "tenant crash")
+	a.blockFlows = a.cancelFlows(a.blockFlows)
+	a.drainFlows = a.cancelFlows(a.drainFlows)
+	a.Killed(a.now())
 	a.appDone = true
-	return a.res
+	return a.Res
 }
 
 // Release returns the application's run record, node table included, to
@@ -281,20 +258,6 @@ func (a *appSim) deadline(delay float64) (at, local float64) {
 	return max(a.t0+local, now), local
 }
 
-// trace emits a timeline event when tracing is enabled.
-func (a *appSim) trace(kind trace.Kind, node int, detail string) {
-	if a.cfg.Trace == nil {
-		return
-	}
-	a.cfg.Trace.Record(trace.Event{
-		T:        a.now(),
-		Kind:     kind,
-		Node:     node,
-		Progress: a.progress,
-		Detail:   detail,
-	})
-}
-
 // wait parks the application for d seconds of simulated time: cont runs
 // at expiry with interrupted=false, or at the interrupt time with
 // interrupted=true if the injector cuts the wait short (in which case
@@ -348,13 +311,6 @@ func (a *appSim) interrupted(local float64) {
 	a.resume()(true)
 }
 
-// refreshOCI re-derives the checkpoint interval from the current failure
-// rate estimate, per Eq. (1) (σ=0) or Eq. (2).
-func (a *appSim) refreshOCI() {
-	rate := a.est.Rate(a.now())
-	a.curOCI = oci.FromJobRate(a.plat.BBWrite, rate, a.sigma)
-}
-
 // start begins the application: compute OCI seconds, checkpoint to BB,
 // repeat until the required computation completes (crmodel's run loop).
 func (a *appSim) start(local float64) {
@@ -366,7 +322,7 @@ func (a *appSim) start(local float64) {
 }
 
 func (a *appSim) runLoop() {
-	if a.progress < a.plat.ComputeSeconds && !a.res.Truncated {
+	if a.Working() {
 		a.computeChunk()
 		return
 	}
@@ -376,7 +332,7 @@ func (a *appSim) runLoop() {
 // computeDone follows a compute interval: checkpoint, or finish once the
 // work is done (or the run was truncated).
 func (a *appSim) computeDone() {
-	if a.progress >= a.plat.ComputeSeconds || a.res.Truncated {
+	if !a.Working() {
 		a.finish()
 		return
 	}
@@ -387,56 +343,42 @@ func (a *appSim) computeDone() {
 // injector observes appDone at its next delivery, exactly as it observes
 // !Alive().
 func (a *appSim) finish() {
-	a.res.WallSeconds = a.now()
-	if a.res.Truncated {
-		a.trace(trace.Truncated, -1, "spare pool exhausted")
-	} else {
-		a.trace(trace.Complete, -1, "")
-	}
+	a.Finished(a.now())
 	a.appDone = true
 	// A departed job withdraws its in-flight drains from the machine —
 	// their bandwidth and drain slots return to the remaining tenants.
-	for _, id := range a.drainFlows {
-		a.arb.CancelFlow(id)
-	}
-	a.drainFlows = a.drainFlows[:0]
+	a.drainFlows = a.cancelFlows(a.drainFlows)
 	if a.onDone != nil {
-		a.onDone(a.res)
+		a.onDone(a.Res)
 	}
 }
 
-// computeChunk advances the application by one checkpoint interval,
+// computeChunk opens a compute cycle and computes toward its target,
 // absorbing interrupts, then runs computeDone.
 func (a *appSim) computeChunk() {
-	a.refreshOCI()
-	a.chunkTarget = min(a.progress+a.curOCI, a.plat.ComputeSeconds)
-	if a.cfg.Trace != nil {
-		a.trace(trace.CycleStart, -1, fmt.Sprintf("interval=%.0fs", a.chunkTarget-a.progress))
-	}
+	a.CycleStart(a.now())
 	a.computeStep()
 }
 
-// computeStep computes toward chunkTarget. It mirrors crmodel's residual
-// snap: the float sums can stall a hair short of the target once
-// simulated time can no longer resolve the residual; treat anything below
-// a microsecond as done and snap. Without the snap, a rollback that lands
-// progress just short of ComputeSeconds livelocks the run: compute 0s,
-// checkpoint, forever.
+// computeStep computes what is left of the cycle, or, once the residual
+// is below the model's resolution, snaps to the target (crmodel's loop
+// exit).
 func (a *appSim) computeStep() {
-	if a.chunkTarget-a.progress <= 1e-6 {
-		a.progress = a.chunkTarget
+	d := a.Residual()
+	if d == 0 {
+		a.Progress = a.Target
 		a.computeDone()
 		return
 	}
 	a.chunkStart = a.now()
-	a.wait(a.chunkTarget-a.progress, a.fn.computeWoke)
+	a.wait(d, a.fn.computeWoke)
 }
 
 // computeWoke banks the computation done since computeStep parked.
 func (a *appSim) computeWoke(interrupted bool) {
-	a.progress += a.now() - a.chunkStart
+	a.Progress += a.now() - a.chunkStart
 	if !interrupted {
-		a.progress = a.chunkTarget
+		a.Progress = a.Target
 		a.computeDone()
 		return
 	}
@@ -446,16 +388,11 @@ func (a *appSim) computeWoke(interrupted bool) {
 // computeResume continues an interrupted compute interval once its events
 // are handled.
 func (a *appSim) computeResume() {
-	if a.res.Truncated {
+	if a.Res.Truncated {
 		a.computeDone()
 		return
 	}
-	if a.st.TakeRescheduled() {
-		// A proactive action committed a full checkpoint; re-base the
-		// periodic schedule on the fresh interval.
-		a.refreshOCI()
-		a.chunkTarget = min(a.progress+a.curOCI, a.plat.ComputeSeconds)
-	}
+	a.Rebase(a.now())
 	a.computeStep()
 }
 
@@ -463,36 +400,15 @@ func (a *appSim) computeResume() {
 // checkpoint; bbWritten follows it.
 func (a *appSim) bbCheckpoint() {
 	a.bbBegan = a.now()
-	a.blockedWait(a.plat.BBWrite, &a.res.Overheads.Checkpoint, a.fn.bbWritten)
+	a.blockedWait(a.Plat.BBWrite, &a.Res.Overheads.Checkpoint, a.fn.bbWritten)
 }
 
-// bbWritten commits a completed BB write, launches the asynchronous PFS
-// drain, then returns to the run loop.
+// bbWritten settles the BB write, launches the asynchronous PFS drain if
+// it committed, then returns to the run loop.
 func (a *appSim) bbWritten(ok bool) {
-	if !ok {
-		// A failure voided the write and rolled progress back; resume
-		// computing, the next cycle will checkpoint the redone state.
-		a.met.BBAborted.Inc()
-		a.runLoop()
-		return
+	if d, drain := a.BBWritten(a.now(), a.bbBegan, ok); drain {
+		a.startDrain(d)
 	}
-	a.met.BBWrite.Observe(a.now() - a.bbBegan)
-	if a.inj.BBWriteFails() {
-		a.res.BBWriteFailures++
-		a.trace(trace.BBWrite, -1, "write failed (injected)")
-		a.runLoop()
-		return
-	}
-	a.res.Checkpoints++
-	if a.inj.CorruptCommit() {
-		a.st.MarkCorrupt(a.progress)
-	}
-	a.trace(trace.BBWrite, -1, "")
-	a.cl.RecordBBCheckpointAll(a.progress)
-	captured := a.progress
-	gen, depth := a.st.BeginDrain()
-	a.met.DrainDepth.Set(a.now(), float64(depth))
-	a.startDrain(captured, gen)
 	a.runLoop()
 }
 
@@ -502,8 +418,7 @@ func (a *appSim) bbWritten(ok bool) {
 // use in the run (boundRun).
 type drainFrame struct {
 	a        *appSim
-	captured float64
-	gen      int
+	d        appmodel.Drain
 	fid      FlowID
 	alarm    sim.Alarm // solo: the drain timer
 	boundRun uint64
@@ -514,22 +429,22 @@ type drainFrame struct {
 // startDrain launches the asynchronous BB→PFS drain: a fixed-duration
 // alarm solo, an arbitered flow (contending for drain slots and
 // fair-share bandwidth) on a shared machine.
-func (a *appSim) startDrain(captured float64, gen int) {
+func (a *appSim) startDrain(d appmodel.Drain) {
 	f, fresh := a.drains.take()
 	if fresh {
 		f.a = a
 		f.firedFn, f.flowFn = f.fired, f.flowDone
 	}
-	f.captured, f.gen = captured, gen
+	f.d = d
 	if a.arb == nil {
 		if f.boundRun != a.runs {
 			a.eng.Bind(&f.alarm, "drain", f.firedFn)
 			f.boundRun = a.runs
 		}
-		f.alarm.Arm(a.deadline(a.plat.Drain))
+		f.alarm.Arm(a.deadline(a.Plat.Drain))
 		return
 	}
-	f.fid = a.arb.StartFlow(a.appIdx, ClassDrain, float64(a.plat.Nodes)*a.plat.PerNodeGB, a.plat.Drain, f.flowFn)
+	f.fid = a.arb.StartFlow(a.appIdx, ClassDrain, float64(a.Plat.Nodes)*a.Plat.PerNodeGB, a.Plat.Drain, f.flowFn)
 	a.drainFlows = append(a.drainFlows, f.fid)
 }
 
@@ -547,33 +462,31 @@ func (f *drainFrame) flowDone() {
 
 // done completes the drain and recycles the frame.
 func (f *drainFrame) done() {
-	a, captured, gen := f.a, f.captured, f.gen
+	a, d := f.a, f.d
 	if a.arb != nil {
-		a.dropDrainFlow(f.fid)
+		a.drainFlows = dropFlow(a.drainFlows, f.fid)
 	}
 	a.drains.put(f)
-	depth, current := a.st.FinishDrain(gen)
-	a.met.DrainDepth.Set(a.now(), float64(depth))
-	// The drain completes unless a newer checkpoint superseded it.
-	if current {
-		if a.inj.PFSWriteFails() {
-			a.res.PFSWriteFailures++
-			a.trace(trace.DrainDone, -1, "drain failed (injected)")
-			return
-		}
-		a.commitFullPFS(captured)
-		a.trace(trace.DrainDone, -1, "")
-	}
+	a.DrainDone(a.now(), d)
 }
 
-// dropDrainFlow forgets a completed drain's flow handle.
-func (a *appSim) dropDrainFlow(fid FlowID) {
-	for i, id := range a.drainFlows {
+// dropFlow forgets a completed or cancelled flow's handle.
+func dropFlow(ids []FlowID, fid FlowID) []FlowID {
+	for i, id := range ids {
 		if id == fid {
-			a.drainFlows = append(a.drainFlows[:i], a.drainFlows[i+1:]...)
-			return
+			return append(ids[:i], ids[i+1:]...)
 		}
 	}
+	return ids
+}
+
+// cancelFlows withdraws every flow of ids from the machine and returns
+// the emptied list.
+func (a *appSim) cancelFlows(ids []FlowID) []FlowID {
+	for _, id := range ids {
+		a.arb.CancelFlow(id)
+	}
+	return ids[:0]
 }
 
 // blockedWait blocks the application for dur seconds, accounting the
@@ -710,7 +623,7 @@ func (f *flowFrame) resume() {
 	a := f.a
 	if a.st.Epoch() != f.epoch {
 		a.arb.CancelFlow(f.fid)
-		a.dropBlockFlow(f.fid)
+		a.blockFlows = dropFlow(a.blockFlows, f.fid)
 		f.finish(false)
 		return
 	}
@@ -722,7 +635,7 @@ func (f *flowFrame) resume() {
 func (f *flowFrame) done() {
 	a := f.a
 	a.syncClock()
-	a.dropBlockFlow(f.fid)
+	a.blockFlows = dropFlow(a.blockFlows, f.fid)
 	a.resume()(false)
 }
 
@@ -734,20 +647,10 @@ func (f *flowFrame) finish(ok bool) {
 	k(ok)
 }
 
-// dropBlockFlow forgets a completed or cancelled blocking flow's handle.
-func (a *appSim) dropBlockFlow(fid FlowID) {
-	for i, id := range a.blockFlows {
-		if id == fid {
-			a.blockFlows = append(a.blockFlows[:i], a.blockFlows[i+1:]...)
-			return
-		}
-	}
-}
-
 // handleEvents drains the pending queue, then runs k. A truncated run
 // stops draining: the job is dead, the remaining events go nowhere.
 func (a *appSim) handleEvents(k func()) {
-	if a.pendHead == len(a.pending) || a.res.Truncated {
+	if a.pendHead == len(a.pending) || a.Res.Truncated {
 		k()
 		return
 	}
@@ -774,7 +677,7 @@ type eventsFrame struct {
 // is empty (or the run truncated), recycles the frame and runs k.
 func (f *eventsFrame) next() {
 	a := f.a
-	if a.pendHead == len(a.pending) || a.res.Truncated {
+	if a.pendHead == len(a.pending) || a.Res.Truncated {
 		k := f.k
 		f.k = nil
 		a.events.put(f)
@@ -795,20 +698,11 @@ func (f *eventsFrame) next() {
 	}
 }
 
-// onPrediction records the prediction, marks the node vulnerable, and
-// executes whatever proactive action the model's strategy decides.
+// onPrediction handles a prediction, enacts the model's reaction, then
+// runs k.
 func (a *appSim) onPrediction(ev failure.Event, k func()) {
-	if ev.Kind == failure.KindPrediction {
-		a.st.RecordPrediction(ev.ID, policy.Prediction{Node: ev.Node, FailAt: ev.FailTime, Lead: ev.Lead})
-		if a.cfg.Trace != nil {
-			a.trace(trace.Prediction, ev.Node, fmt.Sprintf("lead=%.1fs", ev.Lead))
-		}
-	} else if a.cfg.Trace != nil {
-		a.trace(trace.SpuriousPrediction, ev.Node, fmt.Sprintf("lead=%.1fs", ev.Lead))
-	}
-	if err := a.cl.MarkVulnerable(ev.Node, ev.FailTime); err == nil {
-		// Clear the vulnerable mark once the predicted failure time has
-		// passed without a newer prediction superseding it.
+	marked, act := a.Predicted(a.now(), ev)
+	if marked {
 		f, fresh := a.vulnClears.take()
 		if fresh {
 			f.a = a
@@ -817,12 +711,7 @@ func (a *appSim) onPrediction(ev failure.Event, k func()) {
 		f.node, f.failAt = ev.Node, ev.FailTime
 		a.sched(math.Max(f.failAt-a.now(), 0), "vuln-clear", f.fireFn)
 	}
-	switch act := a.pol.OnPrediction(&a.st, ev.Node, ev.Lead, a.plat.Theta); act {
-	case policy.ActJoinEpisode:
-		// Phase 1 in progress: the new vulnerable node joins the
-		// node-local priority queue (lower lead = higher priority).
-		a.st.Episode().Q.Push(ev.FailTime, ev)
-		k()
+	switch act {
 	case policy.ActMigrate:
 		a.startMigration(ev)
 		k()
@@ -830,10 +719,8 @@ func (a *appSim) onPrediction(ev failure.Event, k func()) {
 		a.pckptEpisode(ev, k)
 	case policy.ActSafeguard:
 		a.safeguard(k)
-	case policy.ActNone:
-		k()
 	default:
-		panic(fmt.Sprintf("stepsim: unsupported action %d for model %v", act, a.cfg.Model))
+		k()
 	}
 }
 
@@ -846,177 +733,89 @@ type vulnFrame struct {
 	fireFn func(local float64)
 }
 
-// fire clears the node's vulnerable mark unless a newer prediction
-// superseded it.
+// fire clears the node's vulnerable mark at its predicted failure time.
 func (f *vulnFrame) fire(local float64) {
 	a, node, failAt := f.a, f.node, f.failAt
 	a.vulnClears.put(f)
 	a.clockTo(local)
-	n := a.cl.Node(node)
-	if n.State == cluster.Vulnerable && n.PredictedFailAt == failAt {
-		a.cl.MarkHealthy(node)
-	}
+	a.ClearVulnerable(node, failAt)
 }
 
-// pckptEpisode runs one coordinated prioritized checkpoint: phase 1
-// serves vulnerable nodes serially by lead-time priority with
-// uncontended PFS access; phase 2 commits the remaining nodes at
-// aggregate bandwidth. The application is blocked throughout (healthy
-// nodes wait). A failure during the episode abandons the remainder.
-//
-// This is crmodel's pckptEpisode in continuation-passing style: the
-// drain loop becomes a recursive continuation, `break` and the deferred
-// EndEpisode become the finish/done continuations, and every injector
-// draw, metric observation, and trace record keeps its statement order
-// — which is what holds the port bit-identical to the app tier.
+// pckptEpisode runs one coordinated prioritized checkpoint, blocking the
+// application throughout, then runs k. It is crmodel's pckptEpisode in
+// continuation-passing style: phase 1's loop becomes a recursive
+// continuation over the vulnerable nodes' prioritized writes, and its
+// `break` the jump to episodeFinish, phase 2's collective write.
 func (a *appSim) pckptEpisode(first failure.Event, k func()) {
-	a.res.ProactiveCkpts++
-	a.trace(trace.EpisodeStart, first.Node, "")
-	a.epBegin = a.now()
-	a.ep = a.st.BeginEpisode(a.progress)
+	a.EpisodeOpened(a.now(), first)
 	a.epK = k
-	a.ep.Q.Push(first.FailTime, first)
-	// A p-ckpt request supersedes in-flight migrations (Fig. 5): abort
-	// them and requeue their nodes as vulnerable.
-	a.st.AbortMigrations(a.fn.epAbortMigration)
-	a.met.EpisodeWidth.Observe(float64(a.cl.AtRisk()))
 	a.episodeDrain()
-}
-
-// episodeAbortMigration accounts one migration the episode superseded
-// and queues its node for phase 1.
-func (a *appSim) episodeAbortMigration(ev failure.Event) {
-	a.res.AbortedMigrations++
-	a.trace(trace.MigrationAborted, ev.Node, "superseded by p-ckpt")
-	if a.cl.Node(ev.Node).State == cluster.Migrating {
-		a.cl.AbortMigration(ev.Node, ev.FailTime)
-	}
-	a.ep.Q.Push(ev.FailTime, ev)
-}
-
-// episodeDone closes the episode (crmodel's `defer a.st.EndEpisode()`)
-// and returns to the caller's continuation.
-func (a *appSim) episodeDone() {
-	a.st.EndEpisode()
-	k := a.epK
-	a.ep, a.epK = nil, nil
-	k()
 }
 
 // episodeDrain is phase 1's loop: serve the next vulnerable node, or
 // move on once the queue is empty or the episode was abandoned.
 func (a *appSim) episodeDrain() {
-	if a.ep.Q.Len() == 0 || a.ep.Abandoned {
+	if !a.NextVulnerable() {
 		a.episodeFinish()
 		return
 	}
-	_, a.epEv = a.ep.Q.Pop()
-	a.flowWait(ClassVulnerable, a.plat.PerNodeGB, a.plat.SingleNodePFSWrite, &a.res.Overheads.Checkpoint, a.fn.epWritten)
+	a.flowWait(ClassVulnerable, a.Plat.PerNodeGB, a.Plat.SingleNodePFSWrite, &a.Res.Overheads.Checkpoint, a.fn.epWritten)
 }
 
 // episodeWritten follows one vulnerable node's prioritized write.
 func (a *appSim) episodeWritten(ok bool) {
 	if !ok {
-		a.episodeFinish() // the failure that voided the wait abandoned ep
+		a.episodeFinish() // the failure that voided the wait abandoned the episode
 		return
 	}
-	ep, ev := a.ep, a.epEv
-	if a.inj.PFSWriteFails() {
-		// The vulnerable node's prioritized write tore. If the
-		// remaining lead time still covers another attempt, the
-		// node re-enters the lead-time priority queue; otherwise
-		// its prediction goes unserved.
-		a.res.PFSWriteFailures++
-		if ev.Kind == failure.KindPrediction && a.now()+a.plat.SingleNodePFSWrite <= ev.FailTime {
-			ep.Q.Push(ev.FailTime, ev)
-		}
-		a.episodeDrain()
-		return
-	}
-	ep.Committed++
-	a.met.CommitLat.Observe(a.now() - a.epBegin)
-	a.trace(trace.VulnerableCommit, ev.Node, "")
-	a.cl.RecordPFSCheckpoint(ev.Node, ep.StartProgress)
-	if a.cl.Node(ev.Node).State == cluster.Vulnerable {
-		a.cl.MarkHealthy(ev.Node)
-	}
-	if ev.Kind == failure.KindPrediction && a.now() <= ev.FailTime {
-		// The vulnerable node's state reached the PFS before its
-		// failure: the failure is mitigated.
-		a.st.Mitigate(ev.ID, ep.StartProgress)
-		a.met.LeadConsumed.Observe(a.now() - (ev.FailTime - ev.Lead))
-		a.met.LeadMargin.Observe(ev.FailTime - a.now())
-	}
+	a.VulnerableWritten(a.now())
 	a.episodeDrain()
 }
 
-// episodeFinish is everything after crmodel's drain loop: phase 2, the
+// episodeFinish is everything after crmodel's phase-1 loop: phase 2, the
 // healthy nodes' collective write, then the commit.
 func (a *appSim) episodeFinish() {
-	if a.ep.Abandoned {
-		a.met.EpisodesAbandoned.Inc()
+	tr, ok := a.EpisodeServed()
+	if !ok {
 		a.episodeDone()
 		return
 	}
-	// Phase 2: pfs-commit broadcast; healthy nodes write together.
-	healthy := a.plat.Nodes - a.ep.Committed
-	if healthy > 0 {
-		tr := a.cfg.IO.PFSWriteTransfer(healthy, a.plat.PerNodeGB)
-		a.epGBs = tr.GBs
-		a.flowWait(ClassCollective, tr.VolumeGB, tr.Seconds, &a.res.Overheads.Checkpoint, a.fn.epPhase2)
+	if tr.Nodes > 0 {
+		a.flowWait(ClassCollective, tr.VolumeGB, tr.Seconds, &a.Res.Overheads.Checkpoint, a.fn.epPhase2)
 		return
 	}
-	a.episodeCommit()
+	a.episodePhase2(true)
 }
 
 // episodePhase2 follows the healthy nodes' collective write.
 func (a *appSim) episodePhase2(ok bool) {
-	if !ok {
-		a.met.EpisodesAbandoned.Inc()
-		a.episodeDone()
-		return
-	}
-	a.met.PFSGBs.Observe(a.epGBs)
-	a.episodeCommit()
-}
-
-// episodeCommit commits the episode's full checkpoint.
-func (a *appSim) episodeCommit() {
-	ep := a.ep
-	if a.inj.PFSWriteFails() {
-		// The phase-2 collective write failed: the episode's full
-		// checkpoint never commits (phase-1 mitigations stand —
-		// those nodes' states did reach the PFS).
-		a.res.PFSWriteFailures++
+	if ok {
+		a.EpisodeCommitted(a.now())
 	} else {
-		a.commitFullPFS(ep.StartProgress)
-		if a.inj.CorruptCommit() {
-			a.st.MarkCorrupt(ep.StartProgress)
-		}
-		a.st.MarkRescheduled()
-	}
-	a.met.EpisodeDur.Observe(a.now() - a.epBegin)
-	if a.cfg.Trace != nil {
-		a.trace(trace.EpisodeEnd, -1, fmt.Sprintf("blocked=%.1fs committed=%d", a.now()-a.epBegin, ep.Committed))
+		a.EpisodeAbandoned()
 	}
 	a.episodeDone()
+}
+
+// episodeDone returns from the closed episode to the caller's
+// continuation.
+func (a *appSim) episodeDone() {
+	k := a.epK
+	a.epK = nil
+	k()
 }
 
 // startMigration begins a live migration. The application keeps running;
 // completion is a scheduled callback.
 func (a *appSim) startMigration(ev failure.Event) {
-	m := a.st.StartMigration(ev)
-	if a.cfg.Trace != nil {
-		a.trace(trace.MigrationStart, ev.Node, fmt.Sprintf("theta=%.1fs", a.plat.Theta))
-	}
-	a.cl.MarkMigrating(ev.Node)
+	m := a.MigrationStarted(a.now(), ev)
 	f, fresh := a.migrations.take()
 	if fresh {
 		f.a = a
 		f.doneFn = f.done
 	}
-	f.m, f.ev = m, ev
-	a.sched(a.plat.Theta, "migration", f.doneFn)
+	f.m = m
+	a.sched(a.Plat.Theta, "migration", f.doneFn)
 }
 
 // migrationFrame is one live migration's completion: a heap event, and
@@ -1024,167 +823,49 @@ func (a *appSim) startMigration(ev failure.Event) {
 type migrationFrame struct {
 	a      *appSim
 	m      *policy.Migration
-	ev     failure.Event
 	doneFn func(local float64)
 }
 
-// done completes the migration unless it was aborted meanwhile.
+// done completes the migration.
 func (f *migrationFrame) done(local float64) {
-	a, m, ev := f.a, f.m, f.ev
+	a, m := f.a, f.m
 	f.m = nil
 	a.migrations.put(f)
 	a.clockTo(local)
-	if !a.st.FinishMigration(m) {
-		return
-	}
-	a.res.Migrations++
-	a.trace(trace.MigrationDone, ev.Node, "")
-	// The application dilates slightly while migrating.
-	a.res.Overheads.Checkpoint += a.cfg.LM.DilationSeconds(a.plat.PerNodeGB)
-	if a.cl.Node(ev.Node).State == cluster.Migrating {
-		a.cl.MarkHealthy(ev.Node)
-	}
-	if ev.Kind == failure.KindPrediction {
-		a.st.MarkAvoided(ev.ID)
-		a.res.Avoided++
-		a.st.ForgetPrediction(ev.ID)
-	}
+	a.MigrationDone(a.now(), m)
 }
 
-// safeguard runs M1's just-in-time checkpoint: every node writes to the
-// PFS synchronously, racing the predicted failure. safeguardDone stands
-// in for crmodel's deferred safeguarding-flag clear: it runs on every
-// exit path before control returns to the caller's continuation. At
-// most one safeguard is in flight, so its state lives in sg* fields.
+// safeguard runs M1's just-in-time checkpoint, then k. At most one
+// safeguard is in flight, so its continuation lives in sgK.
 func (a *appSim) safeguard(k func()) {
-	if a.safeguarding {
+	if !a.SafeguardStarted(a.now()) {
 		k() // the in-flight safeguard covers this prediction too
 		return
 	}
-	a.safeguarding = true
 	a.sgK = k
-	a.res.ProactiveCkpts++
-	a.trace(trace.SafeguardStart, -1, "")
-	a.sgBegan = a.now()
-	a.sgStart = a.progress
-	a.flowWait(ClassCollective, float64(a.plat.Nodes)*a.plat.PerNodeGB, a.plat.FullPFSWrite, &a.res.Overheads.Checkpoint, a.fn.sgWritten)
+	a.flowWait(ClassCollective, float64(a.Plat.Nodes)*a.Plat.PerNodeGB, a.Plat.FullPFSWrite, &a.Res.Overheads.Checkpoint, a.fn.sgWritten)
 }
 
-// safeguardDone clears the in-flight flag and returns to the caller.
-func (a *appSim) safeguardDone() {
-	a.safeguarding = false
+// safeguardWritten follows the safeguard's all-node write and returns to
+// the caller.
+func (a *appSim) safeguardWritten(ok bool) {
+	a.SafeguardWritten(a.now(), ok)
 	k := a.sgK
 	a.sgK = nil
 	k()
 }
 
-// safeguardWritten follows the safeguard's all-node write.
-func (a *appSim) safeguardWritten(ok bool) {
-	if !ok {
-		a.safeguardDone() // the failure won the race (or rolled us back)
-		return
-	}
-	if a.inj.PFSWriteFails() {
-		a.res.PFSWriteFailures++
-		a.trace(trace.SafeguardEnd, -1, "write failed (injected)")
-		a.safeguardDone()
-		return
-	}
-	a.commitFullPFS(a.sgStart)
-	if a.inj.CorruptCommit() {
-		a.st.MarkCorrupt(a.sgStart)
-	}
-	a.st.MarkRescheduled()
-	a.trace(trace.SafeguardEnd, -1, "")
-	a.sgT = a.now()
-	a.met.SafeguardDur.Observe(a.sgT - a.sgBegan)
-	if a.plat.FullPFSWrite > 0 {
-		a.met.PFSGBs.Observe(float64(a.plat.Nodes) * a.plat.PerNodeGB / a.plat.FullPFSWrite)
-	}
-	a.st.EachPrediction(a.fn.sgMitigate)
-	a.safeguardDone()
-}
-
-// safeguardMitigate marks one outstanding prediction mitigated if its
-// failure has not struck by the safeguard's commit at sgT: the safeguard
-// committed everyone's state before it.
-func (a *appSim) safeguardMitigate(id int64, pi policy.Prediction) {
-	if pi.FailAt >= a.sgT {
-		a.st.Mitigate(id, a.sgStart)
-		a.met.LeadConsumed.Observe(a.sgT - (pi.FailAt - pi.Lead))
-		a.met.LeadMargin.Observe(pi.FailAt - a.sgT)
-	}
-}
-
-// commitFullPFS records a full-application checkpoint at progress q as
-// resident on the PFS.
-func (a *appSim) commitFullPFS(q float64) {
-	if a.st.CommitPFS(q) {
-		a.cl.RecordPFSCheckpointAll(q)
-	}
-}
-
-// onFailure handles a failure striking node ev.Node: classify it, roll
-// progress back, perform recovery, replace the node, then run k.
+// onFailure handles a failure, waits out its recovery, then runs k.
 func (a *appSim) onFailure(ev failure.Event, k func()) {
-	a.res.Failures++
-	if ev.Lead > 0 {
-		a.res.Predicted++
-	}
-	out := a.pol.OnFailure(&a.st, ev)
-	if out.MigrationAborted {
-		a.res.AbortedMigrations++
-	}
-	a.cl.Fail(ev.Node)
-	if out.Mitigated {
-		a.res.Mitigated++
-	}
-	q, fullPFSRestore, corrupted := a.st.ResolveRestart(a.cl.RecoverableProgress(ev.Node), out)
-	if corrupted > 0 {
-		a.res.CorruptRestarts += corrupted
-		a.inj.ObserveCorruptRestarts(corrupted)
-		// The checkpoint records claiming the discarded generations are
-		// lies now; no later restart may try them again.
-		a.cl.ClampCheckpoints(q)
-	}
-	recovery := a.plat.RecoveryBB
-	// A PFS restore reads the full checkpoint over the shared filesystem
-	// and contends at the arbiter; BB recovery is node-local (no volume).
-	recoveryGB := 0.0
-	if fullPFSRestore {
-		recovery = a.plat.RecoveryPFS
-		recoveryGB = float64(a.plat.Nodes) * a.plat.PerNodeGB
-	}
-	loss := 0.0
-	if a.progress > q {
-		loss = a.progress - q
-		a.res.Recompute += loss
-		a.progress = q
-	}
-	a.met.RecomputeLoss.Observe(loss)
-	if fullPFSRestore && recovery > 0 {
-		a.met.PFSGBs.Observe(float64(a.plat.Nodes) * a.plat.PerNodeGB / recovery)
-	}
-	if a.cfg.Trace != nil {
-		outcome := "unhandled"
-		if out.Mitigated {
-			outcome = "mitigated"
-		}
-		a.trace(trace.Failure, ev.Node, fmt.Sprintf("%s loss=%.0fs", outcome, loss))
-	}
-	if err := a.cl.Replace(ev.Node); err != nil {
-		// Spare pool exhausted: the resource manager cannot re-host the
-		// failed rank, so the failure is job-fatal. The run ends truncated
-		// at the current time — no recovery is charged; k unwinds through
-		// handleEvents, whose truncated checks stop the chain (crmodel's
-		// early returns through the call stack).
-		a.res.Truncated = true
+	rc, ok := a.FailureStruck(a.now(), ev)
+	if !ok {
+		// The spare pool is exhausted and the run truncated: k unwinds
+		// through handleEvents, whose truncated checks stop the chain
+		// (crmodel's early returns through the call stack).
 		k()
 		return
 	}
-	// Recovery mirrors crmodel's retry structure: corrupt candidates cost
-	// a torn read each, cascades void the partial restore, and failed
-	// restart attempts charge deterministic doubling backoff. The nested
+	// Recovery mirrors crmodel's retry structure: the nested
 	// `for !blockedWait(...) {}` loops become recovery-frame chains; k is
 	// their truncated-abort continuation (crmodel's `return` from the
 	// retry loops skips the recovery metering the same way).
@@ -1193,9 +874,7 @@ func (a *appSim) onFailure(ev failure.Event, k func()) {
 		f.a = a
 		f.mainLoopFn, f.attemptedFn, f.corruptNextFn, f.waitedFn = f.mainLoop, f.attempted, f.corruptNext, f.waited
 	}
-	f.k, f.node = k, ev.Node
-	f.began, f.recovery, f.recoveryGB = a.now(), recovery, recoveryGB
-	f.attempt, f.cascades, f.corrupted, f.i = 0, 0, corrupted, 0
+	f.k, f.rc, f.i = k, rc, 0
 	f.corruptLoop()
 }
 
@@ -1204,16 +883,12 @@ func (a *appSim) onFailure(ev failure.Event, k func()) {
 // frame from the record's free list. Its loops are crmodel's retry
 // loops: corruptLoop charges one restore per corrupt candidate, mainLoop
 // the cascades, the restore and the restart attempts; wait is
-// crmodel's `for !a.blockedWait(p, dur, &a.res.Overheads.Recovery) {}`,
-// one at a time per frame.
+// crmodel's recoveryWait, one at a time per frame.
 type recoveryFrame struct {
-	a                    *appSim
-	k                    func()
-	node                 int
-	began                float64
-	recovery, recoveryGB float64
-	attempt, cascades    int
-	corrupted, i         int
+	a  *appSim
+	k  func()
+	rc appmodel.Recovery
+	i  int
 	// The retry loop's wait: its volume, duration and continuation.
 	waitGB, waitDur float64
 	waitK           func()
@@ -1225,11 +900,11 @@ type recoveryFrame struct {
 // corruptLoop restores from the i-th corrupt candidate, or moves on to
 // the main loop once every candidate was tried.
 func (f *recoveryFrame) corruptLoop() {
-	if f.i >= f.corrupted {
+	if f.i >= f.rc.Corrupted {
 		f.mainLoop()
 		return
 	}
-	f.wait(f.recoveryGB, f.recovery, f.corruptNextFn)
+	f.wait(f.rc.GB, f.rc.Seconds, f.corruptNextFn)
 }
 
 // corruptNext follows one corrupt candidate's torn restore.
@@ -1238,48 +913,31 @@ func (f *recoveryFrame) corruptNext() {
 	f.corruptLoop()
 }
 
-// mainLoop draws a cascade — every iteration, even at the depth cap,
-// exactly as the app tier does, to keep the rng plan in lockstep — and
-// waits out the voided partial restore, or runs the restore itself.
+// mainLoop waits out the partial restore a cascade voided, or runs the
+// restore itself.
 func (f *recoveryFrame) mainLoop() {
-	a := f.a
-	if strike, frac := a.inj.CascadeRecovery(); strike && f.cascades < faultinject.MaxCascadeDepth {
-		f.cascades++
-		a.res.Cascades++
-		f.wait(frac*f.recoveryGB, frac*f.recovery, f.mainLoopFn)
+	if frac, struck := f.a.Cascade(&f.rc); struck {
+		f.wait(frac*f.rc.GB, frac*f.rc.Seconds, f.mainLoopFn)
 		return
 	}
-	f.wait(f.recoveryGB, f.recovery, f.attemptedFn)
+	f.wait(f.rc.GB, f.rc.Seconds, f.attemptedFn)
 }
 
 // attempted follows a completed restore: the restart attempt succeeds,
 // or fails and charges its backoff before the loop runs again.
 func (f *recoveryFrame) attempted() {
-	a := f.a
-	fail, backoff := a.inj.RestartAttemptFails(f.attempt)
-	if !fail {
-		f.finish()
+	backoff, failed := f.a.RestartFailed(&f.rc)
+	if !failed {
+		f.a.Recovered(f.a.now(), &f.rc)
+		f.exit()
 		return
 	}
-	f.attempt++
-	a.res.RestartRetries++
 	if backoff > 0 {
 		// Backoff is idle waiting, not I/O: never arbitered.
 		f.wait(0, backoff, f.mainLoopFn)
 		return
 	}
 	f.mainLoop()
-}
-
-// finish meters the completed recovery and returns to the caller.
-func (f *recoveryFrame) finish() {
-	a := f.a
-	if f.cascades > 0 {
-		a.inj.ObserveCascadeDepth(f.cascades)
-	}
-	a.met.RecoveryDur.Observe(a.now() - f.began)
-	a.trace(trace.RecoveryDone, f.node, "")
-	f.exit()
 }
 
 // exit recycles the frame and runs the caller's continuation.
@@ -1294,11 +952,10 @@ func (f *recoveryFrame) exit() {
 // voiding failure, then runs k. gb > 0 marks the wait as a PFS restore
 // read of that volume: on a shared machine it contends at the arbiter
 // as a ClassRecovery flow (solo, or gb == 0, it is exactly blockedWait).
-// A voiding failure that truncated the run ends the recovery instead
-// (crmodel's `if a.res.Truncated { return }` inside those loops).
+// A voiding failure that truncated the run ends the recovery instead.
 func (f *recoveryFrame) wait(gb, dur float64, k func()) {
 	f.waitGB, f.waitDur, f.waitK = gb, dur, k
-	f.a.flowWait(ClassRecovery, gb, dur, &f.a.res.Overheads.Recovery, f.waitedFn)
+	f.a.flowWait(ClassRecovery, gb, dur, &f.a.Res.Overheads.Recovery, f.waitedFn)
 }
 
 // waited follows one attempt of the wait.
@@ -1307,7 +964,7 @@ func (f *recoveryFrame) waited(ok bool) {
 		f.waitK()
 		return
 	}
-	if f.a.res.Truncated {
+	if f.a.Res.Truncated {
 		f.exit()
 		return
 	}
@@ -1320,11 +977,10 @@ func (a *appSim) injectStart(local float64) {
 	a.injectLoop()
 }
 
-// injectLoop is the injector "process": it delivers the event stream to
-// the application, skipping failures avoided by completed migrations.
-// It parks (arms injectAlarm, whose callback is injectResume, for
-// injectEv) for future events and delivers same-time events inline,
-// exactly like crmodel's injector loop.
+// injectLoop is the injector "process": it delivers the admitted events
+// of the stream to the application. It parks (arms injectAlarm, whose
+// callback is injectResume, for injectEv) for future events and delivers
+// same-time events inline, exactly like crmodel's injector loop.
 func (a *appSim) injectLoop() {
 	for {
 		ev := a.stream.Next()
@@ -1350,19 +1006,11 @@ func (a *appSim) injectResume(local float64) {
 	a.injectLoop()
 }
 
-// deliver classifies one stream event and hands it to the application.
+// deliver hands one stream event to the application if the model admits
+// it.
 func (a *appSim) deliver(ev failure.Event) {
-	switch ev.Kind {
-	case failure.KindFailure:
-		if a.st.ConsumeAvoided(ev.ID) {
-			return // live migration emptied the node in time
-		}
-		a.est.Observe()
-	default:
-		if !a.cfg.Model.UsesPrediction() {
-			return // model B ignores the predictor entirely
-		}
+	if a.Admit(ev) {
+		a.pending = append(a.pending, ev)
+		a.interrupt()
 	}
-	a.pending = append(a.pending, ev)
-	a.interrupt()
 }

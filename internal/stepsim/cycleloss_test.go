@@ -62,7 +62,7 @@ func TestCycleLossOracle(t *testing.T) {
 			cfg := Config{Model: policy.B, Config: plat, Trace: rec}
 			eng := sim.NewEngine()
 			rec.a = startFresh(eng, cfg, seed)
-			d := rec.a.plat
+			d := rec.a.Plat
 			rec.tBB, rec.tDrain = d.BBWrite, d.Drain
 			rec.pfs, rec.drained = -1, true
 			eng.RunAll()
@@ -97,7 +97,7 @@ type cycleRecorder struct {
 	newest, newestT, pfs float64
 	drained              bool
 	// The cycle began at start with progress base, heading for the BB
-	// write at a.chunkTarget; window is what was left of the newest
+	// write at a.Target; window is what was left of the newest
 	// checkpoint's drain then.
 	start, base, window float64
 	inRecovery          bool
@@ -126,8 +126,8 @@ func (r *cycleRecorder) Record(e trace.Event) {
 }
 
 func (r *cycleRecorder) failure(e trace.Event) {
-	charged := r.a.res.Recompute - r.recompute
-	r.recompute = r.a.res.Recompute
+	charged := r.a.Res.Recompute - r.recompute
+	r.recompute = r.a.Res.Recompute
 	defer func() { r.inRecovery = true }()
 	if r.inRecovery {
 		r.pinned[0]++
@@ -137,8 +137,8 @@ func (r *cycleRecorder) failure(e trace.Event) {
 		return
 	}
 	offset := e.T - r.start
-	interval := r.a.chunkTarget - r.base
-	progress := r.a.chunkTarget // the BB write: the whole interval is computed
+	interval := r.a.Target - r.base
+	progress := r.a.Target // the BB write: the whole interval is computed
 	if offset < interval {
 		progress = r.base + offset
 	}

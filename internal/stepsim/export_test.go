@@ -45,7 +45,7 @@ func runOn(c *Cell, a *appSim, seed uint64, reg *metrics.Registry) (stats.RunRes
 	eng.RunAll()
 	n := eng.Dispatched()
 	eng.Release()
-	res := a.res
+	res := a.Res
 	a.clear()
 	return res, n
 }

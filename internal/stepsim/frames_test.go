@@ -46,8 +46,8 @@ func TestNestedWaitFramesBitIdentity(t *testing.T) {
 			a := startFresh(eng, cfg, seed)
 			eng.RunAll()
 			eng.Release()
-			if a.res != want {
-				t.Errorf("%v seed %d: step tier diverged\napp:  %+v\nstep: %+v", id, seed, want, a.res)
+			if a.Res != want {
+				t.Errorf("%v seed %d: step tier diverged\napp:  %+v\nstep: %+v", id, seed, want, a.Res)
 			}
 			if len(a.waits.all) >= 2 {
 				nested++

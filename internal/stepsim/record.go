@@ -3,29 +3,29 @@ package stepsim
 import (
 	"sync"
 
+	"pckpt/internal/appmodel"
 	"pckpt/internal/cluster"
 	"pckpt/internal/failure"
-	"pckpt/internal/faultinject"
-	"pckpt/internal/pckpt"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
 	"pckpt/internal/sim"
 	"pckpt/internal/stats"
 )
 
-// appSim is one step-tier run record. It mirrors crmodel.appSim field
-// for field, but the application "process" is a continuation chain of
-// engine callbacks instead of a goroutine: every blocking call site of
-// the process-based tier appears here as a wait with an explicit
-// continuation, scheduled at the same logical point in the same
-// statement order — which is what makes a run bit-identical to the app
-// tier on the shared failure stream.
+// appSim is one step-tier run record: the shared model's run
+// (appmodel.Run, in appRun) and the scheduler that executes it. Where
+// crmodel runs the application as a goroutine, here it is a
+// continuation chain of engine callbacks: every wait of the process-based
+// tier appears as a wait with an explicit continuation, between the same
+// appmodel transitions in the same order — which is what makes a run
+// bit-identical to the app tier on the shared failure stream.
 //
 // Records are recycled through recordPool. Everything a run writes is
 // either in appRun, which every start zeroes whole, or in storage the
 // start resets in place: the node table, the lifecycle state, the
 // sources, the pending queue, the flow lists and the frame free lists.
-// The method values the event path schedules are bound once per record.
+// The method values the event path schedules, and the Run's hooks, are
+// bound once per record.
 type appSim struct {
 	appRun
 
@@ -64,13 +64,12 @@ type appSim struct {
 // appRun is the part of a record one run owns outright: a start zeroes
 // it whole, so no field of it can leak from one run into the next.
 type appRun struct {
-	cfg *Config // the cell's
-	pol policy.Policy
+	// Run is the model's state; its node table and lifecycle state are
+	// the record's cl and st, its setup the cell's.
+	appmodel.Run
 	eng *sim.Engine
-	// stream and inj point into the record's platform.Inputs.
+	// stream and the Run's Inj point into the record's platform.Inputs.
 	stream failure.EventSource
-	est    failure.RateEstimator
-	inj    *faultinject.Injector
 
 	// t0 is the app's start time on the (possibly shared) engine, and
 	// localNow the app's own clock in seconds since t0. The local clock
@@ -92,11 +91,6 @@ type appRun struct {
 	// finishes (the shared-machine completion hook).
 	onDone func(stats.RunResult)
 
-	plat  platform.Derived
-	sigma float64
-
-	progress float64
-	curOCI   float64
 	pendHead int
 
 	// Step-machine state standing in for the application goroutine:
@@ -111,28 +105,16 @@ type appRun struct {
 	interruptPending bool
 
 	// The state of the continuations with at most one instance in flight
-	// lives in fields: chunkTarget/chunkStart for the compute interval,
-	// bbBegan for the BB write, injectEv for the event the parked
-	// injector delivers next at injectAlarm; sg* for M1's safeguard
-	// (safeguarding is its in-flight flag) and ep* for the live p-ckpt
-	// episode (episodes never overlap).
-	chunkTarget, chunkStart float64
-	bbBegan                 float64
-	injectEv                failure.Event
-	injectAlarm             sim.Alarm
-
-	safeguarding          bool
-	sgK                   func()
-	sgBegan, sgStart, sgT float64
-
-	ep      *policy.Episode
-	epK     func()
-	epBegin float64
-	epEv    failure.Event
-	epGBs   float64
-
-	met pckpt.RunMetrics
-	res stats.RunResult
+	// lives in fields: chunkStart for the compute interval, bbBegan for
+	// the BB write, injectEv for the event the parked injector delivers
+	// next at injectAlarm; sgK and epK are the callers' continuations of
+	// M1's safeguard and of the live p-ckpt episode (episodes never
+	// overlap).
+	chunkStart  float64
+	bbBegan     float64
+	injectEv    failure.Event
+	injectAlarm sim.Alarm
+	sgK, epK    func()
 }
 
 // boundFns are the record's method values, bound once when the record
@@ -142,9 +124,8 @@ type boundFns struct {
 	computeWoke, bbWritten                              func(bool)
 	computeResume                                       func()
 	sgWritten, epPhase2, epWritten                      func(ok bool)
-	sgMitigate                                          func(id int64, p policy.Prediction)
-	epAbortMigration                                    func(ev failure.Event)
 	observe                                             cluster.Observer
+	model                                               appmodel.Hooks
 }
 
 // recordPool recycles run records across the runs of a sweep and the
@@ -156,20 +137,19 @@ func newRecord() *appSim {
 	a := new(appSim)
 	a.handle.a = a
 	a.fn = boundFns{
-		start:            a.start,
-		injectStart:      a.injectStart,
-		wake:             a.wake,
-		injectResume:     a.injectResume,
-		interrupted:      a.interrupted,
-		computeWoke:      a.computeWoke,
-		bbWritten:        a.bbWritten,
-		computeResume:    a.computeResume,
-		sgWritten:        a.safeguardWritten,
-		epPhase2:         a.episodePhase2,
-		epWritten:        a.episodeWritten,
-		sgMitigate:       a.safeguardMitigate,
-		epAbortMigration: a.episodeAbortMigration,
-		observe:          a.observeCluster,
+		start:         a.start,
+		injectStart:   a.injectStart,
+		wake:          a.wake,
+		injectResume:  a.injectResume,
+		interrupted:   a.interrupted,
+		computeWoke:   a.computeWoke,
+		bbWritten:     a.bbWritten,
+		computeResume: a.computeResume,
+		sgWritten:     a.safeguardWritten,
+		epPhase2:      a.episodePhase2,
+		epWritten:     a.episodeWritten,
+		observe:       a.observeCluster,
+		model:         a.Bind(),
 	}
 	return a
 }
@@ -179,14 +159,11 @@ func newRecord() *appSim {
 // run up (the metered series resolve in the same order).
 func (a *appSim) reset(c *Cell, eng *sim.Engine, seed uint64, opts AppOptions) {
 	a.appRun = appRun{
-		cfg: &c.cfg, pol: c.pol, eng: eng, t0: eng.Now(),
+		eng: eng, t0: eng.Now(),
 		arb: opts.Arbiter, appIdx: opts.AppIndex, onDone: opts.OnDone,
-		plat: c.plat, sigma: c.sigma,
 	}
 	a.runs++
-	a.cl.Reset(c.cfg.App.Nodes, c.spares)
-	a.est.Reset(c.prior)
-	a.st.Reset()
+	a.Init(&c.setup, &a.cl, &a.st, a.fn.model, opts.Metrics)
 	a.pending = a.pending[:0]
 	a.drainFlows = a.drainFlows[:0]
 	a.blockFlows = a.blockFlows[:0]
@@ -199,21 +176,20 @@ func (a *appSim) reset(c *Cell, eng *sim.Engine, seed uint64, opts AppOptions) {
 	a.recoveries.reset()
 	eng.Bind(&a.wakeAlarm, "app", a.fn.wake)
 	eng.Bind(&a.injectAlarm, "injector", a.fn.injectResume)
-	a.met = pckpt.NewRunMetrics(opts.Metrics, c.cfg.Model)
 	if opts.Metrics != nil {
 		a.cl.SetObserver(a.fn.observe)
 	}
-	a.stream, a.inj = c.plan.Seed(&a.in, seed, opts.Metrics)
+	a.stream, a.Inj = c.plan.Seed(&a.in, seed, opts.Metrics)
 }
 
 // observeCluster is a metered run's cluster observer, stamped with the
 // engine clock.
 func (a *appSim) observeCluster(int, cluster.State, cluster.State) {
-	a.met.CountVulnerable(a.eng.Now(), &a.cl)
+	a.Met.CountVulnerable(a.eng.Now(), &a.cl)
 }
 
 // clear drops everything the finished run referenced — its cell's
-// config, engine, arbiter, completion hook, and every metric handle, the node table's
+// setup, engine, arbiter, completion hook, and every metric handle, the node table's
 // observer and the sources' meters included — so a pooled record keeps
 // no run alive. A second clear is a no-op.
 func (a *appSim) clear() {
@@ -226,7 +202,7 @@ func (a *appSim) clear() {
 // once the run's engine has drained: an aborted app's pending callbacks
 // still touch the record until then.
 func (a *appSim) release() {
-	if a.cfg == nil {
+	if a.Setup == nil {
 		return // released already
 	}
 	a.clear()

@@ -262,22 +262,28 @@ func TestMigrationSupersedeBitIdentity(t *testing.T) {
 }
 
 // TestTraceTimelineParity compares the recorded timelines event for
-// event: not just the final accounting but every intermediate state
-// transition must land at the same time, node, and progress.
+// event over the whole bit-identity matrix: not just the final
+// accounting but every intermediate state transition — injected
+// failures, replayed and stretched-lead streams included — must land at
+// the same time, node, and progress.
 func TestTraceTimelineParity(t *testing.T) {
-	plat := testPlatforms()["clean"]
-	for _, id := range stepModels {
-		var appBuf, stepBuf trace.Buffer
-		crmodel.Simulate(crmodel.Config{Model: id, Config: plat, Trace: &appBuf}, 7)
-		stepsim.Simulate(stepsim.Config{Model: id, Config: plat, Trace: &stepBuf}, 7)
-		if len(appBuf.Events()) != len(stepBuf.Events()) {
-			t.Errorf("%v: timeline length %d vs %d", id, len(appBuf.Events()), len(stepBuf.Events()))
-			continue
-		}
-		for i, ae := range appBuf.Events() {
-			if se := stepBuf.Events()[i]; ae != se {
-				t.Errorf("%v: timeline diverges at entry %d\napp:  %+v\nstep: %+v", id, i, ae, se)
-				break
+	for name, plat := range testPlatforms() {
+		for _, id := range stepModels {
+			for seed := uint64(1); seed <= 8; seed++ {
+				var appBuf, stepBuf trace.Buffer
+				crmodel.Simulate(crmodel.Config{Model: id, Config: plat, Trace: &appBuf}, seed)
+				stepsim.Simulate(stepsim.Config{Model: id, Config: plat, Trace: &stepBuf}, seed)
+				app, step := appBuf.Events(), stepBuf.Events()
+				if len(app) != len(step) {
+					t.Errorf("%s %v seed %d: timeline length %d vs %d", name, id, seed, len(app), len(step))
+					continue
+				}
+				for i, ae := range app {
+					if se := step[i]; ae != se {
+						t.Errorf("%s %v seed %d: timeline diverges at entry %d\napp:  %+v\nstep: %+v", name, id, seed, i, ae, se)
+						break
+					}
+				}
 			}
 		}
 	}
