@@ -14,10 +14,11 @@ race:
 
 # allocs runs the zero-allocation and allocation-scaling tests (every
 # test whose name contains "Alloc") without the race detector: the step
-# tier's periodic cycle, and the machine's arbiter churn and whole
-# fault-armed runs. Under -race sync.Pool drops Puts at random, so the
-# tests that rely on the engine and node-table pools skip themselves in
-# `make race` and `make race-machine` and are gated here.
+# tier's periodic cycle, the metered sweep (reused registries and
+# recycled frames: no allocation per run), and the machine's arbiter
+# churn and whole fault-armed runs. Under -race sync.Pool drops Puts at
+# random, so the tests that rely on the engine and node-table pools skip
+# themselves in `make race` and `make race-machine` and are gated here.
 allocs:
 	$(GO) test -count=1 -run Alloc ./internal/...
 

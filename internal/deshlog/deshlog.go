@@ -10,9 +10,10 @@
 package deshlog
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -227,8 +228,33 @@ func Generate(cfg GenConfig, src *rng.Source) ([]Entry, []Planted) {
 			})
 		}
 	}
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Time < entries[j].Time })
-	return entries, planted
+	return byTime(entries), planted
+}
+
+// byTime returns a copy of entries ordered by time, stably: entries at
+// equal times keep their order, and a NaN time sorts first. It sorts
+// (time, index) keys and gathers the entries once, where sort.SliceStable
+// would move whole entries through its reflection swapper.
+func byTime(entries []Entry) []Entry {
+	type key struct {
+		t float64
+		i int
+	}
+	keys := make([]key, len(entries))
+	for i, e := range entries {
+		keys[i] = key{e.Time, i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	})
+	out := make([]Entry, len(entries))
+	for k, key := range keys {
+		out[k] = entries[key.i]
+	}
+	return out
 }
 
 // chainEntries lays a template's phrases across [failAt−lead, failAt].

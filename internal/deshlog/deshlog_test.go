@@ -2,6 +2,10 @@ package deshlog
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -253,5 +257,36 @@ func TestGenConfigValidate(t *testing.T) {
 			}()
 			Generate(cfg, rng.New(1))
 		}()
+	}
+}
+
+// TestByTimeMatchesSliceStable: byTime orders random entries exactly as
+// sort.SliceStable by time does, and leaves its input as it was. Times
+// come from 16 values, -0 and +0 among them, so most entries tie and
+// only their input order (Node) tells them apart.
+func TestByTimeMatchesSliceStable(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := r.Intn(300)
+		if trial%50 == 0 {
+			n = 20000 // past every small-slice path of the sort
+		}
+		entries := make([]Entry, n)
+		for i := range entries {
+			tm := float64(r.Intn(16) - 8)
+			if tm == 0 && r.Intn(2) == 0 {
+				tm = math.Copysign(0, -1)
+			}
+			entries[i] = Entry{Time: tm, Node: i}
+		}
+		in := slices.Clone(entries)
+		want := slices.Clone(entries)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Time < want[j].Time })
+		if got := byTime(entries); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d entries): byTime differs from sort.SliceStable", trial, n)
+		}
+		if !reflect.DeepEqual(entries, in) {
+			t.Fatalf("trial %d: byTime changed its input", trial)
+		}
 	}
 }

@@ -28,9 +28,7 @@ func (c Chain) Lead() float64 { return c.End - c.Start }
 // order on the same node; an interrupted prefix that re-sees the first
 // phrase restarts its window; prefixes that never complete are dropped.
 func Mine(entries []Entry) []Chain {
-	sorted := make([]Entry, len(entries))
-	copy(sorted, entries)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
+	sorted := byTime(entries)
 
 	templates := Templates()
 	// phrase → (template index, position) lookup. Phrases are unique

@@ -39,6 +39,9 @@ func leadVariability(p Params, models []policy.ID) Result {
 		base := baseAgg[policy.B].MeanOverheads()
 		for _, scale := range fig4Scales {
 			aggs := modelSet(p, app, failure.Titan, scale, failure.DefaultFNRate, models)
+			if p.declaring() {
+				continue
+			}
 			for _, m := range models {
 				mo := aggs[m].MeanOverheads()
 				ck, rc, rv, tot := stats.ReductionBreakdown(base, mo)
@@ -79,6 +82,9 @@ func ftRatioTable(p Params, models []policy.ID) Result {
 		row := []string{leadScaleLabel(scale)}
 		for _, app := range apps {
 			aggs := modelSet(p, app, failure.Titan, scale, failure.DefaultFNRate, models)
+			if p.declaring() {
+				continue
+			}
 			for _, m := range models {
 				ft := aggs[m].MeanFTRatio()
 				row = append(row, fmt.Sprintf("%.3f", ft))

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"pckpt/internal/appmodel"
 	"pckpt/internal/failure"
@@ -97,20 +101,37 @@ func TestFig7MeteredSweepTierParity(t *testing.T) {
 }
 
 // TestMeteredSweepReusedRegistriesMatchFresh: a metered sweep reuses one
-// registry per worker, yet its snapshot equals the seed-order merge of
-// fresh per-run registries' snapshots over the completed seeds, at any
-// worker count. One planted seed records and then panics: its registry
-// must be dropped, not reused. Another alone resolves an extra gauge: no
-// later run on its registry may report it.
+// registry per worker and folds each run's frame once every earlier
+// seed's is folded, yet its snapshot equals the seed-order merge of fresh
+// per-run registries' snapshots over the completed seeds, at any worker
+// count. Every third seed is delayed, so that on two or more workers
+// later seeds finish first and their frames wait for it. One planted
+// seed records and then panics: its registry must be dropped, not
+// reused, and it folds nothing. Another alone resolves an extra gauge:
+// no later run on its registry may report it.
 func TestMeteredSweepReusedRegistriesMatchFresh(t *testing.T) {
 	const n, base = 12, 5
 	crash, extra := sweep.Seed(base, 4), sweep.Seed(base, 2)
+	index := map[uint64]int{}
+	for i := 0; i < n; i++ {
+		index[sweep.Seed(base, i)] = i
+	}
+	var (
+		mu       sync.Mutex
+		finished []int // seed indices in the order their runs returned
+	)
 	tier := wrapRuns(StepTier(), func(_ policy.ID, _ platform.Config, run Runner) Runner {
 		return func(seed uint64, reg *metrics.Registry) stats.RunResult {
 			if seed == extra {
 				reg.Gauge("test.extra").Set(0, 5)
 			}
+			if index[seed]%3 == 0 {
+				time.Sleep(time.Millisecond)
+			}
 			r := run(seed, reg)
+			mu.Lock()
+			finished = append(finished, index[seed])
+			mu.Unlock()
 			if seed == crash {
 				panic("planted crash")
 			}
@@ -130,13 +151,44 @@ func TestMeteredSweepReusedRegistriesMatchFresh(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 2, 4} {
+		finished = nil
 		agg, snap := SimulateSweepN(tier, policy.P2, auditPlat, n, base, workers, true)
 		if f := agg.Failed(); len(agg.Runs()) != n-1 || len(f) != 1 || f[0].Seed != crash {
 			t.Fatalf("workers=%d: %d completed, failed %+v", workers, len(agg.Runs()), f)
 		}
+		if workers > 1 && sort.IntsAreSorted(finished) {
+			t.Fatalf("workers=%d: seeds finished in seed order %v, so no frame waited to be folded", workers, finished)
+		}
 		if d := snap.Diff(want); d != "" {
 			t.Fatalf("workers=%d: reused registries vs fresh ones: %s", workers, d)
 		}
+	}
+}
+
+// TestMeteredSweepAllocs pins "no allocation per metered run": a warm
+// metered sweep of one P2 cell on two workers allocates no more at 400
+// runs than at 100, up to a slack of 30 (measured: 10, a snapshot's
+// bucket lists growing as more runs occupy more buckets). Each run
+// records into a reused registry and leaves its frame in a recycled one;
+// when every run left a frame of its own, the extra 300 runs cost 1,200
+// allocations. A seed preempted mid-run (by a GC, or a descheduled
+// thread) keeps the frames of the seeds after it waiting, and each frame
+// the sweep adds then grows from empty, so each size reads the quietest
+// of five sweeps.
+func TestMeteredSweepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are gated without -race (make allocs)")
+	}
+	sweepAllocs := func(runs int) float64 {
+		run := func() { SimulateSweepN(StepTier(), policy.P2, auditPlat, runs, 7, 2, true) }
+		least := math.Inf(1)
+		for i := 0; i < 5; i++ {
+			least = min(least, testing.AllocsPerRun(1, run))
+		}
+		return least
+	}
+	if few, many := sweepAllocs(100), sweepAllocs(400); many > few+30 {
+		t.Fatalf("a metered sweep allocated %.0f times at 100 runs and %.0f at 400: a per-run term", few, many)
 	}
 }
 

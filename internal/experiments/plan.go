@@ -60,10 +60,16 @@ type planCell struct {
 	key     runcache.Key
 	run     Runner
 	results []stats.RunResult
-	frames  []metrics.Frame // metered runs' frames, by seed index
-	left    atomic.Int64    // seeds not yet finished
-	mu      sync.Mutex      // guards panics
-	panics  []seedPanic     // failed seeds, in completion order
+	left    atomic.Int64 // seeds not yet finished
+	mu      sync.Mutex   // guards panics and a metered cell's fold, folded and early
+	panics  []seedPanic  // failed seeds, in completion order
+
+	// A metered cell folds each seed's frame as soon as every earlier
+	// seed's is folded: fold holds seeds [0, folded), and early holds the
+	// frames of later seeds that finished first, by seed index.
+	fold   metrics.Fold
+	folded int
+	early  []*metrics.Frame
 
 	agg  *stats.Agg // nil until resolved
 	snap *metrics.Snapshot
@@ -79,6 +85,39 @@ type seedPanic struct {
 // placeholder is the aggregate a declared cell reads as until the render
 // pass: no runs, so every mean is zero.
 var placeholder stats.Agg
+
+// noFrame is the frame of a seed that panicked: it folds nothing, and is
+// never refilled.
+var noFrame metrics.Frame
+
+// meters is what a plan's metered runs recycle: one registry per worker,
+// and the frames runs leave until they are folded.
+type meters struct {
+	idle chan *metrics.Registry // a return never blocks: each worker holds at most one
+
+	mu   sync.Mutex
+	free []*metrics.Frame // folded frames, ready to refill
+}
+
+// frame returns a folded frame to refill, or a new one.
+func (m *meters) frame() *metrics.Frame {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := len(m.free)
+	if n == 0 {
+		return new(metrics.Frame)
+	}
+	fr := m.free[n-1]
+	m.free = m.free[:n-1]
+	return fr
+}
+
+// recycle returns a folded frame.
+func (m *meters) recycle(fr *metrics.Frame) {
+	m.mu.Lock()
+	m.free = append(m.free, fr)
+	m.mu.Unlock()
+}
 
 // declare records a cell as p's resolving call describes it. A cell with
 // no faults of its own takes p.Faults.
@@ -98,10 +137,12 @@ func (pl *plan) declare(p Params, c Cell) {
 // execute resolves every declared cell on one pool of workers workers
 // (GOMAXPROCS when zero or negative). Every cache lookup runs first, in
 // parallel, and prepares the cells the cache cannot serve; then every
-// seed of those cells runs, cell by cell in declaration order. The
-// worker that finishes a cell's last seed aggregates it and Puts it.
-// Once interrupt closes or a Put fails, no further seed starts; cells
-// left with unfinished seeds stay unresolved and are never Put.
+// seed of those cells runs, cell by cell in declaration order. A metered
+// cell folds each seed's frame as soon as every earlier seed's is
+// folded, and the worker that finishes a cell's last seed aggregates it
+// and Puts it. Once interrupt closes or a Put fails, no further seed
+// starts; cells left with unfinished seeds stay unresolved, their
+// partial folds dropped, and are never Put.
 func (pl *plan) execute(workers int, interrupt <-chan struct{}) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -117,7 +158,7 @@ func (pl *plan) execute(workers int, interrupt <-chan struct{}) {
 			starts = append(starts, starts[len(starts)-1]+c.Runs)
 		}
 	}
-	idle := make(chan *metrics.Registry, workers) // a return never blocks: each worker holds at most one
+	m := &meters{idle: make(chan *metrics.Registry, workers)}
 	stop := func() bool {
 		select {
 		case <-interrupt:
@@ -129,7 +170,7 @@ func (pl *plan) execute(workers int, interrupt <-chan struct{}) {
 	sweep.Each(starts[len(todo)], workers, stop, func(j int) {
 		k := sort.SearchInts(starts, j+1) - 1
 		c := todo[k]
-		c.runSeed(j-starts[k], idle)
+		c.runSeed(j-starts[k], m)
 		if c.left.Add(-1) == 0 {
 			c.finish()
 			if c.err != nil {
@@ -185,20 +226,21 @@ func (c *planCell) lookup() {
 	c.run = run
 	c.results = make([]stats.RunResult, c.Runs)
 	if c.meter {
-		c.frames = make([]metrics.Frame, c.Runs)
+		c.early = make([]*metrics.Frame, c.Runs)
 	}
 	c.left.Store(int64(c.Runs))
 }
 
 // runSeed runs seed i of the cell. A metered run records into an idle
-// registry, or a new one, and returns it reset once its frame is taken;
-// a run that panics drops its registry with whatever it recorded.
-func (c *planCell) runSeed(i int, idle chan *metrics.Registry) {
+// registry, or a new one, fills a recycled frame from it and returns it
+// reset, then folds its frame; a run that panics drops its registry with
+// whatever it recorded and folds noFrame.
+func (c *planCell) runSeed(i int, m *meters) {
 	seed := sweep.Seed(c.Seed, i)
 	var reg *metrics.Registry
 	if c.meter {
 		select {
-		case reg = <-idle:
+		case reg = <-m.idle:
 		default:
 			reg = metrics.New()
 		}
@@ -207,19 +249,40 @@ func (c *planCell) runSeed(i int, idle chan *metrics.Registry) {
 	if err != "" {
 		c.mu.Lock()
 		c.panics = append(c.panics, seedPanic{i, err})
+		if c.meter {
+			c.foldFrom(i, &noFrame, m)
+		}
 		c.mu.Unlock()
 		return
 	}
 	c.results[i] = r
 	if reg != nil {
-		c.frames[i] = reg.Frame(r.WallSeconds)
+		fr := m.frame()
+		reg.FrameInto(r.WallSeconds, fr)
 		reg.Reset()
-		idle <- reg
+		m.idle <- reg
+		c.mu.Lock()
+		c.foldFrom(i, fr, m)
+		c.mu.Unlock()
 	}
 }
 
-// finish aggregates the cell's completed runs in seed order, folds a
-// metered cell's frames in seed order, and Puts the cell.
+// foldFrom files seed i's frame and folds, in seed order, every filed
+// frame from the cursor on, recycling each. c.mu must be held.
+func (c *planCell) foldFrom(i int, fr *metrics.Frame, m *meters) {
+	c.early[i] = fr
+	for ; c.folded < len(c.early) && c.early[c.folded] != nil; c.folded++ {
+		fr := c.early[c.folded]
+		c.early[c.folded] = nil
+		if fr != &noFrame {
+			c.fold.Add(fr)
+			m.recycle(fr)
+		}
+	}
+}
+
+// finish aggregates the cell's completed runs in seed order, snapshots a
+// metered cell's fold, which holds every seed by now, and Puts the cell.
 func (c *planCell) finish() {
 	var failed []stats.FailedRun
 	if len(c.panics) > 0 {
@@ -231,11 +294,8 @@ func (c *planCell) finish() {
 	}
 	agg := stats.NewAgg(sweep.Completed(c.results, c.Seed, failed), failed)
 	if c.meter {
-		var fold metrics.Fold
-		for _, f := range c.frames {
-			fold.Add(f) // a run that panicked left the zero frame
-		}
-		c.snap, c.frames = fold.Snapshot(), nil
+		c.snap = c.fold.Snapshot()
+		c.fold, c.early = metrics.Fold{}, nil
 	}
 	if c.cache != nil {
 		c.err = c.cache.Put(c.key, agg, c.snap)
@@ -324,6 +384,12 @@ func mustResolve(p Params, c Cell) *stats.Agg {
 	pl.failed = append(pl.failed, agg.Failed()...)
 	return agg
 }
+
+// declaring reports whether p is Run's declare pass, whose result Run
+// drops once a cell is declared: an experiment skips formatting what it
+// resolved there, after the resolve call, so its cells are declared as
+// the render pass takes them.
+func (p Params) declaring() bool { return p.plan != nil && p.plan.declaring }
 
 // Run executes one registry entry in three steps: it runs the entry's
 // function once to declare its cells, resolves them all as one plan

@@ -20,10 +20,13 @@
 // concurrent use. A metered sweep keeps one registry per worker: each run
 // records into a Reset registry, which forgets every series exactly as a
 // fresh one would, and leaves behind a Frame, its raw state without maps
-// or quantiles. After the pool drains, a Fold merges the frames in seed
-// order (all histograms share one bucket layout, so the merge is exact)
-// and computes each merged histogram's quantiles once. The hot path stays
-// lock-free, and a run allocates no registry.
+// or quantiles, which FrameInto writes over what an earlier run left in
+// it. A Fold merges the frames in seed order, each as soon as every
+// earlier seed's is in (all histograms share one bucket layout, so the
+// merge is exact), which frees the frame for a later run, and computes
+// each merged histogram's quantiles once, at Snapshot. The hot path stays
+// lock-free, and a warm metered run allocates neither a registry nor a
+// frame.
 //
 // A Snapshot's JSON form (WriteJSON, the result cache's metered entries)
 // is encoding/json's, except that a non-finite float — a histogram that
@@ -241,9 +244,6 @@ type Registry struct {
 	counters table[Counter]
 	gauges   table[Gauge]
 	hists    table[Histogram]
-	// scratch collects a frame's occupied buckets before they are copied
-	// out at their exact length.
-	scratch []Bucket
 }
 
 // series is one named instrument; live marks it resolved since the last

@@ -206,7 +206,8 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 
 // TestZeroAllocations proves both sides of the hot-path contract: nil
 // handles (metering off) AND live handles (metering on) allocate nothing
-// per operation.
+// per operation; nor does refilling a frame that once held the same
+// series, which is how a metered sweep leaves each run's frame.
 func TestZeroAllocations(t *testing.T) {
 	var nc *Counter
 	var ng *Gauge
@@ -226,6 +227,17 @@ func TestZeroAllocations(t *testing.T) {
 		h.Observe(3)
 	}); n != 0 {
 		t.Fatalf("live handles allocated %.1f per op", n)
+	}
+	var fr Frame
+	r.FrameInto(4, &fr)
+	if n := testing.AllocsPerRun(1000, func() {
+		r.Reset()
+		r.Counter("c").Inc()
+		r.Gauge("g").Set(1, 2)
+		r.Histogram("h").Observe(3)
+		r.FrameInto(4, &fr)
+	}); n != 0 {
+		t.Fatalf("a refilled frame allocated %.1f per run", n)
 	}
 }
 

@@ -161,8 +161,10 @@ type Snapshot struct {
 // value for the remaining now−t). The registry remains usable. Returns
 // an empty snapshot for a nil registry.
 func (r *Registry) Snapshot(now float64) *Snapshot {
+	var fr Frame
+	r.FrameInto(now, &fr)
 	var f Fold
-	f.Add(r.Frame(now))
+	f.Add(&fr)
 	return f.Snapshot()
 }
 
@@ -220,7 +222,8 @@ func (s *Snapshot) addGauge(name string, og GaugeStat) {
 // without maps or derived quantiles: the per-run half of a Fold. Each
 // live series keeps its raw state — a histogram its count, sum, extrema
 // and occupied buckets, all histograms' buckets in one array. The zero
-// Frame is a run that recorded nothing.
+// Frame is a run that recorded nothing. Registry.FrameInto refills a
+// frame in place, so a sweep recycles frames once they are folded.
 type Frame struct {
 	counters []namedCounter
 	gauges   []namedGauge
@@ -247,55 +250,41 @@ type namedHist struct {
 	end  int
 }
 
-// Frame freezes the registry's live series at simulation time now, as
-// Snapshot does. The frame shares nothing with the registry, so the
-// registry may be Reset and reused at once. Returns the zero Frame for a
-// nil registry.
-func (r *Registry) Frame(now float64) Frame {
-	var f Frame
+// FrameInto freezes the registry's live series at simulation time now
+// into f, as Snapshot does, in place of what f held: f keeps its storage,
+// so filling a frame that once held a run as large allocates nothing.
+// Afterwards f shares nothing with the registry, which may be Reset and
+// reused at once. A nil registry leaves f a frame that records nothing.
+func (r *Registry) FrameInto(now float64, f *Frame) {
+	f.counters, f.gauges, f.hists, f.buckets = f.counters[:0], f.gauges[:0], f.hists[:0], f.buckets[:0]
 	if r == nil {
-		return f
+		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if live := r.counters.live; len(live) > 0 {
-		f.counters = make([]namedCounter, len(live))
-		for i, s := range live {
-			f.counters[i] = namedCounter{s.name, s.val.n}
-		}
+	for _, s := range r.counters.live {
+		f.counters = append(f.counters, namedCounter{s.name, s.val.n})
 	}
-	if live := r.gauges.live; len(live) > 0 {
-		f.gauges = make([]namedGauge, len(live))
-		for i, s := range live {
-			g := &s.val
-			st := GaugeStat{Integral: g.integral, Seconds: g.dur, Min: g.min, Max: g.max, Last: g.last}
-			if g.set && now > g.lastT {
-				st.Integral += (now - g.lastT) * g.last
-				st.Seconds += now - g.lastT
-			}
-			f.gauges[i] = namedGauge{s.name, st}
+	for _, s := range r.gauges.live {
+		g := &s.val
+		st := GaugeStat{Integral: g.integral, Seconds: g.dur, Min: g.min, Max: g.max, Last: g.last}
+		if g.set && now > g.lastT {
+			st.Integral += (now - g.lastT) * g.last
+			st.Seconds += now - g.lastT
 		}
+		f.gauges = append(f.gauges, namedGauge{s.name, st})
 	}
-	if live := r.hists.live; len(live) > 0 {
-		f.hists = make([]namedHist, len(live))
-		occupied := r.scratch[:0]
-		for i, s := range live {
-			h := &s.val
-			if h.count > 0 {
-				for j, n := range h.buckets {
-					if n > 0 {
-						occupied = append(occupied, Bucket{Index: j, Count: n})
-					}
+	for _, s := range r.hists.live {
+		h := &s.val
+		if h.count > 0 {
+			for j, n := range h.buckets {
+				if n > 0 {
+					f.buckets = append(f.buckets, Bucket{Index: j, Count: n})
 				}
 			}
-			f.hists[i] = namedHist{s.name, HistStat{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}, len(occupied)}
 		}
-		if len(occupied) > 0 {
-			f.buckets = append([]Bucket(nil), occupied...)
-		}
-		r.scratch = occupied
+		f.hists = append(f.hists, namedHist{s.name, HistStat{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}, len(f.buckets)})
 	}
-	return f
 }
 
 // Fold merges run frames, in the order added, into one snapshot: the
@@ -315,8 +304,9 @@ type histFold struct {
 	buckets [numBuckets]uint64
 }
 
-// Add folds one run's frame.
-func (f *Fold) Add(fr Frame) {
+// Add folds one run's frame. The fold keeps nothing of fr, which may be
+// refilled at once.
+func (f *Fold) Add(fr *Frame) {
 	for _, c := range fr.counters {
 		f.acc.addCounter(c.name, c.n)
 	}

@@ -229,11 +229,15 @@ func TestResetMatchesFreshQuick(t *testing.T) {
 
 // TestFoldMatchesMerge: folding run frames equals Merge-ing the runs'
 // snapshots in the same order, bit for bit — quantiles, which the fold
-// computes once at the end, included — and a zero frame folds as a run
-// that recorded nothing.
+// computes once at the end, included. Every run refills one frame, as a
+// sweep recycles them, so a refill must drop all the frame held; the
+// zero frame and a frame filled from a nil registry fold as runs that
+// recorded nothing.
 func TestFoldMatchesMerge(t *testing.T) {
 	f := func(runs [][]uint32) bool {
 		var fold Fold
+		var fr Frame
+		var none *Registry
 		merged := &Snapshot{}
 		reg := New()
 		for i, prog := range runs {
@@ -241,8 +245,13 @@ func TestFoldMatchesMerge(t *testing.T) {
 				record(reg, w, step)
 			}
 			now := float64(len(prog) + i)
-			fold.Add(reg.Frame(now))
-			fold.Add(Frame{})
+			reg.FrameInto(now, &fr)
+			fold.Add(&fr)
+			fold.Add(&Frame{})
+			if i%2 == 1 {
+				none.FrameInto(now, &fr)
+				fold.Add(&fr)
+			}
 			merged.Merge(reg.Snapshot(now))
 			reg.Reset()
 		}
@@ -265,10 +274,12 @@ func TestFoldSnapshotIsACopy(t *testing.T) {
 	reg.Gauge("g").Set(0, 1)
 	reg.Histogram("h").Observe(2)
 	var fold Fold
-	fold.Add(reg.Frame(1))
+	var fr Frame
+	reg.FrameInto(1, &fr)
+	fold.Add(&fr)
 	got := fold.Snapshot()
 	want := fold.Snapshot()
-	fold.Add(reg.Frame(1))
+	fold.Add(&fr)
 	if d := got.Diff(want); d != "" {
 		t.Fatalf("Add changed an earlier snapshot: %s", d)
 	}
