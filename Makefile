@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test race allocs vet fmt-check errcheck examples fuzz-smoke crossval golden golden-degraded golden-scenario golden-contention golden-machine-degraded golden-update spec-validate cachepass race-machine bench bench-step bench-step-smoke bench-smoke bench-digest bench-check ci
+.PHONY: build test race allocs vet fmt-check errcheck examples fuzz-smoke crossval golden golden-degraded golden-scenario golden-contention golden-machine-degraded golden-update spec-validate cachepass race-machine race-pool bench bench-step bench-step-smoke bench-smoke bench-digest bench-check ci
 
 build:
 	$(GO) build ./...
@@ -157,6 +157,15 @@ bench-check:
 race-machine:
 	$(GO) test -race -timeout 30m -count=1 ./internal/machine
 
+# race-pool repeats the sweep pool's tests and the cell plan's
+# concurrent tests ten times under the race detector. Workers claim
+# indices off a shared cursor and every worker asks the plan's stop
+# check, so an ordering bug there shows in some interleavings only, which
+# one raced pass may miss.
+race-pool:
+	$(GO) test -race -count=10 ./internal/sweep
+	$(GO) test -race -count=10 -run '^(TestPlanInterruptMidExecute|TestPlansShareStore|TestMeteredSweepReusedRegistriesMatchFresh)$$' ./internal/experiments
+
 # fuzz-smoke runs every Fuzz* target under internal/ and cmd/ with the
 # fuzzing engine for 10 s each (plain `go test` only replays their seed
 # corpora). A failing input is written under the package's
@@ -200,7 +209,8 @@ errcheck:
 # the FULL race-enabled test suite (no -short: the
 # worker-determinism sweeps and injection bit-identity tests must run
 # raced — they are exactly the tests that catch cross-worker
-# nondeterminism), the un-raced allocation gates, the cold-then-warm
+# nondeterminism), ten raced passes over the sweep pool and the cell
+# plan's concurrent tests, the un-raced allocation gates, the cold-then-warm
 # cache pass, one-iteration smoke runs of the full benchmark suite and
 # the step-vs-process headroom pairs, a short run of every fuzz target,
 # and the seed-42 output-digest check of the repository benchmark. The
@@ -217,6 +227,7 @@ ci:
 	$(MAKE) examples
 	$(MAKE) spec-validate
 	$(MAKE) race
+	$(MAKE) race-pool
 	$(MAKE) allocs
 	$(MAKE) cachepass
 	$(MAKE) bench-smoke

@@ -167,14 +167,13 @@ func TestMeteredSweepReusedRegistriesMatchFresh(t *testing.T) {
 
 // TestMeteredSweepAllocs pins "no allocation per metered run": a warm
 // metered sweep of one P2 cell on two workers allocates no more at 400
-// runs than at 100, up to a slack of 30 (measured: 10, a snapshot's
-// bucket lists growing as more runs occupy more buckets). Each run
+// runs than at 100, up to a slack of 30 (measured: 96 and 103). Each run
 // records into a reused registry and leaves its frame in a recycled one;
 // when every run left a frame of its own, the extra 300 runs cost 1,200
 // allocations. A seed preempted mid-run (by a GC, or a descheduled
 // thread) keeps the frames of the seeds after it waiting, and each frame
-// the sweep adds then grows from empty, so each size reads the quietest
-// of five sweeps.
+// the sweep adds then is a new one, so each size reads the quietest of
+// five sweeps.
 func TestMeteredSweepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are gated without -race (make allocs)")

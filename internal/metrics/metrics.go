@@ -210,6 +210,17 @@ func bucketHi(i int) float64 {
 	return histMin * math.Exp2(float64(i)/bucketsPerOctave)
 }
 
+// occupied counts the buckets that hold an observation.
+func occupied(buckets *[numBuckets]uint64) int {
+	k := 0
+	for _, n := range buckets {
+		if n > 0 {
+			k++
+		}
+	}
+	return k
+}
+
 // Observe records one value. No-op on a nil histogram.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {

@@ -262,6 +262,20 @@ func (r *Registry) FrameInto(now float64, f *Frame) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	// A new frame is sized once, from the live series and their occupied
+	// buckets; a refilled one keeps its storage and skips the bucket count.
+	f.counters = reserve(f.counters, len(r.counters.live))
+	f.gauges = reserve(f.gauges, len(r.gauges.live))
+	f.hists = reserve(f.hists, len(r.hists.live))
+	if cap(f.buckets) == 0 {
+		k := 0
+		for _, s := range r.hists.live {
+			if s.val.count > 0 {
+				k += occupied(&s.val.buckets)
+			}
+		}
+		f.buckets = make([]Bucket, 0, k)
+	}
 	for _, s := range r.counters.live {
 		f.counters = append(f.counters, namedCounter{s.name, s.val.n})
 	}
@@ -285,6 +299,15 @@ func (r *Registry) FrameInto(now float64, f *Frame) {
 		}
 		f.hists = append(f.hists, namedHist{s.name, HistStat{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}, len(f.buckets)})
 	}
+}
+
+// reserve returns the empty list s with room for n elements, in a new
+// array only when s's has too little.
+func reserve[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, 0, n)
+	}
+	return s
 }
 
 // Fold merges run frames, in the order added, into one snapshot: the
@@ -313,14 +336,22 @@ func (f *Fold) Add(fr *Frame) {
 	for _, g := range fr.gauges {
 		f.acc.addGauge(g.name, g.st)
 	}
+	// The first frame's histograms fold into one array; a name that a
+	// later frame adds gets its own.
+	var first []histFold
+	if f.hists == nil && len(fr.hists) > 0 {
+		f.hists = make(map[string]*histFold, len(fr.hists))
+		first = make([]histFold, len(fr.hists))
+	}
 	start := 0
-	for _, h := range fr.hists {
-		if f.hists == nil {
-			f.hists = make(map[string]*histFold)
-		}
+	for i, h := range fr.hists {
 		hf := f.hists[h.name]
 		if hf == nil {
-			hf = new(histFold)
+			if first != nil {
+				hf = &first[i]
+			} else {
+				hf = new(histFold)
+			}
 			f.hists[h.name] = hf
 		}
 		if hf.st.absorb(h.st) {
@@ -340,9 +371,12 @@ func (f *Fold) Snapshot() *Snapshot {
 		s.Histograms = make(map[string]HistStat, len(f.hists))
 		for name, hf := range f.hists {
 			st := hf.st
-			for i, n := range hf.buckets {
-				if n > 0 {
-					st.Buckets = append(st.Buckets, Bucket{Index: i, Count: n})
+			if k := occupied(&hf.buckets); k > 0 {
+				st.Buckets = make([]Bucket, 0, k)
+				for i, n := range hf.buckets {
+					if n > 0 {
+						st.Buckets = append(st.Buckets, Bucket{Index: i, Count: n})
+					}
 				}
 			}
 			st.refreshQuantiles()

@@ -285,6 +285,62 @@ func TestFoldSnapshotIsACopy(t *testing.T) {
 	}
 }
 
+// spanBuckets returns a registry with three counters, three gauges and
+// four histograms, each histogram holding one value in each of the
+// first k buckets from 1 ms up.
+func spanBuckets(k int) *Registry {
+	r := New()
+	for i := range 3 {
+		r.Counter(fmt.Sprint("c", i)).Add(float64(i))
+		r.Gauge(fmt.Sprint("g", i)).Set(0, float64(i))
+	}
+	for i := range 4 {
+		h := r.Histogram(fmt.Sprint("h", i))
+		for j := range k {
+			h.Observe(1e-3 * math.Exp2((float64(j)+0.5)/bucketsPerOctave))
+		}
+	}
+	return r
+}
+
+// TestFrameIntoNewFrameAllocs: filling a new frame sizes each of its
+// four lists once, however many buckets its histograms occupy, and
+// refilling it allocates nothing.
+func TestFrameIntoNewFrameAllocs(t *testing.T) {
+	for _, k := range []int{3, 60} {
+		r := spanBuckets(k)
+		if n := testing.AllocsPerRun(100, func() {
+			var fr Frame
+			r.FrameInto(1, &fr)
+			if len(fr.buckets) != 4*k {
+				t.Fatalf("%d buckets framed, want %d", len(fr.buckets), 4*k)
+			}
+		}); n != 4 {
+			t.Fatalf("a new frame of %d buckets a histogram allocated %.0f times, want 4", k, n)
+		}
+	}
+}
+
+// TestFoldSnapshotAllocs: a fold's snapshot makes each histogram's
+// bucket list once, so it allocates as often whether its histograms
+// occupy 3 buckets or 60.
+func TestFoldSnapshotAllocs(t *testing.T) {
+	allocs := func(k int) float64 {
+		var fr Frame
+		spanBuckets(k).FrameInto(1, &fr)
+		var fold Fold
+		fold.Add(&fr)
+		return testing.AllocsPerRun(100, func() {
+			if s := fold.Snapshot(); len(s.Histograms["h0"].Buckets) != k {
+				t.Fatalf("%d buckets in the snapshot, want %d", len(s.Histograms["h0"].Buckets), k)
+			}
+		})
+	}
+	if few, many := allocs(3), allocs(60); few != many {
+		t.Fatalf("a fold snapshot allocated %.0f times at 3 buckets a histogram and %.0f at 60", few, many)
+	}
+}
+
 // nonFiniteSnapshot records +Inf, -Inf and NaN into a histogram and a
 // gauge each, next to a finite series.
 func nonFiniteSnapshot() *Snapshot {

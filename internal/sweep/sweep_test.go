@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pckpt/internal/sim"
 	"pckpt/internal/stats"
@@ -127,7 +129,7 @@ func TestCompleted(t *testing.T) {
 
 // TestSweepRunAllocsConstant pins that the runner's own allocations do
 // not grow with the run count: the result and ledger slices are one
-// allocation each, and the workers pull indices off one channel.
+// allocation each, and the workers claim indices off one atomic cursor.
 func TestSweepRunAllocsConstant(t *testing.T) {
 	allocs := func(n int) float64 {
 		return testing.AllocsPerRun(20, func() {
@@ -141,4 +143,124 @@ func TestSweepRunAllocsConstant(t *testing.T) {
 	if large > small {
 		t.Fatalf("allocations grow with n: %.0f at n=8, %.0f at n=4096", small, large)
 	}
+}
+
+// TestEachClaimsEveryIndexOnce runs every index exactly once for any
+// worker count, and returns only once every task has returned: each
+// task sleeps before it sets its flag, so a pool that returned early
+// would leave flags unset.
+func TestEachClaimsEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 1000} {
+		for _, workers := range []int{-1, 0, 1, 2, 7, n + 3} {
+			calls := make([]atomic.Int32, n)
+			done := make([]atomic.Bool, n)
+			sweep.Each(n, workers, nil, func(i int) {
+				calls[i].Add(1)
+				time.Sleep(time.Microsecond)
+				done[i].Store(true)
+			})
+			for i := range calls {
+				if c := calls[i].Load(); c != 1 {
+					t.Fatalf("n=%d workers=%d: index %d ran %d times", n, workers, i, c)
+				}
+				if !done[i].Load() {
+					t.Fatalf("n=%d workers=%d: Each returned before index %d's task did", n, workers, i)
+				}
+			}
+		}
+	}
+}
+
+// TestEachStopsAtAPrefix flips the stop flag from task k while every
+// worker asks stop concurrently. The indices run must form a prefix
+// [0, m) that holds k, and every claimed index must have run: each stop
+// answer of false is followed by one claim, and no claim reaches n, so
+// the claims are exactly the false answers. After the flip, only a
+// worker whose ask had already passed may claim, at most one each, so m
+// exceeds the claims counted at the flip by less than workers. Tasks past
+// k wait for the flip, so before it each other worker holds at most one
+// of them, and m stays below k + 2·workers. Last, a stop that answers
+// true once retires one worker and no index: the others run every index.
+func TestEachStopsAtAPrefix(t *testing.T) {
+	const n = 100000
+	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0) + 3} {
+		for _, k := range []int{0, 1, 37, 999} {
+			var stopped atomic.Bool
+			var claims, atFlip atomic.Int64
+			ran := make([]atomic.Bool, n)
+			sweep.Each(n, workers, func() bool {
+				if stopped.Load() {
+					return true
+				}
+				claims.Add(1)
+				return false
+			}, func(i int) {
+				if ran[i].Swap(true) {
+					t.Errorf("workers=%d k=%d: index %d ran twice", workers, k, i)
+				}
+				if i == k {
+					stopped.Store(true)
+					atFlip.Store(claims.Load())
+				}
+				for i > k && !stopped.Load() {
+					runtime.Gosched()
+				}
+			})
+			m := 0
+			for m < n && ran[m].Load() {
+				m++
+			}
+			for i := m; i < n; i++ {
+				if ran[i].Load() {
+					t.Fatalf("workers=%d k=%d: index %d ran but %d did not", workers, k, i, m)
+				}
+			}
+			if m <= k || m >= k+2*workers {
+				t.Fatalf("workers=%d k=%d: ran [0, %d), want a prefix past k by less than %d", workers, k, m, 2*workers)
+			}
+			if c := claims.Load(); c != int64(m) {
+				t.Fatalf("workers=%d k=%d: %d claims but %d indices ran", workers, k, c, m)
+			}
+			if late := int64(m) - atFlip.Load(); late >= int64(workers) {
+				t.Fatalf("workers=%d k=%d: %d indices claimed after the flip, want fewer than %d", workers, k, late, workers)
+			}
+		}
+	}
+	for _, workers := range []int{2, 4} {
+		var asks atomic.Int64
+		ran := make([]atomic.Int32, 1000)
+		sweep.Each(len(ran), workers, func() bool { return asks.Add(1) == 10 }, func(i int) { ran[i].Add(1) })
+		for i := range ran {
+			if c := ran[i].Load(); c != 1 {
+				t.Fatalf("workers=%d: one worker told to stop, and index %d ran %d times", workers, i, c)
+			}
+		}
+	}
+}
+
+// BenchmarkEachUtilization is the pool's micro-rung. It runs 2,000 tasks
+// of about 50 µs of busy work on GOMAXPROCS workers and reports util, the
+// tasks' time over the wall time times the workers (1 when no worker
+// ever waits for an index), and ns/index, the pool's cost per index on
+// empty tasks.
+func BenchmarkEachUtilization(b *testing.B) {
+	const tasks, work, empty = 2000, 50 * time.Microsecond, 100000
+	workers := runtime.GOMAXPROCS(0)
+	var busy atomic.Int64
+	var wall, overhead time.Duration
+	for range b.N {
+		start := time.Now()
+		sweep.Each(tasks, workers, nil, func(int) {
+			t0 := time.Now()
+			for time.Since(t0) < work {
+			}
+			busy.Add(int64(time.Since(t0)))
+		})
+		wall += time.Since(start)
+		start = time.Now()
+		sweep.Each(empty, workers, nil, func(int) {})
+		overhead += time.Since(start)
+	}
+	b.ReportMetric(float64(busy.Load())/float64(wall)/float64(workers), "util")
+	b.ReportMetric(float64(overhead)/float64(b.N*empty), "ns/index")
 }
