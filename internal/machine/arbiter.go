@@ -27,9 +27,8 @@ type flow struct {
 	// only slows a transfer down, never speeds it past its solo price.
 	soloRate float64
 	// rate is the current allocation, repriced on every writer-set change.
-	rate  float64
-	done  func()
-	timer sim.Timer
+	rate float64
+	done func()
 	// queued marks a drain parked for a free drain slot; suspended marks
 	// a flow frozen by its app's interrupt handling. Neither holds
 	// bandwidth.
@@ -42,10 +41,10 @@ type flow struct {
 	starvedAt float64
 	escalated bool
 	escTimer  sim.Timer
-	// completeFn and escalateFn are the arbiter's complete and escalate
-	// bound to this record once, when it is first allocated; they
-	// survive recycling, so rescheduling a timer allocates nothing.
-	completeFn, escalateFn func()
+	// escalateFn is the arbiter's escalate bound to this record once,
+	// when it is first allocated; it survives recycling, so arming the
+	// watchdog allocates nothing.
+	escalateFn func()
 }
 
 // BandwidthArbiter is the machine's PFS bandwidth control plane. It
@@ -62,12 +61,21 @@ type flow struct {
 //   - drains additionally contend for MaxDrains shared slots: a drain
 //     arriving with no free slot queues FIFO and holds no bandwidth.
 //
-// Completion times are engine timers rescheduled on each repricing, so
-// the whole machine stays a deterministic single-goroutine simulation.
+// Only the earliest completion can fire before the next repricing, and
+// every repricing recomputes it, so the arbiter keeps one engine alarm,
+// armed at the earliest completion among its active flows; the whole
+// machine stays a deterministic single-goroutine simulation.
 type BandwidthArbiter struct {
 	eng      *sim.Engine
 	ceiling  float64
 	maxDrain int
+
+	// completion is armed at next's completion time whenever an active
+	// flow holds bandwidth; completeFn is completeNext, bound once and
+	// kept by reset, so binding the alarm each run allocates nothing.
+	completion sim.Alarm
+	next       *flow
+	completeFn func(float64)
 
 	active []*flow // allocation order: ascending flow id
 	drainQ []*flow // FIFO drains awaiting a slot
@@ -117,11 +125,12 @@ func NewBandwidthArbiter(eng *sim.Engine, ceilingGBs float64, maxDrains, numApps
 	return b
 }
 
-// reset makes b, in place, the arbiter NewBandwidthArbiter returns: every
-// flow still live is retired, and the flow records (their callbacks
-// bound), the per-app tables and the scratch lists keep their storage.
-// b's old engine must have drained or be dropped, so that no timer of a
-// retired flow can fire. A machine run record resets one arbiter per run.
+// reset makes b, in place, the arbiter NewBandwidthArbiter returns, its
+// completion alarm bound to eng: every flow still live is retired, and
+// the flow records (their callbacks bound), the per-app tables and the
+// scratch lists keep their storage. b's old engine must have drained, or
+// been reset or dropped, so that no timer of a retired flow can fire. A
+// machine run record resets one arbiter per run.
 func (b *BandwidthArbiter) reset(eng *sim.Engine, ceilingGBs float64, maxDrains, numApps int) {
 	if ceilingGBs <= 0 {
 		panic(fmt.Sprintf("machine: non-positive bandwidth ceiling %g", ceilingGBs))
@@ -131,6 +140,10 @@ func (b *BandwidthArbiter) reset(eng *sim.Engine, ceilingGBs float64, maxDrains,
 	}
 	for _, f := range b.live {
 		b.freeFlow(f)
+	}
+	completeFn := b.completeFn
+	if completeFn == nil {
+		completeFn = b.completeNext
 	}
 	*b = BandwidthArbiter{
 		eng:         eng,
@@ -147,7 +160,9 @@ func (b *BandwidthArbiter) reset(eng *sim.Engine, ceilingGBs float64, maxDrains,
 		scratch:     b.scratch[:0],
 		escScratch:  b.escScratch[:0],
 		free:        b.free,
+		completeFn:  completeFn,
 	}
+	eng.Bind(&b.completion, "arbiter", completeFn)
 }
 
 // zeroed returns s resized to n zero values, reusing its storage.
@@ -184,7 +199,9 @@ func (b *BandwidthArbiter) retire(f *flow) {
 }
 
 // SetAllocObserver installs fn to observe every repricing's total
-// allocation (t, totalGBs, ceilingGBs). Pass nil to remove.
+// allocation (t, totalGBs, ceilingGBs). Pass nil to remove. A ceiling or
+// drain-budget change with no flow active or queued prices nothing, so
+// it calls no observer.
 func (b *BandwidthArbiter) SetAllocObserver(fn func(t, totalGBs, ceilingGBs float64)) { b.onAlloc = fn }
 
 // Ceiling returns the instantaneous aggregate bandwidth ceiling.
@@ -192,15 +209,20 @@ func (b *BandwidthArbiter) Ceiling() float64 { return b.ceiling }
 
 // SetCeiling changes the aggregate bandwidth ceiling mid-run — the PFS
 // brownout/blackout hook. Zero is legal (a blackout: every flow prices
-// to zero and waits); negative or NaN is not. Every transition reprices
-// immediately, so in-flight transfers keep exact integer progress
-// accounting across the change.
+// to zero and waits); negative or NaN is not. A transition with flows
+// active reprices immediately, so in-flight transfers keep exact
+// progress accounting across the change. With none active there is
+// nothing to price: the last repricing left every app unstarved and the
+// completion alarm unarmed, and a flow activated later starts at rate 0,
+// so the skipped repricing would only have moved lastT.
 func (b *BandwidthArbiter) SetCeiling(gbs float64) {
 	if gbs < 0 || math.IsNaN(gbs) {
 		panic(fmt.Sprintf("machine: invalid bandwidth ceiling %g", gbs))
 	}
 	b.ceiling = gbs
-	b.reprice()
+	if len(b.active) > 0 {
+		b.reprice()
+	}
 }
 
 // SetMaxDrains changes the drain-slot budget mid-run — the drain-slot
@@ -208,10 +230,15 @@ func (b *BandwidthArbiter) SetCeiling(gbs float64) {
 // Shrinking evicts the most recently admitted in-flight drains back to
 // the FRONT of the slot queue in start order, so when slots return the
 // interrupted drains resume FIFO ahead of drains that never started;
-// growing promotes queued drains FIFO.
+// growing promotes queued drains FIFO. With no flow active and no drain
+// queued there is nothing to evict, promote or price (see SetCeiling).
 func (b *BandwidthArbiter) SetMaxDrains(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("machine: negative drain concurrency %d", n))
+	}
+	if len(b.active) == 0 && len(b.drainQ) == 0 {
+		b.maxDrain = n
+		return
 	}
 	t := b.eng.Now()
 	b.advance(t)
@@ -394,12 +421,13 @@ func (b *BandwidthArbiter) CancelFlow(id stepsim.FlowID) {
 	b.retire(f)
 }
 
-// complete fires when a flow's completion timer expires: the flow's
-// remaining volume has fully transferred at its allocated rate. done
+// completeNext is the completion alarm firing: next, the active flow
+// that completes first, has fully transferred at its allocated rate. done
 // runs last, after the record is recycled: it may start a flow that
 // reuses the record.
-func (b *BandwidthArbiter) complete(f *flow) {
-	f.timer = sim.Timer{}
+func (b *BandwidthArbiter) completeNext(float64) {
+	f := b.next
+	b.next = nil
 	b.deactivate(f)
 	b.reprice()
 	done := f.done
@@ -408,7 +436,7 @@ func (b *BandwidthArbiter) complete(f *flow) {
 }
 
 // newFlow takes a record off the free list, or allocates one and binds
-// its callbacks.
+// its watchdog callback.
 func (b *BandwidthArbiter) newFlow() *flow {
 	if n := len(b.free); n > 0 {
 		f := b.free[n-1]
@@ -417,19 +445,18 @@ func (b *BandwidthArbiter) newFlow() *flow {
 		return f
 	}
 	f := &flow{}
-	f.completeFn = func() { b.complete(f) }
 	f.escalateFn = func() { b.escalate(f) }
 	return f
 }
 
-// freeFlow zeroes a retired record, keeping its bound callbacks, and
+// freeFlow zeroes a retired record, keeping its bound callback, and
 // returns it to the free list. The caller guarantees the record has left
-// the live set, the active set and the drain queue, and that both its
-// timers are cancelled (or fired): no engine event or lookup can reach it
-// again. A run never reuses a flow ID, so a stale ID finds nothing in the
-// live set.
+// the live set, the active set and the drain queue, that it is not next,
+// and that its watchdog timer is cancelled (or fired): no engine event
+// or lookup can reach it again. A run never reuses a flow ID, so a stale
+// ID finds nothing in the live set.
 func (b *BandwidthArbiter) freeFlow(f *flow) {
-	*f = flow{completeFn: f.completeFn, escalateFn: f.escalateFn}
+	*f = flow{escalateFn: f.escalateFn}
 	b.free = append(b.free, f)
 }
 
@@ -450,12 +477,14 @@ func (b *BandwidthArbiter) activate(f *flow) {
 	b.active[i] = f
 }
 
-// park tears down f's pricing state — completion timer, open starvation
-// stretch, watchdog timer, escalation — without touching its slot or
-// active-set membership.
+// park tears down f's pricing state — the completion alarm if f is next,
+// open starvation stretch, watchdog timer, escalation — without touching
+// its slot or active-set membership.
 func (b *BandwidthArbiter) park(f *flow, t float64) {
-	b.eng.Cancel(f.timer)
-	f.timer = sim.Timer{}
+	if f == b.next {
+		b.completion.Disarm()
+		b.next = nil
+	}
 	f.rate = 0
 	if f.starved {
 		b.noteStretch(f, t)
@@ -491,8 +520,8 @@ func (b *BandwidthArbiter) escalate(f *flow) {
 	b.reprice()
 }
 
-// deactivate removes f from the allocated set, cancels its timer, and —
-// if it held a drain slot — promotes the longest-waiting queued drain.
+// deactivate removes f from the allocated set, parks it, and — if it
+// held a drain slot — promotes the longest-waiting queued drain.
 func (b *BandwidthArbiter) deactivate(f *flow) {
 	b.park(f, b.eng.Now())
 	for i, g := range b.active {
@@ -586,7 +615,8 @@ func (b *BandwidthArbiter) waterFill(unsat []*flow, left float64) float64 {
 
 // reprice advances the fluid model to now, re-divides the ceiling over
 // the active flows (escalated lane, then priority lane, then capped
-// max-min fair share), and reschedules every completion timer.
+// max-min fair share), and arms the completion alarm at the earliest
+// completion, or disarms it when no flow holds bandwidth.
 func (b *BandwidthArbiter) reprice() {
 	t := b.eng.Now()
 	b.advance(t)
@@ -650,11 +680,22 @@ func (b *BandwidthArbiter) reprice() {
 		}
 	}
 
+	// Arm the alarm at the earliest completion, the first in active
+	// order on a tie: the order one timer per flow, armed in active
+	// order, would fire in. No later completion can fire before the
+	// next repricing re-arms the alarm.
+	b.next = nil
+	at := 0.0
 	for _, f := range b.active {
-		b.eng.Cancel(f.timer)
-		f.timer = sim.Timer{}
 		if f.rate > 0 {
-			f.timer = b.eng.After(f.remainGB/f.rate, "arbiter", f.completeFn)
+			if fat := t + f.remainGB/f.rate; b.next == nil || fat < at {
+				b.next, at = f, fat
+			}
 		}
 	}
+	if b.next == nil {
+		b.completion.Disarm()
+		return
+	}
+	b.completion.Arm(at, 0)
 }

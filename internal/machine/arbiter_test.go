@@ -2,6 +2,7 @@ package machine_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"pckpt/internal/machine"
@@ -30,20 +31,30 @@ func TestArbiterSoloFlowCompletesAtSoloDuration(t *testing.T) {
 }
 
 // Two flows whose solo rates each saturate the ceiling fair-share it:
-// each runs at half rate and takes twice its solo time.
+// each runs at half rate and takes twice its solo time. They finish at
+// the same instant in start order: on a tie the completion alarm takes
+// the first active flow, as one timer per flow, armed in that order,
+// would fire.
 func TestArbiterFairShareStretchesEqualFlows(t *testing.T) {
 	eng := sim.NewEngine()
 	arb := machine.NewBandwidthArbiter(eng, 100, 4, 2)
 	var at [2]float64
+	var order []int
 	for i := 0; i < 2; i++ {
 		i := i
-		arb.StartFlow(i, stepsim.ClassCollective, 1000, 10, func() { at[i] = eng.Now() })
+		arb.StartFlow(i, stepsim.ClassCollective, 1000, 10, func() {
+			at[i] = eng.Now()
+			order = append(order, i)
+		})
 	}
 	eng.RunAll()
 	for i, got := range at {
 		if !near(got, 20) {
 			t.Fatalf("flow %d finished at %g, want 20 (fair share of a saturated ceiling)", i, got)
 		}
+	}
+	if at[0] != at[1] || !reflect.DeepEqual(order, []int{0, 1}) {
+		t.Fatalf("the flows finished at %v in order %v, want one instant in start order [0 1]", at, order)
 	}
 }
 
@@ -192,5 +203,57 @@ func TestArbiterStaleFlowIDFindsNothing(t *testing.T) {
 				t.Fatalf("the %s flow's done fired %d times, want %d", retire, oldDone, want)
 			}
 		})
+	}
+}
+
+// A ceiling or drain-budget edge with no flow active and no drain queued
+// prices nothing: it calls no observer. The edges still take effect: a
+// collective flow started after a blackout edge waits at rate 0 until
+// the ceiling returns, accruing exactly that wait as starvation, and a
+// drain started after a zero-budget edge queues until a slot returns.
+func TestArbiterIdleEdgeSkipsRepricing(t *testing.T) {
+	eng := sim.NewEngine()
+	arb := machine.NewBandwidthArbiter(eng, 100, 2, 2)
+	var priced []float64
+	arb.SetAllocObserver(func(at, _, _ float64) { priced = append(priced, at) })
+	var collAt, drainAt float64
+	eng.After(1, "", func() { arb.SetCeiling(0) })
+	eng.After(2, "", func() { arb.SetMaxDrains(0) })
+	eng.After(3, "", func() {
+		if len(priced) != 0 {
+			t.Fatalf("idle edges called the observer at %v", priced)
+		}
+	})
+	eng.After(4, "", func() {
+		arb.StartFlow(0, stepsim.ClassCollective, 100, 1, func() { collAt = eng.Now() })
+		arb.StartFlow(1, stepsim.ClassDrain, 50, 1, func() { drainAt = eng.Now() })
+		if q := arb.QueuedDrains(); q != 1 {
+			t.Fatalf("%d drains queued after a zero-budget edge, want 1", q)
+		}
+	})
+	// The collective flow holds 40 of its solo 100 GB/s from t=6: done at
+	// 6+100/40. The drain gets the slot at t=9 and runs alone at 40 of
+	// its solo 50: done at 9+50/40.
+	eng.After(6, "", func() { arb.SetCeiling(40) })
+	eng.After(9, "", func() { arb.SetMaxDrains(1) })
+	eng.After(20, "", func() {
+		arb.SetCeiling(100)
+		arb.SetMaxDrains(2)
+	})
+	eng.RunAll()
+	if collAt != 8.5 || drainAt != 10.25 {
+		t.Fatalf("the flows completed at %g and %g, want 8.5 and 10.25", collAt, drainAt)
+	}
+	// Priced: the collective flow's start, the ceiling's return, its
+	// completion, the drain's promotion and its completion — no edge
+	// made while the arbiter was idle.
+	if want := []float64{4, 6, 8.5, 9, 10.25}; !reflect.DeepEqual(priced, want) {
+		t.Fatalf("repriced at %v, want %v", priced, want)
+	}
+	if s, m := arb.StarvationSeconds(0), arb.MaxStarvationStretchSeconds(0); s != 2 || m != 2 {
+		t.Fatalf("the collective flow's app starved %g s (longest stretch %g), want 2 (t=4 to 6)", s, m)
+	}
+	if s := arb.StarvationSeconds(1); s != 0 {
+		t.Fatalf("the queued drain's app starved %g s, want 0: a queued drain holds no claim", s)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // BenchmarkArbiterReprice measures the arbiter's hot path: a standing
 // population of fair-share flows with a churn of starts and completions,
 // each mutation triggering a full repricing (advance + water-fill +
-// timer reschedule).
+// re-arming the completion alarm at the earliest completion).
 func BenchmarkArbiterReprice(b *testing.B) {
 	eng := sim.NewEngine()
 	arb := machine.NewBandwidthArbiter(eng, 100, 1<<20, 8)

@@ -3,18 +3,20 @@ package machine
 import (
 	"pckpt/internal/faultinject"
 	"pckpt/internal/rng"
+	"pckpt/internal/sim"
 )
 
 // faultDriver runs the machine-scope fault plan against a live
 // simulation: three independent Poisson processes (PFS brownouts,
 // drain-slot outages, rack crashes), each drawing gaps and windows from
-// its own substream of the plan's RNG, scheduled as ordinary engine
-// events so the whole degraded machine stays a deterministic
-// single-goroutine simulation. Every process stops rescheduling once
-// all tenants have finished, so the engine drains.
+// its own substream of the plan's RNG. Each process is one engine alarm,
+// re-armed at its next edge — a window's opening or closing, or the next
+// strike — so the whole degraded machine stays a deterministic
+// single-goroutine simulation. Every process stops re-arming once all
+// tenants have finished, so the engine drains.
 //
-// The driver lives in its run record: its handlers are bound once, and
-// each run reseeds the injector's substreams in place.
+// The driver lives in its run record: its alarm callbacks are bound
+// once, and each run reseeds the injector's substreams in place.
 type faultDriver struct {
 	r *run
 	// fi is the run's injector: &inj when the plan is armed, nil when it
@@ -25,17 +27,19 @@ type faultDriver struct {
 	baseCeiling float64
 	baseDrains  int
 
-	// The five event handlers, bound once: scheduling a window edge or a
-	// strike then allocates nothing.
-	brownoutOpenFn, brownoutCloseFn, drainOutageOpenFn, drainOutageCloseFn, crashStrikeFn func()
+	// One alarm per fault process; start binds the enabled ones. The
+	// window flags tell an edge whether it opens or closes its window.
+	brownout, outage, crash sim.Alarm
+	inBrownout, inOutage    bool
+	// The alarms' callbacks, bound once: binding and arming them then
+	// allocates nothing.
+	brownoutFn, outageFn, crashFn func(float64)
 }
 
-// bind attaches the driver to its record and binds its handlers.
+// bind attaches the driver to its record and binds its callbacks.
 func (d *faultDriver) bind(r *run) {
 	d.r = r
-	d.brownoutOpenFn, d.brownoutCloseFn = d.brownoutOpen, d.brownoutClose
-	d.drainOutageOpenFn, d.drainOutageCloseFn = d.drainOutageOpen, d.drainOutageClose
-	d.crashStrikeFn = d.crashStrike
+	d.brownoutFn, d.outageFn, d.crashFn = d.brownoutEdge, d.outageEdge, d.crashStrike
 }
 
 // reset readies the driver for a run of plan from the machine seed and
@@ -50,22 +54,31 @@ func (d *faultDriver) reset(plan faultinject.MachineConfig, seed uint64) *faulti
 	return d.fi
 }
 
-// start schedules the first gap of every enabled fault process. Must run
-// before the engine does (time zero).
+// start binds the alarm of every enabled fault process and arms it at
+// the process's first gap. Must run before the engine does (time zero).
 func (d *faultDriver) start() {
 	eng := d.r.eng
 	d.baseCeiling = d.r.arb.Ceiling()
 	d.baseDrains = d.r.arb.MaxDrains()
+	d.inBrownout, d.inOutage = false, false
 	mc := d.fi.MachineConfig()
 	if mc.BrownoutRatePerHour > 0 {
-		eng.After(d.fi.NextBrownoutGap(), "machine-brownout", d.brownoutOpenFn)
+		eng.Bind(&d.brownout, "machine-brownout", d.brownoutFn)
+		d.arm(&d.brownout, d.fi.NextBrownoutGap())
 	}
 	if mc.DrainOutageRatePerHour > 0 {
-		eng.After(d.fi.NextDrainOutageGap(), "machine-drain-outage", d.drainOutageOpenFn)
+		eng.Bind(&d.outage, "machine-drain-outage", d.outageFn)
+		d.arm(&d.outage, d.fi.NextDrainOutageGap())
 	}
 	if mc.CrashRatePerHour > 0 {
-		eng.After(d.fi.NextCrashGap(), "machine-crash", d.crashStrikeFn)
+		eng.Bind(&d.crash, "machine-crash", d.crashFn)
+		d.arm(&d.crash, d.fi.NextCrashGap())
 	}
+}
+
+// arm sets a fault alarm to fire delay seconds from now.
+func (d *faultDriver) arm(a *sim.Alarm, delay float64) {
+	a.Arm(d.r.eng.Now()+delay, 0)
 }
 
 // allDone reports whether every job has left the machine for good —
@@ -79,11 +92,20 @@ func (d *faultDriver) allDone() bool {
 	return true
 }
 
-// brownoutOpen starts one brownout window: the arbiter's ceiling drops
-// to base×factor (zero on a blackout) and every in-flight transfer
-// reprices mid-stream. Windows are sequential — the next gap is drawn
-// when this window closes.
-func (d *faultDriver) brownoutOpen() {
+// brownoutEdge opens or closes a brownout window. Opening, the
+// arbiter's ceiling drops to base×factor (zero on a blackout) and every
+// in-flight transfer reprices mid-stream; closing, the ceiling returns
+// to base and, unless every tenant has finished, the next gap is drawn.
+// Windows are sequential.
+func (d *faultDriver) brownoutEdge(float64) {
+	if d.inBrownout {
+		d.inBrownout = false
+		d.r.arb.SetCeiling(d.baseCeiling)
+		if !d.allDone() {
+			d.arm(&d.brownout, d.fi.NextBrownoutGap())
+		}
+		return
+	}
 	if d.allDone() {
 		return
 	}
@@ -91,40 +113,32 @@ func (d *faultDriver) brownoutOpen() {
 	d.r.res.Brownouts++
 	d.r.res.BrownoutSeconds += dur
 	d.r.arb.SetCeiling(d.baseCeiling * factor)
-	d.r.eng.After(dur, "machine-brownout", d.brownoutCloseFn)
+	d.inBrownout = true
+	d.arm(&d.brownout, dur)
 }
 
-// brownoutClose ends the open brownout window: the ceiling returns to
-// base and, unless every tenant has finished, the next gap is drawn.
-func (d *faultDriver) brownoutClose() {
-	d.r.arb.SetCeiling(d.baseCeiling)
-	if d.allDone() {
+// outageEdge opens or closes a drain-slot outage. Opening, the
+// machine-wide drain budget shrinks (to no less than zero) and the most
+// recently admitted in-flight drains requeue FIFO at the head of the
+// slot queue; closing, the budget returns to base and, unless every
+// tenant has finished, the next gap is drawn.
+func (d *faultDriver) outageEdge(float64) {
+	if d.inOutage {
+		d.inOutage = false
+		d.r.arb.SetMaxDrains(d.baseDrains)
+		if !d.allDone() {
+			d.arm(&d.outage, d.fi.NextDrainOutageGap())
+		}
 		return
 	}
-	d.r.eng.After(d.fi.NextBrownoutGap(), "machine-brownout", d.brownoutOpenFn)
-}
-
-// drainOutageOpen starts one drain-slot outage: the machine-wide drain
-// budget shrinks (to no less than zero) and the most recently admitted
-// in-flight drains requeue FIFO at the head of the slot queue.
-func (d *faultDriver) drainOutageOpen() {
 	if d.allDone() {
 		return
 	}
 	dur, slots := d.fi.DrainOutageWindow()
 	d.r.res.DrainOutages++
 	d.r.arb.SetMaxDrains(max(d.baseDrains-slots, 0))
-	d.r.eng.After(dur, "machine-drain-outage", d.drainOutageCloseFn)
-}
-
-// drainOutageClose ends the open outage: the drain budget returns to
-// base and, unless every tenant has finished, the next gap is drawn.
-func (d *faultDriver) drainOutageClose() {
-	d.r.arb.SetMaxDrains(d.baseDrains)
-	if d.allDone() {
-		return
-	}
-	d.r.eng.After(d.fi.NextDrainOutageGap(), "machine-drain-outage", d.drainOutageOpenFn)
+	d.inOutage = true
+	d.arm(&d.outage, dur)
 }
 
 // crashStrike fires one planned rack crash. The rack is drawn
@@ -133,7 +147,7 @@ func (d *faultDriver) drainOutageClose() {
 // arbiter, its nodes return to the pool, and it either re-enters the
 // admission queue after an exponential backoff or (past the retry
 // bound) ends as a truncated run.
-func (d *faultDriver) crashStrike() {
+func (d *faultDriver) crashStrike(float64) {
 	if d.allDone() {
 		return
 	}
@@ -149,7 +163,7 @@ func (d *faultDriver) crashStrike() {
 	if struck {
 		d.r.tryAdmit()
 	}
-	d.r.eng.After(d.fi.NextCrashGap(), "machine-crash", d.crashStrikeFn)
+	d.arm(&d.crash, d.fi.NextCrashGap())
 }
 
 // crashTenant aborts one running job and routes it through the crash

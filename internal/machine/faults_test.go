@@ -1,6 +1,7 @@
 package machine_test
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -21,13 +22,22 @@ import (
 func conserving(t *testing.T, arb *machine.BandwidthArbiter) {
 	t.Helper()
 	arb.SetAllocObserver(func(at, total, ceil float64) {
-		if total > ceil*(1+1e-9)+1e-12 {
-			t.Fatalf("allocation %g exceeds ceiling %g at t=%g", total, ceil, at)
-		}
-		if total < 0 {
-			t.Fatalf("negative allocation %g at t=%g", total, at)
+		if msg := unconserved(at, total, ceil); msg != "" {
+			t.Fatal(msg)
 		}
 	})
+}
+
+// unconserved describes a repricing that breaks conservation, or returns
+// "".
+func unconserved(at, total, ceil float64) string {
+	if total > ceil*(1+1e-9)+1e-12 {
+		return fmt.Sprintf("allocation %g exceeds ceiling %g at t=%g", total, ceil, at)
+	}
+	if total < 0 {
+		return fmt.Sprintf("negative allocation %g at t=%g", total, at)
+	}
+	return ""
 }
 
 // A blackout (ceiling zero) freezes every flow with exact progress
@@ -172,96 +182,121 @@ func TestArbiterStarvationWatchdogEscalates(t *testing.T) {
 // interleavings of suspend, resume, cancel, brownout/blackout ceiling
 // moves, and drain-budget changes, conservation holds at every
 // repricing, every surviving flow still completes once the machine
-// heals, and no drain is left queued for a slot.
+// heals, and no drain is left queued for a slot (interleavingTrial).
 func TestArbiterFaultInterleavingConservation(t *testing.T) {
 	trial := func(seed uint64) bool {
-		defer func() {
-			if t.Failed() {
-				t.Logf("failing trial seed %#x", seed)
-			}
-		}()
-		src := rng.New(seed)
-		eng := sim.NewEngine()
-		const ceiling = 50.0
-		arb := machine.NewBandwidthArbiter(eng, ceiling, 2, 4)
-		conserving(t, arb)
-		arb.SetStarvationEscalation(40)
-
-		classes := []stepsim.WriteClass{stepsim.ClassCollective, stepsim.ClassVulnerable, stepsim.ClassDrain}
-		n := 4 + src.Intn(8)
-		completed := make([]bool, n)
-		cancelled := make([]bool, n)
-		ids := make([]stepsim.FlowID, n)
-		for i := 0; i < n; i++ {
-			i := i
-			ids[i] = arb.StartFlow(i%4, classes[src.Intn(3)],
-				src.Uniform(20, 300), src.Uniform(5, 40),
-				func() { completed[i] = true })
-		}
-		// Random fault transitions over the first 500s; the machine heals
-		// at t=1000 so every surviving flow can drain.
-		events := 6 + src.Intn(10)
-		for e := 0; e < events; e++ {
-			at := src.Uniform(1, 500)
-			switch src.Intn(5) {
-			case 0: // brownout or blackout
-				f := src.Uniform(0, 1)
-				if src.Bool(0.3) {
-					f = 0
-				}
-				eng.After(at, "", func() { arb.SetCeiling(ceiling * f) })
-			case 1: // drain-slot outage / restore
-				slots := src.Intn(3)
-				eng.After(at, "", func() { arb.SetMaxDrains(slots) })
-			case 2: // suspend, with a guaranteed later resume
-				i := src.Intn(n)
-				eng.After(at, "", func() { arb.SuspendFlow(ids[i]) })
-				eng.After(at+src.Uniform(1, 200), "", func() { arb.ResumeFlow(ids[i]) })
-			case 3: // tenant-crash style cancellation
-				i := src.Intn(n)
-				eng.After(at, "", func() {
-					if !completed[i] {
-						cancelled[i] = true
-						arb.CancelFlow(ids[i])
-					}
-				})
-			case 4: // spurious resume of a never-suspended flow (no-op)
-				i := src.Intn(n)
-				eng.After(at, "", func() { arb.ResumeFlow(ids[i]) })
-			}
-		}
-		eng.After(1000, "", func() {
-			arb.SetCeiling(ceiling)
-			arb.SetMaxDrains(2)
-		})
-		eng.RunAll()
-		eng.Release()
-		for i := 0; i < n; i++ {
-			if cancelled[i] && completed[i] {
-				// A cancel raced a completion within the same trial only if
-				// the flow finished first, in which case cancelled is never
-				// set (the closure checks). Anything else is a double-fire.
-				t.Fatalf("seed %#x: flow %d both cancelled and completed", seed, i)
-			}
-			if !cancelled[i] && !completed[i] {
-				t.Fatalf("seed %#x: flow %d neither cancelled nor completed after the machine healed", seed, i)
-			}
-		}
-		for app := 0; app < 4; app++ {
-			if s := arb.StarvationSeconds(app); s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
-				t.Fatalf("seed %#x: StarvationSeconds(%d) = %g", seed, app, s)
-			}
-			if s := arb.MaxStarvationStretchSeconds(app); s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
-				t.Fatalf("seed %#x: MaxStarvationStretchSeconds(%d) = %g", seed, app, s)
-			}
-		}
-		if q := arb.QueuedDrains(); q != 0 {
-			t.Fatalf("seed %#x: %d drains still queued for a slot after the machine healed", seed, q)
-		}
-		return true
+		interleavingTrial(t, seed)
+		return !t.Failed()
 	}
 	if err := quick.Check(trial, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// FuzzArbiterFaultInterleaving runs interleavingTrial on fuzzed trial
+// seeds, so the fuzzing engine explores the arbiter's completion alarm,
+// its idle edges and the watchdog beyond the property test's draws.
+func FuzzArbiterFaultInterleaving(f *testing.F) {
+	for _, seed := range []uint64{0, 1, 42, 0x9e3779b97f4a7c15} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) { interleavingTrial(t, seed) })
+}
+
+// interleavingTrial drives one arbiter through a random interleaving,
+// drawn from seed, of flow starts, suspends, resumes, cancels, ceiling
+// moves (blackouts included) and drain-budget changes, then heals the
+// machine. Conservation must hold at every repricing, every flow must
+// complete or be cancelled (never both), the starvation accounting must
+// stay finite, no drain may be left queued, and the drained engine must
+// reset: no alarm is left armed.
+func interleavingTrial(t *testing.T, seed uint64) {
+	t.Helper()
+	defer func() {
+		if t.Failed() {
+			t.Logf("failing trial seed %#x", seed)
+		}
+	}()
+	src := rng.New(seed)
+	eng := sim.NewEngine()
+	const ceiling = 50.0
+	arb := machine.NewBandwidthArbiter(eng, ceiling, 2, 4)
+	conserving(t, arb)
+	arb.SetStarvationEscalation(40)
+
+	classes := []stepsim.WriteClass{stepsim.ClassCollective, stepsim.ClassVulnerable, stepsim.ClassDrain}
+	n := 4 + src.Intn(8)
+	completed := make([]bool, n)
+	cancelled := make([]bool, n)
+	ids := make([]stepsim.FlowID, n)
+	for i := 0; i < n; i++ {
+		i := i
+		ids[i] = arb.StartFlow(i%4, classes[src.Intn(3)],
+			src.Uniform(20, 300), src.Uniform(5, 40),
+			func() { completed[i] = true })
+	}
+	// Random fault transitions over the first 500s; the machine heals
+	// at t=1000 so every surviving flow can drain.
+	events := 6 + src.Intn(10)
+	for e := 0; e < events; e++ {
+		at := src.Uniform(1, 500)
+		switch src.Intn(5) {
+		case 0: // brownout or blackout
+			f := src.Uniform(0, 1)
+			if src.Bool(0.3) {
+				f = 0
+			}
+			eng.After(at, "", func() { arb.SetCeiling(ceiling * f) })
+		case 1: // drain-slot outage / restore
+			slots := src.Intn(3)
+			eng.After(at, "", func() { arb.SetMaxDrains(slots) })
+		case 2: // suspend, with a guaranteed later resume
+			i := src.Intn(n)
+			eng.After(at, "", func() { arb.SuspendFlow(ids[i]) })
+			eng.After(at+src.Uniform(1, 200), "", func() { arb.ResumeFlow(ids[i]) })
+		case 3: // tenant-crash style cancellation
+			i := src.Intn(n)
+			eng.After(at, "", func() {
+				if !completed[i] {
+					cancelled[i] = true
+					arb.CancelFlow(ids[i])
+				}
+			})
+		case 4: // spurious resume of a never-suspended flow (no-op)
+			i := src.Intn(n)
+			eng.After(at, "", func() { arb.ResumeFlow(ids[i]) })
+		}
+	}
+	eng.After(1000, "", func() {
+		arb.SetCeiling(ceiling)
+		arb.SetMaxDrains(2)
+	})
+	eng.RunAll()
+	if !eng.Reset() {
+		t.Fatalf("seed %#x: the drained engine does not reset: an alarm is left armed", seed)
+	}
+	eng.Release()
+	for i := 0; i < n; i++ {
+		if cancelled[i] && completed[i] {
+			// A cancel raced a completion within the same trial only if
+			// the flow finished first, in which case cancelled is never
+			// set (the closure checks). Anything else is a double-fire.
+			t.Fatalf("seed %#x: flow %d both cancelled and completed", seed, i)
+		}
+		if !cancelled[i] && !completed[i] {
+			t.Fatalf("seed %#x: flow %d neither cancelled nor completed after the machine healed", seed, i)
+		}
+	}
+	for app := 0; app < 4; app++ {
+		if s := arb.StarvationSeconds(app); s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
+			t.Fatalf("seed %#x: StarvationSeconds(%d) = %g", seed, app, s)
+		}
+		if s := arb.MaxStarvationStretchSeconds(app); s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
+			t.Fatalf("seed %#x: MaxStarvationStretchSeconds(%d) = %g", seed, app, s)
+		}
+	}
+	if q := arb.QueuedDrains(); q != 0 {
+		t.Fatalf("seed %#x: %d drains still queued for a slot after the machine healed", seed, q)
 	}
 }
 

@@ -37,7 +37,8 @@ func checkMachineRun(cfg machine.Config, seed uint64, res machine.Result) error 
 // seeds each, simulated one after another so every tenant after the
 // first starts on a recycled run record: a record that leaked state from
 // an earlier tenant, a crashed one's included, would break an overhead
-// identity.
+// identity. The conservation probe watches every repricing of every run:
+// the total allocation stays between zero and the instantaneous ceiling.
 func TestMachineRunsKeepInvariants(t *testing.T) {
 	for _, name := range []string{"machine-degraded", "machine-contended"} {
 		spec, err := scenario.Load("../../examples/scenarios/" + name + ".json")
@@ -48,8 +49,17 @@ func TestMachineRunsKeepInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var violation string
+		repricings := 0
+		cfg.OnAlloc = func(at, total, ceil float64) {
+			repricings++
+			if violation == "" {
+				violation = unconserved(at, total, ceil)
+			}
+		}
 		tenants, truncated := 0, 0
 		for seed := uint64(1000); seed < 1300; seed++ {
+			violation = ""
 			res := machine.Simulate(cfg, seed)
 			for _, jr := range res.Jobs {
 				tenants++
@@ -57,10 +67,16 @@ func TestMachineRunsKeepInvariants(t *testing.T) {
 					truncated++
 				}
 			}
+			if violation != "" {
+				t.Errorf("%s seed %d: %s", name, seed, violation)
+			}
 			if err := checkMachineRun(cfg, seed, res); err != nil {
 				t.Errorf("%s seed %d: %v", name, seed, err)
 			}
 		}
-		t.Logf("%s: %d tenant runs checked, %d truncated", name, tenants, truncated)
+		if repricings == 0 {
+			t.Errorf("%s: the conservation probe saw no repricing", name)
+		}
+		t.Logf("%s: %d tenant runs checked, %d truncated, %d repricings probed", name, tenants, truncated, repricings)
 	}
 }

@@ -69,7 +69,9 @@ type Config struct {
 	Metrics *metrics.Registry
 	// OnAlloc, when non-nil, observes every bandwidth repricing — the
 	// conservation probe (total allocation never exceeds the
-	// instantaneous ceiling, brownouts included).
+	// instantaneous ceiling, brownouts included). A brownout or
+	// drain-outage edge that finds no flow active or queued prices
+	// nothing and calls it not at all.
 	OnAlloc func(t, totalGBs, ceilingGBs float64)
 }
 
@@ -258,10 +260,10 @@ func prepare(cfg Config) *prepared {
 
 // run is a machine run record: everything one simulation of a cohort
 // needs besides its result — the engine, the arbiter with its flow
-// records, the fault driver with its handlers bound, the tenants with
-// their hooks bound, and the admission queue, handle list and decision
-// log. Records are recycled through runPool and reset in place by each
-// run; a pooled record references no cohort.
+// records, the fault driver with its alarm callbacks bound, the tenants
+// with their hooks bound, and the admission queue, handle list and
+// decision log. Records are recycled through runPool and reset in place
+// by each run; a pooled record references no cohort.
 type run struct {
 	p    *prepared
 	seed uint64

@@ -36,9 +36,9 @@ func dirtyArbiter(t *testing.T) *BandwidthArbiter {
 
 // A reset arbiter is the arbiter NewBandwidthArbiter returns. Reset
 // mid-run onto a new engine, every field equals a new arbiter's except
-// the engine and the storage reset keeps (the free list and the scratch
-// lists), and the
-// reset arbiter then prices a workload exactly as the new one does.
+// the engine, the completion alarm (bound to the new engine, unarmed)
+// and the storage reset keeps (the free list and the scratch lists), and
+// the reset arbiter then prices a workload exactly as the new one does.
 func TestArbiterResetMatchesNew(t *testing.T) {
 	got := dirtyArbiter(t)
 	gotEng, wantEng := sim.NewEngine(), sim.NewEngine()
@@ -56,6 +56,11 @@ func TestArbiterResetMatchesNew(t *testing.T) {
 		case "eng":
 			if got.eng != gotEng {
 				t.Error("field eng: not the engine reset was given")
+			}
+			continue
+		case "completion":
+			if msg := alarmDiff(gv.Field(i), gotEng); msg != "" {
+				t.Errorf("field completion: %s", msg)
 			}
 			continue
 		}
@@ -83,6 +88,18 @@ func TestArbiterResetMatchesNew(t *testing.T) {
 	if g, w := trace(got, gotEng), trace(want, wantEng); !reflect.DeepEqual(g, w) {
 		t.Fatalf("reset arbiter priced %v, a new one %v", g, w)
 	}
+}
+
+// alarmDiff checks a reset arbiter's completion alarm, whose fields are
+// the engine's own: it must be bound to eng and unarmed.
+func alarmDiff(a reflect.Value, eng *sim.Engine) string {
+	if a.FieldByName("eng").Pointer() != reflect.ValueOf(eng).Pointer() {
+		return "not bound to the engine reset was given"
+	}
+	if a.FieldByName("armed").Bool() {
+		return "armed"
+	}
+	return ""
 }
 
 // fieldDiff compares one arbiter field of a reset and a new arbiter: an

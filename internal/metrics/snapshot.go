@@ -124,9 +124,15 @@ func (h *HistStat) absorb(o HistStat) bool {
 // merge folds o into h bucket-for-bucket. Both bucket lists are sparse
 // and ascending, so one two-pointer pass merges them into a new slice:
 // h never shares a backing array with o, nor with any snapshot that
-// shared h's old list.
-func (h *HistStat) merge(o HistStat) {
+// shared h's old list. With owned set, h's list is h's alone (a
+// collector's), and when it already holds every bucket of o's the counts
+// are added to it in place instead.
+func (h *HistStat) merge(o HistStat, owned bool) {
 	if !h.absorb(o) {
+		return
+	}
+	if owned && addCounts(h.Buckets, o.Buckets) {
+		h.refreshQuantiles()
 		return
 	}
 	a, b := h.Buckets, o.Buckets
@@ -144,6 +150,31 @@ func (h *HistStat) merge(o HistStat) {
 	}
 	h.Buckets = append(append(merged, a...), b...)
 	h.refreshQuantiles()
+}
+
+// addCounts adds each of b's counts into the bucket of a with the same
+// index, if a has every one of b's indices, and reports whether it did;
+// otherwise a is unchanged. Both lists are ascending.
+func addCounts(a, b []Bucket) bool {
+	i := 0
+	for _, x := range b {
+		for i < len(a) && a[i].Index < x.Index {
+			i++
+		}
+		if i == len(a) || a[i].Index != x.Index {
+			return false
+		}
+		i++
+	}
+	i = 0
+	for _, x := range b {
+		for a[i].Index < x.Index {
+			i++
+		}
+		a[i].Count += x.Count
+		i++
+	}
+	return true
 }
 
 // Snapshot is a registry's state frozen at a point in simulation time:
@@ -170,8 +201,13 @@ func (r *Registry) Snapshot(now float64) *Snapshot {
 
 // Merge folds o into s. Metrics present in only one side are kept as-is;
 // shared names are combined (counters add, gauge integrals and spans
-// add, histogram buckets add). Safe with a nil or empty o.
-func (s *Snapshot) Merge(o *Snapshot) {
+// add, histogram buckets add). Safe with a nil or empty o. s shares no
+// bucket list with o afterwards.
+func (s *Snapshot) Merge(o *Snapshot) { s.merge(o, false) }
+
+// merge is Merge; owned says every bucket list of s belongs to s alone,
+// so histograms may add into them in place (HistStat.merge).
+func (s *Snapshot) merge(o *Snapshot, owned bool) {
 	if o == nil {
 		return
 	}
@@ -186,7 +222,7 @@ func (s *Snapshot) Merge(o *Snapshot) {
 			s.Histograms = make(map[string]HistStat, len(o.Histograms))
 		}
 		h := s.Histograms[name]
-		h.merge(oh)
+		h.merge(oh, owned)
 		s.Histograms[name] = h
 	}
 }
@@ -532,13 +568,16 @@ type Collector struct {
 func NewCollector() *Collector { return &Collector{} }
 
 // Add merges one snapshot into the collector. No-op on a nil collector.
+// Every bucket list of the collector is its own — made by a merge, never
+// shared with an added snapshot or a Snapshot copy — so a histogram whose
+// buckets it already holds adds into them in place, allocating nothing.
 func (c *Collector) Add(s *Snapshot) {
 	if c == nil || s == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.snap.Merge(s)
+	c.snap.merge(s, true)
 }
 
 // Snapshot returns a copy of the merged state collected so far.

@@ -42,12 +42,17 @@ func mapMerge(h *HistStat, o HistStat) {
 	h.refreshQuantiles()
 }
 
-// TestHistMergeMatchesMapOracle folds random shards with both merges and
-// requires every field bit-identical after every step, the derived
-// quantiles included.
+// TestHistMergeMatchesMapOracle folds random shards with the merge, in
+// both its copying and its in-place (owned) form, and with the map
+// oracle, and requires every field bit-identical after every step, the
+// derived quantiles included.
 func TestHistMergeMatchesMapOracle(t *testing.T) {
+	same := func(a, b HistStat) bool {
+		return (&Snapshot{Histograms: map[string]HistStat{"h": a}}).Diff(
+			&Snapshot{Histograms: map[string]HistStat{"h": b}}) == ""
+	}
 	f := func(shards [][]uint16) bool {
-		var got, want HistStat
+		var got, owned, want HistStat
 		for _, shard := range shards {
 			r := New()
 			h := r.Histogram("h")
@@ -61,10 +66,10 @@ func TestHistMergeMatchesMapOracle(t *testing.T) {
 				h.Observe(v)
 			}
 			o := r.Snapshot(0).Histograms["h"]
-			got.merge(o)
+			got.merge(o, false)
+			owned.merge(o, true)
 			mapMerge(&want, o)
-			if (&Snapshot{Histograms: map[string]HistStat{"h": got}}).Diff(
-				&Snapshot{Histograms: map[string]HistStat{"h": want}}) != "" {
+			if !same(got, want) || !same(owned, want) {
 				return false
 			}
 		}
@@ -98,11 +103,53 @@ func TestCollectorSnapshotIsACopy(t *testing.T) {
 	if d := col.Snapshot().Diff(want); d != "" {
 		t.Fatalf("mutating a snapshot changed the collector: %s", d)
 	}
-	// A further Add merges into the collector's own storage only.
+	// A further Add merges into the collector's own storage only, whether
+	// it brings a new bucket or adds into the collector's in place.
 	kept := col.Snapshot()
 	col.Add(shard(32))
+	col.Add(shard(2, 8))
 	if d := kept.Diff(want); d != "" {
 		t.Fatalf("Add changed a returned snapshot: %s", d)
+	}
+}
+
+// TestCollectorAddAllocs: adding a snapshot whose histogram buckets the
+// collector already holds adds the counts in place and allocates
+// nothing; the collector ends where Snapshot.Merge of the same snapshots
+// does, and the added snapshot and a Snapshot copy taken earlier stay as
+// they were.
+func TestCollectorAddAllocs(t *testing.T) {
+	r := New()
+	for _, v := range []float64{0.5, 2, 2, 8, 300} {
+		r.Histogram("h").Observe(v)
+	}
+	r.Histogram("one").Observe(4)
+	r.Counter("c").Add(3)
+	r.Gauge("g").Set(1, 4)
+	s := r.Snapshot(10)
+	orig := r.Snapshot(10)
+	col := NewCollector()
+	col.Add(s)
+	first := col.Snapshot()
+	const adds = 50
+	// AllocsPerRun calls once more to warm up: adds+1 Adds in all.
+	if n := testing.AllocsPerRun(adds, func() { col.Add(s) }); n != 0 {
+		t.Fatalf("an Add of buckets the collector holds allocated %g times, want 0", n)
+	}
+	want := &Snapshot{}
+	for i := 0; i < adds+2; i++ {
+		want.Merge(s)
+	}
+	if d := col.Snapshot().Diff(want); d != "" {
+		t.Fatalf("in-place Adds differ from Merge: %s", d)
+	}
+	if d := s.Diff(orig); d != "" {
+		t.Fatalf("Add changed the snapshot it was given: %s", d)
+	}
+	once := &Snapshot{}
+	once.Merge(orig)
+	if d := first.Diff(once); d != "" {
+		t.Fatalf("Add changed an earlier Snapshot copy: %s", d)
 	}
 }
 

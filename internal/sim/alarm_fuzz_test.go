@@ -16,10 +16,10 @@ import (
 // A program is a byte string. Its first two bytes arm the watchdog; the
 // rest are ops with their operands (see the op constants). The driver
 // executes ops between dispatches, and each dispatched callback executes
-// up to three more, so callbacks schedule, cancel, arm and disarm from
-// inside the event loop too. A driver op met inside a callback ends its
-// turn. Delays come from alarmDelays, where zeros and repeats make equal
-// times common.
+// up to three more, so callbacks schedule, cancel, arm, disarm and
+// unbind from inside the event loop too. A driver op met inside a
+// callback ends its turn. Delays come from alarmDelays, where zeros and
+// repeats make equal times common.
 func FuzzEngineAlarms(f *testing.F) {
 	for _, s := range alarmSeeds {
 		f.Add(s.prog)
@@ -59,6 +59,9 @@ var alarmSeeds = []struct {
 		opAfter, 0, opArm, 0, 0, opAfter, 1, opArm, 1, 0, opAfter, 0}},
 	{"sim-time watchdog", []byte{0, 3,
 		opArm, 2, 1, opAfter, 2, opArm, 2, 2, opArm, 0, 6, opAfter, 6, opArm, 1, 7}},
+	{"unbind an armed alarm and bind it back", []byte{0, 0,
+		opArm, 0, 1, opArm, 1, 2, opUnbind, 0, opAfter, 1, opStep, opArm, 0, 3, opUnbind, 2, opStep,
+		opUnbind, 1, opArm, 1, 0, opStep, opStep}},
 }
 
 // The ops of an alarm program. Operands follow the op byte: a delay is
@@ -71,6 +74,7 @@ const (
 	opDisarm           // alarm: Disarm
 	opBulk             // count, delay: After(delay) count%96+1 times
 	opCancelAll        // Cancel every program timer not yet fired or cancelled
+	opUnbind           // alarm: Disarm, then Unbind; the next Arm binds it back
 	opStep             // driver: ProcessNextEvent
 	opRun              // delay; driver: Run(now+delay)
 	opPeek             // driver: PeekNextEventTime
@@ -82,6 +86,9 @@ var alarmDelays = [...]float64{0, 1, 2, 0.5, 0, 1, 3, 10}
 // alarmCover records which seeded cases a run exercised.
 type alarmCover struct {
 	rearm, disarmUnarmed, zeroDelay, equalTimes, compaction, runStop bool
+	// unbindArmed: an armed alarm was unbound; rebind: an unbound alarm
+	// was armed again.
+	unbindArmed, rebind bool
 	// trip is the watchdog's Reason, if it tripped.
 	trip string
 }
@@ -109,13 +116,38 @@ func (o alarmOutcome) String() string {
 type alarmHandle interface {
 	arm(at, arg float64)
 	disarm()
+	unbind()
 }
 
-// realAlarm is an alarm bound to the engine.
-type realAlarm struct{ a Alarm }
+// realAlarm is an alarm bound to the engine. Unbinding takes it out of
+// the engine's scan; arming an unbound alarm binds it back first.
+type realAlarm struct {
+	a     Alarm
+	e     *Engine
+	name  string
+	fn    func(float64)
+	bound bool
+}
 
-func (r *realAlarm) arm(at, arg float64) { r.a.Arm(at, arg) }
-func (r *realAlarm) disarm()             { r.a.Disarm() }
+func (r *realAlarm) bind() {
+	r.e.Bind(&r.a, r.name, r.fn)
+	r.bound = true
+}
+
+func (r *realAlarm) arm(at, arg float64) {
+	if !r.bound {
+		r.bind()
+	}
+	r.a.Arm(at, arg)
+}
+
+func (r *realAlarm) disarm() { r.a.Disarm() }
+
+func (r *realAlarm) unbind() {
+	r.a.Disarm()
+	r.a.Unbind()
+	r.bound = false
+}
 
 // heapAlarm emulates an alarm on the heap: arming cancels the pending
 // event and queues the callback with CallAt, which takes the sequence
@@ -144,6 +176,9 @@ func (h *heapAlarm) disarm() {
 	h.t = Timer{}
 }
 
+// unbind is a disarm: an unbound alarm is one that cannot fire.
+func (h *heapAlarm) unbind() { h.disarm() }
+
 // alarmRun is one run of a program.
 type alarmRun struct {
 	e      *Engine
@@ -151,6 +186,8 @@ type alarmRun struct {
 	pc     int
 	alarms [3]alarmHandle
 	armed  [3]bool
+	// unbound marks the alarms unbound since they were last armed.
+	unbound [3]bool
 	// timers are the program's heap events; done marks those fired or
 	// cancelled, which Cancel must not touch again.
 	timers []Timer
@@ -175,8 +212,8 @@ func runAlarmProgram(prog []byte, emulate bool) (out alarmOutcome) {
 			r.alarms[i] = &heapAlarm{e: e, name: name, fn: fn}
 			continue
 		}
-		ra := &realAlarm{}
-		e.Bind(&ra.a, name, fn)
+		ra := &realAlarm{e: e, name: name, fn: fn}
+		ra.bind()
 		r.alarms[i] = ra
 	}
 	e.SetWatchdog(uint64(r.byte())*2, float64(r.byte()%16))
@@ -275,8 +312,11 @@ func (r *alarmRun) exec(op byte) {
 		if r.armed[i] {
 			r.cover.rearm = true
 		}
+		if r.unbound[i] {
+			r.cover.rebind = true
+		}
 		r.alarms[i].arm(r.e.Now()+r.delay(), float64(op))
-		r.armed[i] = true
+		r.armed[i], r.unbound[i] = true, false
 	case opDisarm:
 		i := r.byte() % 3
 		if !r.armed[i] {
@@ -293,6 +333,13 @@ func (r *alarmRun) exec(op byte) {
 		for id := range r.timers {
 			r.cancel(id)
 		}
+	case opUnbind:
+		i := r.byte() % 3
+		if r.armed[i] {
+			r.cover.unbindArmed = true
+		}
+		r.alarms[i].unbind()
+		r.armed[i], r.unbound[i] = false, true
 	}
 }
 
@@ -332,16 +379,53 @@ func TestEngineAlarmSeedsCoverEveryCase(t *testing.T) {
 	for _, s := range alarmSeeds {
 		c := runAlarmProgram(s.prog, false).cover
 		hit := map[string]bool{
-			"rearm an armed alarm":        c.rearm,
-			"disarm an unarmed alarm":     c.disarmUnarmed,
-			"zero delays and equal times": c.zeroDelay && c.equalTimes,
-			"compaction":                  c.compaction,
-			"run until stops":             c.runStop,
-			"event watchdog":              c.trip == "event limit",
-			"sim-time watchdog":           c.trip == "sim-time limit",
+			"rearm an armed alarm":                   c.rearm,
+			"disarm an unarmed alarm":                c.disarmUnarmed,
+			"zero delays and equal times":            c.zeroDelay && c.equalTimes,
+			"compaction":                             c.compaction,
+			"run until stops":                        c.runStop,
+			"event watchdog":                         c.trip == "event limit",
+			"sim-time watchdog":                      c.trip == "sim-time limit",
+			"unbind an armed alarm and bind it back": c.unbindArmed && c.rebind,
 		}[s.name]
 		if !hit {
 			t.Errorf("seed %q does not make its case occur (cover %+v)", s.name, c)
 		}
 	}
+}
+
+// TestAlarmUnbind: Unbind refuses an armed alarm, whose event it would
+// lose, and changes nothing; an unarmed alarm leaves the scan, a second
+// Unbind is a no-op, and Bind puts the alarm back to fire as before.
+func TestAlarmUnbind(t *testing.T) {
+	e := NewEngine()
+	var fired []float64
+	var a, b Alarm
+	e.Bind(&a, "a", func(float64) { fired = append(fired, e.Now()) })
+	e.Bind(&b, "b", func(float64) {})
+	a.Arm(1, 0)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Unbind of an armed alarm did not panic")
+			}
+		}()
+		a.Unbind()
+	}()
+	e.RunAll()
+	if len(fired) != 1 || fired[0] != 1 {
+		t.Fatalf("the alarm fired at %v after the refused Unbind, want [1]", fired)
+	}
+	a.Unbind()
+	a.Unbind()
+	if len(e.alarms) != 1 || e.alarms[0] != &b {
+		t.Fatalf("after Unbind the engine scans %d alarms, want only b", len(e.alarms))
+	}
+	e.Bind(&a, "a", func(float64) { fired = append(fired, e.Now()) })
+	a.Arm(3, 0)
+	e.RunAll()
+	if len(fired) != 2 || fired[1] != 3 {
+		t.Fatalf("the alarm bound back fired at %v, want [1 3]", fired)
+	}
+	e.Release()
 }

@@ -22,11 +22,14 @@ package sim
 // event time and stepping the earliest.
 //
 // Beside the heap the engine keeps its bound alarms (Alarm, Bind):
-// reusable timers whose callbacks are bound once, for the few timers a
-// step app re-arms every cycle. Arming one takes the sequence number an
-// event scheduled then would take, and ProcessNextEvent dispatches the
-// armed alarms and the heap in one (time, seq) order, so an alarm fires
-// exactly where the same event on the heap would.
+// reusable timers whose callbacks are bound once, for the few timers
+// that fire on a large share of dispatches — a step app's wake, a
+// machine's next flow completion and fault edges. Every other timer
+// waits on the heap, since every dispatch scans every bound alarm.
+// Arming one takes the sequence number an event scheduled then would
+// take, and ProcessNextEvent dispatches the armed alarms and the heap in
+// one (time, seq) order, so an alarm fires exactly where the same event
+// on the heap would.
 
 import (
 	"fmt"
@@ -59,7 +62,7 @@ type Timer struct{ ev *event }
 // together with its heap, by scanning every alarm bound to it, and counts
 // each dispatch for Dispatched and the watchdog like a popped event.
 // Embed an Alarm by value in the state it serves: the engine keeps its
-// address until Release.
+// address until Unbind or Release.
 type Alarm struct {
 	eng   *Engine
 	fn    func(float64)
@@ -76,7 +79,9 @@ type Alarm struct {
 type Engine struct {
 	now    float64
 	events queue.PQ[*event]
-	// alarms are the bound alarms, armed or not, in Bind order.
+	// alarms are the bound alarms, armed or not, in no particular order:
+	// no two armed alarms share a sequence number, so the scan's order
+	// decides nothing.
 	alarms []*Alarm
 	// free is the event free list: every entry popped from the heap is
 	// recycled, so a steady-state run reuses a small working set.
@@ -235,10 +240,35 @@ func (e *Engine) CallAt(at float64, name string, fn func(float64), arg float64) 
 
 // Bind registers a with the engine, unarmed: once armed, it runs fn(arg)
 // under name (the label of its watchdog trips). Bind an alarm once; it
-// stays bound until Release, and a dispatch scans every bound alarm.
+// stays bound until Unbind or Release, and a dispatch scans every bound
+// alarm.
 func (e *Engine) Bind(a *Alarm, name string, fn func(float64)) {
 	*a = Alarm{eng: e, fn: fn, name: name}
 	e.alarms = append(e.alarms, a)
+}
+
+// Unbind takes the alarm out of its engine's scan: a timer that will not
+// be armed again, such as an ended app's wake, stops costing every later
+// dispatch. Bind adds it back. Unbinding an armed alarm panics — its
+// event would be lost — and unbinding an unbound one is a no-op.
+func (a *Alarm) Unbind() {
+	if a.armed {
+		panic(fmt.Sprintf("sim: Unbind of the armed alarm %q", a.name))
+	}
+	e := a.eng
+	if e == nil {
+		return
+	}
+	a.eng = nil
+	for i, b := range e.alarms {
+		if b == a {
+			last := len(e.alarms) - 1
+			e.alarms[i] = e.alarms[last]
+			e.alarms[last] = nil
+			e.alarms = e.alarms[:last]
+			return
+		}
+	}
 }
 
 // Arm sets the alarm to run its callback with arg at absolute time at,

@@ -152,13 +152,13 @@ func (h *AppHandle) Done() bool { return h.a.appDone }
 func (h *AppHandle) Result() stats.RunResult { return h.a.Res }
 
 // Abort kills a running application mid-flight — the machine layer's
-// tenant-crash hook. The pending wake is cancelled, every arbitered
-// flow (blocking and drain alike) is withdrawn from the machine, and
-// the run is marked truncated at the current time; the partial
-// accounting is returned. OnDone does NOT fire — the caller owns the
-// crash bookkeeping (requeue or give up). Aborting a finished app is a
-// no-op returning the final result. Must run on the simulation
-// goroutine, between engine events.
+// tenant-crash hook. The pending wake is cancelled and its alarm leaves
+// the engine's scan, every arbitered flow (blocking and drain alike) is
+// withdrawn from the machine, and the run is marked truncated at the
+// current time; the partial accounting is returned. OnDone does NOT
+// fire — the caller owns the crash bookkeeping (requeue or give up).
+// Aborting a finished app is a no-op returning the final result. Must
+// run on the simulation goroutine, between engine events.
 func (h *AppHandle) Abort() stats.RunResult {
 	a := h.a
 	if a.appDone {
@@ -166,6 +166,7 @@ func (h *AppHandle) Abort() stats.RunResult {
 	}
 	a.syncClock()
 	a.wakeAlarm.Disarm()
+	a.wakeAlarm.Unbind()
 	a.blockedCont = nil
 	a.interruptPending = false
 	a.blockFlows = a.cancelFlows(a.blockFlows)
@@ -341,10 +342,12 @@ func (a *appSim) computeDone() {
 
 // finish completes the application process — normally or truncated; the
 // injector observes appDone at its next delivery, exactly as it observes
-// !Alive().
+// !Alive(). The app never waits again, so its wake alarm leaves the
+// engine's scan: on a shared engine the other tenants run on without it.
 func (a *appSim) finish() {
 	a.Finished(a.now())
 	a.appDone = true
+	a.wakeAlarm.Unbind()
 	// A departed job withdraws its in-flight drains from the machine —
 	// their bandwidth and drain slots return to the remaining tenants.
 	a.drainFlows = a.cancelFlows(a.drainFlows)
@@ -978,9 +981,11 @@ func (a *appSim) injectStart(local float64) {
 }
 
 // injectLoop is the injector "process": it delivers the admitted events
-// of the stream to the application. It parks (arms injectAlarm, whose
-// callback is injectResume, for injectEv) for future events and delivers
-// same-time events inline, exactly like crmodel's injector loop.
+// of the stream to the application. It parks (schedules injectResume for
+// injectEv) for future events and delivers same-time events inline,
+// exactly like crmodel's injector loop. The parked delivery waits on the
+// heap: it fires on under 1 % of dispatches, where an alarm would be
+// scanned on every one.
 func (a *appSim) injectLoop() {
 	for {
 		ev := a.stream.Next()
@@ -989,7 +994,7 @@ func (a *appSim) injectLoop() {
 		}
 		if dt := ev.Time - a.now(); dt > 0 {
 			a.injectEv = ev
-			a.injectAlarm.Arm(a.deadline(dt))
+			a.sched(dt, "injector", a.fn.injectResume)
 			return
 		}
 		a.deliver(ev)

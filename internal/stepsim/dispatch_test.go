@@ -17,12 +17,13 @@ import (
 	"pckpt/internal/workload"
 )
 
-// Every step app, traced or not, arms its wake, its injector's next
-// delivery and its solo drains as engine alarms (sim.Alarm), which the
-// engine dispatches in one (time, seq) order with its heap. The tests
-// below pin each run's Dispatched() count and watchdog trip at the values
-// the same runs gave when all of those timers were heap events, so an
-// alarm that is lost, fires twice or fires out of order moves a pin.
+// Every step app, traced or not, arms its wake and its solo drains as
+// engine alarms (sim.Alarm), which the engine dispatches in one
+// (time, seq) order with its heap; its injector's next delivery waits on
+// the heap. The tests below pin each run's Dispatched() count and
+// watchdog trip at the values the same runs gave when all of those
+// timers were heap events, so an alarm that is lost, fires twice or
+// fires out of order moves a pin.
 // (Their TestRunAhead names date from before alarms.) They also check
 // that tracing and metering leave a run unchanged, and the per-run
 // invariants (checkRun).

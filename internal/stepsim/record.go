@@ -107,14 +107,12 @@ type appRun struct {
 	// The state of the continuations with at most one instance in flight
 	// lives in fields: chunkStart for the compute interval, bbBegan for
 	// the BB write, injectEv for the event the parked injector delivers
-	// next at injectAlarm; sgK and epK are the callers' continuations of
-	// M1's safeguard and of the live p-ckpt episode (episodes never
-	// overlap).
-	chunkStart  float64
-	bbBegan     float64
-	injectEv    failure.Event
-	injectAlarm sim.Alarm
-	sgK, epK    func()
+	// next; sgK and epK are the callers' continuations of M1's safeguard
+	// and of the live p-ckpt episode (episodes never overlap).
+	chunkStart float64
+	bbBegan    float64
+	injectEv   failure.Event
+	sgK, epK   func()
 }
 
 // boundFns are the record's method values, bound once when the record
@@ -175,7 +173,6 @@ func (a *appSim) reset(c *Cell, eng *sim.Engine, seed uint64, opts AppOptions) {
 	a.migrations.reset()
 	a.recoveries.reset()
 	eng.Bind(&a.wakeAlarm, "app", a.fn.wake)
-	eng.Bind(&a.injectAlarm, "injector", a.fn.injectResume)
 	if opts.Metrics != nil {
 		a.cl.SetObserver(a.fn.observe)
 	}
