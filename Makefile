@@ -14,7 +14,8 @@ race:
 
 # allocs runs the zero-allocation and allocation-scaling tests (every
 # test whose name contains "Alloc") without the race detector: the step
-# tier's periodic cycle, the metered sweep (reused registries and
+# tier's periodic cycle, a step cell's failure-free prefix (at most one
+# allocation to record, none to restart from), the metered sweep (reused registries and
 # recycled frames: no allocation per run), and the machine's arbiter
 # churn and whole fault-armed runs. Under -race sync.Pool drops Puts at
 # random, so the tests that rely on the engine and node-table pools skip
@@ -161,10 +162,13 @@ race-machine:
 # concurrent tests ten times under the race detector. Workers claim
 # indices off a shared cursor and every worker asks the plan's stop
 # check, so an ordering bug there shows in some interleavings only, which
-# one raced pass may miss.
+# one raced pass may miss. The same holds for a step cell's first runs on
+# several workers: one records the cell's failure-free prefix while the
+# others wait for it.
 race-pool:
 	$(GO) test -race -count=10 ./internal/sweep
 	$(GO) test -race -count=10 -run '^(TestPlanInterruptMidExecute|TestPlansShareStore|TestMeteredSweepReusedRegistriesMatchFresh)$$' ./internal/experiments
+	$(GO) test -race -count=10 -run '^TestCellPrefixConcurrentFirstRuns$$' ./internal/stepsim
 
 # fuzz-smoke runs every Fuzz* target under internal/ and cmd/ with the
 # fuzzing engine for 10 s each (plain `go test` only replays their seed

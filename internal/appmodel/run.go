@@ -204,6 +204,61 @@ type Drain struct {
 	gen      int
 }
 
+// Quiet is a snapshot of a run the failure stream has not reached yet,
+// taken at a canonical point: a compute cycle has just opened, and
+// exactly one drain is in flight, the one the last BB write started.
+// Before its first stream event a run reads nothing that depends on its
+// seed (no event was admitted, so the rate estimator has observed
+// nothing and no node is marked), so every seed of a cell without a
+// fault plan, metering or a trace passes the same canonical points in
+// the same states, and a run can restart from any of them that precedes
+// its first stream event. A snapshot holds what such a run has moved:
+// the progress and the cycle's target, the periodic-checkpoint
+// accounting, the lifecycle state's quiet part and the node table's
+// coordinated records. The drain in flight is the last BB write's, so
+// the progress and the newest drain generation name it.
+type Quiet struct {
+	progress, target float64
+	checkpoint       float64
+	checkpoints      int
+	state            policy.Quiet
+	bb, pfs          float64
+}
+
+// Capture snapshots r into q and reports true when exactly one drain is
+// in flight. Call it only at a canonical point of a run that has seen no
+// stream event and has no fault plan: the drain in flight is then the
+// last BB write's, which committed the current progress (opening the
+// cycle moved only its target).
+func (r *Run) Capture(q *Quiet) bool {
+	if _, inFlight := r.st.Drains(); inFlight != 1 {
+		return false
+	}
+	*q = Quiet{
+		progress: r.Progress, target: r.Target,
+		checkpoint: r.Res.Overheads.Checkpoint, checkpoints: r.Res.Checkpoints,
+	}
+	r.st.CaptureQuiet(&q.state)
+	q.bb, q.pfs = r.cl.Coordinated()
+	return true
+}
+
+// Restore sets r to the snapshot q and returns the drain in flight, which
+// the scheduler restarts before it re-arms the cycle's compute. r must be
+// freshly initialised, with nothing computed or accounted yet: Restore
+// panics otherwise.
+func (r *Run) Restore(q *Quiet) Drain {
+	if r.Progress != 0 || r.Res != (stats.RunResult{}) {
+		panic("appmodel: Restore onto a run that has progressed")
+	}
+	r.Progress, r.Target = q.progress, q.target
+	r.Res.Overheads.Checkpoint, r.Res.Checkpoints = q.checkpoint, q.checkpoints
+	r.st.RestoreQuiet(&q.state)
+	r.cl.SetCoordinated(q.bb, q.pfs)
+	gen, _ := r.st.Drains()
+	return Drain{progress: r.Progress, gen: gen}
+}
+
 // BBWritten settles at now a periodic checkpoint's BB write that began at
 // began; ok is false when a failure voided it, rolling progress back (the
 // next cycle checkpoints the redone state). A write the platform failed

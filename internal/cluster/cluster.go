@@ -309,6 +309,21 @@ func (c *Cluster) RecordBBCheckpointAll(progress float64) { c.recordAll(tierBB, 
 // RecordPFSCheckpointAll commits a checkpoint for every non-failed node.
 func (c *Cluster) RecordPFSCheckpointAll(progress float64) { c.recordAll(tierPFS, progress) }
 
+// Coordinated returns the coordinated BB and PFS records: what every node
+// that has not diverged holds (negative = none).
+func (c *Cluster) Coordinated() (bb, pfs float64) { return c.coord[tierBB], c.coord[tierPFS] }
+
+// SetCoordinated sets the coordinated records of a fresh cluster, as the
+// job-wide stages and commits that captured them would: a run restarting
+// from its cell's failure-free prefix restores them. It panics once a
+// node has changed or diverged, or a checkpoint was recorded, since Reset.
+func (c *Cluster) SetCoordinated(bb, pfs float64) {
+	if len(c.touched) != 0 || len(c.diverged) != 0 || c.coord != [2]float64{-1, -1} {
+		panic("cluster: SetCoordinated on a node table that has changed since Reset")
+	}
+	c.coord = [2]float64{tierBB: bb, tierPFS: pfs}
+}
+
 // ClampCheckpoints discards every checkpoint record newer than progress,
 // on every node. A degraded-platform restart that found the newer
 // generations corrupt calls this so no later recovery tries them again.

@@ -316,6 +316,41 @@ func (s *State) CommitPFS(progress float64) bool {
 // PFSProgress returns the newest PFS-resident progress (-1 = none).
 func (s *State) PFSProgress() float64 { return s.pfsProgress }
 
+// Drains returns the newest drain generation and how many drains are in
+// flight.
+func (s *State) Drains() (gen, inFlight int) { return s.drainGen, s.drainsInFlight }
+
+// Quiet is the part of a State a run moves before the failure stream
+// delivers anything: the PFS placement, the retained generations, and
+// the drain generation and depth. A run restarting from its cell's
+// failure-free prefix restores it (internal/appmodel's Quiet).
+type Quiet struct {
+	pfsProgress              float64
+	drainGen, drainsInFlight int
+	pfsGens                  [maxPFSGens]float64
+	nPFSGens                 int
+}
+
+// CaptureQuiet copies the quiet part of s into q.
+func (s *State) CaptureQuiet(q *Quiet) {
+	*q = Quiet{pfsProgress: s.pfsProgress, drainGen: s.drainGen, drainsInFlight: s.drainsInFlight}
+	q.nPFSGens = copy(q.pfsGens[:], s.pfsGens)
+}
+
+// RestoreQuiet sets the quiet part of s from q. s must be as Reset left
+// it, with no drain begun and no generation committed: RestoreQuiet
+// panics otherwise.
+func (s *State) RestoreQuiet(q *Quiet) {
+	if s.pfsProgress != -1 || s.drainGen != 0 || s.drainsInFlight != 0 || len(s.pfsGens) != 0 {
+		panic("policy: RestoreQuiet onto a state that has checkpointed")
+	}
+	s.pfsProgress, s.drainGen, s.drainsInFlight = q.pfsProgress, q.drainGen, q.drainsInFlight
+	if q.nPFSGens > 0 && s.pfsGens == nil {
+		s.pfsGens = make([]float64, 0, maxPFSGens)
+	}
+	s.pfsGens = append(s.pfsGens, q.pfsGens[:q.nPFSGens]...)
+}
+
 // MarkRescheduled raises the adaptive-schedule flag after a proactive
 // full-PFS commit.
 func (s *State) MarkRescheduled() { s.rescheduled = true }

@@ -20,6 +20,12 @@ import (
 // unbind from inside the event loop too. A driver op met inside a
 // callback ends its turn. Delays come from alarmDelays, where zeros and
 // repeats make equal times common.
+//
+// The credit op holds Engine.Credit to the dispatches it stands for: the
+// emulating run makes them, n events on the heap at the credited time,
+// where the run with real alarms credits them, and makes them only when
+// the engine refuses the credit, as a restarting step run falls back to
+// its full path.
 func FuzzEngineAlarms(f *testing.F) {
 	for _, s := range alarmSeeds {
 		f.Add(s.prog)
@@ -62,6 +68,8 @@ var alarmSeeds = []struct {
 	{"unbind an armed alarm and bind it back", []byte{0, 0,
 		opArm, 0, 1, opArm, 1, 2, opUnbind, 0, opAfter, 1, opStep, opArm, 0, 3, opUnbind, 2, opStep,
 		opUnbind, 1, opArm, 1, 0, opStep, opStep}},
+	{"credit and a refused credit", []byte{6, 0,
+		opArm, 0, 7, opAfter, 6, opCredit, 2, 1, opCredit, 7, 2, opCredit, 7, 0}},
 }
 
 // The ops of an alarm program. Operands follow the op byte: a delay is
@@ -78,6 +86,7 @@ const (
 	opStep             // driver: ProcessNextEvent
 	opRun              // delay; driver: Run(now+delay)
 	opPeek             // driver: PeekNextEventTime
+	opCredit           // count, delay; driver: Credit(count%8+1, now+delay), or to now when an event falls before
 	numOps
 )
 
@@ -89,6 +98,8 @@ type alarmCover struct {
 	// unbindArmed: an armed alarm was unbound; rebind: an unbound alarm
 	// was armed again.
 	unbindArmed, rebind bool
+	// credit: the engine took a credit; creditRefused: it refused one.
+	credit, creditRefused bool
 	// trip is the watchdog's Reason, if it tripped.
 	trip string
 }
@@ -253,6 +264,8 @@ func runAlarmProgram(prog []byte, emulate bool) (out alarmOutcome) {
 				at = -1
 			}
 			r.trace = append(r.trace, alarmStep{Name: "peek", At: at})
+		case opCredit:
+			r.credit(emulate)
 		default:
 			r.exec(op)
 		}
@@ -343,6 +356,35 @@ func (r *alarmRun) exec(op byte) {
 	}
 }
 
+// credit credits n dispatches ending at now+delay, or at now when a
+// pending event falls at or before that time; with an event due now it
+// credits nothing. The emulating run makes the n dispatches on the heap,
+// and so does the real run when the engine refuses the credit.
+func (r *alarmRun) credit(emulate bool) {
+	n, at := uint64(r.byte()%8)+1, r.e.Now()+r.delay()
+	if next, ok := r.e.PeekNextEventTime(); ok && next <= at {
+		if at = r.e.Now(); next <= at {
+			return
+		}
+	}
+	if emulate || !r.e.Credit(n, at) {
+		if !emulate {
+			r.cover.creditRefused = true
+		}
+		for k := uint64(0); k < n; k++ {
+			r.e.CallAt(at, "credit", func(float64) {}, 0)
+		}
+		for k := uint64(0); k < n; k++ {
+			if !r.e.ProcessNextEvent() {
+				panic("sim: a credited dispatch found nothing pending")
+			}
+		}
+	} else {
+		r.cover.credit = true
+	}
+	r.trace = append(r.trace, alarmStep{Name: "credit", At: r.e.Now(), Arg: float64(n)})
+}
+
 // track reserves the id of the next program timer.
 func (r *alarmRun) track() int {
 	r.timers = append(r.timers, Timer{})
@@ -387,6 +429,7 @@ func TestEngineAlarmSeedsCoverEveryCase(t *testing.T) {
 			"event watchdog":                         c.trip == "event limit",
 			"sim-time watchdog":                      c.trip == "sim-time limit",
 			"unbind an armed alarm and bind it back": c.unbindArmed && c.rebind,
+			"credit and a refused credit":            c.credit && c.creditRefused,
 		}[s.name]
 		if !hit {
 			t.Errorf("seed %q does not make its case occur (cover %+v)", s.name, c)

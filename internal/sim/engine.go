@@ -191,9 +191,11 @@ func (e *Engine) freeEvent(ev *event) {
 func (e *Engine) Now() float64 { return e.now }
 
 // Dispatched returns how many live events, alarms included, have been
-// processed; cancelled events and disarmed alarms never count. No
-// simulation reads it: TestRunAheadEquivalence and its siblings pin it
-// per run, and FuzzEngineAlarms holds alarms to the count the same
+// processed, and the dispatches credited (Credit); cancelled events and
+// disarmed alarms never count. No result depends on it: a step cell's
+// failure-free prefix reads it to credit what a restart skips,
+// TestRunAheadEquivalence and its siblings pin it per run, and
+// FuzzEngineAlarms holds alarms, and credits, to the count the same
 // events make on the heap.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
@@ -374,6 +376,27 @@ func (e *Engine) ProcessNextEvent() bool {
 	} else {
 		fn()
 	}
+	return true
+}
+
+// Credit counts n dispatches the caller skips, for Dispatched and for the
+// watchdog, and moves the clock to at, the time of the last of them. It
+// is for a caller that has proven what those dispatches would compute and
+// restores that state itself: a step run restarting from its cell's
+// failure-free prefix. By the next dispatch, nothing pending may fall
+// before at. Credit refuses, changing nothing, when one of the n
+// dispatches would have tripped an armed watchdog limit, so a caller that
+// then makes them trips at the same event under the same name. It panics
+// on a NaN time or one before the clock.
+func (e *Engine) Credit(n uint64, at float64) bool {
+	if !(at >= e.now) {
+		panic(fmt.Sprintf("sim: Credit to a time before the clock (at=%g, now=%g)", at, e.now))
+	}
+	if n > 0 && (e.wdMaxEvents > 0 && e.dispatched+n-e.wdBase > e.wdMaxEvents || e.wdMaxSim > 0 && at > e.wdMaxSim) {
+		return false
+	}
+	e.now = at
+	e.dispatched += n
 	return true
 }
 

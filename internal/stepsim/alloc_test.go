@@ -5,6 +5,8 @@ import (
 
 	"pckpt/internal/failure"
 	"pckpt/internal/platform"
+	"pckpt/internal/policy"
+	"pckpt/internal/sim"
 	"pckpt/internal/stats"
 	"pckpt/internal/stepsim"
 	"pckpt/internal/workload"
@@ -98,5 +100,62 @@ func TestStepRunAllocsZero(t *testing.T) {
 	if seen.Failures == 0 || seen.Predicted == 0 || seen.ProactiveCkpts == 0 || seen.Migrations == 0 ||
 		seen.RestartRetries == 0 || seen.PFSWriteFailures == 0 || seen.BBWriteFailures == 0 || seen.Cascades == 0 {
 		t.Fatalf("the runs left a path unexercised: %+v", seen)
+	}
+}
+
+// TestCellRunPrefixAllocs pins the failure-free prefix's allocations: a
+// warm Cell.Run sweep, whose runs restart from the prefix, allocates
+// nothing per run; recording the prefix costs at most one allocation per
+// cell; and stepsim.Simulate, which runs its cell once, records nothing,
+// so it stays at BenchmarkStepSimulatePOP's two allocations (the cell and
+// its stream plan).
+func TestCellRunPrefixAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts need the engine and record pools, which -race defeats")
+	}
+	for _, id := range stepModels {
+		cfg := stepsim.Config{Model: id, Config: titanPlatform(t, "POP", 1)}
+		c := prepare(t, cfg)
+		c.Run(1, nil)
+		c.Run(2, nil)
+		warm, seed := 0, uint64(3)
+		sweep := func() {
+			var credited uint64
+			stepsim.RunCell(c, seed, nil, sim.RunEventBudget, &credited)
+			if credited > 0 {
+				warm++
+			}
+			seed++
+		}
+		if allocs := testing.AllocsPerRun(40, sweep); allocs != 0 {
+			t.Errorf("%v: %.2f allocations per warm run, want 0", id, allocs)
+		}
+		if warm < 10 {
+			t.Fatalf("%v: %d of 41 runs restarted from the prefix: the gate measured the full path", id, warm)
+		}
+
+		cells := make([]*stepsim.Cell, 9)
+		for i := range cells {
+			cells[i] = prepare(t, cfg)
+			cells[i].Run(1, nil)
+		}
+		i := 0
+		record := func() {
+			cells[i].Run(2, nil)
+			i++
+		}
+		if allocs := testing.AllocsPerRun(len(cells)-1, record); allocs > 1 {
+			t.Errorf("%v: recording a prefix cost %.2f allocations per cell, want at most 1", id, allocs)
+		}
+		for _, c := range cells {
+			if stepsim.PrefixSnapshots(c) != 4 {
+				t.Fatalf("%v: a cell recorded %d snapshots, want 4", id, stepsim.PrefixSnapshots(c))
+			}
+		}
+	}
+	pop := stepsim.Config{Model: policy.B, Config: titanPlatform(t, "POP", 1)}
+	seed := uint64(1)
+	if allocs := testing.AllocsPerRun(20, func() { stepsim.Simulate(pop, seed); seed++ }); allocs > 2 {
+		t.Errorf("stepsim.Simulate: %.1f allocations per call, want at most 2", allocs)
 	}
 }

@@ -21,9 +21,12 @@ package stepsim
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"pckpt/internal/appmodel"
 	"pckpt/internal/failure"
+	"pckpt/internal/faultinject"
 	"pckpt/internal/metrics"
 	"pckpt/internal/platform"
 	"pckpt/internal/policy"
@@ -69,11 +72,21 @@ func (c Config) Validate() error {
 // and defaulted once, with everything its runs share derived once — the
 // model's setup (appmodel.Setup: the platform quantities, the model's
 // strategy and σ, the OCI estimator's prior, the spare limit) and the
-// stochastic-input plan. A run derives nothing. A Cell is read-only, so
-// concurrent runs share it.
+// stochastic-input plan. A run derives nothing. A Cell is read-only once
+// its prefix is recorded, so concurrent runs share it: the second
+// unmetered run of a cell without a trace or a fault plan records the
+// cell's failure-free prefix, which every later such run restarts from
+// (see prefix.go).
 type Cell struct {
 	setup appmodel.Setup
 	plan  platform.Plan
+	// quiet reports that the cell has no trace and no fault plan, so its
+	// unmetered runs may restart from the prefix. quietRuns counts those
+	// runs; the second records the prefix, under recorded.
+	quiet     bool
+	quietRuns atomic.Uint32
+	recorded  sync.Once
+	prefix    *prefix
 }
 
 // Prepare validates cfg and derives everything its runs share; it
@@ -88,7 +101,11 @@ func Prepare(cfg Config) (*Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cell{setup: appmodel.NewSetup(cfg.Model, cfg.Config, cfg.Trace), plan: plan}, nil
+	return &Cell{
+		setup: appmodel.NewSetup(cfg.Model, cfg.Config, cfg.Trace),
+		plan:  plan,
+		quiet: cfg.Trace == nil && cfg.Faults == (faultinject.Config{}),
+	}, nil
 }
 
 // Simulate executes one unmetered run and returns its accounting:
@@ -104,18 +121,36 @@ func Simulate(cfg Config, seed uint64) stats.RunResult {
 }
 
 // Run executes one run of the cell on a dedicated engine, metered into
-// reg (nil runs unmetered), and returns its accounting. The run's record
-// comes from a pool and goes back once the engine has drained; a run
-// that panics drops it.
+// reg (nil runs unmetered), and returns its accounting. An unmetered run
+// of a cell without a trace or a fault plan restarts from the cell's
+// failure-free prefix where its failure stream allows, with the result
+// and dispatch count of a run made in full. The run's record comes from
+// a pool and goes back once the engine has drained; a run that panics
+// drops it.
 func (c *Cell) Run(seed uint64, reg *metrics.Registry) stats.RunResult {
-	eng := sim.NewEngine()
-	eng.SetWatchdog(sim.RunEventBudget, 0)
-	a := c.start(eng, seed, AppOptions{Metrics: reg})
-	eng.RunAll()
-	eng.Release()
-	res := a.Res
-	a.release()
+	pre := c.prefixFor(reg)
+	a := recordPool.Get().(*appSim)
+	res, _, _ := c.runOn(a, seed, reg, pre, sim.RunEventBudget)
+	recordPool.Put(a)
 	return res
+}
+
+// runOn runs one seed of c on record a and a dedicated engine whose event
+// watchdog is armed at budget, restarting from pre when it is non-nil,
+// and clears the record. It returns the run's accounting, the engine's
+// Dispatched count and the dispatches the run credited from pre; a
+// panicking run leaves the record as it was.
+func (c *Cell) runOn(a *appSim, seed uint64, reg *metrics.Registry, pre *prefix, budget uint64) (res stats.RunResult, dispatched, credited uint64) {
+	eng := sim.NewEngine()
+	eng.SetWatchdog(budget, 0)
+	c.startOn(a, eng, seed, AppOptions{Metrics: reg})
+	a.pre = pre
+	eng.RunAll()
+	dispatched, credited = eng.Dispatched(), a.credited
+	eng.Release()
+	res = a.Res
+	a.clear()
+	return res, dispatched, credited
 }
 
 // AppOptions configures an application started on a shared engine. The
@@ -375,6 +410,9 @@ func (a *appSim) computeStep() {
 	}
 	a.chunkStart = a.now()
 	a.wait(d, a.fn.computeWoke)
+	if a.recording {
+		a.capture()
+	}
 }
 
 // computeWoke banks the computation done since computeStep parked.
@@ -974,10 +1012,15 @@ func (f *recoveryFrame) waited(ok bool) {
 	f.wait(f.waitGB, f.waitDur, f.waitK)
 }
 
-// injectStart starts the injector "process".
+// injectStart starts the injector "process". A run with a prefix to
+// restart from does so once the injector has parked its first delivery,
+// unless it admitted an event at time 0.
 func (a *appSim) injectStart(local float64) {
 	a.clockTo(local)
 	a.injectLoop()
+	if a.pre != nil && !a.appDone && !a.interruptPending {
+		a.warmStart()
+	}
 }
 
 // injectLoop is the injector "process": it delivers the admitted events

@@ -168,6 +168,27 @@ func BenchmarkStepSimulatePOP(b *testing.B) {
 	}
 }
 
+// BenchmarkCellRunPOP is BenchmarkStepSimulatePOP's cell prepared once,
+// as a sweep runs it: its seeds go through Cell.Run, so after the second
+// run records the cell's failure-free prefix, each run restarts from the
+// latest snapshot before its first failure-stream event. The gap to
+// BenchmarkStepSimulatePOP is what the prefix saves per POP run.
+func BenchmarkCellRunPOP(b *testing.B) {
+	app, err := workload.ByName("POP")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := stepsim.Prepare(stepsim.Config{Model: policy.B, Config: platform.Config{App: app, System: failure.Titan}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Run(uint64(i)+1, nil)
+	}
+}
+
 // BenchmarkStepSimulateP1 and BenchmarkStepSimulateP2 track the episode
 // models end to end on the step tier — the sweep-facing numbers behind
 // the default-tier flip. Informational: the gated claim is the

@@ -113,6 +113,13 @@ type appRun struct {
 	bbBegan    float64
 	injectEv   failure.Event
 	sgK, epK   func()
+
+	// pre is the cell's failure-free prefix (prefix.go): the one this run
+	// restarts from, or, when recording, the one it fills. credited is the
+	// dispatches the run skipped by restarting.
+	pre       *prefix
+	recording bool
+	credited  uint64
 }
 
 // boundFns are the record's method values, bound once when the record

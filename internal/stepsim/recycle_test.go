@@ -113,7 +113,7 @@ func TestRecycledRecordMatchesFreshQuick(t *testing.T) {
 			switch kind := (op >> 16) % 5; kind {
 			case 0: // plain
 				got, gotN, re := stepsim.RunPooled(c.cell, seed, nil)
-				want, wantN := stepsim.RunFresh(c.cell, seed, nil)
+				want, wantN := stepsim.RunFresh(c.cell, seed, nil, sim.RunEventBudget)
 				if re {
 					recycled++
 				}
@@ -123,7 +123,7 @@ func TestRecycledRecordMatchesFreshQuick(t *testing.T) {
 			case 1: // metered
 				gotReg, wantReg := metrics.New(), metrics.New()
 				got, gotN, re := stepsim.RunPooled(c.cell, seed, gotReg)
-				want, wantN := stepsim.RunFresh(c.cell, seed, wantReg)
+				want, wantN := stepsim.RunFresh(c.cell, seed, wantReg, sim.RunEventBudget)
 				if re {
 					recycled++
 				}
@@ -139,7 +139,7 @@ func TestRecycledRecordMatchesFreshQuick(t *testing.T) {
 				got, gotN, re := stepsim.RunPooled(c.traced, seed, nil)
 				gotEvents := c.tape.events
 				c.tape.events = nil
-				want, wantN := stepsim.RunFresh(c.traced, seed, nil)
+				want, wantN := stepsim.RunFresh(c.traced, seed, nil, sim.RunEventBudget)
 				if re {
 					recycled++
 				}
@@ -181,7 +181,7 @@ func TestRecycledRecordMatchesFreshQuick(t *testing.T) {
 				eng.Release()
 				h.Release()
 				got, gotN, re := stepsim.RunPooled(c.cell, seed, nil)
-				want, wantN := stepsim.RunFresh(c.cell, seed, nil)
+				want, wantN := stepsim.RunFresh(c.cell, seed, nil, sim.RunEventBudget)
 				if re {
 					recycled++
 				}
@@ -211,7 +211,7 @@ func TestRecycledRecordMatchesFreshQuick(t *testing.T) {
 // episode, migration or failure) when the run has one.
 func abortPoint(c recycleCell, seed uint64, pick uint32) float64 {
 	c.tape.events, c.tape.panicAt = nil, 0
-	stepsim.RunFresh(c.traced, seed, nil)
+	stepsim.RunFresh(c.traced, seed, nil, sim.RunEventBudget)
 	evs := c.tape.events
 	c.tape.events = nil
 	var opens []int
