@@ -120,10 +120,10 @@ bench-step:
 	$(GO) test -bench 'WaitHotPath|InterruptHeavy' -run=^$$ ./internal/sim
 	$(GO) test -bench 'EpisodeProcess' -run=^$$ ./internal/pckpt
 
-# bench-step-smoke is the one-iteration variant of bench-step for CI:
-# the episode benches (both engines) and the tier-0 micro-benches run
-# once each, so the headroom pairs cannot rot unnoticed between
-# baseline regenerations.
+# bench-step-smoke is the one-iteration variant of bench-step: the
+# episode benches (both engines) and the tier-0 micro-benches run once
+# each. ci does not call it, since bench-smoke already runs every one of
+# them once; it remains for checking the headroom pairs alone.
 bench-step-smoke:
 	$(GO) test -bench 'StepHotPath|StepInterrupt|StepEpisodeDrain|StepSimulateP' -benchtime=1x -run=^$$ ./internal/stepsim
 	$(GO) test -bench 'WaitHotPath|InterruptHeavy' -benchtime=1x -run=^$$ ./internal/sim
@@ -215,8 +215,9 @@ errcheck:
 # raced — they are exactly the tests that catch cross-worker
 # nondeterminism), ten raced passes over the sweep pool and the cell
 # plan's concurrent tests, the un-raced allocation gates, the cold-then-warm
-# cache pass, one-iteration smoke runs of the full benchmark suite and
-# the step-vs-process headroom pairs, a short run of every fuzz target,
+# cache pass, a one-iteration smoke run of the full benchmark suite
+# (which includes the step-vs-process headroom pairs that
+# bench-step-smoke runs alone), a short run of every fuzz target,
 # and the seed-42 output-digest check of the repository benchmark. The
 # raced suite runs every test once: the tier cross-validation, the step
 # tier's bit-identity matrix, the machine layer and the golden tables
@@ -235,6 +236,5 @@ ci:
 	$(MAKE) allocs
 	$(MAKE) cachepass
 	$(MAKE) bench-smoke
-	$(MAKE) bench-step-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-digest

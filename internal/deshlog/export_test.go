@@ -35,8 +35,8 @@ func TestExportTraceRoundTrip(t *testing.T) {
 	if err := parsed.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	re := parsed.ToReplay()
-	if re.Digest() != tr.ToReplay().Digest() {
+	re := &parsed.Replay
+	if re.Digest() != tr.Digest() {
 		t.Fatal("JSON round trip changes the trace")
 	}
 	if got, want := re.FailureCount(), len(chains); got != want {

@@ -18,21 +18,23 @@ import (
 // is the strike time and Lead the announcement margin (zero =
 // unpredicted); for a spurious prediction, T is when the bogus
 // prediction fires and Lead how far ahead the non-failure was predicted.
+// The JSON keys are the trace file's (scenario.Trace); a zero lead,
+// sequence ID or spurious flag is left out.
 type ReplayEvent struct {
 	// T is seconds since the trace window's start.
-	T float64
+	T float64 `json:"t"`
 	// Node is the trace-local node index (folded onto the job's nodes
 	// modulo the job size when the trace was recorded on a different
 	// cluster span).
-	Node int
+	Node int `json:"node"`
 	// Lead is the prediction lead time in seconds.
-	Lead float64
+	Lead float64 `json:"lead,omitempty"`
 	// Seq is the failure-sequence ID the event was mined from (0 when
 	// unknown).
-	Seq int
+	Seq int `json:"seq,omitempty"`
 	// Spurious marks a false-positive prediction with no failure behind
 	// it.
-	Spurious bool
+	Spurious bool `json:"spurious,omitempty"`
 }
 
 // Replay is a recorded failure trace the simulation replays instead of
@@ -40,19 +42,20 @@ type ReplayEvent struct {
 // internal/deshlog, or hand-written. The trace covers HorizonSeconds and
 // wraps around: a run longer than the window sees the same failure
 // pattern again, shifted by one horizon, which keeps the stream infinite
-// and every run deterministic with no random draws at all.
+// and every run deterministic with no random draws at all. Its JSON form,
+// with a format version, is a trace file (scenario.Trace).
 //
 // A Replay is immutable once built: streams over it share it freely
 // across concurrent runs.
 type Replay struct {
 	// Name labels the trace (provenance; participates in the digest).
-	Name string
+	Name string `json:"name"`
 	// Nodes is the node span the trace was recorded over.
-	Nodes int
+	Nodes int `json:"nodes"`
 	// HorizonSeconds is the trace window length; events wrap modulo it.
-	HorizonSeconds float64
+	HorizonSeconds float64 `json:"horizon_seconds"`
 	// Events is the recorded sequence, ordered by T.
-	Events []ReplayEvent
+	Events []ReplayEvent `json:"events"`
 }
 
 // Validate reports a malformed trace, or nil. Beyond field ranges it

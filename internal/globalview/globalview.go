@@ -24,10 +24,10 @@ package globalview
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pckpt/internal/iomodel"
-	"pckpt/internal/queue"
 	"pckpt/internal/sim"
 )
 
@@ -156,6 +156,7 @@ type writer struct {
 	nodes       int
 	job         int
 	vulnerable  bool
+	proc        *sim.Proc // the episode process doing the write
 }
 
 // lane is the shared PFS path as a processor-sharing resource with a
@@ -168,20 +169,20 @@ type writer struct {
 type lane struct {
 	env       *sim.Env
 	io        *iomodel.Model
-	globalCut bool // Global mode: any vulnerable writer suspends all bulk
-	writers   map[*writer]*sim.Proc
-	resume    *sim.Event // re-armed: fires when a vulnerable writer leaves
+	globalCut bool       // Global mode: any vulnerable writer suspends all bulk
+	writers   []*writer  // in joining order, so same-time wakes are ordered
+	resume    *sim.Event // pulsed when a vulnerable writer leaves
 	peak      int
 }
 
 func newLane(env *sim.Env, io *iomodel.Model, globalCut bool) *lane {
-	return &lane{env: env, io: io, globalCut: globalCut, writers: make(map[*writer]*sim.Proc), resume: sim.NewEvent(env)}
+	return &lane{env: env, io: io, globalCut: globalCut, resume: sim.NewEvent(env)}
 }
 
 // vulnActive reports whether a vulnerable writer is in flight — any at
 // all, or one belonging to the given job (job ≥ 0).
 func (l *lane) vulnActive(job int) bool {
-	for w := range l.writers {
+	for _, w := range l.writers {
 		if w.vulnerable && (job < 0 || w.job == job) {
 			return true
 		}
@@ -205,7 +206,7 @@ func (l *lane) suspended(w *writer) bool {
 // activeNodes sums the node counts of all non-suspended writers.
 func (l *lane) activeNodes() int {
 	n := 0
-	for w := range l.writers {
+	for _, w := range l.writers {
 		if !l.suspended(w) {
 			n += w.nodes
 		}
@@ -222,19 +223,18 @@ func (l *lane) rate(w *writer) float64 {
 
 // write pushes perNodeGB × nodes through the lane and returns when done.
 func (l *lane) write(p *sim.Proc, job, nodes int, perNodeGB float64, vulnerable bool) {
-	w := &writer{remainingGB: perNodeGB * float64(nodes), perNodeGB: perNodeGB, nodes: nodes, job: job, vulnerable: vulnerable}
-	l.writers[w] = p
+	w := &writer{remainingGB: perNodeGB * float64(nodes), perNodeGB: perNodeGB, nodes: nodes, job: job, vulnerable: vulnerable, proc: p}
+	l.writers = append(l.writers, w)
 	l.rerateOthers(w)
 	if sharers := len(l.writers); sharers > l.peak {
 		l.peak = sharers
 	}
 	defer func() {
-		delete(l.writers, w)
-		if vulnerable && l.resume.Waiters() > 0 {
+		l.writers = slices.DeleteFunc(l.writers, func(x *writer) bool { return x == w })
+		if vulnerable {
 			// A vulnerable writer left: wake the suspended bulk phases to
-			// re-check their gate, then re-arm for the next round.
-			l.resume.Trigger()
-			l.resume = sim.NewEvent(l.env)
+			// re-check their gate.
+			l.resume.Pulse()
 		}
 		l.rerateOthers(w)
 	}()
@@ -242,7 +242,7 @@ func (l *lane) write(p *sim.Proc, job, nodes int, perNodeGB float64, vulnerable 
 		if l.suspended(w) {
 			// Preempted: wait for the vulnerable traffic to drain. Any
 			// interrupt (a re-rate) just re-checks the condition.
-			l.waitResume(p)
+			_ = p.WaitEvent(l.resume)
 			continue
 		}
 		rate := l.rate(w)
@@ -255,50 +255,23 @@ func (l *lane) write(p *sim.Proc, job, nodes int, perNodeGB float64, vulnerable 
 	}
 }
 
-func (l *lane) waitResume(p *sim.Proc) {
-	// The resume event is replaced after each Trigger, so capture it.
-	ev := l.resume
-	_ = p.WaitEvent(ev) // interrupts mean "membership changed": re-check
-}
-
-// rerateOthers interrupts every other writer blocked mid-transfer so it
-// recomputes its share under the new membership.
+// rerateOthers interrupts every other writer blocked mid-transfer, in
+// joining order, so it recomputes its share under the new membership.
 func (l *lane) rerateOthers(except *writer) {
-	for w, p := range l.writers {
+	for _, w := range l.writers {
 		if w != except {
-			p.Interrupt("re-rate")
+			w.proc.Interrupt("re-rate")
 		}
 	}
 }
 
-// arbiter serializes turns in deadline order, one holder at a time.
-type arbiter struct {
-	env  *sim.Env
-	q    queue.PQ[*sim.Event]
-	busy bool
-}
-
-// waitTurn blocks until the caller holds the grant.
-func (a *arbiter) waitTurn(p *sim.Proc, deadline float64) {
-	if !a.busy {
-		a.busy = true
-		return
-	}
-	turn := sim.NewEvent(a.env)
-	a.q.Push(deadline, turn)
-	if err := p.WaitEvent(turn); err != nil {
+// turn takes p's turn at r in deadline order. No episode is interrupted
+// while it waits for a turn (only lane writers are), so an interrupt is a
+// bug.
+func turn(r *sim.Resource, p *sim.Proc, deadline float64) {
+	if err := r.Acquire(p, deadline); err != nil {
 		panic(fmt.Sprintf("globalview: turn wait interrupted: %v", err))
 	}
-}
-
-// release hands the grant to the earliest-deadline waiter, if any.
-func (a *arbiter) release() {
-	if a.q.Len() == 0 {
-		a.busy = false
-		return
-	}
-	_, turn := a.q.Pop()
-	turn.Trigger()
 }
 
 // Run simulates one prediction workload under the configured mode.
@@ -322,25 +295,26 @@ func Run(cfg Config, preds []Prediction) *Result {
 	}
 	ln := newLane(env, cfg.IO, cfg.Mode == Global)
 
-	// Vulnerable commits go through a lead-time priority arbiter — one
-	// per job under PerJob (the published protocol's node-local queue),
-	// one machine-wide under Global. Phase-2 bulk commits serialize per
-	// job in both modes (a job cannot run two collective commits at
-	// once), but never block another episode's vulnerable write: a node
+	// Vulnerable commits take turns at a lead-time priority grant (a
+	// capacity-1 sim.Resource keyed by deadline) — one per job under
+	// PerJob (the published protocol's node-local queue), one
+	// machine-wide under Global. Phase-2 bulk commits serialize per job
+	// in both modes (a job cannot run two collective commits at once),
+	// but never block another episode's vulnerable write: a node
 	// predicted mid-episode joins phase 1 immediately, as in Fig. 5.
-	bulkArbs := make([]*arbiter, len(cfg.Jobs))
+	bulkArbs := make([]*sim.Resource, len(cfg.Jobs))
 	for i := range bulkArbs {
-		bulkArbs[i] = &arbiter{env: env}
+		bulkArbs[i] = sim.NewResource(env, 1)
 	}
-	vulnArbs := make([]*arbiter, len(cfg.Jobs))
+	vulnArbs := make([]*sim.Resource, len(cfg.Jobs))
 	if cfg.Mode == Global {
-		shared := &arbiter{env: env}
+		shared := sim.NewResource(env, 1)
 		for i := range vulnArbs {
 			vulnArbs[i] = shared
 		}
 	} else {
 		for i := range vulnArbs {
-			vulnArbs[i] = &arbiter{env: env}
+			vulnArbs[i] = sim.NewResource(env, 1)
 		}
 	}
 
@@ -350,15 +324,15 @@ func Run(cfg Config, preds []Prediction) *Result {
 			job := cfg.Jobs[pr.Job]
 			deadline := env.Now() + pr.Lead
 			// Phase 1: the vulnerable node's prioritized commit, ordered
-			// by lead time within its arbiter's scope.
-			vulnArbs[pr.Job].waitTurn(p, deadline)
+			// by lead time within its grant's scope.
+			turn(vulnArbs[pr.Job], p, deadline)
 			ln.write(p, pr.Job, 1, job.PerNodeGB, true)
 			commit := env.Now()
-			vulnArbs[pr.Job].release()
+			vulnArbs[pr.Job].Release()
 			// Phase 2: the job's healthy nodes commit in bulk.
-			bulkArbs[pr.Job].waitTurn(p, deadline)
+			turn(bulkArbs[pr.Job], p, deadline)
 			ln.write(p, pr.Job, job.Nodes-1, job.PerNodeGB, false)
-			bulkArbs[pr.Job].release()
+			bulkArbs[pr.Job].Release()
 
 			res.Jobs[pr.Job].Episodes++
 			o := Outcome{Job: pr.Job, Node: pr.Node, Deadline: deadline, CommitAt: commit,

@@ -2,6 +2,7 @@ package globalview
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"pckpt/internal/iomodel"
@@ -234,6 +235,35 @@ func TestDeterminism(t *testing.T) {
 	for i := range a.Outcomes {
 		if a.Outcomes[i] != b.Outcomes[i] {
 			t.Fatalf("outcome %d differs between identical runs", i)
+		}
+	}
+}
+
+// TestTiesAreDeterministic: three identical jobs whose vulnerable nodes
+// are predicted at the same instants with the same lead make the lane's
+// wakes and completions tie. Every run must still give one Outcomes
+// list: writers join, are re-rated and leave in a fixed order, never in
+// a map's.
+func TestTiesAreDeterministic(t *testing.T) {
+	cfg := Config{Jobs: []Job{
+		{Name: "J0", Nodes: 64, PerNodeGB: 40},
+		{Name: "J1", Nodes: 64, PerNodeGB: 40},
+		{Name: "J2", Nodes: 64, PerNodeGB: 40},
+	}}
+	preds := []Prediction{
+		{Job: 0, Node: 1, At: 0, Lead: 30},
+		{Job: 1, Node: 1, At: 0, Lead: 30},
+		{Job: 2, Node: 1, At: 0, Lead: 30},
+		{Job: 0, Node: 2, At: 5, Lead: 30},
+		{Job: 1, Node: 2, At: 5, Lead: 30},
+	}
+	for _, mode := range []Mode{PerJob, Global} {
+		cfg.Mode = mode
+		first := Run(cfg, preds).Outcomes
+		for i := 1; i < 200; i++ {
+			if got := Run(cfg, preds).Outcomes; !reflect.DeepEqual(got, first) {
+				t.Fatalf("%v: run %d gave\n%+v\nafter\n%+v", mode, i, got, first)
+			}
 		}
 	}
 }

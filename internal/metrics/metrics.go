@@ -26,7 +26,9 @@
 // merge is exact), which frees the frame for a later run, and computes
 // each merged histogram's quantiles once, at Snapshot. The hot path stays
 // lock-free, and a warm metered run allocates neither a registry nor a
-// frame.
+// frame. Fold is the package's one merge: a Collector folds each cell's
+// snapshot into a Fold of its own, and Snapshot.Merge folds its two
+// snapshots.
 //
 // A Snapshot's JSON form (WriteJSON, the result cache's metered entries)
 // is encoding/json's, except that a non-finite float — a histogram that

@@ -121,62 +121,6 @@ func (h *HistStat) absorb(o HistStat) bool {
 	return true
 }
 
-// merge folds o into h bucket-for-bucket. Both bucket lists are sparse
-// and ascending, so one two-pointer pass merges them into a new slice:
-// h never shares a backing array with o, nor with any snapshot that
-// shared h's old list. With owned set, h's list is h's alone (a
-// collector's), and when it already holds every bucket of o's the counts
-// are added to it in place instead.
-func (h *HistStat) merge(o HistStat, owned bool) {
-	if !h.absorb(o) {
-		return
-	}
-	if owned && addCounts(h.Buckets, o.Buckets) {
-		h.refreshQuantiles()
-		return
-	}
-	a, b := h.Buckets, o.Buckets
-	merged := make([]Bucket, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		switch {
-		case a[0].Index < b[0].Index:
-			merged, a = append(merged, a[0]), a[1:]
-		case a[0].Index > b[0].Index:
-			merged, b = append(merged, b[0]), b[1:]
-		default:
-			merged = append(merged, Bucket{Index: a[0].Index, Count: a[0].Count + b[0].Count})
-			a, b = a[1:], b[1:]
-		}
-	}
-	h.Buckets = append(append(merged, a...), b...)
-	h.refreshQuantiles()
-}
-
-// addCounts adds each of b's counts into the bucket of a with the same
-// index, if a has every one of b's indices, and reports whether it did;
-// otherwise a is unchanged. Both lists are ascending.
-func addCounts(a, b []Bucket) bool {
-	i := 0
-	for _, x := range b {
-		for i < len(a) && a[i].Index < x.Index {
-			i++
-		}
-		if i == len(a) || a[i].Index != x.Index {
-			return false
-		}
-		i++
-	}
-	i = 0
-	for _, x := range b {
-		for a[i].Index < x.Index {
-			i++
-		}
-		a[i].Count += x.Count
-		i++
-	}
-	return true
-}
-
 // Snapshot is a registry's state frozen at a point in simulation time:
 // plain data, JSON-serializable, and mergeable across runs (all
 // histograms share the package bucket layout, so merging shard snapshots
@@ -201,30 +145,14 @@ func (r *Registry) Snapshot(now float64) *Snapshot {
 
 // Merge folds o into s. Metrics present in only one side are kept as-is;
 // shared names are combined (counters add, gauge integrals and spans
-// add, histogram buckets add). Safe with a nil or empty o. s shares no
-// bucket list with o afterwards.
-func (s *Snapshot) Merge(o *Snapshot) { s.merge(o, false) }
-
-// merge is Merge; owned says every bucket list of s belongs to s alone,
-// so histograms may add into them in place (HistStat.merge).
-func (s *Snapshot) merge(o *Snapshot, owned bool) {
-	if o == nil {
-		return
-	}
-	for name, v := range o.Counters {
-		s.addCounter(name, v)
-	}
-	for name, og := range o.Gauges {
-		s.addGauge(name, og)
-	}
-	for name, oh := range o.Histograms {
-		if s.Histograms == nil {
-			s.Histograms = make(map[string]HistStat, len(o.Histograms))
-		}
-		h := s.Histograms[name]
-		h.merge(oh, owned)
-		s.Histograms[name] = h
-	}
+// add, histogram buckets add). It is a Fold of s, then o: each histogram
+// gets a dense bucket array for the merge. Safe with a nil or empty o. s
+// shares no bucket list with o, nor with its own old value, afterwards.
+func (s *Snapshot) Merge(o *Snapshot) {
+	var f Fold
+	f.addSnapshot(s)
+	f.addSnapshot(o)
+	*s = *f.Snapshot()
 }
 
 // addCounter adds v to the named counter.
@@ -346,14 +274,16 @@ func reserve[E any](s []E, n int) []E {
 	return s
 }
 
-// Fold merges run frames, in the order added, into one snapshot: the
-// same snapshot, bit for bit, as Merge-ing the runs' Snapshots in that
-// order, without building them. Histograms fold into dense bucket
-// arrays and get their quantiles once, in Snapshot. The zero Fold is
-// empty and ready to use; it is not safe for concurrent use.
+// Fold merges run frames and snapshots, in the order added, into one
+// snapshot: counters add, gauges combine as Merge says, and histograms
+// fold into dense bucket arrays and get their quantiles once, in
+// Snapshot. It is the package's one merge: a metered cell folds its runs'
+// frames, and Collector and Snapshot.Merge fold snapshots. The zero Fold
+// is empty and ready to use; it is not safe for concurrent use.
 type Fold struct {
 	acc   Snapshot // counters and gauges
 	hists map[string]*histFold
+	spare []histFold // made with hists, for the first batch's names
 }
 
 // histFold is one histogram's running fold: count, sum and extrema, and
@@ -361,6 +291,38 @@ type Fold struct {
 type histFold struct {
 	st      HistStat
 	buckets [numBuckets]uint64
+}
+
+// add folds one histogram's count, sum and extrema and its occupied
+// buckets.
+func (hf *histFold) add(st HistStat, buckets []Bucket) {
+	if hf.st.absorb(st) {
+		for _, b := range buckets {
+			hf.buckets[b.Index] += b.Count
+		}
+	}
+}
+
+// hist returns the named histogram's fold, making it on first use. The
+// fold's first new name makes one array of batch folds (the size of the
+// frame or snapshot being added), which the next new names take in turn;
+// once it is used up, each new name gets its own.
+func (f *Fold) hist(name string, batch int) *histFold {
+	if hf := f.hists[name]; hf != nil {
+		return hf
+	}
+	if f.hists == nil {
+		f.hists = make(map[string]*histFold, batch)
+		f.spare = make([]histFold, batch)
+	}
+	var hf *histFold
+	if len(f.spare) > 0 {
+		hf, f.spare = &f.spare[0], f.spare[1:]
+	} else {
+		hf = new(histFold)
+	}
+	f.hists[name] = hf
+	return hf
 }
 
 // Add folds one run's frame. The fold keeps nothing of fr, which may be
@@ -372,30 +334,28 @@ func (f *Fold) Add(fr *Frame) {
 	for _, g := range fr.gauges {
 		f.acc.addGauge(g.name, g.st)
 	}
-	// The first frame's histograms fold into one array; a name that a
-	// later frame adds gets its own.
-	var first []histFold
-	if f.hists == nil && len(fr.hists) > 0 {
-		f.hists = make(map[string]*histFold, len(fr.hists))
-		first = make([]histFold, len(fr.hists))
-	}
 	start := 0
-	for i, h := range fr.hists {
-		hf := f.hists[h.name]
-		if hf == nil {
-			if first != nil {
-				hf = &first[i]
-			} else {
-				hf = new(histFold)
-			}
-			f.hists[h.name] = hf
-		}
-		if hf.st.absorb(h.st) {
-			for _, b := range fr.buckets[start:h.end] {
-				hf.buckets[b.Index] += b.Count
-			}
-		}
+	for _, h := range fr.hists {
+		f.hist(h.name, len(fr.hists)).add(h.st, fr.buckets[start:h.end])
 		start = h.end
+	}
+}
+
+// addSnapshot folds s as Add folds a frame; a histogram observed zero
+// times keeps an empty entry. The fold keeps nothing of s. No-op on a
+// nil s.
+func (f *Fold) addSnapshot(s *Snapshot) {
+	if s == nil {
+		return
+	}
+	for name, v := range s.Counters {
+		f.acc.addCounter(name, v)
+	}
+	for name, g := range s.Gauges {
+		f.acc.addGauge(name, g)
+	}
+	for name, h := range s.Histograms {
+		f.hist(name, len(s.Histograms)).add(h, h.Buckets)
 	}
 }
 
@@ -557,39 +517,38 @@ func (s *Snapshot) WriteJSON(path string) error {
 }
 
 // Collector accumulates snapshots from many runs or configurations into
-// one merged snapshot. Unlike Registry it is safe for concurrent use:
-// merging happens off the simulation hot path, where a mutex is cheap.
+// one merged snapshot, through a Fold. Unlike Registry it is safe for
+// concurrent use: merging happens off the simulation hot path, where a
+// mutex is cheap.
 type Collector struct {
 	mu   sync.Mutex
-	snap Snapshot
+	fold Fold
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// Add merges one snapshot into the collector. No-op on a nil collector.
-// Every bucket list of the collector is its own — made by a merge, never
-// shared with an added snapshot or a Snapshot copy — so a histogram whose
-// buckets it already holds adds into them in place, allocating nothing.
+// Add folds one snapshot into the collector. No-op on a nil collector.
+// The collector keeps nothing of s, and an Add of series it already
+// holds allocates nothing.
 func (c *Collector) Add(s *Snapshot) {
 	if c == nil || s == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.snap.merge(s, true)
+	c.fold.addSnapshot(s)
 }
 
-// Snapshot returns a copy of the merged state collected so far.
+// Snapshot returns the merged state collected so far, sharing nothing
+// with the collector.
 func (c *Collector) Snapshot() *Snapshot {
 	if c == nil {
 		return &Snapshot{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := &Snapshot{}
-	out.Merge(&c.snap)
-	return out
+	return c.fold.Snapshot()
 }
 
 // MarshalJSON encodes the snapshot through its JSON mirror: encoding/json's

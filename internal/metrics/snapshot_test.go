@@ -13,8 +13,8 @@ import (
 	"testing/quick"
 )
 
-// mapMerge is the map-and-sort histogram merge the linear merge
-// replaced, kept as its oracle.
+// mapMerge is a map-and-sort histogram merge, the oracle of the fold's
+// dense one.
 func mapMerge(h *HistStat, o HistStat) {
 	if o.Count == 0 {
 		return
@@ -42,34 +42,89 @@ func mapMerge(h *HistStat, o HistStat) {
 	h.refreshQuantiles()
 }
 
-// TestHistMergeMatchesMapOracle folds random shards with the merge, in
-// both its copying and its in-place (owned) form, and with the map
-// oracle, and requires every field bit-identical after every step, the
-// derived quantiles included.
-func TestHistMergeMatchesMapOracle(t *testing.T) {
-	same := func(a, b HistStat) bool {
-		return (&Snapshot{Histograms: map[string]HistStat{"h": a}}).Diff(
-			&Snapshot{Histograms: map[string]HistStat{"h": b}}) == ""
+// oracleMerge folds o into want series by series, written out plainly:
+// counters add, gauge integrals and spans add while extrema widen and
+// the last value is o's, and histograms merge through mapMerge.
+func oracleMerge(want, o *Snapshot) {
+	for name, v := range o.Counters {
+		if want.Counters == nil {
+			want.Counters = map[string]float64{}
+		}
+		want.Counters[name] += v
 	}
+	for name, og := range o.Gauges {
+		if want.Gauges == nil {
+			want.Gauges = map[string]GaugeStat{}
+		}
+		g, ok := want.Gauges[name]
+		if ok {
+			og = GaugeStat{Integral: g.Integral + og.Integral, Seconds: g.Seconds + og.Seconds,
+				Min: math.Min(g.Min, og.Min), Max: math.Max(g.Max, og.Max), Last: og.Last}
+		}
+		want.Gauges[name] = og
+	}
+	for name, oh := range o.Histograms {
+		if want.Histograms == nil {
+			want.Histograms = map[string]HistStat{}
+		}
+		h := want.Histograms[name]
+		mapMerge(&h, oh)
+		want.Histograms[name] = h
+	}
+}
+
+// shardSnapshot records one random shard into a fresh registry: two
+// histograms every shard shares, one only this shard has, one resolved
+// but observed zero times, and one that also sees +Inf and NaN; a shared
+// and a shard-only counter; a gauge with a span and one set at the
+// snapshot time (a zero span).
+func shardSnapshot(i int, xs []uint16) *Snapshot {
+	r := New()
+	r.Histogram("h.zero")
+	own := fmt.Sprint("h.shard", i%4)
+	for _, x := range xs {
+		// Spread observations over 2^-25 … 2^39, past both ends of the
+		// bucket layout, with some exact zeros.
+		v := math.Exp2(float64(x%512)/8 - 25)
+		if x%97 == 0 {
+			v = 0
+		}
+		r.Histogram([]string{"h.a", "h.b", own}[x%3]).Observe(v)
+		switch {
+		case x%61 == 0:
+			v = math.Inf(1)
+		case x%67 == 0:
+			v = math.NaN()
+		}
+		r.Histogram("h.nonfinite").Observe(v)
+		r.Counter("c.shared").Inc()
+		r.Counter(fmt.Sprint("c.shard", i%3)).Add(v)
+		r.Gauge("g.span").Set(float64(x%7), float64(x))
+	}
+	now := float64(len(xs))
+	r.Gauge("g.zero").Set(now, float64(i))
+	return r.Snapshot(now)
+}
+
+// TestHistMergeMatchesMapOracle folds random shards of several series
+// through Collector.Add and through Snapshot.Merge, and requires both to
+// equal the map oracle bit for bit after every step, the derived
+// quantiles and the series sets included.
+func TestHistMergeMatchesMapOracle(t *testing.T) {
 	f := func(shards [][]uint16) bool {
-		var got, owned, want HistStat
-		for _, shard := range shards {
-			r := New()
-			h := r.Histogram("h")
-			for _, x := range shard {
-				// Spread observations over 2^-25 … 2^39, past both ends
-				// of the bucket layout, with some exact zeros.
-				v := math.Exp2(float64(x%512)/8 - 25)
-				if x%97 == 0 {
-					v = 0
-				}
-				h.Observe(v)
+		col := NewCollector()
+		merged, want := &Snapshot{}, &Snapshot{}
+		for i, xs := range shards {
+			o := shardSnapshot(i, xs)
+			col.Add(o)
+			merged.Merge(o)
+			oracleMerge(want, o)
+			if d := col.Snapshot().Diff(want); d != "" {
+				t.Logf("shard %d: collector vs oracle: %s", i, d)
+				return false
 			}
-			o := r.Snapshot(0).Histograms["h"]
-			got.merge(o, false)
-			owned.merge(o, true)
-			mapMerge(&want, o)
-			if !same(got, want) || !same(owned, want) {
+			if d := merged.Diff(want); d != "" {
+				t.Logf("shard %d: Merge vs oracle: %s", i, d)
 				return false
 			}
 		}
@@ -103,8 +158,8 @@ func TestCollectorSnapshotIsACopy(t *testing.T) {
 	if d := col.Snapshot().Diff(want); d != "" {
 		t.Fatalf("mutating a snapshot changed the collector: %s", d)
 	}
-	// A further Add merges into the collector's own storage only, whether
-	// it brings a new bucket or adds into the collector's in place.
+	// A further Add folds into the collector's own storage only, whether
+	// it brings a new bucket or adds to one the collector holds.
 	kept := col.Snapshot()
 	col.Add(shard(32))
 	col.Add(shard(2, 8))
@@ -113,11 +168,10 @@ func TestCollectorSnapshotIsACopy(t *testing.T) {
 	}
 }
 
-// TestCollectorAddAllocs: adding a snapshot whose histogram buckets the
-// collector already holds adds the counts in place and allocates
-// nothing; the collector ends where Snapshot.Merge of the same snapshots
-// does, and the added snapshot and a Snapshot copy taken earlier stay as
-// they were.
+// TestCollectorAddAllocs: adding a snapshot whose series the collector
+// already holds folds it in place and allocates nothing; the collector
+// ends where Snapshot.Merge of the same snapshots does, and the added
+// snapshot and a Snapshot copy taken earlier stay as they were.
 func TestCollectorAddAllocs(t *testing.T) {
 	r := New()
 	for _, v := range []float64{0.5, 2, 2, 8, 300} {

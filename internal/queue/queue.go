@@ -1,6 +1,7 @@
 // Package queue provides the priority-queue machinery shared by the
-// discrete-event simulator (its event heap) and the p-ckpt protocol (the
-// node-local lead-time priority queue of Sec. VI of the paper).
+// discrete-event simulator (its event heap and sim.Resource's waiters)
+// and the p-ckpt protocol (the node-local lead-time priority queue of
+// Sec. VI of the paper).
 //
 // Both queues need stable behaviour under equal keys: simultaneous
 // simulation events must fire in schedule order for determinism, and two

@@ -315,7 +315,7 @@ func (s *Spec) Configs() ([]RunConfig, error) {
 		if err := f.Trace.Validate(); err != nil {
 			return nil, err
 		}
-		replay = f.Trace.ToReplay()
+		replay = &f.Trace.Replay
 	default:
 		var err error
 		if sys, err = failure.SystemByName(f.System); err != nil {

@@ -174,15 +174,15 @@ func TestFlagEquivalence(t *testing.T) {
 }
 
 func testTrace() *Trace {
-	return &Trace{
-		Version: 1, Name: "unit", Nodes: 16, HorizonSeconds: 4000,
-		Events: []TraceEvent{
+	return &Trace{Version: 1, Replay: failure.Replay{
+		Name: "unit", Nodes: 16, HorizonSeconds: 4000,
+		Events: []failure.ReplayEvent{
 			{T: 300, Node: 2, Lead: 120, Seq: 1},
 			{T: 900, Node: 9, Lead: 60, Seq: 2, Spurious: true},
 			{T: 2500, Node: 7},
 			{T: 3900, Node: 11, Lead: 200, Seq: 1},
 		},
-	}
+	}}
 }
 
 func TestTraceRoundTrip(t *testing.T) {
@@ -198,11 +198,75 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parsed.ToReplay().Digest() != tr.ToReplay().Digest() {
+	if parsed.Digest() != tr.Digest() {
 		t.Fatal("JSON round trip changes the trace")
 	}
 	if _, err := ParseTrace([]byte(`{"version": 1, "nodez": 3}`)); err == nil {
 		t.Error("unknown trace field accepted")
+	}
+}
+
+// TestTraceRendersInSchemaOrder pins the trace file's layout: the trace
+// keys version, name, nodes, horizon_seconds and events, then each
+// event's t, node, lead, seq and spurious, in that order, with a zero
+// lead, sequence ID or spurious flag left out. The committed mined trace
+// renders back to its own bytes.
+func TestTraceRendersInSchemaOrder(t *testing.T) {
+	got, err := testTrace().Render()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{
+  "version": 1,
+  "name": "unit",
+  "nodes": 16,
+  "horizon_seconds": 4000,
+  "events": [
+    {
+      "t": 300,
+      "node": 2,
+      "lead": 120,
+      "seq": 1
+    },
+    {
+      "t": 900,
+      "node": 9,
+      "lead": 60,
+      "seq": 2,
+      "spurious": true
+    },
+    {
+      "t": 2500,
+      "node": 7
+    },
+    {
+      "t": 3900,
+      "node": 11,
+      "lead": 200,
+      "seq": 1
+    }
+  ]
+}
+`
+	if string(got) != want {
+		t.Fatalf("trace rendering:\n%s\nwant\n%s", got, want)
+	}
+
+	path := filepath.Join("..", "..", "examples", "scenarios", "traces", "desh-mined.json")
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mined, err := LoadTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := mined.Render()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, file) {
+		t.Fatalf("%s renders to %d bytes, not its own %d", path, len(again), len(file))
 	}
 }
 
@@ -219,7 +283,7 @@ func TestReplaySpecCompiles(t *testing.T) {
 	if pc.Replay == nil {
 		t.Fatal("compiled config has no replay")
 	}
-	if pc.Replay.Digest() != testTrace().ToReplay().Digest() {
+	if pc.Replay.Digest() != testTrace().Digest() {
 		t.Fatal("compiled replay differs from the spec's trace")
 	}
 	d := pc.WithDefaults()
@@ -259,7 +323,7 @@ func TestLoadTraceFile(t *testing.T) {
 	if s.Failures.Trace == nil || s.Failures.TraceFile != "" {
 		t.Fatalf("trace_file not inlined: %+v", s.Failures)
 	}
-	if s.Failures.Trace.ToReplay().Digest() != tr.ToReplay().Digest() {
+	if s.Failures.Trace.Digest() != tr.Digest() {
 		t.Fatal("loaded trace differs from the file")
 	}
 	// A dangling reference must fail at load time.

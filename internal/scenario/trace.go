@@ -10,60 +10,22 @@ import (
 	"pckpt/internal/failure"
 )
 
-// TraceEvent is one recorded failure-trace entry in interchange form; the
-// fields mirror failure.ReplayEvent one-to-one.
-type TraceEvent struct {
-	// T is seconds since the trace window's start.
-	T float64 `json:"t"`
-	// Node is the trace-local node index.
-	Node int `json:"node"`
-	// Lead is the prediction lead time in seconds (0 = unpredicted).
-	Lead float64 `json:"lead,omitempty"`
-	// Seq is the mined failure-sequence ID (0 = unknown).
-	Seq int `json:"seq,omitempty"`
-	// Spurious marks a false-positive prediction with no failure behind it.
-	Spurious bool `json:"spurious,omitempty"`
-}
-
 // Trace is the JSON interchange form of a failure trace: what
 // internal/deshlog exports from mined log chains and what a scenario spec
-// replays (inline, or referenced through "trace_file"). It is a versioned
-// rendering of failure.Replay — the runtime type both simulation tiers
-// consume through the failure-stream interface.
+// replays (inline, or referenced through "trace_file"). It is
+// failure.Replay, the runtime type both simulation tiers consume through
+// the failure-stream interface, plus a format version: encoding/json
+// flattens the embedded Replay, so a trace file's keys are version, name,
+// nodes, horizon_seconds and events, in that order.
 type Trace struct {
 	// Version is the trace format version; 1 is the only version.
 	Version int `json:"version"`
-	// Name labels the trace (provenance; participates in cache keys).
-	Name string `json:"name"`
-	// Nodes is the node span the trace was recorded over.
-	Nodes int `json:"nodes"`
-	// HorizonSeconds is the trace window length; replay wraps modulo it.
-	HorizonSeconds float64 `json:"horizon_seconds"`
-	// Events is the recorded sequence, ordered by T.
-	Events []TraceEvent `json:"events"`
-}
-
-// ToReplay converts the trace to its runtime replay form. Purely
-// structural: call Validate (or failure.Replay.Validate) to check it.
-func (t *Trace) ToReplay() *failure.Replay {
-	if t == nil {
-		return nil
-	}
-	re := &failure.Replay{
-		Name:           t.Name,
-		Nodes:          t.Nodes,
-		HorizonSeconds: t.HorizonSeconds,
-		Events:         make([]failure.ReplayEvent, len(t.Events)),
-	}
-	for i, ev := range t.Events {
-		re.Events[i] = failure.ReplayEvent{T: ev.T, Node: ev.Node, Lead: ev.Lead, Seq: ev.Seq, Spurious: ev.Spurious}
-	}
-	return re
+	failure.Replay
 }
 
 // Validate reports a malformed trace, or nil. Field semantics are checked
 // by the runtime type's validator, so a trace is valid exactly when its
-// replay is.
+// version is 1 and its replay is valid.
 func (t *Trace) Validate() error {
 	if t == nil {
 		return fmt.Errorf("scenario: nil trace")
@@ -71,7 +33,7 @@ func (t *Trace) Validate() error {
 	if t.Version != 1 {
 		return fmt.Errorf("scenario: unsupported trace version %d (want 1)", t.Version)
 	}
-	return t.ToReplay().Validate()
+	return t.Replay.Validate()
 }
 
 // Render returns the canonical JSON rendering of a valid trace — what

@@ -1,55 +1,20 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"pckpt/internal/queue"
+)
 
 // Resource is a counting semaphore with FIFO (or priority) granting — the
-// PFS-lane token of the node-level p-ckpt protocol. Acquire with a
-// priority key; lower keys are served first, ties in request order.
+// lead-time grant of the p-ckpt protocol: nodesim's PFS lane and
+// globalview's turns. Acquire with a priority key; lower keys are served
+// first, ties in request order (queue.PQ's order).
 type Resource struct {
 	env      *Env
 	capacity int
 	inUse    int
-	waiters  waiterQueue
-}
-
-// waiterQueue is a small stable priority queue of grant events.
-type waiterQueue struct {
-	items []resWaiter
-	seq   uint64
-}
-
-type resWaiter struct {
-	key   float64
-	seq   uint64
-	grant *Event
-}
-
-func (q *waiterQueue) push(key float64, grant *Event) {
-	q.seq++
-	q.items = append(q.items, resWaiter{key: key, seq: q.seq, grant: grant})
-}
-
-func (q *waiterQueue) pop() *Event {
-	best := 0
-	for i := 1; i < len(q.items); i++ {
-		if q.items[i].key < q.items[best].key ||
-			(q.items[i].key == q.items[best].key && q.items[i].seq < q.items[best].seq) {
-			best = i
-		}
-	}
-	ev := q.items[best].grant
-	q.items = append(q.items[:best], q.items[best+1:]...)
-	return ev
-}
-
-func (q *waiterQueue) remove(grant *Event) bool {
-	for i := range q.items {
-		if q.items[i].grant == grant {
-			q.items = append(q.items[:i], q.items[i+1:]...)
-			return true
-		}
-	}
-	return false
+	waiters  queue.PQ[*Event] // grant events, keyed by priority
 }
 
 // NewResource creates a resource with the given concurrent capacity.
@@ -68,7 +33,7 @@ func (r *Resource) InUse() int { return r.inUse }
 // Queued returns the number of blocked acquirers. No model reads it:
 // TestResourceInterruptWithdraws and TestResourceUnderChurnConservesUnits
 // check that a withdrawn or served acquirer leaves the queue.
-func (r *Resource) Queued() int { return len(r.waiters.items) }
+func (r *Resource) Queued() int { return r.waiters.Len() }
 
 // Acquire blocks until a unit is granted. priority orders the wait queue
 // (lower first — the p-ckpt lead-time rule). It returns the *Interrupt
@@ -79,9 +44,9 @@ func (r *Resource) Acquire(p *Proc, priority float64) error {
 		return nil
 	}
 	grant := NewEvent(r.env)
-	r.waiters.push(priority, grant)
+	r.waiters.Push(priority, grant)
 	if err := p.WaitEvent(grant); err != nil {
-		if !r.waiters.remove(grant) && grant.Triggered() {
+		if r.waiters.RemoveFunc(func(e *Event) bool { return e == grant }) == 0 && grant.Triggered() {
 			// The grant raced the interrupt: the unit was already
 			// transferred to us, so return it.
 			r.release()
@@ -100,9 +65,10 @@ func (r *Resource) Release() {
 }
 
 func (r *Resource) release() {
-	if len(r.waiters.items) > 0 {
+	if r.waiters.Len() > 0 {
 		// Hand the unit directly to the next waiter; inUse stays put.
-		r.waiters.pop().Trigger()
+		_, grant := r.waiters.Pop()
+		grant.Trigger()
 		return
 	}
 	r.inUse--
